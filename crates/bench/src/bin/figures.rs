@@ -11,12 +11,12 @@ use std::env;
 use std::process::ExitCode;
 
 use fv_bench::{
-    all_figures, chaos_report, coldpath_report, elasticity, explain_figures, fig10, fig11a, fig11b,
-    fig12, fig6a, fig6b, fig7, fig8, fig9a, fig9b, fig9c, hotpath_report, overload_report,
-    plan_ablation, qdepth, scaleout, smoke_figures, table1, Figure,
+    all_figures, chaos_report, elasticity, explain_figures, fig10, fig11a, fig11b, fig12, fig6a,
+    fig6b, fig7, fig8, fig9a, fig9b, fig9c, hotpath_report, overload_report, plan_ablation, qdepth,
+    scaleout, smoke_figures, table1, Figure,
 };
 
-const USAGE: &str = "usage: figures <table1|fig6a|fig6b|fig7|fig8a|fig8b|fig8c|fig9a|fig9b|fig9c|fig10|fig11a|fig11b|fig12|scaleout|qdepth|plan_ablation|elasticity|hotpath|coldpath|chaos|overload|explain|all|smoke> [--csv]";
+const USAGE: &str = "usage: figures <table1|fig6a|fig6b|fig7|fig8a|fig8b|fig8c|fig9a|fig9b|fig9c|fig10|fig11a|fig11b|fig12|scaleout|qdepth|plan_ablation|elasticity|hotpath|chaos|overload|explain|all|smoke> [--csv]";
 
 fn one(id: &str) -> Option<Figure> {
     Some(match id {
@@ -49,39 +49,6 @@ fn one(id: &str) -> Option<Figure> {
 fn check_recorded_hotpath_baseline(path: &str) -> Result<(), String> {
     let json = std::fs::read_to_string(path)
         .map_err(|e| format!("{path} missing — run `just bench-hotpath` to record it ({e})"))?;
-    for op in ["regex", "distinct", "group_by", "join"] {
-        let line = json
-            .lines()
-            .find(|l| l.contains(&format!("\"op\": \"{op}\"")))
-            .ok_or_else(|| format!("{path}: no sample for operator {op:?}"))?;
-        if !line.contains("\"speedup\":") {
-            return Err(format!("{path}: operator {op:?} sample has no speedup"));
-        }
-        if !line.contains("\"batched_blocks\":") {
-            return Err(format!(
-                "{path}: operator {op:?} sample has no batched_blocks counter"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// `figures smoke` gate for the coldpath baseline (`BENCH_PR9.json`):
-/// every restage query must record a `speedup` of the column-image
-/// path over the row-image path, and every column-keyed operator row
-/// must carry its speedup and batched-engagement counter.
-fn check_recorded_coldpath_baseline(path: &str) -> Result<(), String> {
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("{path} missing — run `just bench-coldpath` to record it ({e})"))?;
-    for query in ["passthrough", "filter", "filter+project"] {
-        let line = json
-            .lines()
-            .find(|l| l.contains(&format!("\"query\": \"{query}\"")))
-            .ok_or_else(|| format!("{path}: no restage sample for query {query:?}"))?;
-        if !line.contains("\"speedup\":") {
-            return Err(format!("{path}: restage query {query:?} has no speedup"));
-        }
-    }
     for op in ["regex", "distinct", "group_by", "join"] {
         let line = json
             .lines()
@@ -180,18 +147,6 @@ fn main() -> ExitCode {
                 Err(e) => eprintln!("could not write BENCH_PR8.json: {e}"),
             }
         }
-        "coldpath" => {
-            // Wall-clock microbench of the columnar staging path:
-            // render the figure and record the machine-readable perf
-            // baseline.
-            let report = coldpath_report();
-            render(&report.to_figure());
-            let json = report.to_json();
-            match std::fs::write("BENCH_PR9.json", &json) {
-                Ok(()) => eprintln!("wrote BENCH_PR9.json"),
-                Err(e) => eprintln!("could not write BENCH_PR9.json: {e}"),
-            }
-        }
         "chaos" => {
             // Tail latency under deterministic fault injection: render
             // the figure and record the machine-readable chaos baseline.
@@ -233,13 +188,6 @@ fn main() -> ExitCode {
             // path in PR 8 — a missing entry means `figures hotpath`
             // was not re-run after an operator-suite change.
             if let Err(missing) = check_recorded_hotpath_baseline("BENCH_PR8.json") {
-                eprintln!("{missing}");
-                return ExitCode::FAILURE;
-            }
-            // Same gate for the coldpath baseline: the recorded
-            // restage and column-keyed operator rows must be present
-            // and complete.
-            if let Err(missing) = check_recorded_coldpath_baseline("BENCH_PR9.json") {
                 eprintln!("{missing}");
                 return ExitCode::FAILURE;
             }

@@ -992,7 +992,6 @@ pub fn smoke_figures() -> Vec<Figure> {
         plan_ablation_smoke(),
         elasticity_smoke(),
         crate::hotpath::hotpath_smoke(),
-        crate::coldpath::coldpath_smoke(),
         crate::chaos::chaos_smoke(),
         crate::overload::overload_smoke(),
     ]
@@ -1350,7 +1349,6 @@ mod tests {
             "plan_ablation",
             "elasticity",
             "hotpath",
-            "coldpath",
             "chaos",
             "overload",
         ] {

@@ -38,10 +38,6 @@
 //! block datapath vs the per-tuple reference, and parallel vs serial
 //! fleet scatter at 1 → 8 nodes (`figures hotpath` also writes the
 //! machine-readable `BENCH_PR8.json` perf baseline).
-//! [`coldpath()`] measures the columnar staging path — cold-query
-//! restage on a row image vs a zero-copy column-image open, and each
-//! operator on row-block vs slice-native input (`figures coldpath`
-//! also writes the machine-readable `BENCH_PR9.json`).
 //! [`chaos()`] degrades one node of a replicated fleet behind each
 //! seeded fault class (loss/retry, delay spikes, bandwidth cap,
 //! partition, truncated doorbell, raced slow replica), asserting
@@ -66,7 +62,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod chaos;
-pub mod coldpath;
 pub mod experiments;
 pub mod figure;
 pub mod hotpath;
@@ -75,10 +70,6 @@ pub mod overload;
 pub use chaos::{
     chaos, chaos_report, chaos_report_at, chaos_smoke, fault_plan_for, ChaosClassStats,
     ChaosReport, CHAOS_BENCH_SEED, CHAOS_NODES, CHAOS_REPLICAS,
-};
-pub use coldpath::{
-    coldpath, coldpath_report, coldpath_report_at, coldpath_smoke, ColdpathReport, ColumnOpSample,
-    RestageSample,
 };
 pub use experiments::*;
 pub use figure::{Figure, Series};

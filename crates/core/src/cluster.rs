@@ -89,6 +89,12 @@ pub struct QueryOutcome {
     pub stats: QueryStats,
 }
 
+impl AsRef<QueryOutcome> for QueryOutcome {
+    fn as_ref(&self) -> &QueryOutcome {
+        self
+    }
+}
+
 impl QueryOutcome {
     /// Decode the payload into owned rows.
     ///
@@ -557,11 +563,19 @@ impl QPair {
         Ok(t)
     }
 
-    /// Allocate + write in one call.
+    /// Allocate + write in one call. A failed write (a degraded link)
+    /// frees the allocation before the error returns — the caller never
+    /// sees the handle, so nobody else could.
     pub fn load_table(&self, table: &Table) -> Result<(FTable, SimDuration), FvError> {
         let ft = self.alloc_table(table)?;
-        let t = self.table_write(&ft, table.bytes())?;
-        Ok((ft, t))
+        match self.table_write(&ft, table.bytes()) {
+            Ok(t) => Ok((ft, t)),
+            Err(e) => {
+                // Best-effort: the write error is the one to report.
+                let _ = self.free_table(ft);
+                Err(e)
+            }
+        }
     }
 
     /// Allocate + write + register under a name in the client-side
@@ -952,6 +966,21 @@ mod tests {
         assert_eq!(out.row_count(), 128);
         assert_eq!(out.stats.packets, 9); // 8 KiB + FIN
         qp.free_table(ft).unwrap();
+    }
+
+    #[test]
+    fn failed_load_returns_its_pages_to_the_pool() {
+        let c = cluster();
+        let qp = c.connect().unwrap();
+        let t = make_table(128);
+        let baseline = c.free_pages();
+        c.set_fault_plan(fv_net::FaultPlan::none().partitioned());
+        let err = qp.load_table(&t).expect_err("partitioned link");
+        assert!(matches!(err, FvError::Net(_)), "{err}");
+        assert_eq!(c.free_pages(), baseline, "a failed load must not leak");
+        c.set_fault_plan(fv_net::FaultPlan::none());
+        let (ft, _) = qp.load_table(&t).expect("healed link loads");
+        assert_eq!(qp.table_read(&ft).unwrap().payload, t.bytes());
     }
 
     #[test]

@@ -461,6 +461,13 @@ pub struct FleetQueryOutcome {
     pub merge_time: SimDuration,
 }
 
+/// A fleet outcome viewed as the single-node-format result it merged to.
+impl AsRef<QueryOutcome> for FleetQueryOutcome {
+    fn as_ref(&self) -> &QueryOutcome {
+        &self.merged
+    }
+}
+
 /// A fleet-scope connection: one bound queue pair per node, opened
 /// lazily for nodes that join after the connection was made.
 pub struct FleetQPair {
@@ -689,8 +696,15 @@ impl FleetQPair {
         replicas: usize,
     ) -> Result<(FleetTable, SimDuration), FvError> {
         let ft = self.alloc_table_replicated(table, part, replicas)?;
-        let t = self.scatter_write(&ft, table.bytes())?;
-        Ok((ft, t))
+        match self.scatter_write(&ft, table.bytes()) {
+            Ok(t) => Ok((ft, t)),
+            Err(e) => {
+                // A degraded link failed some replica's write: free
+                // every allocation; the write error is the one to report.
+                let _ = self.free_table(ft);
+                Err(e)
+            }
+        }
     }
 
     /// `freeTableMem` on every replica. Attempts every allocation even
@@ -1244,6 +1258,31 @@ mod tests {
             "failed fleet alloc must not leak pages on the shards that succeeded"
         );
         hog_qp.free_table(hog).unwrap();
+    }
+
+    #[test]
+    fn failed_scatter_write_frees_every_allocation() {
+        let fleet = FarviewFleet::new(2, FarviewConfig::tiny());
+        let qp = fleet.connect().unwrap();
+        let t = table(1000, 4);
+        let free_before = fleet.free_pages();
+        let victim = fleet.node_ids()[1];
+        fleet
+            .degrade_node(victim, fv_net::FaultPlan::none().partitioned())
+            .unwrap();
+        let err = qp
+            .load_table(&t, Partitioning::RowRange)
+            .expect_err("node 1 is partitioned");
+        assert!(matches!(err, FvError::Net(_)), "{err}");
+        assert_eq!(
+            fleet.free_pages(),
+            free_before,
+            "a failed fleet load must not leak pages on either node"
+        );
+        fleet.heal_node(victim).unwrap();
+        let (ft, _) = qp.load_table(&t, Partitioning::RowRange).unwrap();
+        let out = qp.far_view(&ft, &PipelineSpec::passthrough()).unwrap();
+        assert_eq!(out.merged.payload, t.bytes());
     }
 
     #[test]

@@ -71,8 +71,7 @@ pub use serve::{
     ServeReport, ServeTenant, SingleNodeBackend, TenantServeStats,
 };
 pub use tiered::{
-    BlockStore, FleetTierOutcome, FleetTieredPool, StorageParams, TierLevel, TierOutcome,
-    TieredPool,
+    BlockStore, FleetTierConn, StorageParams, TierConn, TierLevel, TierOutcome, TieredPool,
 };
 pub use topology::{
     MovePlan, NodeHealth, NodeId, Placement, RebalanceReport, ShardMove, Topology, TopologySnapshot,

@@ -17,22 +17,28 @@
 //!   cold **columnar table images** ([`fv_data::ColumnImage`] bytes +
 //!   read/write timing). Objects are shared out as `Arc<[u8]>`, so a
 //!   read never copies the image.
-//! * The **far-memory image tier** (internal to both pools) keeps
+//! * The **far-memory image tier** (internal to the pool) keeps
 //!   recently staged images resident as zero-copy `Arc<[u8]>` buffers
 //!   under their own byte budget. Pressure evicts cold *column slices*,
 //!   not whole tables: a partially spilled image repays only the disk
 //!   reads for its missing slices on the next staging, each costed
 //!   per-slice through [`StorageParams`].
-//! * [`TieredPool`] — an LRU cache manager over one connection's slice
-//!   of the disaggregated memory: queries against cold tables stage them
-//!   in (evicting least-recently-used DRAM residents when the budget is
-//!   exceeded) and then run the offloaded pipeline.
-//! * [`FleetTieredPool`] — the same manager at **fleet** scope: staged
-//!   tables scatter across the fleet under the topology's *current*
-//!   epoch, and a resident staged before a membership change is
-//!   restaged into the new placement the next time it is queried. The
-//!   restage sources from the far-memory image — only slices that were
-//!   spilled to disk in the meantime are re-read.
+//! * [`TieredPool`] — an LRU cache manager over the slice of
+//!   disaggregated memory one connection ([`TierConn`]) reaches:
+//!   queries against cold tables stage them in (evicting
+//!   least-recently-used DRAM residents when the budget is exceeded)
+//!   and then run the offloaded pipeline. Over a [`QPair`] that is one
+//!   node; over a [`FleetTierConn`] staged tables scatter across the
+//!   fleet under the topology's *current* epoch, and a resident staged
+//!   before a membership change is restaged into the new placement the
+//!   next time it is queried. The restage sources from the far-memory
+//!   image — only slices that were spilled to disk in the meantime are
+//!   re-read.
+//!
+//! Column images are the disk / far-tier *storage* format only. DRAM
+//! tables and the operator datapath are row-major, as in the paper:
+//! staging turns the opened image back into rows before any operator
+//! runs.
 //!
 //! Any fixed-stride schema stages (the image records the schema
 //! fingerprint; the pool keeps a per-object schema catalog). Image
@@ -41,8 +47,7 @@
 //! a panic.
 //!
 //! Query results are identical hot or cold; only the reported time
-//! differs (staging cost surfaces in [`TierOutcome`] /
-//! [`FleetTierOutcome`]).
+//! differs (staging cost surfaces in [`TierOutcome`]).
 //!
 //! Budgets are best-effort admission bounds: a table larger than the
 //! remaining budget (including a zero budget) still stages — the pool
@@ -215,7 +220,7 @@ struct FarFetch {
     source: TierLevel,
 }
 
-/// The disk + far-memory rungs of the ladder, shared by both pools:
+/// The disk + far-memory rungs of the ladder:
 /// a [`BlockStore`] of column images, a per-object schema catalog, and
 /// the far-memory image cache with column-granular spill.
 struct FarTier {
@@ -365,23 +370,141 @@ fn resident_total(img: &FarImage) -> u64 {
         .sum()
 }
 
-/// Outcome of a tiered query: the query result plus the tier activity
-/// that preceded it.
+/// The connection a [`TieredPool`] stages tables into and queries them
+/// through — the plug-in shape [`ServeBackend`](crate::serve::ServeBackend)
+/// gives serving. [`QPair`] is the single-node connection,
+/// [`FleetTierConn`] the fleet one.
+pub trait TierConn {
+    /// Handle of a table staged in disaggregated DRAM.
+    type Staged;
+    /// What a query returns; viewable as the single-node-format result.
+    type Outcome: AsRef<QueryOutcome> + std::fmt::Debug;
+
+    /// Allocate + write `table` into DRAM; returns the handle and the
+    /// simulated write time.
+    fn stage(&self, table: &Table) -> Result<(Self::Staged, SimDuration), FvError>;
+
+    /// Does `staged` still sit where a fresh staging would put it?
+    fn placement_is_current(&self, staged: &Self::Staged) -> bool;
+
+    /// Return `staged`'s pages to the buffer pool.
+    fn free(&self, staged: Self::Staged) -> Result<(), FvError>;
+
+    /// Run `spec` against `staged`.
+    fn run(&self, staged: &Self::Staged, spec: &PipelineSpec) -> Result<Self::Outcome, FvError>;
+}
+
+/// One connection's slice of one node's memory. A staged table never
+/// moves, and the query runs through the shared [`Executor`] like every
+/// other single-node entry point.
+impl TierConn for QPair {
+    type Staged = FTable;
+    type Outcome = QueryOutcome;
+
+    fn stage(&self, table: &Table) -> Result<(FTable, SimDuration), FvError> {
+        self.load_table(table)
+    }
+
+    fn placement_is_current(&self, _staged: &FTable) -> bool {
+        true
+    }
+
+    fn free(&self, staged: FTable) -> Result<(), FvError> {
+        self.free_table(staged)
+    }
+
+    fn run(&self, staged: &FTable, spec: &PipelineSpec) -> Result<QueryOutcome, FvError> {
+        Executor::single(self, staged, spec)
+    }
+}
+
+/// The fleet-scope connection: staged tables scatter across the fleet
+/// under the topology's *current* epoch. The elastic-topology twist is
+/// [`TierConn::placement_is_current`]: a table staged before an
+/// `add_node`/`drain_node`/`remove_node` is transparently restaged into
+/// the current placement on its next query — cold data always lands on
+/// the shard set that exists now. Staleness is a property of the
+/// *placement*, not the raw epoch: membership changes that cancelled
+/// out (a node added and removed again) leave residents hot.
 #[derive(Debug)]
-pub struct TierOutcome {
+pub struct FleetTierConn<'a> {
+    fqp: &'a FleetQPair,
+    /// Partitioning for every staged table.
+    partitioning: Partitioning,
+    /// Replica count per shard for every staged table.
+    replicas: usize,
+}
+
+impl<'a> FleetTierConn<'a> {
+    /// Stage through `fqp`, scattering every table under `partitioning`
+    /// with one copy per shard.
+    pub fn new(fqp: &'a FleetQPair, partitioning: Partitioning) -> Self {
+        FleetTierConn {
+            fqp,
+            partitioning,
+            replicas: 1,
+        }
+    }
+
+    /// Stage every table with `replicas` copies per shard on distinct
+    /// nodes — reads race the replicas and survive any `replicas − 1`
+    /// node losses, exactly as
+    /// [`FleetQPair::load_table_replicated`](crate::fleet::FleetQPair::load_table_replicated)
+    /// documents.
+    pub fn with_replication(mut self, replicas: usize) -> Self {
+        self.replicas = replicas;
+        self
+    }
+}
+
+impl TierConn for FleetTierConn<'_> {
+    type Staged = FleetTable;
+    type Outcome = FleetQueryOutcome;
+
+    fn stage(&self, table: &Table) -> Result<(FleetTable, SimDuration), FvError> {
+        self.fqp
+            .load_table_replicated(table, self.partitioning, self.replicas)
+    }
+
+    fn placement_is_current(&self, staged: &FleetTable) -> bool {
+        self.fqp.placement_is_current(staged.placement())
+    }
+
+    fn free(&self, staged: FleetTable) -> Result<(), FvError> {
+        self.fqp.free_table(staged)
+    }
+
+    fn run(&self, staged: &FleetTable, spec: &PipelineSpec) -> Result<FleetQueryOutcome, FvError> {
+        self.fqp.far_view(staged, spec)
+    }
+}
+
+/// Outcome of a tiered query: the query result plus the tier activity
+/// that preceded it. `O` is the connection's result type —
+/// [`QueryOutcome`] on a single node, [`FleetQueryOutcome`] on a fleet.
+#[derive(Debug)]
+pub struct TierOutcome<O = QueryOutcome> {
     /// The query result (identical hot or cold).
-    pub outcome: QueryOutcome,
-    /// Whether the table was already resident in disaggregated DRAM.
+    pub outcome: O,
+    /// Whether the table was already resident in disaggregated DRAM
+    /// under a still-current placement.
     pub buffer_hit: bool,
+    /// Whether a resident copy existed but its placement had gone stale
+    /// and it was re-scattered into the current shard set (never on a
+    /// single node).
+    pub restaged: bool,
     /// Which tier the staging sourced from (`None` on a DRAM hit):
     /// [`TierLevel::FarMemory`] when the image was fully far-resident,
     /// [`TierLevel::Disk`] when any slice had to come off the device.
+    /// An epoch-stale restage typically reports `FarMemory`: the
+    /// rebalance ships only slices that were spilled to disk.
     pub staged_from: Option<TierLevel>,
     /// Column slices read from disk during this staging (0 on a DRAM
     /// or full far-memory hit; the column count on a cold miss).
     pub slices_fetched: usize,
     /// Time spent staging the table in (device reads, if any, + write
-    /// into the disaggregated buffer pool). Zero on a hit.
+    /// into the disaggregated buffer pool — the slowest shard's scatter
+    /// write on a fleet). Zero on a hit.
     pub stage_in_time: SimDuration,
     /// Tables evicted from DRAM to make room. Their far-memory images
     /// survive, so re-querying them repays only the DRAM write.
@@ -390,35 +513,39 @@ pub struct TierOutcome {
     pub spilled_slices: u64,
 }
 
-impl TierOutcome {
+impl<O: AsRef<QueryOutcome>> TierOutcome<O> {
     /// Total client-observed time: staging (if any) plus the query.
     pub fn total_time(&self) -> SimDuration {
-        self.stage_in_time + self.outcome.stats.response_time
+        self.stage_in_time + self.outcome.as_ref().stats.response_time
     }
 }
 
-struct Resident {
-    ft: FTable,
+struct Resident<S> {
+    staged: S,
     bytes: u64,
     /// LRU stamp.
     last_use: u64,
 }
 
 /// An LRU-managed slice of the disaggregated buffer pool backed by a
-/// far-memory image tier and a [`BlockStore`].
-pub struct TieredPool<'a> {
-    qp: &'a QPair,
+/// far-memory image tier and a [`BlockStore`], staging into whatever
+/// connection `C` it is given — one node's [`QPair`] by default, a
+/// whole fleet through [`FleetTierConn`].
+pub struct TieredPool<'a, C: TierConn = QPair> {
+    conn: &'a C,
     far: FarTier,
-    /// DRAM budget this pool may occupy, in bytes.
+    /// DRAM budget this pool may occupy (fleet-wide on a fleet), in
+    /// bytes.
     capacity: u64,
-    resident: HashMap<String, Resident>,
+    resident: HashMap<String, Resident<C::Staged>>,
     resident_bytes: u64,
     clock: u64,
     hits: u64,
     misses: u64,
+    restages: u64,
 }
 
-impl std::fmt::Debug for TieredPool<'_> {
+impl<C: TierConn> std::fmt::Debug for TieredPool<'_, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TieredPool")
             .field("capacity", &self.capacity)
@@ -428,19 +555,20 @@ impl std::fmt::Debug for TieredPool<'_> {
             .field("far_resident_bytes", &self.far.resident_bytes)
             .field("hits", &self.hits)
             .field("misses", &self.misses)
+            .field("restages", &self.restages)
             .finish()
     }
 }
 
-impl<'a> TieredPool<'a> {
-    /// A pool over `qp`'s connection with the given DRAM budget. A zero
+impl<'a, C: TierConn> TieredPool<'a, C> {
+    /// A pool staging into `conn` with the given DRAM budget. A zero
     /// budget is legal: every staged table then exceeds the budget, so
     /// each new staging evicts whatever the previous one brought in.
     /// The far-memory image tier defaults to 4× the DRAM budget; tune
     /// it with [`TieredPool::with_far_capacity`].
-    pub fn new(qp: &'a QPair, capacity_bytes: u64, store: BlockStore) -> Self {
+    pub fn new(conn: &'a C, capacity_bytes: u64, store: BlockStore) -> Self {
         TieredPool {
-            qp,
+            conn,
             far: FarTier::new(store, capacity_bytes.saturating_mul(4)),
             capacity: capacity_bytes,
             resident: HashMap::new(),
@@ -448,6 +576,7 @@ impl<'a> TieredPool<'a> {
             clock: 0,
             hits: 0,
             misses: 0,
+            restages: 0,
         }
     }
 
@@ -469,14 +598,20 @@ impl<'a> TieredPool<'a> {
         self.far.insert(name, table)
     }
 
-    /// Is `name` currently resident in disaggregated DRAM?
+    /// Is `name` currently resident in disaggregated DRAM (under any
+    /// placement)?
     pub fn is_resident(&self, name: &str) -> bool {
         self.resident.contains_key(name)
     }
 
-    /// `(hits, misses)` so far.
+    /// `(hits, misses)` so far (a restage counts as a miss).
     pub fn hit_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// Residents restaged because their placement went stale.
+    pub fn restages(&self) -> u64 {
+        self.restages
     }
 
     /// Bytes currently resident in DRAM.
@@ -511,276 +646,46 @@ impl<'a> TieredPool<'a> {
         self.far.store.corrupt_object(name, byte)
     }
 
-    /// Evict the least-recently-used resident table; returns its name.
-    fn evict_one(&mut self) -> Result<String, FvError> {
-        let victim = self
+    /// Evict the least-recently-used resident table; returns its name,
+    /// or `None` when nothing is resident.
+    fn evict_one(&mut self) -> Result<Option<String>, FvError> {
+        let Some(victim) = self
             .resident
             .iter()
             .min_by_key(|(_, r)| r.last_use)
             .map(|(n, _)| n.clone())
-            .expect("evict_one called with residents");
-        let r = self.resident.remove(&victim).expect("victim resident");
-        self.resident_bytes -= r.bytes;
-        // Read-only buffer pool (§4.2): no write-back needed, the
-        // storage copy is authoritative — and the far-memory image
-        // keeps the demoted table one cheap restage away.
-        self.qp.free_table(r.ft)?;
-        Ok(victim)
-    }
-
-    /// Run `spec` against `name`, staging it in if cold. A DRAM miss
-    /// resolves down the ladder: a far-resident image restages with a
-    /// zero-copy open (no device I/O), a partially spilled one re-reads
-    /// only its missing slices, a cold one pays the full image read.
-    /// Residency management lives here; the query itself runs through
-    /// the shared [`Executor`] like every other entry point.
-    pub fn query(&mut self, name: &str, spec: &PipelineSpec) -> Result<TierOutcome, FvError> {
-        self.clock += 1;
-        if let Some(r) = self.resident.get_mut(name) {
-            r.last_use = self.clock;
-            self.hits += 1;
-            let ft = r.ft.clone();
-            let outcome = Executor::single(self.qp, &ft, spec)?;
-            return Ok(TierOutcome {
-                outcome,
-                buffer_hit: true,
-                staged_from: None,
-                slices_fetched: 0,
-                stage_in_time: SimDuration::ZERO,
-                evictions: Vec::new(),
-                spilled_slices: 0,
-            });
+        else {
+            return Ok(None);
+        };
+        if let Some(r) = self.resident.remove(&victim) {
+            self.resident_bytes -= r.bytes;
+            // Read-only buffer pool (§4.2): no write-back needed, the
+            // storage copy is authoritative — and the far-memory image
+            // keeps the demoted table one cheap restage away.
+            self.conn.free(r.staged)?;
         }
-        self.misses += 1;
-        let fetch = self.far.fetch(name, self.clock)?;
-        let spilled = self.far.enforce_budget();
-        // Validation happened once, at open; everything below works on
-        // proven-in-bounds slices.
-        let table = ColumnImage::open(&fetch.bytes, &fetch.schema)?.to_table();
-
-        // Make room under the DRAM budget.
-        let need = table.byte_len() as u64;
-        let mut evictions = Vec::new();
-        while self.resident_bytes + need > self.capacity && !self.resident.is_empty() {
-            evictions.push(self.evict_one()?);
-        }
-
-        let (ft, write_time) = self.qp.load_table(&table)?;
-        self.resident.insert(
-            name.to_string(),
-            Resident {
-                ft: ft.clone(),
-                bytes: need,
-                last_use: self.clock,
-            },
-        );
-        self.resident_bytes += need;
-
-        let outcome = Executor::single(self.qp, &ft, spec)?;
-        Ok(TierOutcome {
-            outcome,
-            buffer_hit: false,
-            staged_from: Some(fetch.source),
-            slices_fetched: fetch.slices_fetched,
-            stage_in_time: fetch.read_time + write_time,
-            evictions,
-            spilled_slices: spilled,
-        })
-    }
-}
-
-/// Outcome of one fleet-tier query: the merged fleet result plus the
-/// tier activity that preceded it.
-#[derive(Debug)]
-pub struct FleetTierOutcome {
-    /// The merged fleet query result (identical hot or cold).
-    pub outcome: FleetQueryOutcome,
-    /// Whether the table was already resident under a still-current
-    /// placement.
-    pub buffer_hit: bool,
-    /// Whether a resident copy existed but its placement had gone
-    /// stale and it was re-scattered into the current shard set.
-    pub restaged: bool,
-    /// Which tier the staging sourced from (`None` on a hit). An
-    /// epoch-stale restage typically reports [`TierLevel::FarMemory`]:
-    /// the rebalance ships only slices that were spilled to disk.
-    pub staged_from: Option<TierLevel>,
-    /// Column slices read from disk during this staging.
-    pub slices_fetched: usize,
-    /// Time spent staging the table in (device reads, if any, + the
-    /// slowest shard's scatter write). Zero on a hit.
-    pub stage_in_time: SimDuration,
-    /// Tables evicted from fleet DRAM to make room.
-    pub evictions: Vec<String>,
-    /// Column slices spilled from far memory to disk by this staging.
-    pub spilled_slices: u64,
-}
-
-impl FleetTierOutcome {
-    /// Total client-observed time: staging (if any) plus the query.
-    pub fn total_time(&self) -> SimDuration {
-        self.stage_in_time + self.outcome.merged.stats.response_time
-    }
-}
-
-struct FleetResident {
-    ft: FleetTable,
-    bytes: u64,
-    /// LRU stamp.
-    last_use: u64,
-}
-
-/// An LRU-managed tier over a whole fleet connection, backed by the
-/// same far-memory image tier and [`BlockStore`] ladder as
-/// [`TieredPool`]. The elastic-topology twist: residency is checked
-/// against the topology **epoch**, so a table staged before an
-/// `add_node`/`drain_node`/`remove_node` is transparently restaged into
-/// the *current* placement on its next query — cold data always lands
-/// on the shard set that exists now, and the restage ships only slices
-/// the far tier no longer holds.
-pub struct FleetTieredPool<'a> {
-    fqp: &'a FleetQPair,
-    far: FarTier,
-    /// DRAM budget this pool may occupy across the fleet, in bytes.
-    capacity: u64,
-    /// Partitioning for every staged table.
-    partitioning: Partitioning,
-    /// Replica count per shard for every staged table.
-    replicas: usize,
-    resident: HashMap<String, FleetResident>,
-    resident_bytes: u64,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-    restages: u64,
-}
-
-impl std::fmt::Debug for FleetTieredPool<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetTieredPool")
-            .field("capacity", &self.capacity)
-            .field("resident_bytes", &self.resident_bytes)
-            .field("resident", &self.resident.len())
-            .field("far_capacity", &self.far.capacity)
-            .field("far_resident_bytes", &self.far.resident_bytes)
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .field("restages", &self.restages)
-            .finish()
-    }
-}
-
-impl<'a> FleetTieredPool<'a> {
-    /// A pool over `fqp` with the given fleet-wide DRAM budget; every
-    /// staged table scatters under `partitioning`. The far-memory image
-    /// tier defaults to 4× the DRAM budget.
-    pub fn new(
-        fqp: &'a FleetQPair,
-        capacity_bytes: u64,
-        partitioning: Partitioning,
-        store: BlockStore,
-    ) -> Self {
-        FleetTieredPool {
-            fqp,
-            far: FarTier::new(store, capacity_bytes.saturating_mul(4)),
-            capacity: capacity_bytes,
-            partitioning,
-            replicas: 1,
-            resident: HashMap::new(),
-            resident_bytes: 0,
-            clock: 0,
-            hits: 0,
-            misses: 0,
-            restages: 0,
-        }
-    }
-
-    /// Set the far-memory image tier's byte budget.
-    pub fn with_far_capacity(mut self, bytes: u64) -> Self {
-        self.far.capacity = bytes;
-        self
-    }
-
-    /// Stage every table with `replicas` copies per shard on distinct
-    /// nodes — reads race the replicas and survive any `replicas − 1`
-    /// node losses, exactly as
-    /// [`FleetQPair::load_table_replicated`](crate::fleet::FleetQPair::load_table_replicated)
-    /// documents.
-    pub fn with_replication(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
-        self
-    }
-
-    /// Register a table: encoded as a columnar image and persisted to
-    /// storage, *not* staged into DRAM until first use. Any
-    /// fixed-stride schema is accepted.
-    ///
-    /// # Errors
-    /// [`FvError::Unstageable`] when the object cannot be registered
-    /// (e.g. an empty object name).
-    pub fn insert(&mut self, name: &str, table: &Table) -> Result<SimDuration, FvError> {
-        self.far.insert(name, table)
-    }
-
-    /// Is `name` currently resident (at any epoch)?
-    pub fn is_resident(&self, name: &str) -> bool {
-        self.resident.contains_key(name)
-    }
-
-    /// The epoch `name`'s resident copy was placed at, if resident.
-    pub fn resident_epoch(&self, name: &str) -> Option<u64> {
-        self.resident.get(name).map(|r| r.ft.epoch())
-    }
-
-    /// `(hits, misses)` so far (a restage counts as a miss).
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Residents restaged because their placement epoch went stale.
-    pub fn restages(&self) -> u64 {
-        self.restages
-    }
-
-    /// Column slices spilled from far memory to disk so far.
-    pub fn far_spills(&self) -> u64 {
-        self.far.spills
-    }
-
-    /// Evict the least-recently-used resident; returns its name.
-    fn evict_one(&mut self) -> Result<String, FvError> {
-        let victim = self
-            .resident
-            .iter()
-            .min_by_key(|(_, r)| r.last_use)
-            .map(|(n, _)| n.clone())
-            .expect("evict_one called with residents");
-        let r = self.resident.remove(&victim).expect("victim resident");
-        self.resident_bytes -= r.bytes;
-        // Read-only buffer pool (§4.2): no write-back needed, the
-        // storage copy is authoritative.
-        self.fqp.free_table(r.ft)?;
-        Ok(victim)
+        Ok(Some(victim))
     }
 
     /// Run `spec` against `name`, staging it in if cold — or
-    /// **restaging** it if its resident placement no longer matches
-    /// what the current Active set computes. Staleness is a property of
-    /// the *placement*, not the raw epoch: membership changes that
-    /// cancelled out (a node added and removed again) leave residents
-    /// hot. A restage sources from the far-memory image, so only slices
-    /// spilled to disk since the original staging are re-read.
-    pub fn query(&mut self, name: &str, spec: &PipelineSpec) -> Result<FleetTierOutcome, FvError> {
+    /// **restaging** it if its resident placement is no longer current.
+    /// A DRAM miss resolves down the ladder: a far-resident image
+    /// restages with a zero-copy open (no device I/O), a partially
+    /// spilled one re-reads only its missing slices, a cold one pays
+    /// the full image read. Residency management lives here; staging
+    /// and the query itself go through the connection.
+    pub fn query(
+        &mut self,
+        name: &str,
+        spec: &PipelineSpec,
+    ) -> Result<TierOutcome<C::Outcome>, FvError> {
         self.clock += 1;
-        let mut restaged = false;
         if let Some(r) = self.resident.get_mut(name) {
-            if self.fqp.placement_is_current(r.ft.placement()) {
+            if self.conn.placement_is_current(&r.staged) {
                 r.last_use = self.clock;
                 self.hits += 1;
-                let ft = r.ft.clone();
-                let outcome = self.fqp.far_view(&ft, spec)?;
-                return Ok(FleetTierOutcome {
-                    outcome,
+                return Ok(TierOutcome {
+                    outcome: self.conn.run(&r.staged, spec)?,
                     buffer_hit: true,
                     restaged: false,
                     staged_from: None,
@@ -790,43 +695,45 @@ impl<'a> FleetTieredPool<'a> {
                     spilled_slices: 0,
                 });
             }
-            // Stale placement: drop the old copy and fall through to
-            // the staging path so the table lands on the current shard
-            // set.
-            restaged = true;
-            self.restages += 1;
-            let r = self.resident.remove(name).expect("checked resident");
-            self.resident_bytes -= r.bytes;
-            self.fqp.free_table(r.ft)?;
         }
+        // Stale placement: drop the old copy and fall through to the
+        // staging path so the table lands on the current shard set.
+        let restaged = match self.resident.remove(name) {
+            Some(stale) => {
+                self.restages += 1;
+                self.resident_bytes -= stale.bytes;
+                self.conn.free(stale.staged)?;
+                true
+            }
+            None => false,
+        };
         self.misses += 1;
         let fetch = self.far.fetch(name, self.clock)?;
         let spilled = self.far.enforce_budget();
+        // Validation happened once, at open; the staged table is
+        // row-major, like everything the operator datapath reads.
         let table = ColumnImage::open(&fetch.bytes, &fetch.schema)?.to_table();
 
-        // Make room under the fleet-wide DRAM budget.
+        // Make room under the DRAM budget.
         let need = table.byte_len() as u64;
         let mut evictions = Vec::new();
-        while self.resident_bytes + need > self.capacity && !self.resident.is_empty() {
-            evictions.push(self.evict_one()?);
+        while self.resident_bytes + need > self.capacity {
+            let Some(victim) = self.evict_one()? else {
+                break;
+            };
+            evictions.push(victim);
         }
 
-        let (ft, write_time) =
-            self.fqp
-                .load_table_replicated(&table, self.partitioning, self.replicas)?;
-        self.resident.insert(
-            name.to_string(),
-            FleetResident {
-                ft: ft.clone(),
-                bytes: need,
-                last_use: self.clock,
-            },
-        );
+        let (staged, write_time) = self.conn.stage(&table)?;
         self.resident_bytes += need;
+        let r = self.resident.entry(name.to_string()).or_insert(Resident {
+            staged,
+            bytes: need,
+            last_use: self.clock,
+        });
 
-        let outcome = self.fqp.far_view(&ft, spec)?;
-        Ok(FleetTierOutcome {
-            outcome,
+        Ok(TierOutcome {
+            outcome: self.conn.run(&r.staged, spec)?,
             buffer_hit: false,
             restaged,
             staged_from: Some(fetch.source),
@@ -838,9 +745,17 @@ impl<'a> FleetTieredPool<'a> {
     }
 }
 
+impl TieredPool<'_, FleetTierConn<'_>> {
+    /// The epoch `name`'s resident copy was placed at, if resident.
+    pub fn resident_epoch(&self, name: &str) -> Option<u64> {
+        self.resident.get(name).map(|r| r.staged.epoch())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::FarviewFleet;
     use crate::{FarviewCluster, FarviewConfig};
     use fv_pipeline::PredicateExpr;
 
@@ -848,6 +763,35 @@ mod tests {
         fv_workload::TableGen::paper_default(bytes)
             .seed(seed)
             .build()
+    }
+
+    /// The result bytes of a tiered query, whichever connection ran it.
+    fn payload<O: AsRef<QueryOutcome>>(out: &TierOutcome<O>) -> &[u8] {
+        &out.outcome.as_ref().payload
+    }
+
+    /// Instantiate one tier scenario for both connections: a single
+    /// node's [`QPair`], and a two-node fleet through [`FleetTierConn`]
+    /// (row-range partitioned, so every staged table holds pages on both
+    /// nodes). The scenario gets the connection, a free-page probe, and
+    /// the pages one staged table of these sizes occupies.
+    macro_rules! on_both_connections {
+        ($scenario:ident, $single:ident, $fleet:ident) => {
+            #[test]
+            fn $single() {
+                let cluster = FarviewCluster::new(FarviewConfig::tiny());
+                let qp = cluster.connect().unwrap();
+                $scenario(&qp, || cluster.free_pages(), 1);
+            }
+
+            #[test]
+            fn $fleet() {
+                let fleet = FarviewFleet::new(2, FarviewConfig::tiny());
+                let fqp = fleet.connect().unwrap();
+                let conn = FleetTierConn::new(&fqp, Partitioning::RowRange);
+                $scenario(&conn, || fleet.free_pages(), 2);
+            }
+        };
     }
 
     #[test]
@@ -939,12 +883,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn zero_budget_stages_every_query_and_evicts_the_previous() {
-        let cluster = FarviewCluster::new(FarviewConfig::tiny());
-        let qp = cluster.connect().unwrap();
-        let baseline = cluster.free_pages();
-        let mut pool = TieredPool::new(&qp, 0, BlockStore::default());
+    fn zero_budget<C: TierConn>(conn: &C, free_pages: impl Fn() -> u64, table_pages: u64) {
+        let baseline = free_pages();
+        let mut pool = TieredPool::new(conn, 0, BlockStore::default());
         let a = table(1, 256 << 10);
         let b = table(2, 256 << 10);
         pool.insert("a", &a).unwrap();
@@ -953,7 +894,7 @@ mod tests {
         let out_a = pool.query("a", &PipelineSpec::passthrough()).unwrap();
         assert!(!out_a.buffer_hit);
         assert_eq!(
-            out_a.outcome.payload,
+            payload(&out_a),
             a.bytes(),
             "over-budget staging still answers"
         );
@@ -962,22 +903,24 @@ mod tests {
         // The next distinct table evicts the over-budget resident.
         let out_b = pool.query("b", &PipelineSpec::passthrough()).unwrap();
         assert_eq!(out_b.evictions, vec!["a".to_string()]);
-        assert_eq!(out_b.outcome.payload, b.bytes());
+        assert_eq!(payload(&out_b), b.bytes());
         assert!(!pool.is_resident("a"));
         assert!(pool.is_resident("b"));
         assert_eq!(
-            cluster.free_pages(),
-            baseline - 1,
+            free_pages(),
+            baseline - table_pages,
             "at most one over-budget resident holds pages"
         );
     }
+    on_both_connections!(
+        zero_budget,
+        zero_budget_stages_every_query_and_evicts_the_previous,
+        fleet_zero_budget_stages_every_query_and_evicts_the_previous
+    );
 
-    #[test]
-    fn single_table_larger_than_budget_still_stages() {
-        let cluster = FarviewCluster::new(FarviewConfig::tiny());
-        let qp = cluster.connect().unwrap();
+    fn larger_than_budget<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
         // 1 MB table against a 256 kB budget.
-        let mut pool = TieredPool::new(&qp, 256 << 10, BlockStore::default());
+        let mut pool = TieredPool::new(conn, 256 << 10, BlockStore::default());
         let big = table(3, 1 << 20);
         let small = table(4, 256 << 10);
         pool.insert("big", &big).unwrap();
@@ -986,7 +929,7 @@ mod tests {
         let out = pool.query("big", &PipelineSpec::passthrough()).unwrap();
         assert!(!out.buffer_hit);
         assert!(out.evictions.is_empty(), "nothing resident to evict");
-        assert_eq!(out.outcome.payload, big.bytes());
+        assert_eq!(payload(&out), big.bytes());
         assert!(pool.resident_bytes() > 256 << 10, "admitted over budget");
 
         // It is the first victim once anything else needs room.
@@ -994,12 +937,14 @@ mod tests {
         assert_eq!(next.evictions, vec!["big".to_string()]);
         assert!(pool.resident_bytes() <= 256 << 10);
     }
+    on_both_connections!(
+        larger_than_budget,
+        single_table_larger_than_budget_still_stages,
+        fleet_single_table_larger_than_budget_still_stages
+    );
 
-    #[test]
-    fn requery_after_eviction_restages_cheap_from_far_memory() {
-        let cluster = FarviewCluster::new(FarviewConfig::tiny());
-        let qp = cluster.connect().unwrap();
-        let mut pool = TieredPool::new(&qp, 1 << 20, BlockStore::default());
+    fn requery_after_eviction<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
+        let mut pool = TieredPool::new(conn, 1 << 20, BlockStore::default());
         let a = table(5, 1 << 20);
         let b = table(6, 1 << 20);
         pool.insert("a", &a).unwrap();
@@ -1014,6 +959,7 @@ mod tests {
 
         let again = pool.query("a", &spec).unwrap();
         assert!(!again.buffer_hit, "evicted table must re-stage");
+        assert!(!again.restaged, "an eviction is not a stale placement");
         assert_eq!(
             again.staged_from,
             Some(TierLevel::FarMemory),
@@ -1029,19 +975,23 @@ mod tests {
             "zero-copy far restage must beat the cold disk path"
         );
         assert_eq!(
-            again.outcome.payload, first.outcome.payload,
+            payload(&again),
+            payload(&first),
             "results stay byte-identical across evict + restage"
         );
         assert_eq!(pool.hit_stats(), (0, 3));
+        assert_eq!(pool.io_counts().0, 2, "one device read per cold image");
     }
+    on_both_connections!(
+        requery_after_eviction,
+        requery_after_eviction_restages_cheap_from_far_memory,
+        fleet_requery_after_eviction_restages_cheap_from_far_memory
+    );
 
-    #[test]
-    fn far_pressure_spills_cold_columns_and_repays_per_slice() {
-        let cluster = FarviewCluster::new(FarviewConfig::tiny());
-        let qp = cluster.connect().unwrap();
+    fn far_pressure<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
         // DRAM fits one 1 MB table; far memory fits one and a half, so
         // staging "b" spills half of "a"'s column slices.
-        let mut pool = TieredPool::new(&qp, 1 << 20, BlockStore::default())
+        let mut pool = TieredPool::new(conn, 1 << 20, BlockStore::default())
             .with_far_capacity((1 << 20) + (1 << 19));
         let a = table(11, 1 << 20);
         let b = table(12, 1 << 20);
@@ -1061,9 +1011,14 @@ mod tests {
         let again = pool.query("a", &PipelineSpec::passthrough()).unwrap();
         assert_eq!(again.staged_from, Some(TierLevel::Disk));
         assert_eq!(again.slices_fetched, 4, "only the missing slices re-read");
-        assert_eq!(again.outcome.payload, a.bytes());
+        assert_eq!(payload(&again), a.bytes());
         assert_eq!(pool.far_spills(), 4 + 4, "staging a re-spills b's slices");
     }
+    on_both_connections!(
+        far_pressure,
+        far_pressure_spills_cold_columns_and_repays_per_slice,
+        fleet_far_pressure_spills_cold_columns_and_repays_per_slice
+    );
 
     #[test]
     fn any_fixed_stride_schema_stages_and_queries() {
@@ -1113,37 +1068,72 @@ mod tests {
         assert_eq!(hot.outcome.payload.len(), 32 * t.schema().row_bytes());
     }
 
-    #[test]
-    fn empty_object_name_is_a_typed_error() {
-        let cluster = FarviewCluster::new(FarviewConfig::tiny());
-        let qp = cluster.connect().unwrap();
-        let mut pool = TieredPool::new(&qp, 1 << 20, BlockStore::default());
+    fn empty_object_name<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
+        let mut pool = TieredPool::new(conn, 1 << 20, BlockStore::default());
         let err = pool.insert("", &table(1, 64 << 10)).unwrap_err();
         assert!(matches!(err, FvError::Unstageable { .. }), "{err}");
     }
+    on_both_connections!(
+        empty_object_name,
+        empty_object_name_is_a_typed_error,
+        fleet_empty_object_name_is_a_typed_error
+    );
 
-    #[test]
-    fn corrupted_image_is_a_typed_error_not_a_panic() {
-        let cluster = FarviewCluster::new(FarviewConfig::tiny());
-        let qp = cluster.connect().unwrap();
-        let mut pool = TieredPool::new(&qp, 1 << 20, BlockStore::default());
+    fn corrupted_image<C: TierConn>(conn: &C, free_pages: impl Fn() -> u64, _pages: u64) {
+        let baseline = free_pages();
+        let mut pool = TieredPool::new(conn, 1 << 20, BlockStore::default());
         pool.insert("t", &table(2, 64 << 10)).unwrap();
         // Flip a payload byte: the open-time checksum must catch it.
         assert!(pool.corrupt_stored("t", 4096));
         let err = pool.query("t", &PipelineSpec::passthrough()).unwrap_err();
         assert!(matches!(err, FvError::Codec(_)), "{err}");
+        assert!(!pool.is_resident("t"));
+        assert_eq!(free_pages(), baseline, "a rejected image stages nothing");
         // Re-inserting clean bytes recovers the object.
         pool.insert("t", &table(2, 64 << 10)).unwrap();
         assert!(pool.query("t", &PipelineSpec::passthrough()).is_ok());
     }
+    on_both_connections!(
+        corrupted_image,
+        corrupted_image_is_a_typed_error_not_a_panic,
+        fleet_corrupted_image_is_a_typed_error_not_a_panic
+    );
+
+    /// A staging whose DRAM write fails (a partitioned link) is a typed
+    /// error that leaves the pool exactly as it was: nothing resident,
+    /// no pages held — so a pool under a fault plan does not shrink
+    /// toward `NoSpace` one failed staging at a time.
+    #[test]
+    fn failed_staging_is_a_typed_error_and_leaks_nothing() {
+        let cluster = FarviewCluster::new(FarviewConfig::tiny());
+        let qp = cluster.connect().unwrap();
+        let t = table(8, 256 << 10);
+        let spec = PipelineSpec::passthrough().filter(PredicateExpr::lt(0, 1u64 << 62));
+        let (ft, _) = qp.load_table(&t).unwrap();
+        let direct = qp.far_view(&ft, &spec).unwrap();
+
+        let mut pool = TieredPool::new(&qp, 1 << 20, BlockStore::default());
+        pool.insert("t", &t).unwrap();
+        let baseline = cluster.free_pages();
+        cluster.set_fault_plan(crate::FaultPlan::none().partitioned());
+        let err = pool.query("t", &spec).unwrap_err();
+        assert!(matches!(err, FvError::Net(_)), "{err}");
+        assert!(!pool.is_resident("t"));
+        assert_eq!(pool.resident_bytes(), 0);
+        assert_eq!(cluster.free_pages(), baseline, "failed staging leaked");
+
+        cluster.set_fault_plan(crate::FaultPlan::none());
+        let cold = pool.query("t", &spec).unwrap();
+        assert!(!cold.buffer_hit);
+        assert_eq!(cold.outcome.payload, direct.payload);
+    }
 
     #[test]
     fn fleet_tier_restages_into_the_current_placement() {
-        use crate::fleet::{FarviewFleet, Partitioning};
         let fleet = FarviewFleet::new(2, FarviewConfig::tiny());
         let qp = fleet.connect().unwrap();
-        let mut pool =
-            FleetTieredPool::new(&qp, 8 << 20, Partitioning::RowRange, BlockStore::default());
+        let conn = FleetTierConn::new(&qp, Partitioning::RowRange);
+        let mut pool = TieredPool::new(&conn, 8 << 20, BlockStore::default());
         let t = table(7, 512 << 10);
         pool.insert("orders", &t).unwrap();
 

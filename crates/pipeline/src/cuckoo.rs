@@ -63,32 +63,6 @@ pub fn hash_key(key: &[u8]) -> u64 {
     hash64(key, PRIMARY_SEED)
 }
 
-/// [`hash_key`] of one little-endian 8-byte key, bit-identical to
-/// `hash_key(&x.to_le_bytes())` (asserted in tests): the typed key
-/// passes over word-wide column slices hash straight from the loaded
-/// word, skipping the byte-slice chunking of the general path. Must
-/// mirror [`hash64`]'s word round and finalizer exactly — mixed scalar
-/// and columnar pushes into one hash unit rely on the agreement.
-pub fn hash_key_word(x: u64) -> u64 {
-    let mut h = PRIMARY_SEED ^ 0x9E37_79B9_7F4A_7C15;
-    h = (h ^ x).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = h.rotate_left(23);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
-/// True when `k` is exactly the little-endian encoding of `x`.
-#[inline]
-fn word_key_eq(k: &[u8], x: u64) -> bool {
-    match <[u8; 8]>::try_from(k) {
-        Ok(a) => u64::from_le_bytes(a) == x,
-        Err(_) => false,
-    }
-}
-
 /// A key that failed placement, plus its payload — the overflow entry.
 pub type Homeless<V> = (Box<[u8]>, V);
 
@@ -257,33 +231,6 @@ impl<V> CuckooTable<V> {
                 .stash
                 .iter_mut()
                 .find(|(tag, k, _)| *tag == h && k.as_ref() == key)
-                .map(|(_, _, v)| v);
-        }
-        None
-    }
-
-    /// [`CuckooTable::get_mut_hashed`] for one little-endian 8-byte key
-    /// word: the resident key compares as a typed load against `x`
-    /// instead of a byte-slice memcmp — the difference is per-probe-row
-    /// in the batched grouping loops.
-    #[inline]
-    pub fn get_mut_hashed_word(&mut self, h: u64, x: u64) -> Option<&mut V> {
-        debug_assert_eq!(h, hash_key(&x.to_le_bytes()), "stale primary hash");
-        for way in 0..self.ways.len() {
-            let b = self.way_bucket(way, h);
-            // fv:allow(panic): way < ways.len(), b masked to buckets_per_way.
-            let hit =
-                matches!(&self.ways[way][b], Some((tag, k, _)) if *tag == h && word_key_eq(k, x));
-            if hit {
-                // fv:allow(panic): same indices re-checked just above.
-                return self.ways[way][b].as_mut().map(|(_, _, v)| v);
-            }
-        }
-        if !self.stash.is_empty() {
-            return self
-                .stash
-                .iter_mut()
-                .find(|(tag, k, _)| *tag == h && word_key_eq(k, x))
                 .map(|(_, _, v)| v);
         }
         None
@@ -729,13 +676,6 @@ mod tests {
         assert_ne!(a, hash64(b"hellp", 1));
         // Length-extension check: "ab" with trailing zeros differs from "ab\0".
         assert_ne!(hash64(b"ab", 3), hash64(b"ab\0", 3));
-    }
-
-    #[test]
-    fn hash_key_word_matches_hash_key() {
-        for x in [0u64, 1, 0xDEAD_BEEF, u64::MAX, 0x0102_0304_0506_0708] {
-            assert_eq!(hash_key_word(x), hash_key(&x.to_le_bytes()));
-        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use std::collections::VecDeque;
 
-use crate::colblock::ColumnBlock;
 use crate::cuckoo::{hash_key, CuckooTable, ShiftRegisterLru};
+use crate::pack::Packer;
 use crate::pipeline::{StreamOperator, TupleBlock};
 use crate::project::ProjectionPlan;
 
@@ -130,7 +130,7 @@ impl DistinctOp {
     /// caller's run detection uses to re-promote a repeated key without
     /// another scan.
     #[inline(always)]
-    fn dedup_one(&mut self, h: u64, key: &[u8], out: &mut dyn FnMut(&[u8])) -> Option<usize> {
+    fn dedup_one(&mut self, h: u64, key: &[u8], packer: &mut Packer) -> Option<usize> {
         // Advance the write pipeline by one tuple (the hazard clock
         // ticks per tuple, not per block).
         self.tick += 1;
@@ -160,7 +160,7 @@ impl DistinctOp {
                 // never runs on this branch either).
                 self.hazard_leaks += 1;
                 self.emitted += 1;
-                out(key);
+                packer.push_tuple(key);
                 return None;
             }
             // Ordinary duplicate; the failed promote already
@@ -180,7 +180,7 @@ impl DistinctOp {
         }
         self.lru.shift_in_at(slot, h, key);
         self.emitted += 1;
-        out(key);
+        packer.push_tuple(key);
         Some(slot)
     }
 }
@@ -244,7 +244,7 @@ impl StreamOperator for DistinctOp {
     /// hand — no per-tuple virtual call, closure chain, or rehash per
     /// probe. Bit-exact vs the scalar path: same probes in the same
     /// order against the same table, LRU, and in-flight window.
-    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], out: &mut dyn FnMut(&[u8])) {
+    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
         if sel.is_empty() {
             return;
         }
@@ -252,7 +252,7 @@ impl StreamOperator for DistinctOp {
         if kw == 0 {
             // Degenerate empty-key plan (rejected upstream; stay safe).
             for &i in sel {
-                self.push(block.tuple(i), out);
+                self.push(block.tuple(i), &mut |t| packer.push_tuple(t));
             }
             return;
         }
@@ -294,7 +294,7 @@ impl StreamOperator for DistinctOp {
                     }
                     let h = hash_key(key);
                     prev = self
-                        .dedup_one(h, key, out)
+                        .dedup_one(h, key, packer)
                         .filter(|_| memo_on)
                         .map(|slot| (key, slot));
                 }
@@ -304,7 +304,7 @@ impl StreamOperator for DistinctOp {
                         .map(|&i| hash_key(&block.tuple(i)[range.clone()])),
                 );
                 for (&i, &h) in sel.iter().zip(hashes.iter()) {
-                    self.dedup_one(h, &block.tuple(i)[range.clone()], out);
+                    self.dedup_one(h, &block.tuple(i)[range.clone()], packer);
                 }
             }
             self.block_hashes = hashes;
@@ -327,95 +327,11 @@ impl StreamOperator for DistinctOp {
         hashes.extend(keys_buf.chunks_exact(kw).map(hash_key));
 
         for (key, &h) in keys_buf.chunks_exact(kw).zip(hashes.iter()) {
-            self.dedup_one(h, key, out);
+            self.dedup_one(h, key, packer);
         }
 
         self.block_keys = keys_buf;
         self.block_hashes = hashes;
-    }
-
-    /// Columnar path — the key pass runs straight off the key column
-    /// slice(s). A single-column key needs no gather at all (each key is
-    /// `slice.raw(row)`, with the clustered-run memoization of the
-    /// contiguous row path); a multi-column key gathers only its key
-    /// fields from the slices — the row-block path's full-width
-    /// `ProjectionPlan` walk over materialized rows never happens for
-    /// *any* key shape. Same hazard-window state machine, same probes in
-    /// the same order, so output is bit-exact vs both row routes.
-    fn push_columns_packed(
-        &mut self,
-        cols: &ColumnBlock<'_>,
-        sel: &[u32],
-        packer: &mut crate::pack::Packer,
-    ) -> bool {
-        let kw = self.keys.out_row_bytes();
-        if kw == 0 {
-            // Degenerate empty-key plan (rejected upstream): let the
-            // pipeline route through the row machinery.
-            return false;
-        }
-        if sel.is_empty() {
-            return true;
-        }
-        self.batched_blocks += 1;
-        let mut emit = |t: &[u8]| packer.push_tuple(t);
-        if let &[kc] = self.keys.cols() {
-            let slice = cols.col(kc);
-            if sel.len() == cols.rows() {
-                // Identity selection: clustered runs of equal keys
-                // memoize exactly as on the contiguous row path.
-                let memo_on = self.lru.depth() > 0;
-                let mut prev: Option<(&[u8], usize)> = None;
-                for key in slice.iter() {
-                    if let Some((prev_key, slot)) = prev {
-                        if prev_key == key {
-                            self.tick += 1;
-                            while matches!(self.in_flight.front(),
-                                Some((_, commit)) if *commit <= self.tick)
-                            {
-                                self.in_flight.pop_front();
-                            }
-                            self.lru.promote_at(slot);
-                            self.hazard_catches += 1;
-                            continue;
-                        }
-                    }
-                    let h = hash_key(key);
-                    prev = self
-                        .dedup_one(h, key, &mut emit)
-                        .filter(|_| memo_on)
-                        .map(|slot| (key, slot));
-                }
-            } else {
-                let mut hashes = std::mem::take(&mut self.block_hashes);
-                hashes.clear();
-                hashes.extend(sel.iter().map(|&i| hash_key(slice.raw(i as usize))));
-                for (&i, &h) in sel.iter().zip(hashes.iter()) {
-                    self.dedup_one(h, slice.raw(i as usize), &mut emit);
-                }
-                self.block_hashes = hashes;
-            }
-            return true;
-        }
-        // Multi-column key: gather each survivor's key fields from the
-        // column slices — still no row materialization.
-        let mut keys_buf = std::mem::take(&mut self.block_keys);
-        keys_buf.clear();
-        keys_buf.reserve(sel.len() * kw);
-        for &i in sel {
-            for &c in self.keys.cols() {
-                keys_buf.extend_from_slice(cols.col(c).raw(i as usize));
-            }
-        }
-        let mut hashes = std::mem::take(&mut self.block_hashes);
-        hashes.clear();
-        hashes.extend(keys_buf.chunks_exact(kw).map(hash_key));
-        for (key, &h) in keys_buf.chunks_exact(kw).zip(hashes.iter()) {
-            self.dedup_one(h, key, &mut emit);
-        }
-        self.block_keys = keys_buf;
-        self.block_hashes = hashes;
-        true
     }
 
     fn overflow_tuples(&self) -> u64 {

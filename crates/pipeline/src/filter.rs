@@ -8,9 +8,8 @@
 
 use fv_data::{RowView, Schema};
 
-use crate::colblock::ColumnBlock;
 use crate::pipeline::{StreamOperator, TupleBlock};
-use crate::predicate::{ColumnPredicate, CompiledPredicate, PredicateExpr};
+use crate::predicate::{CompiledPredicate, PredicateExpr};
 use crate::project::ProjectionPlan;
 
 /// Streaming predicate filter.
@@ -24,7 +23,6 @@ use crate::project::ProjectionPlan;
 pub struct FilterOp {
     pred: PredicateExpr,
     compiled: CompiledPredicate,
-    columnar: ColumnPredicate,
     schema: Schema,
     evaluated: u64,
     passed: u64,
@@ -40,13 +38,9 @@ impl FilterOp {
         let compiled = pred
             .compile(&schema)
             .expect("predicate validated before operator construction");
-        let columnar = pred
-            .compile_columns(&schema)
-            .expect("predicate validated before operator construction");
         FilterOp {
             pred,
             compiled,
-            columnar,
             schema,
             evaluated: 0,
             passed: 0,
@@ -80,15 +74,6 @@ impl StreamOperator for FilterOp {
         self.passed += sel.len() as u64;
         true
     }
-
-    fn select_columns(&mut self, cols: &ColumnBlock<'_>, sel: &mut Vec<u32>) -> bool {
-        self.evaluated += sel.len() as u64;
-        let columnar = &self.columnar;
-        let slices = cols.cols();
-        sel.retain(|&i| columnar.eval(slices, i as usize));
-        self.passed += sel.len() as u64;
-        true
-    }
 }
 
 /// Fused filter+project scan: predicate evaluation and pack-time
@@ -103,7 +88,6 @@ impl StreamOperator for FilterOp {
 pub struct FusedFilterProject {
     pred: PredicateExpr,
     compiled: CompiledPredicate,
-    columnar: ColumnPredicate,
     schema: Schema,
     plan: ProjectionPlan,
     scratch: Vec<u8>,
@@ -122,13 +106,9 @@ impl FusedFilterProject {
         let compiled = pred
             .compile(&schema)
             .expect("predicate validated before operator construction");
-        let columnar = pred
-            .compile_columns(&schema)
-            .expect("predicate validated before operator construction");
         FusedFilterProject {
             pred,
             compiled,
-            columnar,
             schema,
             plan,
             scratch,
@@ -172,18 +152,6 @@ impl StreamOperator for FusedFilterProject {
         self.evaluated += sel.len() as u64;
         let compiled = &self.compiled;
         sel.retain(|&i| compiled.eval(block.tuple(i)));
-        self.passed += sel.len() as u64;
-        true
-    }
-
-    /// Columnar twin of the block path: the predicate reads only its
-    /// own column slices, survivors stay as a selection, and the packer
-    /// gathers the projected columns straight from the slices.
-    fn select_columns(&mut self, cols: &ColumnBlock<'_>, sel: &mut Vec<u32>) -> bool {
-        self.evaluated += sel.len() as u64;
-        let columnar = &self.columnar;
-        let slices = cols.cols();
-        sel.retain(|&i| columnar.eval(slices, i as usize));
         self.passed += sel.len() as u64;
         true
     }

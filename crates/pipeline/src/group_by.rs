@@ -15,10 +15,10 @@
 
 use std::ops::Range;
 
-use fv_data::{Column, ColumnSlice, ColumnType, RowView, Schema, Value};
+use fv_data::{Column, ColumnType, RowView, Schema, Value};
 
-use crate::colblock::ColumnBlock;
 use crate::cuckoo::{hash_key, CuckooTable};
+use crate::pack::Packer;
 use crate::pipeline::{StreamOperator, TupleBlock};
 use crate::project::ProjectionPlan;
 use crate::spec::{AggFunc, AggSpec};
@@ -104,15 +104,6 @@ impl AggState {
         // scalar columns by spec verification (the same invariant
         // `update` relies on through `Value`).
         let bits = u64::from_le_bytes(field.try_into().expect("8-byte scalar agg column"));
-        self.update_bits(bits, ty);
-    }
-
-    /// [`AggState::update_raw`] from the already-loaded little-endian
-    /// word — the typed columnar loop reads its 8-byte aggregate cells
-    /// as words and skips the byte-slice decode. COUNT ignores `bits`
-    /// (any placeholder value is fine).
-    #[inline]
-    fn update_bits(&mut self, bits: u64, ty: ColumnType) {
         let as_f64 = |bits: u64| match ty {
             ColumnType::U64 => bits as f64,
             ColumnType::I64 => (bits as i64) as f64,
@@ -120,7 +111,7 @@ impl AggState {
             ColumnType::Bytes(_) => unreachable!("float agg over bytes rejected at compile"),
         };
         match self {
-            AggState::Count(n) => *n += 1,
+            AggState::Count(_) => {} // handled above
             AggState::SumU(s) => *s = s.wrapping_add(bits),
             AggState::SumI(s) => *s = s.wrapping_add(bits as i64),
             AggState::SumF(s) => *s += as_f64(bits),
@@ -291,49 +282,6 @@ impl GroupByOp {
     pub fn group_count(&self) -> usize {
         self.queue.len()
     }
-
-    /// Create and place a new group for `key` (primary hash `h`),
-    /// folding in `row`'s aggregate inputs off the column slices.
-    /// Cuckoo-evicted (homeless) groups flush through `packer` exactly
-    /// as the row paths flush theirs — shared by the generic and the
-    /// fused typed columnar loops.
-    fn place_new_group(
-        &mut self,
-        h: u64,
-        key: &[u8],
-        row: usize,
-        agg_slices: &[ColumnSlice<'_>],
-        packer: &mut crate::pack::Packer,
-    ) {
-        let mut states = self.template.clone();
-        for ((slice, (_, ty)), st) in agg_slices
-            .iter()
-            .zip(self.agg_cells.iter())
-            .zip(states.iter_mut())
-        {
-            st.update_raw(slice.raw(row), *ty);
-        }
-        let key_box: Box<[u8]> = key.into();
-        match self.table.insert_hashed(h, key_box.clone(), states) {
-            Ok(()) => self.queue.push(key_box),
-            Err((hkey, hstates)) => {
-                // Same homeless handling as the scalar path.
-                self.overflow += 1;
-                if hkey != key_box {
-                    self.queue.push(key_box);
-                    if let Some(pos) = self.queue.iter().position(|k| *k == hkey) {
-                        self.queue.remove(pos);
-                    }
-                }
-                let mut row_buf = Vec::with_capacity(self.out_schema.row_bytes());
-                row_buf.extend_from_slice(&hkey);
-                for st in &hstates {
-                    row_buf.extend_from_slice(&st.emit());
-                }
-                packer.push_tuple(&row_buf);
-            }
-        }
-    }
 }
 
 impl StreamOperator for GroupByOp {
@@ -420,7 +368,7 @@ impl StreamOperator for GroupByOp {
     /// from the block's raw bytes (no `RowView`/`Value` per tuple).
     /// Update order is tuple order, so results are bit-identical to the
     /// scalar path.
-    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], out: &mut dyn FnMut(&[u8])) {
+    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
         if sel.is_empty() {
             return;
         }
@@ -428,7 +376,7 @@ impl StreamOperator for GroupByOp {
         if kw == 0 {
             // Degenerate empty-key plan (rejected upstream; stay safe).
             for &i in sel {
-                self.push(block.tuple(i), out);
+                self.push(block.tuple(i), &mut |t| packer.push_tuple(t));
             }
             return;
         }
@@ -476,154 +424,13 @@ impl StreamOperator for GroupByOp {
                     for st in &hstates {
                         row_buf.extend_from_slice(&st.emit());
                     }
-                    out(&row_buf);
+                    packer.push_tuple(&row_buf);
                 }
             }
         }
 
         self.block_keys = keys_buf;
         self.block_hashes = hashes;
-    }
-
-    /// Columnar path — the key pass runs straight off the key column
-    /// slice(s) (a single-column key needs no gather at all), and each
-    /// aggregate input slices straight from its own column; no row is
-    /// ever materialized. Same hash-all-then-probe-all structure and
-    /// tuple-order updates as the row block path, so results are
-    /// bit-identical to both row routes.
-    fn push_columns_packed(
-        &mut self,
-        cols: &ColumnBlock<'_>,
-        sel: &[u32],
-        packer: &mut crate::pack::Packer,
-    ) -> bool {
-        let kw = self.keys.out_row_bytes();
-        if kw == 0 {
-            // Degenerate empty-key plan (rejected upstream): let the
-            // pipeline route through the row machinery.
-            return false;
-        }
-        if sel.is_empty() {
-            return true;
-        }
-        self.batched_blocks += 1;
-        let mut hashes = std::mem::take(&mut self.block_hashes);
-        let mut keys_buf = std::mem::take(&mut self.block_keys);
-        hashes.clear();
-        // Hoisted once per block: each aggregate's input slice (one
-        // `cols.col` bound check per block, not per survivor).
-        let agg_slices: Vec<_> = self.aggs.iter().map(|a| cols.col(a.col)).collect();
-        let identity = sel.len() == cols.rows();
-        if identity {
-            if let &[kc] = self.keys.cols() {
-                let kslice = cols.col(kc);
-                if kslice.width() == 8 && agg_slices.iter().all(|s| s.width() == 8) {
-                    // Fused typed loop for the hottest shape — a single
-                    // word-wide key over word-wide aggregate inputs
-                    // under the identity selection: each row loads its
-                    // key once (the hash and the resident-key compare
-                    // both consume the loaded word, never a byte
-                    // slice) and its aggregate cells as typed words.
-                    // No hash vector is materialized at all.
-                    let words = kslice.bytes().as_chunks::<8>().0;
-                    let agg_words: Vec<&[[u8; 8]]> = agg_slices
-                        .iter()
-                        .map(|s| s.bytes().as_chunks::<8>().0)
-                        .collect();
-                    for (row, w) in words.iter().enumerate() {
-                        let x = u64::from_le_bytes(*w);
-                        let h = crate::cuckoo::hash_key_word(x);
-                        if let Some(states) = self.table.get_mut_hashed_word(h, x) {
-                            for ((s, (_, ty)), st) in agg_words
-                                .iter()
-                                .zip(self.agg_cells.iter())
-                                .zip(states.iter_mut())
-                            {
-                                st.update_bits(u64::from_le_bytes(s[row]), *ty);
-                            }
-                            continue;
-                        }
-                        self.place_new_group(h, w, row, &agg_slices, packer);
-                    }
-                    self.block_keys = keys_buf;
-                    self.block_hashes = hashes;
-                    return true;
-                }
-            }
-        }
-        let single_key = if let &[kc] = self.keys.cols() {
-            let slice = cols.col(kc);
-            if identity && slice.width() == 8 {
-                // Identity selection over a word-wide key: the hash pass
-                // streams the key slice as typed words — one load and
-                // one mix per row, no byte-slice chunking.
-                hashes.extend(
-                    slice
-                        .bytes()
-                        .as_chunks::<8>()
-                        .0
-                        .iter()
-                        .map(|w| crate::cuckoo::hash_key_word(u64::from_le_bytes(*w))),
-                );
-            } else if identity {
-                // Identity selection: the hash pass streams the key
-                // slice sequentially, no per-row index math.
-                hashes.extend(slice.iter().map(hash_key));
-            } else {
-                hashes.extend(sel.iter().map(|&i| hash_key(slice.raw(i as usize))));
-            }
-            Some(slice)
-        } else {
-            // Multi-column key: gather only the key fields, from their
-            // column slices — same strided kernels as the packer.
-            keys_buf.clear();
-            keys_buf.resize(sel.len() * kw, 0);
-            let mut off = 0usize;
-            for &c in self.keys.cols() {
-                let col = cols.col(c);
-                if identity {
-                    crate::colblock::strided_fill(col.bytes(), col.width(), &mut keys_buf, off, kw);
-                } else {
-                    crate::colblock::strided_gather(
-                        col.bytes(),
-                        col.width(),
-                        sel,
-                        &mut keys_buf,
-                        off,
-                        kw,
-                    );
-                }
-                off += col.width();
-            }
-            hashes.extend(keys_buf.chunks_exact(kw).map(hash_key));
-            None
-        };
-
-        for (j, &i) in sel.iter().enumerate() {
-            let row = i as usize;
-            // fv:allow(panic): hashes has one entry per survivor.
-            let h = hashes[j];
-            let key: &[u8] = match single_key {
-                Some(slice) => slice.raw(row),
-                // fv:allow(panic): keys_buf holds sel.len() keys of kw bytes.
-                None => &keys_buf[j * kw..(j + 1) * kw],
-            };
-            if let Some(states) = self.table.get_mut_hashed(h, key) {
-                for ((slice, (_, ty)), st) in agg_slices
-                    .iter()
-                    .zip(self.agg_cells.iter())
-                    .zip(states.iter_mut())
-                {
-                    st.update_raw(slice.raw(row), *ty);
-                }
-                continue;
-            }
-            self.place_new_group(h, key, row, &agg_slices, packer);
-        }
-
-        self.block_keys = keys_buf;
-        self.block_hashes = hashes;
-        true
     }
 
     fn overflow_tuples(&self) -> u64 {

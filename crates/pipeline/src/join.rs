@@ -15,7 +15,6 @@
 
 use fv_data::{Column, Schema, Table};
 
-use crate::colblock::ColumnBlock;
 use crate::cuckoo::{hash_key, CuckooTable};
 use crate::pack::Packer;
 use crate::pipeline::{PipelineError, StreamOperator, TupleBlock};
@@ -133,39 +132,9 @@ struct BuildPayloads {
     bytes: Vec<u8>,
 }
 
-/// Record one probe hit for the batched columnar emit: one
-/// `(probe row, payload)` pair per build match, payloads split out of
-/// the flattened per-key buffer (`pb == 0` means the build side had no
-/// payload columns at all).
-fn record_matches<'t>(
-    row: u32,
-    matches: &'t BuildPayloads,
-    pb: usize,
-    emit: &mut Vec<u32>,
-    tails: &mut Vec<&'t [u8]>,
-) {
-    if pb == 0 {
-        for _ in 0..matches.rows {
-            emit.push(row);
-            tails.push(&[]);
-        }
-    } else if matches.rows == 1 {
-        emit.push(row);
-        tails.push(&matches.bytes);
-    } else {
-        for payload in matches.bytes.chunks_exact(pb) {
-            emit.push(row);
-            tails.push(payload);
-        }
-    }
-}
-
 /// The streaming probe operator.
 pub struct JoinSmallOp {
     probe_range: std::ops::Range<usize>,
-    /// Column index of `probe_range` — the columnar path probes the key
-    /// column's slice directly instead of slicing each row.
-    probe_col: usize,
     /// key -> that key's build matches, payloads flattened.
     table: CuckooTable<BuildPayloads>,
     /// Byte width of one build payload (build row minus the key column).
@@ -176,16 +145,6 @@ pub struct JoinSmallOp {
     row_buf: Vec<u8>,
     /// Batched-path scratch: one primary hash per survivor (reused).
     block_hashes: Vec<u64>,
-    /// Columnar-path scratch: one probe-row index per emitted match
-    /// (reused; repeats mark multi-match keys).
-    emit_rows: Vec<u32>,
-    /// Columnar-path scratch: one `(start, end)` probe-row run per
-    /// matched key run (reused by the run-batched emit).
-    run_bounds: Vec<(u32, u32)>,
-    /// True when no build key holds more than one row — the common
-    /// dimension-table shape, and the precondition for run-batched
-    /// emit (one payload per matched run).
-    unique_build: bool,
     batched_blocks: u64,
 }
 
@@ -213,11 +172,9 @@ impl JoinSmallOp {
         // allocating the full default geometry for a 64-row build side.
         let mut table: CuckooTable<BuildPayloads> =
             CuckooTable::with_capacity_hint(spec.build_rows.len() / rb);
-        let mut unique_build = true;
         for row in spec.build_rows.chunks_exact(rb) {
             let key = &row[key_range.clone()];
             if let Some(matches) = table.get_mut(key) {
-                unique_build = false;
                 matches.rows += 1;
                 matches.bytes.extend_from_slice(&row[..key_range.start]);
                 matches.bytes.extend_from_slice(&row[key_range.end..]);
@@ -241,7 +198,6 @@ impl JoinSmallOp {
 
         Ok(JoinSmallOp {
             probe_range: probe_schema.column_range(spec.probe_col),
-            probe_col: spec.probe_col,
             table,
             payload_bytes,
             out_schema,
@@ -249,97 +205,8 @@ impl JoinSmallOp {
             emitted: 0,
             row_buf: Vec::new(),
             block_hashes: Vec::new(),
-            emit_rows: Vec::new(),
-            run_bounds: Vec::new(),
-            unique_build,
             batched_blocks: 0,
         })
-    }
-
-    /// Batched probe over a block's survivors, handing each match to
-    /// `emit(probe_tuple, build_payload)` — shared by the two block
-    /// entry points so the closure-free packed path stays in sync with
-    /// the generic one. The full-block walk detects key runs and reuses
-    /// one lookup per run; the post-filter path hashes all survivors in
-    /// one pass, then probes with the hash in hand.
-    fn probe_block<F: FnMut(&[u8], &[u8])>(
-        &mut self,
-        block: &TupleBlock<'_>,
-        sel: &[u32],
-        mut emit: F,
-    ) {
-        self.batched_blocks += 1;
-        let range = self.probe_range.clone();
-        let pb = self.payload_bytes;
-        let mut hashes = std::mem::take(&mut self.block_hashes);
-        hashes.clear();
-        self.probed += sel.len() as u64;
-        let mut emitted = self.emitted;
-        if sel.len() == block.len() {
-            // Identity selection (no leading filter): walk the block's
-            // bytes directly — no per-tuple index math or bounds checks.
-            // Fact tables are routinely clustered on the dimension key
-            // they join through, so consecutive probe keys repeat in
-            // runs; the walk hashes and probes once per run and reuses
-            // the lookup while the key bytes repeat. The scalar path
-            // sees one tuple at a time and cannot.
-            let tb = block.tuple_bytes();
-            let mut prev: Option<(&[u8], Option<&BuildPayloads>)> = None;
-            for tuple in block.bytes().chunks_exact(tb) {
-                let key = &tuple[range.clone()];
-                let hit = match prev {
-                    Some((prev_key, m)) if prev_key == key => m,
-                    _ => {
-                        let m = self.table.get_hashed(hash_key(key), key);
-                        prev = Some((key, m));
-                        m
-                    }
-                };
-                let Some(matches) = hit else { continue };
-                emitted += u64::from(matches.rows);
-                if matches.rows == 1 {
-                    emit(tuple, &matches.bytes);
-                } else if pb == 0 {
-                    for _ in 0..matches.rows {
-                        emit(tuple, &[]);
-                    }
-                } else {
-                    for payload in matches.bytes.chunks_exact(pb) {
-                        emit(tuple, payload);
-                    }
-                }
-            }
-        } else {
-            // Post-filter survivors: hash every key in one tight pass,
-            // then probe with the hash in hand.
-            hashes.extend(
-                sel.iter()
-                    .map(|&i| hash_key(&block.tuple(i)[range.clone()])),
-            );
-            for (&i, &h) in sel.iter().zip(hashes.iter()) {
-                let tuple = block.tuple(i);
-                let key = &tuple[range.clone()];
-                let Some(matches) = self.table.get_hashed(h, key) else {
-                    continue;
-                };
-                emitted += u64::from(matches.rows);
-                if matches.rows == 1 {
-                    // Unique build key — the overwhelmingly common case.
-                    emit(tuple, &matches.bytes);
-                } else if pb == 0 {
-                    // Key-only build schema: every payload is empty.
-                    for _ in 0..matches.rows {
-                        emit(tuple, &[]);
-                    }
-                } else {
-                    for payload in matches.bytes.chunks_exact(pb) {
-                        emit(tuple, payload);
-                    }
-                }
-            }
-        }
-        self.emitted = emitted;
-        self.block_hashes = hashes;
     }
 
     /// Schema of the joined output tuples.
@@ -378,102 +245,37 @@ impl StreamOperator for JoinSmallOp {
         }
     }
 
-    /// Block path: hash every survivor key in one pass, then probe with
-    /// the hash in hand — no per-tuple dispatch or rehash per way.
-    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], out: &mut dyn FnMut(&[u8])) {
-        let mut row_buf = std::mem::take(&mut self.row_buf);
-        self.probe_block(block, sel, |tuple, payload| {
-            row_buf.clear();
-            row_buf.extend_from_slice(tuple);
-            row_buf.extend_from_slice(payload);
-            out(&row_buf);
-        });
-        self.row_buf = row_buf;
-    }
-
-    /// Terminal fast path: matches go straight into the packer as
-    /// `probe ++ payload` halves — one copy, no intermediate row buffer
-    /// or per-row closure hop.
-    fn push_block_packed(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
+    /// Block path: batched probe over the block's survivors, matches
+    /// going straight into the packer as `probe ++ payload` halves — one
+    /// copy, no intermediate row buffer or per-row closure hop. The
+    /// full-block walk detects key runs and reuses one lookup per run;
+    /// the post-filter path hashes all survivors in one pass, then
+    /// probes with the hash in hand.
+    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
         // Size the pack buffer for the block's every-probe-matches-once
         // case up front (a hint — build-side fan-out can exceed it):
         // per-match pushes then extend into reserved space instead of
         // regrowing the buffer match by match.
         packer.reserve(sel.len() * self.out_schema.row_bytes());
-        self.probe_block(block, sel, |tuple, payload| {
-            packer.push_split_tuple(tuple, payload);
-        });
-    }
-
-    /// Columnar terminal fast path: the probe key pass runs straight off
-    /// the key column slice — no gather, no row slicing per probe — and
-    /// matches are emitted **batched**: the probe pass only records each
-    /// match's row index and payload slice, then one
-    /// [`Packer::push_columns_tails`] call gathers every matched probe
-    /// row column-at-a-time and appends the payloads. Misses never touch
-    /// any column but the key, and no per-match row buffer exists.
-    fn push_columns_packed(
-        &mut self,
-        cols: &ColumnBlock<'_>,
-        sel: &[u32],
-        packer: &mut Packer,
-    ) -> bool {
         self.batched_blocks += 1;
-        self.probed += sel.len() as u64;
-        let slice = cols.col(self.probe_col);
+        let range = self.probe_range.clone();
         let pb = self.payload_bytes;
-        let mut emit = std::mem::take(&mut self.emit_rows);
         let mut hashes = std::mem::take(&mut self.block_hashes);
-        emit.clear();
-        let mut tails: Vec<&[u8]> = Vec::with_capacity(sel.len());
-        if sel.len() == cols.rows()
-            && self.unique_build
-            && slice.width() == 8
-            && pb.is_multiple_of(8)
-            && cols.cols().iter().all(|c| c.width() == 8)
-        {
-            // Identity selection over a word-wide key with a unique
-            // build side (the dimension-table shape): probe **runs** of
-            // equal keys — one typed compare per row, one hash lookup
-            // and one recorded `(start, end) + payload` triple per run —
-            // then emit every run in one batched pass. Nothing is
-            // recorded per probe row at all.
-            let mut runs = std::mem::take(&mut self.run_bounds);
-            runs.clear();
-            let words = slice.bytes().as_chunks::<8>().0;
-            let mut emitted = 0u64;
-            let mut r = 0usize;
-            while r < words.len() {
-                let k = words[r];
-                let mut end = r + 1;
-                while end < words.len() && words[end] == k {
-                    end += 1;
-                }
-                if let Some(m) = self
-                    .table
-                    .get_hashed(crate::cuckoo::hash_key_word(u64::from_le_bytes(k)), &k)
-                {
-                    runs.push((r as u32, end as u32));
-                    tails.push(&m.bytes);
-                    emitted += (end - r) as u64;
-                }
-                r = end;
-            }
-            packer.push_columns_run_tails(cols, &runs, &tails, pb);
-            drop(tails);
-            self.emitted += emitted;
-            runs.clear();
-            self.run_bounds = runs;
-            self.emit_rows = emit;
-            self.block_hashes = hashes;
-            return true;
-        }
-        if sel.len() == cols.rows() {
-            // Identity selection: runs of equal probe keys (fact tables
-            // clustered on the dimension key) reuse one lookup per run,
-            // same as the row block walk.
+        hashes.clear();
+        self.probed += sel.len() as u64;
+        let mut emitted = self.emitted;
+        if sel.len() == block.len() {
+            // Identity selection (no leading filter): walk the block's
+            // bytes directly — no per-tuple index math or bounds checks.
+            // Fact tables are routinely clustered on the dimension key
+            // they join through, so consecutive probe keys repeat in
+            // runs; the walk hashes and probes once per run and reuses
+            // the lookup while the key bytes repeat. The scalar path
+            // sees one tuple at a time and cannot.
+            let tb = block.tuple_bytes();
             let mut prev: Option<(&[u8], Option<&BuildPayloads>)> = None;
-            for (row, key) in slice.iter().enumerate() {
+            for tuple in block.bytes().chunks_exact(tb) {
+                let key = &tuple[range.clone()];
                 let hit = match prev {
                     Some((prev_key, m)) if prev_key == key => m,
                     _ => {
@@ -482,30 +284,51 @@ impl StreamOperator for JoinSmallOp {
                         m
                     }
                 };
-                if let Some(matches) = hit {
-                    record_matches(row as u32, matches, pb, &mut emit, &mut tails);
+                let Some(matches) = hit else { continue };
+                emitted += u64::from(matches.rows);
+                if matches.rows == 1 {
+                    packer.push_split_tuple(tuple, &matches.bytes);
+                } else if pb == 0 {
+                    for _ in 0..matches.rows {
+                        packer.push_split_tuple(tuple, &[]);
+                    }
+                } else {
+                    for payload in matches.bytes.chunks_exact(pb) {
+                        packer.push_split_tuple(tuple, payload);
+                    }
                 }
             }
         } else {
-            // Post-filter survivors: hash every key off the slice in one
-            // pass, then probe with the hash in hand.
-            hashes.clear();
-            hashes.extend(sel.iter().map(|&i| hash_key(slice.raw(i as usize))));
+            // Post-filter survivors: hash every key in one tight pass,
+            // then probe with the hash in hand.
+            hashes.extend(
+                sel.iter()
+                    .map(|&i| hash_key(&block.tuple(i)[range.clone()])),
+            );
             for (&i, &h) in sel.iter().zip(hashes.iter()) {
-                let key = slice.raw(i as usize);
-                if let Some(matches) = self.table.get_hashed(h, key) {
-                    record_matches(i, matches, pb, &mut emit, &mut tails);
+                let tuple = block.tuple(i);
+                let key = &tuple[range.clone()];
+                let Some(matches) = self.table.get_hashed(h, key) else {
+                    continue;
+                };
+                emitted += u64::from(matches.rows);
+                if matches.rows == 1 {
+                    // Unique build key — the overwhelmingly common case.
+                    packer.push_split_tuple(tuple, &matches.bytes);
+                } else if pb == 0 {
+                    // Key-only build schema: every payload is empty.
+                    for _ in 0..matches.rows {
+                        packer.push_split_tuple(tuple, &[]);
+                    }
+                } else {
+                    for payload in matches.bytes.chunks_exact(pb) {
+                        packer.push_split_tuple(tuple, payload);
+                    }
                 }
             }
         }
-        packer.push_columns_tails(cols, &emit, &tails, pb);
-        let emitted = emit.len() as u64;
-        drop(tails);
-        self.emitted += emitted;
-        emit.clear();
-        self.emit_rows = emit;
+        self.emitted = emitted;
         self.block_hashes = hashes;
-        true
     }
 
     fn batched_blocks(&self) -> u64 {

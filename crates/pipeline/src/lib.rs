@@ -27,19 +27,18 @@
 //! stages one at a time, exactly as the hardware feeds "up to a single
 //! tuple in each cycle" (§5.1).
 //!
-//! Staged columnar table images feed the pipeline through the
-//! slice-native path instead: [`ColumnBlock`] ([`colblock`]) wraps an
-//! opened `fv_data::ColumnImage` and
-//! [`CompiledPipeline::push_columns`] runs predicates, regex, and the
-//! stateful operators' key passes straight off the column slices —
-//! byte-identical output to the row routes, with no key gather and no
-//! materialization of non-surviving rows.
+//! The datapath is row-major end to end, as in the paper: tables sit
+//! row-major in disaggregated DRAM, [`CompiledPipeline::push_bytes`] is
+//! the one entry every query feeds, and column access is smart
+//! addressing over the row store (§5.2). `fv_data::ColumnImage` is the
+//! disk / far-tier storage format only — the tiered pool turns an image
+//! back into rows when it stages a table into DRAM, before any operator
+//! runs.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-pub mod colblock;
 pub mod cuckoo;
 pub mod distinct;
 pub mod filter;
@@ -56,9 +55,8 @@ pub mod spec;
 pub mod compress;
 pub mod crypto_op;
 
-pub use colblock::ColumnBlock;
 pub use join::JoinSmallSpec;
 pub use merge::{merge_distinct, PartialAggPlan};
 pub use pipeline::{CompiledPipeline, PipelineError, PipelineStats, StreamOperator, TupleBlock};
-pub use predicate::{CmpOp, ColumnPredicate, CompiledPredicate, PredicateExpr};
+pub use predicate::{CmpOp, CompiledPredicate, PredicateExpr};
 pub use spec::{AggFunc, AggSpec, CryptoSpec, GroupingSpec, PipelineSpec, RegexFilter};

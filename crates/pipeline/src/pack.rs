@@ -12,7 +12,6 @@
 
 use fv_sim::calib::BEAT_BYTES;
 
-use crate::colblock::ColumnBlock;
 use crate::pipeline::TupleBlock;
 use crate::project::ProjectionPlan;
 
@@ -144,172 +143,6 @@ impl Packer {
         self.tuples_packed += sel.len() as u64;
     }
 
-    /// Columnar twin of [`Packer::push_block`] for slice-native input:
-    /// transpose the `sel`-marked rows of `cols` into packed row format
-    /// in one pass. With a projection (the packer's own or the `fused`
-    /// override), only the projected columns' slices are ever read —
-    /// the survivors' projected fields gather straight off the column
-    /// slices, so the row-block path's full-width materialize + gather
-    /// never happens.
-    ///
-    /// `sel` must hold **strictly ascending** row indices into `cols`
-    /// (checked in debug builds), same as [`Packer::push_block`].
-    pub fn push_columns(
-        &mut self,
-        cols: &ColumnBlock<'_>,
-        sel: &[u32],
-        fused: Option<&ProjectionPlan>,
-    ) {
-        debug_assert!(
-            sel.windows(2).all(|w| w[0] < w[1])
-                && sel.last().is_none_or(|&i| (i as usize) < cols.rows()),
-            "selection vector must be strictly ascending in-range indices"
-        );
-        let before = self.buf.len();
-        match fused.or(self.projection.as_ref()) {
-            None => {
-                if sel.len() == cols.rows() {
-                    // Full selection: transpose the whole block.
-                    cols.write_all_rows(&mut self.buf);
-                } else {
-                    cols.gather_rows(sel, &mut self.buf);
-                }
-            }
-            Some(plan) => {
-                // Projected gather straight off the projected columns'
-                // slices — column-at-a-time with the same constant-width
-                // kernels as the full transpose; the dropped columns are
-                // never read.
-                let orb = plan.out_row_bytes();
-                let start = self.buf.len();
-                self.buf.resize(start + sel.len() * orb, 0);
-                let dst = &mut self.buf[start..];
-                let identity = sel.len() == cols.rows();
-                let mut off = 0usize;
-                for &c in plan.cols() {
-                    let col = cols.col(c);
-                    if identity {
-                        crate::colblock::strided_fill(col.bytes(), col.width(), dst, off, orb);
-                    } else {
-                        crate::colblock::strided_gather(
-                            col.bytes(),
-                            col.width(),
-                            sel,
-                            dst,
-                            off,
-                            orb,
-                        );
-                    }
-                    off += col.width();
-                }
-            }
-        }
-        self.bytes_packed += (self.buf.len() - before) as u64;
-        self.tuples_packed += sel.len() as u64;
-    }
-
-    /// Batched join emit for slice-native input: one output row per
-    /// `emit` entry, each `cols.row_bytes()` of probe columns (gathered
-    /// column-at-a-time off the slices — `emit` may repeat a probe row
-    /// for multi-match keys) followed by that entry's `tail` (the build
-    /// side's packed payload; `tails` entries must all be `tail_bytes`
-    /// long, and `tail_bytes == 0` means no build payload at all). The
-    /// per-match `write_row` + split-tuple copy this replaces paid a
-    /// per-cell dispatch per probe column.
-    pub fn push_columns_tails(
-        &mut self,
-        cols: &ColumnBlock<'_>,
-        emit: &[u32],
-        tails: &[&[u8]],
-        tail_bytes: usize,
-    ) {
-        debug_assert_eq!(emit.len(), tails.len());
-        let rb = cols.row_bytes();
-        let orb = rb + tail_bytes;
-        let start = self.buf.len();
-        self.buf.resize(start + emit.len() * orb, 0);
-        let dst = &mut self.buf[start..];
-        if !fill_rows_tails_u64(cols, emit, tails, tail_bytes, dst) {
-            // Mixed widths: column-at-a-time, tiled by output bytes so
-            // every column pass over a tile stays in cache — joins with
-            // fat build payloads have wide output rows, and untiled
-            // column passes would stream the whole multi-MB output once
-            // per column.
-            let tile_rows = (32 * 1024 / orb.max(1)).max(1);
-            let mut dst = dst;
-            let mut lo = 0usize;
-            while lo < emit.len() {
-                let hi = (lo + tile_rows).min(emit.len());
-                let (tile, rest) = dst.split_at_mut((hi - lo) * orb);
-                let mut off = 0usize;
-                for c in cols.cols() {
-                    crate::colblock::strided_gather(
-                        c.bytes(),
-                        c.width(),
-                        &emit[lo..hi],
-                        tile,
-                        off,
-                        orb,
-                    );
-                    off += c.width();
-                }
-                if tail_bytes > 0 {
-                    let mut pos = rb;
-                    for t in &tails[lo..hi] {
-                        tile[pos..pos + tail_bytes].copy_from_slice(t);
-                        pos += orb;
-                    }
-                }
-                dst = rest;
-                lo = hi;
-            }
-        }
-        self.bytes_packed += (emit.len() * orb) as u64;
-        self.tuples_packed += emit.len() as u64;
-    }
-
-    /// Run-batched join emit: like [`Packer::push_columns_tails`], but
-    /// the emitted probe rows arrive as half-open `(start, end)` runs of
-    /// consecutive rows sharing one `tail` — the shape a clustered fact
-    /// table probed against a unique-keyed build side produces. Nothing
-    /// is recorded (or read back) per probe row: the run bounds replace
-    /// one row index per match, and each run's tail is resolved once and
-    /// stays cache-hot while the run's rows emit.
-    pub fn push_columns_run_tails(
-        &mut self,
-        cols: &ColumnBlock<'_>,
-        runs: &[(u32, u32)],
-        tails: &[&[u8]],
-        tail_bytes: usize,
-    ) {
-        debug_assert_eq!(runs.len(), tails.len());
-        let rb = cols.row_bytes();
-        let orb = rb + tail_bytes;
-        let total: usize = runs.iter().map(|&(lo, hi)| (hi - lo) as usize).sum();
-        let start = self.buf.len();
-        self.buf.resize(start + total * orb, 0);
-        let dst = &mut self.buf[start..];
-        if !fill_rows_runs_u64(cols, runs, tails, tail_bytes, dst) {
-            // Mixed widths: plain per-cell copies — callers route the
-            // hot all-8-byte schemas through the typed kernel above.
-            let mut pos = 0usize;
-            for (&(lo, hi), t) in runs.iter().zip(tails) {
-                for r in lo..hi {
-                    let mut off = pos;
-                    for c in cols.cols() {
-                        let w = c.width();
-                        dst[off..off + w].copy_from_slice(c.raw(r as usize));
-                        off += w;
-                    }
-                    dst[pos + rb..pos + orb].copy_from_slice(t);
-                    pos += orb;
-                }
-            }
-        }
-        self.bytes_packed += (total * orb) as u64;
-        self.tuples_packed += total as u64;
-    }
-
     /// Pre-size the pack buffer for `additional` more bytes. Batched
     /// emitters call this once per block so the per-match pushes never
     /// regrow the buffer mid-block (the vectorized [`Packer::push_block`]
@@ -350,91 +183,6 @@ impl Packer {
     pub fn words_emitted(&self) -> u64 {
         self.bytes_packed.div_ceil(BEAT_BYTES)
     }
-}
-
-/// Row-major typed join emit for the all-8-byte case (every hot schema):
-/// each output row is written left-to-right — one `[u8; 8]` move per
-/// probe column, then the tail as typed 8-byte words — so the
-/// destination streams sequentially and no per-cell memcpy is
-/// dispatched. Returns false — having written nothing — when a probe
-/// column has another width or the tail is not word-aligned, and the
-/// caller must take the tiled column-at-a-time kernels instead. `dst`
-/// must already be sized for `emit.len()` output rows.
-fn fill_rows_tails_u64(
-    cols: &ColumnBlock<'_>,
-    emit: &[u32],
-    tails: &[&[u8]],
-    tail_bytes: usize,
-    dst: &mut [u8],
-) -> bool {
-    if !tail_bytes.is_multiple_of(8) || cols.cols().iter().any(|c| c.width() != 8) {
-        return false;
-    }
-    let srcs: Vec<&[[u8; 8]]> = cols
-        .cols()
-        .iter()
-        .map(|c| c.bytes().as_chunks::<8>().0)
-        .collect();
-    let nc = srcs.len();
-    let stride = nc + tail_bytes / 8;
-    if stride == 0 {
-        return true;
-    }
-    let (d, _) = dst.as_chunks_mut::<8>();
-    for ((drow, &i), t) in d.chunks_exact_mut(stride).zip(emit).zip(tails) {
-        let (probe, tail) = drow.split_at_mut(nc);
-        for (dc, s) in probe.iter_mut().zip(&srcs) {
-            *dc = s[i as usize];
-        }
-        if !tail.is_empty() {
-            tail.copy_from_slice(t.as_chunks::<8>().0);
-        }
-    }
-    true
-}
-
-/// [`fill_rows_tails_u64`] for run-batched emit: consecutive probe rows
-/// of each run read sequentially (`s[r]` with `r` marching), and the
-/// run's tail is lifted to typed words once per run instead of once per
-/// output row. Same all-8 / word-aligned-tail precondition and same
-/// false-means-untouched contract.
-fn fill_rows_runs_u64(
-    cols: &ColumnBlock<'_>,
-    runs: &[(u32, u32)],
-    tails: &[&[u8]],
-    tail_bytes: usize,
-    dst: &mut [u8],
-) -> bool {
-    if !tail_bytes.is_multiple_of(8) || cols.cols().iter().any(|c| c.width() != 8) {
-        return false;
-    }
-    let srcs: Vec<&[[u8; 8]]> = cols
-        .cols()
-        .iter()
-        .map(|c| c.bytes().as_chunks::<8>().0)
-        .collect();
-    let nc = srcs.len();
-    let stride = nc + tail_bytes / 8;
-    if stride == 0 {
-        return true;
-    }
-    let (d, _) = dst.as_chunks_mut::<8>();
-    let mut drows = d.chunks_exact_mut(stride);
-    for (&(lo, hi), t) in runs.iter().zip(tails) {
-        let tw = t.as_chunks::<8>().0;
-        for r in lo as usize..hi as usize {
-            // fv:allow(panic): dst was sized for the runs' total rows.
-            let drow = drows.next().expect("dst sized for all run rows");
-            let (probe, tail) = drow.split_at_mut(nc);
-            for (dc, s) in probe.iter_mut().zip(&srcs) {
-                *dc = s[r];
-            }
-            if !tail.is_empty() {
-                tail.copy_from_slice(tw);
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -3,7 +3,6 @@
 use fv_data::{Column, ColumnType, Schema};
 use fv_sim::calib::{GROUP_FLUSH_CYCLES_PER_ENTRY, OP_FILL_CYCLES};
 
-use crate::colblock::ColumnBlock;
 use crate::compress::StreamCompressor;
 use crate::crypto_op::StreamCrypto;
 use crate::distinct::DistinctOp;
@@ -241,20 +240,6 @@ impl<'a> TupleBlock<'a> {
         // fv:allow(panic): documented precondition, hot-loop bound.
         &self.data[start..start + self.tuple_bytes]
     }
-
-    /// Materialize a [`ColumnBlock`] into row format inside `scratch`
-    /// and frame the result as a row-major block — the bridge from the
-    /// slice-native path back to the row path, for shapes the columnar
-    /// route cannot serve. `scratch` is cleared first and owns the
-    /// materialized bytes for the block's lifetime.
-    ///
-    /// # Panics
-    /// Panics on zero-width rows (an empty schema frames no tuples).
-    pub fn from_slices(cols: &ColumnBlock<'_>, scratch: &'a mut Vec<u8>) -> TupleBlock<'a> {
-        scratch.clear();
-        cols.write_all_rows(scratch);
-        TupleBlock::new(scratch.as_slice(), cols.row_bytes())
-    }
 }
 
 /// A streaming tuple operator: at most one tuple in per cycle, any
@@ -282,53 +267,18 @@ pub trait StreamOperator {
     fn select_block(&mut self, _block: &TupleBlock<'_>, _sel: &mut Vec<u32>) -> bool {
         false
     }
-    /// Columnar twin of [`StreamOperator::select_block`] for
-    /// slice-native input: retain in `sel` the row indices of `cols`
-    /// that survive this operator, reading only the column slices the
-    /// operator actually touches, and return `true`. The default
-    /// returns `false` — "no columnar fast path for this operator;
-    /// materialize rows".
-    fn select_columns(&mut self, _cols: &ColumnBlock<'_>, _sel: &mut Vec<u32>) -> bool {
-        false
-    }
     /// Vectorized entry for operators that transform or hold state:
-    /// process the `sel`-marked tuples of `block` in order, emitting
-    /// through `out`. Equivalent to calling [`StreamOperator::push`]
-    /// per survivor (the default does exactly that); overriding turns
-    /// the per-tuple virtual dispatch into one call per block.
-    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], out: &mut dyn FnMut(&[u8])) {
+    /// process the `sel`-marked tuples of `block` in order, delivering
+    /// every output row straight into `packer`. Such an operator is
+    /// always the pipeline's last (spec verification allows at most one
+    /// grouping/join stage and nothing behind it), so the packer is its
+    /// only sink. Equivalent to calling [`StreamOperator::push`] per
+    /// survivor (the default does exactly that); overriding turns the
+    /// per-tuple virtual dispatch into one call per block.
+    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
         for &i in sel {
-            self.push(block.tuple(i), out);
+            self.push(block.tuple(i), &mut |t| packer.push_tuple(t));
         }
-    }
-    /// Vectorized entry for a *terminal* stateful operator: process the
-    /// `sel`-marked tuples and deliver every output row straight into
-    /// `packer`. The default routes through
-    /// [`StreamOperator::push_block`]; high-emit-rate operators (join)
-    /// override it to skip the per-row closure hop and pack each output
-    /// with a single copy.
-    fn push_block_packed(
-        &mut self,
-        block: &TupleBlock<'_>,
-        sel: &[u32],
-        packer: &mut crate::pack::Packer,
-    ) {
-        self.push_block(block, sel, &mut |t| packer.push_tuple(t));
-    }
-    /// Columnar twin of [`StreamOperator::push_block_packed`] for a
-    /// *terminal* stateful operator on slice-native input: consume the
-    /// `sel`-marked rows of `cols` — the key pass runs straight off the
-    /// key column slice, no gather — and deliver every output row into
-    /// `packer`. Returns `true` when handled; the default returns
-    /// `false` and the pipeline materializes the survivors through the
-    /// row-block machinery instead.
-    fn push_columns_packed(
-        &mut self,
-        _cols: &ColumnBlock<'_>,
-        _sel: &[u32],
-        _packer: &mut crate::pack::Packer,
-    ) -> bool {
-        false
     }
     /// End of stream: emit any held state (e.g. group-by results).
     fn flush(&mut self, _out: &mut dyn FnMut(&[u8])) {}
@@ -648,106 +598,6 @@ impl CompiledPipeline {
         self.refresh_op_stats();
     }
 
-    /// Stream a column-sliced block through the pipeline — the
-    /// slice-native input path for staged columnar table images.
-    ///
-    /// Selection operators read only the column slices their predicates
-    /// name, a terminal stateful operator (distinct / group-by / join)
-    /// takes its key pass directly off the key column slice, and the
-    /// packer gathers only the surviving rows' projected columns. The
-    /// `ProjectionPlan` gather of the row-block path never runs: rows
-    /// that do not survive are never materialized at all.
-    ///
-    /// Output is byte-identical to materializing the block in row format
-    /// and calling [`CompiledPipeline::push_bytes`]; shapes the columnar
-    /// path cannot serve (decrypt-at-memory pipelines — the materialized
-    /// rows are the memory stream and go through the decryptor as usual
-    /// — smart addressing, the scalar reference route, or a tuple-width
-    /// mismatch) transparently take exactly that fallback.
-    ///
-    /// # Panics
-    /// Panics if called after [`CompiledPipeline::finish`].
-    pub fn push_columns(&mut self, cols: &ColumnBlock<'_>) {
-        // fv:allow(panic): documented use-after-finish precondition.
-        assert!(!self.finished, "pipeline already finished");
-        if self.decrypt.is_some()
-            || self.smart_addressing.is_some()
-            || self.scalar_fallback
-            || cols.row_bytes() != self.in_tuple_bytes
-        {
-            let mut rows = Vec::with_capacity(cols.rows() * cols.row_bytes());
-            for r in 0..cols.rows() {
-                cols.write_row(r, &mut rows);
-            }
-            self.push_bytes(&rows);
-            return;
-        }
-
-        let n = cols.rows();
-        self.stats.bytes_in += (n * cols.row_bytes()) as u64;
-        self.stats.tuples_in += n as u64;
-
-        let packer = &mut self.packer;
-        let stats = &mut self.stats;
-        let mut sel = std::mem::take(&mut self.sel_scratch);
-        sel.clear();
-        sel.extend(0..n as u32);
-
-        // Leading selections mark survivors in place, reading only the
-        // column slices their predicates touch.
-        let mut next = 0;
-        while next < self.ops.len() && !sel.is_empty() {
-            // fv:allow(panic): the loop condition bounds next.
-            if !self.ops[next].select_columns(cols, &mut sel) {
-                break;
-            }
-            next += 1;
-        }
-
-        if next == self.ops.len() || sel.is_empty() {
-            // Pure selection pipeline (or nothing survived): transpose
-            // only the surviving rows' projected columns into the packer.
-            stats.tuples_out += sel.len() as u64;
-            packer.push_columns(cols, &sel, self.fused_gather.as_ref());
-        } else {
-            let (_, tail) = self.ops.split_at_mut(next);
-            if let Some((head, rest)) = tail.split_first_mut() {
-                let before = packer.tuples_packed();
-                if rest.is_empty() && head.push_columns_packed(cols, &sel, packer) {
-                    // Terminal stateful operator with a gather-free
-                    // columnar entry — the common shape (spec conflict
-                    // rules make the grouping/join op terminal and its
-                    // packer passthrough).
-                    stats.tuples_out += packer.tuples_packed() - before;
-                } else {
-                    // No columnar entry (or a non-terminal shape):
-                    // materialize the survivors once and run the
-                    // row-block machinery over them.
-                    let mut scratch = Vec::with_capacity(sel.len() * cols.row_bytes());
-                    for &i in &sel {
-                        cols.write_row(i as usize, &mut scratch);
-                    }
-                    let block = TupleBlock::new(&scratch, cols.row_bytes());
-                    let ident: Vec<u32> = (0..sel.len() as u32).collect();
-                    if rest.is_empty() {
-                        head.push_block_packed(&block, &ident, packer);
-                        stats.tuples_out += packer.tuples_packed() - before;
-                    } else {
-                        head.push_block(&block, &ident, &mut |t| {
-                            feed(rest, t, &mut |t| {
-                                stats.tuples_out += 1;
-                                packer.push_tuple(t);
-                            });
-                        });
-                    }
-                }
-            }
-        }
-        sel.clear();
-        self.sel_scratch = sel;
-        self.refresh_op_stats();
-    }
-
     /// Run one frame (a whole number of tuples) through the operators
     /// and into the packer.
     ///
@@ -782,8 +632,9 @@ impl CompiledPipeline {
         sel.extend(0..n as u32);
 
         // Leading selections mark survivors in place.
+        let n_ops = self.ops.len();
         let mut next = 0;
-        while next < self.ops.len() && !sel.is_empty() {
+        while next < n_ops && !sel.is_empty() {
             // fv:allow(panic): the loop condition bounds next.
             if !self.ops[next].select_block(&block, &mut sel) {
                 break;
@@ -791,37 +642,21 @@ impl CompiledPipeline {
             next += 1;
         }
 
-        if next == self.ops.len() || sel.is_empty() {
+        if next == n_ops || sel.is_empty() {
             // Pure selection pipeline (or nothing survived): gather the
             // marked tuples straight into the packer — projected through
             // the fused plan or the packer's own, or copied whole.
             stats.tuples_out += sel.len() as u64;
             packer.push_block(&block, &sel, self.fused_gather.as_ref());
-        } else {
-            // Survivors continue into the stateful tail (at most one
-            // grouping/join operator plus anything behind it).
-            let (_, tail) = self.ops.split_at_mut(next);
-            // next < ops.len() here, so the tail is non-empty; the None
-            // shape would silently drop the block's survivors, which the
-            // tuples_out accounting in the tests would catch.
-            if let Some((head, rest)) = tail.split_first_mut() {
-                if rest.is_empty() {
-                    // Terminal stateful operator (the common shape: spec
-                    // conflict rules allow at most one grouping/join op,
-                    // and it packs passthrough): emit straight into the
-                    // packer, skipping the per-row feed/closure chain.
-                    let before = packer.tuples_packed();
-                    head.push_block_packed(&block, &sel, packer);
-                    stats.tuples_out += packer.tuples_packed() - before;
-                } else {
-                    head.push_block(&block, &sel, &mut |t| {
-                        feed(rest, t, &mut |t| {
-                            stats.tuples_out += 1;
-                            packer.push_tuple(t);
-                        });
-                    });
-                }
-            }
+        } else if let Some(head) = self.ops.get_mut(next) {
+            // Survivors continue into the stateful operator. Spec
+            // conflict rules allow at most one grouping/join op, nothing
+            // follows it, and it packs passthrough: emit straight into
+            // the packer, skipping the per-row feed/closure chain.
+            debug_assert_eq!(next + 1, n_ops, "stateful operator must be last");
+            let before = packer.tuples_packed();
+            head.push_block(&block, &sel, packer);
+            stats.tuples_out += packer.tuples_packed() - before;
         }
         sel.clear();
         self.sel_scratch = sel;
@@ -1113,66 +948,6 @@ mod tests {
         )
         .unwrap();
         assert!(!unfusable.is_fused());
-    }
-
-    #[test]
-    fn push_columns_matches_push_bytes() {
-        use crate::spec::AggSpec;
-        use fv_data::ColumnImage;
-        let t = table(256);
-        let image = ColumnImage::encode(&t);
-        let specs = [
-            PipelineSpec::passthrough(),
-            PipelineSpec::passthrough().filter(PredicateExpr::lt(0, 1000u64)),
-            PipelineSpec::passthrough()
-                .project(vec![7, 0, 3])
-                .filter(PredicateExpr::lt(0, 1000u64)),
-            PipelineSpec::passthrough().project(vec![2]),
-            PipelineSpec::passthrough().distinct(vec![1]),
-            PipelineSpec::passthrough()
-                .filter(PredicateExpr::gt(0, 64u64))
-                .distinct(vec![3, 1]),
-            PipelineSpec::passthrough().group_by(
-                vec![0],
-                vec![AggSpec {
-                    col: 5,
-                    func: crate::spec::AggFunc::Sum,
-                }],
-            ),
-        ];
-        for spec in specs {
-            let mut by_rows = CompiledPipeline::compile(spec.clone(), t.schema()).unwrap();
-            by_rows.push_bytes(t.bytes());
-            by_rows.finish();
-            let row_out = by_rows.drain_output();
-
-            let opened = ColumnImage::open(&image, t.schema()).unwrap();
-            let block = ColumnBlock::from_image(&opened);
-            let mut by_cols = CompiledPipeline::compile(spec.clone(), t.schema()).unwrap();
-            by_cols.push_columns(&block);
-            by_cols.finish();
-            let col_out = by_cols.drain_output();
-
-            assert_eq!(col_out, row_out, "columnar vs row output for {spec:?}");
-            assert_eq!(
-                by_cols.stats(),
-                by_rows.stats(),
-                "columnar vs row stats for {spec:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn from_slices_round_trips() {
-        use fv_data::ColumnImage;
-        let t = table(16);
-        let image = ColumnImage::encode(&t);
-        let opened = ColumnImage::open(&image, t.schema()).unwrap();
-        let cols = ColumnBlock::from_image(&opened);
-        let mut scratch = Vec::new();
-        let block = TupleBlock::from_slices(&cols, &mut scratch);
-        assert_eq!(block.len(), 16);
-        assert_eq!(block.bytes(), t.bytes());
     }
 
     #[test]

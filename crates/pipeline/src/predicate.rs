@@ -5,7 +5,7 @@
 //! tuple columns" (§5.3). A [`PredicateExpr`] is that circuit's
 //! description: comparisons against constants combined with AND/OR/NOT.
 
-use fv_data::{ColumnSlice, ColumnType, RowView, Schema, Value};
+use fv_data::{ColumnType, RowView, Schema, Value};
 
 /// Comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,73 +282,6 @@ impl PredicateExpr {
         })
     }
 
-    /// Resolve the predicate against `schema` into a
-    /// [`ColumnPredicate`]: the slice-native twin of [`compile`] for the
-    /// columnar datapath. Comparisons carry their *column index* instead
-    /// of a row-byte offset, so evaluation reads value `row` straight
-    /// out of the matching [`ColumnSlice`] — the predicate only ever
-    /// touches the one column it names.
-    ///
-    /// # Errors
-    /// The same errors as [`PredicateExpr::validate`].
-    ///
-    /// [`compile`]: PredicateExpr::compile
-    pub fn compile_columns(&self, schema: &Schema) -> Result<ColumnPredicate, PredicateError> {
-        Ok(match self {
-            PredicateExpr::True => ColumnPredicate::True,
-            PredicateExpr::Not(inner) => {
-                ColumnPredicate::Not(Box::new(inner.compile_columns(schema)?))
-            }
-            PredicateExpr::And(xs) => ColumnPredicate::And(
-                xs.iter()
-                    .map(|x| x.compile_columns(schema))
-                    .collect::<Result<_, _>>()?,
-            ),
-            PredicateExpr::Or(xs) => ColumnPredicate::Or(
-                xs.iter()
-                    .map(|x| x.compile_columns(schema))
-                    .collect::<Result<_, _>>()?,
-            ),
-            PredicateExpr::Cmp { col, op, value } => {
-                if *col >= schema.column_count() {
-                    return Err(PredicateError::UnknownColumn {
-                        col: *col,
-                        arity: schema.column_count(),
-                    });
-                }
-                let ty = schema.column(*col).ty;
-                match (ty, value) {
-                    (ColumnType::U64, Value::U64(v)) => ColumnPredicate::U64 {
-                        col: *col,
-                        op: *op,
-                        rhs: *v,
-                    },
-                    (ColumnType::I64, Value::I64(v)) => ColumnPredicate::I64 {
-                        col: *col,
-                        op: *op,
-                        rhs: *v,
-                    },
-                    (ColumnType::F64, Value::F64(v)) => ColumnPredicate::F64 {
-                        col: *col,
-                        op: *op,
-                        rhs: *v,
-                    },
-                    (ColumnType::Bytes(_), Value::Bytes(b)) => ColumnPredicate::Bytes {
-                        col: *col,
-                        op: *op,
-                        rhs: b.clone(),
-                    },
-                    _ => {
-                        return Err(PredicateError::TypeMismatch {
-                            col: *col,
-                            column_type: ty,
-                        })
-                    }
-                }
-            }
-        })
-    }
-
     /// Bitmask of base-table columns the predicate reads — the paper's
     /// `selection_flags` annotation (§5.2).
     pub fn selection_mask(&self) -> u64 {
@@ -457,108 +390,6 @@ impl CompiledPredicate {
                 op,
             } => {
                 let field = &tuple[*off..*off + *width];
-                op.eval_ordering(field.cmp(rhs.as_slice()))
-            }
-        }
-    }
-}
-
-/// A predicate resolved against one schema for the **columnar**
-/// datapath: every comparison carries its column *index*, and
-/// [`ColumnPredicate::eval`] reads value `row` straight out of the
-/// matching [`ColumnSlice`] — the predicate scans only the column it
-/// names, never the full tuple. Byte-for-byte equivalent to
-/// [`CompiledPredicate::eval`] over the materialized row (including the
-/// NaN-at-the-top total order for `F64`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ColumnPredicate {
-    /// Always true.
-    True,
-    /// `u64` column `col` compared against `rhs`.
-    U64 {
-        /// Column index in the block's schema.
-        col: usize,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Constant operand.
-        rhs: u64,
-    },
-    /// `i64` column `col` compared against `rhs`.
-    I64 {
-        /// Column index in the block's schema.
-        col: usize,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Constant operand.
-        rhs: i64,
-    },
-    /// `f64` column `col` compared against `rhs`.
-    F64 {
-        /// Column index in the block's schema.
-        col: usize,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Constant operand.
-        rhs: f64,
-    },
-    /// Fixed-width byte-string column compared lexicographically (the
-    /// full zero-padded field, exactly as the row path compares it).
-    Bytes {
-        /// Column index in the block's schema.
-        col: usize,
-        /// Constant operand (any length).
-        rhs: Vec<u8>,
-        /// Comparison operator.
-        op: CmpOp,
-    },
-    /// All sub-predicates hold.
-    And(Vec<ColumnPredicate>),
-    /// Any sub-predicate holds.
-    Or(Vec<ColumnPredicate>),
-    /// The sub-predicate does not hold.
-    Not(Box<ColumnPredicate>),
-}
-
-impl ColumnPredicate {
-    /// Evaluate against row `row` of the column slices `cols` (schema
-    /// order, as cut by `ColumnImage::open`).
-    ///
-    /// # Panics
-    /// Panics when `cols`/`row` do not match the schema the predicate
-    /// was compiled against — the pipeline compiler and the image open
-    /// path both validate against the same schema before any row is
-    /// evaluated.
-    #[inline]
-    pub fn eval(&self, cols: &[ColumnSlice<'_>], row: usize) -> bool {
-        match self {
-            ColumnPredicate::True => true,
-            ColumnPredicate::Not(inner) => !inner.eval(cols, row),
-            ColumnPredicate::And(xs) => xs.iter().all(|x| x.eval(cols, row)),
-            ColumnPredicate::Or(xs) => xs.iter().any(|x| x.eval(cols, row)),
-            ColumnPredicate::U64 { col, op, rhs } => {
-                // fv:allow(panic): documented precondition, hot-loop bound.
-                let v = cols[*col].word(row);
-                op.eval_ordering(v.cmp(rhs))
-            }
-            ColumnPredicate::I64 { col, op, rhs } => {
-                // fv:allow(panic): documented precondition, hot-loop bound.
-                let v = cols[*col].word(row) as i64;
-                op.eval_ordering(v.cmp(rhs))
-            }
-            ColumnPredicate::F64 { col, op, rhs } => {
-                // fv:allow(panic): documented precondition, hot-loop bound.
-                let v = f64::from_bits(cols[*col].word(row));
-                // Same NaN-at-the-top total order as PredicateExpr::eval.
-                let ord = v.partial_cmp(rhs).unwrap_or_else(|| {
-                    rhs.is_nan()
-                        .cmp(&v.is_nan())
-                        .then(std::cmp::Ordering::Equal)
-                });
-                op.eval_ordering(ord)
-            }
-            ColumnPredicate::Bytes { col, rhs, op } => {
-                // fv:allow(panic): documented precondition, hot-loop bound.
-                let field = cols[*col].raw(row);
                 op.eval_ordering(field.cmp(rhs.as_slice()))
             }
         }
@@ -704,79 +535,6 @@ mod tests {
         // Compilation rejects what validation rejects.
         assert!(PredicateExpr::lt(9, 1u64).compile(&schema).is_err());
         assert!(PredicateExpr::lt(0, 1.5f64).compile(&schema).is_err());
-    }
-
-    #[test]
-    fn column_predicate_agrees_with_compiled() {
-        use fv_data::{Column, ColumnImage, TableBuilder};
-        let schema = Schema::new(vec![
-            Column {
-                name: "u".into(),
-                ty: ColumnType::U64,
-            },
-            Column {
-                name: "i".into(),
-                ty: ColumnType::I64,
-            },
-            Column {
-                name: "f".into(),
-                ty: ColumnType::F64,
-            },
-            Column {
-                name: "s".into(),
-                ty: ColumnType::Bytes(8),
-            },
-        ]);
-        let rows = [
-            (5u64, -3i64, 1.5f64, "abc"),
-            (10, 3, f64::NAN, "abd"),
-            (0, i64::MIN, -0.0, ""),
-            (u64::MAX, i64::MAX, f64::INFINITY, "abcdefgh"),
-        ];
-        let mut b = TableBuilder::with_capacity(schema.clone(), rows.len());
-        for (u, i, f, s) in rows {
-            b.push(&Row(vec![
-                Value::U64(u),
-                Value::I64(i),
-                Value::F64(f),
-                Value::from(s),
-            ]));
-        }
-        let table = b.build();
-        let image = ColumnImage::encode(&table);
-        let opened = ColumnImage::open(&image, &schema).expect("valid image");
-        let preds = [
-            PredicateExpr::lt(0, 10u64),
-            PredicateExpr::ne(1, 3i64),
-            PredicateExpr::gt(2, 0.0f64),
-            PredicateExpr::eq(2, f64::NAN),
-            PredicateExpr::Cmp {
-                col: 3,
-                op: CmpOp::Ge,
-                value: Value::Bytes(b"abc".to_vec()),
-            },
-            PredicateExpr::lt(0, 6u64).and(PredicateExpr::gt(1, -10i64)),
-            PredicateExpr::eq(3, Value::Bytes(b"abd\0\0\0\0\0".to_vec()))
-                .or(PredicateExpr::Not(Box::new(PredicateExpr::lt(0, 1u64)))),
-        ];
-        for p in &preds {
-            let by_row = p.compile(&schema).expect("valid predicate");
-            let by_col = p.compile_columns(&schema).expect("valid predicate");
-            let rb = schema.row_bytes();
-            for r in 0..rows.len() {
-                let tuple = &table.bytes()[r * rb..(r + 1) * rb];
-                assert_eq!(
-                    by_col.eval(opened.cols(), r),
-                    by_row.eval(tuple),
-                    "column vs row predicate disagree on {p:?} row {r}"
-                );
-            }
-        }
-        // Compilation rejects what validation rejects.
-        assert!(PredicateExpr::lt(9, 1u64).compile_columns(&schema).is_err());
-        assert!(PredicateExpr::lt(0, 1.5f64)
-            .compile_columns(&schema)
-            .is_err());
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use fv_data::Schema;
 use fv_regex::{Prefilter, Regex};
 
-use crate::colblock::ColumnBlock;
 use crate::pipeline::{StreamOperator, TupleBlock};
 
 /// Streaming regex filter over one `Bytes(n)` column.
@@ -20,9 +19,6 @@ use crate::pipeline::{StreamOperator, TupleBlock};
 pub struct RegexOp {
     re: Regex,
     range: std::ops::Range<usize>,
-    /// Column index of `range` — the columnar path addresses the string
-    /// column's slice directly instead of slicing each row.
-    col: usize,
     /// Start-state prefilter for the block scan: present only when the
     /// pattern is not end-anchored and its DFA has a usable skip set
     /// (see [`fv_regex::Dfa::prefilter`]); `None` falls back to the
@@ -46,7 +42,6 @@ impl RegexOp {
         };
         RegexOp {
             range: schema.column_range(col),
-            col,
             prefilter,
             re,
             matched: 0,
@@ -119,34 +114,6 @@ impl StreamOperator for RegexOp {
                 let re = &self.re;
                 sel.retain(|&i| {
                     let field = strip_padding(&block.tuple(i)[range.clone()]);
-                    re.is_match(field)
-                });
-            }
-        }
-        self.matched += sel.len() as u64;
-        true
-    }
-
-    /// Columnar path: the string column's slice is addressed directly —
-    /// each candidate field is `slice.raw(row)`, no per-row range cut.
-    /// Same prefilter engagement (and `batched_blocks` accounting) as
-    /// the row-block scan.
-    fn select_columns(&mut self, cols: &ColumnBlock<'_>, sel: &mut Vec<u32>) -> bool {
-        self.evaluated += sel.len() as u64;
-        let slice = cols.col(self.col);
-        match &self.prefilter {
-            Some(pf) => {
-                self.batched_blocks += 1;
-                let dfa = self.re.dfa();
-                sel.retain(|&i| {
-                    let field = strip_padding(slice.raw(i as usize));
-                    dfa.matches_prefix_free_with(field, pf)
-                });
-            }
-            None => {
-                let re = &self.re;
-                sel.retain(|&i| {
-                    let field = strip_padding(slice.raw(i as usize));
                     re.is_match(field)
                 });
             }

@@ -24,8 +24,21 @@ clippy:
 analyze:
     cargo run -q --release -p fv-analyze --bin fv-analyze
 
+# The repo's benchmark (fvbench, `benchmark/`): the BENCHMARK.json
+# command; the driver appends one workload's arguments, e.g.
+# `just bench --workload scan_wire --seed 1 --seconds 20 --trace 0`.
+bench *ARGS:
+    cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- bench {{ARGS}}
+
+# `benchmark/` is a detached workspace on the `farview` facade, so an
+# API break only surfaces here: build + unit-test it, then smoke-run
+# every workload with tracing on.
+bench-check:
+    cargo test --manifest-path benchmark/Cargo.toml
+    cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke --trace
+
 # Everything CI runs.
-ci: verify doc fmt-check clippy analyze
+ci: verify doc fmt-check clippy analyze bench-check
 
 # Reproduce every table/figure of the paper plus the scale-out sweep.
 figures:
@@ -42,12 +55,6 @@ bench-smoke:
 # replica-dedup win over the seed model. Rewrites BENCH_PR8.json.
 bench-hotpath:
     cargo run -q --release -p fv-bench --bin figures hotpath
-
-# Wall-clock microbench of the columnar staging path: cold-query
-# restage on a row image vs a zero-copy column-image open, and each
-# operator on row-block vs slice-native input. Rewrites BENCH_PR9.json.
-bench-coldpath:
-    cargo run -q --release -p fv-bench --bin figures coldpath
 
 # Tail latency per fault class under deterministic fault injection.
 # Rewrites BENCH_PR6.json.

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use farview::prelude::*;
-use farview_core::{BlockStore, FleetTieredPool, TierLevel, TieredPool};
+use farview_core::{BlockStore, FleetTierConn, TierLevel, TieredPool};
 use fv_data::{CodecError, Column, ColumnImage, ColumnType, TableBuilder};
 
 /// A random fixed-stride schema: 1–6 columns drawn from every
@@ -189,9 +189,8 @@ proptest! {
         // DRAM budget fits the larger of the two tables but never both,
         // so staging the filler always evicts the table under test.
         let budget = table.byte_len().max(filler.byte_len()) as u64;
-        let mut pool =
-            FleetTieredPool::new(&qp, budget, Partitioning::RowRange, BlockStore::default())
-                .with_replication(2);
+        let conn = FleetTierConn::new(&qp, Partitioning::RowRange).with_replication(2);
+        let mut pool = TieredPool::new(&conn, budget, BlockStore::default());
         pool.insert("t", &table).unwrap();
         pool.insert("filler", &filler).unwrap();
 

@@ -16,6 +16,7 @@ use farview::prelude::*;
 use farview_core::{AggFunc, AggSpec, Executor, PredicateExpr};
 use fv_pipeline::cuckoo::CuckooTable;
 use fv_pipeline::distinct::{DistinctOp, DEFAULT_LRU_DEPTH};
+use fv_pipeline::pack::Packer;
 use fv_pipeline::project::ProjectionPlan;
 use fv_pipeline::{
     CompiledPipeline, CryptoSpec, JoinSmallSpec, PipelineStats, StreamOperator, TupleBlock,
@@ -380,7 +381,7 @@ fn assert_distinct_routes_agree(make_op: impl Fn() -> DistinctOp, stream: &[u8],
     }
 
     let mut block_op = make_op();
-    let mut block_out = Vec::new();
+    let mut packer = Packer::passthrough();
     // Ragged block boundaries, including mid-run splits (a key run that
     // straddles two blocks must re-seed the memo without skew).
     let mut off = 0usize;
@@ -394,8 +395,9 @@ fn assert_distinct_routes_agree(make_op: impl Fn() -> DistinctOp, stream: &[u8],
         off += take;
         sel.clear();
         sel.extend(0..block.len() as u32);
-        block_op.push_block(&block, &sel, &mut |t| block_out.extend_from_slice(t));
+        block_op.push_block(&block, &sel, &mut packer);
     }
+    let block_out = packer.drain();
 
     assert_eq!(
         scalar_out, block_out,
