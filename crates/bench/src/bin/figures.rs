@@ -63,6 +63,60 @@ fn check_recorded_hotpath_baseline(path: &str) -> Result<(), String> {
             ));
         }
     }
+    check_recorded_scatter_rows(path, &json)
+}
+
+/// The number recorded under `"key":` on one line of a `to_json` file.
+fn json_number(line: &str, key: &str) -> Option<f64> {
+    let rest = line.split(&format!("\"{key}\": ")).nth(1)?;
+    rest.split([',', '}']).next()?.trim().parse().ok()
+}
+
+/// The scatter half of the recorded hotpath baseline must show the
+/// size gate from both sides. A row fans out when it is the large
+/// table over at least two slots: it must record `workers >= 2` and
+/// must not have lost to the serial reference, and from four nodes up
+/// — every worker owning at least two shard episodes, the shape the
+/// gate's constant was sized on — it must have kept a 1.2x speedup
+/// (two nodes hand each worker a single 2 MiB shard and record about
+/// 1.1x). Every other row ran on the calling thread alone and costs
+/// what the serial reference costs. Checked on the *recorded* rows — a
+/// live timing would flake whenever the box's second vCPU is not
+/// schedulable.
+fn check_recorded_scatter_rows(path: &str, json: &str) -> Result<(), String> {
+    let [small, large] = fv_bench::HOTPATH_SCATTER_TABLE_KIB.map(|kib| kib as f64);
+    let (mut serial_rows, mut fanned_rows) = (0, 0);
+    for line in json
+        .lines()
+        .filter(|l| l.contains("\"parallel_vs_serial\":"))
+    {
+        let field = |key: &str| {
+            json_number(line, key)
+                .ok_or_else(|| format!("{path}: scatter row has no {key:?} — re-record it"))
+        };
+        let (kib, nodes) = (field("table_kib")?, field("nodes")?);
+        let (workers, ratio) = (field("workers")?, field("parallel_vs_serial")?);
+        let (want_workers, want_ratio) = if kib == large && nodes >= 2.0 {
+            fanned_rows += 1;
+            (
+                2.0..=f64::INFINITY,
+                if nodes >= 4.0 { 1.2 } else { 0.9 }..=f64::INFINITY,
+            )
+        } else {
+            serial_rows += usize::from(kib == small);
+            (1.0..=1.0, 0.9..=1.1)
+        };
+        if !want_workers.contains(&workers) || !want_ratio.contains(&ratio) {
+            return Err(format!(
+                "{path}: {kib} KiB over {nodes} nodes records workers {workers}, parallel_vs_serial {ratio}; expected workers in {want_workers:?}, ratio in {want_ratio:?}"
+            ));
+        }
+    }
+    if serial_rows == 0 || fanned_rows == 0 {
+        return Err(format!(
+            "{path}: no scatter rows on one side of the gate ({small} / {large} KiB) — run `just bench-hotpath` on a host with at least 2 CPUs"
+        ));
+    }
     Ok(())
 }
 
@@ -141,6 +195,13 @@ fn main() -> ExitCode {
             // figure and record the machine-readable perf baseline.
             let report = hotpath_report();
             render(&report.to_figure());
+            // On one CPU `Executor::fleet` and its serial reference are
+            // the same code: the scatter rows would record noise over
+            // a measurement.
+            if report.host_parallelism < 2 {
+                eprintln!("host_parallelism is 1: BENCH_PR8.json not overwritten (its scatter rows need at least 2 CPUs)");
+                return ExitCode::FAILURE;
+            }
             let json = report.to_json();
             match std::fs::write("BENCH_PR8.json", &json) {
                 Ok(()) => eprintln!("wrote BENCH_PR8.json"),

@@ -12,16 +12,20 @@
 //!   [`force_scalar`](fv_pipeline::CompiledPipeline::force_scalar) (the
 //!   seed per-tuple execution model), asserting byte-identical output
 //!   and reporting tuples/second for both.
-//! * **Fleet scatter, parallel vs serial** — the same query batch runs
-//!   through `Executor::fleet` (one worker thread per shard slot) and
-//!   `Executor::fleet_serial`, asserting byte-identical merged results
-//!   and reporting wall-clock per batch at 1 → 8 nodes.
+//! * **Fleet scatter, gated vs serial** — the same query batch runs
+//!   through `Executor::fleet` (workers sized by `scatter_workers` from
+//!   the bytes the batch scans) and `Executor::fleet_serial`, asserting
+//!   byte-identical merged results and reporting wall-clock per batch
+//!   at 1 → 8 nodes for a table on each side of the gate: 64 KiB (the
+//!   production route stays on the calling thread) and 4 MiB (it fans
+//!   out).
 //!
 //! `figures hotpath` renders the figure **and** writes the machine-
 //! readable `BENCH_PR8.json` so future PRs have a perf baseline to beat.
 
 use std::time::Instant;
 
+use farview_core::plan::scatter_workers;
 use farview_core::{
     AggFunc, AggSpec, Executor, FarviewConfig, FarviewFleet, JoinSmallSpec, Partitioning,
     PipelineSpec, PredicateExpr,
@@ -34,6 +38,10 @@ use crate::figure::Figure;
 
 /// Node counts swept by the scatter half of the experiment.
 pub const HOTPATH_FLEET_SIZES: [usize; 4] = [1, 2, 4, 8];
+
+/// Table sizes (KiB) of the scatter half, one on each side of
+/// `Executor::fleet`'s size gate at the depth-2 batch measured.
+pub const HOTPATH_SCATTER_TABLE_KIB: [usize; 2] = [64, 4096];
 
 /// One operator's block-vs-scalar measurement.
 #[derive(Debug, Clone)]
@@ -59,17 +67,22 @@ impl OperatorSample {
     }
 }
 
-/// One fleet size's scatter measurement: the production route
-/// (parallel scatter + execute-once replicas) against the serial-dedup
-/// reference (isolates threading) and the seed reference (serial
-/// scatter + every replica executed — the pre-PR model).
+/// One (table size, fleet size) scatter measurement: the production
+/// route (size-gated scatter + execute-once replicas) against the
+/// serial-dedup reference (isolates threading) and the seed reference
+/// (serial scatter + every replica executed — the pre-PR model).
 #[derive(Debug, Clone)]
 pub struct ScatterSample {
+    /// Size of the scattered table, KiB.
+    pub table_kib: usize,
     /// Nodes in the fleet.
     pub nodes: usize,
     /// Replicas per shard of the measured table.
     pub replicas: usize,
-    /// Wall-clock milliseconds per batch, parallel scatter + replica
+    /// Workers `Executor::fleet` ran this batch on, the caller included
+    /// (`scatter_workers` at this host's parallelism).
+    pub workers: usize,
+    /// Wall-clock milliseconds per batch, size-gated scatter + replica
     /// dedup (the production `Executor::fleet`).
     pub parallel_ms: f64,
     /// Wall-clock milliseconds per batch, serial scatter + replica
@@ -82,8 +95,8 @@ pub struct ScatterSample {
 }
 
 impl ScatterSample {
-    /// Parallel-scatter speedup over the serial-dedup reference
-    /// (threading only; tracks the host's core count).
+    /// Production-scatter speedup over the serial-dedup reference
+    /// (threading only: ≈ 1 when `workers` is 1, the same code ran).
     pub fn speedup(&self) -> f64 {
         self.serial_ms / self.parallel_ms
     }
@@ -102,9 +115,12 @@ pub struct HotpathReport {
     pub rows: usize,
     /// Timed repetitions per measurement.
     pub reps: usize,
+    /// CPUs the host would schedule the run on — what every scatter
+    /// row's `workers` and timing depend on.
+    pub host_parallelism: usize,
     /// Per-operator block-vs-scalar samples.
     pub operators: Vec<OperatorSample>,
-    /// Per-fleet-size scatter samples.
+    /// Scatter samples, table size major, fleet size minor.
     pub scatter: Vec<ScatterSample>,
 }
 
@@ -120,9 +136,7 @@ impl HotpathReport {
         out.push_str(&format!("  \"reps\": {},\n", self.reps));
         out.push_str(&format!(
             "  \"host_parallelism\": {},\n",
-            std::thread::available_parallelism()
-                .map(std::num::NonZero::get)
-                .unwrap_or(1)
+            self.host_parallelism
         ));
         out.push_str("  \"operators\": [\n");
         for (i, s) in self.operators.iter().enumerate() {
@@ -140,9 +154,11 @@ impl HotpathReport {
         out.push_str("  \"scatter\": [\n");
         for (i, s) in self.scatter.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"nodes\": {}, \"replicas\": {}, \"parallel_ms\": {:.3}, \"serial_ms\": {:.3}, \"seed_ms\": {:.3}, \"parallel_vs_serial\": {:.2}, \"vs_seed\": {:.2}}}{}\n",
+                "    {{\"table_kib\": {}, \"nodes\": {}, \"replicas\": {}, \"workers\": {}, \"parallel_ms\": {:.3}, \"serial_ms\": {:.3}, \"seed_ms\": {:.3}, \"parallel_vs_serial\": {:.2}, \"vs_seed\": {:.2}}}{}\n",
+                s.table_kib,
                 s.nodes,
                 s.replicas,
+                s.workers,
                 s.parallel_ms,
                 s.serial_ms,
                 s.seed_ms,
@@ -197,34 +213,33 @@ impl HotpathReport {
                 .map(|(i, s)| (i as f64, s.speedup()))
                 .collect(),
         );
-        f.push_series(
-            "scatter parallel [ms]",
-            self.scatter
-                .iter()
-                .map(|s| (s.nodes as f64, s.parallel_ms))
-                .collect(),
-        );
-        f.push_series(
-            "scatter serial [ms]",
-            self.scatter
-                .iter()
-                .map(|s| (s.nodes as f64, s.serial_ms))
-                .collect(),
-        );
-        f.push_series(
-            "scatter seed (serial+raced) [ms]",
-            self.scatter
-                .iter()
-                .map(|s| (s.nodes as f64, s.seed_ms))
-                .collect(),
-        );
-        f.push_series(
-            "scatter vs seed [x]",
-            self.scatter
-                .iter()
-                .map(|s| (s.nodes as f64, s.speedup_vs_seed()))
-                .collect(),
-        );
+        let mut sizes: Vec<usize> = self.scatter.iter().map(|s| s.table_kib).collect();
+        sizes.dedup();
+        for kib in sizes {
+            let series = |pick: fn(&ScatterSample) -> f64| -> Vec<(f64, f64)> {
+                self.scatter
+                    .iter()
+                    .filter(|s| s.table_kib == kib)
+                    .map(|s| (s.nodes as f64, pick(s)))
+                    .collect()
+            };
+            f.push_series(
+                &format!("scatter parallel {kib} KiB [ms]"),
+                series(|s| s.parallel_ms),
+            );
+            f.push_series(
+                &format!("scatter serial {kib} KiB [ms]"),
+                series(|s| s.serial_ms),
+            );
+            f.push_series(
+                &format!("scatter seed (serial+raced) {kib} KiB [ms]"),
+                series(|s| s.seed_ms),
+            );
+            f.push_series(
+                &format!("scatter vs seed {kib} KiB [x]"),
+                series(ScatterSample::speedup_vs_seed),
+            );
+        }
         f
     }
 }
@@ -397,7 +412,12 @@ fn operator_suite(rows: usize) -> Vec<(String, PipelineSpec, Table)> {
 }
 
 /// Run the full measurement at the given scale.
-pub fn hotpath_report_at(rows: usize, reps: usize, fleet_sizes: &[usize]) -> HotpathReport {
+pub fn hotpath_report_at(
+    rows: usize,
+    reps: usize,
+    fleet_sizes: &[usize],
+    scatter_table_kib: &[usize],
+) -> HotpathReport {
     // --- operators: block vs per-tuple -------------------------------
     // The stateful operators all grew a batched block path in PR 8; a
     // zero counter here means a refactor silently knocked one back to
@@ -428,73 +448,87 @@ pub fn hotpath_report_at(rows: usize, reps: usize, fleet_sizes: &[usize]) -> Hot
         });
     }
 
-    // --- fleet scatter: parallel vs serial ---------------------------
-    let table = TableGen::new(8, rows.max(1024))
-        .seed(56)
-        .selectivity_column(1, 0.5)
-        .build();
+    // --- fleet scatter: gated vs serial ------------------------------
+    let host_parallelism = std::thread::available_parallelism()
+        .map(std::num::NonZero::get)
+        .unwrap_or(1);
     let specs: Vec<PipelineSpec> = vec![
         PipelineSpec::passthrough(),
         PipelineSpec::passthrough().filter(PredicateExpr::lt(1, fv_workload::SELECTIVITY_PIVOT)),
     ];
     let mut scatter = Vec::new();
-    for &nodes in fleet_sizes {
-        let replicas = 2.min(nodes);
-        let fleet = FarviewFleet::new(nodes, FarviewConfig::default());
-        let qp = fleet.connect().expect("a region on every node");
-        let (ft, _) = qp
-            .load_table_replicated(&table, Partitioning::RowRange, replicas)
-            .expect("buffer pool space");
-        // Correctness first: all three routes agree byte-for-byte.
-        let par = Executor::fleet(&qp, &ft, &specs).expect("parallel scatter");
-        let ser = Executor::fleet_serial(&qp, &ft, &specs).expect("serial scatter");
-        let seed = Executor::fleet_seed_reference(&qp, &ft, &specs).expect("seed scatter");
-        for ((p, s), r) in par.iter().zip(&ser).zip(&seed) {
-            assert_eq!(
-                p.merged.payload, s.merged.payload,
-                "parallel scatter changed results at {nodes} nodes"
-            );
-            assert_eq!(
-                p.merged.payload, r.merged.payload,
-                "replica dedup changed results at {nodes} nodes"
-            );
-        }
-        // Interleaved timing with rotating order, same drift-cancelling
-        // scheme as the operator half.
-        type Route = fn(
-            &farview_core::FleetQPair,
-            &farview_core::FleetTable,
-            &[PipelineSpec],
-        )
-            -> Result<Vec<farview_core::FleetQueryOutcome>, farview_core::FvError>;
-        let routes: [Route; 3] = [
-            Executor::fleet,
-            Executor::fleet_serial,
-            Executor::fleet_seed_reference,
-        ];
-        let mut best = [f64::INFINITY; 3];
-        for rep in 0..reps {
-            for k in 0..3 {
-                let slot = (k + rep) % 3;
-                let start = Instant::now();
-                let outs = routes[slot](&qp, &ft, &specs);
-                std::hint::black_box(&outs.expect("scatter"));
-                best[slot] = best[slot].min(start.elapsed().as_secs_f64());
+    for &table_kib in scatter_table_kib {
+        // 64 B tuples.
+        let table = TableGen::new(8, table_kib * 16)
+            .seed(56)
+            .selectivity_column(1, 0.5)
+            .build();
+        let scanned_bytes = (table.bytes().len() * specs.len()) as u64;
+        for &nodes in fleet_sizes {
+            let replicas = 2.min(nodes);
+            let fleet = FarviewFleet::new(nodes, FarviewConfig::default());
+            let qp = fleet.connect().expect("a region on every node");
+            let (ft, _) = qp
+                .load_table_replicated(&table, Partitioning::RowRange, replicas)
+                .expect("buffer pool space");
+            // Correctness first: all three routes agree byte-for-byte.
+            let par = Executor::fleet(&qp, &ft, &specs).expect("parallel scatter");
+            let ser = Executor::fleet_serial(&qp, &ft, &specs).expect("serial scatter");
+            let seed = Executor::fleet_seed_reference(&qp, &ft, &specs).expect("seed scatter");
+            for ((p, s), r) in par.iter().zip(&ser).zip(&seed) {
+                assert_eq!(
+                    p.merged.payload, s.merged.payload,
+                    "parallel scatter changed results at {table_kib} KiB, {nodes} nodes"
+                );
+                assert_eq!(
+                    p.merged.payload, r.merged.payload,
+                    "replica dedup changed results at {table_kib} KiB, {nodes} nodes"
+                );
             }
+            // Interleaved timing with rotating order, same
+            // drift-cancelling scheme as the operator half.
+            type Route = fn(
+                &farview_core::FleetQPair,
+                &farview_core::FleetTable,
+                &[PipelineSpec],
+            )
+                -> Result<Vec<farview_core::FleetQueryOutcome>, farview_core::FvError>;
+            let routes: [Route; 3] = [
+                Executor::fleet,
+                Executor::fleet_serial,
+                Executor::fleet_seed_reference,
+            ];
+            let mut best = [f64::INFINITY; 3];
+            for rep in 0..reps {
+                for k in 0..3 {
+                    let slot = (k + rep) % 3;
+                    let start = Instant::now();
+                    let outs = routes[slot](&qp, &ft, &specs);
+                    std::hint::black_box(&outs.expect("scatter"));
+                    best[slot] = best[slot].min(start.elapsed().as_secs_f64());
+                }
+            }
+            scatter.push(ScatterSample {
+                table_kib,
+                nodes,
+                replicas,
+                workers: scatter_workers(
+                    scanned_bytes,
+                    ft.placement().shard_count(),
+                    host_parallelism,
+                ),
+                parallel_ms: best[0] * 1e3,
+                serial_ms: best[1] * 1e3,
+                seed_ms: best[2] * 1e3,
+            });
+            qp.free_table(ft).expect("free");
         }
-        scatter.push(ScatterSample {
-            nodes,
-            replicas,
-            parallel_ms: best[0] * 1e3,
-            serial_ms: best[1] * 1e3,
-            seed_ms: best[2] * 1e3,
-        });
-        qp.free_table(ft).expect("free");
     }
 
     HotpathReport {
         rows,
         reps,
+        host_parallelism,
         operators,
         scatter,
     }
@@ -503,7 +537,7 @@ pub fn hotpath_report_at(rows: usize, reps: usize, fleet_sizes: &[usize]) -> Hot
 /// The full-size hotpath measurement (what `figures hotpath` runs and
 /// records into `BENCH_PR8.json`).
 pub fn hotpath_report() -> HotpathReport {
-    hotpath_report_at(32_768, 15, &HOTPATH_FLEET_SIZES)
+    hotpath_report_at(32_768, 15, &HOTPATH_FLEET_SIZES, &HOTPATH_SCATTER_TABLE_KIB)
 }
 
 /// `hotpath` as a figure.
@@ -514,7 +548,7 @@ pub fn hotpath() -> Figure {
 /// [`hotpath`] at its smallest config (the `figures smoke` gate —
 /// correctness cross-checks at full coverage, timings at token scale).
 pub fn hotpath_smoke() -> Figure {
-    let report = hotpath_report_at(2_048, 2, &[1, 2]);
+    let report = hotpath_report_at(2_048, 2, &[1, 2], &HOTPATH_SCATTER_TABLE_KIB);
     // Timing *ratios* are host-dependent and asserted nowhere in CI,
     // but the emitted JSON must carry a speedup sample for each of the
     // four stateful batched operators — the release-run BENCH_PR8.json
@@ -546,9 +580,9 @@ mod tests {
     /// `BENCH_PR8.json` records the measured speedups.)
     #[test]
     fn hotpath_report_is_complete() {
-        let r = hotpath_report_at(512, 1, &[1, 2]);
+        let r = hotpath_report_at(512, 1, &[1, 2], &[64, 1024]);
         assert_eq!(r.operators.len(), 8);
-        assert_eq!(r.scatter.len(), 2);
+        assert_eq!(r.scatter.len(), 4);
         for s in &r.operators {
             assert!(s.block_tuples_per_s > 0.0, "{}: no block rate", s.op);
             assert!(s.scalar_tuples_per_s > 0.0, "{}: no scalar rate", s.op);
@@ -563,12 +597,18 @@ mod tests {
         for s in &r.scatter {
             assert!(s.parallel_ms > 0.0 && s.serial_ms > 0.0 && s.seed_ms > 0.0);
             assert_eq!(s.replicas, 2.min(s.nodes));
+            // 64 KiB × 2 specs is below the gate on any host; 1 MiB × 2
+            // fans out wherever there are two slots and two CPUs.
+            let fans_out = s.table_kib == 1024 && s.nodes >= 2 && r.host_parallelism >= 2;
+            assert_eq!(s.workers >= 2, fans_out, "{s:?}");
         }
         let json = r.to_json();
         for needle in [
             "\"bench\": \"hotpath\"",
             "\"op\": \"filter+project\"",
             "\"nodes\": 2",
+            "\"table_kib\": 64",
+            "\"workers\": 1",
             "\"seed_ms\"",
             "\"vs_seed\"",
             "\"host_parallelism\"",
@@ -581,8 +621,8 @@ mod tests {
         for series in [
             "block [tuples/s]",
             "per-tuple [tuples/s]",
-            "scatter parallel [ms]",
-            "scatter serial [ms]",
+            "scatter parallel 64 KiB [ms]",
+            "scatter serial 1024 KiB [ms]",
         ] {
             assert!(fig.series(series).is_some(), "figure missing {series}");
         }

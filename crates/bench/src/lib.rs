@@ -35,9 +35,10 @@
 //! rebalance times, results byte-identical across every phase).
 //! [`hotpath()`] measures the **wall-clock** hot path of the host
 //! implementation itself — per-operator tuples/sec on the vectorized
-//! block datapath vs the per-tuple reference, and parallel vs serial
-//! fleet scatter at 1 → 8 nodes (`figures hotpath` also writes the
-//! machine-readable `BENCH_PR8.json` perf baseline).
+//! block datapath vs the per-tuple reference, and the size-gated fleet
+//! scatter vs its serial reference at 1 → 8 nodes for a table on each
+//! side of the gate (`figures hotpath` also writes the machine-readable
+//! `BENCH_PR8.json` perf baseline — on a host with at least 2 CPUs).
 //! [`chaos()`] degrades one node of a replicated fleet behind each
 //! seeded fault class (loss/retry, delay spikes, bandwidth cap,
 //! partition, truncated doorbell, raced slow replica), asserting
@@ -75,7 +76,7 @@ pub use experiments::*;
 pub use figure::{Figure, Series};
 pub use hotpath::{
     hotpath, hotpath_report, hotpath_report_at, hotpath_smoke, HotpathReport, OperatorSample,
-    ScatterSample, HOTPATH_FLEET_SIZES,
+    ScatterSample, HOTPATH_FLEET_SIZES, HOTPATH_SCATTER_TABLE_KIB,
 };
 pub use overload::{
     overload, overload_backend, overload_report, overload_report_at, overload_smoke, serve_class,

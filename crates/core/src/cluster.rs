@@ -34,6 +34,17 @@ const QP_STREAM_BITS: u32 = 10;
 /// bounded so batched stream ids never collide across queue pairs.
 pub const MAX_QUEUE_DEPTH: usize = 1 << QP_STREAM_BITS;
 
+/// Refuse a doorbell batch deeper than the send queue, typed.
+pub(crate) fn check_queue_depth(depth: usize) -> Result<(), FvError> {
+    if depth > MAX_QUEUE_DEPTH {
+        return Err(FvError::BatchTooDeep {
+            depth,
+            max: MAX_QUEUE_DEPTH,
+        });
+    }
+    Ok(())
+}
+
 /// Backoff hint attached to [`FvError::NoFreeRegion`]: a region frees
 /// when some holder disconnects, which the node cannot predict, so the
 /// hint is a few typical episode times — long enough that a polling
@@ -681,11 +692,7 @@ impl QPair {
         if specs.is_empty() {
             return Ok(Vec::new());
         }
-        assert!(
-            specs.len() <= MAX_QUEUE_DEPTH,
-            "queue depth {} exceeds the send queue's {MAX_QUEUE_DEPTH} WQEs",
-            specs.len()
-        );
+        check_queue_depth(specs.len())?;
         let mut inner = self.inner.lock();
         let mut queries = Vec::with_capacity(specs.len());
         let mut metas = Vec::with_capacity(specs.len());
@@ -917,6 +924,28 @@ mod tests {
         drop(a);
         assert!(c.connect().is_ok(), "dropped QPair frees its region");
         let _ = b;
+    }
+
+    /// A doorbell batch one past the send queue's depth is refused
+    /// typed, never by unwinding; the deepest legal batch still runs.
+    #[test]
+    fn over_deep_batch_is_a_typed_error() {
+        let c = cluster();
+        let qp = c.connect().unwrap();
+        let (ft, _) = qp.load_table(&make_table(4)).unwrap();
+        let specs = vec![PipelineSpec::passthrough(); MAX_QUEUE_DEPTH + 1];
+        let err = qp.far_view_batch(&ft, &specs).expect_err("1025 WQEs");
+        assert_eq!(
+            err,
+            FvError::BatchTooDeep {
+                depth: MAX_QUEUE_DEPTH + 1,
+                max: MAX_QUEUE_DEPTH
+            }
+        );
+        assert!(!err.is_retryable());
+        let full = qp.far_view_batch(&ft, &specs[..MAX_QUEUE_DEPTH]).unwrap();
+        assert_eq!(full.len(), MAX_QUEUE_DEPTH);
+        assert!(full.iter().all(|o| o.payload == full[0].payload));
     }
 
     /// The satellite regression: a tenant that *waits out* the

@@ -156,6 +156,15 @@ pub enum FvError {
     /// contained at the scatter boundary so one poisoned shard cannot
     /// take down the whole client; the query fails typed instead.
     ScatterWorkerPanicked,
+    /// A doorbell batch posts more work-queue entries than the send
+    /// queue holds ([`MAX_QUEUE_DEPTH`](crate::MAX_QUEUE_DEPTH)). Not
+    /// retryable: split the batch.
+    BatchTooDeep {
+        /// Specs in the refused batch.
+        depth: usize,
+        /// The send queue's capacity in WQEs.
+        max: usize,
+    },
 }
 
 impl FvError {
@@ -268,6 +277,12 @@ impl fmt::Display for FvError {
             }
             FvError::ScatterWorkerPanicked => {
                 write!(f, "a parallel scatter worker panicked mid-fleet-read")
+            }
+            FvError::BatchTooDeep { depth, max } => {
+                write!(
+                    f,
+                    "doorbell batch of {depth} specs exceeds the send queue's {max} WQEs"
+                )
             }
         }
     }

@@ -1042,6 +1042,27 @@ mod tests {
         qp.far_view(&ft, spec).unwrap()
     }
 
+    /// At fleet scope an over-deep batch is refused once, before any
+    /// slot runs — not as one panic per scatter worker folded into
+    /// `ScatterWorkerPanicked`.
+    #[test]
+    fn over_deep_fleet_batch_is_a_typed_error() {
+        use crate::MAX_QUEUE_DEPTH;
+        let fleet = FarviewFleet::new(2, FarviewConfig::tiny());
+        let qp = fleet.connect().unwrap();
+        let (ft, _) = qp.load_table(&table(8, 2), Partitioning::RowRange).unwrap();
+        let specs = vec![PipelineSpec::passthrough(); MAX_QUEUE_DEPTH + 1];
+        assert_eq!(
+            qp.far_view_batch(&ft, &specs).map(|o| o.len()),
+            Err(FvError::BatchTooDeep {
+                depth: MAX_QUEUE_DEPTH + 1,
+                max: MAX_QUEUE_DEPTH
+            })
+        );
+        let full = qp.far_view_batch(&ft, &specs[..MAX_QUEUE_DEPTH]).unwrap();
+        assert_eq!(full.len(), MAX_QUEUE_DEPTH);
+    }
+
     #[test]
     fn row_range_assignment_is_contiguous_and_total() {
         let m = ShardMap::new(4);

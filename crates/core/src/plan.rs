@@ -1149,14 +1149,34 @@ impl Executor {
     /// both [`FleetQPair::far_view`](crate::FleetQPair::far_view) and
     /// [`FleetQPair::far_view_batch`](crate::FleetQPair::far_view_batch).
     ///
-    /// The scatter runs the per-shard episodes **in parallel** under
-    /// [`std::thread::scope`] — up to `available_parallelism` workers,
-    /// each owning a contiguous run of shard slots; results are joined
-    /// in slot order, so payloads, stats and merge order are
-    /// byte-identical to the serial reference
-    /// ([`Executor::fleet_serial`], property-tested in
-    /// `tests/vectorized_props.rs`). Wall-clock speedup tracks the
-    /// host's core count (the `hotpath` bench measures it).
+    /// The scatter pays for a thread only when the thread has work worth
+    /// more than its spawn. The calling thread is always worker 0; extra
+    /// workers are spawned under [`std::thread::scope`] only when the
+    /// batch scans at least [`SCATTER_MIN_BYTES_PER_WORKER`] per worker
+    /// (the gate is [`scatter_workers`]; a batch below it makes no
+    /// scheduling syscall at all). Each worker owns a contiguous run of
+    /// shard slots and results are joined in slot order, so payloads,
+    /// stats and merge order are byte-identical to the serial reference
+    /// ([`Executor::fleet_serial`], property-tested on both sides of the
+    /// gate in `tests/vectorized_props.rs`).
+    ///
+    /// The constant is the measured break-even — µs per fleet query,
+    /// 4 nodes, r = 2, `select50`, on a 2-vCPU host with both vCPUs
+    /// free, one worker against two (the caller plus one thread):
+    ///
+    /// | table | 1 worker | 2 workers |
+    /// |------:|---------:|----------:|
+    /// | 64 KiB | 70 | 182 |
+    /// | 128 KiB | 123 | 199 |
+    /// | 256 KiB | 237–242 | 294–305 |
+    /// | 512 KiB | 502 | 448 |
+    /// | 1 MiB | 1035–1041 | 765–777 |
+    /// | 2 MiB | 2122–2141 | 1350–1354 |
+    /// | 4 MiB | 4311–4497 | 2465–2579 |
+    ///
+    /// Below 512 KiB (256 KiB per worker) one worker wins by up to
+    /// 2.6×; above it two hold 1.35–1.75× (`BENCH_PR8.json` records a
+    /// table on each side).
     ///
     /// Shards resolve via the handle's epoch-snapshot
     /// [`Placement`](crate::topology::Placement): each shard slot
@@ -1173,7 +1193,7 @@ impl Executor {
         ft: &FleetTable,
         specs: &[PipelineSpec],
     ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        Self::fleet_with(fqp, ft, specs, true, false)
+        Self::fleet_with(fqp, ft, specs, usize::MAX, false)
     }
 
     /// The serial reference scatter: same engine, same replica handling,
@@ -1185,7 +1205,7 @@ impl Executor {
         ft: &FleetTable,
         specs: &[PipelineSpec],
     ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        Self::fleet_with(fqp, ft, specs, false, false)
+        Self::fleet_with(fqp, ft, specs, 1, false)
     }
 
     /// The seed execution model, kept as a reference implementation:
@@ -1201,20 +1221,23 @@ impl Executor {
         ft: &FleetTable,
         specs: &[PipelineSpec],
     ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        Self::fleet_with(fqp, ft, specs, false, true)
+        Self::fleet_with(fqp, ft, specs, 1, true)
     }
 
     fn fleet_with(
         fqp: &FleetQPair,
         ft: &FleetTable,
         specs: &[PipelineSpec],
-        parallel: bool,
+        worker_cap: usize,
         race_replicas: bool,
     ) -> Result<Vec<FleetQueryOutcome>, FvError> {
         fqp.check_table(ft)?;
         if specs.is_empty() {
             return Ok(Vec::new());
         }
+        // Once, before any slot runs: every shard would refuse the same
+        // batch.
+        crate::cluster::check_queue_depth(specs.len())?;
         let plans = specs
             .iter()
             .map(|s| shard_execution(s, ft.schema()))
@@ -1324,12 +1347,23 @@ impl Executor {
             Err(last_err.unwrap_or(FvError::NodeDown { node: nodes[0].0 }))
         };
 
-        // Scatter across the slots — concurrently on the fast path, with
-        // a deterministic ordered join (slot order, not completion
-        // order), or serially for the reference route.
+        // Scatter across the slots with a deterministic ordered join
+        // (slot order, not completion order). The byte test comes first:
+        // below the gate the answer is 1 whatever the host has, so a
+        // small query never asks the OS how many CPUs there are.
         let slots: Vec<_> = placement.shards().iter().zip(ft.shard_tables()).collect();
+        let scanned_bytes = slots
+            .iter()
+            .filter_map(|(_, replicas)| replicas.first())
+            .map(FTable::byte_len)
+            .sum::<u64>()
+            .saturating_mul(specs.len() as u64);
+        let mut workers = scatter_workers(scanned_bytes, slots.len(), worker_cap);
+        if workers > 1 {
+            workers = workers.min(host_parallelism());
+        }
         let per_shard: Vec<Vec<QueryOutcome>> =
-            scatter_slots(&slots, parallel, |(nodes, replicas)| {
+            scatter_slots(&slots, workers, |(nodes, replicas)| {
                 run_slot(nodes, replicas)
             })?;
 
@@ -1391,61 +1425,81 @@ pub fn replica_beats(
     challenger.1 < incumbent.1 || (challenger.1 == incumbent.1 && challenger.0 .0 < incumbent.0 .0)
 }
 
-/// Run `run` over every slot — concurrently when `parallel` (workers
-/// capped at the host's available parallelism, each owning a contiguous
-/// run of slots so extra threads never inflate the live working set) —
-/// and join the results **in slot order**, so the output is
-/// byte-identical to the serial route.
+/// Scan bytes a scatter worker must have before a thread is worth
+/// spawning for it: 256 KiB ≈ 250 µs of shard episode at the measured
+/// ~1 µs/KiB, against 46–62 µs for a bare spawn + join plus the cache
+/// and scheduler cost of moving the episode to another core. The
+/// break-even sweep is in [`Executor::fleet`]'s docs.
+pub const SCATTER_MIN_BYTES_PER_WORKER: u64 = 256 * 1024;
+
+/// How many workers (the caller included) a fleet scatter runs on: one
+/// per [`SCATTER_MIN_BYTES_PER_WORKER`] the batch scans, capped by the
+/// shard slots there are to hand out and by the host's parallelism,
+/// never fewer than 1. `scanned_bytes` is the table's resident bytes ×
+/// the batch depth — every query of a doorbell batch streams its whole
+/// shard.
+pub fn scatter_workers(scanned_bytes: u64, slots: usize, host_parallelism: usize) -> usize {
+    usize::try_from(scanned_bytes / SCATTER_MIN_BYTES_PER_WORKER)
+        .unwrap_or(usize::MAX)
+        .min(slots)
+        .min(host_parallelism)
+        .max(1)
+}
+
+/// CPUs the OS will schedule this process on (1 when it cannot say).
+/// Not free — it re-reads the cgroup limits, ~14 µs per call — so the
+/// scatter asks only for a batch already past the byte gate.
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZero::get)
+        .unwrap_or(1)
+}
+
+/// Run `run` over every slot on up to `workers` workers — the calling
+/// thread is worker 0 and takes the first contiguous run of slots, the
+/// other `workers − 1` are scoped threads with a run each (so extra
+/// threads never inflate the live working set) — and join the results
+/// **in slot order**: the output, and the error when several slots
+/// fail, is the one a single worker would produce.
 ///
-/// A worker that panics is contained at the scatter boundary: the slot
-/// reports [`FvError::ScatterWorkerPanicked`] instead of poisoning the
-/// calling thread, so one bad shard episode cannot take down a client
+/// A worker that panics is contained at the scatter boundary, the
+/// caller's own run included: the slot reports
+/// [`FvError::ScatterWorkerPanicked`] instead of poisoning the calling
+/// thread, so one bad shard episode cannot take down a client
 /// mid-fleet-read.
 fn scatter_slots<T, R>(
     slots: &[T],
-    parallel: bool,
+    workers: usize,
     run: impl Fn(&T) -> Result<R, FvError> + Sync,
 ) -> Result<Vec<R>, FvError>
 where
     T: Sync,
     R: Send,
 {
-    let guarded = |slot: &T| -> Result<R, FvError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(slot)))
-            .unwrap_or(Err(FvError::ScatterWorkerPanicked))
+    let run_chunk = |group: &[T]| -> Result<Vec<R>, FvError> {
+        group
+            .iter()
+            .map(|slot| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(slot)))
+                    .unwrap_or(Err(FvError::ScatterWorkerPanicked))
+            })
+            .collect()
     };
-    let workers = if parallel {
-        std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1)
-            .min(slots.len())
-    } else {
-        1
-    };
-    if workers > 1 {
-        let chunk = slots.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = slots
-                .chunks(chunk)
-                .map(|group| {
-                    let guarded = &guarded;
-                    s.spawn(move || {
-                        group
-                            .iter()
-                            .map(guarded)
-                            .collect::<Result<Vec<_>, FvError>>()
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(slots.len());
-            for h in handles {
-                all.extend(h.join().map_err(|_| FvError::ScatterWorkerPanicked)??);
-            }
-            Ok(all)
-        })
-    } else {
-        slots.iter().map(guarded).collect()
-    }
+    let chunk = slots.len().div_ceil(workers.max(1)).max(1);
+    let mut chunks = slots.chunks(chunk);
+    let own = chunks.next().unwrap_or_default();
+    std::thread::scope(|s| {
+        let run_chunk = &run_chunk;
+        let handles: Vec<_> = chunks
+            .map(|group| s.spawn(move || run_chunk(group)))
+            .collect();
+        let mut all = Vec::with_capacity(slots.len());
+        all.extend(run_chunk(own)?);
+        for h in handles {
+            all.extend(h.join().map_err(|_| FvError::ScatterWorkerPanicked)??);
+        }
+        Ok(all)
+    })
 }
 
 #[cfg(test)]
@@ -1781,28 +1835,138 @@ mod tests {
         assert_eq!(batch[1].payload, via_spec.payload);
     }
 
+    /// Worker counts the seam is exercised at over 8 slots: the serial
+    /// route, an even split, a ragged split, and more workers than
+    /// slots.
+    const SCATTER_WORKER_COUNTS: [usize; 4] = [1, 2, 3, 9];
+
+    #[test]
+    fn scatter_joins_in_slot_order_with_the_caller_as_worker_zero() {
+        let slots: Vec<usize> = (0..8).collect();
+        let caller = std::thread::current().id();
+        for workers in SCATTER_WORKER_COUNTS {
+            let ran = scatter_slots(&slots, workers, |&slot| {
+                Ok((slot * 2, std::thread::current().id()))
+            })
+            .unwrap();
+            let values: Vec<usize> = ran.iter().map(|&(v, _)| v).collect();
+            assert_eq!(values, vec![0, 2, 4, 6, 8, 10, 12, 14], "workers={workers}");
+            // The first contiguous run is the caller's own; every later
+            // slot ran on a spawned thread.
+            let own = slots.len().div_ceil(workers);
+            for (slot, &(_, thread)) in ran.iter().enumerate() {
+                assert_eq!(
+                    thread == caller,
+                    slot < own,
+                    "workers={workers} slot={slot}"
+                );
+            }
+        }
+        // Zero workers is read as one, not a division by zero.
+        assert_eq!(scatter_slots(&slots, 0, |&s| Ok(s)).unwrap(), slots);
+    }
+
+    #[test]
+    fn scatter_over_zero_slots_is_empty() {
+        for workers in [0, 1, 2, 9] {
+            let out = scatter_slots(&[] as &[usize], workers, |&slot| Ok(slot));
+            assert_eq!(out, Ok(Vec::new()), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn scatter_returns_the_lowest_failing_slots_error() {
+        // Two failing slots: whichever chunks they fall into (the
+        // caller's, one spawned worker's, two different ones), the join
+        // reports the lower slot index — what a serial run would hit
+        // first.
+        let slots: Vec<usize> = (0..8).collect();
+        for (lo, hi) in [(1, 2), (1, 6), (4, 6), (5, 7), (0, 7)] {
+            for workers in SCATTER_WORKER_COUNTS {
+                let result = scatter_slots(&slots, workers, |&slot| {
+                    if slot == lo || slot == hi {
+                        return Err(FvError::NodeDown { node: slot as u64 });
+                    }
+                    Ok(slot)
+                });
+                assert_eq!(
+                    result,
+                    Err(FvError::NodeDown { node: lo as u64 }),
+                    "workers={workers} failing=({lo},{hi})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn scatter_worker_panic_is_a_typed_error() {
-        // Regression for the converted `join().expect("shard scatter
-        // worker panicked")`: a panicking slot must surface
-        // `ScatterWorkerPanicked` from both the parallel and the serial
-        // scatter, never poison the calling thread.
+        // A panicking slot must surface `ScatterWorkerPanicked` — never
+        // poison the calling thread — whether it sits in the caller-run
+        // chunk (slot 1) or in a spawned one (slot 5), and the scope
+        // still joins every other chunk's work before returning.
+        use std::sync::atomic::{AtomicU32, Ordering};
         let slots: Vec<usize> = (0..8).collect();
-        for parallel in [true, false] {
-            let result = scatter_slots(&slots, parallel, |&slot| {
-                if slot == 5 {
-                    panic!("poisoned shard episode");
-                }
-                Ok(slot * 2)
-            });
-            assert_eq!(
-                result,
-                Err(FvError::ScatterWorkerPanicked),
-                "parallel={parallel}"
-            );
-            // And without the panic the scatter joins in slot order.
-            let ok = scatter_slots(&slots, parallel, |&slot| Ok(slot * 2)).unwrap();
-            assert_eq!(ok, vec![0, 2, 4, 6, 8, 10, 12, 14]);
+        for poisoned in [1usize, 5] {
+            for workers in SCATTER_WORKER_COUNTS {
+                let ran = AtomicU32::new(0);
+                let result = scatter_slots(&slots, workers, |&slot| {
+                    if slot == poisoned {
+                        panic!("poisoned shard episode");
+                    }
+                    ran.fetch_or(1 << slot, Ordering::SeqCst);
+                    Ok(slot * 2)
+                });
+                assert_eq!(
+                    result,
+                    Err(FvError::ScatterWorkerPanicked),
+                    "workers={workers} poisoned={poisoned}"
+                );
+                // A chunk stops at its first failure; every chunk that
+                // does not hold the poisoned slot ran to its end.
+                let chunk = slots.len().div_ceil(workers);
+                let expected = slots
+                    .iter()
+                    .filter(|&&s| s / chunk != poisoned / chunk || s < poisoned)
+                    .fold(0u32, |mask, &s| mask | 1 << s);
+                assert_eq!(
+                    ran.load(Ordering::SeqCst),
+                    expected,
+                    "workers={workers} poisoned={poisoned}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_workers_gate_table() {
+        const KIB: u64 = 1024;
+        // (scanned bytes, slots, host parallelism) -> workers
+        let table = [
+            // 64 KiB at depth 1: below the gate on any host.
+            (64 * KIB, 4, 2, 1),
+            (64 * KIB, 4, 64, 1),
+            // Just under two workers' worth.
+            (512 * KIB - 1, 4, 2, 1),
+            // 64 KiB at depth 8 = 512 KiB: two workers.
+            (8 * 64 * KIB, 4, 2, 2),
+            (8 * 64 * KIB, 4, 64, 2),
+            // 4 MiB: as many as the slots and the host allow.
+            (4096 * KIB, 4, 2, 2),
+            (4096 * KIB, 4, 64, 4),
+            (4096 * KIB, 32, 8, 8),
+            (4096 * KIB, 1, 8, 1),
+            // A 1-way host never spawns.
+            (4096 * KIB, 4, 1, 1),
+            (u64::MAX, 4, 1, 1),
+            // Degenerate inputs still yield one worker.
+            (0, 0, 0, 1),
+            (u64::MAX, 0, 8, 1),
+            (u64::MAX, 4, 0, 1),
+        ];
+        for (bytes, slots, host, want) in table {
+            let got = scatter_workers(bytes, slots, host);
+            assert_eq!(got, want, "bytes={bytes} slots={slots} host={host}");
+            assert!(got >= 1 && got <= slots.max(1));
         }
     }
 

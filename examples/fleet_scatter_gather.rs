@@ -44,7 +44,10 @@ fn main() {
         ft.rows_per_shard(),
     );
 
-    // GROUP BY fans out as four parallel episodes; each shard computes
+    // GROUP BY fans out as four episodes, one per shard, concurrent on
+    // the simulated clock; on the host the executor spreads them over
+    // worker threads only when the batch scans enough to pay for them
+    // (256 KiB per worker — this 8 MB table does). Each shard computes
     // partial aggregates and the client re-aggregates them.
     let out = qp.group_by(&ft, vec![0], aggs).expect("fleet query");
     assert_eq!(

@@ -37,8 +37,15 @@ bench-check:
     cargo test --manifest-path benchmark/Cargo.toml
     cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke --trace
 
+# The fleet scatter seam (ordered join, panic containment, the size
+# gate) uncontended, then with the other test threads competing for the
+# host's CPUs.
+scatter:
+    RUST_TEST_THREADS=1 cargo test -q -p farview-core scatter
+    cargo test -q -p farview-core scatter
+
 # Everything CI runs.
-ci: verify doc fmt-check clippy analyze bench-check
+ci: verify scatter doc fmt-check clippy analyze bench-check
 
 # Reproduce every table/figure of the paper plus the scale-out sweep.
 figures:
@@ -51,8 +58,9 @@ bench-smoke:
     cargo run -q --release -p fv-bench --bin figures smoke
 
 # Wall-clock microbench of the host hot path: vectorized block datapath
-# vs the per-tuple reference, parallel vs serial fleet scatter, and the
-# replica-dedup win over the seed model. Rewrites BENCH_PR8.json.
+# vs the per-tuple reference, the size-gated fleet scatter vs its serial
+# reference (64 KiB and 4 MiB tables), and the replica-dedup win over the
+# seed model. Rewrites BENCH_PR8.json; refuses on a 1-CPU host.
 bench-hotpath:
     cargo run -q --release -p fv-bench --bin figures hotpath
 

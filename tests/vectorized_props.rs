@@ -13,6 +13,7 @@
 use proptest::prelude::*;
 
 use farview::prelude::*;
+use farview_core::plan::{scatter_workers, SCATTER_MIN_BYTES_PER_WORKER};
 use farview_core::{AggFunc, AggSpec, Executor, PredicateExpr};
 use fv_pipeline::cuckoo::CuckooTable;
 use fv_pipeline::distinct::{DistinctOp, DEFAULT_LRU_DEPTH};
@@ -332,40 +333,70 @@ proptest! {
         }
     }
 
-    /// The parallel fleet scatter joins in slot order: payloads, schemas
-    /// and fleet-aggregated stats are byte-identical to the serial
-    /// reference for single queries and doorbell batches.
+    /// The fleet scatter joins in slot order: payloads, schemas and
+    /// fleet-aggregated stats are byte-identical to the serial
+    /// reference for single queries and doorbell batches — on both
+    /// sides of the size gate. `Executor::fleet` spawns workers only
+    /// for ≥ 256 KiB of scan per worker, so every case runs a small
+    /// table (the route stays on the calling thread), then a 64–96 KiB
+    /// table at a depth that keeps the batch below 512 KiB and at
+    /// depth 8, which puts it above.
     #[test]
     fn parallel_scatter_matches_serial(
-        table in arb_table(120, 3, 300),
+        small in arb_table(120, 3, 300),
+        big_rows in (64 * 1024 / 24 + 1)..=(96 * 1024 / 24usize),
+        big_seed in 0u64..1 << 32,
         nodes in 1usize..5,
-        thresholds in prop::collection::vec(0u64..300, 1..4),
+        thresholds in prop::collection::vec(0u64..300, 8),
+        small_depth in 1usize..4,
+        below_depth in 1usize..=5,
     ) {
-        // Two identically shaped fleets, so the stateful region
-        // bookkeeping (pipeline fingerprints → `reconfigured` flags)
-        // starts from the same point on both routes.
-        let run = |parallel: bool| {
-            let fleet = FarviewFleet::new(nodes, FarviewConfig::tiny());
-            let qp = fleet.connect().unwrap();
-            let (ft, _) = qp.load_table(&table, Partitioning::RowRange).unwrap();
-            let specs: Vec<PipelineSpec> = thresholds
-                .iter()
-                .map(|&t| PipelineSpec::passthrough().filter(PredicateExpr::lt(0, t)))
-                .collect();
-            if parallel {
-                Executor::fleet(&qp, &ft, &specs).unwrap()
+        let big = TableGen::new(3, big_rows)
+            .seed(big_seed)
+            .distinct_column(0, 300)
+            .build();
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (table, depth, above_gate) in [
+            (&small, small_depth, false),
+            (&big, below_depth, false),
+            (&big, 8, true),
+        ] {
+            let scanned = (table.bytes().len() * depth) as u64;
+            let workers = scatter_workers(scanned, nodes, host);
+            if above_gate {
+                prop_assert!(scanned >= 2 * SCATTER_MIN_BYTES_PER_WORKER);
+                if host >= 2 && nodes >= 2 {
+                    prop_assert!(workers >= 2, "{scanned} B over {nodes} slots ran serially");
+                }
             } else {
-                Executor::fleet_serial(&qp, &ft, &specs).unwrap()
+                prop_assert_eq!(workers, 1);
             }
-        };
-        let parallel = run(true);
-        let serial = run(false);
-        prop_assert_eq!(parallel.len(), serial.len());
-        for (p, s) in parallel.iter().zip(&serial) {
-            prop_assert_eq!(&p.merged.payload, &s.merged.payload);
-            prop_assert_eq!(&p.merged.schema, &s.merged.schema);
-            prop_assert_eq!(p.merged.stats, s.merged.stats);
-            prop_assert_eq!(&p.per_shard, &s.per_shard);
+            // Two identically shaped fleets, so the stateful region
+            // bookkeeping (pipeline fingerprints → `reconfigured`
+            // flags) starts from the same point on both routes.
+            let run = |parallel: bool| {
+                let fleet = FarviewFleet::new(nodes, FarviewConfig::tiny());
+                let qp = fleet.connect().unwrap();
+                let (ft, _) = qp.load_table(table, Partitioning::RowRange).unwrap();
+                let specs: Vec<PipelineSpec> = thresholds[..depth]
+                    .iter()
+                    .map(|&t| PipelineSpec::passthrough().filter(PredicateExpr::lt(0, t)))
+                    .collect();
+                if parallel {
+                    Executor::fleet(&qp, &ft, &specs).unwrap()
+                } else {
+                    Executor::fleet_serial(&qp, &ft, &specs).unwrap()
+                }
+            };
+            let parallel = run(true);
+            let serial = run(false);
+            prop_assert_eq!(parallel.len(), serial.len());
+            for (p, s) in parallel.iter().zip(&serial) {
+                prop_assert_eq!(&p.merged.payload, &s.merged.payload);
+                prop_assert_eq!(&p.merged.schema, &s.merged.schema);
+                prop_assert_eq!(p.merged.stats, s.merged.stats);
+                prop_assert_eq!(&p.per_shard, &s.per_shard);
+            }
         }
     }
 }
