@@ -44,8 +44,9 @@ fn one(id: &str) -> Option<Figure> {
 /// `figures smoke` gate: the committed hotpath baseline must exist and
 /// record a `speedup` for each of the four stateful operators whose
 /// batched block paths PR 8 introduced (plus their engagement
-/// counters). A line-oriented scan is enough — `to_json` emits one
-/// operator object per line.
+/// counters), the scatter rows on both sides of the size gate, and the
+/// whole-query result-path rows. A line-oriented scan is enough —
+/// `to_json` emits one row object per line.
 fn check_recorded_hotpath_baseline(path: &str) -> Result<(), String> {
     let json = std::fs::read_to_string(path)
         .map_err(|e| format!("{path} missing — run `just bench-hotpath` to record it ({e})"))?;
@@ -63,7 +64,8 @@ fn check_recorded_hotpath_baseline(path: &str) -> Result<(), String> {
             ));
         }
     }
-    check_recorded_scatter_rows(path, &json)
+    check_recorded_scatter_rows(path, &json)?;
+    check_recorded_result_path_rows(path, &json)
 }
 
 /// The number recorded under `"key":` on one line of a `to_json` file.
@@ -116,6 +118,49 @@ fn check_recorded_scatter_rows(path: &str, json: &str) -> Result<(), String> {
         return Err(format!(
             "{path}: no scatter rows on one side of the gate ({small} / {large} KiB) — run `just bench-hotpath` on a host with at least 2 CPUs"
         ));
+    }
+    Ok(())
+}
+
+/// Host µs per response packet the recorded `read` row may cost: a whole
+/// `far_view` of a 1 MiB table over its 1025 packets. The copy-per-packet
+/// result path measured 1.36 on the recording box; one copy and no
+/// per-packet allocation, 0.94.
+const READ_US_PER_PACKET_MAX: f64 = 1.15;
+
+/// The result-path half of the recorded hotpath baseline: both whole-
+/// query rows present at the full table size, and `read` within its
+/// per-packet budget. Checked on the *recorded* rows, like the scatter
+/// half — a live timing depends on which mode glibc's allocator settled
+/// in (`just bench-hotpath` pins it).
+fn check_recorded_result_path_rows(path: &str, json: &str) -> Result<(), String> {
+    let full = fv_bench::HOTPATH_RESULT_TABLE_KIB as f64;
+    for query in ["read", "select50"] {
+        let line = json
+            .lines()
+            .find(|l| l.contains(&format!("\"query\": \"{query}\"")))
+            .ok_or_else(|| {
+                format!("{path}: no result_path row for {query:?} — run `just bench-hotpath`")
+            })?;
+        let field = |key: &str| {
+            json_number(line, key)
+                .ok_or_else(|| format!("{path}: result_path row {query:?} has no {key:?}"))
+        };
+        let (kib, packets, per_packet) = (
+            field("table_kib")?,
+            field("packets")?,
+            field("us_per_packet")?,
+        );
+        if kib != full || packets < 1.0 || per_packet <= 0.0 {
+            return Err(format!(
+                "{path}: result_path row {query:?} records {kib} KiB, {packets} packets, {per_packet} us/packet — re-record it at {full} KiB"
+            ));
+        }
+        if query == "read" && per_packet > READ_US_PER_PACKET_MAX {
+            return Err(format!(
+                "{path}: read costs {per_packet} us per packet, over the {READ_US_PER_PACKET_MAX} budget — the result path grew a per-packet copy or allocation"
+            ));
+        }
     }
     Ok(())
 }

@@ -19,6 +19,15 @@
 //!   at 1 → 8 nodes for a table on each side of the gate: 64 KiB (the
 //!   production route stays on the calling thread) and 4 MiB (it fans
 //!   out).
+//! * **Result path, whole query** — host µs for one complete
+//!   `QPair::far_view` of a 1 MiB table (plan, burst schedule, episode
+//!   engine, packets, reassembly), for the two shapes whose result is
+//!   all packets: `read` (1025 of them) and `select50` (about half as
+//!   many). Divided
+//!   by the packet count it is the cost of carrying 1 kB from the packer
+//!   to the caller's `QueryOutcome` — one copy, no per-packet
+//!   allocation. `figures smoke` gates the recorded `read` row at 1.15 µs
+//!   per packet.
 //!
 //! `figures hotpath` renders the figure **and** writes the machine-
 //! readable `BENCH_PR8.json` so future PRs have a perf baseline to beat.
@@ -27,8 +36,8 @@ use std::time::Instant;
 
 use farview_core::plan::scatter_workers;
 use farview_core::{
-    AggFunc, AggSpec, Executor, FarviewConfig, FarviewFleet, JoinSmallSpec, Partitioning,
-    PipelineSpec, PredicateExpr,
+    AggFunc, AggSpec, Executor, FarviewCluster, FarviewConfig, FarviewFleet, JoinSmallSpec,
+    Partitioning, PipelineSpec, PredicateExpr,
 };
 use fv_data::Table;
 use fv_pipeline::CompiledPipeline;
@@ -42,6 +51,10 @@ pub const HOTPATH_FLEET_SIZES: [usize; 4] = [1, 2, 4, 8];
 /// Table sizes (KiB) of the scatter half, one on each side of
 /// `Executor::fleet`'s size gate at the depth-2 batch measured.
 pub const HOTPATH_SCATTER_TABLE_KIB: [usize; 2] = [64, 4096];
+
+/// Table size (KiB) of the result-path half: 1 MiB in, 1025 packets out
+/// of a `read`.
+pub const HOTPATH_RESULT_TABLE_KIB: usize = 1024;
 
 /// One operator's block-vs-scalar measurement.
 #[derive(Debug, Clone)]
@@ -108,6 +121,28 @@ impl ScatterSample {
     }
 }
 
+/// One whole-query result-path measurement: a complete
+/// `QPair::far_view` whose result is carried to the caller in `packets`
+/// 1 kB packets.
+#[derive(Debug, Clone)]
+pub struct ResultPathSample {
+    /// Query shape (`read` or `select50`).
+    pub query: String,
+    /// Size of the scanned table, KiB.
+    pub table_kib: usize,
+    /// Response packets of one query (the FIN included).
+    pub packets: u64,
+    /// Wall-clock microseconds per whole query, fastest repetition.
+    pub far_view_us: f64,
+}
+
+impl ResultPathSample {
+    /// Whole-query host time per response packet, µs.
+    pub fn us_per_packet(&self) -> f64 {
+        self.far_view_us / self.packets as f64
+    }
+}
+
 /// The full hotpath measurement: what `BENCH_PR8.json` records.
 #[derive(Debug, Clone)]
 pub struct HotpathReport {
@@ -122,6 +157,8 @@ pub struct HotpathReport {
     pub operators: Vec<OperatorSample>,
     /// Scatter samples, table size major, fleet size minor.
     pub scatter: Vec<ScatterSample>,
+    /// Whole-query result-path samples.
+    pub result_path: Vec<ResultPathSample>,
 }
 
 impl HotpathReport {
@@ -131,7 +168,7 @@ impl HotpathReport {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"bench\": \"hotpath\",\n");
-        out.push_str("  \"units\": {\"operators\": \"tuples/s (wall-clock)\", \"scatter\": \"ms/batch (wall-clock)\"},\n");
+        out.push_str("  \"units\": {\"operators\": \"tuples/s (wall-clock)\", \"scatter\": \"ms/batch (wall-clock)\", \"result_path\": \"us/query (wall-clock)\"},\n");
         out.push_str(&format!("  \"rows\": {},\n", self.rows));
         out.push_str(&format!("  \"reps\": {},\n", self.reps));
         out.push_str(&format!(
@@ -165,6 +202,19 @@ impl HotpathReport {
                 s.speedup(),
                 s.speedup_vs_seed(),
                 if i + 1 == self.scatter.len() { "" } else { "," }
+            ));
+        }
+        out.push_str("  ],\n");
+        out.push_str("  \"result_path\": [\n");
+        for (i, s) in self.result_path.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"query\": \"{}\", \"table_kib\": {}, \"packets\": {}, \"far_view_us\": {:.1}, \"us_per_packet\": {:.3}}}{}\n",
+                s.query,
+                s.table_kib,
+                s.packets,
+                s.far_view_us,
+                s.us_per_packet(),
+                if i + 1 == self.result_path.len() { "" } else { "," }
             ));
         }
         out.push_str("  ]\n}\n");
@@ -240,6 +290,14 @@ impl HotpathReport {
                 series(ScatterSample::speedup_vs_seed),
             );
         }
+        f.push_series(
+            "result path [us/packet]",
+            self.result_path
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (i as f64, s.us_per_packet()))
+                .collect(),
+        );
         f
     }
 }
@@ -411,12 +469,62 @@ fn operator_suite(rows: usize) -> Vec<(String, PipelineSpec, Table)> {
     ]
 }
 
+/// Time whole `far_view` calls over a `table_kib` table on one node:
+/// `read` and `select50`, the two shapes whose result is nothing but
+/// packets. Fastest of `reps` per shape, like every other row.
+fn result_path_samples(table_kib: usize, reps: usize) -> Vec<ResultPathSample> {
+    // 64 B tuples.
+    let table = TableGen::new(8, table_kib * 16)
+        .seed(57)
+        .selectivity_column(1, 0.5)
+        .build();
+    let cluster = FarviewCluster::new(FarviewConfig::default());
+    let qp = cluster.connect().expect("a free region");
+    let (ft, _) = qp.load_table(&table).expect("buffer pool space");
+    let shapes = [
+        ("read", PipelineSpec::passthrough()),
+        (
+            "select50",
+            PipelineSpec::passthrough()
+                .filter(PredicateExpr::lt(1, fv_workload::SELECTIVITY_PIVOT)),
+        ),
+    ];
+    shapes
+        .into_iter()
+        .map(|(query, spec)| {
+            // Correctness first, and the warm-up: the read returns the
+            // table, the selection a whole number of its rows.
+            let out = qp.far_view(&ft, &spec).expect("query completes");
+            if query == "read" {
+                assert_eq!(out.payload, table.bytes(), "read changed the table");
+            }
+            assert_eq!(out.payload.len() % 64, 0);
+            let packets = out.stats.packets;
+            assert_eq!(packets, out.payload.len() as u64 / 1024 + 1);
+            let mut best = f64::INFINITY;
+            for _ in 0..reps {
+                let start = Instant::now();
+                let out = qp.far_view(&ft, &spec);
+                std::hint::black_box(&out.expect("query completes"));
+                best = best.min(start.elapsed().as_secs_f64());
+            }
+            ResultPathSample {
+                query: query.into(),
+                table_kib,
+                packets,
+                far_view_us: best * 1e6,
+            }
+        })
+        .collect()
+}
+
 /// Run the full measurement at the given scale.
 pub fn hotpath_report_at(
     rows: usize,
     reps: usize,
     fleet_sizes: &[usize],
     scatter_table_kib: &[usize],
+    result_table_kib: usize,
 ) -> HotpathReport {
     // --- operators: block vs per-tuple -------------------------------
     // The stateful operators all grew a batched block path in PR 8; a
@@ -531,13 +639,20 @@ pub fn hotpath_report_at(
         host_parallelism,
         operators,
         scatter,
+        result_path: result_path_samples(result_table_kib, reps),
     }
 }
 
 /// The full-size hotpath measurement (what `figures hotpath` runs and
 /// records into `BENCH_PR8.json`).
 pub fn hotpath_report() -> HotpathReport {
-    hotpath_report_at(32_768, 15, &HOTPATH_FLEET_SIZES, &HOTPATH_SCATTER_TABLE_KIB)
+    hotpath_report_at(
+        32_768,
+        15,
+        &HOTPATH_FLEET_SIZES,
+        &HOTPATH_SCATTER_TABLE_KIB,
+        HOTPATH_RESULT_TABLE_KIB,
+    )
 }
 
 /// `hotpath` as a figure.
@@ -548,7 +663,7 @@ pub fn hotpath() -> Figure {
 /// [`hotpath`] at its smallest config (the `figures smoke` gate —
 /// correctness cross-checks at full coverage, timings at token scale).
 pub fn hotpath_smoke() -> Figure {
-    let report = hotpath_report_at(2_048, 2, &[1, 2], &HOTPATH_SCATTER_TABLE_KIB);
+    let report = hotpath_report_at(2_048, 2, &[1, 2], &HOTPATH_SCATTER_TABLE_KIB, 64);
     // Timing *ratios* are host-dependent and asserted nowhere in CI,
     // but the emitted JSON must carry a speedup sample for each of the
     // four stateful batched operators — the release-run BENCH_PR8.json
@@ -580,9 +695,16 @@ mod tests {
     /// `BENCH_PR8.json` records the measured speedups.)
     #[test]
     fn hotpath_report_is_complete() {
-        let r = hotpath_report_at(512, 1, &[1, 2], &[64, 1024]);
+        let r = hotpath_report_at(512, 1, &[1, 2], &[64, 1024], 64);
         assert_eq!(r.operators.len(), 8);
         assert_eq!(r.scatter.len(), 4);
+        let [read, select50] = &r.result_path[..] else {
+            panic!("two result-path rows, got {:?}", r.result_path);
+        };
+        assert_eq!((read.query.as_str(), read.packets), ("read", 65));
+        assert_eq!(select50.query, "select50");
+        assert!((20..46).contains(&select50.packets), "{select50:?}");
+        assert!(read.far_view_us > 0.0 && select50.us_per_packet() > 0.0);
         for s in &r.operators {
             assert!(s.block_tuples_per_s > 0.0, "{}: no block rate", s.op);
             assert!(s.scalar_tuples_per_s > 0.0, "{}: no scalar rate", s.op);
@@ -614,6 +736,8 @@ mod tests {
             "\"host_parallelism\"",
             "\"speedup\"",
             "\"batched_blocks\"",
+            "\"query\": \"read\", \"table_kib\": 64, \"packets\": 65",
+            "\"us_per_packet\"",
         ] {
             assert!(json.contains(needle), "JSON missing {needle}");
         }
@@ -623,6 +747,7 @@ mod tests {
             "per-tuple [tuples/s]",
             "scatter parallel 64 KiB [ms]",
             "scatter serial 1024 KiB [ms]",
+            "result path [us/packet]",
         ] {
             assert!(fig.series(series).is_some(), "figure missing {series}");
         }

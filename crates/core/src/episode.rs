@@ -16,8 +16,6 @@
 //! the paper measures it: from the client posting the request until "the
 //! final results are written to the memory of the client machine" (§6.2).
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use fv_mem::BurstReq;
@@ -74,23 +72,27 @@ pub struct EpisodeResult {
     pub events: u64,
 }
 
+/// The episode's messages. `stream` is the dense index
+/// [`run_batched_episodes`] gives every posted query, in post order: the
+/// node's per-stream state is a `Vec` lookup per event, not a hash of the
+/// wire id.
 #[derive(Debug, Clone)]
 enum Msg {
     /// Client request arriving at the node's network stack.
-    Request { qp: u32 },
+    Request { stream: usize },
     /// The request's translations are done; bursts enter the per-channel
     /// arbiters.
-    BurstsEligible { qp: u32 },
+    BurstsEligible { stream: usize },
     /// Serve the next arbitrated burst on a channel.
     ChannelPump { ch: usize },
     /// A memory burst completed and its bytes reached the region.
-    Burst { qp: u32, idx: usize },
+    Burst { stream: usize, idx: usize },
     /// Staged packets become sendable (pipeline output ready).
-    Stage { qp: u32, batch: usize },
+    Stage { stream: usize, batch: usize },
     /// Try to push the next packet onto the wire.
     Egress,
     /// A credit returned from the client.
-    Credit { qp: u32 },
+    Credit { stream: usize },
     /// A packet arriving at a client.
     Deliver(Packet),
 }
@@ -118,10 +120,33 @@ struct QueryRun {
     fin_emitted: bool,
     packets_sent: u64,
     wire_bytes: u64,
-    pending_tail: Vec<u8>,
+    /// Output short of a full packet, carried to the next drain: a view
+    /// of the drain it was cut from.
+    pending_tail: Bytes,
 }
 
 impl QueryRun {
+    /// A posted query nothing has happened to yet.
+    fn new(q: PreparedQuery) -> Self {
+        QueryRun {
+            cursor: 0,
+            arrived: std::collections::BTreeSet::new(),
+            next_feed: 0,
+            total_chunks: 0,
+            lanes: q.vector_lanes.max(1),
+            first_output: true,
+            next_seq: 0,
+            staged: Vec::new(),
+            ready_queue: std::collections::VecDeque::new(),
+            outstanding: 0,
+            fin_emitted: false,
+            packets_sent: 0,
+            wire_bytes: 0,
+            pending_tail: Bytes::new(),
+            q,
+        }
+    }
+
     /// Chunk length of burst `idx`, in stream order.
     fn chunk_len(&self, idx: usize) -> usize {
         match self.q.sa_tuples {
@@ -138,12 +163,13 @@ impl QueryRun {
 }
 
 struct NodeActor {
-    runs: HashMap<u32, QueryRun>,
+    /// Per-stream state, indexed by the messages' `stream`.
+    runs: Vec<QueryRun>,
     dram: fv_mem::DramTiming,
     /// Per-channel DRR arbiters across dynamic regions — the MMU's
     /// "arbitrators, crossbars, and dedicated credit-based queues" (§4.4)
     /// that give every region a fair DRAM share.
-    channel_queues: Vec<fv_sim::DrrScheduler<(u32, usize, u64)>>,
+    channel_queues: Vec<fv_sim::DrrScheduler<(usize, usize, u64)>>,
     channel_busy: Vec<bool>,
     /// One serialized operator pipeline per dynamic region. Queries of a
     /// doorbell batch share their region's pipeline, so while one query's
@@ -156,7 +182,12 @@ struct NodeActor {
     net_ingress: BandwidthServer,
     wire: LinkTiming,
     arbiter: EgressArbiter,
-    clients: HashMap<u32, ActorId>,
+    /// Each stream's client actor, parallel to `runs`.
+    clients: Vec<ActorId>,
+    /// `(wire id, stream)` sorted by wire id. A packet popped from the
+    /// arbiter is the one thing that reaches the node carrying only its
+    /// wire id; this resolves it.
+    wire_ids: Vec<(u32, usize)>,
     credit_budget: u32,
     egress_scheduled: bool,
     /// First datapath error observed (surfaced after quiescence instead
@@ -165,31 +196,41 @@ struct NodeActor {
 }
 
 impl NodeActor {
-    /// Split a run's accumulated output into packets; only the final
+    /// Cut a run's next pipeline drain into packets; only the final
     /// flush may emit a short or empty `last` packet.
-    fn packetize(run: &mut QueryRun, output: &mut Vec<u8>, finished: bool) -> Vec<Packet> {
-        run.pending_tail.append(output);
-        let mut pkts = Vec::new();
-        while run.pending_tail.len() as u64 >= PACKET_BYTES {
-            let chunk: Vec<u8> = run.pending_tail.drain(..PACKET_BYTES as usize).collect();
-            pkts.push(Packet::data(
-                run.q.qp,
-                run.next_seq,
-                Bytes::from(chunk),
-                false,
-            ));
+    ///
+    /// The drain (behind whatever the previous one left short of a full
+    /// packet) is frozen once and every packet is a view of that one
+    /// buffer — no per-packet allocation, no per-packet copy. The bytes
+    /// are next copied when the client appends them to its result.
+    fn packetize(run: &mut QueryRun, output: Vec<u8>, finished: bool) -> Vec<Packet> {
+        if output.is_empty() && !finished {
+            return Vec::new();
+        }
+        let drain = if run.pending_tail.is_empty() {
+            Bytes::from(output)
+        } else {
+            let mut joined = Vec::with_capacity(run.pending_tail.len() + output.len());
+            joined.extend_from_slice(&run.pending_tail);
+            joined.extend_from_slice(&output);
+            Bytes::from(joined)
+        };
+        let mtu = PACKET_BYTES as usize;
+        let full = drain.len() / mtu;
+        let mut pkts = Vec::with_capacity(full + usize::from(finished));
+        for i in 0..full {
+            let view = drain.slice(i * mtu..(i + 1) * mtu);
+            pkts.push(Packet::data(run.q.qp, run.next_seq, view, false));
             run.next_seq += 1;
         }
+        let tail = drain.slice(full * mtu..);
         if finished {
-            let chunk: Vec<u8> = std::mem::take(&mut run.pending_tail);
-            pkts.push(Packet::data(
-                run.q.qp,
-                run.next_seq,
-                Bytes::from(chunk),
-                true,
-            ));
+            pkts.push(Packet::data(run.q.qp, run.next_seq, tail, true));
             run.next_seq += 1;
             run.fin_emitted = true;
+            run.pending_tail = Bytes::new();
+        } else {
+            run.pending_tail = tail;
         }
         pkts
     }
@@ -198,11 +239,10 @@ impl NodeActor {
     /// arbiter (credit-based flow control, §4.3). A routing failure
     /// (unbound flow) is recorded and surfaced after the run instead of
     /// crashing the episode.
-    fn admit_credited(&mut self, qp: u32) {
-        let Some(run) = self.runs.get_mut(&qp) else {
-            self.failed.get_or_insert(NetError::UnboundQp { qp });
-            return;
-        };
+    fn admit_credited(&mut self, stream: usize) {
+        // fv:allow(panic): `stream` is one of the indices
+        // run_batched_episodes minted for exactly this `runs` vector.
+        let run = &mut self.runs[stream];
         while run.outstanding < self.credit_budget {
             match run.ready_queue.pop_front() {
                 Some(pkt) => {
@@ -217,6 +257,15 @@ impl NodeActor {
         }
     }
 
+    /// The stream a wire id belongs to, if it is one of this episode's.
+    fn stream_of(&self, qp: u32) -> Option<usize> {
+        let at = self
+            .wire_ids
+            .binary_search_by_key(&qp, |&(id, _)| id)
+            .ok()?;
+        self.wire_ids.get(at).map(|&(_, stream)| stream)
+    }
+
     fn kick_egress(&mut self, ctx: &mut Context<'_, Msg>) {
         if !self.egress_scheduled && !self.arbiter.is_empty() {
             self.egress_scheduled = true;
@@ -228,15 +277,17 @@ impl NodeActor {
 impl Actor<Msg> for NodeActor {
     fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
         match msg {
-            Msg::Request { qp } => {
+            // Every `stream` a message carries is an index
+            // run_batched_episodes minted for exactly this `runs` vector
+            // (the "minted index" waivers below); only `Egress` starts
+            // from a wire id, and it checks.
+            Msg::Request { stream } => {
                 // In-flight verbs pipeline through the network stack: the
                 // serial portion is its occupancy, the rest of the parse
                 // latency overlaps with the next verb's handling.
                 let ingress_done = self.net_ingress.admit(ctx.now(), 0);
-                let Some(run) = self.runs.get_mut(&qp) else {
-                    self.failed.get_or_insert(NetError::UnboundQp { qp });
-                    return;
-                };
+                // fv:allow(panic): minted index
+                let run = &mut self.runs[stream];
                 // A join's build side rides with the request: it must
                 // cross the wire and land in on-chip memory before the
                 // probe stream starts (§7 extension).
@@ -256,7 +307,7 @@ impl Actor<Msg> for NodeActor {
                         ctx.me(),
                         t_ready,
                         Msg::Burst {
-                            qp,
+                            stream,
                             idx: usize::MAX,
                         },
                     );
@@ -282,7 +333,7 @@ impl Actor<Msg> for NodeActor {
                                 ctx.me(),
                                 at,
                                 Msg::Burst {
-                                    qp,
+                                    stream,
                                     idx: idx as usize,
                                 },
                             );
@@ -296,26 +347,23 @@ impl Actor<Msg> for NodeActor {
                         run.total_chunks = run.q.bursts.len();
                         let misses = run.q.bursts.iter().filter(|b| !b.tlb_hit).count() as u64;
                         let at = t_ready + DRAM_ACCESS_LATENCY + TLB_MISS_PENALTY * misses;
-                        ctx.send_at(ctx.me(), at, Msg::BurstsEligible { qp });
+                        ctx.send_at(ctx.me(), at, Msg::BurstsEligible { stream });
                     }
                 }
             }
 
-            Msg::BurstsEligible { qp } => {
+            Msg::BurstsEligible { stream } => {
                 // Feed the per-channel DRR arbiters; each dynamic region
                 // (slot) is one flow, so concurrent clients fair-share
                 // every channel -- the MMU's "arbitrators, crossbars, and
                 // dedicated credit-based queues" (§4.4).
-                let Some(run) = self.runs.get(&qp) else {
-                    self.failed.get_or_insert(NetError::UnboundQp { qp });
-                    return;
-                };
+                let run = &self.runs[stream]; // fv:allow(panic): minted index
                 let slot = run.q.slot;
                 for (idx, b) in run.q.bursts.iter().enumerate() {
                     // fv:allow(panic): prepare() assigns burst channels with
                     // `% channel_queues.len()`, so the index is in range by
                     // construction.
-                    self.channel_queues[b.channel].push(slot, b.bytes, (qp, idx, b.bytes));
+                    self.channel_queues[b.channel].push(slot, b.bytes, (stream, idx, b.bytes));
                 }
                 for ch in 0..self.channel_queues.len() {
                     // fv:allow(panic): `ch` iterates 0..len of the very
@@ -334,26 +382,23 @@ impl Actor<Msg> for NodeActor {
                 None => {
                     self.channel_busy[ch] = false; // fv:allow(panic): same bound
                 }
-                Some((_slot, (qp, idx, bytes))) => {
+                Some((_slot, (stream, idx, bytes))) => {
                     let done = self.dram.admit(ch, ctx.now(), bytes);
-                    ctx.send_at(ctx.me(), done, Msg::Burst { qp, idx });
+                    ctx.send_at(ctx.me(), done, Msg::Burst { stream, idx });
                     ctx.send_at(ctx.me(), done, Msg::ChannelPump { ch });
                 }
             },
 
-            Msg::Burst { qp, idx } => {
-                let Some(run) = self.runs.get_mut(&qp) else {
-                    self.failed.get_or_insert(NetError::UnboundQp { qp });
-                    return;
-                };
+            Msg::Burst { stream, idx } => {
+                let run = &mut self.runs[stream]; // fv:allow(panic): minted index
                 if idx == usize::MAX {
                     // Empty-table FIN path.
                     run.q.pipeline.finish();
-                    let mut output = run.q.pipeline.drain_output();
-                    let pkts = NodeActor::packetize(run, &mut output, true);
+                    let output = run.q.pipeline.drain_output();
+                    let pkts = NodeActor::packetize(run, output, true);
                     run.staged.push(pkts);
                     let batch = run.staged.len() - 1;
-                    ctx.send_at(ctx.me(), ctx.now(), Msg::Stage { qp, batch });
+                    ctx.send_at(ctx.me(), ctx.now(), Msg::Stage { stream, batch });
                     return;
                 }
                 // Reorder buffer: bursts can complete out of stream order
@@ -408,28 +453,23 @@ impl Actor<Msg> for NodeActor {
                     run.q.pipeline.drain_output_into(&mut output);
                     ready += SimDuration::for_cycles(run.q.pipeline.flush_cycles(), OP_CLOCK_HZ);
                 }
-                let pkts = NodeActor::packetize(run, &mut output, finished);
+                let pkts = NodeActor::packetize(run, output, finished);
                 if !pkts.is_empty() {
                     run.staged.push(pkts);
                     let batch = run.staged.len() - 1;
-                    ctx.send_at(ctx.me(), ready, Msg::Stage { qp, batch });
+                    ctx.send_at(ctx.me(), ready, Msg::Stage { stream, batch });
                 }
             }
 
-            Msg::Stage { qp, batch } => {
-                {
-                    let Some(run) = self.runs.get_mut(&qp) else {
-                        self.failed.get_or_insert(NetError::UnboundQp { qp });
-                        return;
-                    };
-                    let pkts = run
-                        .staged
-                        .get_mut(batch)
-                        .map(std::mem::take)
-                        .unwrap_or_default();
-                    run.ready_queue.extend(pkts);
-                }
-                self.admit_credited(qp);
+            Msg::Stage { stream, batch } => {
+                let run = &mut self.runs[stream]; // fv:allow(panic): minted index
+                let pkts = run
+                    .staged
+                    .get_mut(batch)
+                    .map(std::mem::take)
+                    .unwrap_or_default();
+                run.ready_queue.extend(pkts);
+                self.admit_credited(stream);
                 self.kick_egress(ctx);
             }
 
@@ -440,11 +480,14 @@ impl Actor<Msg> for NodeActor {
                     }
                     Some(pkt) => {
                         let qp = pkt.qp;
-                        let Some(run) = self.runs.get_mut(&qp) else {
+                        let Some(stream) = self.stream_of(qp) else {
                             self.failed.get_or_insert(NetError::UnboundQp { qp });
                             self.egress_scheduled = false;
                             return;
                         };
+                        // fv:allow(panic): `wire_ids` holds minted indices
+                        // only, and `clients` is parallel to `runs`.
+                        let (run, client) = (&mut self.runs[stream], self.clients[stream]);
                         run.packets_sent += 1;
                         run.wire_bytes += pkt.wire_bytes();
                         // The fault seam: a degraded link can delay this
@@ -460,11 +503,6 @@ impl Actor<Msg> for NodeActor {
                                 self.egress_scheduled = false;
                                 return;
                             }
-                        };
-                        let Some(&client) = self.clients.get(&qp) else {
-                            self.failed.get_or_insert(NetError::UnboundQp { qp });
-                            self.egress_scheduled = false;
-                            return;
                         };
                         ctx.send_at(client, arrival, Msg::Deliver(pkt));
                         // The wire is free again one propagation delay
@@ -482,13 +520,10 @@ impl Actor<Msg> for NodeActor {
                 }
             }
 
-            Msg::Credit { qp } => {
-                let Some(run) = self.runs.get_mut(&qp) else {
-                    self.failed.get_or_insert(NetError::UnboundQp { qp });
-                    return;
-                };
+            Msg::Credit { stream } => {
+                let run = &mut self.runs[stream]; // fv:allow(panic): minted index
                 run.outstanding = run.outstanding.saturating_sub(1);
-                self.admit_credited(qp);
+                self.admit_credited(stream);
                 self.kick_egress(ctx);
             }
 
@@ -501,7 +536,8 @@ impl Actor<Msg> for NodeActor {
 }
 
 struct ClientActor {
-    qp: u32,
+    /// This client's stream index at the node (what a credit names).
+    stream: usize,
     node: ActorId,
     rx: Reassembly,
     completed_at: Option<SimTime>,
@@ -530,7 +566,13 @@ impl Actor<Msg> for ClientActor {
                 }
             };
             // Return a credit to the sender (rides the reverse wire).
-            ctx.send(self.node, WIRE_ONE_WAY, Msg::Credit { qp: self.qp });
+            ctx.send(
+                self.node,
+                WIRE_ONE_WAY,
+                Msg::Credit {
+                    stream: self.stream,
+                },
+            );
             if complete {
                 self.completed_at = Some(ctx.now() + CLIENT_COMPLETE);
             }
@@ -618,45 +660,37 @@ pub fn run_batched_episodes(
     config.validate();
     let mut sim: Simulation<Msg> = Simulation::new();
 
-    let batch_qps: Vec<Vec<u32>> = batches
-        .iter()
-        .map(|b| b.queries.iter().map(|q| q.qp).collect())
-        .collect();
+    // Every posted query becomes one stream, numbered in post order
+    // (batch-major). The wire id stays on the packets; everything inside
+    // the episode goes by the index.
+    let depths: Vec<usize> = batches.iter().map(BatchRun::depth).collect();
     let mut arbiter = EgressArbiter::new(config.regions);
-    let mut runs = HashMap::new();
-    for batch in batches {
-        for q in batch.queries {
+    let runs: Vec<QueryRun> = batches
+        .into_iter()
+        .flat_map(|b| b.queries)
+        .map(|q| {
             arbiter.bind(q.slot, q.qp);
-            let lanes = q.vector_lanes.max(1);
-            let prev = runs.insert(
-                q.qp,
-                QueryRun {
-                    cursor: 0,
-                    arrived: std::collections::BTreeSet::new(),
-                    next_feed: 0,
-                    total_chunks: 0,
-                    lanes,
-                    first_output: true,
-                    next_seq: 0,
-                    staged: Vec::new(),
-                    ready_queue: std::collections::VecDeque::new(),
-                    outstanding: 0,
-                    fin_emitted: false,
-                    packets_sent: 0,
-                    wire_bytes: 0,
-                    pending_tail: Vec::new(),
-                    q,
-                },
-            );
-            // fv:allow(panic): documented API contract (`ids must be
-            // unique across the episode`) — duplicate stream ids would
-            // silently cross-wire two clients' payloads.
-            assert!(prev.is_none(), "stream ids must be unique per episode");
-        }
-    }
+            QueryRun::new(q)
+        })
+        .collect();
+    let qps: Vec<u32> = runs.iter().map(|r| r.q.qp).collect();
+    let mut wire_ids: Vec<(u32, usize)> = qps.iter().copied().zip(0..).collect();
+    wire_ids.sort_unstable();
+    // fv:allow(panic): documented API contract (`ids must be unique
+    // across the episode`) — duplicate stream ids would silently
+    // cross-wire two clients' payloads.
+    assert!(
+        wire_ids
+            .windows(2)
+            .all(|w| matches!(w, [a, b] if a.0 != b.0)),
+        "stream ids must be unique per episode"
+    );
+    // The client registers a result buffer as large as the table it
+    // asked to scan; a join that returns more grows it.
+    let result_hints: Vec<usize> = runs.iter().map(|r| r.q.data.len()).collect();
 
-    // Reserve actor id 0 for the node by adding it first with an empty
-    // client map, then patch in the clients.
+    // Reserve actor id 0 for the node by adding it first with no
+    // clients, then patch in the clients.
     let node_id = sim.add_actor(Box::new(NodeActor {
         runs,
         dram: fv_mem::DramTiming::new(config.channels),
@@ -670,26 +704,27 @@ pub fn run_batched_episodes(
         net_ingress: BandwidthServer::new(PIPELINE_RATE, FV_REQ_OCCUPANCY),
         wire: LinkTiming::with_faults(NicKind::FarviewFpga, config.fault.clone()),
         arbiter,
-        clients: HashMap::new(),
+        clients: Vec::new(),
+        wire_ids,
         credit_budget: config.credit_budget,
         egress_scheduled: false,
         failed: None,
     }));
 
-    let mut client_ids = HashMap::new();
-    for qps in &batch_qps {
-        for &qp in qps {
-            let id = sim.add_actor(Box::new(ClientActor {
-                qp,
+    let client_ids: Vec<ActorId> = result_hints
+        .into_iter()
+        .enumerate()
+        .map(|(stream, hint)| {
+            sim.add_actor(Box::new(ClientActor {
+                stream,
                 node: node_id,
-                rx: Reassembly::new(),
+                rx: Reassembly::with_capacity(hint),
                 completed_at: None,
                 packets: 0,
                 failed: None,
-            }));
-            client_ids.insert(qp, id);
-        }
-    }
+            }))
+        })
+        .collect();
     sim.actor_mut::<NodeActor>(node_id)
         .expect("node actor") // fv:allow(panic): id returned by add_actor above
         .clients = client_ids.clone();
@@ -698,17 +733,18 @@ pub fn run_batched_episodes(
     // wire at the amortized per-WQE cadence. Under a truncation fault the
     // NIC fetches only a prefix of each batch: unfetched WQEs never issue
     // and their streams surface as incomplete episodes.
-    for qps in &batch_qps {
+    let mut posted_streams = qps.iter().copied().enumerate();
+    for &depth in &depths {
         // fv:allow(panic): a doorbell batch deeper than u32::MAX cannot
         // be constructed — WQE post order is a u32 on the wire.
-        let posted = u32::try_from(qps.len()).expect("batch fits u32");
+        let posted = u32::try_from(depth).expect("batch fits u32");
         let doorbell = match config.fault.truncate_doorbell {
             Some(n) => DoorbellBatch::truncated(posted, n.min(posted)),
             None => DoorbellBatch::new(posted),
         };
-        for (i, &qp) in qps.iter().enumerate() {
-            if let Ok(offset) = doorbell.try_issue_offset(qp, i as u32) {
-                sim.inject(node_id, offset + WIRE_ONE_WAY, Msg::Request { qp });
+        for (i, (stream, qp)) in (0..posted).zip(posted_streams.by_ref()) {
+            if let Ok(offset) = doorbell.try_issue_offset(qp, i) {
+                sim.inject(node_id, offset + WIRE_ONE_WAY, Msg::Request { stream });
             }
         }
     }
@@ -719,35 +755,38 @@ pub fn run_batched_episodes(
     if let Some(e) = &sim.actor::<NodeActor>(node_id).expect("node actor").failed {
         return Err(FvError::Net(e.clone()));
     }
-    for qps in &batch_qps {
-        for &qp in qps {
-            let client = sim
-                // fv:allow(panic): one client actor per qp was added above.
-                .actor::<ClientActor>(client_ids[&qp])
-                .expect("client actor"); // fv:allow(panic): same wiring
-            if let Some(e) = &client.failed {
-                return Err(FvError::Net(e.clone()));
-            }
+    for &id in &client_ids {
+        // fv:allow(panic): id returned by add_actor above.
+        let client = sim.actor::<ClientActor>(id).expect("client actor");
+        if let Some(e) = &client.failed {
+            return Err(FvError::Net(e.clone()));
         }
     }
 
-    let mut results = Vec::with_capacity(batch_qps.len());
-    for qps in &batch_qps {
-        let mut batch_results = Vec::with_capacity(qps.len());
-        for &qp in qps {
-            let client = sim
-                // fv:allow(panic): one client actor per qp was added above.
-                .actor::<ClientActor>(client_ids[&qp])
-                .expect("client actor"); // fv:allow(panic): same wiring
-            let completed = client
-                .completed_at
-                .ok_or(FvError::IncompleteEpisode { qp })?;
-            let payload = client.rx.assembled().to_vec();
-            let packets = client.packets;
-            // fv:allow(panic): id returned by add_actor above.
-            let node = sim.actor::<NodeActor>(node_id).expect("node actor");
-            let run = &node.runs[&qp]; // fv:allow(panic): every posted qp has a run
+    // Move each completed payload out of its client: the buffer the
+    // packets were appended into is the one the caller gets.
+    let mut received = Vec::with_capacity(qps.len());
+    for (&id, &qp) in client_ids.iter().zip(&qps) {
+        // fv:allow(panic): id returned by add_actor above.
+        let client = sim.actor_mut::<ClientActor>(id).expect("client actor");
+        let completed = client
+            .completed_at
+            .ok_or(FvError::IncompleteEpisode { qp })?;
+        // `completed_at` is only ever set by the packet that completed
+        // the stream, which is `into_payload`'s precondition.
+        let mut payload = std::mem::take(&mut client.rx).into_payload();
+        payload.shrink_to_fit();
+        received.push((completed, payload, client.packets));
+    }
 
+    // fv:allow(panic): id returned by add_actor above.
+    let node = sim.actor::<NodeActor>(node_id).expect("node actor");
+    let mut streams = node.runs.iter().zip(received);
+    let mut results = Vec::with_capacity(depths.len());
+    for &depth in &depths {
+        let mut batch_results = Vec::with_capacity(depth);
+        for (run, (completed, payload, packets)) in streams.by_ref().take(depth) {
+            let qp = run.q.qp;
             if !run.fin_emitted {
                 return Err(FvError::IncompleteEpisode { qp });
             }
@@ -1302,7 +1341,7 @@ mod tests {
         }
         let sink = sim.add_actor(Box::new(Sink));
         let node = sim.add_actor(Box::new(ClientActor {
-            qp: 9,
+            stream: 0,
             node: sink,
             rx: Reassembly::new(),
             completed_at: None,
@@ -1327,6 +1366,198 @@ mod tests {
         assert!(
             client.completed_at.is_none(),
             "a poisoned stream never completes"
+        );
+    }
+
+    #[test]
+    fn late_last_below_a_buffered_packet_poisons_the_stream_typed() {
+        // The episode-level twin of the `Reassembly` regression: packet 5
+        // is buffered when packet 0 arrives marked `last`. The client
+        // must record the typed error and never complete — not report a
+        // one-packet result with packet 5 stranded.
+        let mut sim: Simulation<Msg> = Simulation::new();
+        struct Sink;
+        impl Actor<Msg> for Sink {
+            fn on_message(&mut self, _: Msg, _: &mut Context<'_, Msg>) {}
+        }
+        let sink = sim.add_actor(Box::new(Sink));
+        let node = sim.add_actor(Box::new(ClientActor {
+            stream: 0,
+            node: sink,
+            rx: Reassembly::new(),
+            completed_at: None,
+            packets: 0,
+            failed: None,
+        }));
+        let pkt = |seq, last| Packet::data(9, seq, Bytes::from_static(b"xx"), last);
+        sim.inject(node, SimDuration::ZERO, Msg::Deliver(pkt(5, false)));
+        sim.inject(
+            node,
+            SimDuration::from_nanos(10),
+            Msg::Deliver(pkt(0, true)),
+        );
+        sim.run_to_quiescence(100);
+        let client = sim.actor::<ClientActor>(node).expect("client");
+        assert_eq!(
+            client.failed,
+            Some(NetError::BeyondLast { qp: 9, seq: 5 }),
+            "the stranded packet must be named, not dropped"
+        );
+        assert!(
+            client.completed_at.is_none(),
+            "a poisoned stream never completes"
+        );
+    }
+
+    #[test]
+    fn packets_of_one_drain_share_one_allocation() {
+        let mut run = QueryRun::new(prepared(4, 0, 0, PipelineSpec::passthrough()));
+        let drain = vec![7u8; 4 * 1024 + 100];
+        let storage = drain.as_ptr();
+        let pkts = NodeActor::packetize(&mut run, drain, false);
+        assert_eq!(pkts.len(), 4);
+        assert_eq!(
+            pkts[0].payload.as_ptr(),
+            storage,
+            "the drain is frozen where it is, not copied"
+        );
+        for (i, p) in pkts.iter().enumerate() {
+            assert_eq!((p.qp, p.seq, p.payload.len()), (4, i as u32, 1024));
+            assert!(p.payload.shares_storage_with(&pkts[0].payload));
+        }
+        // The 100 bytes short of a packet are a view of the same drain.
+        assert_eq!(run.pending_tail.len(), 100);
+        assert!(run.pending_tail.shares_storage_with(&pkts[0].payload));
+
+        // The next drain is frozen behind that tail: again one buffer
+        // for all of its packets, and a different one from the first.
+        let more = NodeActor::packetize(&mut run, vec![8u8; 924 + 1024], true);
+        assert_eq!(more.len(), 3, "two full packets and the empty FIN");
+        assert_eq!(more[0].payload[..100], [7u8; 100], "the carried tail leads");
+        assert_eq!(more[0].payload[100], 8);
+        assert!(more[2].payload.is_empty());
+        assert_eq!(more[2].kind, PacketKind::Data { last: true });
+        assert_eq!(more[2].seq, 6);
+        for p in &more {
+            assert!(p.payload.shares_storage_with(&more[0].payload));
+            assert!(!p.payload.shares_storage_with(&pkts[0].payload));
+        }
+        assert!(run.fin_emitted && run.pending_tail.is_empty());
+        // A drain with nothing in it cuts nothing.
+        let mut idle = QueryRun::new(prepared(5, 0, 0, PipelineSpec::passthrough()));
+        assert!(NodeActor::packetize(&mut idle, Vec::new(), false).is_empty());
+    }
+
+    /// Stream `rows` 64-byte rows through `project([0, 3, 5])` (24-byte
+    /// output rows) in three drains, packetize each drain, reassemble:
+    /// the bytes must equal streaming the pipeline alone, in
+    /// `len / 1 KiB + 1` packets — what the copy-per-packet packetizer
+    /// produced.
+    fn straddle_three_drains(rows: u64) -> usize {
+        let spec = PipelineSpec::passthrough().project(vec![0, 3, 5]);
+        let q = prepared(2, 0, rows, spec.clone());
+        let data = q.data.clone();
+        let mut alone = CompiledPipeline::compile(spec, &Schema::uniform_u64(8)).unwrap();
+        alone.push_bytes(&data);
+        alone.finish();
+        let want = alone.drain_output();
+        assert_eq!(want.len() as u64, rows * 24);
+
+        let mut run = QueryRun::new(q);
+        let per_drain = (rows as usize).div_ceil(3) * 64;
+        let mut pkts = Vec::new();
+        for (i, chunk) in data.chunks(per_drain).enumerate() {
+            run.q.pipeline.push_bytes(chunk);
+            let finished = i == 2;
+            if finished {
+                run.q.pipeline.finish();
+            }
+            let output = run.q.pipeline.drain_output();
+            pkts.extend(NodeActor::packetize(&mut run, output, finished));
+        }
+        assert!(run.fin_emitted, "three drains cover the table");
+        assert_eq!(pkts.len(), want.len() / 1024 + 1);
+        let mut rx = Reassembly::new();
+        let mut complete = false;
+        for p in pkts.iter().cloned() {
+            assert!(!complete, "packets after the last");
+            let last = p.kind == PacketKind::Data { last: true };
+            assert!(last || p.payload.len() == 1024, "only the last is short");
+            complete = rx.accept(p.qp, p.seq, p.payload, last).unwrap();
+        }
+        assert!(complete);
+        assert_eq!(rx.into_payload(), want);
+        pkts.len()
+    }
+
+    #[test]
+    fn result_straddling_three_drains_is_byte_identical() {
+        // 3600 B: every drain (1200 B) leaves a tail the next one
+        // completes; ceil(3600 / 1024) packets, the last one short.
+        assert_eq!(straddle_three_drains(150), 4);
+        // 3072 B = exactly 3 KiB: three full packets and the empty FIN.
+        assert_eq!(straddle_three_drains(128), 4);
+        // Through the whole episode too.
+        let cfg = FarviewConfig::tiny();
+        let spec = PipelineSpec::passthrough().project(vec![0, 3, 5]);
+        let r = run_episode(vec![prepared(1, 0, 1000, spec)], &cfg)
+            .expect("episode completes")
+            .remove(0);
+        assert_eq!(r.payload.len(), 24_000);
+        assert_eq!(r.packets, 24_000 / 1024 + 1);
+        for (i, row) in r.payload.chunks(24).enumerate() {
+            let i = i as u64;
+            let want: Vec<u8> = [i * 8, i * 8 + 3, i * 8 + 5]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            assert_eq!(row, want, "row {i}");
+        }
+    }
+
+    #[test]
+    fn depth_1024_batch_of_one_row_tables_completes() {
+        // 1024 streams on one slot, wire ids posted in descending order:
+        // every packet still finds its own stream and client.
+        let cfg = FarviewConfig::tiny();
+        let depth = 1024u32;
+        let batch = BatchRun::new(
+            (0..depth)
+                .map(|i| {
+                    let mut q = prepared(
+                        (1 << 10) | (depth - 1 - i),
+                        0,
+                        1,
+                        PipelineSpec::passthrough(),
+                    );
+                    q.data[0] = i as u8;
+                    q.data[1] = (i >> 8) as u8;
+                    q
+                })
+                .collect(),
+        );
+        let results = run_batched_episodes(vec![batch], &cfg)
+            .expect("batch completes")
+            .remove(0);
+        assert_eq!(results.len(), depth as usize);
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(r.qp, (1 << 10) | (depth - 1 - i as u32), "post order");
+            assert_eq!(r.payload.len(), 64);
+            assert_eq!(&r.payload[..2], &[i as u8, (i >> 8) as u8], "stream {i}");
+            assert_eq!(r.packets, 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stream ids must be unique per episode")]
+    fn duplicate_stream_ids_are_refused() {
+        let cfg = FarviewConfig::tiny();
+        let _ = run_episode(
+            vec![
+                prepared(7, 0, 4, PipelineSpec::passthrough()),
+                prepared(7, 0, 4, PipelineSpec::passthrough()),
+            ],
+            &cfg,
         );
     }
 

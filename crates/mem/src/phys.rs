@@ -63,26 +63,52 @@ impl PhysicalMemory {
         (channel, in_chan as usize)
     }
 
-    /// Read `out.len()` bytes starting at `paddr`, crossing stripes as
-    /// needed.
+    /// The stripe-contiguous pieces of the `len` bytes at `paddr`, in
+    /// address order.
     ///
     /// # Panics
     /// Panics on out-of-range physical addresses (physical ranges are
     /// validated by the MMU before they get here; a violation is a bug).
-    pub fn read(&self, paddr: u64, out: &mut [u8]) {
+    fn pieces(&self, paddr: u64, len: usize) -> impl Iterator<Item = &[u8]> {
         assert!(
-            paddr + out.len() as u64 <= self.total_bytes,
+            paddr + len as u64 <= self.total_bytes,
             "physical read past end of memory"
         );
         let mut addr = paddr;
-        let mut done = 0usize;
-        while done < out.len() {
+        let end = paddr + len as u64;
+        std::iter::from_fn(move || {
+            if addr == end {
+                return None;
+            }
             let (ch, off) = self.locate(addr);
-            let stripe_left = (STRIPE_BYTES - addr % STRIPE_BYTES) as usize;
-            let take = stripe_left.min(out.len() - done);
-            out[done..done + take].copy_from_slice(&self.channels[ch][off..off + take]);
+            let take = (STRIPE_BYTES - addr % STRIPE_BYTES).min(end - addr) as usize;
             addr += take as u64;
-            done += take;
+            Some(&self.channels[ch][off..off + take])
+        })
+    }
+
+    /// Read `out.len()` bytes starting at `paddr`, crossing stripes as
+    /// needed.
+    ///
+    /// # Panics
+    /// Panics on out-of-range physical addresses.
+    pub fn read(&self, paddr: u64, out: &mut [u8]) {
+        let mut done = 0usize;
+        for piece in self.pieces(paddr, out.len()) {
+            out[done..done + piece.len()].copy_from_slice(piece);
+            done += piece.len();
+        }
+    }
+
+    /// Append the `len` bytes starting at `paddr` to `out`, crossing
+    /// stripes as needed — a read that writes each byte of a fresh
+    /// buffer once, where [`PhysicalMemory::read`] needs it zeroed first.
+    ///
+    /// # Panics
+    /// Panics on out-of-range physical addresses.
+    pub fn read_append(&self, paddr: u64, len: usize, out: &mut Vec<u8>) {
+        for piece in self.pieces(paddr, len) {
+            out.extend_from_slice(piece);
         }
     }
 

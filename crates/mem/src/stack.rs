@@ -340,17 +340,14 @@ impl MemoryStack {
         len: u64,
     ) -> Result<Vec<u8>, MemError> {
         self.check_bounds(domain, vaddr, len)?;
-        let mut out = vec![0u8; len as usize];
-        let mut off = 0usize;
-        while off < out.len() {
-            let va = vaddr + off as u64;
+        let len = len as usize;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let va = vaddr + out.len() as u64;
             let (pa, _) = self.translate(domain, va)?;
             let page_left = (PAGE_BYTES - va % PAGE_BYTES) as usize;
-            let take = page_left.min(out.len() - off);
-            let (head, tail) = out.split_at_mut(off + take);
-            let _ = tail;
-            self.phys.read(pa, &mut head[off..off + take]);
-            off += take;
+            let take = page_left.min(len - out.len());
+            self.phys.read_append(pa, take, &mut out);
         }
         Ok(out)
     }
@@ -419,6 +416,31 @@ mod tests {
         // Offsetted access within bounds.
         let tail = m.read(d, va + 100, 50).unwrap();
         assert_eq!(&tail[..], &data[100..150]);
+    }
+
+    #[test]
+    fn read_spanning_a_page_and_several_stripes() {
+        use fv_sim::calib::STRIPE_BYTES;
+        let mut m = stack();
+        let d = m.create_domain();
+        // Fragment the free list so the two pages are not physically
+        // adjacent: the read must translate again at the page boundary.
+        let hole = m.alloc(d, PAGE_BYTES).unwrap();
+        let spacer = m.alloc(d, PAGE_BYTES).unwrap();
+        m.free(d, hole).unwrap();
+        let va = m.alloc(d, 2 * PAGE_BYTES).unwrap();
+        m.free(d, spacer).unwrap();
+        let data: Vec<u8> = (0..2 * PAGE_BYTES).map(|i| (i % 251) as u8).collect();
+        m.write(d, va, &data).unwrap();
+        // Starts mid-stripe three stripes before the page boundary, ends
+        // mid-stripe three stripes after it.
+        let start = PAGE_BYTES - 3 * STRIPE_BYTES - 100;
+        let len = 6 * STRIPE_BYTES + 333;
+        let got = m.read(d, va + start, len).unwrap();
+        assert_eq!(got.len() as u64, len);
+        assert_eq!(got, data[start as usize..(start + len) as usize]);
+        assert_eq!(got.capacity(), got.len(), "sized once, filled once");
+        assert!(m.read(d, va, 0).unwrap().is_empty());
     }
 
     #[test]

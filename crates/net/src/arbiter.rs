@@ -24,9 +24,11 @@ use crate::qp::NetError;
 #[derive(Debug, Clone)]
 pub struct EgressArbiter {
     drr: DrrScheduler<Packet>,
-    /// Per-slot list of stream ids bound to that flow (one for a plain
-    /// connection, many for a doorbell-batched submission).
-    slots: Vec<Vec<QpId>>,
+    /// Every bound stream id with its flow slot (one id per slot for a
+    /// plain connection, many for a doorbell-batched submission), sorted
+    /// by id: `push` routes each packet with one binary search however
+    /// deep the batch.
+    bound: Vec<(QpId, usize)>,
 }
 
 impl EgressArbiter {
@@ -35,7 +37,7 @@ impl EgressArbiter {
         EgressArbiter {
             // Quantum must cover the largest wire size (payload+header).
             drr: DrrScheduler::new(flows, PACKET_BYTES + 64),
-            slots: vec![Vec::new(); flows],
+            bound: Vec::new(),
         }
     }
 
@@ -46,13 +48,18 @@ impl EgressArbiter {
     /// # Panics
     /// Panics if the id is already bound to a *different* slot — flows
     /// are wired once at setup, so a double wiring is a harness bug, not
-    /// a runtime condition.
+    /// a runtime condition — or if `slot` is not one of the arbiter's
+    /// flows.
     pub fn bind(&mut self, slot: usize, qp: QpId) {
+        // fv:allow(panic): documented precondition — binding to a slot
+        // the arbiter does not have would only fail later, at `push`.
+        assert!(slot < self.drr.flow_count(), "no flow slot {slot}");
         if let Some(existing) = self.slot_of(qp) {
             assert_eq!(existing, slot, "qp {qp} already bound to slot {existing}");
             return;
         }
-        self.slots[slot].push(qp);
+        let at = self.bound.partition_point(|&(id, _)| id < qp);
+        self.bound.insert(at, (qp, slot));
     }
 
     /// Release a slot and every stream bound to it (at disconnect),
@@ -63,18 +70,19 @@ impl EgressArbiter {
     /// caller decides their fate — requeue onto the departing flow's
     /// replacement, count them as dropped, or just let them fall.
     pub fn unbind(&mut self, slot: usize) -> Vec<Packet> {
-        self.slots[slot].clear();
+        self.bound.retain(|&(_, s)| s != slot);
         self.drr.drain_flow(slot)
     }
 
     /// The slot a QP is bound to, if any.
     pub fn slot_of(&self, qp: QpId) -> Option<usize> {
-        self.slots.iter().position(|s| s.contains(&qp))
+        let at = self.bound.binary_search_by_key(&qp, |&(id, _)| id).ok()?;
+        self.bound.get(at).map(|&(_, slot)| slot)
     }
 
     /// Streams bound to a slot.
     pub fn bound_count(&self, slot: usize) -> usize {
-        self.slots[slot].len()
+        self.bound.iter().filter(|&&(_, s)| s == slot).count()
     }
 
     /// Enqueue a packet for transmission on its flow's slot.
@@ -210,6 +218,62 @@ mod tests {
         // Re-binding the same id is idempotent.
         arb.bind(0, 6);
         assert_eq!(arb.bound_count(0), 1);
+    }
+
+    #[test]
+    fn unbind_forgets_every_id_of_the_slot_and_no_other() {
+        let mut arb = EgressArbiter::new(2);
+        // Bound out of id order, interleaved across the two slots.
+        for id in [40, 7, 300, 12, 99] {
+            arb.bind(0, id);
+            arb.bind(1, id + 1000);
+        }
+        assert_eq!(arb.bound_count(0), 5);
+        arb.unbind(0);
+        assert_eq!(arb.bound_count(0), 0);
+        for id in [40, 7, 300, 12, 99] {
+            assert_eq!(arb.slot_of(id), None, "id {id} survived its slot");
+            assert_eq!(arb.push(pkt(id, 0)), Err(NetError::UnboundQp { qp: id }));
+            assert_eq!(arb.slot_of(id + 1000), Some(1), "a neighbour was dropped");
+        }
+        // A forgotten id may be wired to another slot afterwards.
+        arb.bind(1, 40);
+        assert_eq!(arb.slot_of(40), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "already bound to slot 0")]
+    fn rebinding_to_a_different_slot_is_a_wiring_bug() {
+        let mut arb = EgressArbiter::new(2);
+        arb.bind(0, 5);
+        arb.bind(1, 5);
+    }
+
+    #[test]
+    fn depth_1024_batch_routes_every_stream() {
+        // A depth-1024 doorbell batch binds 1024 stream ids to one slot.
+        // Every id still routes to that slot, in whatever order they
+        // were bound, and the whole batch drains.
+        let depth = 1024u32;
+        let mut arb = EgressArbiter::new(2);
+        arb.bind(1, 5_000);
+        for i in (0..depth).rev() {
+            arb.bind(0, (1 << 10) | i);
+        }
+        assert_eq!(arb.bound_count(0), depth as usize);
+        for i in 0..depth {
+            let id = (1 << 10) | i;
+            assert_eq!(arb.slot_of(id), Some(0));
+            arb.push(Packet::data(id, 0, Bytes::from(vec![0u8; 64]), true))
+                .unwrap();
+        }
+        assert_eq!(arb.len(), depth as usize);
+        let served: Vec<u32> = std::iter::from_fn(|| arb.pop()).map(|p| p.qp).collect();
+        assert_eq!(
+            served,
+            (0..depth).map(|i| (1 << 10) | i).collect::<Vec<_>>(),
+            "one flow serves its streams in push order"
+        );
     }
 
     #[test]

@@ -16,8 +16,13 @@
 //!   Farview verb carrying operator parameters ("a Farview one-sided verb
 //!   based on an RDMA write to control the operators", §4.3).
 //! * [`QueuePair`] — per-connection state: sequence numbers, the credit
-//!   gate, and out-of-order [`Reassembly`] of packetised responses.
-//! * [`EgressArbiter`] — DRR fair sharing of the wire across queue pairs.
+//!   gate, and out-of-order [`Reassembly`] of packetised responses. A
+//!   packet's payload is a `bytes::Bytes` view of the sender's drain
+//!   buffer; reassembly appends an in-order packet straight into the
+//!   client buffer (the one copy a result byte pays) and keeps only
+//!   really-early packets in its out-of-order map.
+//! * [`EgressArbiter`] — DRR fair sharing of the wire across queue
+//!   pairs; a pushed packet finds its flow slot in one binary search.
 //! * [`LinkTiming`] — bandwidth/latency servers for the Farview wire and
 //!   the RNIC/PCIe path of the baselines.
 

@@ -1,6 +1,6 @@
 //! Queue-pair state: credits, sequencing, out-of-order reassembly.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use bytes::Bytes;
@@ -252,10 +252,16 @@ impl DoorbellBatch {
 /// network packets" (§4.3); the client side must therefore reassemble by
 /// sequence number. Completion is known once the `last`-marked packet
 /// *and* every sequence before it have arrived.
+///
+/// A packet that arrives in order — nearly all of them: one wire, one
+/// sender — is appended straight to the assembled buffer, which is the
+/// one copy a result byte pays between the packer and client memory.
+/// Only a packet that really is early waits in the out-of-order map.
 #[derive(Debug, Clone, Default)]
 pub struct Reassembly {
-    /// Out-of-order packets waiting for their predecessors.
-    pending: HashMap<u32, Bytes>,
+    /// Early packets waiting for their predecessors. Never holds
+    /// `next_seq` or anything below it.
+    pending: BTreeMap<u32, Bytes>,
     /// In-order assembled payload.
     assembled: Vec<u8>,
     /// Next sequence number to consume.
@@ -272,8 +278,26 @@ impl Reassembly {
         Reassembly::default()
     }
 
+    /// Fresh reassembly state whose client buffer is pre-sized for a
+    /// result of about `bytes` — the buffer an RDMA client registers
+    /// before it posts the request. A hint only: a larger result grows
+    /// the buffer, a smaller one leaves the rest untouched.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Reassembly {
+            assembled: Vec::with_capacity(bytes),
+            ..Reassembly::default()
+        }
+    }
+
     /// Accept one data packet. Returns `Ok(true)` when the stream just
     /// became complete.
+    ///
+    /// # Errors
+    /// [`NetError::BeyondLast`] for a sequence number past the `last`
+    /// packet's — whichever of the two arrives second: a `last` below an
+    /// already buffered packet names the highest buffered sequence.
+    /// [`NetError::DuplicateSeq`] for a sequence number seen before, and
+    /// for a second, different `last`. A rejected packet changes nothing.
     pub fn accept(
         &mut self,
         qp: QpId,
@@ -286,7 +310,8 @@ impl Reassembly {
                 return Err(NetError::BeyondLast { qp, seq });
             }
         }
-        if seq < self.next_seq || self.pending.contains_key(&seq) {
+        let in_order = seq == self.next_seq;
+        if seq < self.next_seq || (!in_order && self.pending.contains_key(&seq)) {
             return Err(NetError::DuplicateSeq { qp, seq });
         }
         if last {
@@ -295,14 +320,30 @@ impl Reassembly {
                     return Err(NetError::DuplicateSeq { qp, seq });
                 }
             }
+            // The mirror image of the first check: a packet already
+            // buffered past this `last` would otherwise sit in `pending`
+            // for ever while the stream reports complete without it.
+            if let Some((&buffered, _)) = self.pending.last_key_value() {
+                if buffered > seq {
+                    return Err(NetError::BeyondLast { qp, seq: buffered });
+                }
+            }
             self.last_seq = Some(seq);
         }
         self.received += 1;
-        self.pending.insert(seq, payload);
-        // Drain the in-order prefix.
-        while let Some(chunk) = self.pending.remove(&self.next_seq) {
-            self.assembled.extend_from_slice(&chunk);
+        if in_order {
+            self.assembled.extend_from_slice(&payload);
             self.next_seq += 1;
+            // Early packets this one unblocks.
+            while let Some(entry) = self.pending.first_entry() {
+                if *entry.key() != self.next_seq {
+                    break;
+                }
+                self.assembled.extend_from_slice(&entry.remove());
+                self.next_seq += 1;
+            }
+        } else {
+            self.pending.insert(seq, payload);
         }
         Ok(self.is_complete())
     }
@@ -457,6 +498,54 @@ mod tests {
             r.accept(0, 5, Bytes::from_static(b"x"), false),
             Err(NetError::BeyondLast { seq: 5, .. })
         ));
+    }
+
+    #[test]
+    fn late_last_below_a_buffered_packet_is_beyond_last() {
+        // Regression: packet 5 is buffered, then packet 0 claims to be
+        // the last. The stream used to report complete with packet 0
+        // alone and packet 5 stranded in the out-of-order map — a wrong
+        // answer instead of a typed error.
+        let mut r = Reassembly::new();
+        assert!(!r.accept(3, 5, Bytes::from_static(b"late"), false).unwrap());
+        assert!(!r.accept(3, 2, Bytes::from_static(b"mid"), false).unwrap());
+        assert_eq!(
+            r.accept(3, 0, Bytes::from_static(b"first"), true),
+            Err(NetError::BeyondLast { qp: 3, seq: 5 }),
+            "the error names the highest buffered sequence"
+        );
+        assert!(!r.is_complete(), "a rejected `last` completes nothing");
+        assert!(r.assembled().is_empty(), "and contributes no bytes");
+        assert_eq!(r.packets_received(), 2);
+        // The stream is still usable: the real packets can follow.
+        assert!(!r.accept(3, 0, Bytes::from_static(b"a"), false).unwrap());
+        assert!(!r.accept(3, 1, Bytes::from_static(b"b"), false).unwrap());
+        assert_eq!(r.assembled(), b"abmid");
+        // A `last` at the highest buffered sequence itself is fine.
+        let mut r = Reassembly::new();
+        assert!(!r.accept(3, 1, Bytes::from_static(b"b"), false).unwrap());
+        assert!(!r.accept(3, 2, Bytes::from_static(b"c"), true).unwrap());
+        assert!(r.accept(3, 0, Bytes::from_static(b"a"), false).unwrap());
+        assert_eq!(r.into_payload(), b"abc");
+    }
+
+    #[test]
+    fn in_order_packets_bypass_the_out_of_order_map() {
+        let mut r = Reassembly::with_capacity(10);
+        let buffer = r.assembled().as_ptr();
+        for (seq, chunk) in [b"ab", b"cd", b"ef"].into_iter().enumerate() {
+            r.accept(0, seq as u32, Bytes::from_static(chunk), false)
+                .unwrap();
+            assert!(r.pending.is_empty(), "seq {seq} arrived in order");
+        }
+        // An early packet waits; its predecessor releases it.
+        r.accept(0, 4, Bytes::from_static(b"ij"), true).unwrap();
+        assert_eq!(r.pending.len(), 1);
+        assert!(r.accept(0, 3, Bytes::from_static(b"gh"), false).unwrap());
+        assert!(r.pending.is_empty());
+        assert_eq!(r.assembled(), b"abcdefghij");
+        // The hint sized the client buffer once; nothing regrew it.
+        assert_eq!(r.assembled().as_ptr(), buffer);
     }
 
     #[test]

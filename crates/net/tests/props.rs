@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use fv_net::{packetize, CreditGate, EgressArbiter, Packet, Reassembly};
+use fv_net::{packetize, CreditGate, EgressArbiter, NetError, Packet, Reassembly};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -57,6 +57,61 @@ proptest! {
         }
         prop_assert!(rx.is_complete());
         prop_assert_eq!(rx.into_payload(), chunks.concat());
+    }
+
+    /// A payload split at random, delivered with a random in-order
+    /// prefix (the fast path) and the rest in a random permutation (the
+    /// out-of-order map), reassembles to the payload — and a duplicate
+    /// injected at any position is `DuplicateSeq`, whichever of the two
+    /// paths took the original, and leaves the stream as it was.
+    #[test]
+    fn reassembly_random_split_permutation_and_duplicate(
+        chunks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..24),
+        keys in prop::collection::vec(any::<u32>(), 24),
+        prefix in 0usize..24,
+        dup_at in 0usize..24,
+        dup_of in 0usize..24,
+    ) {
+        let n = chunks.len();
+        let payload = chunks.concat();
+        // Delivery order: seqs 0..prefix in order, then the rest sorted
+        // by a random key.
+        let prefix = prefix % (n + 1);
+        let mut order: Vec<usize> = (0..prefix).collect();
+        let mut rest: Vec<usize> = (prefix..n).collect();
+        rest.sort_by_key(|&i| (keys[i], i));
+        order.extend(rest);
+
+        let mut rx = Reassembly::with_capacity(payload.len());
+        let dup_at = dup_at % n;
+        for (step, &seq) in order.iter().enumerate() {
+            prop_assert!(!rx.is_complete());
+            let accepted = rx
+                .accept(7, seq as u32, Bytes::from(chunks[seq].clone()), seq == n - 1)
+                .unwrap();
+            prop_assert_eq!(accepted, step == n - 1);
+            if step == dup_at {
+                // Replay one of the packets delivered so far.
+                let again = order[dup_of % (step + 1)];
+                let before = (rx.assembled().to_vec(), rx.packets_received(), rx.is_complete());
+                let replay = rx.accept(
+                    7,
+                    again as u32,
+                    Bytes::from(chunks[again].clone()),
+                    again == n - 1,
+                );
+                prop_assert_eq!(
+                    replay,
+                    Err(NetError::DuplicateSeq { qp: 7, seq: again as u32 })
+                );
+                let after = (rx.assembled().to_vec(), rx.packets_received(), rx.is_complete());
+                prop_assert_eq!(before, after);
+            }
+        }
+        prop_assert!(rx.is_complete());
+        prop_assert_eq!(rx.packets_received(), n as u64);
+        prop_assert_eq!(rx.assembled(), &payload[..]);
+        prop_assert_eq!(rx.into_payload(), payload);
     }
 
     /// The egress arbiter emits exactly the packets pushed, and any

@@ -44,8 +44,14 @@ scatter:
     RUST_TEST_THREADS=1 cargo test -q -p farview-core scatter
     cargo test -q -p farview-core scatter
 
+# The packet seam on its own: `Bytes` views must outlive nothing but
+# their `Arc`, packets cut from one drain share it, reassembly keeps
+# every protocol check on its in-order fast path.
+packet-seam:
+    cargo test -q -p fv-net -p bytes
+
 # Everything CI runs.
-ci: verify scatter doc fmt-check clippy analyze bench-check
+ci: verify scatter packet-seam doc fmt-check clippy analyze bench-check
 
 # Reproduce every table/figure of the paper plus the scale-out sweep.
 figures:
@@ -59,10 +65,16 @@ bench-smoke:
 
 # Wall-clock microbench of the host hot path: vectorized block datapath
 # vs the per-tuple reference, the size-gated fleet scatter vs its serial
-# reference (64 KiB and 4 MiB tables), and the replica-dedup win over the
-# seed model. Rewrites BENCH_PR8.json; refuses on a 1-CPU host.
+# reference (64 KiB and 4 MiB tables), the replica-dedup win over the
+# seed model, and the whole-query result path (µs per `far_view` of a
+# 1 MiB table and per response packet). Rewrites BENCH_PR8.json; refuses
+# on a 1-CPU host. The two variables are the env-var form of the
+# `mallopt` pin fvbench applies (benchmark/README.md, "Allocator
+# pinned"): unpinned, glibc settles at random into recycling MiB-sized
+# buffers on the heap or mmapping each one, and the same binary reads
+# 1.07 or 1.63 ms per `read`.
 bench-hotpath:
-    cargo run -q --release -p fv-bench --bin figures hotpath
+    MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=4294967295 cargo run -q --release -p fv-bench --bin figures hotpath
 
 # Tail latency per fault class under deterministic fault injection.
 # Rewrites BENCH_PR6.json.
