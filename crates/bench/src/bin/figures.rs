@@ -65,7 +65,8 @@ fn check_recorded_hotpath_baseline(path: &str) -> Result<(), String> {
         }
     }
     check_recorded_scatter_rows(path, &json)?;
-    check_recorded_result_path_rows(path, &json)
+    check_recorded_result_path_rows(path, &json)?;
+    check_recorded_operator_kernel_rows(path, &json)
 }
 
 /// The number recorded under `"key":` on one line of a `to_json` file.
@@ -159,6 +160,39 @@ fn check_recorded_result_path_rows(path: &str, json: &str) -> Result<(), String>
         if query == "read" && per_packet > READ_US_PER_PACKET_MAX {
             return Err(format!(
                 "{path}: read costs {per_packet} us per packet, over the {READ_US_PER_PACKET_MAX} budget — the result path grew a per-packet copy or allocation"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Budgets of the recorded operator-kernel rows. The byte-wise cipher
+/// ran at 11 ns/B and the table-driven one at 3.3 on the recording box;
+/// a regex-spec compile cost 500 µs when it ran the per-byte subset
+/// construction twice and costs about 20 with one byte-class pass.
+const CTR_NS_PER_BYTE_MAX: f64 = 5.0;
+const REGEX_COMPILE_US_MAX: f64 = 100.0;
+
+/// The operator-kernel half of the recorded hotpath baseline: all four
+/// rows present with a positive value, and the two kernels within their
+/// budgets. Checked on the *recorded* rows, like the other halves.
+fn check_recorded_operator_kernel_rows(path: &str, json: &str) -> Result<(), String> {
+    for (kernel, metric, max) in [
+        ("aes_ctr", "ctr_ns_per_byte", CTR_NS_PER_BYTE_MAX),
+        ("regex_compile", "regex_compile_us", REGEX_COMPILE_US_MAX),
+        ("decrypt_groupby", "far_view_us", f64::INFINITY),
+        ("regex10", "far_view_us", f64::INFINITY),
+    ] {
+        let value = json
+            .lines()
+            .find(|l| l.contains(&format!("\"kernel\": \"{kernel}\"")))
+            .and_then(|line| json_number(line, metric))
+            .ok_or_else(|| {
+                format!("{path}: no operator_kernels row {kernel:?} with {metric:?} — run `just bench-hotpath`")
+            })?;
+        if value <= 0.0 || value > max {
+            return Err(format!(
+                "{path}: operator kernel {kernel:?} records {metric} {value}, budget {max} — the table-driven cipher or the byte-class DFA regressed"
             ));
         }
     }

@@ -29,6 +29,16 @@
 //!   allocation. `figures smoke` gates the recorded `read` row at 1.15 µs
 //!   per packet.
 //!
+//! * **Operator kernels** — the two operators whose host cost is a
+//!   kernel of their own rather than the block datapath: AES-128-CTR in
+//!   ns per byte over 128 KiB, `CompiledPipeline::compile` of the regex
+//!   spec in µs (parse, NFA, byte-class DFA), and whole `far_view`s of
+//!   the two query shapes they sit in — `decrypt → group_by` over a
+//!   128 KiB encrypted table and the 10 %-match regex scan. `figures
+//!   smoke` gates the recorded rows at 5.0 ns/B and 100 µs (the byte-wise
+//!   cipher ran at 11 ns/B, the per-byte subset construction at 250 µs
+//!   twice per compile).
+//!
 //! `figures hotpath` renders the figure **and** writes the machine-
 //! readable `BENCH_PR8.json` so future PRs have a perf baseline to beat.
 
@@ -40,8 +50,8 @@ use farview_core::{
     Partitioning, PipelineSpec, PredicateExpr,
 };
 use fv_data::Table;
-use fv_pipeline::CompiledPipeline;
-use fv_workload::{StringTableGen, TableGen, REGEX_PATTERN};
+use fv_pipeline::{CompiledPipeline, CryptoSpec};
+use fv_workload::{encrypt_table, StringTableGen, TableGen, REGEX_PATTERN};
 
 use crate::figure::Figure;
 
@@ -55,6 +65,10 @@ pub const HOTPATH_SCATTER_TABLE_KIB: [usize; 2] = [64, 4096];
 /// Table size (KiB) of the result-path half: 1 MiB in, 1025 packets out
 /// of a `read`.
 pub const HOTPATH_RESULT_TABLE_KIB: usize = 1024;
+
+/// Bytes (KiB) the AES-CTR kernel row and the `decrypt_groupby` row
+/// decrypt: fvbench `agg_batch`'s encrypted table.
+pub const HOTPATH_CRYPT_TABLE_KIB: usize = 128;
 
 /// One operator's block-vs-scalar measurement.
 #[derive(Debug, Clone)]
@@ -143,6 +157,20 @@ impl ResultPathSample {
     }
 }
 
+/// One operator-kernel measurement: `value` is recorded in the JSON row
+/// under the key `metric`.
+#[derive(Debug, Clone)]
+pub struct KernelSample {
+    /// `aes_ctr`, `regex_compile`, `decrypt_groupby` or `regex10`.
+    pub kernel: &'static str,
+    /// `ctr_ns_per_byte`, `regex_compile_us` or `far_view_us`.
+    pub metric: &'static str,
+    /// KiB of input the kernel reads (0 for the compile).
+    pub input_kib: usize,
+    /// Fastest repetition, in the metric's unit.
+    pub value: f64,
+}
+
 /// The full hotpath measurement: what `BENCH_PR8.json` records.
 #[derive(Debug, Clone)]
 pub struct HotpathReport {
@@ -159,6 +187,8 @@ pub struct HotpathReport {
     pub scatter: Vec<ScatterSample>,
     /// Whole-query result-path samples.
     pub result_path: Vec<ResultPathSample>,
+    /// AES-CTR, regex compile, and the two whole queries they sit in.
+    pub operator_kernels: Vec<KernelSample>,
 }
 
 impl HotpathReport {
@@ -168,7 +198,7 @@ impl HotpathReport {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"bench\": \"hotpath\",\n");
-        out.push_str("  \"units\": {\"operators\": \"tuples/s (wall-clock)\", \"scatter\": \"ms/batch (wall-clock)\", \"result_path\": \"us/query (wall-clock)\"},\n");
+        out.push_str("  \"units\": {\"operators\": \"tuples/s (wall-clock)\", \"scatter\": \"ms/batch (wall-clock)\", \"result_path\": \"us/query (wall-clock)\", \"operator_kernels\": \"per row (wall-clock)\"},\n");
         out.push_str(&format!("  \"rows\": {},\n", self.rows));
         out.push_str(&format!("  \"reps\": {},\n", self.reps));
         out.push_str(&format!(
@@ -215,6 +245,22 @@ impl HotpathReport {
                 s.far_view_us,
                 s.us_per_packet(),
                 if i + 1 == self.result_path.len() { "" } else { "," }
+            ));
+        }
+        out.push_str("  ],\n");
+        out.push_str("  \"operator_kernels\": [\n");
+        for (i, s) in self.operator_kernels.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"kernel\": \"{}\", \"input_kib\": {}, \"{}\": {:.2}}}{}\n",
+                s.kernel,
+                s.input_kib,
+                s.metric,
+                s.value,
+                if i + 1 == self.operator_kernels.len() {
+                    ""
+                } else {
+                    ","
+                }
             ));
         }
         out.push_str("  ]\n}\n");
@@ -469,6 +515,18 @@ fn operator_suite(rows: usize) -> Vec<(String, PipelineSpec, Table)> {
     ]
 }
 
+/// Fastest of `reps` runs of `f`, in seconds (after one warm-up run).
+fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Time whole `far_view` calls over a `table_kib` table on one node:
 /// `read` and `select50`, the two shapes whose result is nothing but
 /// packets. Fastest of `reps` per shape, like every other row.
@@ -501,13 +559,9 @@ fn result_path_samples(table_kib: usize, reps: usize) -> Vec<ResultPathSample> {
             assert_eq!(out.payload.len() % 64, 0);
             let packets = out.stats.packets;
             assert_eq!(packets, out.payload.len() as u64 / 1024 + 1);
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let out = qp.far_view(&ft, &spec);
-                std::hint::black_box(&out.expect("query completes"));
-                best = best.min(start.elapsed().as_secs_f64());
-            }
+            let best = best_secs(reps, || {
+                std::hint::black_box(&qp.far_view(&ft, &spec).expect("query completes"));
+            });
             ResultPathSample {
                 query: query.into(),
                 table_kib,
@@ -516,6 +570,101 @@ fn result_path_samples(table_kib: usize, reps: usize) -> Vec<ResultPathSample> {
             }
         })
         .collect()
+}
+
+/// Time the AES-CTR and regex-compile kernels on their own, then whole
+/// `far_view`s of fvbench `agg_batch`'s two single queries: `decrypt →
+/// group_by` over an encrypted table and `regex10` over `string_rows`
+/// 64-byte strings of which a tenth match.
+fn operator_kernel_samples(string_rows: usize, reps: usize) -> Vec<KernelSample> {
+    let key = CryptoSpec {
+        key: *b"hotpath kernels!",
+        iv: [0xf0; 16],
+    };
+    let mut buf = vec![0u8; HOTPATH_CRYPT_TABLE_KIB * 1024];
+    let ctr_secs = best_secs(reps, || {
+        fv_crypto::ctr_apply_at(&key.key, &key.iv, 0, std::hint::black_box(&mut buf));
+    });
+
+    let strings = StringTableGen::new(string_rows, 64)
+        .match_fraction(0.1)
+        .seed(58)
+        .build();
+    let regex10 = PipelineSpec::passthrough().regex_match(1, REGEX_PATTERN);
+    let compile_secs = best_secs(reps, || {
+        let compiled = CompiledPipeline::compile(regex10.clone(), strings.schema());
+        std::hint::black_box(compiled.expect("spec compiles"));
+    });
+
+    // 64 B tuples; 32 groups, summed over the row index.
+    let plain = TableGen::new(8, HOTPATH_CRYPT_TABLE_KIB * 16)
+        .seed(59)
+        .distinct_column(0, 32)
+        .sequential_column(2)
+        .build();
+    let group_by = PipelineSpec::passthrough().group_by(
+        vec![0],
+        vec![AggSpec {
+            col: 2,
+            func: AggFunc::Sum,
+        }],
+    );
+    let decrypt_groupby = group_by.clone().decrypt(key.clone());
+    let encrypted = encrypt_table(&plain, &key.key, &key.iv);
+
+    let cluster = FarviewCluster::new(FarviewConfig::default());
+    let qp = cluster.connect().expect("a free region");
+    let (plain_ft, _) = qp.load_table(&plain).expect("buffer pool space");
+    let (encrypted_ft, _) = qp.load_table(&encrypted).expect("buffer pool space");
+    let (strings_ft, _) = qp.load_table(&strings).expect("buffer pool space");
+    // Correctness first: decrypting the ciphertext groups like the
+    // plaintext, and the scan keeps about a tenth of the rows.
+    let want = qp.far_view(&plain_ft, &group_by).expect("query completes");
+    let got = qp
+        .far_view(&encrypted_ft, &decrypt_groupby)
+        .expect("query completes");
+    assert_eq!(got.payload, want.payload, "decrypt changed the groups");
+    let matched = qp
+        .far_view(&strings_ft, &regex10)
+        .expect("query completes")
+        .stats
+        .tuples_out as usize;
+    assert!(
+        (string_rows / 20..=string_rows / 5).contains(&matched),
+        "regex10 kept {matched} of {string_rows} rows"
+    );
+    let far_view_us = |ft, spec: &PipelineSpec| {
+        1e6 * best_secs(reps, || {
+            std::hint::black_box(&qp.far_view(ft, spec).expect("query completes"));
+        })
+    };
+
+    vec![
+        KernelSample {
+            kernel: "aes_ctr",
+            metric: "ctr_ns_per_byte",
+            input_kib: HOTPATH_CRYPT_TABLE_KIB,
+            value: ctr_secs * 1e9 / buf.len() as f64,
+        },
+        KernelSample {
+            kernel: "regex_compile",
+            metric: "regex_compile_us",
+            input_kib: 0,
+            value: compile_secs * 1e6,
+        },
+        KernelSample {
+            kernel: "decrypt_groupby",
+            metric: "far_view_us",
+            input_kib: HOTPATH_CRYPT_TABLE_KIB,
+            value: far_view_us(&encrypted_ft, &decrypt_groupby),
+        },
+        KernelSample {
+            kernel: "regex10",
+            metric: "far_view_us",
+            input_kib: strings.byte_len() / 1024,
+            value: far_view_us(&strings_ft, &regex10),
+        },
+    ]
 }
 
 /// Run the full measurement at the given scale.
@@ -640,6 +789,7 @@ pub fn hotpath_report_at(
         operators,
         scatter,
         result_path: result_path_samples(result_table_kib, reps),
+        operator_kernels: operator_kernel_samples(rows.min(16_384), reps),
     }
 }
 
@@ -705,6 +855,10 @@ mod tests {
         assert_eq!(select50.query, "select50");
         assert!((20..46).contains(&select50.packets), "{select50:?}");
         assert!(read.far_view_us > 0.0 && select50.us_per_packet() > 0.0);
+        assert_eq!(r.operator_kernels.len(), 4);
+        for k in &r.operator_kernels {
+            assert!(k.value > 0.0, "{k:?}");
+        }
         for s in &r.operators {
             assert!(s.block_tuples_per_s > 0.0, "{}: no block rate", s.op);
             assert!(s.scalar_tuples_per_s > 0.0, "{}: no scalar rate", s.op);
@@ -738,6 +892,10 @@ mod tests {
             "\"batched_blocks\"",
             "\"query\": \"read\", \"table_kib\": 64, \"packets\": 65",
             "\"us_per_packet\"",
+            "\"kernel\": \"aes_ctr\", \"input_kib\": 128, \"ctr_ns_per_byte\":",
+            "\"kernel\": \"regex_compile\", \"input_kib\": 0, \"regex_compile_us\":",
+            "\"kernel\": \"decrypt_groupby\", \"input_kib\": 128, \"far_view_us\":",
+            "\"kernel\": \"regex10\", \"input_kib\": 36, \"far_view_us\":",
         ] {
             assert!(json.contains(needle), "JSON missing {needle}");
         }

@@ -39,10 +39,12 @@
 //! scatter vs its serial reference at 1 → 8 nodes for a table on each
 //! side of the gate, and the whole-query result path — host µs per
 //! `far_view` of a 1 MiB table and per response packet, for `read` and
-//! `select50` (`figures hotpath` also writes the machine-readable
-//! `BENCH_PR8.json` perf baseline — on a host with at least 2 CPUs —
-//! and `figures smoke` gates the recorded `read` row at 1.15 µs per
-//! packet).
+//! `select50`, and the operator kernels — AES-CTR ns/B, regex-spec
+//! compile µs, and whole `far_view`s of `decrypt → group_by` and the
+//! 10 %-match regex scan (`figures hotpath` also writes the
+//! machine-readable `BENCH_PR8.json` perf baseline — on a host with at
+//! least 2 CPUs — and `figures smoke` gates the recorded `read` row at
+//! 1.15 µs per packet, AES-CTR at 5.0 ns/B and the compile at 100 µs).
 //! [`chaos()`] degrades one node of a replicated fleet behind each
 //! seeded fault class (loss/retry, delay spikes, bandwidth cap,
 //! partition, truncated doorbell, raced slow replica), asserting
@@ -79,9 +81,9 @@ pub use chaos::{
 pub use experiments::*;
 pub use figure::{Figure, Series};
 pub use hotpath::{
-    hotpath, hotpath_report, hotpath_report_at, hotpath_smoke, HotpathReport, OperatorSample,
-    ResultPathSample, ScatterSample, HOTPATH_FLEET_SIZES, HOTPATH_RESULT_TABLE_KIB,
-    HOTPATH_SCATTER_TABLE_KIB,
+    hotpath, hotpath_report, hotpath_report_at, hotpath_smoke, HotpathReport, KernelSample,
+    OperatorSample, ResultPathSample, ScatterSample, HOTPATH_CRYPT_TABLE_KIB, HOTPATH_FLEET_SIZES,
+    HOTPATH_RESULT_TABLE_KIB, HOTPATH_SCATTER_TABLE_KIB,
 };
 pub use overload::{
     overload, overload_backend, overload_report, overload_report_at, overload_smoke, serve_class,

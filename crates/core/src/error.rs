@@ -99,7 +99,8 @@ pub enum FvError {
     /// The requested pipeline feature cannot fan out across a fleet:
     /// its per-shard outputs are not mergeable client-side (e.g. a
     /// compressed or encrypted result stream has no order-preserving
-    /// concatenation).
+    /// concatenation), or a shard cannot read its slice of the input
+    /// (a table encrypted at rest: the slice has no keystream offset).
     FleetUnsupported {
         /// Human-readable name of the offending feature.
         feature: &'static str,
@@ -245,7 +246,7 @@ impl fmt::Display for FvError {
             }
             FvError::Codec(e) => write!(f, "staged column image: {e}"),
             FvError::FleetUnsupported { feature } => {
-                write!(f, "{feature} results cannot be merged across fleet shards")
+                write!(f, "{feature} queries cannot fan out across fleet shards")
             }
             FvError::FleetPartitionMismatch => {
                 write!(

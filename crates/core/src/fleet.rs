@@ -937,6 +937,16 @@ impl FleetQPair {
     /// pipeline's grouping stage. Thin wrapper over [`Executor::fleet`]
     /// — shard-spec derivation and the merge live in [`crate::plan`],
     /// shared with the batched verb.
+    ///
+    /// # Errors
+    /// [`FvError::FleetUnsupported`] for a spec whose result streams do
+    /// not merge (`compress_output`, `encrypt_output`) and for one that
+    /// reads a table encrypted at rest (`decrypt_input`): every shard's
+    /// pipeline starts its CTR stream at offset 0, but a row-range
+    /// shard's ciphertext begins `lo × row_bytes` into the table's
+    /// keystream and a key-hash shard's rows come from all over it.
+    /// Query encrypted tables on a single node; a per-shard keystream
+    /// seek is not implemented.
     pub fn far_view(
         &self,
         ft: &FleetTable,
@@ -1256,6 +1266,66 @@ mod tests {
             other_qp.table_read(&ft),
             Err(FvError::ForeignTable)
         ));
+    }
+
+    /// A table encrypted at rest decrypts on one node and is a typed
+    /// refusal on a fleet — under either partitioning, replicated, and
+    /// from inside a batch. Each shard's pipeline would start its CTR
+    /// stream at offset 0 over ciphertext cut from further into the
+    /// keystream: before the refusal, every shard but the first came
+    /// back as garbage with `Ok`.
+    #[test]
+    fn decrypting_an_encrypted_table_across_shards_is_a_typed_refusal() {
+        use fv_pipeline::CryptoSpec;
+        let key = CryptoSpec {
+            key: [0x2b; 16],
+            iv: [0xf0; 16],
+        };
+        let plain = table(4096, 32);
+        let encrypted = fv_workload::encrypt_table(&plain, &key.key, &key.iv);
+        let decrypt = PipelineSpec::passthrough().decrypt(key);
+        assert_eq!(
+            single_node_baseline(&encrypted, &decrypt).payload,
+            plain.bytes(),
+            "one node sees the whole keystream"
+        );
+
+        let refused = FvError::FleetUnsupported {
+            feature: "input-decrypted",
+        };
+        let fleet = FarviewFleet::new(4, FarviewConfig::tiny());
+        let qp = fleet.connect().unwrap();
+        for (part, replicas) in [
+            (Partitioning::RowRange, 1),
+            (Partitioning::KeyHash(0), 1),
+            (Partitioning::RowRange, 2),
+        ] {
+            let (ft, _) = qp
+                .load_table_replicated(&encrypted, part, replicas)
+                .unwrap();
+            assert_eq!(
+                qp.far_view(&ft, &decrypt).map(|o| o.merged.payload),
+                Err(refused.clone()),
+                "{part:?} r={replicas}"
+            );
+            // One decrypting spec refuses the whole batch, before any
+            // shard runs.
+            let batch = [
+                PipelineSpec::passthrough().distinct(vec![0]),
+                decrypt.clone(),
+                PipelineSpec::passthrough(),
+            ];
+            assert_eq!(
+                qp.far_view_batch(&ft, &batch).map(|o| o.len()),
+                Err(refused.clone()),
+                "{part:?} r={replicas} batch"
+            );
+            // The ciphertext itself still reads back whole.
+            assert_eq!(
+                qp.table_read(&ft).unwrap().merged.payload.len(),
+                encrypted.byte_len()
+            );
+        }
     }
 
     #[test]

@@ -510,9 +510,10 @@ impl QueryPlan {
     ///   against the schema flowing into that stage;
     /// * output-name uniqueness wherever a stage defines new columns;
     /// * smart addressing's structural constraints (pure projection);
-    /// * for [`PlanTarget::Fleet`], that the result stream merges
-    ///   order-preservingly (no compress/encrypt stage) and that every
-    ///   aggregate stage admits the partial/final split
+    /// * for [`PlanTarget::Fleet`], that shards can read their slice of
+    ///   the table as stored (no decrypt stage), that the result stream
+    ///   merges order-preservingly (no compress/encrypt stage) and that
+    ///   every aggregate stage admits the partial/final split
     ///   ([`PartialAggPlan`]) the gather reassembles shards with.
     ///
     /// `verify` does **not** check lowerability: a verifiable plan may
@@ -543,7 +544,13 @@ impl QueryPlan {
                 }
             }
             match stage {
-                LogicalStage::Decrypt(_) => {}
+                LogicalStage::Decrypt(_) => {
+                    if fleet {
+                        return Err(FvError::FleetUnsupported {
+                            feature: "input-decrypted",
+                        });
+                    }
+                }
                 LogicalStage::Filter(p) => p.validate(&current).map_err(PipelineError::from)?,
                 LogicalStage::Regex(r) => r.verify(&current)?,
                 LogicalStage::Join(j) => current = j.verify(&current)?,
@@ -1019,7 +1026,9 @@ pub enum MergeSpec {
 ///
 /// # Errors
 /// [`FvError::FleetUnsupported`] for result streams with no
-/// order-preserving merge (compressed or output-encrypted).
+/// order-preserving merge (compressed or output-encrypted), and for
+/// tables encrypted at rest (`decrypt_input`): a shard holds a slice of
+/// the table's ciphertext but no offset into its keystream.
 pub fn shard_execution(
     spec: &PipelineSpec,
     schema: &Schema,
@@ -1032,6 +1041,15 @@ pub fn shard_execution(
     if spec.encrypt_output.is_some() {
         return Err(FvError::FleetUnsupported {
             feature: "output-encrypted",
+        });
+    }
+    if spec.decrypt_input.is_some() {
+        // Every shard's pipeline starts its CTR stream at offset 0, but
+        // a row-range shard's ciphertext begins `lo × row_bytes` into
+        // the table's keystream, and a key-hash shard's rows come from
+        // all over it: decrypting would return garbage, not an error.
+        return Err(FvError::FleetUnsupported {
+            feature: "input-decrypted",
         });
     }
     match &spec.grouping {
@@ -1527,6 +1545,44 @@ mod tests {
         let qp = c.connect().unwrap();
         let (ft, _) = qp.load_table(t).unwrap();
         qp.far_view(&ft, spec).unwrap()
+    }
+
+    /// The plan verifier and the shard planner refuse the same three
+    /// spec features on a fleet, under the same names; a single-node
+    /// target takes all three.
+    #[test]
+    fn fleet_refusals_agree_between_verifier_and_shard_planner() {
+        let key = fv_pipeline::CryptoSpec {
+            key: [1; 16],
+            iv: [2; 16],
+        };
+        let schema = Schema::uniform_u64(3);
+        let fleet = PlanTarget::Fleet {
+            shards: 4,
+            partitioning: crate::Partitioning::RowRange,
+        };
+        for (spec, feature) in [
+            (PipelineSpec::passthrough().compress(), "compressed"),
+            (
+                PipelineSpec::passthrough().encrypt(key.clone()),
+                "output-encrypted",
+            ),
+            (PipelineSpec::passthrough().decrypt(key), "input-decrypted"),
+        ] {
+            let refused = FvError::FleetUnsupported { feature };
+            assert_eq!(
+                shard_execution(&spec, &schema).map(|(s, _)| s),
+                Err(refused.clone())
+            );
+            assert_eq!(
+                QueryPlan::from_spec(&spec, fleet).verify(&schema),
+                Err(refused)
+            );
+            assert_eq!(
+                QueryPlan::from_spec(&spec, PlanTarget::Single).verify(&schema),
+                Ok(schema.clone())
+            );
+        }
     }
 
     #[test]

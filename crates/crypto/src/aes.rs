@@ -1,13 +1,31 @@
-//! FIPS-197 AES-128 block cipher.
+//! FIPS-197 AES-128 block cipher, table-driven.
 //!
-//! A straightforward byte-oriented implementation: S-box substitution,
-//! row shifts, GF(2^8) column mixing, and the 10-round key schedule. No
-//! lookup-table tricks beyond the S-box itself — clarity over speed; the
-//! simulated FPGA charges line-rate timing regardless, and the CPU
-//! baseline charges a calibrated software rate.
+//! The cipher state is four big-endian column words (FIPS-197 §3.4:
+//! byte `4c + r` of a block is row `r` of column `c`). A middle round is
+//! sixteen lookups into four 256-entry `u32` tables that fuse SubBytes,
+//! ShiftRows and MixColumns — `TE0[x]` is the MixColumns image of a
+//! column holding `S[x]` in row 0, and `TE1..TE3` are the same word
+//! rotated for rows 1..3 — and the last round, which has no MixColumns,
+//! goes through the S-box alone. The tables are computed from the S-box
+//! at compile time (4 KiB of read-only data) and the key schedule runs
+//! on the same words. Counter mode asks for several blocks per call
+//! ([`Aes128::encrypt_blocks`]); they are encrypted one after another —
+//! their rounds are independent, so the core overlaps them by itself,
+//! whereas stepping four states abreast measured a third slower (sixteen
+//! live state words do not fit the register file).
+//!
+//! **Not constant-time.** Table indices depend on key and data, so the
+//! cipher leaks through cache timing — the same class of leak as the
+//! S-box lookups of the byte-wise cipher this replaces, only wider. This
+//! is the functional substrate of a simulator (the simulated FPGA
+//! charges line-rate timing regardless, the CPU baseline a calibrated
+//! software rate), not a production cipher; `#![forbid(unsafe_code)]`
+//! rules out AES-NI.
 //!
 //! Only encryption is implemented: counter mode never runs the inverse
-//! cipher (decryption XORs the same keystream).
+//! cipher (decryption XORs the same keystream). The textbook byte-wise
+//! rounds survive as `reference`, compiled for tests only, where they
+//! are the oracle the tables are checked against.
 
 /// The AES S-box (FIPS-197 Figure 7).
 const SBOX: [u8; 256] = [
@@ -33,15 +51,103 @@ const SBOX: [u8; 256] = [
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 /// Multiply by x (i.e. {02}) in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1.
-#[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
 }
 
-/// An expanded AES-128 key (11 round keys of 16 bytes).
+/// The round table for row `row`: entry `x` is the MixColumns column
+/// `({02}·S[x], S[x], S[x], {03}·S[x])` rotated down by `row` rows.
+const fn round_table(row: u32) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let s2 = xtime(s);
+        table[x] = u32::from_be_bytes([s2, s, s, s2 ^ s]).rotate_right(8 * row);
+        x += 1;
+    }
+    table
+}
+
+static TE0: [u32; 256] = round_table(0);
+static TE1: [u32; 256] = round_table(1);
+static TE2: [u32; 256] = round_table(2);
+static TE3: [u32; 256] = round_table(3);
+
+/// The one place a round table is indexed: a `u8` cannot be out of
+/// bounds of 256 entries, so this compiles to a bare load.
+#[inline]
+fn lut(t: &[u32; 256], b: u8) -> u32 {
+    t[usize::from(b)]
+}
+
+#[inline]
+fn sub_byte(b: u8) -> u8 {
+    SBOX[usize::from(b)]
+}
+
+/// Cipher state and round key: four big-endian column words.
+type Block = [u32; 4];
+
+#[inline]
+fn to_words(block: u128) -> Block {
+    [
+        (block >> 96) as u32,
+        (block >> 64) as u32,
+        (block >> 32) as u32,
+        block as u32,
+    ]
+}
+
+#[inline]
+fn from_words([a, b, c, d]: Block) -> u128 {
+    (u128::from(a) << 96) | (u128::from(b) << 64) | (u128::from(c) << 32) | u128::from(d)
+}
+
+#[inline]
+fn add_round_key([a, b, c, d]: Block, [k0, k1, k2, k3]: &Block) -> Block {
+    [a ^ k0, b ^ k1, c ^ k2, d ^ k3]
+}
+
+/// ShiftRows, by selection: the four bytes that land in each output
+/// column (row `r` of column `c` comes from column `c + r`).
+#[inline]
+fn shift_rows([a, b, c, d]: Block) -> [[u8; 4]; 4] {
+    let column = |r0: u32, r1: u32, r2: u32, r3: u32| {
+        [
+            (r0 >> 24) as u8,
+            (r1 >> 16) as u8,
+            (r2 >> 8) as u8,
+            r3 as u8,
+        ]
+    };
+    [
+        column(a, b, c, d),
+        column(b, c, d, a),
+        column(c, d, a, b),
+        column(d, a, b, c),
+    ]
+}
+
+/// One middle round: SubBytes, ShiftRows, MixColumns, AddRoundKey.
+#[inline]
+fn round(state: Block, rk: &Block) -> Block {
+    let mixed = shift_rows(state)
+        .map(|[r0, r1, r2, r3]| lut(&TE0, r0) ^ lut(&TE1, r1) ^ lut(&TE2, r2) ^ lut(&TE3, r3));
+    add_round_key(mixed, rk)
+}
+
+/// The last round: SubBytes, ShiftRows, AddRoundKey (no MixColumns).
+#[inline]
+fn final_round(state: Block, rk: &Block) -> Block {
+    let substituted = shift_rows(state).map(|column| u32::from_be_bytes(column.map(sub_byte)));
+    add_round_key(substituted, rk)
+}
+
+/// An expanded AES-128 key (11 round keys of four column words).
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    round_keys: [Block; 11],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -54,6 +160,74 @@ impl std::fmt::Debug for Aes128 {
 impl Aes128 {
     /// Expand a 128-bit cipher key.
     pub fn new(key: &[u8; 16]) -> Self {
+        let mut rk = to_words(u128::from_be_bytes(*key));
+        let mut round_keys = [rk; 11];
+        for (slot, rcon) in round_keys.iter_mut().skip(1).zip(RCON) {
+            let [w0, w1, w2, w3] = rk;
+            // RotWord + SubWord + Rcon on the previous key's last word;
+            // each word then chains off the one before it.
+            let t = u32::from_be_bytes(w3.rotate_left(8).to_be_bytes().map(sub_byte))
+                ^ (u32::from(rcon) << 24);
+            let n0 = w0 ^ t;
+            let n1 = w1 ^ n0;
+            let n2 = w2 ^ n1;
+            rk = [n0, n1, n2, w3 ^ n2];
+            *slot = rk;
+        }
+        Aes128 { round_keys }
+    }
+
+    /// Encrypt `N` independent blocks, each a big-endian 128-bit integer
+    /// (`u128::from_be_bytes` of the block's bytes).
+    #[inline]
+    pub(crate) fn encrypt_blocks<const N: usize>(&self, blocks: [u128; N]) -> [u128; N] {
+        let [first, middle @ .., last] = &self.round_keys;
+        blocks.map(|b| {
+            let mut state = add_round_key(to_words(b), first);
+            for rk in middle {
+                state = round(state, rk);
+            }
+            from_words(final_round(state, last))
+        })
+    }
+
+    /// Encrypt one 16-byte block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        *block = self.encrypt(block);
+    }
+
+    /// Encrypt a copy of `block`.
+    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
+        let [out] = self.encrypt_blocks([u128::from_be_bytes(*block)]);
+        out.to_be_bytes()
+    }
+}
+
+/// The byte-wise FIPS-197 cipher — S-box substitution, row shifts,
+/// GF(2^8) column mixing, byte key schedule — exactly as the standard
+/// writes it. Tests only: the differential oracle for the tables above.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{xtime, RCON, SBOX};
+
+    /// SplitMix64: the seeded stream the differential properties draw
+    /// keys, blocks and lengths from.
+    pub fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Sixteen bytes of [`splitmix`].
+    pub fn random_block(state: &mut u64) -> [u8; 16] {
+        let wide = (u128::from(splitmix(state)) << 64) | u128::from(splitmix(state));
+        wide.to_be_bytes()
+    }
+
+    /// Expand `key` into 11 round keys of 16 bytes.
+    pub fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
         let mut w = [[0u8; 4]; 44];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
             w[i].copy_from_slice(chunk);
@@ -78,84 +252,77 @@ impl Aes128 {
                 rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
             }
         }
-        Aes128 { round_keys }
+        round_keys
     }
 
-    /// Encrypt one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+    /// Encrypt one block under `key`.
+    pub fn encrypt(key: &[u8; 16], block: &[u8; 16]) -> [u8; 16] {
+        let round_keys = expand_key(key);
+        let mut state = *block;
+        add_round_key(&mut state, &round_keys[0]);
+        for rk in &round_keys[1..10] {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            mix_columns(&mut state);
+            add_round_key(&mut state, rk);
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[10]);
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        add_round_key(&mut state, &round_keys[10]);
+        state
     }
 
-    /// Encrypt a copy of `block`.
-    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.encrypt_block(&mut out);
-        out
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for (s, k) in state.iter_mut().zip(rk) {
+            *s ^= k;
+        }
     }
-}
 
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk) {
-        *s ^= k;
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
     }
-}
 
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
+    /// State is column-major (FIPS-197 §3.4): byte `state[4c + r]` is row
+    /// r, column c. ShiftRows rotates row r left by r.
+    pub fn shift_rows(state: &mut [u8; 16]) {
+        // Row 1: left rotate by 1.
+        let t = state[1];
+        state[1] = state[5];
+        state[5] = state[9];
+        state[9] = state[13];
+        state[13] = t;
+        // Row 2: left rotate by 2 (two swaps).
+        state.swap(2, 10);
+        state.swap(6, 14);
+        // Row 3: left rotate by 3 (= right rotate by 1).
+        let t = state[15];
+        state[15] = state[11];
+        state[11] = state[7];
+        state[7] = state[3];
+        state[3] = t;
     }
-}
 
-/// State is column-major (FIPS-197 §3.4): byte `state[4c + r]` is row r,
-/// column c. ShiftRows rotates row r left by r.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    // Row 1: left rotate by 1.
-    let t = state[1];
-    state[1] = state[5];
-    state[5] = state[9];
-    state[9] = state[13];
-    state[13] = t;
-    // Row 2: left rotate by 2 (two swaps).
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: left rotate by 3 (= right rotate by 1).
-    let t = state[15];
-    state[15] = state[11];
-    state[11] = state[7];
-    state[7] = state[3];
-    state[3] = t;
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = &mut state[4 * c..4 * c + 4];
-        let a0 = col[0];
-        let a1 = col[1];
-        let a2 = col[2];
-        let a3 = col[3];
-        let all = a0 ^ a1 ^ a2 ^ a3;
-        col[0] = a0 ^ all ^ xtime(a0 ^ a1);
-        col[1] = a1 ^ all ^ xtime(a1 ^ a2);
-        col[2] = a2 ^ all ^ xtime(a2 ^ a3);
-        col[3] = a3 ^ all ^ xtime(a3 ^ a0);
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = &mut state[4 * c..4 * c + 4];
+            let a0 = col[0];
+            let a1 = col[1];
+            let a2 = col[2];
+            let a3 = col[3];
+            let all = a0 ^ a1 ^ a2 ^ a3;
+            col[0] = a0 ^ all ^ xtime(a0 ^ a1);
+            col[1] = a1 ^ all ^ xtime(a1 ^ a2);
+            col[2] = a2 ^ all ^ xtime(a2 ^ a3);
+            col[3] = a3 ^ all ^ xtime(a3 ^ a0);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::random_block;
     use super::*;
 
     fn hex(s: &str) -> Vec<u8> {
@@ -173,6 +340,7 @@ mod tests {
         let aes = Aes128::new(&key);
         let ct = aes.encrypt(&pt);
         assert_eq!(ct.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
+        assert_eq!(reference::encrypt(&key, &pt), ct);
     }
 
     /// FIPS-197 Appendix B vector (the worked example).
@@ -185,18 +353,61 @@ mod tests {
             aes.encrypt(&pt).to_vec(),
             hex("3925841d02dc09fbdc118597196a0b32")
         );
+        let mut in_place = pt;
+        aes.encrypt_block(&mut in_place);
+        assert_eq!(in_place, aes.encrypt(&pt));
     }
 
     /// Key schedule spot check: last round key of the FIPS-197 Appendix A
-    /// key expansion.
+    /// key expansion, as column words — and every round key against the
+    /// byte-wise schedule.
     #[test]
     fn key_schedule_last_round_key() {
         let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
         let aes = Aes128::new(&key);
         assert_eq!(
-            aes.round_keys[10].to_vec(),
-            hex("d014f9a8c9ee2589e13f0cc8b6630ca6")
+            aes.round_keys[10],
+            [0xd014_f9a8, 0xc9ee_2589, 0xe13f_0cc8, 0xb663_0ca6]
         );
+        for (words, bytes) in aes.round_keys.iter().zip(reference::expand_key(&key)) {
+            assert_eq!(from_words(*words).to_be_bytes(), bytes);
+        }
+    }
+
+    /// The tables against the textbook rounds: one random key per 50
+    /// random blocks, 1 000 blocks in all, one at a time and four abreast.
+    #[test]
+    fn tables_match_bytewise_reference() {
+        let mut rng = 0xfa27_1e77u64;
+        for _ in 0..20 {
+            let key = random_block(&mut rng);
+            let aes = Aes128::new(&key);
+            let blocks: Vec<[u8; 16]> = (0..50).map(|_| random_block(&mut rng)).collect();
+            for block in &blocks {
+                assert_eq!(aes.encrypt(block), reference::encrypt(&key, block));
+            }
+            for four in blocks.chunks_exact(4) {
+                let abreast =
+                    aes.encrypt_blocks::<4>(std::array::from_fn(|i| u128::from_be_bytes(four[i])));
+                for (out, block) in abreast.iter().zip(four) {
+                    assert_eq!(out.to_be_bytes(), reference::encrypt(&key, block));
+                }
+            }
+        }
+    }
+
+    /// Each round table is the first rotated down one more row, and its
+    /// entries are the MixColumns column of the S-box output.
+    #[test]
+    fn round_tables_are_rotations_of_the_first() {
+        for x in 0..=255u8 {
+            let s = SBOX[usize::from(x)];
+            let [r0, r1, r2, r3] = lut(&TE0, x).to_be_bytes();
+            assert_eq!([r0, r1, r2, r3], [xtime(s), s, s, xtime(s) ^ s]);
+            assert_eq!(lut(&TE1, x), lut(&TE0, x).rotate_right(8));
+            assert_eq!(lut(&TE2, x), lut(&TE0, x).rotate_right(16));
+            assert_eq!(lut(&TE3, x), lut(&TE0, x).rotate_right(24));
+        }
     }
 
     #[test]
@@ -210,7 +421,7 @@ mod tests {
     #[test]
     fn shift_rows_permutation() {
         let mut s: [u8; 16] = core::array::from_fn(|i| i as u8);
-        shift_rows(&mut s);
+        reference::shift_rows(&mut s);
         // Column-major: row r of column c was s[4c+r]. After ShiftRows,
         // state'[4c+r] = s[4*((c+r) mod 4) + r].
         let expected: [u8; 16] = core::array::from_fn(|i| {
@@ -218,6 +429,9 @@ mod tests {
             (4 * ((c + r) % 4) + r) as u8
         });
         assert_eq!(s, expected);
+        // The word form selects the same bytes.
+        let identity = to_words(u128::from_be_bytes(core::array::from_fn(|i| i as u8)));
+        assert_eq!(shift_rows(identity).concat(), expected);
     }
 
     #[test]

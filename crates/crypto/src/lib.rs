@@ -7,8 +7,10 @@
 //! Cryptopp library" (§6.7).
 //!
 //! This crate is the shared functional implementation for both sides: a
-//! from-scratch FIPS-197 AES-128 block cipher ([`Aes128`]) and NIST SP
-//! 800-38A counter mode ([`AesCtr`]). The *timing* difference between the
+//! from-scratch, table-driven FIPS-197 AES-128 block cipher ([`Aes128`]
+//! — safe Rust, not constant-time, a simulation substrate rather than a
+//! production cipher) and NIST SP 800-38A counter mode ([`AesCtr`],
+//! keystream in 64-byte strides). The *timing* difference between the
 //! FPGA operator (free, hidden behind the stream) and the CPU baseline
 //! (bounded by `fv_sim::calib::CPU_AES_BW`) is charged by the respective
 //! engines, not here.

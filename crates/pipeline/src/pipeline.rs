@@ -375,7 +375,7 @@ impl CompiledPipeline {
         // The static verifier *is* the validation pass: every conflict,
         // bounds, type and name check lives there, so a spec compiles if
         // and only if it verifies (modulo dynamic build-side placement).
-        let verified_schema = spec.verify(base_schema)?;
+        let (verified_schema, regex) = spec.verify_compiling(base_schema)?;
 
         // Fused filter+project scan: a selection paired with a pack-time
         // projection and nothing between them collapses into one pass
@@ -389,10 +389,9 @@ impl CompiledPipeline {
                 ops.push(Box::new(FilterOp::new(pred.clone(), base_schema.clone())));
             }
         }
-        if let Some(rf) = &spec.regex {
-            // Shape-checked by the verifier; compile the pattern for real.
-            let re = fv_regex::Regex::compile(&rf.pattern)
-                .map_err(|e| PipelineError::Regex(e.to_string()))?;
+        if let (Some(rf), Some(re)) = (&spec.regex, regex) {
+            // The verifier compiled the pattern to check it; run that
+            // automaton.
             ops.push(Box::new(RegexOp::new(re, rf.col, base_schema.clone())));
         }
         let mut out_schema = base_schema.clone();
@@ -948,6 +947,46 @@ mod tests {
         )
         .unwrap();
         assert!(!unfusable.is_fused());
+    }
+
+    /// A pattern the regex engine refuses — over the DFA state budget,
+    /// or not a pattern at all — is the same `PipelineError::Regex` from
+    /// the verifier, the filter's own check and the compile that shares
+    /// their automaton; a pattern it accepts passes all three.
+    #[test]
+    fn regex_spec_compiles_iff_it_verifies() {
+        use crate::spec::RegexFilter;
+        use fv_data::{Column, ColumnType};
+        let schema = Schema::new(vec![
+            Column {
+                name: "id".into(),
+                ty: ColumnType::U64,
+            },
+            Column {
+                name: "s".into(),
+                ty: ColumnType::Bytes(16),
+            },
+        ]);
+        // 2^14 subset states against a budget of 8192.
+        for bad in ["(a|b)*a(a|b){13}", "a(", "[z-a]"] {
+            let spec = PipelineSpec::passthrough().regex_match(1, bad);
+            let want = PipelineError::Regex(fv_regex::Regex::compile(bad).unwrap_err().to_string());
+            assert_eq!(spec.verify(&schema), Err(want.clone()), "{bad}");
+            let filter = RegexFilter {
+                col: 1,
+                pattern: bad.into(),
+            };
+            assert_eq!(filter.verify(&schema), Err(want.clone()), "{bad}");
+            assert_eq!(
+                CompiledPipeline::compile(spec, &schema).map(|p| p.is_fused()),
+                Err(want),
+                "{bad}"
+            );
+        }
+        let good = PipelineSpec::passthrough().regex_match(1, "smartmem[0-9]+");
+        assert_eq!(good.verify(&schema), Ok(schema.clone()));
+        let compiled = CompiledPipeline::compile(good, &schema).unwrap();
+        assert_eq!(compiled.out_schema(), &schema);
     }
 
     #[test]

@@ -129,6 +129,13 @@ impl RegexFilter {
     /// Statically validate this filter against `schema`: the column must
     /// exist, hold byte strings, and the pattern must compile.
     pub fn verify(&self, schema: &Schema) -> Result<(), PipelineError> {
+        self.compile(schema).map(drop)
+    }
+
+    /// [`RegexFilter::verify`], keeping what the last check built: the
+    /// only way to know a pattern compiles is to compile it, so the
+    /// verifier hands the automaton on instead of discarding it.
+    pub(crate) fn compile(&self, schema: &Schema) -> Result<fv_regex::Regex, PipelineError> {
         if self.col >= schema.column_count() {
             return Err(PipelineError::UnknownColumn {
                 col: self.col,
@@ -138,8 +145,7 @@ impl RegexFilter {
         if !matches!(schema.column(self.col).ty, ColumnType::Bytes(_)) {
             return Err(PipelineError::RegexOnNonString { col: self.col });
         }
-        fv_regex::Regex::compile(&self.pattern).map_err(|e| PipelineError::Regex(e.to_string()))?;
-        Ok(())
+        fv_regex::Regex::compile(&self.pattern).map_err(|e| PipelineError::Regex(e.to_string()))
     }
 }
 
@@ -289,6 +295,16 @@ impl PipelineSpec {
     /// budget). `compile` itself routes through this, and debug builds
     /// assert the returned schema matches the compiled pipeline's.
     pub fn verify(&self, base_schema: &Schema) -> Result<Schema, PipelineError> {
+        self.verify_compiling(base_schema).map(|(schema, _)| schema)
+    }
+
+    /// [`PipelineSpec::verify`], also returning the regex automaton the
+    /// check had to build — `CompiledPipeline::compile` puts it to work
+    /// instead of compiling the pattern a second time.
+    pub(crate) fn verify_compiling(
+        &self,
+        base_schema: &Schema,
+    ) -> Result<(Schema, Option<fv_regex::Regex>), PipelineError> {
         // Structural conflicts: combinations the hardware has no layout
         // for, checked before any per-column work.
         if self.smart_addressing {
@@ -325,9 +341,11 @@ impl PipelineSpec {
         if let Some(pred) = &self.selection {
             pred.validate(base_schema)?;
         }
-        if let Some(rf) = &self.regex {
-            rf.verify(base_schema)?;
-        }
+        let regex = self
+            .regex
+            .as_ref()
+            .map(|rf| rf.compile(base_schema))
+            .transpose()?;
         let mut out_schema = base_schema.clone();
         if let Some(join) = &self.join {
             out_schema = join.verify(base_schema)?;
@@ -353,7 +371,7 @@ impl PipelineSpec {
                     .clone();
             }
         }
-        Ok(out_schema)
+        Ok((out_schema, regex))
     }
 
     /// Whether `CompiledPipeline::compile` collapses this spec's

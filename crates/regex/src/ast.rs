@@ -46,16 +46,28 @@ impl ByteSet {
         self.bits[(b >> 6) as usize] & (1u64 << (b & 63)) != 0
     }
 
+    /// Combine with `other` word by word.
+    fn zip_with(&self, other: &ByteSet, f: impl Fn(u64, u64) -> u64) -> ByteSet {
+        let mut bits = self.bits;
+        for (w, o) in bits.iter_mut().zip(other.bits) {
+            *w = f(*w, o);
+        }
+        ByteSet { bits }
+    }
+
     /// Set union.
     pub fn union(&self, other: &ByteSet) -> ByteSet {
-        ByteSet {
-            bits: [
-                self.bits[0] | other.bits[0],
-                self.bits[1] | other.bits[1],
-                self.bits[2] | other.bits[2],
-                self.bits[3] | other.bits[3],
-            ],
-        }
+        self.zip_with(other, |a, b| a | b)
+    }
+
+    /// Set intersection.
+    pub fn intersect(&self, other: &ByteSet) -> ByteSet {
+        self.zip_with(other, |a, b| a & b)
+    }
+
+    /// Set difference: the members of `self` not in `other`.
+    pub fn minus(&self, other: &ByteSet) -> ByteSet {
+        self.zip_with(other, |a, b| a & !b)
     }
 
     /// Complement.
@@ -75,12 +87,17 @@ impl ByteSet {
         self.bits == [0; 4]
     }
 
-    /// Iterate over member bytes in ascending order.
+    /// Iterate over member bytes in ascending order (one step per
+    /// member: each word gives up its lowest set bit in turn).
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0u16..256).filter_map(|b| {
-            let b = b as u8;
-            self.contains(b).then_some(b)
-        })
+        self.bits
+            .iter()
+            .zip([0u8, 64, 128, 192])
+            .flat_map(|(&word, base)| {
+                std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)))
+                    .take_while(|&w| w != 0)
+                    .map(move |w| base + w.trailing_zeros() as u8)
+            })
     }
 }
 
@@ -163,6 +180,32 @@ mod tests {
         let s = ByteSet::range(b'a', b'c').union(&ByteSet::single(b'z'));
         assert_eq!(s.len(), 4);
         assert!(s.contains(b'z'));
+    }
+
+    #[test]
+    fn intersect_and_minus_split_a_set() {
+        let lower = ByteSet::range(b'a', b'z');
+        let a_to_m = ByteSet::range(0, b'm');
+        let inside = lower.intersect(&a_to_m);
+        let outside = lower.minus(&a_to_m);
+        assert_eq!(inside, ByteSet::range(b'a', b'm'));
+        assert_eq!(outside, ByteSet::range(b'n', b'z'));
+        assert_eq!(inside.union(&outside), lower);
+        assert!(inside.intersect(&outside).is_empty());
+    }
+
+    #[test]
+    fn iter_is_ascending_across_words() {
+        let every: Vec<u8> = ByteSet::full().iter().collect();
+        assert_eq!(every, (0..=255u8).collect::<Vec<_>>());
+        assert_eq!(ByteSet::empty().iter().next(), None);
+        let odd: Vec<u8> = ByteSet::full()
+            .minus(&ByteSet::range(0, 254))
+            .union(&ByteSet::single(63))
+            .union(&ByteSet::single(64))
+            .iter()
+            .collect();
+        assert_eq!(odd, vec![63, 64, 255]);
     }
 
     #[test]

@@ -4,6 +4,19 @@
 //! The state budget guards against pathological patterns; the evaluation
 //! patterns of the paper compile to a handful of states.
 //!
+//! Construction works per *byte class*, not per byte. Two bytes that
+//! belong to exactly the same NFA edge sets can never be told apart by
+//! the automaton, so the 256 bytes are partitioned once into such
+//! classes (`smartmem[0-9]+` has eight: `s m a r t e`, the digits, and
+//! everything else) and each DFA state computes one move + ε-closure per
+//! class, fanning the target out to the class's bytes. Classes are
+//! visited in order of their smallest byte, which is the order a
+//! byte-by-byte sweep would first meet each distinct target — so states
+//! are discovered, numbered and budgeted exactly as the per-byte
+//! construction would (kept under `#[cfg(test)]` as the oracle), at a
+//! thirtieth of the closures. That makes a DFA cheap enough to build for
+//! every query; nothing caches one.
+//!
 //! Matching is O(1) per input byte — the property the paper highlights
 //! for the FPGA engines ("the performance of the operator is dominated by
 //! the length of the string and does not depend on the complexity of the
@@ -11,6 +24,7 @@
 
 use std::collections::HashMap;
 
+use crate::ast::ByteSet;
 use crate::nfa::{Nfa, StateId};
 use crate::RegexError;
 
@@ -26,89 +40,141 @@ pub struct Dfa {
     start: u32,
 }
 
+/// The subset construction's working set: interned NFA-state sets and
+/// the table rows built for them so far.
+struct Subsets<'n> {
+    nfa: &'n Nfa,
+    state_limit: usize,
+    index: HashMap<Vec<StateId>, u32>,
+    sets: Vec<Vec<StateId>>,
+    transitions: Vec<u32>,
+    accepting: Vec<bool>,
+    /// Discovered states whose row is still all-[`DEAD`].
+    work: Vec<u32>,
+}
+
+impl<'n> Subsets<'n> {
+    fn new(nfa: &'n Nfa, state_limit: usize) -> Self {
+        Subsets {
+            nfa,
+            state_limit,
+            index: HashMap::new(),
+            sets: Vec::new(),
+            transitions: Vec::new(),
+            accepting: Vec::new(),
+            work: Vec::new(),
+        }
+    }
+
+    /// Intern a closure set; a new one gets the next id, an all-dead row
+    /// and a place on the work stack.
+    fn intern(&mut self, set: Vec<StateId>) -> Result<u32, RegexError> {
+        if let Some(&id) = self.index.get(&set) {
+            return Ok(id);
+        }
+        if self.sets.len() >= self.state_limit {
+            return Err(RegexError::TooComplex {
+                limit: self.state_limit,
+            });
+        }
+        let id = u32::try_from(self.sets.len()).expect("state limit fits u32");
+        self.accepting
+            .push(set.binary_search(&self.nfa.accept()).is_ok());
+        self.index.insert(set.clone(), id);
+        self.sets.push(set);
+        self.transitions.extend(std::iter::repeat_n(DEAD, 256));
+        self.work.push(id);
+        Ok(id)
+    }
+
+    /// The DFA state reached from `d` on `byte`, interned, or `None`
+    /// when no member state has an edge for it.
+    fn target(&mut self, d: u32, byte: u8) -> Result<Option<u32>, RegexError> {
+        let mut moved: Vec<StateId> = Vec::new();
+        for &s in &self.sets[d as usize] {
+            for (set, t) in &self.nfa.states()[s as usize].byte_edges {
+                if set.contains(byte) {
+                    moved.push(*t);
+                }
+            }
+        }
+        if moved.is_empty() {
+            return Ok(None);
+        }
+        self.intern(self.nfa.epsilon_closure(&moved)).map(Some)
+    }
+
+    fn finish(self, start: u32) -> Dfa {
+        Dfa {
+            transitions: self.transitions,
+            accepting: self.accepting,
+            start,
+        }
+    }
+}
+
+/// Partition the 256 bytes into the classes `nfa` cannot distinguish:
+/// two bytes share a class iff every edge's [`ByteSet`] holds both or
+/// neither. Each class comes with its smallest byte, in that order.
+fn byte_classes(nfa: &Nfa) -> Vec<(u8, ByteSet)> {
+    let mut classes = vec![ByteSet::full()];
+    let mut inside: Vec<ByteSet> = Vec::new();
+    for (set, _) in nfa.states().iter().flat_map(|s| &s.byte_edges) {
+        // Cut every class the edge straddles into the part inside the
+        // edge's set and the part outside it.
+        for class in &mut classes {
+            let cut = class.intersect(set);
+            if !cut.is_empty() && cut != *class {
+                *class = class.minus(set);
+                inside.push(cut);
+            }
+        }
+        classes.append(&mut inside);
+    }
+    let mut classes: Vec<(u8, ByteSet)> = classes
+        .into_iter()
+        .filter_map(|class| Some((class.iter().next()?, class)))
+        .collect();
+    classes.sort_by_key(|&(first, _)| first);
+    classes
+}
+
 impl Dfa {
     /// Determinize `nfa`, failing if more than `state_limit` DFA states
     /// are needed.
     pub fn determinize(nfa: &Nfa, state_limit: usize) -> Result<Dfa, RegexError> {
-        let start_set = nfa.epsilon_closure(&[nfa.start()]);
-        let mut index: HashMap<Vec<StateId>, u32> = HashMap::new();
-        let mut sets: Vec<Vec<StateId>> = Vec::new();
-        let mut transitions: Vec<u32> = Vec::new();
-        let mut accepting: Vec<bool> = Vec::new();
-
-        /// Intern a closure set, returning `(id, already_existed)`.
-        fn intern(
-            set: Vec<StateId>,
-            accept_state: StateId,
-            state_limit: usize,
-            index: &mut HashMap<Vec<StateId>, u32>,
-            sets: &mut Vec<Vec<StateId>>,
-            accepting: &mut Vec<bool>,
-            transitions: &mut Vec<u32>,
-        ) -> Result<(u32, bool), RegexError> {
-            if let Some(&id) = index.get(&set) {
-                return Ok((id, true));
-            }
-            if sets.len() >= state_limit {
-                return Err(RegexError::TooComplex { limit: state_limit });
-            }
-            let id = u32::try_from(sets.len()).expect("state limit fits u32");
-            accepting.push(set.binary_search(&accept_state).is_ok());
-            index.insert(set.clone(), id);
-            sets.push(set);
-            transitions.extend(std::iter::repeat_n(DEAD, 256));
-            Ok((id, false))
-        }
-
-        let (start, _) = intern(
-            start_set,
-            nfa.accept(),
-            state_limit,
-            &mut index,
-            &mut sets,
-            &mut accepting,
-            &mut transitions,
-        )?;
-        let mut work = vec![start];
-        let mut moved: Vec<StateId> = Vec::new();
-
-        while let Some(d) = work.pop() {
-            // For each byte, gather NFA targets of the member states.
-            for byte in 0u16..256 {
-                let b = byte as u8;
-                moved.clear();
-                for &s in &sets[d as usize] {
-                    for (set, t) in &nfa.states()[s as usize].byte_edges {
-                        if set.contains(b) {
-                            moved.push(*t);
-                        }
+        let classes = byte_classes(nfa);
+        let mut subsets = Subsets::new(nfa, state_limit);
+        let start = subsets.intern(nfa.epsilon_closure(&[nfa.start()]))?;
+        while let Some(d) = subsets.work.pop() {
+            for &(first, class) in &classes {
+                // Any member stands for the class; the smallest is the
+                // one a byte-by-byte sweep reaches first.
+                if let Some(target) = subsets.target(d, first)? {
+                    for byte in class.iter() {
+                        subsets.transitions[d as usize * 256 + usize::from(byte)] = target;
                     }
                 }
-                if moved.is_empty() {
-                    continue;
-                }
-                let closure = nfa.epsilon_closure(&moved);
-                let (target, existed) = intern(
-                    closure,
-                    nfa.accept(),
-                    state_limit,
-                    &mut index,
-                    &mut sets,
-                    &mut accepting,
-                    &mut transitions,
-                )?;
-                if !existed {
-                    work.push(target);
-                }
-                transitions[d as usize * 256 + byte as usize] = target;
             }
         }
+        Ok(subsets.finish(start))
+    }
 
-        Ok(Dfa {
-            transitions,
-            accepting,
-            start,
-        })
+    /// The per-byte subset construction this module started from: one
+    /// move + ε-closure for each of the 256 bytes of every state. Tests
+    /// only — the oracle [`Dfa::determinize`] must equal table for table.
+    #[cfg(test)]
+    fn determinize_per_byte(nfa: &Nfa, state_limit: usize) -> Result<Dfa, RegexError> {
+        let mut subsets = Subsets::new(nfa, state_limit);
+        let start = subsets.intern(nfa.epsilon_closure(&[nfa.start()]))?;
+        while let Some(d) = subsets.work.pop() {
+            for byte in 0..=255u8 {
+                if let Some(target) = subsets.target(d, byte)? {
+                    subsets.transitions[d as usize * 256 + usize::from(byte)] = target;
+                }
+            }
+        }
+        Ok(subsets.finish(start))
     }
 
     /// Number of DFA states.
@@ -441,6 +507,132 @@ mod tests {
             Dfa::determinize(&nfa, 3),
             Err(RegexError::TooComplex { limit: 3 })
         ));
+    }
+
+    /// Every syntactic shape the parser accepts, the workload's pattern
+    /// (`fv_workload::REGEX_PATTERN`), and one wide alternation.
+    fn corpus() -> Vec<String> {
+        let mut patterns: Vec<String> = [
+            "",
+            "a",
+            "needle",
+            "smartmem[0-9]+",
+            ".",
+            "a.c",
+            ".*x.*",
+            "[a-c]x[^0-9]",
+            "[^a]",
+            "[^\\x00-\\x7f]+",
+            "[a-zA-Z_][a-zA-Z0-9_]*",
+            "cat|dog|bird",
+            "(cat|dog)food",
+            "ab*c",
+            "ab+c",
+            "ab?c",
+            "(a|b)*abb",
+            "a{3}",
+            "a{2,4}b",
+            "x{2,}",
+            "^abc",
+            "abc$",
+            "^abc$",
+            "^MEDIUM POLISHED.*",
+            "^(a|b)*a(a|b){3}$",
+            "\\d+\\.\\d+",
+            "\\w+\\s\\w+",
+        ]
+        .iter()
+        .map(|p| p.to_string())
+        .collect();
+        // 200 alternatives, `a0|a1|..|t9`: short, because every state of
+        // an unanchored alternation drags all 200 entry states along and
+        // the per-byte oracle pays for each of them 256 times.
+        let words: Vec<String> = (0..200u8)
+            .map(|i| format!("{}{}", char::from(b'a' + i / 10), i % 10))
+            .collect();
+        patterns.push(words.join("|"));
+        patterns
+    }
+
+    fn nfa_for(pattern: &str) -> Nfa {
+        let parsed = parse(pattern).unwrap_or_else(|e| panic!("{pattern:?}: {e}"));
+        Nfa::from_ast(&parsed.ast, !parsed.anchored_start)
+    }
+
+    /// The class-wise construction is the per-byte one, bit for bit:
+    /// same start, same accepting set, same table (hence same state
+    /// numbering and count) and same prefilter.
+    #[test]
+    fn byte_class_construction_equals_per_byte_construction() {
+        for pattern in corpus() {
+            let nfa = nfa_for(&pattern);
+            let fast = Dfa::determinize(&nfa, 8192).unwrap();
+            let slow = Dfa::determinize_per_byte(&nfa, 8192).unwrap();
+            assert_eq!(fast.start, slow.start, "{pattern:?}: start");
+            assert_eq!(fast.state_count(), slow.state_count(), "{pattern:?}");
+            assert_eq!(fast.accepting, slow.accepting, "{pattern:?}: accepting");
+            assert_eq!(fast.transitions, slow.transitions, "{pattern:?}: table");
+            assert_eq!(
+                format!("{:?}", fast.prefilter()),
+                format!("{:?}", slow.prefilter()),
+                "{pattern:?}: prefilter"
+            );
+        }
+    }
+
+    /// `TooComplex` trips at exactly the limit it used to: one state
+    /// short fails on both constructions, the exact count succeeds.
+    #[test]
+    fn state_budget_trips_at_the_same_limit() {
+        for pattern in corpus() {
+            let nfa = nfa_for(&pattern);
+            let needed = Dfa::determinize(&nfa, 8192).unwrap().state_count();
+            for limit in [1, needed - 1, needed] {
+                let fast = Dfa::determinize(&nfa, limit).map(|d| d.transitions);
+                let slow = Dfa::determinize_per_byte(&nfa, limit).map(|d| d.transitions);
+                assert_eq!(fast, slow, "{pattern:?} at limit {limit}");
+                assert_eq!(
+                    fast.is_err(),
+                    limit < needed,
+                    "{pattern:?} needs {needed}, limit {limit}"
+                );
+            }
+        }
+    }
+
+    /// Classes are disjoint, cover the alphabet, come smallest byte
+    /// first, and are as coarse as the edges allow.
+    #[test]
+    fn byte_classes_partition_the_alphabet() {
+        for pattern in corpus() {
+            let nfa = nfa_for(&pattern);
+            let classes = byte_classes(&nfa);
+            let mut union = ByteSet::empty();
+            for (first, class) in &classes {
+                assert_eq!(class.iter().next(), Some(*first), "{pattern:?}: first");
+                assert!(union.intersect(class).is_empty(), "{pattern:?}: overlap");
+                union = union.union(class);
+            }
+            assert_eq!(union, ByteSet::full(), "{pattern:?}: cover");
+            assert!(
+                classes.windows(2).all(|w| w[0].0 < w[1].0),
+                "{pattern:?}: order"
+            );
+            // Two classes never agree on every edge.
+            let signature = |&(first, _): &(u8, ByteSet)| -> Vec<bool> {
+                nfa.states()
+                    .iter()
+                    .flat_map(|s| &s.byte_edges)
+                    .map(|(set, _)| set.contains(first))
+                    .collect()
+            };
+            let mut signatures: Vec<Vec<bool>> = classes.iter().map(signature).collect();
+            signatures.sort();
+            signatures.dedup();
+            assert_eq!(signatures.len(), classes.len(), "{pattern:?}: too fine");
+        }
+        // s, m, a, r, t, e, the digits, everything else.
+        assert_eq!(byte_classes(&nfa_for("smartmem[0-9]+")).len(), 8);
     }
 
     #[test]

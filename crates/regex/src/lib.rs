@@ -9,7 +9,8 @@
 //!   (literals, `.`, classes, alternation, grouping, `* + ?`,
 //!   counted repeats `{m}`/`{m,}`/`{m,n}`, escapes, top-level anchors),
 //! * Thompson [`nfa`] construction,
-//! * eager subset-construction [`dfa`] determinization.
+//! * eager subset-construction [`dfa`] determinization, one move per
+//!   class of indistinguishable bytes — cheap enough to run per query.
 //!
 //! A DFA is the right model for *both* architectures: the FPGA engines
 //! are hardware state machines whose "performance is dominated by the

@@ -50,8 +50,16 @@ scatter:
 packet-seam:
     cargo test -q -p fv-net -p bytes
 
+# The two operator kernels against the references they replaced: the
+# AES round tables against the byte-wise FIPS-197 rounds (NIST vectors,
+# random blocks, CTR strides across every counter carry), the byte-class
+# DFA against the per-byte subset construction (table for table over
+# the pattern corpus, `TooComplex` at the same limit).
+kernels:
+    cargo test -q -p fv-crypto -p fv-regex
+
 # Everything CI runs.
-ci: verify scatter packet-seam doc fmt-check clippy analyze bench-check
+ci: verify scatter packet-seam kernels doc fmt-check clippy analyze bench-check
 
 # Reproduce every table/figure of the paper plus the scale-out sweep.
 figures:
@@ -66,13 +74,15 @@ bench-smoke:
 # Wall-clock microbench of the host hot path: vectorized block datapath
 # vs the per-tuple reference, the size-gated fleet scatter vs its serial
 # reference (64 KiB and 4 MiB tables), the replica-dedup win over the
-# seed model, and the whole-query result path (µs per `far_view` of a
-# 1 MiB table and per response packet). Rewrites BENCH_PR8.json; refuses
-# on a 1-CPU host. The two variables are the env-var form of the
-# `mallopt` pin fvbench applies (benchmark/README.md, "Allocator
-# pinned"): unpinned, glibc settles at random into recycling MiB-sized
-# buffers on the heap or mmapping each one, and the same binary reads
-# 1.07 or 1.63 ms per `read`.
+# seed model, the whole-query result path (µs per `far_view` of a
+# 1 MiB table and per response packet), and the operator kernels
+# (AES-CTR ns/B, regex-spec compile µs, whole `decrypt → group_by` and
+# `regex10` queries). Rewrites BENCH_PR8.json; refuses on a 1-CPU host.
+# The two variables are the env-var form of the `mallopt` pin fvbench
+# applies (benchmark/README.md, "Allocator pinned"): unpinned, glibc
+# settles at random into recycling MiB-sized buffers on the heap or
+# mmapping each one, and the same binary reads 1.07 or 1.63 ms per
+# `read`.
 bench-hotpath:
     MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=4294967295 cargo run -q --release -p fv-bench --bin figures hotpath
 

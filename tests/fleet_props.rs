@@ -127,6 +127,32 @@ proptest! {
         prop_assert_eq!(sorted_rows(&out.merged), sorted_rows(&single));
         prop_assert_eq!(out.merged.stats.groups_flushed, single.stats.groups_flushed);
     }
+
+    /// A table encrypted at rest is the one input the two routes do not
+    /// share: a single node decrypts it back to the plaintext, a fleet
+    /// refuses with a typed error rather than decrypt every shard from
+    /// keystream offset 0.
+    #[test]
+    fn decrypt_input_is_single_node_only(
+        table in arb_table(200, 3, 1000),
+        nodes in 2usize..6,
+        hash in any::<bool>(),
+        key in prop::array::uniform16(any::<u8>()),
+        iv in prop::array::uniform16(any::<u8>()),
+    ) {
+        let encrypted = fv_workload::encrypt_table(&table, &key, &iv);
+        let spec = PipelineSpec::passthrough().decrypt(fv_pipeline::CryptoSpec { key, iv });
+        prop_assert_eq!(single_node(&encrypted, &spec).payload, table.bytes());
+
+        let part = if hash { Partitioning::KeyHash(0) } else { Partitioning::RowRange };
+        let f = FarviewFleet::new(nodes, FarviewConfig::tiny());
+        let qp = f.connect().unwrap();
+        let (ft, _) = qp.load_table(&encrypted, part).unwrap();
+        prop_assert_eq!(
+            qp.far_view(&ft, &spec).map(|o| o.merged.payload),
+            Err(FvError::FleetUnsupported { feature: "input-decrypted" })
+        );
+    }
 }
 
 /// The batched hash operators and the DFA-prefiltered regex scan ride
