@@ -12,11 +12,11 @@ use std::process::ExitCode;
 
 use fv_bench::{
     all_figures, chaos_report, elasticity, explain_figures, fig10, fig11a, fig11b, fig12, fig6a,
-    fig6b, fig7, fig8, fig9a, fig9b, fig9c, hotpath_report, overload_report, plan_ablation, qdepth,
-    scaleout, smoke_figures, table1, Figure,
+    fig6b, fig7, fig8, fig9a, fig9b, fig9c, overload_report, plan_ablation, qdepth, scaleout,
+    smoke_figures, table1, Figure,
 };
 
-const USAGE: &str = "usage: figures <table1|fig6a|fig6b|fig7|fig8a|fig8b|fig8c|fig9a|fig9b|fig9c|fig10|fig11a|fig11b|fig12|scaleout|qdepth|plan_ablation|elasticity|hotpath|chaos|overload|explain|all|smoke> [--csv]";
+const USAGE: &str = "usage: figures <table1|fig6a|fig6b|fig7|fig8a|fig8b|fig8c|fig9a|fig9b|fig9c|fig10|fig11a|fig11b|fig12|scaleout|qdepth|plan_ablation|elasticity|chaos|overload|explain|all|smoke> [--csv]";
 
 fn one(id: &str) -> Option<Figure> {
     Some(match id {
@@ -39,164 +39,6 @@ fn one(id: &str) -> Option<Figure> {
         "elasticity" => elasticity(),
         _ => return None,
     })
-}
-
-/// `figures smoke` gate: the committed hotpath baseline must exist and
-/// record a `speedup` for each of the four stateful operators whose
-/// batched block paths PR 8 introduced (plus their engagement
-/// counters), the scatter rows on both sides of the size gate, and the
-/// whole-query result-path rows. A line-oriented scan is enough —
-/// `to_json` emits one row object per line.
-fn check_recorded_hotpath_baseline(path: &str) -> Result<(), String> {
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("{path} missing — run `just bench-hotpath` to record it ({e})"))?;
-    for op in ["regex", "distinct", "group_by", "join"] {
-        let line = json
-            .lines()
-            .find(|l| l.contains(&format!("\"op\": \"{op}\"")))
-            .ok_or_else(|| format!("{path}: no sample for operator {op:?}"))?;
-        if !line.contains("\"speedup\":") {
-            return Err(format!("{path}: operator {op:?} sample has no speedup"));
-        }
-        if !line.contains("\"batched_blocks\":") {
-            return Err(format!(
-                "{path}: operator {op:?} sample has no batched_blocks counter"
-            ));
-        }
-    }
-    check_recorded_scatter_rows(path, &json)?;
-    check_recorded_result_path_rows(path, &json)?;
-    check_recorded_operator_kernel_rows(path, &json)
-}
-
-/// The number recorded under `"key":` on one line of a `to_json` file.
-fn json_number(line: &str, key: &str) -> Option<f64> {
-    let rest = line.split(&format!("\"{key}\": ")).nth(1)?;
-    rest.split([',', '}']).next()?.trim().parse().ok()
-}
-
-/// The scatter half of the recorded hotpath baseline must show the
-/// size gate from both sides. A row fans out when it is the large
-/// table over at least two slots: it must record `workers >= 2` and
-/// must not have lost to the serial reference, and from four nodes up
-/// — every worker owning at least two shard episodes, the shape the
-/// gate's constant was sized on — it must have kept a 1.2x speedup
-/// (two nodes hand each worker a single 2 MiB shard and record about
-/// 1.1x). Every other row ran on the calling thread alone and costs
-/// what the serial reference costs. Checked on the *recorded* rows — a
-/// live timing would flake whenever the box's second vCPU is not
-/// schedulable.
-fn check_recorded_scatter_rows(path: &str, json: &str) -> Result<(), String> {
-    let [small, large] = fv_bench::HOTPATH_SCATTER_TABLE_KIB.map(|kib| kib as f64);
-    let (mut serial_rows, mut fanned_rows) = (0, 0);
-    for line in json
-        .lines()
-        .filter(|l| l.contains("\"parallel_vs_serial\":"))
-    {
-        let field = |key: &str| {
-            json_number(line, key)
-                .ok_or_else(|| format!("{path}: scatter row has no {key:?} — re-record it"))
-        };
-        let (kib, nodes) = (field("table_kib")?, field("nodes")?);
-        let (workers, ratio) = (field("workers")?, field("parallel_vs_serial")?);
-        let (want_workers, want_ratio) = if kib == large && nodes >= 2.0 {
-            fanned_rows += 1;
-            (
-                2.0..=f64::INFINITY,
-                if nodes >= 4.0 { 1.2 } else { 0.9 }..=f64::INFINITY,
-            )
-        } else {
-            serial_rows += usize::from(kib == small);
-            (1.0..=1.0, 0.9..=1.1)
-        };
-        if !want_workers.contains(&workers) || !want_ratio.contains(&ratio) {
-            return Err(format!(
-                "{path}: {kib} KiB over {nodes} nodes records workers {workers}, parallel_vs_serial {ratio}; expected workers in {want_workers:?}, ratio in {want_ratio:?}"
-            ));
-        }
-    }
-    if serial_rows == 0 || fanned_rows == 0 {
-        return Err(format!(
-            "{path}: no scatter rows on one side of the gate ({small} / {large} KiB) — run `just bench-hotpath` on a host with at least 2 CPUs"
-        ));
-    }
-    Ok(())
-}
-
-/// Host µs per response packet the recorded `read` row may cost: a whole
-/// `far_view` of a 1 MiB table over its 1025 packets. The copy-per-packet
-/// result path measured 1.36 on the recording box; one copy and no
-/// per-packet allocation, 0.94.
-const READ_US_PER_PACKET_MAX: f64 = 1.15;
-
-/// The result-path half of the recorded hotpath baseline: both whole-
-/// query rows present at the full table size, and `read` within its
-/// per-packet budget. Checked on the *recorded* rows, like the scatter
-/// half — a live timing depends on which mode glibc's allocator settled
-/// in (`just bench-hotpath` pins it).
-fn check_recorded_result_path_rows(path: &str, json: &str) -> Result<(), String> {
-    let full = fv_bench::HOTPATH_RESULT_TABLE_KIB as f64;
-    for query in ["read", "select50"] {
-        let line = json
-            .lines()
-            .find(|l| l.contains(&format!("\"query\": \"{query}\"")))
-            .ok_or_else(|| {
-                format!("{path}: no result_path row for {query:?} — run `just bench-hotpath`")
-            })?;
-        let field = |key: &str| {
-            json_number(line, key)
-                .ok_or_else(|| format!("{path}: result_path row {query:?} has no {key:?}"))
-        };
-        let (kib, packets, per_packet) = (
-            field("table_kib")?,
-            field("packets")?,
-            field("us_per_packet")?,
-        );
-        if kib != full || packets < 1.0 || per_packet <= 0.0 {
-            return Err(format!(
-                "{path}: result_path row {query:?} records {kib} KiB, {packets} packets, {per_packet} us/packet — re-record it at {full} KiB"
-            ));
-        }
-        if query == "read" && per_packet > READ_US_PER_PACKET_MAX {
-            return Err(format!(
-                "{path}: read costs {per_packet} us per packet, over the {READ_US_PER_PACKET_MAX} budget — the result path grew a per-packet copy or allocation"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Budgets of the recorded operator-kernel rows. The byte-wise cipher
-/// ran at 11 ns/B and the table-driven one at 3.3 on the recording box;
-/// a regex-spec compile cost 500 µs when it ran the per-byte subset
-/// construction twice and costs about 20 with one byte-class pass.
-const CTR_NS_PER_BYTE_MAX: f64 = 5.0;
-const REGEX_COMPILE_US_MAX: f64 = 100.0;
-
-/// The operator-kernel half of the recorded hotpath baseline: all four
-/// rows present with a positive value, and the two kernels within their
-/// budgets. Checked on the *recorded* rows, like the other halves.
-fn check_recorded_operator_kernel_rows(path: &str, json: &str) -> Result<(), String> {
-    for (kernel, metric, max) in [
-        ("aes_ctr", "ctr_ns_per_byte", CTR_NS_PER_BYTE_MAX),
-        ("regex_compile", "regex_compile_us", REGEX_COMPILE_US_MAX),
-        ("decrypt_groupby", "far_view_us", f64::INFINITY),
-        ("regex10", "far_view_us", f64::INFINITY),
-    ] {
-        let value = json
-            .lines()
-            .find(|l| l.contains(&format!("\"kernel\": \"{kernel}\"")))
-            .and_then(|line| json_number(line, metric))
-            .ok_or_else(|| {
-                format!("{path}: no operator_kernels row {kernel:?} with {metric:?} — run `just bench-hotpath`")
-            })?;
-        if value <= 0.0 || value > max {
-            return Err(format!(
-                "{path}: operator kernel {kernel:?} records {metric} {value}, budget {max} — the table-driven cipher or the byte-class DFA regressed"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// `figures smoke` gate for the overload baseline (`BENCH_PR10.json`):
@@ -269,24 +111,6 @@ fn main() -> ExitCode {
 
     match target.as_str() {
         "table1" => print!("{}", table1()),
-        "hotpath" => {
-            // Wall-clock microbench of the host hot path: render the
-            // figure and record the machine-readable perf baseline.
-            let report = hotpath_report();
-            render(&report.to_figure());
-            // On one CPU `Executor::fleet` and its serial reference are
-            // the same code: the scatter rows would record noise over
-            // a measurement.
-            if report.host_parallelism < 2 {
-                eprintln!("host_parallelism is 1: BENCH_PR8.json not overwritten (its scatter rows need at least 2 CPUs)");
-                return ExitCode::FAILURE;
-            }
-            let json = report.to_json();
-            match std::fs::write("BENCH_PR8.json", &json) {
-                Ok(()) => eprintln!("wrote BENCH_PR8.json"),
-                Err(e) => eprintln!("could not write BENCH_PR8.json: {e}"),
-            }
-        }
         "chaos" => {
             // Tail latency under deterministic fault injection: render
             // the figure and record the machine-readable chaos baseline.
@@ -323,15 +147,7 @@ fn main() -> ExitCode {
             for f in smoke_figures() {
                 render(&f);
             }
-            // The recorded perf baseline must carry a measured speedup
-            // for every stateful operator that grew a batched block
-            // path in PR 8 — a missing entry means `figures hotpath`
-            // was not re-run after an operator-suite change.
-            if let Err(missing) = check_recorded_hotpath_baseline("BENCH_PR8.json") {
-                eprintln!("{missing}");
-                return ExitCode::FAILURE;
-            }
-            // And for the overload baseline: every swept load point
+            // The recorded overload baseline: every swept load point
             // complete, no tenant starved.
             if let Err(missing) = check_recorded_overload_baseline("BENCH_PR10.json") {
                 eprintln!("{missing}");

@@ -64,7 +64,7 @@ pub fn fault_plan_for(spec: &FaultSpec, seed: u64) -> FaultPlan {
 /// One fault class's measurement.
 #[derive(Debug, Clone)]
 pub struct ChaosClassStats {
-    /// Stable class name (`clean`, `loss`, …, `slow_replica`).
+    /// Stable class name (`clean`, `loss`, …, `truncated_doorbell`).
     pub class: String,
     /// Queries run on the replicated (`r = 2`) fleet.
     pub queries: usize,
@@ -129,7 +129,7 @@ impl ChaosReport {
     }
 
     /// Render as a [`Figure`] (x = fault-class index, named in the
-    /// title the same way the hotpath figure names its operators).
+    /// title).
     pub fn to_figure(&self) -> Figure {
         let names: Vec<String> = self
             .classes
@@ -201,7 +201,6 @@ fn run_class(
     specs: &[PipelineSpec],
     reps: usize,
     fault: Option<&FaultPlan>,
-    race_replicas: bool,
     oracle: Option<&[Vec<u8>]>,
 ) -> (Vec<Vec<u8>>, ChaosClassStats) {
     let fleet = FarviewFleet::new(CHAOS_NODES, FarviewConfig::default());
@@ -215,20 +214,12 @@ fn run_class(
             .degrade_node(victim, plan.clone())
             .expect("victim is in the roster");
     }
-    // `fleet_seed_reference` executes *every* surviving replica and
-    // races them — the slow-replica scenario; `fleet` is the
-    // production route with failover.
-    let run = if race_replicas {
-        Executor::fleet_seed_reference
-    } else {
-        Executor::fleet
-    };
     let mut hist = Histogram::new();
     let mut queries = 0usize;
     let mut ok = 0usize;
     let mut payloads: Vec<Vec<u8>> = Vec::new();
     for rep in 0..reps {
-        let outs = run(&qp, &ft, specs)
+        let outs = Executor::fleet(&qp, &ft, specs)
             .unwrap_or_else(|e| panic!("{class}: replicated run must survive, got {e}"));
         for (i, o) in outs.iter().enumerate() {
             queries += 1;
@@ -297,7 +288,7 @@ pub fn chaos_report_at(rows: usize, reps: usize, seed: u64) -> ChaosReport {
 
     // Healthy baseline: the byte-identity oracle every degraded run is
     // checked against, and the figure's `clean` row.
-    let (baseline, clean) = run_class("clean", &table, &specs, reps, None, false, None);
+    let (baseline, clean) = run_class("clean", &table, &specs, reps, None, None);
     let mut classes = vec![clean];
 
     for fault in FaultSpec::all_classes() {
@@ -308,7 +299,6 @@ pub fn chaos_report_at(rows: usize, reps: usize, seed: u64) -> ChaosReport {
             &specs,
             reps,
             Some(&plan),
-            false,
             Some(&baseline),
         );
         if !fault.survivable_unreplicated() {
@@ -316,26 +306,6 @@ pub fn chaos_report_at(rows: usize, reps: usize, seed: u64) -> ChaosReport {
         }
         classes.push(stats);
     }
-
-    // Slow replica: one replica spiked, every replica raced — the
-    // healthy copy wins and the bytes stay identical.
-    let slow = fault_plan_for(
-        &FaultSpec::DelaySpikes {
-            spike_pct: 80,
-            spike_us: 200,
-        },
-        seed,
-    );
-    let (_, stats) = run_class(
-        "slow_replica",
-        &table,
-        &specs,
-        reps,
-        Some(&slow),
-        true,
-        Some(&baseline),
-    );
-    classes.push(stats);
 
     ChaosReport {
         seed,
@@ -368,9 +338,8 @@ pub fn chaos_smoke() -> Figure {
 mod tests {
     use super::*;
 
-    /// Structural shape of the smoke-scale report: the clean baseline,
-    /// all five injectable classes, and the raced slow replica — every
-    /// query byte-identical, every non-survivable probe failing typed,
+    /// Structural shape of the smoke-scale report: the clean baseline
+    /// and all five injectable classes — every query byte-identical, every non-survivable probe failing typed,
     /// JSON well-formed enough to name every field.
     #[test]
     fn chaos_report_is_complete() {
@@ -384,8 +353,7 @@ mod tests {
                 "delay_spike",
                 "bandwidth_cap",
                 "partition",
-                "truncated_doorbell",
-                "slow_replica"
+                "truncated_doorbell"
             ]
         );
         for c in &r.classes {
@@ -408,7 +376,6 @@ mod tests {
             "\"bench\": \"chaos\"",
             "\"invariant\"",
             "\"class\": \"truncated_doorbell\"",
-            "\"class\": \"slow_replica\"",
             "\"typed_errors\"",
             "\"p99_us\"",
         ] {

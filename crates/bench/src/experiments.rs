@@ -991,7 +991,6 @@ pub fn smoke_figures() -> Vec<Figure> {
         qdepth_smoke(),
         plan_ablation_smoke(),
         elasticity_smoke(),
-        crate::hotpath::hotpath_smoke(),
         crate::chaos::chaos_smoke(),
         crate::overload::overload_smoke(),
     ]
@@ -1030,7 +1029,7 @@ pub fn explain_figures() -> String {
         16_384,
     );
     push(
-        "fig8 + projection: SELECT c0,c1 WHERE a < X (fused scan)",
+        "fig8 + projection: SELECT c0,c1 WHERE a < X",
         &QueryPlan::from_spec(
             &PipelineSpec::passthrough()
                 .filter(PredicateExpr::lt(0, SELECTIVITY_PIVOT))
@@ -1126,7 +1125,6 @@ pub fn all_figures() -> Vec<Figure> {
         qdepth(),
         plan_ablation(),
         elasticity(),
-        crate::hotpath::hotpath(),
     ]
 }
 
@@ -1348,7 +1346,6 @@ mod tests {
             "qdepth",
             "plan_ablation",
             "elasticity",
-            "hotpath",
             "chaos",
             "overload",
         ] {
@@ -1362,7 +1359,6 @@ mod tests {
         for needle in [
             "smart-addressing",
             "distinct-group-by-unification",
-            "fused into one scan pass",
             "fleet[8 shards",
             "batch[depth=8]",
             "tiered[disk]",

@@ -2,8 +2,9 @@
 //!
 //! One function per table/figure of the paper's evaluation (§6). Each
 //! returns a [`Figure`] (labelled series of points) that the `figures`
-//! binary renders; the criterion benches under `benches/` run the same
-//! functions so `cargo bench` exercises every experiment end to end.
+//! binary renders. Everything here runs on the **simulated** clock and
+//! is deterministic — identical runs print identical bytes; host
+//! wall-clock is measured in one place, `fvbench` (`benchmark/`).
 //!
 //! | paper | function | what it shows |
 //! |---|---|---|
@@ -33,21 +34,9 @@
 //! with a live rebalance between phases and a node kill survived via
 //! `r = 2` replication (throughput/latency timeline + honestly costed
 //! rebalance times, results byte-identical across every phase).
-//! [`hotpath()`] measures the **wall-clock** hot path of the host
-//! implementation itself — per-operator tuples/sec on the vectorized
-//! block datapath vs the per-tuple reference, and the size-gated fleet
-//! scatter vs its serial reference at 1 → 8 nodes for a table on each
-//! side of the gate, and the whole-query result path — host µs per
-//! `far_view` of a 1 MiB table and per response packet, for `read` and
-//! `select50`, and the operator kernels — AES-CTR ns/B, regex-spec
-//! compile µs, and whole `far_view`s of `decrypt → group_by` and the
-//! 10 %-match regex scan (`figures hotpath` also writes the
-//! machine-readable `BENCH_PR8.json` perf baseline — on a host with at
-//! least 2 CPUs — and `figures smoke` gates the recorded `read` row at
-//! 1.15 µs per packet, AES-CTR at 5.0 ns/B and the compile at 100 µs).
 //! [`chaos()`] degrades one node of a replicated fleet behind each
 //! seeded fault class (loss/retry, delay spikes, bandwidth cap,
-//! partition, truncated doorbell, raced slow replica), asserting
+//! partition, truncated doorbell), asserting
 //! byte-identical results or clean typed errors and reporting p50/p99
 //! tail latency per class (`figures chaos` also writes the
 //! machine-readable `BENCH_PR6.json`).
@@ -71,7 +60,6 @@
 pub mod chaos;
 pub mod experiments;
 pub mod figure;
-pub mod hotpath;
 pub mod overload;
 
 pub use chaos::{
@@ -80,11 +68,6 @@ pub use chaos::{
 };
 pub use experiments::*;
 pub use figure::{Figure, Series};
-pub use hotpath::{
-    hotpath, hotpath_report, hotpath_report_at, hotpath_smoke, HotpathReport, KernelSample,
-    OperatorSample, ResultPathSample, ScatterSample, HOTPATH_CRYPT_TABLE_KIB, HOTPATH_FLEET_SIZES,
-    HOTPATH_RESULT_TABLE_KIB, HOTPATH_SCATTER_TABLE_KIB,
-};
 pub use overload::{
     overload, overload_backend, overload_report, overload_report_at, overload_smoke, serve_class,
     serve_tenants, OverloadPoint, OverloadReport, OVERLOAD_BENCH_SEED, OVERLOAD_LOADS,

@@ -268,9 +268,9 @@ struct Inner {
     reconfigurations: u64,
     /// Queries whose datapath actually executed on this node — counted
     /// once the episode engine returns success, so failed episodes do
-    /// not inflate it. The replica-race regression test counts these to
-    /// prove a replicated fleet runs each slot's datapath once, not
-    /// once per replica.
+    /// not inflate it. `tests/fleet_props.rs` counts these to prove a
+    /// replicated fleet runs each slot's datapath once, not once per
+    /// replica.
     episodes: u64,
 }
 
@@ -378,12 +378,22 @@ impl FarviewCluster {
     }
 
     /// Run several queries *concurrently* in one simulation — the
-    /// multi-client experiment (Figure 12). Results are returned in
-    /// request order.
+    /// multi-client experiment (Figure 12): one request per connection,
+    /// results in request order. A connection named twice is
+    /// [`FvError::DuplicateConnection`], refused before any region is
+    /// touched — depth on one connection is what
+    /// [`QPair::far_view_batch`] is for.
     pub fn run_concurrent(
         &self,
         requests: Vec<(&QPair, &FTable, PipelineSpec)>,
     ) -> Result<Vec<QueryOutcome>, FvError> {
+        let mut seen = Vec::with_capacity(requests.len());
+        for (qpair, ..) in &requests {
+            if seen.contains(&qpair.qp) {
+                return Err(FvError::DuplicateConnection { qp: qpair.qp });
+            }
+            seen.push(qpair.qp);
+        }
         let mut inner = self.inner.lock();
         let mut prepared = Vec::with_capacity(requests.len());
         let mut metas = Vec::with_capacity(requests.len());
@@ -626,20 +636,10 @@ impl QPair {
 
     /// Drop a table from the catalog *and* free its buffer-pool pages.
     pub fn drop_named(&self, name: &str) -> Result<(), FvError> {
-        let ft = {
-            let mut cat = self.catalog.lock();
-            match cat.remove(name).and_then(|e| e.vaddr) {
-                Some(vaddr) => FTable {
-                    qp: self.qp,
-                    vaddr,
-                    schema: Schema::uniform_u64(1), // only vaddr matters for free
-                    rows: 0,
-                },
-                None => return Ok(()),
-            }
+        let Some(vaddr) = self.catalog.lock().remove(name).and_then(|e| e.vaddr) else {
+            return Ok(());
         };
-        let mut inner = self.inner.lock();
-        inner.mem.free(self.domain, ft.vaddr)?;
+        self.inner.lock().mem.free(self.domain, vaddr)?;
         Ok(())
     }
 

@@ -812,21 +812,10 @@ pub fn run_batched_episodes(
 /// MMU which issues striped write bursts; the node acknowledges once the
 /// last burst lands in DRAM.
 ///
-/// # Panics
-/// Panics if the configured fault plan degrades the link into a typed
-/// failure — callers that can see injected faults must use
-/// [`try_write_time`].
-pub fn write_time(bytes: u64, config: &FarviewConfig) -> SimDuration {
-    // fv:allow(panic): documented above — fault-seeing callers must use
-    // try_write_time; the fault-free path cannot fail.
-    try_write_time(bytes, config).expect("write episode failed under an injected fault")
-}
-
-/// Fault-aware [`write_time`]: the client's data packets ride the same
-/// degraded link model as read episodes, so a partitioned or
-/// retry-exhausted link surfaces [`FvError::Net`] and a write whose
-/// acknowledgement never arrives surfaces
-/// [`FvError::IncompleteEpisode`] — never a panic.
+/// The client's data packets ride the same degraded link model as read
+/// episodes, so a partitioned or retry-exhausted link surfaces
+/// [`FvError::Net`] and a write whose acknowledgement never arrives
+/// surfaces [`FvError::IncompleteEpisode`] — never a panic.
 ///
 /// # Errors
 /// [`FvError::Net`] when the link faults a data packet;
@@ -1244,8 +1233,8 @@ mod tests {
     #[test]
     fn write_time_scales_with_bytes() {
         let cfg = FarviewConfig::tiny();
-        let small = write_time(1024, &cfg);
-        let big = write_time(1024 * 1024, &cfg);
+        let small = try_write_time(1024, &cfg).unwrap();
+        let big = try_write_time(1024 * 1024, &cfg).unwrap();
         assert!(big > small * 10);
     }
 

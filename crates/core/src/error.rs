@@ -166,6 +166,15 @@ pub enum FvError {
         /// The send queue's capacity in WQEs.
         max: usize,
     },
+    /// One concurrent episode names the same connection twice: its
+    /// streams are told apart by queue pair, so a second request on
+    /// `qp` has no wire id of its own. Not retryable: depth on one
+    /// connection is a doorbell batch
+    /// ([`QPair::far_view_batch`](crate::QPair::far_view_batch)).
+    DuplicateConnection {
+        /// The queue pair that appears more than once.
+        qp: u32,
+    },
 }
 
 impl FvError {
@@ -283,6 +292,12 @@ impl fmt::Display for FvError {
                 write!(
                     f,
                     "doorbell batch of {depth} specs exceeds the send queue's {max} WQEs"
+                )
+            }
+            FvError::DuplicateConnection { qp } => {
+                write!(
+                    f,
+                    "qp {qp} appears twice in one concurrent episode; batch its specs instead"
                 )
             }
         }

@@ -562,8 +562,8 @@ impl FleetQPair {
     }
 
     /// [`FleetQPair::alloc_table`] with `replicas` copies of every shard
-    /// on distinct nodes — reads race the replicas and survive any
-    /// `replicas − 1` node losses.
+    /// on distinct nodes — reads go to the first surviving replica and
+    /// fail over, surviving any `replicas − 1` node losses.
     pub fn alloc_table_replicated(
         &self,
         table: &Table,

@@ -65,7 +65,7 @@ pub use fleet::{
     FarviewFleet, FleetQPair, FleetQueryOutcome, FleetTable, Partitioning, ShardAssignment,
     ShardMap,
 };
-pub use plan::{replica_beats, Executor, Explain, LogicalStage, MergeSpec, PlanTarget, QueryPlan};
+pub use plan::{Executor, Explain, LogicalStage, MergeSpec, PlanTarget, QueryPlan};
 pub use serve::{
     ClassServeStats, Completion, FleetBackend, ServeBackend, ServeClass, ServeConfig, ServeEngine,
     ServeReport, ServeTenant, SingleNodeBackend, TenantServeStats,

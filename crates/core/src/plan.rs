@@ -791,8 +791,8 @@ impl QueryPlan {
         let optimized = self.optimize(schema)?;
         let naive_cost = estimate(self, schema, rows);
         let optimized_cost = estimate(&optimized, schema, rows);
-        let spec = optimized.to_spec()?;
-        let fused_scan = spec.fuses_filter_project();
+        // Explain only what lowers to a pipeline.
+        optimized.to_spec()?;
         Ok(Explain {
             target: optimized.target,
             stages: optimized
@@ -804,7 +804,6 @@ impl QueryPlan {
             naive_cost,
             optimized_cost,
             smart_addressing: optimized.smart_addressing,
-            fused_scan,
             rows,
             row_bytes: schema.row_bytes(),
         })
@@ -955,9 +954,6 @@ pub struct Explain {
     pub optimized_cost: SimDuration,
     /// Whether the optimized plan gathers only projected bytes.
     pub smart_addressing: bool,
-    /// Whether the compiled pipeline will run the fused filter+project
-    /// scan.
-    pub fused_scan: bool,
     /// Table rows the estimate assumed.
     pub rows: u64,
     /// Input row width in bytes.
@@ -982,9 +978,6 @@ impl std::fmt::Display for Explain {
         )?;
         for s in &self.stages {
             writeln!(f, "  {s}")?;
-        }
-        if self.fused_scan {
-            writeln!(f, "  (filter+project fused into one scan pass)")?;
         }
         if self.applied.is_empty() {
             writeln!(f, "rules applied: none")?;
@@ -1165,7 +1158,8 @@ impl Executor {
     /// Scatter a batch of specs across a fleet, run each shard's batch
     /// as one pipelined episode, and merge per query — the engine behind
     /// both [`FleetQPair::far_view`](crate::FleetQPair::far_view) and
-    /// [`FleetQPair::far_view_batch`](crate::FleetQPair::far_view_batch).
+    /// [`FleetQPair::far_view_batch`](crate::FleetQPair::far_view_batch),
+    /// and the only fleet executor there is.
     ///
     /// The scatter pays for a thread only when the thread has work worth
     /// more than its spawn. The calling thread is always worker 0; extra
@@ -1174,9 +1168,8 @@ impl Executor {
     /// (the gate is [`scatter_workers`]; a batch below it makes no
     /// scheduling syscall at all). Each worker owns a contiguous run of
     /// shard slots and results are joined in slot order, so payloads,
-    /// stats and merge order are byte-identical to the serial reference
-    /// ([`Executor::fleet_serial`], property-tested on both sides of the
-    /// gate in `tests/vectorized_props.rs`).
+    /// stats and merge order are those of a single worker (asserted on
+    /// two identically built fleets above the gate by an in-crate test).
     ///
     /// The constant is the measured break-even — µs per fleet query,
     /// 4 nodes, r = 2, `select50`, on a 2-vCPU host with both vCPUs
@@ -1193,61 +1186,32 @@ impl Executor {
     /// | 4 MiB | 4311–4497 | 2465–2579 |
     ///
     /// Below 512 KiB (256 KiB per worker) one worker wins by up to
-    /// 2.6×; above it two hold 1.35–1.75× (`BENCH_PR8.json` records a
-    /// table on each side).
+    /// 2.6×; above it two hold 1.35–1.75×.
     ///
     /// Shards resolve via the handle's epoch-snapshot
     /// [`Placement`](crate::topology::Placement): each shard slot
-    /// **executes its datapath once**, on the first surviving replica;
-    /// every other surviving replica holds a byte-identical image on an
-    /// identically calibrated node, so its response is *modeled* through
-    /// [`fv_sim::PlanCostModel::replica_race`] and the race's minimum is
-    /// charged — identical bytes, `r×` less wall-clock work than racing
-    /// every replica. A slot whose replicas are all gone reports
-    /// [`FvError::NodeDown`] — with `r ≥ 2`, any single node loss is
-    /// survived transparently.
+    /// **executes its datapath once**, on the first surviving replica.
+    /// A replica whose link faults (typed [`FvError::Net`] /
+    /// [`FvError::IncompleteEpisode`]) fails over to the next surviving
+    /// one; no read is hedged or raced. A slot whose replicas are all
+    /// gone reports [`FvError::NodeDown`] — with `r ≥ 2`, any single
+    /// node loss is survived transparently.
     pub fn fleet(
         fqp: &FleetQPair,
         ft: &FleetTable,
         specs: &[PipelineSpec],
     ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        Self::fleet_with(fqp, ft, specs, usize::MAX, false)
+        Self::fleet_with(fqp, ft, specs, usize::MAX)
     }
 
-    /// The serial reference scatter: same engine, same replica handling,
-    /// shard slots executed one after another on the calling thread.
-    /// Byte-identical to [`Executor::fleet`] — the `hotpath` bench and
-    /// the vectorized property tests compare the two routes.
-    pub fn fleet_serial(
-        fqp: &FleetQPair,
-        ft: &FleetTable,
-        specs: &[PipelineSpec],
-    ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        Self::fleet_with(fqp, ft, specs, 1, false)
-    }
-
-    /// The seed execution model, kept as a reference implementation:
-    /// serial scatter **and** every surviving replica of every slot
-    /// executes its datapath, the fastest simulated response winning the
-    /// race. Byte-identical to [`Executor::fleet`] (replica images are
-    /// identical); `r×` the wall-clock work. The `hotpath` bench
-    /// measures the production path against this, exactly as
-    /// `CompiledPipeline::force_scalar` preserves the seed per-tuple
-    /// datapath.
-    pub fn fleet_seed_reference(
-        fqp: &FleetQPair,
-        ft: &FleetTable,
-        specs: &[PipelineSpec],
-    ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        Self::fleet_with(fqp, ft, specs, 1, true)
-    }
-
+    /// [`Executor::fleet`] on at most `worker_cap` scatter workers. The
+    /// cap is not a mode: production passes no cap, and a test pins it
+    /// to 1 to assert that fanning out changes nothing.
     fn fleet_with(
         fqp: &FleetQPair,
         ft: &FleetTable,
         specs: &[PipelineSpec],
         worker_cap: usize,
-        race_replicas: bool,
     ) -> Result<Vec<FleetQueryOutcome>, FvError> {
         fqp.check_table(ft)?;
         if specs.is_empty() {
@@ -1263,105 +1227,34 @@ impl Executor {
         let shard_specs: Vec<PipelineSpec> = plans.iter().map(|(s, _)| s.clone()).collect();
         let placement = ft.placement();
 
-        // One shard slot's work: execute the whole batch once on the
-        // first surviving replica and model the standbys' race — or,
-        // on the seed reference route, execute every surviving replica
-        // and let the fastest simulated response win. Either way, a
-        // replica whose *link* faults (typed `Net`/`IncompleteEpisode`)
-        // drops out of the slot like a dead node: the remaining
-        // replicas serve, and only when every replica fails does the
-        // slot report the last typed error.
+        // One shard slot's work: execute the whole batch once, on the
+        // first surviving replica. A replica whose *link* faults (typed
+        // `Net`/`IncompleteEpisode`) drops out of the slot like a dead
+        // node: the next one serves, and only when every replica fails
+        // does the slot report the last typed error.
         let run_slot = |nodes: &[crate::topology::NodeId],
                         replicas: &[FTable]|
          -> Result<Vec<QueryOutcome>, FvError> {
-            let survivors: Vec<(crate::topology::NodeId, &FTable)> = nodes
-                .iter()
-                .zip(replicas)
-                .filter(|(&node, _)| fqp.is_serving(node))
-                .map(|(&node, sft)| (node, sft))
-                .collect();
-            if survivors.is_empty() {
-                // fv:allow(panic): placement invariant — every slot's
-                // replica list is non-empty (replicas >= 1).
-                return Err(FvError::NodeDown { node: nodes[0].0 });
-            }
-            // An error that means "this replica's datapath is degraded",
-            // as opposed to a query bug that every replica would share.
-            let replica_local =
-                |e: &FvError| matches!(e, FvError::Net(_) | FvError::IncompleteEpisode { .. });
-            if race_replicas {
-                let mut best: Option<Vec<(crate::topology::NodeId, QueryOutcome)>> = None;
-                let mut last_err = None;
-                for &(node, sft) in &survivors {
-                    let outcomes = match fqp
-                        .node_qp(node)
-                        .and_then(|qp| qp.execute_specs(sft, &shard_specs))
-                    {
-                        Ok(o) => o,
-                        Err(e) if replica_local(&e) => {
-                            last_err = Some(e);
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    best = Some(match best {
-                        None => outcomes.into_iter().map(|o| (node, o)).collect(),
-                        Some(prev) => prev
-                            .into_iter()
-                            .zip(outcomes)
-                            .map(|(a, b)| {
-                                if replica_beats(
-                                    (node, b.stats.response_time),
-                                    (a.0, a.1.stats.response_time),
-                                ) {
-                                    (node, b)
-                                } else {
-                                    a
-                                }
-                            })
-                            .collect(),
-                    });
-                }
-                return match best {
-                    Some(won) => Ok(won.into_iter().map(|(_, o)| o).collect()),
-                    // fv:allow(panic): non-empty replica list (above).
-                    None => Err(last_err.unwrap_or(FvError::NodeDown { node: nodes[0].0 })),
-                };
-            }
             let mut last_err = None;
-            for (i, &(node, sft)) in survivors.iter().enumerate() {
-                let mut outcomes = match fqp
+            for (&node, sft) in nodes.iter().zip(replicas) {
+                if !fqp.is_serving(node) {
+                    continue;
+                }
+                match fqp
                     .node_qp(node)
                     .and_then(|qp| qp.execute_specs(sft, &shard_specs))
                 {
-                    Ok(o) => o,
-                    Err(e) if replica_local(&e) => {
-                        // Hedged read: fall through to the next
-                        // surviving replica instead of failing the
-                        // query.
+                    Ok(outcomes) => return Ok(outcomes),
+                    // "This replica's datapath is degraded", as opposed
+                    // to a query bug that every replica would share.
+                    Err(e @ (FvError::Net(_) | FvError::IncompleteEpisode { .. })) => {
                         last_err = Some(e);
-                        continue;
                     }
                     Err(e) => return Err(e),
-                };
-                let standbys = survivors.len() - 1 - i;
-                if standbys > 0 {
-                    // Charge the modeled race minimum for the standbys
-                    // that were not re-executed. Under the default model
-                    // this is an *identity* — byte-identical replicas on
-                    // identical calibration respond in identical time —
-                    // and the call exists as the one seam where replica
-                    // skew would plug in without touching the execution
-                    // path.
-                    let cost = PlanCostModel::default();
-                    for o in &mut outcomes {
-                        o.stats.response_time =
-                            cost.replica_race(o.stats.response_time, standbys + 1);
-                    }
                 }
-                return Ok(outcomes);
             }
-            // fv:allow(panic): non-empty replica list (above).
+            // fv:allow(panic): placement invariant — every slot's
+            // replica list is non-empty (replicas >= 1).
             Err(last_err.unwrap_or(FvError::NodeDown { node: nodes[0].0 }))
         };
 
@@ -1429,18 +1322,6 @@ impl Executor {
         let spec = plan.optimize(ft.schema())?.to_spec()?;
         Ok(Self::fleet(fqp, ft, std::slice::from_ref(&spec))?.remove(0))
     }
-}
-
-/// Does the challenger replica's response beat the incumbent's in the
-/// replica race? Latency decides; a latency *tie* is broken by the
-/// smaller raw [`NodeId`](crate::topology::NodeId), so the race winner
-/// — and with it every cost report — is reproducible no matter which
-/// order the replicas were visited in.
-pub fn replica_beats(
-    challenger: (crate::topology::NodeId, SimDuration),
-    incumbent: (crate::topology::NodeId, SimDuration),
-) -> bool {
-    challenger.1 < incumbent.1 || (challenger.1 == incumbent.1 && challenger.0 .0 < incumbent.0 .0)
 }
 
 /// Scan bytes a scatter worker must have before a thread is worth
@@ -1993,6 +1874,52 @@ mod tests {
         }
     }
 
+    /// Fanned out ≡ one worker: above the size gate (an 84 KiB table at
+    /// depth 8 scans 672 KiB; `Executor::fleet` spawns a worker per
+    /// 256 KiB), the gate's verdict and a scatter pinned to one worker
+    /// return the same payloads, schemas, fleet-aggregated stats and
+    /// per-shard stats. Below the gate both are the same single-worker
+    /// call, so there is nothing to compare.
+    #[test]
+    fn parallel_scatter_matches_serial() {
+        use crate::{FarviewFleet, Partitioning};
+        let table = fv_workload::TableGen::new(3, 3584)
+            .seed(0x5CA7)
+            .distinct_column(0, 300)
+            .build();
+        let specs: Vec<PipelineSpec> = [150u64, 0, 299, 17, 230, 64, 101, 280]
+            .iter()
+            .map(|&t| PipelineSpec::passthrough().filter(PredicateExpr::lt(0, t)))
+            .collect();
+        let scanned = (table.bytes().len() * specs.len()) as u64;
+        assert!(scanned >= 2 * SCATTER_MIN_BYTES_PER_WORKER);
+        let host = host_parallelism();
+        for nodes in 1..=4usize {
+            if host >= 2 && nodes >= 2 {
+                let workers = scatter_workers(scanned, nodes, host);
+                assert!(workers >= 2, "{scanned} B over {nodes} slots ran serially");
+            }
+            // Two identically built fleets, so the stateful region
+            // bookkeeping (pipeline fingerprints → `reconfigured`
+            // flags) starts from the same point on both sides.
+            let run = |worker_cap: usize| {
+                let fleet = FarviewFleet::new(nodes, FarviewConfig::tiny());
+                let qp = fleet.connect().unwrap();
+                let (ft, _) = qp.load_table(&table, Partitioning::RowRange).unwrap();
+                Executor::fleet_with(&qp, &ft, &specs, worker_cap).unwrap()
+            };
+            let gated = run(usize::MAX);
+            let serial = run(1);
+            assert_eq!(gated.len(), serial.len());
+            for (g, s) in gated.iter().zip(&serial) {
+                assert_eq!(g.merged.payload, s.merged.payload);
+                assert_eq!(g.merged.schema, s.merged.schema);
+                assert_eq!(g.merged.stats, s.merged.stats);
+                assert_eq!(g.per_shard, s.per_shard);
+            }
+        }
+    }
+
     #[test]
     fn scatter_workers_gate_table() {
         const KIB: u64 = 1024;
@@ -2024,25 +1951,5 @@ mod tests {
             assert_eq!(got, want, "bytes={bytes} slots={slots} host={host}");
             assert!(got >= 1 && got <= slots.max(1));
         }
-    }
-
-    #[test]
-    fn replica_race_ties_break_by_node_id() {
-        use crate::topology::NodeId;
-        let t = SimDuration::from_micros(10);
-        // Strictly faster wins regardless of id.
-        assert!(replica_beats(
-            (NodeId(9), SimDuration::from_micros(5)),
-            (NodeId(1), t)
-        ));
-        assert!(!replica_beats(
-            (NodeId(1), t),
-            (NodeId(9), SimDuration::from_micros(5))
-        ));
-        // A tie goes to the smaller raw node id, from either side.
-        assert!(replica_beats((NodeId(1), t), (NodeId(2), t)));
-        assert!(!replica_beats((NodeId(2), t), (NodeId(1), t)));
-        // Equal id + equal latency: the incumbent keeps the win.
-        assert!(!replica_beats((NodeId(3), t), (NodeId(3), t)));
     }
 }

@@ -447,8 +447,8 @@ impl<'a> FleetTierConn<'a> {
     }
 
     /// Stage every table with `replicas` copies per shard on distinct
-    /// nodes — reads race the replicas and survive any `replicas − 1`
-    /// node losses, exactly as
+    /// nodes — reads fail over between them and survive any
+    /// `replicas − 1` node losses, exactly as
     /// [`FleetQPair::load_table_replicated`](crate::fleet::FleetQPair::load_table_replicated)
     /// documents.
     pub fn with_replication(mut self, replicas: usize) -> Self {

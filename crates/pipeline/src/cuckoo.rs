@@ -437,12 +437,13 @@ fn bucket_of(tag: u64, seed: u64, way: usize, mask: usize) -> usize {
 /// allocation is reused for the key shifting in — steady state is
 /// malloc-free.
 ///
-/// The scalar operator path uses [`ShiftRegisterLru::contains`] /
-/// [`ShiftRegisterLru::touch`]; the batched block paths use the merged
-/// [`ShiftRegisterLru::promote_hashed`] (one scan decides membership and
-/// refreshes recency) and the scan-free
-/// [`ShiftRegisterLru::shift_in_hashed`] (for keys just proven absent).
-/// Both sets drive the identical state machine.
+/// [`ShiftRegisterLru::contains`] / [`ShiftRegisterLru::touch`] are the
+/// register as the paper describes it — what the test-only per-tuple
+/// reference drives; `DistinctOp` uses the merged
+/// [`ShiftRegisterLru::promote_or_victim`] (one scan decides membership,
+/// refreshes recency and picks the victim) and the scan-free
+/// [`ShiftRegisterLru::shift_in_at`]. Both sets drive the identical
+/// state machine.
 #[derive(Debug, Clone)]
 pub struct ShiftRegisterLru {
     depth: usize,
@@ -458,8 +459,8 @@ pub struct ShiftRegisterLru {
 
 impl ShiftRegisterLru {
     /// A shift register of the given depth. Depth 0 disables the cache
-    /// (used by tests and the `ablation_lru` bench to expose the data
-    /// hazard the cache exists to prevent).
+    /// (used by tests to expose the data hazard the cache exists to
+    /// prevent).
     pub fn new(depth: usize) -> Self {
         ShiftRegisterLru {
             depth,

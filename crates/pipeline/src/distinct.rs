@@ -10,14 +10,14 @@
 //! tuples have passed (the BRAM pipeline depth). Two equal keys closer
 //! together than that would both be emitted — unless the LRU shift
 //! register catches the second one, which is exactly why the hardware
-//! has it. `DistinctOp::with_lru_depth(0)` exposes the hazard for tests
-//! and the `ablation_lru` bench.
+//! has it. [`DistinctOp::with_geometry`] at depth 0 exposes the hazard
+//! for tests.
 
 use std::collections::VecDeque;
 
 use crate::cuckoo::{hash_key, CuckooTable, ShiftRegisterLru};
 use crate::pack::Packer;
-use crate::pipeline::{StreamOperator, TupleBlock};
+use crate::pipeline::{TailOperator, TupleBlock};
 use crate::project::ProjectionPlan;
 
 /// Hash-table write-to-read visibility latency, in tuples. The BRAM
@@ -40,7 +40,6 @@ pub struct DistinctOp {
     in_flight: VecDeque<(Box<[u8]>, u64)>,
     /// Tuples processed (the write-pipeline clock).
     tick: u64,
-    key_buf: Vec<u8>,
     /// Batched-path scratch: all survivor keys of a block, gathered
     /// contiguously (reused across blocks, so steady state is malloc-free).
     block_keys: Vec<u8>,
@@ -82,7 +81,6 @@ impl DistinctOp {
             lru: ShiftRegisterLru::new(lru_depth),
             in_flight: VecDeque::with_capacity(WRITE_LATENCY),
             tick: 0,
-            key_buf: Vec::new(),
             block_keys: Vec::new(),
             block_hashes: Vec::new(),
             batched_blocks: 0,
@@ -104,26 +102,13 @@ impl DistinctOp {
         self.hazard_leaks
     }
 
-    /// Advance the write pipeline by one tuple: inserts whose commit tick
-    /// has passed become visible (the entry is already physically in the
-    /// table; it merely leaves the "invisible" window).
-    fn tick_write_pipeline(&mut self) {
-        self.tick += 1;
-        while matches!(self.in_flight.front(), Some((_, commit)) if *commit <= self.tick) {
-            self.in_flight.pop_front();
-        }
-    }
-
-    fn visible_in_table(&self, key: &[u8]) -> bool {
-        self.table.contains(key) && !self.in_flight.iter().any(|(k, _)| k.as_ref() == key)
-    }
-
-    /// One tuple of the batched path's hazard-window state machine, with
-    /// the key's primary hash already in hand. Bit-exact vs the scalar
-    /// [`DistinctOp::push`]: same probes in the same order against the
-    /// same table, LRU, and in-flight window. Forced inline: this is the
-    /// per-tuple body of the batched loops, and a real call here would
-    /// spill the loop state it shares with them.
+    /// One tuple of the hazard-window state machine, with the key's
+    /// primary hash already in hand. Bit-exact vs the literal §5.4
+    /// per-tuple machine (the reference in `tests/reference`): same
+    /// probes in the same order against the same table, LRU, and
+    /// in-flight window. Forced inline: this is the per-tuple body of
+    /// the batched loops, and a real call here would spill the loop
+    /// state it shares with them.
     ///
     /// Returns the LRU slot the key occupies afterwards (`None` when it
     /// was left out: hazard leak, or a depth-0 window) — the handle the
@@ -139,7 +124,7 @@ impl DistinctOp {
         }
         // LRU first — it exists to catch what the table can't see
         // yet. One merged scan answers membership, refreshes recency
-        // on a hit (the scalar path's contains-then-touch pair), and
+        // on a hit (the reference's contains-then-touch pair), and
         // on a miss already selects the victim slot the shift-in
         // below will use — the whole LRU step is a single walk.
         let slot = match self.lru.promote_or_victim(h, key) {
@@ -150,14 +135,15 @@ impl DistinctOp {
             Err(slot) => slot,
         };
         // One probe decides both the ordinary-duplicate and the
-        // hazard-leak branch (the scalar path probes twice; nothing
+        // hazard-leak branch (the reference probes twice; nothing
         // mutates the table in between, so the answers are equal).
         if self.table.contains_hashed(h, key) {
             if self.in_flight.iter().any(|(k, _)| k.as_ref() == key) {
                 // In the table but still inside the invisible window
                 // and not caught by the LRU: the §5.4 data hazard. The
-                // key does NOT enter the LRU (the scalar path's touch
-                // never runs on this branch either).
+                // key does NOT enter the LRU (the reference's touch
+                // never runs on this branch either). The hardware would
+                // emit a duplicate here; so do we, and we count it.
                 self.hazard_leaks += 1;
                 self.emitted += 1;
                 packer.push_tuple(key);
@@ -175,6 +161,10 @@ impl DistinctOp {
                     .push_back((key.into(), self.tick + WRITE_LATENCY as u64));
             }
             Err(_homeless) => {
+                // Cuckoo overflow: this key has no table slot. The tuple
+                // still goes to the client (as overflow) and later
+                // duplicates of it will also be emitted for software
+                // dedup.
                 self.overflow += 1;
             }
         }
@@ -185,77 +175,16 @@ impl DistinctOp {
     }
 }
 
-impl StreamOperator for DistinctOp {
-    fn name(&self) -> &'static str {
-        "distinct"
-    }
-
-    fn push(&mut self, tuple: &[u8], out: &mut dyn FnMut(&[u8])) {
-        self.key_buf.clear();
-        self.keys.write_projected(tuple, &mut self.key_buf);
-
-        self.tick_write_pipeline();
-
-        // LRU first — it exists to catch what the table can't see yet.
-        if self.lru.contains(&self.key_buf) {
-            self.hazard_catches += 1;
-            self.lru.touch(&self.key_buf);
-            return;
-        }
-        if self.visible_in_table(&self.key_buf) {
-            // Ordinary duplicate.
-            self.lru.touch(&self.key_buf);
-            return;
-        }
-        let key: Box<[u8]> = self.key_buf.as_slice().into();
-        if self.table.contains(&key) {
-            // In the table but still inside the invisible window and not
-            // caught by the LRU: the §5.4 data hazard. The hardware would
-            // emit a duplicate here; so do we, and we count it.
-            self.hazard_leaks += 1;
-            self.emitted += 1;
-            out(&self.key_buf);
-            return;
-        }
-        // Genuinely new key: insert (entering the hazard window) and emit.
-        match self.table.insert(key.clone(), ()) {
-            Ok(()) => {
-                self.in_flight
-                    .push_back((key.clone(), self.tick + WRITE_LATENCY as u64));
-            }
-            Err(_homeless) => {
-                // Cuckoo overflow: this key has no table slot. The tuple
-                // still goes to the client (as overflow) and later
-                // duplicates of it will also be emitted for software
-                // dedup.
-                self.overflow += 1;
-            }
-        }
-        self.lru.touch(&key);
-        self.emitted += 1;
-        out(&self.key_buf);
-    }
-
-    /// Block path — hash-all-then-probe-all. Pass 1 gathers every
-    /// survivor key into one contiguous scratch; pass 2 computes every
-    /// primary hash in a tight loop; pass 3 runs the hazard-window state
-    /// machine tuple by tuple (dedup is inherently sequential, and the
-    /// hazard clock must tick per tuple) but with the hash already in
-    /// hand — no per-tuple virtual call, closure chain, or rehash per
-    /// probe. Bit-exact vs the scalar path: same probes in the same
-    /// order against the same table, LRU, and in-flight window.
+impl TailOperator for DistinctOp {
+    /// Hash-all-then-probe-all. Pass 1 gathers every survivor key into
+    /// one contiguous scratch; pass 2 computes every primary hash in a
+    /// tight loop; pass 3 runs the hazard-window state machine tuple by
+    /// tuple (dedup is inherently sequential, and the hazard clock must
+    /// tick per tuple) but with the hash already in hand — no rehash
+    /// per probe.
     fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
-        if sel.is_empty() {
-            return;
-        }
+        // Never zero: `ProjectionPlan` refuses an empty column list.
         let kw = self.keys.out_row_bytes();
-        if kw == 0 {
-            // Degenerate empty-key plan (rejected upstream; stay safe).
-            for &i in sel {
-                self.push(block.tuple(i), &mut |t| packer.push_tuple(t));
-            }
-            return;
-        }
         self.batched_blocks += 1;
         let mut hashes = std::mem::take(&mut self.block_hashes);
         hashes.clear();
@@ -270,7 +199,7 @@ impl StreamOperator for DistinctOp {
                 // tuple of a run takes the full state machine; every
                 // repeat is provably still resident in the LRU at the
                 // slot the first occurrence reported, so it reduces to
-                // exactly what the scalar path would do — clock tick,
+                // exactly what the full machine would do — clock tick,
                 // in-flight retirement, stamp refresh, hazard-catch
                 // count — with the hash and both scans skipped. The
                 // memo is invalid when the key was left out of the LRU
@@ -350,6 +279,7 @@ impl StreamOperator for DistinctOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::push_row as push;
     use fv_data::{Row, Schema, Value};
 
     fn encode(schema: &Schema, a: u64, b: u64) -> Vec<u8> {
@@ -361,45 +291,46 @@ mod tests {
         DistinctOp::with_geometry(keys, CuckooTable::new(4, 1024), lru_depth)
     }
 
+    fn keys_of(out: &[u8]) -> Vec<u64> {
+        out.chunks_exact(8)
+            .map(|k| u64::from_le_bytes(k.try_into().unwrap()))
+            .collect()
+    }
+
     #[test]
     fn emits_each_key_once() {
         let schema = Schema::uniform_u64(2);
         let mut d = op(&schema, DEFAULT_LRU_DEPTH);
-        let mut out: Vec<u64> = Vec::new();
+        let mut out = Vec::new();
         // Keys 0..20, each three times, far enough apart to dodge the
         // LRU: 0,1,..,19,0,1,..,19,...
         for _ in 0..3 {
             for k in 0..20u64 {
-                let bytes = encode(&schema, k, 999);
-                d.push(&bytes, &mut |t| {
-                    out.push(u64::from_le_bytes(t[..8].try_into().unwrap()));
-                });
+                out.extend(push(&mut d, &encode(&schema, k, 999)));
             }
         }
-        assert_eq!(out.len(), 20, "each key exactly once");
         assert_eq!(d.hazard_leaks(), 0);
         let expect: Vec<u64> = (0..20).collect();
-        assert_eq!(out, expect);
+        assert_eq!(keys_of(&out), expect, "each key exactly once");
     }
 
     #[test]
     fn output_is_key_columns_only() {
         let schema = Schema::uniform_u64(2);
         let mut d = op(&schema, DEFAULT_LRU_DEPTH);
-        let mut widths = Vec::new();
-        d.push(&encode(&schema, 7, 8), &mut |t| widths.push(t.len()));
-        assert_eq!(widths, vec![8], "distinct emits the key, not the row");
+        let out = push(&mut d, &encode(&schema, 7, 8));
+        assert_eq!(out.len(), 8, "distinct emits the key, not the row");
     }
 
     #[test]
     fn back_to_back_duplicates_caught_by_lru() {
         let schema = Schema::uniform_u64(2);
         let mut d = op(&schema, DEFAULT_LRU_DEPTH);
-        let mut count = 0;
+        let mut out = Vec::new();
         for _ in 0..10 {
-            d.push(&encode(&schema, 42, 0), &mut |_| count += 1);
+            out.extend(push(&mut d, &encode(&schema, 42, 0)));
         }
-        assert_eq!(count, 1);
+        assert_eq!(keys_of(&out), [42]);
         assert_eq!(d.hazard_catches(), 9, "LRU must absorb the hazard");
         assert_eq!(d.hazard_leaks(), 0);
     }
@@ -410,21 +341,19 @@ mod tests {
         // it, duplicates inside the write-latency window leak.
         let schema = Schema::uniform_u64(2);
         let mut d = op(&schema, 0);
-        let mut count = 0;
+        let mut out = Vec::new();
         for _ in 0..2 {
-            d.push(&encode(&schema, 42, 0), &mut |_| count += 1);
+            out.extend(push(&mut d, &encode(&schema, 42, 0)));
         }
-        assert_eq!(count, 2, "hazard must produce a duplicate emit");
+        assert_eq!(keys_of(&out), [42, 42], "hazard must emit a duplicate");
         assert_eq!(d.hazard_leaks(), 1);
 
         // Far-apart duplicates are still deduplicated by the table.
-        let mut count2 = 0;
         for k in 0..100u64 {
-            d.push(&encode(&schema, 1000 + k, 0), &mut |_| ());
-            let _ = k;
+            push(&mut d, &encode(&schema, 1000 + k, 0));
         }
-        d.push(&encode(&schema, 1000, 0), &mut |_| count2 += 1);
-        assert_eq!(count2, 0, "table catches out-of-window duplicates");
+        let late = push(&mut d, &encode(&schema, 1000, 0));
+        assert!(late.is_empty(), "table catches out-of-window duplicates");
     }
 
     #[test]
@@ -438,9 +367,7 @@ mod tests {
         let n = 200u64;
         let mut seen = std::collections::HashSet::new();
         for k in 0..n {
-            d.push(&encode(&schema, k, 0), &mut |t| {
-                seen.insert(u64::from_le_bytes(t[..8].try_into().unwrap()));
-            });
+            seen.extend(keys_of(&push(&mut d, &encode(&schema, k, 0))));
         }
         assert_eq!(seen.len() as u64, n, "every key must surface");
         assert!(d.overflow_tuples() > 0, "tiny table must overflow");
@@ -452,14 +379,11 @@ mod tests {
         let keys = ProjectionPlan::new(&schema, Some(&[0, 1])).unwrap();
         let mut d = DistinctOp::with_geometry(keys, CuckooTable::new(4, 1024), 8);
         let rows = [(1u64, 1u64), (1, 2), (1, 1), (2, 1), (1, 2)];
-        let mut out = 0;
+        let mut out = Vec::new();
         for (a, b) in rows {
             let bytes = Row(vec![Value::U64(a), Value::U64(b), Value::U64(9)]).encode(&schema);
-            d.push(&bytes, &mut |t| {
-                assert_eq!(t.len(), 16);
-                out += 1;
-            });
+            out.extend(push(&mut d, &bytes));
         }
-        assert_eq!(out, 3, "(1,1) (1,2) (2,1)");
+        assert_eq!(keys_of(&out), [1, 1, 1, 2, 2, 1], "(1,1) (1,2) (2,1)");
     }
 }

@@ -15,11 +15,11 @@
 
 use std::ops::Range;
 
-use fv_data::{Column, ColumnType, RowView, Schema, Value};
+use fv_data::{Column, ColumnType, Schema};
 
 use crate::cuckoo::{hash_key, CuckooTable};
 use crate::pack::Packer;
-use crate::pipeline::{StreamOperator, TupleBlock};
+use crate::pipeline::{TailOperator, TupleBlock};
 use crate::project::ProjectionPlan;
 use crate::spec::{AggFunc, AggSpec};
 
@@ -61,39 +61,9 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, value: &Value) {
-        match (self, value) {
-            (AggState::Count(n), _) => *n += 1,
-            (AggState::SumU(s), Value::U64(v)) => *s = s.wrapping_add(*v),
-            (AggState::SumI(s), Value::I64(v)) => *s = s.wrapping_add(*v),
-            (AggState::SumF(s), Value::F64(v)) => *s += v,
-            // SumF64 over integer columns: same f64 accumulation as Avg.
-            (AggState::SumF(s), Value::U64(v)) => *s += *v as f64,
-            (AggState::SumF(s), Value::I64(v)) => *s += *v as f64,
-            (AggState::MinU(m), Value::U64(v)) => *m = (*m).min(*v),
-            (AggState::MinI(m), Value::I64(v)) => *m = (*m).min(*v),
-            (AggState::MinF(m), Value::F64(v)) => *m = m.min(*v),
-            (AggState::MaxU(m), Value::U64(v)) => *m = (*m).max(*v),
-            (AggState::MaxI(m), Value::I64(v)) => *m = (*m).max(*v),
-            (AggState::MaxF(m), Value::F64(v)) => *m = m.max(*v),
-            (AggState::Avg { sum, n }, v) => {
-                *sum += match v {
-                    Value::U64(x) => *x as f64,
-                    Value::I64(x) => *x as f64,
-                    Value::F64(x) => *x,
-                    Value::Bytes(_) => unreachable!("avg over bytes rejected at compile"),
-                };
-                *n += 1;
-            }
-            (s, v) => unreachable!("agg state {s:?} fed value {v:?}"),
-        }
-    }
-
-    /// `update`, but from the raw little-endian column bytes — the
-    /// batched block path skips the `Value` materialization and decodes
-    /// in place. Arithmetic mirrors [`AggState::update`] exactly
-    /// (wrapping integer sums, the same `as f64` conversions), so the
-    /// two entry points are bit-equivalent.
+    /// Fold in one input cell, decoded in place from its raw
+    /// little-endian column bytes: wrapping integer sums, `as f64`
+    /// conversions for the float accumulators.
     #[inline]
     fn update_raw(&mut self, field: &[u8], ty: ColumnType) {
         if let AggState::Count(n) = self {
@@ -101,8 +71,7 @@ impl AggState {
             return;
         }
         // fv:allow(panic): non-COUNT aggregates are restricted to 8-byte
-        // scalar columns by spec verification (the same invariant
-        // `update` relies on through `Value`).
+        // scalar columns by spec verification.
         let bits = u64::from_le_bytes(field.try_into().expect("8-byte scalar agg column"));
         let as_f64 = |bits: u64| match ty {
             ColumnType::U64 => bits as f64,
@@ -173,23 +142,18 @@ pub(crate) fn agg_out_type(func: AggFunc, ty: ColumnType) -> ColumnType {
 /// Streaming GROUP BY with aggregation.
 pub struct GroupByOp {
     keys: ProjectionPlan,
-    aggs: Vec<AggSpec>,
-    base_schema: Schema,
     template: Vec<AggState>,
     table: CuckooTable<Vec<AggState>>,
     /// Insertion-ordered key queue — "it inserts the distinct entries
     /// into a separate queue" (§5.4) — so flush order is deterministic.
     queue: Vec<Box<[u8]>>,
     out_schema: Schema,
-    /// Per-aggregate input cell: byte range + type in the base schema —
-    /// lets the batched path slice raw columns instead of materializing
-    /// `Value`s through `RowView`.
+    /// Per-aggregate input cell: byte range + type in the base schema.
     agg_cells: Vec<(Range<usize>, ColumnType)>,
     /// True when every key column is word-sized: flush can emit packed
     /// rows with fixed 8-byte copies (the `write_projected` discipline).
     word_keys: bool,
-    key_buf: Vec<u8>,
-    /// Batched-path scratch, reused across blocks.
+    /// Scratch, reused across blocks.
     block_keys: Vec<u8>,
     block_hashes: Vec<u64>,
     batched_blocks: u64,
@@ -208,7 +172,7 @@ impl std::fmt::Debug for GroupByOp {
 
 impl GroupByOp {
     /// Group by the key columns of `keys`, computing `aggs`.
-    pub fn new(keys: ProjectionPlan, aggs: Vec<AggSpec>, base_schema: Schema) -> Self {
+    pub fn new(keys: ProjectionPlan, aggs: &[AggSpec], base_schema: &Schema) -> Self {
         Self::with_table(
             keys,
             aggs,
@@ -220,8 +184,8 @@ impl GroupByOp {
     /// Explicit table geometry (crate-internal: tests/ablations).
     pub(crate) fn with_table(
         keys: ProjectionPlan,
-        aggs: Vec<AggSpec>,
-        base_schema: Schema,
+        aggs: &[AggSpec],
+        base_schema: &Schema,
         table: CuckooTable<Vec<AggState>>,
     ) -> Self {
         let template: Vec<AggState> = aggs
@@ -256,15 +220,12 @@ impl GroupByOp {
         let word_keys = keys.all_word_cols();
         GroupByOp {
             keys,
-            aggs,
-            base_schema,
             template,
             table,
             queue: Vec::new(),
             out_schema,
             agg_cells,
             word_keys,
-            key_buf: Vec::new(),
             block_keys: Vec::new(),
             block_hashes: Vec::new(),
             batched_blocks: 0,
@@ -284,56 +245,8 @@ impl GroupByOp {
     }
 }
 
-impl StreamOperator for GroupByOp {
-    fn name(&self) -> &'static str {
-        "group_by"
-    }
-
-    fn push(&mut self, tuple: &[u8], out: &mut dyn FnMut(&[u8])) {
-        self.key_buf.clear();
-        self.keys.write_projected(tuple, &mut self.key_buf);
-        let row = RowView::new(&self.base_schema, tuple);
-
-        if let Some(states) = self.table.get_mut(&self.key_buf) {
-            for (a, st) in self.aggs.iter().zip(states.iter_mut()) {
-                st.update(&row.value(a.col));
-            }
-            return;
-        }
-        // New group.
-        let mut states = self.template.clone();
-        for (a, st) in self.aggs.iter().zip(states.iter_mut()) {
-            st.update(&row.value(a.col));
-        }
-        let key: Box<[u8]> = self.key_buf.as_slice().into();
-        match self.table.insert(key.clone(), states) {
-            Ok(()) => self.queue.push(key),
-            Err((hkey, hstates)) => {
-                // A cuckoo eviction chain left some entry homeless — not
-                // necessarily the one just inserted. Its partial
-                // aggregates are shipped to the client immediately, in
-                // the same `key ++ aggregates` format as the final flush,
-                // for software merging (§5.4's overflow buffer).
-                self.overflow += 1;
-                if hkey != key {
-                    // The new key took a slot; the displaced old one must
-                    // leave the flush queue (its state left the table).
-                    self.queue.push(key);
-                    if let Some(pos) = self.queue.iter().position(|k| *k == hkey) {
-                        self.queue.remove(pos);
-                    }
-                }
-                let mut row_buf = Vec::with_capacity(self.out_schema.row_bytes());
-                row_buf.extend_from_slice(&hkey);
-                for st in &hstates {
-                    row_buf.extend_from_slice(&st.emit());
-                }
-                out(&row_buf);
-            }
-        }
-    }
-
-    fn flush(&mut self, out: &mut dyn FnMut(&[u8])) {
+impl TailOperator for GroupByOp {
+    fn flush(&mut self, packer: &mut Packer) {
         let mut row_buf = Vec::with_capacity(self.out_schema.row_bytes());
         for key in &self.queue {
             // A queued key's entry can have been displaced to overflow by
@@ -356,30 +269,20 @@ impl StreamOperator for GroupByOp {
                     row_buf.extend_from_slice(&st.emit());
                 }
                 self.flushed += 1;
-                out(&row_buf);
+                packer.push_tuple(&row_buf);
             }
         }
     }
 
-    /// Block path — hash-all-then-probe-all. Pass 1 gathers every
-    /// survivor's key into one contiguous scratch; pass 2 computes all
-    /// primary hashes in a tight loop; pass 3 probes/updates the group
-    /// table with the hash in hand, slicing aggregate inputs straight
-    /// from the block's raw bytes (no `RowView`/`Value` per tuple).
-    /// Update order is tuple order, so results are bit-identical to the
-    /// scalar path.
+    /// Hash-all-then-probe-all. Pass 1 gathers every survivor's key
+    /// into one contiguous scratch; pass 2 computes all primary hashes
+    /// in a tight loop; pass 3 probes/updates the group table with the
+    /// hash in hand, slicing aggregate inputs straight from the block's
+    /// raw bytes (no `RowView`/`Value` per tuple). Update order is tuple
+    /// order, so float sums are bit-identical to a per-tuple fold.
     fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
-        if sel.is_empty() {
-            return;
-        }
+        // Never zero: `ProjectionPlan` refuses an empty column list.
         let kw = self.keys.out_row_bytes();
-        if kw == 0 {
-            // Degenerate empty-key plan (rejected upstream; stay safe).
-            for &i in sel {
-                self.push(block.tuple(i), &mut |t| packer.push_tuple(t));
-            }
-            return;
-        }
         self.batched_blocks += 1;
         let mut keys_buf = std::mem::take(&mut self.block_keys);
         let mut hashes = std::mem::take(&mut self.block_hashes);
@@ -411,9 +314,17 @@ impl StreamOperator for GroupByOp {
             match self.table.insert_hashed(h, key_box.clone(), states) {
                 Ok(()) => self.queue.push(key_box),
                 Err((hkey, hstates)) => {
-                    // Same homeless handling as the scalar path.
+                    // A cuckoo eviction chain left some entry homeless —
+                    // not necessarily the one just inserted. Its partial
+                    // aggregates are shipped to the client immediately,
+                    // in the same `key ++ aggregates` format as the final
+                    // flush, for software merging (§5.4's overflow
+                    // buffer).
                     self.overflow += 1;
                     if hkey != key_box {
+                        // The new key took a slot; the displaced old one
+                        // must leave the flush queue (its state left the
+                        // table).
                         self.queue.push(key_box);
                         if let Some(pos) = self.queue.iter().position(|k| *k == hkey) {
                             self.queue.remove(pos);
@@ -451,15 +362,23 @@ mod tests {
     use super::*;
     use fv_data::{Row, Value};
 
+    /// Push one row, collecting what it emits before the flush
+    /// (overflow rows) into `out`.
     fn push_row(op: &mut GroupByOp, schema: &Schema, vals: Vec<Value>, out: &mut Vec<Vec<u8>>) {
-        let bytes = Row(vals).encode(schema);
-        op.push(&bytes, &mut |t| out.push(t.to_vec()));
+        let packed = crate::pipeline::push_row(op, &Row(vals).encode(schema));
+        let width = op.out_schema().row_bytes();
+        out.extend(packed.chunks_exact(width).map(<[u8]>::to_vec));
     }
 
     fn flush(op: &mut GroupByOp) -> Vec<Vec<u8>> {
-        let mut rows = Vec::new();
-        op.flush(&mut |t| rows.push(t.to_vec()));
-        rows
+        let mut packer = Packer::passthrough();
+        op.flush(&mut packer);
+        let width = op.out_schema().row_bytes();
+        packer
+            .drain()
+            .chunks_exact(width)
+            .map(<[u8]>::to_vec)
+            .collect()
     }
 
     #[test]
@@ -469,11 +388,11 @@ mod tests {
         let keys = ProjectionPlan::new(&schema, Some(&[0])).unwrap();
         let mut op = GroupByOp::new(
             keys,
-            vec![AggSpec {
+            &[AggSpec {
                 col: 1,
                 func: AggFunc::Sum,
             }],
-            schema.clone(),
+            &schema,
         );
         let mut overflow = Vec::new();
         for (a, b) in [(1u64, 10u64), (2, 20), (1, 5), (2, 1), (3, 7)] {
@@ -526,7 +445,7 @@ mod tests {
                 func: AggFunc::Avg,
             },
         ];
-        let mut op = GroupByOp::new(keys, aggs, schema.clone());
+        let mut op = GroupByOp::new(keys, &aggs, &schema);
         let mut sink = Vec::new();
         for b in [4u64, 6, 2] {
             push_row(
@@ -563,11 +482,11 @@ mod tests {
         let keys = ProjectionPlan::new(&schema, Some(&[0])).unwrap();
         let mut op = GroupByOp::new(
             keys,
-            vec![AggSpec {
+            &[AggSpec {
                 col: 1,
                 func: AggFunc::Sum,
             }],
-            schema.clone(),
+            &schema,
         );
         let mut sink = Vec::new();
         for v in [0.5f64, 1.25] {
@@ -588,11 +507,11 @@ mod tests {
         let keys = ProjectionPlan::new(&schema, Some(&[0])).unwrap();
         let mut op = GroupByOp::with_table(
             keys,
-            vec![AggSpec {
+            &[AggSpec {
                 col: 1,
                 func: AggFunc::Sum,
             }],
-            schema.clone(),
+            &schema,
             CuckooTable::new(2, 4),
         );
         let mut overflow_rows = Vec::new();
@@ -627,11 +546,11 @@ mod tests {
         let keys = ProjectionPlan::new(&schema, Some(&[0])).unwrap();
         let mut op = GroupByOp::new(
             keys,
-            vec![AggSpec {
+            &[AggSpec {
                 col: 1,
                 func: AggFunc::Count,
             }],
-            schema,
+            &schema,
         );
         assert!(flush(&mut op).is_empty());
         assert_eq!(op.group_count(), 0);

@@ -17,7 +17,7 @@ use fv_data::{Column, Schema, Table};
 
 use crate::cuckoo::{hash_key, CuckooTable};
 use crate::pack::Packer;
-use crate::pipeline::{PipelineError, StreamOperator, TupleBlock};
+use crate::pipeline::{PipelineError, TailOperator, TupleBlock};
 
 /// On-chip budget for the build side. A dynamic region's BRAM share is
 /// ~8 % of the device (Table 1); 256 KiB of build rows is a conservative
@@ -142,8 +142,7 @@ pub struct JoinSmallOp {
     out_schema: Schema,
     probed: u64,
     emitted: u64,
-    row_buf: Vec<u8>,
-    /// Batched-path scratch: one primary hash per survivor (reused).
+    /// Scratch: one primary hash per survivor (reused).
     block_hashes: Vec<u64>,
     batched_blocks: u64,
 }
@@ -203,7 +202,6 @@ impl JoinSmallOp {
             out_schema,
             probed: 0,
             emitted: 0,
-            row_buf: Vec::new(),
             block_hashes: Vec::new(),
             batched_blocks: 0,
         })
@@ -220,37 +218,12 @@ impl JoinSmallOp {
     }
 }
 
-impl StreamOperator for JoinSmallOp {
-    fn name(&self) -> &'static str {
-        "join_small"
-    }
-
-    fn push(&mut self, tuple: &[u8], out: &mut dyn FnMut(&[u8])) {
-        self.probed += 1;
-        let key = &tuple[self.probe_range.clone()];
-        if let Some(matches) = self.table.get(key) {
-            let rows = matches.rows as usize;
-            for r in 0..rows {
-                let payload = if self.payload_bytes == 0 {
-                    &[][..]
-                } else {
-                    &matches.bytes[r * self.payload_bytes..(r + 1) * self.payload_bytes]
-                };
-                self.row_buf.clear();
-                self.row_buf.extend_from_slice(tuple);
-                self.row_buf.extend_from_slice(payload);
-                self.emitted += 1;
-                out(&self.row_buf);
-            }
-        }
-    }
-
-    /// Block path: batched probe over the block's survivors, matches
-    /// going straight into the packer as `probe ++ payload` halves — one
-    /// copy, no intermediate row buffer or per-row closure hop. The
-    /// full-block walk detects key runs and reuses one lookup per run;
-    /// the post-filter path hashes all survivors in one pass, then
-    /// probes with the hash in hand.
+impl TailOperator for JoinSmallOp {
+    /// Batched probe over the block's survivors, matches going straight
+    /// into the packer as `probe ++ payload` halves — one copy, no
+    /// intermediate row buffer. The full-block walk detects key runs and
+    /// reuses one lookup per run; the post-filter path hashes all
+    /// survivors in one pass, then probes with the hash in hand.
     fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
         // Size the pack buffer for the block's every-probe-matches-once
         // case up front (a hint — build-side fan-out can exceed it):
@@ -270,8 +243,7 @@ impl StreamOperator for JoinSmallOp {
             // Fact tables are routinely clustered on the dimension key
             // they join through, so consecutive probe keys repeat in
             // runs; the walk hashes and probes once per run and reuses
-            // the lookup while the key bytes repeat. The scalar path
-            // sees one tuple at a time and cannot.
+            // the lookup while the key bytes repeat.
             let tb = block.tuple_bytes();
             let mut prev: Option<(&[u8], Option<&BuildPayloads>)> = None;
             for tuple in block.bytes().chunks_exact(tb) {
@@ -363,11 +335,14 @@ mod tests {
         Schema::uniform_u64(3)
     }
 
+    /// Probe with one row; the joined rows it emits.
     fn push(op: &mut JoinSmallOp, schema: &Schema, vals: [u64; 3]) -> Vec<Vec<u8>> {
         let bytes = Row(vals.iter().map(|&v| Value::U64(v)).collect()).encode(schema);
-        let mut out = Vec::new();
-        op.push(&bytes, &mut |t| out.push(t.to_vec()));
-        out
+        let width = op.out_schema().row_bytes();
+        crate::pipeline::push_row(op, &bytes)
+            .chunks_exact(width)
+            .map(<[u8]>::to_vec)
+            .collect()
     }
 
     #[test]

@@ -23,9 +23,14 @@
 //!
 //! A [`PipelineSpec`] describes the requested pipeline (what the paper
 //! precompiles into a partial bitstream); [`CompiledPipeline`] is the
-//! loaded instance a dynamic region runs. Tuples stream through the
-//! stages one at a time, exactly as the hardware feeds "up to a single
-//! tuple in each cycle" (§5.1).
+//! loaded instance a dynamic region runs. The hardware feeds "up to a
+//! single tuple in each cycle" (§5.1); the host computes the same bytes
+//! a block of tuples at a time, on one route: each [`Selection`]
+//! (predicate, regex) marks its survivors in a selection vector, and the
+//! one [`TailOperator`] a pipeline may end in (distinct, group-by,
+//! join) — or, without one, the packer — gathers them. The per-tuple
+//! model exists only as the test oracle (`tests/reference` at the
+//! workspace root).
 //!
 //! The datapath is row-major end to end, as in the paper: tables sit
 //! row-major in disaggregated DRAM, [`CompiledPipeline::push_bytes`] is
@@ -57,6 +62,8 @@ pub mod crypto_op;
 
 pub use join::JoinSmallSpec;
 pub use merge::{merge_distinct, PartialAggPlan};
-pub use pipeline::{CompiledPipeline, PipelineError, PipelineStats, StreamOperator, TupleBlock};
+pub use pipeline::{
+    CompiledPipeline, PipelineError, PipelineStats, Selection, TailOperator, TupleBlock,
+};
 pub use predicate::{CmpOp, CompiledPredicate, PredicateExpr};
 pub use spec::{AggFunc, AggSpec, CryptoSpec, GroupingSpec, PipelineSpec, RegexFilter};

@@ -341,6 +341,8 @@ mod tests {
     use fv_data::{Row, Value};
 
     use crate::group_by::GroupByOp;
+    use crate::pack::Packer;
+    use crate::pipeline::{TailOperator, TupleBlock};
 
     fn base() -> Schema {
         Schema::uniform_u64(3)
@@ -349,18 +351,18 @@ mod tests {
     fn run_group_by(rows: &[(u64, u64, u64)], aggs: Vec<AggSpec>) -> Vec<u8> {
         let schema = base();
         let keys = ProjectionPlan::new(&schema, Some(&[0])).unwrap();
-        let mut op = GroupByOp::new(keys, aggs, schema.clone());
-        let mut overflow = Vec::new();
+        let mut op = GroupByOp::new(keys, &aggs, &schema);
+        let mut data = Vec::new();
         for &(a, b, c) in rows {
-            let bytes = Row(vec![Value::U64(a), Value::U64(b), Value::U64(c)]).encode(&schema);
-            crate::pipeline::StreamOperator::push(&mut op, &bytes, &mut |t: &[u8]| {
-                overflow.extend_from_slice(t)
-            });
+            data.extend(Row(vec![Value::U64(a), Value::U64(b), Value::U64(c)]).encode(&schema));
         }
-        assert!(overflow.is_empty(), "test tables must not overflow");
-        let mut out = Vec::new();
-        crate::pipeline::StreamOperator::flush(&mut op, &mut |t: &[u8]| out.extend_from_slice(t));
-        out
+        let block = TupleBlock::new(&data, schema.row_bytes());
+        let sel: Vec<u32> = (0..block.len() as u32).collect();
+        let mut packer = Packer::passthrough();
+        op.push_block(&block, &sel, &mut packer);
+        assert!(packer.drain().is_empty(), "test tables must not overflow");
+        op.flush(&mut packer);
+        packer.drain()
     }
 
     #[test]

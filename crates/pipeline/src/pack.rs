@@ -58,47 +58,29 @@ impl Packer {
 
     /// Pack one logical tuple supplied as two contiguous halves (the
     /// join's `probe ++ build_payload` shape): the halves copy straight
-    /// into the pack buffer, skipping the intermediate row buffer the
-    /// per-tuple path would need to concatenate them first.
+    /// into the pack buffer, with no row buffer to concatenate them
+    /// first. The row is final-format — a tail operator's packer is
+    /// always [`Packer::passthrough`].
     pub fn push_split_tuple(&mut self, head: &[u8], tail: &[u8]) {
-        match &self.projection {
-            None => {
-                self.buf.extend_from_slice(head);
-                self.buf.extend_from_slice(tail);
-                self.bytes_packed += (head.len() + tail.len()) as u64;
-                self.tuples_packed += 1;
-            }
-            Some(_) => {
-                // Pack-time projection needs the contiguous tuple. Join
-                // pipelines always pack passthrough, so this shape exists
-                // only defensively.
-                let mut tuple = Vec::with_capacity(head.len() + tail.len());
-                tuple.extend_from_slice(head);
-                tuple.extend_from_slice(tail);
-                self.push_tuple(&tuple);
-            }
-        }
+        debug_assert!(self.projection.is_none(), "tail operators pack passthrough");
+        self.buf.extend_from_slice(head);
+        self.buf.extend_from_slice(tail);
+        self.bytes_packed += (head.len() + tail.len()) as u64;
+        self.tuples_packed += 1;
     }
 
     /// Vectorized pack: gather the `sel`-marked tuples of `block` in one
-    /// pass. `fused` overrides the packer's own projection (the fused
-    /// filter+project scan marks survivors and projects here, at pack
-    /// time, instead of copying per tuple). A full selection with no
-    /// projection collapses into a single bulk copy of the block;
-    /// partial selections coalesce runs of adjacent survivors into one
-    /// copy each.
+    /// pass, through the pack-time projection if there is one. A full
+    /// selection with no projection collapses into a single bulk copy of
+    /// the block; partial selections coalesce runs of adjacent survivors
+    /// into one copy each.
     ///
     /// `sel` must hold **strictly ascending** tuple indices into
     /// `block` — what a selection vector is (checked in debug builds).
     /// With strict ascent, `sel.len() == block.len()` implies the
     /// identity selection, which is what makes the bulk-copy shortcut
     /// sound.
-    pub fn push_block(
-        &mut self,
-        block: &TupleBlock<'_>,
-        sel: &[u32],
-        fused: Option<&ProjectionPlan>,
-    ) {
+    pub fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32]) {
         debug_assert!(
             sel.windows(2).all(|w| w[0] < w[1])
                 && sel.last().is_none_or(|&i| (i as usize) < block.len()),
@@ -106,7 +88,7 @@ impl Packer {
         );
         let before = self.buf.len();
         let tb = block.tuple_bytes();
-        match fused.or(self.projection.as_ref()) {
+        match &self.projection {
             None if sel.len() == block.len() => self.buf.extend_from_slice(block.bytes()),
             None => {
                 self.buf.reserve(sel.len() * tb);

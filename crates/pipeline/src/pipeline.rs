@@ -6,7 +6,7 @@ use fv_sim::calib::{GROUP_FLUSH_CYCLES_PER_ENTRY, OP_FILL_CYCLES};
 use crate::compress::StreamCompressor;
 use crate::crypto_op::StreamCrypto;
 use crate::distinct::DistinctOp;
-use crate::filter::{FilterOp, FusedFilterProject};
+use crate::filter::FilterOp;
 use crate::group_by::GroupByOp;
 use crate::join::JoinSmallOp;
 use crate::pack::Packer;
@@ -242,55 +242,32 @@ impl<'a> TupleBlock<'a> {
     }
 }
 
-/// A streaming tuple operator: at most one tuple in per cycle, any
-/// number out (via the sink), state flushed at end of stream.
-///
-/// Operators participate in the vectorized block datapath through two
-/// fast paths, both with per-block (not per-tuple) dynamic dispatch:
-///
-/// * **Selection-only** operators (filter, regex) override
-///   [`StreamOperator::select_block`] to retain surviving indices in a
-///   selection vector — survivors are never copied, merely marked.
-/// * **Stateful / emitting** operators (distinct, group-by, join)
-///   override [`StreamOperator::push_block`] to consume the marked
-///   survivors in one call, replacing the per-tuple virtual `push` +
-///   boxed-closure chain of the scalar path.
-pub trait StreamOperator {
-    /// Operator name (for logs and the resource model).
-    fn name(&self) -> &'static str;
-    /// Process one tuple.
-    fn push(&mut self, tuple: &[u8], out: &mut dyn FnMut(&[u8]));
-    /// Vectorized fast path for pure selections: retain in `sel` the
-    /// indices of `block`'s tuples that survive this operator, and
-    /// return `true`. The default returns `false` — "not a selection;
-    /// route survivors through [`StreamOperator::push_block`]".
-    fn select_block(&mut self, _block: &TupleBlock<'_>, _sel: &mut Vec<u32>) -> bool {
-        false
+/// A selection stage (§5.3: predicate or regex): it annotates tuples.
+/// Survivors are marked in the selection vector, never copied — the
+/// tail operator or the packer gathers them.
+pub trait Selection {
+    /// Retain in `sel` the indices of `block`'s tuples that pass.
+    fn select_block(&mut self, block: &TupleBlock<'_>, sel: &mut Vec<u32>);
+    /// Blocks scanned through a batched fast path (the DFA prefilter).
+    fn batched_blocks(&self) -> u64 {
+        0
     }
-    /// Vectorized entry for operators that transform or hold state:
-    /// process the `sel`-marked tuples of `block` in order, delivering
-    /// every output row straight into `packer`. Such an operator is
-    /// always the pipeline's last (spec verification allows at most one
-    /// grouping/join stage and nothing behind it), so the packer is its
-    /// only sink. Equivalent to calling [`StreamOperator::push`] per
-    /// survivor (the default does exactly that); overriding turns the
-    /// per-tuple virtual dispatch into one call per block.
-    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
-        for &i in sel {
-            self.push(block.tuple(i), &mut |t| packer.push_tuple(t));
-        }
-    }
-    /// End of stream: emit any held state (e.g. group-by results).
-    fn flush(&mut self, _out: &mut dyn FnMut(&[u8])) {}
+}
+
+/// The one stateful stage a pipeline may end in (§5.4 distinct and
+/// group-by, the §7 small-table join). Spec verification allows at
+/// most one and nothing behind it, so the packer is its only sink.
+pub trait TailOperator {
+    /// Process the `sel`-marked tuples of `block` in order, packing
+    /// every output row.
+    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer);
+    /// End of stream: pack any held state (group-by results).
+    fn flush(&mut self, _packer: &mut Packer) {}
     /// Overflow tuples emitted so far (cuckoo homeless entries).
     fn overflow_tuples(&self) -> u64 {
         0
     }
-    /// Blocks this operator processed through a batched fast path
-    /// (hash-all-then-probe-all, DFA prefilter scan). Zero for operators
-    /// without one — and on the scalar reference route, which is why
-    /// this lives outside [`PipelineStats`] (the two routes must agree
-    /// on every stat they share).
+    /// Blocks processed hash-all-then-probe-all.
     fn batched_blocks(&self) -> u64 {
         0
     }
@@ -304,24 +281,13 @@ pub trait StreamOperator {
     }
 }
 
-/// Feed one tuple through `ops[0..]`, delivering survivors to `sink`.
-fn feed(ops: &mut [Box<dyn StreamOperator>], tuple: &[u8], sink: &mut dyn FnMut(&[u8])) {
-    match ops.split_first_mut() {
-        None => sink(tuple),
-        Some((head, rest)) => head.push(tuple, &mut |t| feed(rest, t, sink)),
-    }
-}
-
-/// Flush each stage in order, feeding its output through the rest.
-fn flush_all(ops: &mut [Box<dyn StreamOperator>], sink: &mut dyn FnMut(&[u8])) {
-    for i in 0..ops.len() {
-        let (before, after) = ops.split_at_mut(i + 1);
-        let Some(head) = before.last_mut() else {
-            // split_at_mut(i + 1) with i < len leaves `before` non-empty.
-            continue;
-        };
-        head.flush(&mut |t| feed(after, t, sink));
-    }
+/// Feed `row` to `op` as a one-tuple block (a one-tuple block is a
+/// block); the bytes it packed.
+#[cfg(test)]
+pub(crate) fn push_row(op: &mut dyn TailOperator, row: &[u8]) -> Vec<u8> {
+    let mut packer = Packer::passthrough();
+    op.push_block(&TupleBlock::new(row, row.len()), &[0], &mut packer);
+    packer.drain()
 }
 
 /// A loaded operator pipeline — what one dynamic region runs.
@@ -338,24 +304,17 @@ pub struct CompiledPipeline {
     decrypt_scratch: Vec<u8>,
     compress: Option<StreamCompressor>,
     encrypt: Option<StreamCrypto>,
-    ops: Vec<Box<dyn StreamOperator>>,
+    /// The selections, in pipeline order.
+    selections: Vec<Box<dyn Selection>>,
+    /// The stateful stage, if any — by construction at most one, last.
+    tail: Option<Box<dyn TailOperator>>,
     packer: Packer,
     out_schema: Schema,
     smart_addressing: Option<SmartAddressing>,
-    /// Reused selection vector for the block datapath.
+    /// Reused selection vector.
     sel_scratch: Vec<u32>,
-    /// Pack-time gather plan of the fused filter+project scan: on the
-    /// block path the fused operator only *marks* survivors, and this
-    /// plan gathers their projected bytes straight into the packer.
-    fused_gather: Option<ProjectionPlan>,
-    /// Route every tuple through the scalar per-tuple path (the seed
-    /// execution model) instead of the vectorized block path. Results
-    /// are byte-identical either way; benches and property tests flip
-    /// this to measure/verify the block path against the reference.
-    scalar_fallback: bool,
     stats: PipelineStats,
     finished: bool,
-    fused: bool,
 }
 
 impl std::fmt::Debug for CompiledPipeline {
@@ -377,48 +336,42 @@ impl CompiledPipeline {
         // and only if it verifies (modulo dynamic build-side placement).
         let (verified_schema, regex) = spec.verify_compiling(base_schema)?;
 
-        // Fused filter+project scan: a selection paired with a pack-time
-        // projection and nothing between them collapses into one pass
-        // per tuple.
-        let fuse = spec.fuses_filter_project();
-
         // --- operators ----------------------------------------------------
-        let mut ops: Vec<Box<dyn StreamOperator>> = Vec::new();
+        let mut selections: Vec<Box<dyn Selection>> = Vec::new();
         if let Some(pred) = &spec.selection {
-            if !fuse {
-                ops.push(Box::new(FilterOp::new(pred.clone(), base_schema.clone())));
-            }
+            selections.push(Box::new(FilterOp::new(pred.compile(base_schema)?)));
         }
         if let (Some(rf), Some(re)) = (&spec.regex, regex) {
             // The verifier compiled the pattern to check it; run that
             // automaton.
-            ops.push(Box::new(RegexOp::new(re, rf.col, base_schema.clone())));
+            selections.push(Box::new(RegexOp::new(re, rf.col, base_schema)));
         }
+        // Bounds, types and output names are verifier-checked above;
+        // only operator construction remains. Join and grouping exclude
+        // each other, so whichever comes last here is the only one.
         let mut out_schema = base_schema.clone();
+        let mut tail: Option<Box<dyn TailOperator>> = None;
         if let Some(join) = &spec.join {
             let op = JoinSmallOp::build(join, base_schema)?;
             out_schema = op.out_schema().clone();
-            ops.push(Box::new(op));
+            tail = Some(Box::new(op));
         }
-        // Bounds, types and output names are verifier-checked above;
-        // only operator construction remains.
         match &spec.grouping {
             Some(GroupingSpec::Distinct { cols }) => {
                 let plan = ProjectionPlan::new(base_schema, Some(cols))?;
                 out_schema = plan.out_schema().clone();
-                ops.push(Box::new(DistinctOp::new(plan)));
+                tail = Some(Box::new(DistinctOp::new(plan)));
             }
             Some(GroupingSpec::GroupBy { keys, aggs }) => {
                 let key_plan = ProjectionPlan::new(base_schema, Some(keys))?;
-                let op = GroupByOp::new(key_plan, aggs.clone(), base_schema.clone());
+                let op = GroupByOp::new(key_plan, aggs, base_schema);
                 out_schema = op.out_schema().clone();
-                ops.push(Box::new(op));
+                tail = Some(Box::new(op));
             }
             None => {}
         }
 
         // --- pack-side projection and framing -------------------------------
-        let mut fused_gather = None;
         let (packer, in_tuple_bytes, smart_addressing) = if spec.smart_addressing {
             // verify() already rejected projection-less smart addressing;
             // re-surface the same typed error rather than trusting it.
@@ -433,18 +386,8 @@ impl CompiledPipeline {
             sorted.dedup();
             out_schema = base_schema.project(&sorted);
             (Packer::passthrough(), sa.bytes_per_tuple, Some(sa))
-        } else if spec.grouping.is_some() || spec.join.is_some() {
+        } else if tail.is_some() {
             // Grouping and join operators emit final-format tuples.
-            (Packer::passthrough(), base_schema.row_bytes(), None)
-        } else if let (true, Some(pred)) = (fuse, spec.selection.clone()) {
-            // fuses_filter_project() implies a selection; binding it here
-            // lets the (unreachable) None shape fall through to the plain
-            // projection packer instead of panicking.
-            let plan = ProjectionPlan::new(base_schema, spec.projection.as_deref())?;
-            let op = FusedFilterProject::new(pred, base_schema.clone(), plan.clone());
-            out_schema = op.out_schema().clone();
-            ops.push(Box::new(op));
-            fused_gather = Some(plan);
             (Packer::passthrough(), base_schema.row_bytes(), None)
         } else {
             let plan = ProjectionPlan::new(base_schema, spec.projection.as_deref())?;
@@ -469,33 +412,15 @@ impl CompiledPipeline {
             decrypt_scratch: Vec::new(),
             compress,
             encrypt,
-            ops,
+            selections,
+            tail,
             packer,
             out_schema,
             smart_addressing,
             sel_scratch: Vec::new(),
-            fused_gather,
-            scalar_fallback: false,
             stats: PipelineStats::default(),
             finished: false,
-            fused: fuse,
         })
-    }
-
-    /// Route tuples through the scalar per-tuple execution model (one
-    /// virtual `push` + boxed-closure hop per operator per tuple — the
-    /// seed datapath) instead of the default vectorized block path.
-    /// Results are byte-identical on both routes (property-tested in
-    /// `tests/vectorized_props.rs`); the `hotpath` bench flips this to
-    /// measure the block path against the scalar reference.
-    pub fn force_scalar(&mut self, scalar: bool) {
-        self.scalar_fallback = scalar;
-    }
-
-    /// Whether this pipeline runs the fused filter+project scan (a
-    /// selection and a projection collapsed into one pass per tuple).
-    pub fn is_fused(&self) -> bool {
-        self.fused
     }
 
     /// The spec this pipeline was compiled from.
@@ -597,71 +522,37 @@ impl CompiledPipeline {
         self.refresh_op_stats();
     }
 
-    /// Run one frame (a whole number of tuples) through the operators
-    /// and into the packer.
-    ///
-    /// The default route is the vectorized block path: survivors of the
-    /// leading selection operators are *marked* in a selection vector
-    /// (no copies, one virtual call per operator per block), stateful
-    /// operators consume the marked survivors via one
-    /// [`StreamOperator::push_block`] call, and an all-selection
-    /// pipeline gathers the survivors' output bytes in a single pass at
-    /// the packer. [`CompiledPipeline::force_scalar`] routes through
-    /// the per-tuple reference path instead.
+    /// Run one frame (a whole number of tuples) through the pipeline:
+    /// each selection marks its survivors in the selection vector (no
+    /// copies, one virtual call per stage per block), then the tail
+    /// operator consumes the marked tuples — or, with no tail, the
+    /// packer gathers them in a single pass.
     fn process_frame(&mut self, frame: &[u8]) {
-        let tb = self.in_tuple_bytes;
-        let n = frame.len() / tb;
-        self.stats.tuples_in += n as u64;
+        let block = TupleBlock::new(frame, self.in_tuple_bytes);
+        self.stats.tuples_in += block.len() as u64;
 
-        let packer = &mut self.packer;
-        let stats = &mut self.stats;
-        if self.scalar_fallback {
-            for tuple in frame.chunks_exact(tb) {
-                feed(&mut self.ops, tuple, &mut |t| {
-                    stats.tuples_out += 1;
-                    packer.push_tuple(t);
-                });
-            }
-            return;
-        }
-
-        let block = TupleBlock::new(frame, tb);
         let mut sel = std::mem::take(&mut self.sel_scratch);
         sel.clear();
-        sel.extend(0..n as u32);
-
-        // Leading selections mark survivors in place.
-        let n_ops = self.ops.len();
-        let mut next = 0;
-        while next < n_ops && !sel.is_empty() {
-            // fv:allow(panic): the loop condition bounds next.
-            if !self.ops[next].select_block(&block, &mut sel) {
+        sel.extend(0..block.len() as u32);
+        for selection in &mut self.selections {
+            if sel.is_empty() {
                 break;
             }
-            next += 1;
+            selection.select_block(&block, &mut sel);
         }
 
-        if next == n_ops || sel.is_empty() {
-            // Pure selection pipeline (or nothing survived): gather the
-            // marked tuples straight into the packer — projected through
-            // the fused plan or the packer's own, or copied whole.
-            stats.tuples_out += sel.len() as u64;
-            packer.push_block(&block, &sel, self.fused_gather.as_ref());
-        } else if let Some(head) = self.ops.get_mut(next) {
-            // Survivors continue into the stateful operator. Spec
-            // conflict rules allow at most one grouping/join op, nothing
-            // follows it, and it packs passthrough: emit straight into
-            // the packer, skipping the per-row feed/closure chain.
-            debug_assert_eq!(next + 1, n_ops, "stateful operator must be last");
-            let before = packer.tuples_packed();
-            head.push_block(&block, &sel, packer);
-            stats.tuples_out += packer.tuples_packed() - before;
+        let before = self.packer.tuples_packed();
+        match &mut self.tail {
+            None => self.packer.push_block(&block, &sel),
+            // A tail is only handed blocks that have survivors.
+            Some(tail) if !sel.is_empty() => tail.push_block(&block, &sel, &mut self.packer),
+            Some(_) => {}
         }
-        sel.clear();
+        self.stats.tuples_out += self.packer.tuples_packed() - before;
         self.sel_scratch = sel;
     }
 
-    /// End of stream: flush the grouping operators and the packer.
+    /// End of stream: flush the tail operator into the packer.
     ///
     /// # Panics
     /// Panics on a second `finish`, or when the stream ended mid-tuple
@@ -677,19 +568,20 @@ impl CompiledPipeline {
             "stream ended mid-tuple: {} trailing bytes",
             self.partial.len()
         );
-        let packer = &mut self.packer;
-        let stats = &mut self.stats;
-        flush_all(&mut self.ops, &mut |t| {
-            stats.tuples_out += 1;
-            packer.push_tuple(t);
-        });
+        if let Some(tail) = &mut self.tail {
+            let before = self.packer.tuples_packed();
+            tail.flush(&mut self.packer);
+            self.stats.tuples_out += self.packer.tuples_packed() - before;
+        }
         self.refresh_op_stats();
     }
 
     fn refresh_op_stats(&mut self) {
-        self.stats.overflow_tuples = self.ops.iter().map(|o| o.overflow_tuples()).sum();
-        self.stats.hazard_catches = self.ops.iter().map(|o| o.hazard_catches()).sum();
-        self.stats.groups_flushed = self.ops.iter().map(|o| o.flushed_entries()).sum();
+        if let Some(tail) = &self.tail {
+            self.stats.overflow_tuples = tail.overflow_tuples();
+            self.stats.hazard_catches = tail.hazard_catches();
+            self.stats.groups_flushed = tail.flushed_entries();
+        }
     }
 
     /// Drain the bytes ready for the sender (compressed and/or encrypted
@@ -743,12 +635,11 @@ impl CompiledPipeline {
 
     /// Blocks the operators processed through their batched fast paths
     /// (hash-all-then-probe-all, DFA prefilter scan). Outside
-    /// [`PipelineStats`] on purpose: the scalar reference route
-    /// legitimately reports zero here while agreeing on every shared
-    /// stat, and the bench harness uses this to prove the block route
-    /// did not silently fall back to scalar execution.
+    /// [`PipelineStats`] on purpose: it counts how the host did the
+    /// work, not what the hardware would report.
     pub fn batched_blocks(&self) -> u64 {
-        self.ops.iter().map(|o| o.batched_blocks()).sum()
+        let selections: u64 = self.selections.iter().map(|s| s.batched_blocks()).sum();
+        selections + self.tail.as_ref().map_or(0, |t| t.batched_blocks())
     }
 
     /// 64-byte words the packer produced (wire framing, §5.5).
@@ -890,6 +781,9 @@ mod tests {
         p.finish();
     }
 
+    /// A selection followed by a projection — mark, then gather at the
+    /// packer — is byte-identical to filtering whole rows and projecting
+    /// each survivor afterwards.
     #[test]
     fn fused_filter_project_is_byte_identical() {
         let t = table(64);
@@ -897,22 +791,18 @@ mod tests {
         let spec = PipelineSpec::passthrough()
             .project(vec![7, 0, 3])
             .filter(PredicateExpr::lt(0, 256u64));
-        let mut fused = CompiledPipeline::compile(spec, t.schema()).unwrap();
-        assert!(fused.is_fused(), "selection+projection must fuse");
+        let mut p = CompiledPipeline::compile(spec, t.schema()).unwrap();
         for chunk in t.bytes().chunks(100) {
-            fused.push_bytes(chunk);
+            p.push_bytes(chunk);
         }
-        fused.finish();
-        let out = fused.drain_output();
+        p.finish();
+        let out = p.drain_output();
 
-        // Reference: the unfused route — filter alone, then project each
-        // surviving row.
         let mut filter_only = CompiledPipeline::compile(
             PipelineSpec::passthrough().filter(PredicateExpr::lt(0, 256u64)),
             t.schema(),
         )
         .unwrap();
-        assert!(!filter_only.is_fused());
         filter_only.push_bytes(t.bytes());
         filter_only.finish();
         let survivors = filter_only.drain_output();
@@ -922,31 +812,10 @@ mod tests {
             plan.write_projected(row, &mut expect);
         }
 
-        assert_eq!(out, expect, "fusion must not change a single byte");
-        assert_eq!(fused.stats().tuples_in, 64);
-        assert_eq!(fused.stats().tuples_out, 32);
-        assert_eq!(fused.out_schema().column_count(), 3);
-
-        // A regex between selection and projection prevents fusion.
-        let schema = Schema::new(vec![
-            fv_data::Column {
-                name: "k".into(),
-                ty: ColumnType::U64,
-            },
-            fv_data::Column {
-                name: "s".into(),
-                ty: ColumnType::Bytes(8),
-            },
-        ]);
-        let unfusable = CompiledPipeline::compile(
-            PipelineSpec::passthrough()
-                .project(vec![0])
-                .filter(PredicateExpr::lt(0, 10u64))
-                .regex_match(1, "a+"),
-            &schema,
-        )
-        .unwrap();
-        assert!(!unfusable.is_fused());
+        assert_eq!(out, expect);
+        assert_eq!(p.stats().tuples_in, 64);
+        assert_eq!(p.stats().tuples_out, 32);
+        assert_eq!(p.out_schema().column_count(), 3);
     }
 
     /// A pattern the regex engine refuses — over the DFA state budget,
@@ -978,7 +847,7 @@ mod tests {
             };
             assert_eq!(filter.verify(&schema), Err(want.clone()), "{bad}");
             assert_eq!(
-                CompiledPipeline::compile(spec, &schema).map(|p| p.is_fused()),
+                CompiledPipeline::compile(spec, &schema).map(|_| ()),
                 Err(want),
                 "{bad}"
             );

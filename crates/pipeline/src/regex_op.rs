@@ -12,7 +12,7 @@
 use fv_data::Schema;
 use fv_regex::{Prefilter, Regex};
 
-use crate::pipeline::{StreamOperator, TupleBlock};
+use crate::pipeline::{Selection, TupleBlock};
 
 /// Streaming regex filter over one `Bytes(n)` column.
 #[derive(Debug, Clone)]
@@ -34,7 +34,7 @@ impl RegexOp {
     ///
     /// # Panics
     /// Panics if `col` is out of range (validated by pipeline compile).
-    pub fn new(re: Regex, col: usize, schema: Schema) -> Self {
+    pub fn new(re: Regex, col: usize, schema: &Schema) -> Self {
         let prefilter = if re.anchored_end() {
             None
         } else {
@@ -78,27 +78,14 @@ fn strip_padding(field: &[u8]) -> &[u8] {
     &field[..end]
 }
 
-impl StreamOperator for RegexOp {
-    fn name(&self) -> &'static str {
-        "regex"
-    }
-
-    fn push(&mut self, tuple: &[u8], out: &mut dyn FnMut(&[u8])) {
-        self.evaluated += 1;
-        let field = strip_padding(&tuple[self.range.clone()]);
-        if self.re.is_match(field) {
-            self.matched += 1;
-            out(tuple);
-        }
-    }
-
-    /// Block path: the column range is fixed for the whole block, so
-    /// matching marks survivors with a direct slice per tuple — no
-    /// dispatch, no copies. With a [`Prefilter`] the DFA only runs from
-    /// candidate byte positions; runs of bytes that cannot leave the
-    /// start state are skipped word-at-a-time (exact, not approximate —
-    /// skipped bytes provably keep the automaton in place).
-    fn select_block(&mut self, block: &TupleBlock<'_>, sel: &mut Vec<u32>) -> bool {
+impl Selection for RegexOp {
+    /// The column range is fixed for the whole block, so matching marks
+    /// survivors with a direct slice per tuple — no dispatch, no copies.
+    /// With a [`Prefilter`] the DFA only runs from candidate byte
+    /// positions; runs of bytes that cannot leave the start state are
+    /// skipped word-at-a-time (exact, not approximate — skipped bytes
+    /// provably keep the automaton in place).
+    fn select_block(&mut self, block: &TupleBlock<'_>, sel: &mut Vec<u32>) {
         self.evaluated += sel.len() as u64;
         let range = self.range.clone();
         match &self.prefilter {
@@ -119,7 +106,6 @@ impl StreamOperator for RegexOp {
             }
         }
         self.matched += sel.len() as u64;
-        true
     }
 
     fn batched_blocks(&self) -> u64 {
@@ -145,20 +131,27 @@ mod tests {
         ])
     }
 
+    /// Run one encoded row through `op` as a one-tuple block.
+    fn passes(op: &mut RegexOp, row: &[u8]) -> bool {
+        let mut sel = vec![0];
+        op.select_block(&TupleBlock::new(row, row.len()), &mut sel);
+        !sel.is_empty()
+    }
+
     #[test]
     fn matches_filter_tuples() {
         let schema = string_schema(16);
         let re = Regex::compile("c[aou]t").unwrap();
-        let mut op = RegexOp::new(re, 1, schema.clone());
+        let mut op = RegexOp::new(re, 1, &schema);
         let mut kept: Vec<u64> = Vec::new();
         for (i, s) in ["the cat", "a dog", "cut here", "cot", "ct"]
             .iter()
             .enumerate()
         {
             let bytes = Row(vec![Value::U64(i as u64), Value::from(*s)]).encode(&schema);
-            op.push(&bytes, &mut |t| {
-                kept.push(u64::from_le_bytes(t[..8].try_into().unwrap()));
-            });
+            if passes(&mut op, &bytes) {
+                kept.push(i as u64);
+            }
         }
         assert_eq!(kept, vec![0, 2, 3]);
         assert_eq!(op.counters(), (5, 3));
@@ -168,18 +161,20 @@ mod tests {
     fn padding_does_not_break_end_anchor() {
         let schema = string_schema(8);
         let re = Regex::compile("cat$").unwrap();
-        let mut op = RegexOp::new(re, 1, schema.clone());
+        let mut op = RegexOp::new(re, 1, &schema);
         let bytes = Row(vec![Value::U64(0), Value::from("cat")]).encode(&schema);
-        let mut hits = 0;
-        op.push(&bytes, &mut |_| hits += 1);
-        assert_eq!(hits, 1, "zero padding must be invisible to `$`");
+        assert!(
+            passes(&mut op, &bytes),
+            "zero padding must be invisible to `$`"
+        );
     }
 
     #[test]
     fn block_scan_agrees_with_scalar_push() {
         // One pattern with a usable prefilter, one end-anchored (no
-        // prefilter), one start-anchored (empty skip set): block and
-        // scalar routes must keep identical survivors either way.
+        // prefilter), one start-anchored (empty skip set): the block
+        // scan must keep exactly the tuples whose stripped field the
+        // regex matches, either way.
         let schema = string_schema(16);
         let samples = ["the cat", "a dog", "cut here", "cot", "ct", "", "tac"];
         let mut data = Vec::new();
@@ -189,24 +184,18 @@ mod tests {
         let block = TupleBlock::new(&data, schema.row_bytes());
         for (pattern, wants_prefilter) in [("c[aou]t", true), ("cat$", false), ("^cu", false)] {
             let re = Regex::compile(pattern).unwrap();
-            let mut block_op = RegexOp::new(re.clone(), 1, schema.clone());
-            let mut scalar_op = RegexOp::new(re, 1, schema.clone());
+            let mut op = RegexOp::new(re.clone(), 1, &schema);
             let mut sel: Vec<u32> = (0..samples.len() as u32).collect();
-            assert!(block_op.select_block(&block, &mut sel));
+            op.select_block(&block, &mut sel);
             assert_eq!(
-                block_op.batched_blocks() > 0,
+                op.batched_blocks() > 0,
                 wants_prefilter,
                 "{pattern}: prefilter engagement"
             );
-            let mut scalar_survivors = Vec::new();
-            for i in 0..samples.len() as u32 {
-                let mut hit = false;
-                scalar_op.push(block.tuple(i), &mut |_| hit = true);
-                if hit {
-                    scalar_survivors.push(i);
-                }
-            }
-            assert_eq!(sel, scalar_survivors, "{pattern}: survivors must agree");
+            let matching: Vec<u32> = (0..samples.len() as u32)
+                .filter(|&i| re.is_match(samples[i as usize].as_bytes()))
+                .collect();
+            assert_eq!(sel, matching, "{pattern}: survivors must agree");
         }
     }
 

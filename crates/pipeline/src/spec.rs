@@ -374,20 +374,6 @@ impl PipelineSpec {
         Ok((out_schema, regex))
     }
 
-    /// Whether `CompiledPipeline::compile` collapses this spec's
-    /// selection and projection into the single fused filter+project
-    /// scan pass: both present, nothing between them (grouping and join
-    /// already conflict with an explicit projection, so only a regex
-    /// can intervene), and the memory path streams whole rows. The one
-    /// definition both the compiler and the planner's `explain()`
-    /// consult.
-    pub fn fuses_filter_project(&self) -> bool {
-        self.selection.is_some()
-            && self.projection.is_some()
-            && self.regex.is_none()
-            && !self.smart_addressing
-    }
-
     /// Number of operator stages this spec instantiates (for the resource
     /// model and fill-latency costing).
     pub fn stage_count(&self) -> usize {

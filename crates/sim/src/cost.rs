@@ -109,23 +109,6 @@ impl PlanCostModel {
     pub fn fan_out(&self, slowest_shard: SimDuration, merge: SimDuration) -> SimDuration {
         slowest_shard + merge
     }
-
-    /// Client-observed response time of a replicated shard read: the
-    /// datapath executes **once** (on one surviving replica, measuring
-    /// `executed`), and each of the remaining `surviving_replicas − 1`
-    /// standbys is *modeled* instead of re-run. Every replica holds a
-    /// byte-identical shard image on an identically calibrated node, so
-    /// each standby's modeled response equals the executed measurement,
-    /// and the race's winning time — the minimum over all surviving
-    /// replicas — is the executed time itself. This replaces the
-    /// execute-every-replica race with identical bytes and `r×` less
-    /// wall-clock work.
-    pub fn replica_race(&self, executed: SimDuration, surviving_replicas: usize) -> SimDuration {
-        assert!(surviving_replicas >= 1, "a race needs a surviving replica");
-        // min(executed, model(standby), ...) with model(standby) =
-        // executed for identical replicas.
-        executed
-    }
 }
 
 /// Calibrated cost of the rebalance coordinator's client-side work:

@@ -19,8 +19,6 @@
 //!   replica failover at `r = 2`;
 //! * **truncated doorbell batches** — `FvError::IncompleteEpisode`,
 //!   never a partial merge;
-//! * a **slow replica** — raced reads pick the healthy copy, bytes
-//!   identical;
 //! * a node **killed mid-rebalance** — the epoch flip completes or
 //!   rolls back, and the old handle keeps serving.
 //!
@@ -241,52 +239,6 @@ proptest! {
         let outs = Executor::fleet(&qp2, &ft2, &specs).unwrap();
         for (i, out) in outs.iter().enumerate() {
             prop_assert_eq!(&out.merged.payload, &oracle[i], "truncation leaked partial bytes");
-        }
-    }
-
-    /// Slow replica: with one copy behind heavy delay spikes, racing
-    /// every replica (the seed-reference executor) picks a winner whose
-    /// bytes are identical to the oracle's.
-    #[test]
-    fn slow_replica_race_is_byte_identical(
-        table in arb_table(96),
-        seed in 0u64..1024,
-    ) {
-        let plan = fault_plan_for(
-            &FaultSpec::DelaySpikes { spike_pct: 90, spike_us: 400 },
-            seed,
-        );
-        let oracle = oracle_results(&table);
-        let (_fleet, qp, ft) = degraded_fleet(&table, 3, 2, &plan);
-        let specs = specs();
-        let outs = Executor::fleet_seed_reference(&qp, &ft, &specs).unwrap();
-        for (i, out) in outs.iter().enumerate() {
-            prop_assert_eq!(&out.merged.payload, &oracle[i], "raced read changed bytes");
-        }
-    }
-
-    /// The replica race's tie-break is a deterministic total order:
-    /// strictly lower latency wins, equal latency falls back to the
-    /// smaller `NodeId` — so exactly one of any two distinct candidates
-    /// beats the other, and nothing beats itself.
-    #[test]
-    fn replica_race_tie_break_is_a_total_order(
-        a_id in 0u64..16, b_id in 0u64..16,
-        a_ns in 0u64..50, b_ns in 0u64..50,
-    ) {
-        use farview_core::replica_beats;
-        let a = (NodeId(a_id), SimDuration::from_nanos(a_ns));
-        let b = (NodeId(b_id), SimDuration::from_nanos(b_ns));
-        prop_assert!(!replica_beats(a, a), "nothing beats itself");
-        if a != b {
-            prop_assert!(
-                replica_beats(a, b) != replica_beats(b, a),
-                "exactly one of two distinct candidates must win"
-            );
-        }
-        if a_ns == b_ns && a_id != b_id {
-            let winner = if replica_beats(a, b) { a_id } else { b_id };
-            prop_assert_eq!(winner, a_id.min(b_id), "latency ties break by smaller NodeId");
         }
     }
 }

@@ -181,3 +181,34 @@ fn deterministic_concurrent_episodes() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn a_connection_named_twice_is_a_typed_error() {
+    // Streams of one episode are told apart by queue pair: the same
+    // connection twice is a caller mistake, answered with a typed
+    // error before any region or counter is touched — not the episode
+    // engine's unique-stream-id assertion.
+    let cluster = FarviewCluster::new(FarviewConfig::tiny());
+    let qp = cluster.connect().unwrap();
+    let table = TableGen::new(4, 200).seed(3).distinct_column(0, 8).build();
+    let (ft, _) = qp.load_table(&table).unwrap();
+    let a = PipelineSpec::passthrough().distinct(vec![0]);
+    let b = PipelineSpec::passthrough().filter(PredicateExpr::lt(1, 100u64));
+
+    let before = (cluster.reconfigurations(), cluster.episodes_run());
+    let err = cluster
+        .run_concurrent(vec![(&qp, &ft, a.clone()), (&qp, &ft, b.clone())])
+        .unwrap_err();
+    assert!(matches!(err, FvError::DuplicateConnection { .. }), "{err}");
+    assert!(!err.is_retryable());
+    assert_eq!(
+        (cluster.reconfigurations(), cluster.episodes_run()),
+        before,
+        "a refused episode must not reconfigure a region or count as run"
+    );
+
+    // Depth on one connection is a doorbell batch.
+    let outs = qp.far_view_batch(&ft, &[a, b]).unwrap();
+    assert_eq!(outs.len(), 2);
+    assert_eq!(outs[0].row_count(), 8);
+}

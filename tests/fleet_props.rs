@@ -237,3 +237,50 @@ fn replicated_fleet_matches_single_node_for_stateful_ops() {
         "r=2 fleet regex selection must match single node"
     );
 }
+
+/// With `r = 2`, one fleet query executes the datapath **once per shard
+/// slot** — not once per replica — while a node kill is still survived
+/// byte-identically.
+#[test]
+fn replicated_reads_execute_once_per_slot() {
+    let schema = Schema::uniform_u64(3);
+    let mut b = TableBuilder::with_capacity(schema, 256);
+    for i in 0..256u64 {
+        b.push_values(vec![Value::U64(i % 13), Value::U64(i), Value::U64(i / 2)]);
+    }
+    let table = b.build();
+
+    let fleet = FarviewFleet::new(4, FarviewConfig::tiny());
+    let qp = fleet.connect().unwrap();
+    let (ft, _) = qp
+        .load_table_replicated(&table, Partitioning::RowRange, 2)
+        .unwrap();
+    let shards = ft.placement().shard_count();
+    assert_eq!(ft.replicas(), 2);
+
+    let episodes = || -> u64 {
+        (0..fleet.node_count())
+            .map(|i| fleet.node(i).expect("live node").episodes_run())
+            .sum()
+    };
+
+    let spec = PipelineSpec::passthrough().filter(PredicateExpr::lt(1, 128u64));
+    let before = episodes();
+    let healthy = qp.far_view(&ft, &spec).unwrap();
+    assert_eq!(
+        episodes() - before,
+        shards as u64,
+        "one query must run the datapath exactly once per shard slot"
+    );
+
+    // Kill one node: the surviving replica of each of its slots serves
+    // the same bytes.
+    let victim = fleet.node_ids()[0];
+    fleet.remove_node(victim).unwrap();
+    let post_kill = qp.far_view(&ft, &spec).unwrap();
+    assert_eq!(
+        post_kill.merged.payload, healthy.merged.payload,
+        "a single node kill at r=2 must not change a byte"
+    );
+    assert_eq!(post_kill.merged.schema, healthy.merged.schema);
+}

@@ -1,28 +1,28 @@
-//! Property-based equivalence of the vectorized block datapath.
+//! Property-based equivalence of the block datapath with the per-tuple
+//! execution model.
 //!
-//! The block path (selection vectors + gather-at-pack + per-block
-//! operator dispatch) and the scalar per-tuple path (the seed execution
-//! model, `CompiledPipeline::force_scalar`) are two routes through the
-//! same operator semantics: for **every** operator combination, chunking
-//! pattern and ragged final block, their outputs must be byte-identical
-//! and their counters equal. Likewise the parallel fleet scatter
-//! (`Executor::fleet`) against its serial reference
-//! (`Executor::fleet_serial`), and the execute-once replica read against
-//! the seed's execute-every-replica race.
+//! The library runs one route: selection vectors, gather-at-pack, one
+//! operator call per block. `tests/reference` is the other — the
+//! paper's "up to a single tuple in each cycle" pipeline written down
+//! literally, with the §5.4 hazard-window state machine probe for
+//! probe — and exists only here, as the oracle: for **every** operator
+//! combination, chunking pattern and ragged final block, the two must
+//! produce byte-identical output and equal counters.
+
+mod reference;
 
 use proptest::prelude::*;
 
 use farview::prelude::*;
-use farview_core::plan::{scatter_workers, SCATTER_MIN_BYTES_PER_WORKER};
-use farview_core::{AggFunc, AggSpec, Executor, PredicateExpr};
+use farview_core::{AggFunc, AggSpec, PredicateExpr};
 use fv_pipeline::cuckoo::CuckooTable;
 use fv_pipeline::distinct::{DistinctOp, DEFAULT_LRU_DEPTH};
 use fv_pipeline::pack::Packer;
 use fv_pipeline::project::ProjectionPlan;
-use fv_pipeline::{
-    CompiledPipeline, CryptoSpec, JoinSmallSpec, PipelineStats, StreamOperator, TupleBlock,
-};
+use fv_pipeline::{CompiledPipeline, CryptoSpec, JoinSmallSpec, TailOperator, TupleBlock};
 use fv_regex::Regex;
+
+use reference::{ScalarDistinct, ScalarOp, ScalarPipeline};
 
 use fv_data::{Column, ColumnType, Schema, Table, TableBuilder};
 
@@ -73,37 +73,33 @@ fn arb_chunks() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..96, 1..12)
 }
 
-/// Stream `data` through a fresh compile of `spec`, slicing it by
-/// cycling `chunk_sizes`, draining after every chunk exactly like the
-/// episode engine does. `scalar` selects the reference per-tuple path.
-fn run_pipeline(
-    spec: &PipelineSpec,
-    schema: &Schema,
-    data: &[u8],
-    chunk_sizes: &[usize],
-    scalar: bool,
-) -> (Vec<u8>, PipelineStats) {
-    let mut p = CompiledPipeline::compile(spec.clone(), schema).expect("spec compiles");
-    p.force_scalar(scalar);
-    let mut out = Vec::new();
-    let mut off = 0usize;
-    let mut i = 0usize;
-    while off < data.len() {
-        let len = chunk_sizes[i % chunk_sizes.len()].min(data.len() - off);
-        i += 1;
-        p.push_bytes(&data[off..off + len]);
-        off += len;
+/// Stream `data` through pipeline `p` — either route; they answer the
+/// same four calls — slicing it by cycling `chunk_sizes`, draining after
+/// every chunk exactly like the episode engine does.
+macro_rules! run_pipeline {
+    ($p:expr, $data:expr, $chunk_sizes:expr) => {{
+        let (mut p, data, chunk_sizes): (_, &[u8], &[usize]) = ($p, $data, $chunk_sizes);
+        let mut out = Vec::new();
+        let mut off = 0usize;
+        let mut i = 0usize;
+        while off < data.len() {
+            let len = chunk_sizes[i % chunk_sizes.len()].min(data.len() - off);
+            i += 1;
+            p.push_bytes(&data[off..off + len]);
+            off += len;
+            out.extend(p.drain_output());
+        }
+        p.finish();
         out.extend(p.drain_output());
-    }
-    p.finish();
-    out.extend(p.drain_output());
-    (out, p.stats())
+        (out, p.stats())
+    }};
 }
 
 /// Assert both routes agree on bytes and counters.
 fn assert_equivalent(spec: &PipelineSpec, schema: &Schema, data: &[u8], chunks: &[usize]) {
-    let (block, block_stats) = run_pipeline(spec, schema, data, chunks, false);
-    let (scalar, scalar_stats) = run_pipeline(spec, schema, data, chunks, true);
+    let block = CompiledPipeline::compile(spec.clone(), schema).expect("spec compiles");
+    let (block, block_stats) = run_pipeline!(block, data, chunks);
+    let (scalar, scalar_stats) = run_pipeline!(ScalarPipeline::compile(spec, schema), data, chunks);
     assert_eq!(
         block, scalar,
         "block and per-tuple routes must be byte-identical for {spec:?}"
@@ -117,7 +113,7 @@ fn assert_equivalent(spec: &PipelineSpec, schema: &Schema, data: &[u8], chunks: 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Passthrough, filter, project and the fused filter+project scan.
+    /// Passthrough, filter, project, and filter + project.
     #[test]
     fn scan_shapes_are_route_invariant(
         table in arb_table(120, 4, 500),
@@ -322,96 +318,36 @@ proptest! {
                 .compress()
                 .encrypt(key),
         ];
-        for (i, spec) in specs.iter().enumerate() {
+        for spec in &specs {
             let data: &[u8] = if spec.decrypt_input.is_some() {
                 &cipher
             } else {
                 table.bytes()
             };
-            let _ = i;
             assert_equivalent(spec, schema, data, &chunks);
-        }
-    }
-
-    /// The fleet scatter joins in slot order: payloads, schemas and
-    /// fleet-aggregated stats are byte-identical to the serial
-    /// reference for single queries and doorbell batches — on both
-    /// sides of the size gate. `Executor::fleet` spawns workers only
-    /// for ≥ 256 KiB of scan per worker, so every case runs a small
-    /// table (the route stays on the calling thread), then a 64–96 KiB
-    /// table at a depth that keeps the batch below 512 KiB and at
-    /// depth 8, which puts it above.
-    #[test]
-    fn parallel_scatter_matches_serial(
-        small in arb_table(120, 3, 300),
-        big_rows in (64 * 1024 / 24 + 1)..=(96 * 1024 / 24usize),
-        big_seed in 0u64..1 << 32,
-        nodes in 1usize..5,
-        thresholds in prop::collection::vec(0u64..300, 8),
-        small_depth in 1usize..4,
-        below_depth in 1usize..=5,
-    ) {
-        let big = TableGen::new(3, big_rows)
-            .seed(big_seed)
-            .distinct_column(0, 300)
-            .build();
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        for (table, depth, above_gate) in [
-            (&small, small_depth, false),
-            (&big, below_depth, false),
-            (&big, 8, true),
-        ] {
-            let scanned = (table.bytes().len() * depth) as u64;
-            let workers = scatter_workers(scanned, nodes, host);
-            if above_gate {
-                prop_assert!(scanned >= 2 * SCATTER_MIN_BYTES_PER_WORKER);
-                if host >= 2 && nodes >= 2 {
-                    prop_assert!(workers >= 2, "{scanned} B over {nodes} slots ran serially");
-                }
-            } else {
-                prop_assert_eq!(workers, 1);
-            }
-            // Two identically shaped fleets, so the stateful region
-            // bookkeeping (pipeline fingerprints → `reconfigured`
-            // flags) starts from the same point on both routes.
-            let run = |parallel: bool| {
-                let fleet = FarviewFleet::new(nodes, FarviewConfig::tiny());
-                let qp = fleet.connect().unwrap();
-                let (ft, _) = qp.load_table(table, Partitioning::RowRange).unwrap();
-                let specs: Vec<PipelineSpec> = thresholds[..depth]
-                    .iter()
-                    .map(|&t| PipelineSpec::passthrough().filter(PredicateExpr::lt(0, t)))
-                    .collect();
-                if parallel {
-                    Executor::fleet(&qp, &ft, &specs).unwrap()
-                } else {
-                    Executor::fleet_serial(&qp, &ft, &specs).unwrap()
-                }
-            };
-            let parallel = run(true);
-            let serial = run(false);
-            prop_assert_eq!(parallel.len(), serial.len());
-            for (p, s) in parallel.iter().zip(&serial) {
-                prop_assert_eq!(&p.merged.payload, &s.merged.payload);
-                prop_assert_eq!(&p.merged.schema, &s.merged.schema);
-                prop_assert_eq!(p.merged.stats, s.merged.stats);
-                prop_assert_eq!(&p.per_shard, &s.per_shard);
-            }
         }
     }
 }
 
-/// Feed `stream` through a fresh `DistinctOp` per route — per-tuple
-/// `push` vs `push_block` over ragged identity blocks — and assert the
-/// emitted bytes and every hazard/overflow counter agree.
-fn assert_distinct_routes_agree(make_op: impl Fn() -> DistinctOp, stream: &[u8], tb: usize) {
-    let mut scalar_op = make_op();
+/// Feed `stream` through the per-tuple state machine and through
+/// `DistinctOp::push_block` over ragged identity blocks, both on a table
+/// of `make_table()`'s geometry — and assert the emitted bytes and every
+/// hazard/overflow counter agree. Returns the reference, for fixture
+/// sanity checks.
+fn assert_distinct_routes_agree(
+    make_table: impl Fn() -> CuckooTable<()>,
+    lru_depth: usize,
+    stream: &[u8],
+    tb: usize,
+) -> ScalarDistinct {
+    let keys = || ProjectionPlan::new(&Schema::uniform_u64(2), Some(&[0])).expect("plan");
+    let mut scalar_op = ScalarDistinct::new(keys(), make_table(), lru_depth);
     let mut scalar_out = Vec::new();
     for tuple in stream.chunks_exact(tb) {
         scalar_op.push(tuple, &mut |t| scalar_out.extend_from_slice(t));
     }
 
-    let mut block_op = make_op();
+    let mut block_op = DistinctOp::with_geometry(keys(), make_table(), lru_depth);
     let mut packer = Packer::passthrough();
     // Ragged block boundaries, including mid-run splits (a key run that
     // straddles two blocks must re-seed the memo without skew).
@@ -434,10 +370,11 @@ fn assert_distinct_routes_agree(make_op: impl Fn() -> DistinctOp, stream: &[u8],
         scalar_out, block_out,
         "distinct routes must be byte-identical"
     );
-    assert_eq!(scalar_op.emitted(), block_op.emitted());
-    assert_eq!(scalar_op.hazard_leaks(), block_op.hazard_leaks());
-    assert_eq!(scalar_op.hazard_catches(), block_op.hazard_catches());
-    assert_eq!(scalar_op.overflow_tuples(), block_op.overflow_tuples());
+    assert_eq!(scalar_op.emitted, block_op.emitted());
+    assert_eq!(scalar_op.hazard_leaks, block_op.hazard_leaks());
+    assert_eq!(scalar_op.hazard_catches, block_op.hazard_catches());
+    assert_eq!(scalar_op.overflow, block_op.overflow_tuples());
+    scalar_op
 }
 
 /// A key stream dense in duplicate runs: every run shorter than the
@@ -468,21 +405,14 @@ fn hazard_window_duplicate_runs_match_scalar_at_depth_0_and_default() {
     let tb = schema.row_bytes();
     let stream = hazard_heavy_stream();
     for depth in [0usize, DEFAULT_LRU_DEPTH] {
-        let make_op = || {
-            let keys = ProjectionPlan::new(&Schema::uniform_u64(2), Some(&[0])).expect("plan");
-            DistinctOp::with_geometry(keys, CuckooTable::with_default_geometry(), depth)
-        };
-        assert_distinct_routes_agree(make_op, &stream, tb);
+        let op =
+            assert_distinct_routes_agree(CuckooTable::with_default_geometry, depth, &stream, tb);
         // Sanity on the fixture itself: depth 0 must actually leak.
-        let mut op = make_op();
-        for tuple in stream.chunks_exact(tb) {
-            op.push(tuple, &mut |_| {});
-        }
         if depth == 0 {
-            assert!(op.hazard_leaks() > 0, "depth-0 fixture must exercise leaks");
+            assert!(op.hazard_leaks > 0, "depth-0 fixture must exercise leaks");
         } else {
             assert!(
-                op.hazard_catches() > 0,
+                op.hazard_catches > 0,
                 "default depth must catch in-window dups"
             );
         }
@@ -505,16 +435,9 @@ fn cuckoo_overflow_spills_identically_on_both_routes() {
         stream.extend_from_slice(&key.to_le_bytes());
         stream.extend_from_slice(&i.to_le_bytes());
     }
-    let make_op = || {
-        let keys = ProjectionPlan::new(&Schema::uniform_u64(2), Some(&[0])).expect("plan");
-        DistinctOp::with_geometry(keys, CuckooTable::new(2, 8), DEFAULT_LRU_DEPTH)
-    };
-    assert_distinct_routes_agree(make_op, &stream, tb);
-    let mut op = make_op();
-    for tuple in stream.chunks_exact(tb) {
-        op.push(tuple, &mut |_| {});
-    }
-    assert!(op.overflow_tuples() > 0, "fixture must actually overflow");
+    let op =
+        assert_distinct_routes_agree(|| CuckooTable::new(2, 8), DEFAULT_LRU_DEPTH, &stream, tb);
+    assert!(op.overflow > 0, "fixture must actually overflow");
 }
 
 /// The DFA prefilter block scan and the plain per-tuple walk are the
@@ -565,52 +488,4 @@ fn regex_prefilter_and_fallback_are_route_invariant() {
         let spec = PipelineSpec::passthrough().regex_match(1, pattern);
         assert_equivalent(&spec, table.schema(), table.bytes(), &chunks);
     }
-}
-
-/// Replica-race regression (the dedup satellite): with `r = 2`, one
-/// fleet query executes the datapath **once per shard slot** — not once
-/// per replica — while a node kill is still survived byte-identically.
-#[test]
-fn replicated_reads_execute_once_per_slot() {
-    let schema = Schema::uniform_u64(3);
-    let mut b = TableBuilder::with_capacity(schema, 256);
-    for i in 0..256u64 {
-        b.push_values(vec![Value::U64(i % 13), Value::U64(i), Value::U64(i / 2)]);
-    }
-    let table = b.build();
-
-    let fleet = FarviewFleet::new(4, FarviewConfig::tiny());
-    let qp = fleet.connect().unwrap();
-    let (ft, _) = qp
-        .load_table_replicated(&table, Partitioning::RowRange, 2)
-        .unwrap();
-    let shards = ft.placement().shard_count();
-    assert_eq!(ft.replicas(), 2);
-
-    let episodes = || -> u64 {
-        (0..fleet.node_count())
-            .map(|i| fleet.node(i).expect("live node").episodes_run())
-            .sum()
-    };
-
-    let spec = PipelineSpec::passthrough().filter(PredicateExpr::lt(1, 128u64));
-    let before = episodes();
-    let healthy = qp.far_view(&ft, &spec).unwrap();
-    assert_eq!(
-        episodes() - before,
-        shards as u64,
-        "one query must run the datapath exactly once per shard slot \
-         (the replica race is modeled, not re-executed)"
-    );
-
-    // Kill one node: the surviving replica of each of its slots serves
-    // the same bytes.
-    let victim = fleet.node_ids()[0];
-    fleet.remove_node(victim).unwrap();
-    let post_kill = qp.far_view(&ft, &spec).unwrap();
-    assert_eq!(
-        post_kill.merged.payload, healthy.merged.payload,
-        "a single node kill at r=2 must not change a byte"
-    );
-    assert_eq!(post_kill.merged.schema, healthy.merged.schema);
 }
