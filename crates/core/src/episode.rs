@@ -805,152 +805,71 @@ pub fn run_batched_episodes(
     Ok(results)
 }
 
-/// Timing of a client-to-Farview table write, simulated through the
-/// write half of the datapath (Figure 3's blue path: "The write path
-/// allows RDMA updates to the memory", §4.5): the client streams 1 kB
-/// data packets over the wire; the network stack forwards them to the
-/// MMU which issues striped write bursts; the node acknowledges once the
-/// last burst lands in DRAM.
+/// Timing of a client-to-Farview table write through the write half of
+/// the datapath (Figure 3's blue path: "The write path allows RDMA
+/// updates to the memory", §4.5): the client streams 1 kB data packets
+/// over the wire; the network stack forwards them to the MMU which
+/// issues striped write bursts; the node acknowledges once the last
+/// burst lands in DRAM.
+///
+/// The duration is a pure function of `(bytes, channels, fault plan)`
+/// and nothing on this path feeds back into timing (a burst retiring
+/// and the acknowledgement only count down), so it is computed by one
+/// pass over the packets in arrival order, not by an event simulation;
+/// the event-driven formulation is this module's test reference and the
+/// two agree to the nanosecond. No event budget applies (the reference
+/// runs under a 5 M-event guard, reachable past ≈3.9 GiB): a write of
+/// any size computes, and [`FvError::IncompleteEpisode`] is not among
+/// its errors.
 ///
 /// The client's data packets ride the same degraded link model as read
 /// episodes, so a partitioned or retry-exhausted link surfaces
-/// [`FvError::Net`] and a write whose acknowledgement never arrives
-/// surfaces [`FvError::IncompleteEpisode`] — never a panic.
+/// [`FvError::Net`] — never a panic.
 ///
 /// # Errors
-/// [`FvError::Net`] when the link faults a data packet;
-/// [`FvError::IncompleteEpisode`] when the episode drains unacknowledged.
+/// [`FvError::Net`] when the link faults a data packet.
 pub fn try_write_time(bytes: u64, config: &FarviewConfig) -> Result<SimDuration, FvError> {
-    #[derive(Debug, Clone)]
-    enum WMsg {
-        /// One data packet arriving at the node.
-        Packet { bytes: u64, last: bool },
-        /// One DRAM write burst retired.
-        BurstDone,
-        /// Acknowledgement arriving back at the client.
-        Ack,
-    }
-
-    struct WriteNode {
-        dram: fv_mem::DramTiming,
-        channel_rr: usize,
-        pending_bytes: u64,
-        bursts_out: usize,
-        packets_done: bool,
-        client: Option<ActorId>,
-    }
-
-    impl WriteNode {
-        /// All packets received, all payload issued, all bursts retired.
-        fn complete(&self) -> bool {
-            self.packets_done && self.pending_bytes == 0 && self.bursts_out == 0
-        }
-    }
-
-    impl Actor<WMsg> for WriteNode {
-        fn on_message(&mut self, msg: WMsg, ctx: &mut Context<'_, WMsg>) {
-            match msg {
-                WMsg::Packet { bytes, last } => {
-                    self.pending_bytes += bytes;
-                    if last {
-                        self.packets_done = true;
-                    }
-                    // Issue a burst once enough payload accumulated (or at
-                    // end of stream).
-                    while self.pending_bytes >= calib::MEM_BURST_BYTES
-                        || (self.packets_done && self.pending_bytes > 0)
-                    {
-                        let burst = self.pending_bytes.min(calib::MEM_BURST_BYTES);
-                        self.pending_bytes -= burst;
-                        let ch = self.channel_rr;
-                        self.channel_rr = (self.channel_rr + 1) % self.dram.channel_count();
-                        let done = self.dram.admit(ch, ctx.now() + DRAM_ACCESS_LATENCY, burst);
-                        self.bursts_out += 1;
-                        ctx.send_at(ctx.me(), done, WMsg::BurstDone);
-                    }
-                    // A zero-byte write still acknowledges. An unwired
-                    // client drops the ack and surfaces as an incomplete
-                    // episode — no panic mid-simulation.
-                    if last && self.complete() {
-                        if let Some(client) = self.client {
-                            ctx.send(client, WIRE_ONE_WAY, WMsg::Ack);
-                        }
-                    }
-                }
-                WMsg::BurstDone => {
-                    self.bursts_out -= 1;
-                    // Bursts retire out of order across channels; the ack
-                    // goes out only when the whole write has landed.
-                    if self.complete() {
-                        if let Some(client) = self.client {
-                            ctx.send(client, WIRE_ONE_WAY, WMsg::Ack);
-                        }
-                    }
-                }
-                // fv:allow(panic): actor wiring invariant — acks are
-                // addressed to the WriteClient id only.
-                WMsg::Ack => unreachable!("node never receives Ack"),
-            }
-        }
-    }
-
-    #[derive(Default)]
-    struct WriteClient {
-        done_at: Option<SimTime>,
-    }
-    impl Actor<WMsg> for WriteClient {
-        fn on_message(&mut self, msg: WMsg, ctx: &mut Context<'_, WMsg>) {
-            if matches!(msg, WMsg::Ack) {
-                self.done_at = Some(ctx.now() + CLIENT_COMPLETE);
-            }
-        }
-    }
-
-    let mut sim: Simulation<WMsg> = Simulation::new();
-    let node = sim.add_actor(Box::new(WriteNode {
-        dram: fv_mem::DramTiming::new(config.channels),
-        channel_rr: 0,
-        pending_bytes: 0,
-        bursts_out: 0,
-        packets_done: false,
-        client: None,
-    }));
-    let client = sim.add_actor(Box::new(WriteClient::default()));
-    // fv:allow(panic): id returned by add_actor above.
-    sim.actor_mut::<WriteNode>(node).expect("node").client = Some(client);
-
     // The client's NIC serializes the data packets onto the wire; each
     // arrives at the node after the FPGA net stack's per-packet handling.
     let mut wire = LinkTiming::with_faults(NicKind::FarviewFpga, config.fault.clone());
-    let t0 = CLIENT_POST;
+    let posted = SimTime::ZERO + CLIENT_POST;
     let n_packets = bytes.div_ceil(PACKET_BYTES).max(1);
-    for i in 0..n_packets {
-        let sz = if i + 1 == n_packets && !bytes.is_multiple_of(PACKET_BYTES) && bytes > 0 {
-            bytes % PACKET_BYTES
-        } else if bytes == 0 {
-            0
-        } else {
-            PACKET_BYTES
-        };
+    let mut arrivals = Vec::with_capacity(n_packets as usize);
+    let mut unsent = bytes;
+    for _ in 0..n_packets {
+        let sz = unsent.min(PACKET_BYTES);
+        unsent -= sz;
         let arrival = wire
-            .try_transmit(0, SimTime::from_nanos(t0.as_nanos()), sz + 58)
+            .try_transmit(0, posted, sz + 58)
             .map_err(FvError::Net)?
             + FV_REQ_PROC;
-        sim.inject(
-            node,
-            arrival.since(SimTime::ZERO),
-            WMsg::Packet {
-                bytes: sz,
-                last: i + 1 == n_packets,
-            },
-        );
+        arrivals.push((arrival, sz, unsent == 0));
     }
-    sim.run_to_quiescence(5_000_000);
-    sim.actor::<WriteClient>(client)
-        .expect("client") // fv:allow(panic): id returned by add_actor above
-        .done_at
-        .ok_or(FvError::IncompleteEpisode { qp: 0 })
-        .map(|t| t.since(SimTime::ZERO))
+    // The node handles packets by (arrival, send order): a delay spike
+    // can land one behind its successors. The sort is stable, and a
+    // no-op on the already ordered arrivals of every other plan.
+    arrivals.sort_by_key(|&(arrival, ..)| arrival);
+
+    let mut dram = fv_mem::DramTiming::new(config.channels);
+    let (mut channel, mut pending, mut packets_done) = (0, 0u64, false);
+    // Latest burst completion; the lone arrival for a zero-byte write.
+    let mut landed = SimTime::ZERO;
+    for (arrival, sz, last) in arrivals {
+        pending += sz;
+        packets_done |= last;
+        landed = landed.max(arrival);
+        // Issue a burst once enough payload accumulated (or at end of
+        // stream), round-robin over the channels.
+        while pending >= calib::MEM_BURST_BYTES || (packets_done && pending > 0) {
+            let burst = pending.min(calib::MEM_BURST_BYTES);
+            pending -= burst;
+            landed = landed.max(dram.admit(channel, arrival + DRAM_ACCESS_LATENCY, burst));
+            channel = (channel + 1) % dram.channel_count();
+        }
+    }
+    // Bursts retire out of order across channels; the ack goes out only
+    // when the whole write has landed.
+    Ok((landed + WIRE_ONE_WAY + CLIENT_COMPLETE).since(SimTime::ZERO))
 }
 
 #[cfg(test)]
@@ -1562,5 +1481,201 @@ mod tests {
             ),
             "got {result:?}"
         );
+    }
+
+    /// The write path as an event simulation, [`try_write_time`]'s
+    /// differential reference: a node actor accumulating packets into
+    /// round-robin DRAM bursts and counting them back in, a client actor
+    /// stamping the acknowledgement.
+    fn write_time_event_driven(bytes: u64, config: &FarviewConfig) -> Result<SimDuration, FvError> {
+        #[derive(Debug, Clone)]
+        enum WMsg {
+            /// One data packet arriving at the node.
+            Packet { bytes: u64, last: bool },
+            /// One DRAM write burst retired.
+            BurstDone,
+            /// Acknowledgement arriving back at the client.
+            Ack,
+        }
+
+        struct WriteNode {
+            dram: fv_mem::DramTiming,
+            channel_rr: usize,
+            pending_bytes: u64,
+            bursts_out: usize,
+            packets_done: bool,
+            client: Option<ActorId>,
+        }
+
+        impl WriteNode {
+            /// All packets received, all payload issued, all bursts retired.
+            fn complete(&self) -> bool {
+                self.packets_done && self.pending_bytes == 0 && self.bursts_out == 0
+            }
+        }
+
+        impl Actor<WMsg> for WriteNode {
+            fn on_message(&mut self, msg: WMsg, ctx: &mut Context<'_, WMsg>) {
+                match msg {
+                    WMsg::Packet { bytes, last } => {
+                        self.pending_bytes += bytes;
+                        if last {
+                            self.packets_done = true;
+                        }
+                        // Issue a burst once enough payload accumulated (or at
+                        // end of stream).
+                        while self.pending_bytes >= calib::MEM_BURST_BYTES
+                            || (self.packets_done && self.pending_bytes > 0)
+                        {
+                            let burst = self.pending_bytes.min(calib::MEM_BURST_BYTES);
+                            self.pending_bytes -= burst;
+                            let ch = self.channel_rr;
+                            self.channel_rr = (self.channel_rr + 1) % self.dram.channel_count();
+                            let done = self.dram.admit(ch, ctx.now() + DRAM_ACCESS_LATENCY, burst);
+                            self.bursts_out += 1;
+                            ctx.send_at(ctx.me(), done, WMsg::BurstDone);
+                        }
+                        // A zero-byte write still acknowledges. An unwired
+                        // client drops the ack and surfaces as an incomplete
+                        // episode — no panic mid-simulation.
+                        if last && self.complete() {
+                            if let Some(client) = self.client {
+                                ctx.send(client, WIRE_ONE_WAY, WMsg::Ack);
+                            }
+                        }
+                    }
+                    WMsg::BurstDone => {
+                        self.bursts_out -= 1;
+                        // Bursts retire out of order across channels; the ack
+                        // goes out only when the whole write has landed.
+                        if self.complete() {
+                            if let Some(client) = self.client {
+                                ctx.send(client, WIRE_ONE_WAY, WMsg::Ack);
+                            }
+                        }
+                    }
+                    WMsg::Ack => unreachable!("node never receives Ack"),
+                }
+            }
+        }
+
+        #[derive(Default)]
+        struct WriteClient {
+            done_at: Option<SimTime>,
+        }
+        impl Actor<WMsg> for WriteClient {
+            fn on_message(&mut self, msg: WMsg, ctx: &mut Context<'_, WMsg>) {
+                if matches!(msg, WMsg::Ack) {
+                    self.done_at = Some(ctx.now() + CLIENT_COMPLETE);
+                }
+            }
+        }
+
+        let mut sim: Simulation<WMsg> = Simulation::new();
+        let node = sim.add_actor(Box::new(WriteNode {
+            dram: fv_mem::DramTiming::new(config.channels),
+            channel_rr: 0,
+            pending_bytes: 0,
+            bursts_out: 0,
+            packets_done: false,
+            client: None,
+        }));
+        let client = sim.add_actor(Box::new(WriteClient::default()));
+        sim.actor_mut::<WriteNode>(node).expect("node").client = Some(client);
+
+        // The client's NIC serializes the data packets onto the wire; each
+        // arrives at the node after the FPGA net stack's per-packet handling.
+        let mut wire = LinkTiming::with_faults(NicKind::FarviewFpga, config.fault.clone());
+        let t0 = CLIENT_POST;
+        let n_packets = bytes.div_ceil(PACKET_BYTES).max(1);
+        for i in 0..n_packets {
+            let sz = if i + 1 == n_packets && !bytes.is_multiple_of(PACKET_BYTES) && bytes > 0 {
+                bytes % PACKET_BYTES
+            } else if bytes == 0 {
+                0
+            } else {
+                PACKET_BYTES
+            };
+            let arrival = wire
+                .try_transmit(0, SimTime::from_nanos(t0.as_nanos()), sz + 58)
+                .map_err(FvError::Net)?
+                + FV_REQ_PROC;
+            sim.inject(
+                node,
+                arrival.since(SimTime::ZERO),
+                WMsg::Packet {
+                    bytes: sz,
+                    last: i + 1 == n_packets,
+                },
+            );
+        }
+        sim.run_to_quiescence(5_000_000);
+        sim.actor::<WriteClient>(client)
+            .expect("client")
+            .done_at
+            .ok_or(FvError::IncompleteEpisode { qp: 0 })
+            .map(|t| t.since(SimTime::ZERO))
+    }
+
+    /// One fault plan per class the write path can meet, seeded. A
+    /// 40 µs spike is some four hundred packet slots, so a spiked packet
+    /// lands well behind its successors — the reordered case.
+    fn write_fault_plans(seed: u64) -> Vec<fv_net::FaultPlan> {
+        use fv_net::FaultPlan;
+        let spike = SimDuration::from_micros(40);
+        vec![
+            FaultPlan::none(),
+            FaultPlan::none().with_seed(seed).with_loss(0.05),
+            FaultPlan::none().with_seed(seed).with_loss_retries(0.2, 1),
+            FaultPlan::none()
+                .with_seed(seed)
+                .with_delay_spikes(0.1, spike),
+            FaultPlan::none().with_seed(seed).with_bandwidth_cap(0.25),
+            FaultPlan::none()
+                .with_seed(seed)
+                .with_loss(0.02)
+                .with_delay_spikes(0.05, spike)
+                .with_bandwidth_cap(0.5),
+            FaultPlan::none().partitioned(),
+        ]
+    }
+
+    #[test]
+    fn write_time_loop_equals_the_event_driven_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut sizes = vec![0, 1, 1023, 1024, 1025, 4095, 4096, 4097, (1 << 20) + 1];
+        sizes.extend((0..6).map(|_| next() % (1_200 << 10)));
+        let mut errors = 0;
+        for &bytes in &sizes {
+            for channels in [1, 2, 4] {
+                for plan in write_fault_plans(next()) {
+                    let mut cfg = FarviewConfig::tiny();
+                    cfg.channels = channels;
+                    cfg.fault = plan;
+                    let got = try_write_time(bytes, &cfg);
+                    let want = write_time_event_driven(bytes, &cfg);
+                    match (&got, &want) {
+                        (Ok(g), Ok(w)) => assert_eq!(
+                            g.as_nanos(),
+                            w.as_nanos(),
+                            "{bytes} B x {channels} ch under {:?}",
+                            cfg.fault
+                        ),
+                        (Err(FvError::Net(g)), Err(FvError::Net(w))) => {
+                            assert_eq!(g, w, "{bytes} B under {:?}", cfg.fault);
+                            errors += 1;
+                        }
+                        _ => panic!("{bytes} B under {:?}: {got:?} vs {want:?}", cfg.fault),
+                    }
+                }
+            }
+        }
+        assert!(errors > 0, "the matrix must reach the typed-error arms");
     }
 }

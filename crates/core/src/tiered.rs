@@ -37,14 +37,14 @@
 //!
 //! Column images are the disk / far-tier *storage* format only. DRAM
 //! tables and the operator datapath are row-major, as in the paper:
-//! staging turns the opened image back into rows before any operator
-//! runs.
+//! staging transposes the opened image back into rows on its way into
+//! DRAM, before any operator runs.
 //!
 //! Any fixed-stride schema stages (the image records the schema
 //! fingerprint; the pool keeps a per-object schema catalog). Image
-//! validation happens once, at [`ColumnImage::open`]: corrupted or
-//! truncated storage bytes surface as a typed [`FvError::Codec`], never
-//! a panic.
+//! validation happens once per staging, at the [`ColumnImage::open`] in
+//! [`TieredPool::query`]: corrupted or truncated storage bytes surface
+//! as a typed [`FvError::Codec`] with nothing installed, never a panic.
 //!
 //! Query results are identical hot or cold; only the reported time
 //! differs (staging cost surfaces in [`TierOutcome`]).
@@ -257,10 +257,16 @@ impl FarTier {
         }
         self.catalog
             .insert(name.to_string(), table.schema().clone());
-        if let Some(old) = self.images.remove(name) {
-            self.resident_bytes -= resident_total(&old);
-        }
+        self.forget(name);
         Ok(self.store.put(name, ColumnImage::encode(table)))
+    }
+
+    /// Drop `name`'s cached far copy, if any.
+    fn forget(&mut self, name: &str) {
+        if let Some(old) = self.images.remove(name) {
+            let resident = old.slice_resident.iter().zip(&old.slice_bytes);
+            self.resident_bytes -= resident.filter(|(r, _)| **r).map(|(_, b)| *b).sum::<u64>();
+        }
     }
 
     /// Resolve `name` to openable image bytes, paying per-slice disk
@@ -268,13 +274,10 @@ impl FarTier {
     /// full far hit, only the spilled slices on a partial hit, the
     /// whole image on a cold miss.
     fn fetch(&mut self, name: &str, clock: u64) -> Result<FarFetch, FvError> {
-        let schema = self
-            .catalog
-            .get(name)
-            .cloned()
-            .ok_or_else(|| FvError::NotInStorage {
-                name: name.to_string(),
-            })?;
+        let missing = || FvError::NotInStorage {
+            name: name.to_string(),
+        };
+        let schema = self.catalog.get(name).cloned().ok_or_else(missing)?;
         if let Some(img) = self.images.get_mut(name) {
             img.last_use = clock;
             let mut read_time = SimDuration::ZERO;
@@ -300,33 +303,37 @@ impl FarTier {
                 source,
             });
         }
-        // Cold miss: one sequential read of the full image, then install
-        // it in far memory with every slice resident.
-        let (bytes, read_time) = self.store.get(name).ok_or_else(|| FvError::NotInStorage {
-            name: name.to_string(),
-        })?;
-        let rows = ColumnImage::open(&bytes, &schema)?.row_count();
-        let slice_bytes: Vec<u64> = (0..schema.column_count())
-            .map(|c| slice_len(&schema, rows, c) as u64)
+        // Cold miss: one sequential read of the full image. It becomes
+        // far-resident once the caller has validated it (`install`).
+        let (bytes, read_time) = self.store.get(name).ok_or_else(missing)?;
+        Ok(FarFetch {
+            bytes,
+            slices_fetched: schema.column_count(),
+            schema,
+            read_time,
+            source: TierLevel::Disk,
+        })
+    }
+
+    /// Make a fetched image, validated by the caller's `open` (hence
+    /// `rows`), far-resident with every slice present — unless it is.
+    fn install(&mut self, name: &str, fetch: &FarFetch, rows: usize, clock: u64) {
+        if self.images.contains_key(name) {
+            return;
+        }
+        let slice_bytes: Vec<u64> = (0..fetch.schema.column_count())
+            .map(|c| slice_len(&fetch.schema, rows, c) as u64)
             .collect();
         self.resident_bytes += slice_bytes.iter().sum::<u64>();
-        let cols = slice_bytes.len();
         self.images.insert(
             name.to_string(),
             FarImage {
-                image: Arc::clone(&bytes),
-                slice_resident: vec![true; cols],
+                image: Arc::clone(&fetch.bytes),
+                slice_resident: vec![true; slice_bytes.len()],
                 slice_bytes,
                 last_use: clock,
             },
         );
-        Ok(FarFetch {
-            bytes,
-            schema,
-            read_time,
-            slices_fetched: cols,
-            source: TierLevel::Disk,
-        })
     }
 
     /// Spill cold column slices until the far tier fits its budget.
@@ -360,16 +367,6 @@ impl FarTier {
     }
 }
 
-/// Sum of a far image's currently resident slice bytes.
-fn resident_total(img: &FarImage) -> u64 {
-    img.slice_resident
-        .iter()
-        .zip(&img.slice_bytes)
-        .filter(|(r, _)| **r)
-        .map(|(_, b)| *b)
-        .sum()
-}
-
 /// The connection a [`TieredPool`] stages tables into and queries them
 /// through — the plug-in shape [`ServeBackend`](crate::serve::ServeBackend)
 /// gives serving. [`QPair`] is the single-node connection,
@@ -380,9 +377,9 @@ pub trait TierConn {
     /// What a query returns; viewable as the single-node-format result.
     type Outcome: AsRef<QueryOutcome> + std::fmt::Debug;
 
-    /// Allocate + write `table` into DRAM; returns the handle and the
-    /// simulated write time.
-    fn stage(&self, table: &Table) -> Result<(Self::Staged, SimDuration), FvError>;
+    /// Allocate DRAM for `image`'s table and write it there in row
+    /// format; returns the handle and the simulated write time.
+    fn stage(&self, image: &ColumnImage<'_>) -> Result<(Self::Staged, SimDuration), FvError>;
 
     /// Does `staged` still sit where a fresh staging would put it?
     fn placement_is_current(&self, staged: &Self::Staged) -> bool;
@@ -394,15 +391,16 @@ pub trait TierConn {
     fn run(&self, staged: &Self::Staged, spec: &PipelineSpec) -> Result<Self::Outcome, FvError>;
 }
 
-/// One connection's slice of one node's memory. A staged table never
-/// moves, and the query runs through the shared [`Executor`] like every
-/// other single-node entry point.
+/// One connection's slice of one node's memory. The image goes into
+/// DRAM a row block at a time (no row-format copy of the table is
+/// built), a staged table never moves, and the query runs through the
+/// shared [`Executor`] like every other single-node entry point.
 impl TierConn for QPair {
     type Staged = FTable;
     type Outcome = QueryOutcome;
 
-    fn stage(&self, table: &Table) -> Result<(FTable, SimDuration), FvError> {
-        self.load_table(table)
+    fn stage(&self, image: &ColumnImage<'_>) -> Result<(FTable, SimDuration), FvError> {
+        self.load_image(image)
     }
 
     fn placement_is_current(&self, _staged: &FTable) -> bool {
@@ -425,7 +423,9 @@ impl TierConn for QPair {
 /// the current placement on its next query — cold data always lands on
 /// the shard set that exists now. Staleness is a property of the
 /// *placement*, not the raw epoch: membership changes that cancelled
-/// out (a node added and removed again) leave residents hot.
+/// out (a node added and removed again) leave residents hot. Staging
+/// materialises the rows first: the scatter routes whole rows to shards
+/// (by range or by key hash), which a column image cannot be cut by.
 #[derive(Debug)]
 pub struct FleetTierConn<'a> {
     fqp: &'a FleetQPair,
@@ -461,9 +461,9 @@ impl TierConn for FleetTierConn<'_> {
     type Staged = FleetTable;
     type Outcome = FleetQueryOutcome;
 
-    fn stage(&self, table: &Table) -> Result<(FleetTable, SimDuration), FvError> {
+    fn stage(&self, image: &ColumnImage<'_>) -> Result<(FleetTable, SimDuration), FvError> {
         self.fqp
-            .load_table_replicated(table, self.partitioning, self.replicas)
+            .load_table_replicated(&image.to_table(), self.partitioning, self.replicas)
     }
 
     fn placement_is_current(&self, staged: &FleetTable) -> bool {
@@ -595,6 +595,8 @@ impl<'a, C: TierConn> TieredPool<'a, C> {
     /// [`FvError::Unstageable`] when the object cannot be registered
     /// (e.g. an empty object name).
     pub fn insert(&mut self, name: &str, table: &Table) -> Result<SimDuration, FvError> {
+        // A DRAM copy of the old contents must not outlive them.
+        self.drop_resident(name)?;
         self.far.insert(name, table)
     }
 
@@ -640,31 +642,32 @@ impl<'a, C: TierConn> TieredPool<'a, C> {
     pub fn corrupt_stored(&mut self, name: &str, byte: usize) -> bool {
         // Invalidate the cached far copy so the corrupted bytes are
         // actually re-read and re-validated.
-        if let Some(old) = self.far.images.remove(name) {
-            self.far.resident_bytes -= resident_total(&old);
-        }
+        self.far.forget(name);
         self.far.store.corrupt_object(name, byte)
     }
 
     /// Evict the least-recently-used resident table; returns its name,
     /// or `None` when nothing is resident.
     fn evict_one(&mut self) -> Result<Option<String>, FvError> {
-        let Some(victim) = self
-            .resident
-            .iter()
-            .min_by_key(|(_, r)| r.last_use)
-            .map(|(n, _)| n.clone())
-        else {
+        let lru = self.resident.iter().min_by_key(|(_, r)| r.last_use);
+        let Some(victim) = lru.map(|(n, _)| n.clone()) else {
             return Ok(None);
         };
-        if let Some(r) = self.resident.remove(&victim) {
-            self.resident_bytes -= r.bytes;
-            // Read-only buffer pool (§4.2): no write-back needed, the
-            // storage copy is authoritative — and the far-memory image
-            // keeps the demoted table one cheap restage away.
-            self.conn.free(r.staged)?;
-        }
+        self.drop_resident(&victim)?;
         Ok(Some(victim))
+    }
+
+    /// Free `name`'s DRAM copy, if it has one; returns whether it did.
+    /// Read-only buffer pool (§4.2): no write-back needed, the storage
+    /// copy is authoritative — and the far-memory image keeps a demoted
+    /// table one cheap restage away.
+    fn drop_resident(&mut self, name: &str) -> Result<bool, FvError> {
+        let Some(r) = self.resident.remove(name) else {
+            return Ok(false);
+        };
+        self.resident_bytes -= r.bytes;
+        self.conn.free(r.staged)?;
+        Ok(true)
     }
 
     /// Run `spec` against `name`, staging it in if cold — or
@@ -698,24 +701,19 @@ impl<'a, C: TierConn> TieredPool<'a, C> {
         }
         // Stale placement: drop the old copy and fall through to the
         // staging path so the table lands on the current shard set.
-        let restaged = match self.resident.remove(name) {
-            Some(stale) => {
-                self.restages += 1;
-                self.resident_bytes -= stale.bytes;
-                self.conn.free(stale.staged)?;
-                true
-            }
-            None => false,
-        };
+        let restaged = self.drop_resident(name)?;
+        self.restages += u64::from(restaged);
         self.misses += 1;
         let fetch = self.far.fetch(name, self.clock)?;
+        // The one validation of this staging; a cold image becomes
+        // far-resident only once it has passed.
+        let image = ColumnImage::open(&fetch.bytes, &fetch.schema)?;
+        self.far
+            .install(name, &fetch, image.row_count(), self.clock);
         let spilled = self.far.enforce_budget();
-        // Validation happened once, at open; the staged table is
-        // row-major, like everything the operator datapath reads.
-        let table = ColumnImage::open(&fetch.bytes, &fetch.schema)?.to_table();
 
         // Make room under the DRAM budget.
-        let need = table.byte_len() as u64;
+        let need = (image.row_count() * fetch.schema.row_bytes()) as u64;
         let mut evictions = Vec::new();
         while self.resident_bytes + need > self.capacity {
             let Some(victim) = self.evict_one()? else {
@@ -724,7 +722,7 @@ impl<'a, C: TierConn> TieredPool<'a, C> {
             evictions.push(victim);
         }
 
-        let (staged, write_time) = self.conn.stage(&table)?;
+        let (staged, write_time) = self.conn.stage(&image)?;
         self.resident_bytes += need;
         let r = self.resident.entry(name.to_string()).or_insert(Resident {
             staged,
@@ -1089,6 +1087,7 @@ mod tests {
         assert!(matches!(err, FvError::Codec(_)), "{err}");
         assert!(!pool.is_resident("t"));
         assert_eq!(free_pages(), baseline, "a rejected image stages nothing");
+        assert_eq!(pool.far_resident_bytes(), 0, "nor is it installed far");
         // Re-inserting clean bytes recovers the object.
         pool.insert("t", &table(2, 64 << 10)).unwrap();
         assert!(pool.query("t", &PipelineSpec::passthrough()).is_ok());
@@ -1097,6 +1096,87 @@ mod tests {
         corrupted_image,
         corrupted_image_is_a_typed_error_not_a_panic,
         fleet_corrupted_image_is_a_typed_error_not_a_panic
+    );
+
+    /// Re-inserting a DRAM-resident name must retire the staged copy of
+    /// the old contents with them: the next query stages and serves the
+    /// new table (it used to hit the stale copy and return the old
+    /// bytes), and the old copy's pages go back to the pool.
+    fn reinsert_over_resident<C: TierConn>(
+        conn: &C,
+        free_pages: impl Fn() -> u64,
+        table_pages: u64,
+    ) {
+        let baseline = free_pages();
+        let mut pool = TieredPool::new(conn, 8 << 20, BlockStore::default());
+        let old = table(21, 256 << 10);
+        pool.insert("t", &old).unwrap();
+        assert_eq!(
+            payload(&pool.query("t", &PipelineSpec::passthrough()).unwrap()),
+            old.bytes()
+        );
+        // Same shape with other contents, then another row count.
+        for new in [table(22, 256 << 10), table(23, 128 << 10)] {
+            pool.insert("t", &new).unwrap();
+            assert!(
+                !pool.is_resident("t"),
+                "the old copy went with the old image"
+            );
+            let out = pool.query("t", &PipelineSpec::passthrough()).unwrap();
+            assert!(!out.buffer_hit, "new contents must be staged, not hit");
+            assert_eq!(out.staged_from, Some(TierLevel::Disk));
+            assert_eq!(payload(&out), new.bytes());
+            assert_eq!(pool.resident_bytes(), new.byte_len() as u64);
+            assert_eq!(free_pages(), baseline - table_pages, "one table's pages");
+        }
+    }
+    on_both_connections!(
+        reinsert_over_resident,
+        reinsert_over_a_resident_name_serves_the_new_table,
+        fleet_reinsert_over_a_resident_name_serves_the_new_table
+    );
+
+    /// Rows that do not divide the staging block or the transpose tile
+    /// (24- and 13-byte rows), one row, and 5 000 rows all come back
+    /// byte-identical through a cold staging.
+    fn odd_row_widths<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
+        use fv_data::{Column, ColumnType, TableBuilder, Value};
+        let schema = |tys: &[ColumnType]| {
+            let col = |(i, &ty)| Column {
+                name: format!("c{i}"),
+                ty,
+            };
+            Schema::new(tys.iter().enumerate().map(col).collect())
+        };
+        let wide = schema(&[ColumnType::U64, ColumnType::Bytes(3), ColumnType::Bytes(13)]);
+        let narrow = schema(&[ColumnType::Bytes(13)]);
+        let mut pool = TieredPool::new(conn, 8 << 20, BlockStore::default());
+        for (s, rows) in [
+            (&wide, 1usize),
+            (&wide, 5000),
+            (&narrow, 1),
+            (&narrow, 5000),
+        ] {
+            let mut b = TableBuilder::with_capacity(s.clone(), rows);
+            for r in 0..rows as u64 {
+                let cell = |c: &Column| match c.ty {
+                    ColumnType::Bytes(w) => Value::Bytes(vec![(r % 241) as u8 + w as u8; w]),
+                    _ => Value::U64(r.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                };
+                b.push_values(s.columns().iter().map(cell).collect());
+            }
+            let t = b.build();
+            let name = format!("{}x{rows}", s.row_bytes());
+            pool.insert(&name, &t).unwrap();
+            let cold = pool.query(&name, &PipelineSpec::passthrough()).unwrap();
+            assert!(!cold.buffer_hit);
+            assert_eq!(payload(&cold), t.bytes(), "{name}");
+        }
+    }
+    on_both_connections!(
+        odd_row_widths,
+        row_widths_that_do_not_divide_the_block_stage_byte_identical,
+        fleet_row_widths_that_do_not_divide_the_block_stage_byte_identical
     );
 
     /// A staging whose DRAM write fails (a partitioned link) is a typed
@@ -1121,6 +1201,11 @@ mod tests {
         assert!(!pool.is_resident("t"));
         assert_eq!(pool.resident_bytes(), 0);
         assert_eq!(cluster.free_pages(), baseline, "failed staging leaked");
+        // The staging path itself, without the pool around it.
+        let image = ColumnImage::encode(&t);
+        let opened = ColumnImage::open(&image, t.schema()).unwrap();
+        assert!(matches!(qp.stage(&opened), Err(FvError::Net(_))));
+        assert_eq!(cluster.free_pages(), baseline, "image staging leaked");
 
         cluster.set_fault_plan(crate::FaultPlan::none());
         let cold = pool.query("t", &spec).unwrap();

@@ -52,42 +52,13 @@ impl<'a> ColumnSlice<'a> {
         self.bytes
     }
 
-    /// The raw bytes of `row`'s value.
-    ///
-    /// # Panics
-    /// Panics if `row >= rows()` — the only bound left to check; the
-    /// slice itself was validated at open time.
-    pub fn raw(&self, row: usize) -> &'a [u8] {
-        // fv:allow(panic): slice length proven rows*width at open; only the row bound remains
-        &self.bytes[row * self.width..(row + 1) * self.width]
-    }
-
-    /// Decode `row`'s value as a little-endian `u64` word.
-    ///
-    /// # Panics
-    /// Panics if `row` is out of range or the column is not 8 bytes
-    /// wide.
-    pub fn word(&self, row: usize) -> u64 {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(self.raw(row));
-        u64::from_le_bytes(w)
-    }
-
-    /// Iterate the column's values in row order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [u8]> {
-        self.bytes.chunks_exact(self.width)
-    }
-
-    /// A view of rows `lo..hi` (half-open) of this column. The
-    /// validated `len == rows × width` invariant carries over by
-    /// construction, so windowed consumers (streaming a staged image
-    /// through a pipeline one row range at a time) need no re-check.
+    /// The contiguous values of rows `lo..hi` (half-open) — the unit
+    /// the transpose kernel moves.
     ///
     /// # Panics
     /// Panics when `lo > hi` or `hi > rows()`.
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> ColumnSlice<'a> {
-        // fv:allow(panic): documented precondition; the byte range is
-        // exactly the row range scaled by the validated width.
-        ColumnSlice::new(&self.bytes[lo * self.width..hi * self.width], self.ty)
+    pub(crate) fn run(&self, lo: usize, hi: usize) -> &'a [u8] {
+        // fv:allow(panic): slice length proven rows*width at open; only the row bound remains
+        &self.bytes[lo * self.width..hi * self.width]
     }
 }

@@ -14,7 +14,7 @@
 //! reference counting so pages return to the pool only after the last
 //! unmap.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use fv_sim::calib::{MEM_BURST_BYTES, PAGE_BYTES, STRIPE_BYTES, TLB_ENTRIES};
 
@@ -64,8 +64,9 @@ struct Allocation {
 struct Domain {
     /// vpage -> ppage.
     page_table: HashMap<u64, u64>,
-    /// Base vaddr -> allocation record.
-    allocations: HashMap<VirtAddr, Allocation>,
+    /// Base vaddr -> allocation record, ordered so the allocation
+    /// containing an address is the last one based at or below it.
+    allocations: BTreeMap<VirtAddr, Allocation>,
     /// Bump pointer for fresh virtual ranges (starts past page 0 so a
     /// zero vaddr is always invalid, catching uninitialized handles).
     next_vaddr: u64,
@@ -290,11 +291,14 @@ impl MemoryStack {
             .domains
             .get(&domain)
             .ok_or(MemError::NoSuchDomain(domain))?;
-        // Find the allocation containing vaddr (base <= vaddr < base+pages).
+        // The allocation containing vaddr (base <= vaddr < base+pages):
+        // virtual ranges never overlap, so only the nearest base at or
+        // below vaddr can be it.
         let containing = d
             .allocations
-            .iter()
-            .find(|(&base, a)| vaddr >= base && vaddr < base + a.ppages.len() as u64 * PAGE_BYTES);
+            .range(..=vaddr)
+            .next_back()
+            .filter(|(&base, a)| vaddr < base + a.ppages.len() as u64 * PAGE_BYTES);
         match containing {
             None => Err(MemError::AccessFault { domain, vaddr }),
             Some((&base, a)) => {
@@ -512,6 +516,42 @@ mod tests {
             m.read(d, va + 50, 51),
             Err(MemError::OutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn bounds_check_finds_the_containing_allocation_among_many() {
+        // One channel: a single lazily zeroed backing buffer, so the
+        // 1 000 pages cost only the few this test touches.
+        let mut m = MemoryStack::new(1, 1000 * PAGE_BYTES);
+        let d = m.create_domain();
+        let allocs: Vec<VirtAddr> = (0..1000).map(|_| m.alloc(d, 100).unwrap()).collect();
+        let (first, last, freed) = (allocs[0], allocs[999], allocs[500]);
+        m.free(d, freed).unwrap();
+        for &va in &[first, last] {
+            m.write(d, va + 10, &[7u8; 90]).unwrap();
+            assert_eq!(m.read(d, va + 10, 90).unwrap(), [7u8; 90]);
+            assert_eq!(m.plan_bursts(d, va, 100).unwrap().len(), 1);
+            // One byte past the end of the allocation's bytes.
+            assert_eq!(
+                m.read(d, va + 10, 91),
+                Err(MemError::OutOfBounds {
+                    vaddr: va,
+                    alloc_len: 100,
+                    access_end: 101,
+                })
+            );
+        }
+        // A freed allocation between two live ones, the unmapped tail of
+        // the last page range, and below the first base: all fault.
+        for va in [freed, freed + 50, last + PAGE_BYTES, first - 1] {
+            assert_eq!(
+                m.read(d, va, 1),
+                Err(MemError::AccessFault {
+                    domain: d,
+                    vaddr: va
+                })
+            );
+        }
     }
 
     #[test]

@@ -39,6 +39,13 @@ bench-check:
     cargo test --manifest-path benchmark/Cargo.toml
     cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke --trace
 
+# What the driver actually runs: the literal BENCHMARK.json command,
+# every workload for 2 s with tracing off and on; each pass must exit 0
+# and end its stdout with one JSON object carrying `"correct":true` and
+# `"failed":0`.
+bench-contract:
+    sh scripts/bench-contract.sh
+
 # The fleet scatter seam (ordered join, panic containment, the size
 # gate, fanned out ≡ one worker) uncontended: `verify` already ran it
 # with the other test threads competing for the host's CPUs.
@@ -46,7 +53,7 @@ scatter:
     RUST_TEST_THREADS=1 cargo test -q -p farview-core scatter
 
 # Everything CI runs, job for job (.github/workflows/ci.yml).
-ci: verify scatter doc fmt-check clippy analyze bench-smoke bench-check chaos
+ci: verify scatter doc fmt-check clippy analyze bench-smoke bench-check bench-contract chaos
 
 # Reproduce every table/figure of the paper plus the scale-out sweep.
 figures:

@@ -11,7 +11,8 @@ use proptest::prelude::*;
 
 use farview::prelude::*;
 use farview_core::{BlockStore, FleetTierConn, TierLevel, TieredPool};
-use fv_data::{CodecError, Column, ColumnImage, ColumnType, TableBuilder};
+use fv_data::colimage::{checksum64, COLIMAGE_MAGIC, COLIMAGE_VERSION};
+use fv_data::{schema_fingerprint, CodecError, Column, ColumnImage, ColumnType, TableBuilder};
 
 /// A random fixed-stride schema: 1–6 columns drawn from every
 /// [`ColumnType`], byte-string widths 1–12 (so rows are *not* always
@@ -52,7 +53,84 @@ fn cell(ty: ColumnType, seed: u64) -> Value {
 /// A random table over a random mixed-type schema with a ragged row
 /// count in `1..=max_rows`.
 fn arb_table(max_rows: usize) -> impl Strategy<Value = Table> {
-    (arb_schema(), 1..=max_rows).prop_flat_map(|(schema, rows)| {
+    arb_table_of(arb_schema(), 1..=max_rows)
+}
+
+/// Schemas the transpose kernel's two loops see at their edges: odd
+/// byte-string widths (1, 3, 13) beside word columns, down to a single
+/// column.
+fn arb_kernel_schema() -> impl Strategy<Value = Schema> {
+    prop::collection::vec(
+        prop_oneof![
+            Just(ColumnType::U64),
+            Just(ColumnType::Bytes(1)),
+            Just(ColumnType::Bytes(3)),
+            Just(ColumnType::Bytes(13)),
+        ],
+        1..=5,
+    )
+    .prop_map(|tys| {
+        let col = |(i, ty)| Column {
+            name: format!("k{i}"),
+            ty,
+        };
+        Schema::new(tys.into_iter().enumerate().map(col).collect())
+    })
+}
+
+/// Row counts around the kernel's 128-row tile, plus a random one.
+fn arb_kernel_rows() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(1usize),
+        Just(127usize),
+        Just(128usize),
+        Just(129usize),
+        0usize..=700,
+    ]
+}
+
+/// The image format written out one value at a time, straight from the
+/// layout table in `fv_data::colimage` — the encoder the tiled kernel
+/// must stay byte-identical to.
+fn reference_encode(table: &Table) -> Vec<u8> {
+    let (schema, rows) = (table.schema(), table.row_count());
+    let cols = schema.column_count();
+    let rb = schema.row_bytes();
+    let total = 64 + 16 * cols + rows * rb;
+    let mut out = Vec::new();
+    out.extend_from_slice(&COLIMAGE_MAGIC);
+    out.extend_from_slice(&COLIMAGE_VERSION.to_le_bytes());
+    out.extend_from_slice(&(cols as u32).to_le_bytes());
+    out.extend_from_slice(&(rows as u64).to_le_bytes());
+    out.extend_from_slice(&schema_fingerprint(schema).to_le_bytes());
+    out.extend_from_slice(&[0u8; 8]);
+    out.extend_from_slice(&(total as u64).to_le_bytes());
+    out.extend_from_slice(&[0u8; 16]);
+    let mut off = 64 + 16 * cols;
+    for c in 0..cols {
+        let len = rows * schema.column(c).ty.width();
+        out.extend_from_slice(&(off as u64).to_le_bytes());
+        out.extend_from_slice(&(len as u64).to_le_bytes());
+        off += len;
+    }
+    for c in 0..cols {
+        for r in 0..rows {
+            let at = r * rb + schema.offset(c);
+            out.extend_from_slice(&table.bytes()[at..at + schema.column(c).ty.width()]);
+        }
+    }
+    let sum = checksum64(&out[64..]);
+    out[32..40].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// A random table over `schema` with a row count drawn from `rows`.
+fn arb_table_of(
+    schema: impl Strategy<Value = Schema>,
+    rows: impl Strategy<Value = usize>,
+) -> impl Strategy<Value = Table> {
+    (schema, rows).prop_flat_map(|(schema, rows)| {
         let tys: Vec<ColumnType> = schema.columns().iter().map(|c| c.ty).collect();
         prop::collection::vec(prop::collection::vec(any::<u64>(), tys.len()), rows).prop_map(
             move |seeds| {
@@ -69,6 +147,37 @@ fn arb_table(max_rows: usize) -> impl Strategy<Value = Table> {
             },
         )
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The tiled transpose, both directions, against the obvious code:
+    /// `encode` is byte-identical to the per-value reference encoder
+    /// (format and checksum unchanged), and `write_rows_into(lo, hi)`
+    /// appends exactly rows `lo..hi` of the row image after whatever
+    /// the buffer already held — across tile edges, odd widths, empty
+    /// tables and empty ranges.
+    #[test]
+    fn tiled_transpose_matches_the_per_value_reference(
+        table in arb_table_of(arb_kernel_schema(), arb_kernel_rows()),
+        bounds in (any::<u64>(), any::<u64>()),
+        prefix in prop::collection::vec(any::<u8>(), 0..=9),
+    ) {
+        let img = ColumnImage::encode(&table);
+        prop_assert_eq!(&img, &reference_encode(&table));
+
+        let opened = ColumnImage::open(&img, table.schema()).expect("open a fresh image");
+        let rows = table.row_count();
+        let (a, b) = (bounds.0 as usize % (rows + 1), bounds.1 as usize % (rows + 1));
+        let (lo, hi) = (a.min(b), a.max(b));
+        let rb = table.schema().row_bytes();
+        let mut out = prefix.clone();
+        opened.write_rows_into(lo, hi, &mut out);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &table.bytes()[lo * rb..hi * rb]);
+        prop_assert_eq!(opened.to_table().bytes(), table.bytes());
+    }
 }
 
 proptest! {
