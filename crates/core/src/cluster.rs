@@ -287,6 +287,99 @@ impl Inner {
     }
 }
 
+/// Queries staged for one episode — what the engine runs, and what
+/// turning its results into outcomes needs.
+#[derive(Default)]
+struct Staged {
+    queries: Vec<PreparedQuery>,
+    /// Per query, the table image it streams (`None` under smart
+    /// addressing: the query gathered its own bytes from the image).
+    images: Vec<Option<Arc<Vec<u8>>>>,
+    /// Per query, `(output schema, reconfigured)`.
+    metas: Vec<(Schema, bool)>,
+}
+
+impl Staged {
+    /// Stage one compiled query as stream `stream`: plan its bursts (or
+    /// gather its bytes, under smart addressing), then load its pipeline
+    /// into the connection's region. Compilation already happened, for
+    /// the whole submission, so the only refusal left is the memory
+    /// stack's on the table's first touch — before this query changes
+    /// any region state.
+    ///
+    /// `image` is the table's bytes once some query of the submission
+    /// has read them: every query over the same table streams that one
+    /// copy. Bursts are still planned per query — TLB hits and misses
+    /// are simulated state — and a repeated read would only have
+    /// re-touched, in the same order, the pages the plan just did.
+    fn stage(
+        &mut self,
+        inner: &mut Inner,
+        qpair: &QPair,
+        ft: &FTable,
+        pipeline: CompiledPipeline,
+        stream: u32,
+        image: &mut Option<Arc<Vec<u8>>>,
+    ) -> Result<(), FvError> {
+        let slot = inner.slot_of(qpair.qp).ok_or(FvError::Disconnected)?;
+        let bytes = ft.byte_len();
+        let mut table = |inner: &mut Inner| -> Result<Arc<Vec<u8>>, FvError> {
+            if let Some(read) = image.as_ref() {
+                return Ok(Arc::clone(read));
+            }
+            let read = Arc::new(inner.mem.read(qpair.domain, ft.vaddr, bytes)?);
+            Ok(Arc::clone(image.insert(read)))
+        };
+        let (bursts, data, sa_tuples) = if let Some(sa) = pipeline.smart_addressing() {
+            // Smart addressing: gather only the projected bytes, per tuple.
+            let table = table(inner)?;
+            let mut gathered = Vec::with_capacity(ft.rows * sa.bytes_per_tuple);
+            for r in 0..ft.rows {
+                sa.gather(&table, r * sa.row_bytes, &mut gathered);
+            }
+            self.images.push(None);
+            (Vec::new(), gathered, Some(ft.rows as u64))
+        } else if bytes == 0 {
+            self.images.push(None);
+            (Vec::new(), Vec::new(), None)
+        } else {
+            let bursts = inner.mem.plan_bursts(qpair.domain, ft.vaddr, bytes)?;
+            self.images.push(Some(table(inner)?));
+            (bursts, Vec::new(), None)
+        };
+
+        let fingerprint = pipeline.spec().fingerprint();
+        let reconfigured = inner.loaded[slot] != Some(fingerprint);
+        if reconfigured {
+            inner.loaded[slot] = Some(fingerprint);
+            inner.reconfigurations += 1;
+        }
+        self.metas
+            .push((pipeline.out_schema().clone(), reconfigured));
+        let vector_lanes = if pipeline.spec().vectorize {
+            inner.config.vector_lanes as u64
+        } else {
+            1
+        };
+        self.queries.push(PreparedQuery {
+            qp: stream,
+            slot,
+            pipeline,
+            bursts,
+            data,
+            sa_tuples,
+            vector_lanes,
+        });
+        Ok(())
+    }
+
+    /// The staged queries as one doorbell batch, and their metas.
+    fn into_batch(self) -> (episode::BatchRun, Vec<(Schema, bool)>) {
+        let batch = episode::BatchRun::over_images(self.queries, self.images);
+        (batch, self.metas)
+    }
+}
+
 /// A Farview deployment: one smart-memory node plus client connections.
 #[derive(Clone)]
 pub struct FarviewCluster {
@@ -401,85 +494,35 @@ impl FarviewCluster {
             }
             seen.push(qpair.qp);
         }
-        let mut inner = self.inner.lock();
-        let mut prepared = Vec::with_capacity(requests.len());
-        let mut metas = Vec::with_capacity(requests.len());
+        // Compile (and so verify) the whole submission first: a request
+        // refused here has touched no region, counter or TLB entry.
+        let mut compiled = Vec::with_capacity(requests.len());
         for (qpair, ft, spec) in requests {
-            if !qpair.connected {
-                return Err(FvError::Disconnected);
-            }
-            if ft.qp != qpair.qp {
-                return Err(FvError::ForeignTable);
-            }
-            let (p, schema, reconf) = prepare(&mut inner, qpair, ft, spec)?;
-            prepared.push(p);
-            metas.push((schema, reconf));
+            qpair.check_table(ft)?;
+            compiled.push((qpair, ft, CompiledPipeline::compile(spec, &ft.schema)?));
+        }
+        let mut inner = self.inner.lock();
+        let mut batches = Vec::with_capacity(compiled.len());
+        let mut metas = Vec::with_capacity(compiled.len());
+        for (qpair, ft, pipeline) in compiled {
+            // One request per connection: each is its own depth-1 batch.
+            let mut staged = Staged::default();
+            staged.stage(&mut inner, qpair, ft, pipeline, qpair.qp, &mut None)?;
+            let (batch, meta) = staged.into_batch();
+            batches.push(batch);
+            metas.extend(meta);
         }
         let config = inner.config.clone();
         drop(inner);
-        let results = episode::run_episode(prepared, &config)?;
+        let results = episode::run_batched_episodes(batches, &config)?;
         self.inner.lock().episodes += results.len() as u64;
         Ok(results
             .into_iter()
+            .flatten()
             .zip(metas)
             .map(|(r, (schema, reconfigured))| finish_outcome(r, schema, reconfigured))
             .collect())
     }
-}
-
-/// Build the `PreparedQuery` for one request (pipeline compile, region
-/// reconfiguration bookkeeping, burst planning, functional data gather).
-fn prepare(
-    inner: &mut Inner,
-    qpair: &QPair,
-    ft: &FTable,
-    spec: PipelineSpec,
-) -> Result<(PreparedQuery, Schema, bool), FvError> {
-    let pipeline = CompiledPipeline::compile(spec, &ft.schema)?;
-    let fingerprint = pipeline.spec().fingerprint();
-    let slot = inner.slot_of(qpair.qp).ok_or(FvError::Disconnected)?;
-    let reconfigured = inner.loaded[slot] != Some(fingerprint);
-    if reconfigured {
-        inner.loaded[slot] = Some(fingerprint);
-        inner.reconfigurations += 1;
-    }
-    let bytes = ft.byte_len();
-    let out_schema = pipeline.out_schema().clone();
-    let vector_lanes = if pipeline.spec().vectorize {
-        inner.config.vector_lanes as u64
-    } else {
-        1
-    };
-
-    let (bursts, data, sa_tuples) = if let Some(sa) = pipeline.smart_addressing().cloned() {
-        // Smart addressing: gather only the projected bytes, per tuple.
-        let table = inner.mem.read(qpair.domain, ft.vaddr, bytes)?;
-        let mut gathered = Vec::with_capacity(ft.rows * sa.bytes_per_tuple);
-        for r in 0..ft.rows {
-            sa.gather(&table, r * sa.row_bytes, &mut gathered);
-        }
-        (Vec::new(), gathered, Some(ft.rows as u64))
-    } else if bytes == 0 {
-        (Vec::new(), Vec::new(), None)
-    } else {
-        let bursts = inner.mem.plan_bursts(qpair.domain, ft.vaddr, bytes)?;
-        let data = inner.mem.read(qpair.domain, ft.vaddr, bytes)?;
-        (bursts, data, None)
-    };
-
-    Ok((
-        PreparedQuery {
-            qp: qpair.qp,
-            slot,
-            pipeline,
-            bursts,
-            data,
-            sa_tuples,
-            vector_lanes,
-        },
-        out_schema,
-        reconfigured,
-    ))
 }
 
 fn finish_outcome(r: episode::EpisodeResult, schema: Schema, reconfigured: bool) -> QueryOutcome {
@@ -740,24 +783,45 @@ impl QPair {
             return Ok(Vec::new());
         }
         check_queue_depth(specs.len())?;
-        let mut inner = self.inner.lock();
-        let mut queries = Vec::with_capacity(specs.len());
-        let mut metas = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            let (mut p, schema, reconf) = prepare(&mut inner, self, ft, spec.clone())?;
-            // Each WQE's response is its own stream on the shared flow.
-            p.qp = (self.qp << QP_STREAM_BITS) | i as u32;
-            metas.push((schema, reconf));
-            queries.push(p);
-        }
-        let config = inner.config.clone();
-        // The episode is a pure computation over the prepared queries;
-        // release the node lock so parallel fleet-scatter workers whose
-        // shards co-locate on this node simulate concurrently.
-        drop(inner);
-        let results =
-            episode::run_batched_episodes(vec![episode::BatchRun::new(queries)], &config)?
-                .remove(0);
+        // Compile (and so verify) the whole submission first: a batch
+        // refused here has touched no region, counter or TLB entry.
+        let pipelines = specs
+            .iter()
+            .map(|spec| CompiledPipeline::compile(spec.clone(), &ft.schema))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.run_batch(pipelines.into_iter().map(|pipeline| (ft, pipeline)))
+    }
+
+    /// Stage `work` — WQE `i` runs its pipeline over its table — as one
+    /// doorbell batch on this queue pair and run it as one pipelined
+    /// episode. Consecutive WQEs over the same bytes read them once.
+    fn run_batch<T: std::borrow::Borrow<FTable>>(
+        &self,
+        work: impl Iterator<Item = (T, CompiledPipeline)>,
+    ) -> Result<Vec<QueryOutcome>, FvError> {
+        // The episode is a pure computation over the staged queries:
+        // the node lock is released before it runs, so parallel
+        // fleet-scatter workers whose shards co-locate on this node
+        // simulate concurrently — and only the batch holds the image.
+        let (batch, metas, config) = {
+            let mut inner = self.inner.lock();
+            let mut staged = Staged::default();
+            let mut image = None;
+            let mut imaged = None;
+            for (i, (ft, pipeline)) in work.enumerate() {
+                let ft = ft.borrow();
+                let named = Some((ft.vaddr, ft.byte_len()));
+                if named != imaged {
+                    (image, imaged) = (None, named);
+                }
+                // Each WQE's response is its own stream on the shared flow.
+                let stream = (self.qp << QP_STREAM_BITS) | i as u32;
+                staged.stage(&mut inner, self, ft, pipeline, stream, &mut image)?;
+            }
+            let (batch, metas) = staged.into_batch();
+            (batch, metas, inner.config.clone())
+        };
+        let results = episode::run_batched_episodes(vec![batch], &config)?.remove(0);
         self.inner.lock().episodes += results.len() as u64;
         Ok(results
             .into_iter()
@@ -801,30 +865,18 @@ impl QPair {
             if chunk.is_empty() {
                 continue;
             }
-            let mut inner = self.inner.lock();
-            let mut queries = Vec::with_capacity(chunk.len());
-            let mut metas = Vec::with_capacity(chunk.len());
-            for (i, &(lo, hi)) in chunk.iter().enumerate() {
+            let mut work = Vec::with_capacity(chunk.len());
+            for &(lo, hi) in chunk {
                 let view = ft.row_slice(lo, hi);
-                let (mut p, schema, reconf) =
-                    prepare(&mut inner, self, &view, PipelineSpec::passthrough())?;
-                p.qp = (self.qp << QP_STREAM_BITS) | i as u32;
-                metas.push((schema, reconf));
-                queries.push(p);
+                let pipeline = CompiledPipeline::compile(PipelineSpec::passthrough(), &ft.schema)?;
+                work.push((view, pipeline));
             }
-            let config = inner.config.clone();
-            drop(inner);
-            let results =
-                episode::run_batched_episodes(vec![episode::BatchRun::new(queries)], &config)?
-                    .remove(0);
-            self.inner.lock().episodes += results.len() as u64;
-            let mut makespan = SimDuration::ZERO;
-            for (r, (schema, reconf)) in results.into_iter().zip(metas) {
-                let o = finish_outcome(r, schema, reconf);
-                makespan = makespan.max(o.stats.response_time);
-                outcomes.push(o);
-            }
-            total += makespan;
+            let results = self.run_batch(work.into_iter())?;
+            total += results
+                .iter()
+                .map(|o| o.stats.response_time)
+                .fold(SimDuration::ZERO, SimDuration::max);
+            outcomes.extend(results);
         }
         Ok((outcomes, total))
     }
@@ -1117,6 +1169,107 @@ mod tests {
         let out3 = qp.distinct(&ft, vec![0]).unwrap();
         assert!(out3.stats.reconfigured, "new pipeline reconfigures");
         assert_eq!(c.reconfigurations(), 2);
+    }
+
+    /// A submission refused at compile time ran nothing, so it must
+    /// have loaded nothing: the region, the reconfiguration counter and
+    /// the episode counter are as they were, and the first query that
+    /// does run reports the reconfiguration it pays for.
+    #[test]
+    fn a_refused_batch_leaves_the_region_untouched() {
+        let c = cluster();
+        let qp = c.connect().unwrap();
+        let (ft, _) = qp.load_table(&make_table(16)).unwrap();
+        let good = PipelineSpec::passthrough().distinct(vec![0]);
+        let bad = PipelineSpec::passthrough().project(vec![9]);
+        let err = qp
+            .far_view_batch(&ft, &[good.clone(), bad])
+            .expect_err("column 9 of 8");
+        assert!(
+            matches!(
+                err,
+                FvError::Pipeline(fv_pipeline::PipelineError::UnknownColumn { col: 9, arity: 8 })
+            ),
+            "{err}"
+        );
+        assert_eq!(c.episodes_run(), 0);
+        assert_eq!(c.reconfigurations(), 0, "a refused batch loads nothing");
+        let first = qp.far_view(&ft, &good).unwrap();
+        assert!(first.stats.reconfigured, "the first real query configures");
+        assert_eq!(c.reconfigurations(), 1);
+    }
+
+    /// The same for the multi-client entry point: one bad request
+    /// refuses the whole run before any connection's region is loaded.
+    #[test]
+    fn a_refused_concurrent_run_leaves_the_regions_untouched() {
+        let c = cluster();
+        let a = c.connect().unwrap();
+        let b = c.connect().unwrap();
+        let t = make_table(16);
+        let (fta, _) = a.load_table(&t).unwrap();
+        let (ftb, _) = b.load_table(&t).unwrap();
+        let good = PipelineSpec::passthrough().distinct(vec![0]);
+        let bad = PipelineSpec::passthrough().project(vec![9]);
+        let err = c
+            .run_concurrent(vec![(&a, &fta, good.clone()), (&b, &ftb, bad)])
+            .expect_err("column 9 of 8");
+        assert!(matches!(err, FvError::Pipeline(_)), "{err}");
+        assert_eq!(c.episodes_run(), 0);
+        assert_eq!(c.reconfigurations(), 0, "a refused run loads nothing");
+        let outs = c
+            .run_concurrent(vec![(&a, &fta, good.clone()), (&b, &ftb, good)])
+            .unwrap();
+        assert!(outs.iter().all(|o| o.stats.reconfigured));
+        assert_eq!(c.reconfigurations(), 2);
+    }
+
+    /// One doorbell batch reads its table once: the queries that stream
+    /// the table share one image, a smart-addressing query gathers its
+    /// own bytes from it. The image lives as long as the batch — a write
+    /// after the batch returns is what the next query reads.
+    #[test]
+    fn a_batch_shares_one_table_image() {
+        let c = cluster();
+        let qp = c.connect().unwrap();
+        let t = make_table(64);
+        let (ft, _) = qp.load_table(&t).unwrap();
+        let specs = [
+            PipelineSpec::passthrough(),
+            PipelineSpec::passthrough()
+                .project(vec![1, 2])
+                .with_smart_addressing(),
+            PipelineSpec::passthrough().distinct(vec![0]),
+        ];
+        let mut staged = Staged::default();
+        let mut image = None;
+        {
+            let mut inner = qp.inner.lock();
+            for (i, spec) in specs.iter().enumerate() {
+                let pipeline = CompiledPipeline::compile(spec.clone(), &ft.schema).unwrap();
+                staged
+                    .stage(&mut inner, &qp, &ft, pipeline, i as u32, &mut image)
+                    .unwrap();
+            }
+        }
+        let image = image.expect("the batch read its table");
+        assert_eq!(*image, t.bytes());
+        match staged.images.as_slice() {
+            [Some(read), None, Some(distinct)] => {
+                assert!(Arc::ptr_eq(read, &image) && Arc::ptr_eq(distinct, &image));
+            }
+            other => panic!("plain, smart-addressing, plain: {other:?}"),
+        }
+        assert!(staged.queries[0].data.is_empty(), "the image is the data");
+        assert_eq!(staged.queries[1].data.len(), 64 * 16, "gathered bytes");
+
+        // Through the public verb: a batch, a write, a query.
+        let before = qp.far_view_batch(&ft, &specs).unwrap();
+        assert_eq!(before[0].payload, t.bytes());
+        let rewritten = make_table(128);
+        let rewritten = &rewritten.bytes()[64 * 64..];
+        qp.table_write(&ft, rewritten).unwrap();
+        assert_eq!(qp.table_read(&ft).unwrap().payload, rewritten);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! the paper measures it: from the client posting the request until "the
 //! final results are written to the memory of the client machine" (§6.2).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use fv_mem::BurstReq;
@@ -99,6 +101,9 @@ enum Msg {
 
 struct QueryRun {
     q: PreparedQuery,
+    /// The bytes the pipeline consumes, in stream order: the query's own
+    /// `data`, moved here, or the table image its batch shares.
+    data: Arc<Vec<u8>>,
     cursor: usize,
     /// Reorder buffer: bursts that completed ahead of stream order
     /// ("data is buffered in queues as it traverses from one stack to
@@ -126,9 +131,11 @@ struct QueryRun {
 }
 
 impl QueryRun {
-    /// A posted query nothing has happened to yet.
-    fn new(q: PreparedQuery) -> Self {
+    /// A posted query nothing has happened to yet, streaming `image`
+    /// if it was staged over one and its own `data` otherwise.
+    fn new(mut q: PreparedQuery, image: Option<Arc<Vec<u8>>>) -> Self {
         QueryRun {
+            data: image.unwrap_or_else(|| Arc::new(std::mem::take(&mut q.data))),
             cursor: 0,
             arrived: std::collections::BTreeSet::new(),
             next_feed: 0,
@@ -155,7 +162,7 @@ impl QueryRun {
                 let per_chunk =
                     (calib::MEM_BURST_BYTES as usize / tuple_bytes.max(1)).max(1) * tuple_bytes;
                 let consumed = idx * per_chunk;
-                per_chunk.min(self.q.data.len() - consumed)
+                per_chunk.min(self.data.len() - consumed)
             }
             None => self.q.bursts.get(idx).map_or(0, |b| b.bytes as usize),
         }
@@ -300,7 +307,7 @@ impl Actor<Msg> for NodeActor {
                 };
                 let t_ready =
                     ingress_done + FV_REQ_PROC.saturating_sub(FV_REQ_OCCUPANCY) + upload_time;
-                if run.q.data.is_empty() {
+                if run.data.is_empty() {
                     // Empty table: the sender still emits a FIN so the
                     // client can complete (§5.5).
                     ctx.send_at(
@@ -417,17 +424,12 @@ impl Actor<Msg> for NodeActor {
                     let chunk_len = run.chunk_len(run.next_feed);
                     let start = run.cursor;
                     run.cursor += chunk_len;
-                    // Disjoint borrows of the run: the pipeline consumes
-                    // the chunk straight out of the staged table image —
-                    // no per-chunk copy on the feed path.
-                    let PreparedQuery {
-                        pipeline: ops,
-                        data,
-                        ..
-                    } = &mut run.q;
+                    // The pipeline consumes the chunk straight out of
+                    // the staged table image — no per-chunk copy on the
+                    // feed path.
                     // fv:allow(panic): cursor advances by chunk_len, which
                     // is clamped to the staged table image's length.
-                    ops.push_bytes(&data[start..run.cursor]);
+                    run.q.pipeline.push_bytes(&run.data[start..run.cursor]);
                     // The region's pipeline is a shared serialized
                     // resource; vector lanes divide the per-chunk cost.
                     let cost = (chunk_len as u64).div_ceil(run.lanes);
@@ -592,6 +594,10 @@ impl Actor<Msg> for ClientActor {
 pub struct BatchRun {
     /// The batched queries, in WQE post order.
     pub queries: Vec<PreparedQuery>,
+    /// Per query, the table image it streams in place of its own `data`
+    /// — one allocation however many queries of the batch name it.
+    /// Empty when every query carries its own bytes.
+    images: Vec<Option<Arc<Vec<u8>>>>,
 }
 
 impl BatchRun {
@@ -609,7 +615,34 @@ impl BatchRun {
             queries.iter().all(|q| q.slot == slot),
             "a batch rides one queue pair: all queries must share its slot"
         );
-        BatchRun { queries }
+        BatchRun {
+            queries,
+            images: Vec::new(),
+        }
+    }
+
+    /// A batch whose queries were staged over table images: query `i`
+    /// streams `images[i]` when it has one (its `data` is empty then)
+    /// and its own `data` otherwise (smart addressing: the bytes it
+    /// gathered). Same preconditions as [`BatchRun::new`].
+    pub(crate) fn over_images(
+        queries: Vec<PreparedQuery>,
+        images: Vec<Option<Arc<Vec<u8>>>>,
+    ) -> Self {
+        debug_assert_eq!(queries.len(), images.len(), "one image slot per query");
+        BatchRun {
+            images,
+            ..BatchRun::new(queries)
+        }
+    }
+
+    /// The batch's streams, in post order.
+    fn into_runs(self) -> impl Iterator<Item = QueryRun> {
+        let images = self.images.into_iter().chain(std::iter::repeat(None));
+        self.queries
+            .into_iter()
+            .zip(images)
+            .map(|(q, image)| QueryRun::new(q, image))
     }
 
     /// Queue depth of this batch.
@@ -667,11 +700,8 @@ pub fn run_batched_episodes(
     let mut arbiter = EgressArbiter::new(config.regions);
     let runs: Vec<QueryRun> = batches
         .into_iter()
-        .flat_map(|b| b.queries)
-        .map(|q| {
-            arbiter.bind(q.slot, q.qp);
-            QueryRun::new(q)
-        })
+        .flat_map(BatchRun::into_runs)
+        .inspect(|run| arbiter.bind(run.q.slot, run.q.qp))
         .collect();
     let qps: Vec<u32> = runs.iter().map(|r| r.q.qp).collect();
     let mut wire_ids: Vec<(u32, usize)> = qps.iter().copied().zip(0..).collect();
@@ -687,7 +717,7 @@ pub fn run_batched_episodes(
     );
     // The client registers a result buffer as large as the table it
     // asked to scan; a join that returns more grows it.
-    let result_hints: Vec<usize> = runs.iter().map(|r| r.q.data.len()).collect();
+    let result_hints: Vec<usize> = runs.iter().map(|r| r.data.len()).collect();
 
     // Reserve actor id 0 for the node by adding it first with no
     // clients, then patch in the clients.
@@ -911,6 +941,45 @@ mod tests {
             data,
             sa_tuples: None,
             vector_lanes: 1,
+        }
+    }
+
+    /// A batch staged over one image streams that allocation to every
+    /// query that names it — nothing is copied per query — and a query
+    /// with no image streams its own `data`, moved, not copied. Either
+    /// way the results are those of queries carrying their own bytes.
+    #[test]
+    fn queries_of_a_batch_share_their_image() {
+        let cfg = FarviewConfig::tiny();
+        let spec = || PipelineSpec::passthrough().distinct(vec![1]);
+        let own: Vec<PreparedQuery> = (0..3).map(|i| prepared(i, 0, 64, spec())).collect();
+        let image = Arc::new(own[0].data.clone());
+        let mut over: Vec<PreparedQuery> = (0..3).map(|i| prepared(i, 0, 64, spec())).collect();
+        over[0].data.clear();
+        over[2].data.clear();
+        let own_bytes = over[1].data.as_ptr();
+        let images = vec![Some(Arc::clone(&image)), None, Some(Arc::clone(&image))];
+
+        let runs: Vec<QueryRun> = BatchRun::over_images(over, images.clone())
+            .into_runs()
+            .collect();
+        assert!(Arc::ptr_eq(&runs[0].data, &image) && Arc::ptr_eq(&runs[2].data, &image));
+        assert_eq!(runs[1].data.as_ptr(), own_bytes, "moved in, not copied");
+        drop(runs);
+
+        let over: Vec<PreparedQuery> = (0..3)
+            .map(|i| PreparedQuery {
+                data: Vec::new(),
+                ..prepared(i, 0, 64, spec())
+            })
+            .collect();
+        let images = vec![Some(image); 3];
+        let shared = run_batched_episodes(vec![BatchRun::over_images(over, images)], &cfg).unwrap();
+        let solo = run_batched_episodes(vec![BatchRun::new(own)], &cfg).unwrap();
+        for (a, b) in shared.iter().flatten().zip(solo.iter().flatten()) {
+            assert_eq!(a.payload, b.payload);
+            assert_eq!(a.response_time, b.response_time);
+            assert_eq!(a.pipeline, b.pipeline);
         }
     }
 
@@ -1319,7 +1388,7 @@ mod tests {
 
     #[test]
     fn packets_of_one_drain_share_one_allocation() {
-        let mut run = QueryRun::new(prepared(4, 0, 0, PipelineSpec::passthrough()));
+        let mut run = QueryRun::new(prepared(4, 0, 0, PipelineSpec::passthrough()), None);
         let drain = vec![7u8; 4 * 1024 + 100];
         let storage = drain.as_ptr();
         let pkts = NodeActor::packetize(&mut run, drain, false);
@@ -1352,7 +1421,7 @@ mod tests {
         }
         assert!(run.fin_emitted && run.pending_tail.is_empty());
         // A drain with nothing in it cuts nothing.
-        let mut idle = QueryRun::new(prepared(5, 0, 0, PipelineSpec::passthrough()));
+        let mut idle = QueryRun::new(prepared(5, 0, 0, PipelineSpec::passthrough()), None);
         assert!(NodeActor::packetize(&mut idle, Vec::new(), false).is_empty());
     }
 
@@ -1371,7 +1440,7 @@ mod tests {
         let want = alone.drain_output();
         assert_eq!(want.len() as u64, rows * 24);
 
-        let mut run = QueryRun::new(q);
+        let mut run = QueryRun::new(q, None);
         let per_drain = (rows as usize).div_ceil(3) * 64;
         let mut pkts = Vec::new();
         for (i, chunk) in data.chunks(per_drain).enumerate() {

@@ -12,14 +12,26 @@
 //! the caller as *homeless* — the overflow the hardware ships to the
 //! client.
 //!
-//! The table is keyed by one *primary* 64-bit hash ([`hash_key`]): every
-//! slot stores the hash alongside the key, per-way bucket indices are
-//! cheap remixes of it, and probes compare the 64-bit tag before touching
-//! key bytes. This is what makes the batched operator paths pay — a block
-//! path hashes all survivor keys of a block in one tight pass and then
-//! probes with [`CuckooTable::get_hashed`] / [`CuckooTable::insert_hashed`]
-//! without rehashing per way (the hardware analogue: one hash unit feeding
-//! `W` parallel BRAM lookups).
+//! The table is keyed by one *primary* 64-bit hash ([`hash_key`]),
+//! computed once per key: per-way bucket indices are cheap remixes of it
+//! (the hardware analogue: one hash unit feeding `W` parallel BRAM
+//! lookups), and the operators' block loops hand it to
+//! [`CuckooTable::get_hashed`] / [`CuckooTable::insert_key_hashed`]
+//! without rehashing per way.
+//!
+//! Layout: **index ways over a dense arena.** A bucket is a `u32` — 0
+//! for empty, else 1 + an index into the dense entry store — and all
+//! ways are one `Vec<u32>` (4 × 1024 buckets are 16 KiB, one `memset`).
+//! The entries are three parallel columns: primary hash, payload, and
+//! the key bytes in one flat arena at a fixed width per table (the
+//! operators key a table by a fixed set of columns). A probe reads a
+//! 4-byte bucket, then compares the key — as one word when it is one; a
+//! kick swaps two `u32`s; growth re-places indices. No key owns an
+//! allocation, and building or dropping a table costs what its live
+//! entries cost, not what its buckets do. *Which* bucket an entry ends
+//! up in, and so which key goes homeless, is exactly what it was when a
+//! bucket held the entry itself: `placement_is_pinned` below holds the
+//! digests recorded on that layout.
 //!
 //! The LRU cache "implemented with a shift register" (§5.4) hides the
 //! hash-table write latency: the last `depth` keys are visible even
@@ -28,23 +40,38 @@
 /// 64-bit hash of `bytes` under `seed` (splitmix-style mixing; the paper
 /// cites fast FPGA hashing \[44\] — any well-mixed function preserves the
 /// behaviour).
+#[inline]
 pub fn hash64(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        // fv:allow(panic): chunks_exact(8) yields exactly 8 bytes.
-        let x = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        h = (h ^ x).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = h.rotate_left(23);
-    }
-    let rem = chunks.remainder();
+    let (words, rem) = bytes.as_chunks::<8>();
+    let mut h = words.iter().fold(hash_seed(seed), |h, w| hash_word(h, *w));
     if !rem.is_empty() {
+        // The tail, zero-padded, with its length in the top byte.
         let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        tail[7] = rem.len() as u8;
-        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        for (t, &b) in tail.iter_mut().zip(rem) {
+            *t = b;
+        }
+        let tail = u64::from_le_bytes(tail) | (rem.len() as u64) << 56;
+        h = (h ^ tail).wrapping_mul(0x94D0_49BB_1331_11EB);
     }
-    // splitmix64 finalizer.
+    hash_finish(h)
+}
+
+#[inline]
+fn hash_seed(seed: u64) -> u64 {
+    seed ^ 0x9E37_79B9_7F4A_7C15
+}
+
+/// Absorb one 8-byte word.
+#[inline]
+fn hash_word(h: u64, word: [u8; 8]) -> u64 {
+    (h ^ u64::from_le_bytes(word))
+        .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+        .rotate_left(23)
+}
+
+/// The splitmix64 finalizer.
+#[inline]
+fn hash_finish(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^= h >> 27;
@@ -56,22 +83,24 @@ pub fn hash64(bytes: &[u8], seed: u64) -> u64 {
 const PRIMARY_SEED: u64 = 0x5851_F42D_4C95_7F2D;
 
 /// The primary key hash: computed once per key, remixed per way. The
-/// batched operator paths compute this for a whole block of keys in one
-/// pass and hand it to the `_hashed` probe/insert entry points.
+/// batched operator paths compute this once per tuple and hand it to
+/// the `_hashed` probe/insert entry points. A one-word key — a single
+/// scalar column, the usual grouping key — is [`hash64`] without its
+/// loops: absorb the word, finish.
 #[inline]
 pub fn hash_key(key: &[u8]) -> u64 {
-    hash64(key, PRIMARY_SEED)
+    match <[u8; 8]>::try_from(key) {
+        Ok(word) => hash_finish(hash_word(hash_seed(PRIMARY_SEED), word)),
+        Err(_) => hash64(key, PRIMARY_SEED),
+    }
 }
 
 /// A key that failed placement, plus its payload — the overflow entry.
 pub type Homeless<V> = (Box<[u8]>, V);
 
-/// One resident entry: the primary hash (the probe tag), the key, and
-/// its payload.
-type Entry<V> = (u64, Box<[u8]>, V);
-
-/// One occupied bucket.
-type Slot<V> = Option<Entry<V>>;
+/// What a bucket holds: 0 when empty, else 1 + the resident entry's
+/// index in the dense entry store.
+type EntryRef = u32;
 
 /// Geometry cap for the growable default tables: 4 ways × 16 Ki buckets
 /// (≈ the paper's 8 % BRAM budget per region).
@@ -89,19 +118,29 @@ const DEFAULT_MIN_BUCKETS_PER_WAY: usize = 1024;
 /// [`CuckooTable::with_capacity_hint`] start small and double
 /// deterministically up to the default cap, so a 50-group aggregation no
 /// longer walks a 64 Ki-slot table.
+///
+/// Every key of one table has the same width (the operators key it by a
+/// fixed set of columns); the first insert fixes it.
 #[derive(Debug, Clone)]
 pub struct CuckooTable<V> {
-    ways: Vec<Vec<Slot<V>>>,
-    seeds: Vec<u64>,
+    /// The buckets, way-major: `ways × buckets_per_way` entry references.
+    slots: Vec<EntryRef>,
+    ways: usize,
     buckets_per_way: usize,
     max_buckets_per_way: usize,
     max_kicks: usize,
-    len: usize,
+    /// The dense entry store, three parallel columns: primary hash (the
+    /// probe tag, and what a kick re-buckets by), payload, and the key
+    /// bytes at `key_width` per entry.
+    tags: Vec<u64>,
+    values: Vec<V>,
+    keys: Vec<u8>,
+    key_width: usize,
     /// Entries that could not be re-placed during a growth rehash even at
     /// the geometry cap. At ≤50 % load this is effectively unreachable,
     /// but correctness must not depend on cuckoo placement luck; every
     /// lookup consults the stash.
-    stash: Vec<Entry<V>>,
+    stash: Vec<EntryRef>,
 }
 
 impl<V> CuckooTable<V> {
@@ -147,33 +186,85 @@ impl<V> CuckooTable<V> {
             "bucket count must be a power of two (hardware address bits)"
         );
         CuckooTable {
-            ways: Self::empty_ways(ways, buckets_per_way),
-            seeds: (0..ways)
-                .map(|i| 0x5851_F42D_4C95_7F2D ^ (i as u64) << 17)
-                .collect(),
+            slots: vec![0; ways * buckets_per_way],
+            ways,
             buckets_per_way,
             max_buckets_per_way,
             max_kicks: 4 * ways,
-            len: 0,
+            tags: Vec::new(),
+            values: Vec::new(),
+            keys: Vec::new(),
+            key_width: 0,
             stash: Vec::new(),
         }
     }
 
-    fn empty_ways(ways: usize, buckets_per_way: usize) -> Vec<Vec<Slot<V>>> {
-        (0..ways)
-            .map(|_| {
-                let mut v = Vec::new();
-                v.resize_with(buckets_per_way, || None);
-                v
-            })
-            .collect()
+    /// Where `tag` lives in `way`, see [`bucket_of`].
+    #[inline]
+    fn slot_index(&self, way: usize, tag: u64) -> usize {
+        way * self.buckets_per_way + bucket_of(tag, way, self.buckets_per_way - 1)
     }
 
-    /// Per-way bucket index, see [`bucket_of`].
+    /// The one place a bucket is indexed for reading: `way` iterates
+    /// `0..ways` at every call site and the bucket is masked to
+    /// `buckets_per_way`.
     #[inline]
-    fn way_bucket(&self, way: usize, tag: u64) -> usize {
-        // fv:allow(panic): `way` iterates 0..seeds.len() at every call site.
-        bucket_of(tag, self.seeds[way], way, self.buckets_per_way - 1)
+    fn slot(&self, way: usize, tag: u64) -> EntryRef {
+        self.slots[self.slot_index(way, tag)]
+    }
+
+    /// The one place a bucket is indexed for writing, bounded like
+    /// [`Self::slot`].
+    #[inline]
+    fn slot_mut(&mut self, way: usize, tag: u64) -> &mut EntryRef {
+        let at = self.slot_index(way, tag);
+        &mut self.slots[at]
+    }
+
+    /// The stored key of entry `i`.
+    #[inline]
+    fn key(&self, i: usize) -> Option<&[u8]> {
+        self.keys.get(i * self.key_width..(i + 1) * self.key_width)
+    }
+
+    /// Does the entry behind `r` hold `key`? Word-wide keys compare as
+    /// one word (equal keys have equal tags, so the tag adds nothing);
+    /// every other width checks the tag before touching key bytes.
+    #[inline]
+    fn holds(&self, r: EntryRef, h: u64, key: &[u8]) -> bool {
+        let i = r as usize - 1;
+        if let (8, Ok(word)) = (self.key_width, <&[u8; 8]>::try_from(key)) {
+            self.keys.as_chunks::<8>().0.get(i) == Some(word)
+        } else {
+            self.tags.get(i) == Some(&h) && self.key(i) == Some(key)
+        }
+    }
+
+    /// Index of `key`'s entry: the ways in order, then the stash. Forced
+    /// inline: this is the per-tuple body of the operators' block loops,
+    /// and inlined into them the key width is a constant wherever the
+    /// caller's is.
+    #[inline(always)]
+    fn find(&self, h: u64, key: &[u8]) -> Option<usize> {
+        debug_assert_eq!(h, hash_key(key), "stale primary hash");
+        for way in 0..self.ways {
+            let r = self.slot(way, h);
+            if r != 0 && self.holds(r, h, key) {
+                return Some(r as usize - 1);
+            }
+        }
+        if self.stash.is_empty() {
+            return None;
+        }
+        self.find_stashed(h, key)
+    }
+
+    /// The stash half of [`Self::find`]; a table that never failed a
+    /// growth rehash has none.
+    #[cold]
+    fn find_stashed(&self, h: u64, key: &[u8]) -> Option<usize> {
+        let r = self.stash.iter().find(|&&r| self.holds(r, h, key))?;
+        Some(*r as usize - 1)
     }
 
     /// Parallel lookup across ways.
@@ -185,24 +276,7 @@ impl<V> CuckooTable<V> {
     /// Lookup with a precomputed primary hash (the batched block paths).
     #[inline]
     pub fn get_hashed(&self, h: u64, key: &[u8]) -> Option<&V> {
-        debug_assert_eq!(h, hash_key(key), "stale primary hash");
-        for way in 0..self.ways.len() {
-            let b = self.way_bucket(way, h);
-            // fv:allow(panic): way < ways.len(), b masked to buckets_per_way.
-            if let Some((tag, k, v)) = &self.ways[way][b] {
-                if *tag == h && k.as_ref() == key {
-                    return Some(v);
-                }
-            }
-        }
-        if !self.stash.is_empty() {
-            return self
-                .stash
-                .iter()
-                .find(|(tag, k, _)| *tag == h && k.as_ref() == key)
-                .map(|(_, _, v)| v);
-        }
-        None
+        self.values.get(self.find(h, key)?)
     }
 
     /// Mutable lookup.
@@ -214,26 +288,8 @@ impl<V> CuckooTable<V> {
     /// Mutable lookup with a precomputed primary hash.
     #[inline]
     pub fn get_mut_hashed(&mut self, h: u64, key: &[u8]) -> Option<&mut V> {
-        debug_assert_eq!(h, hash_key(key), "stale primary hash");
-        for way in 0..self.ways.len() {
-            let b = self.way_bucket(way, h);
-            // Split the check and the borrow to appease the borrow checker.
-            // fv:allow(panic): way < ways.len(), b masked to buckets_per_way.
-            let hit =
-                matches!(&self.ways[way][b], Some((tag, k, _)) if *tag == h && k.as_ref() == key);
-            if hit {
-                // fv:allow(panic): same indices re-checked just above.
-                return self.ways[way][b].as_mut().map(|(_, _, v)| v);
-            }
-        }
-        if !self.stash.is_empty() {
-            return self
-                .stash
-                .iter_mut()
-                .find(|(tag, k, _)| *tag == h && k.as_ref() == key)
-                .map(|(_, _, v)| v);
-        }
-        None
+        let i = self.find(h, key)?;
+        self.values.get_mut(i)
     }
 
     /// Membership test.
@@ -245,7 +301,7 @@ impl<V> CuckooTable<V> {
     /// Membership test with a precomputed primary hash.
     #[inline]
     pub fn contains_hashed(&self, h: u64, key: &[u8]) -> bool {
-        self.get_hashed(h, key).is_some()
+        self.find(h, key).is_some()
     }
 
     /// Insert `key -> value`. On bucket conflicts, evicted entries move
@@ -258,93 +314,112 @@ impl<V> CuckooTable<V> {
     /// The caller is responsible for not inserting a key that is already
     /// present (the operators always check first).
     pub fn insert(&mut self, key: Box<[u8]>, value: V) -> Result<(), Homeless<V>> {
-        let h = hash_key(&key);
-        self.insert_hashed(h, key, value)
+        self.insert_key_hashed(hash_key(&key), &key, value)
     }
 
-    /// Insert with a precomputed primary hash (the batched block paths).
+    /// Insert with a precomputed primary hash.
     pub fn insert_hashed(&mut self, h: u64, key: Box<[u8]>, value: V) -> Result<(), Homeless<V>> {
-        debug_assert_eq!(h, hash_key(&key), "stale primary hash");
-        debug_assert!(!self.contains_hashed(h, &key), "duplicate cuckoo insert");
+        self.insert_key_hashed(h, &key, value)
+    }
+
+    /// Insert a borrowed key with a precomputed primary hash (the
+    /// batched block paths): the key bytes are copied into the table's
+    /// arena, nothing is allocated per key.
+    ///
+    /// # Panics
+    /// Panics when `key` is not as wide as the keys already stored.
+    pub fn insert_key_hashed(&mut self, h: u64, key: &[u8], value: V) -> Result<(), Homeless<V>> {
+        debug_assert_eq!(h, hash_key(key), "stale primary hash");
+        debug_assert!(!self.contains_hashed(h, key), "duplicate cuckoo insert");
+        if self.tags.is_empty() {
+            self.key_width = key.len();
+        }
+        // fv:allow(panic): documented precondition — one key width per table.
+        assert_eq!(key.len(), self.key_width, "cuckoo keys are fixed-width");
         self.maybe_grow();
-        match Self::place(
-            &mut self.ways,
-            &self.seeds,
-            self.buckets_per_way,
-            self.max_kicks,
-            (h, key, value),
-        ) {
-            Ok(()) => {
-                self.len += 1;
-                Ok(())
-            }
-            Err((_, k, v)) => Err((k, v)),
+        let Ok(r) = EntryRef::try_from(self.tags.len() + 1) else {
+            // More entries than a bucket can name: no geometry has the
+            // slots for them either.
+            return Err((key.into(), value));
+        };
+        self.tags.push(h);
+        self.values.push(value);
+        self.keys.extend_from_slice(key);
+        match self.place(r) {
+            Ok(()) => Ok(()),
+            Err(homeless) => Err(self.take_entry(homeless)),
         }
     }
 
     /// The bounded-eviction placement loop; on failure the (possibly
-    /// different, via eviction chains) homeless entry comes back.
-    fn place(
-        ways: &mut [Vec<Slot<V>>],
-        seeds: &[u64],
-        buckets_per_way: usize,
-        max_kicks: usize,
-        mut entry: Entry<V>,
-    ) -> Result<(), Entry<V>> {
-        let nways = ways.len();
+    /// different, via eviction chains) homeless entry comes back. It is
+    /// in no bucket then, and table occupancy is unchanged: someone was
+    /// always swapped in when someone was taken out.
+    fn place(&mut self, mut r: EntryRef) -> Result<(), EntryRef> {
         let mut way = 0usize;
-        for _ in 0..max_kicks {
-            // fv:allow(panic): way cycles modulo ways.len(); bucket masked.
-            let b = bucket_of(entry.0, seeds[way], way, buckets_per_way - 1);
-            // fv:allow(panic): indices bounded as above.
-            match ways[way][b].take() {
-                None => {
-                    ways[way][b] = Some(entry);
-                    return Ok(());
-                }
-                Some(evicted) => {
-                    ways[way][b] = Some(entry);
-                    entry = evicted;
-                    way = (way + 1) % nways;
-                }
+        for _ in 0..self.max_kicks {
+            // fv:allow(panic): a reference names a stored entry.
+            let tag = self.tags[r as usize - 1];
+            let evicted = std::mem::replace(self.slot_mut(way, tag), r);
+            if evicted == 0 {
+                return Ok(());
+            }
+            r = evicted;
+            way = (way + 1) % self.ways;
+        }
+        Err(r)
+    }
+
+    /// Remove the entry behind `r` (in no bucket: it just lost its
+    /// placement) from the dense store. The last entry fills the hole,
+    /// and the one bucket or stash cell naming it is re-pointed.
+    fn take_entry(&mut self, r: EntryRef) -> Homeless<V> {
+        let (i, last) = (r as usize - 1, self.tags.len() - 1);
+        let kw = self.key_width;
+        let key: Box<[u8]> = self.key(i).unwrap_or_default().into();
+        self.keys.copy_within(last * kw.., i * kw);
+        self.keys.truncate(last * kw);
+        self.tags.swap_remove(i);
+        let value = self.values.swap_remove(i);
+        // An entry moved into the hole unless the hole was the end.
+        if let Some(&tag) = self.tags.get(i) {
+            let moved = last as EntryRef + 1;
+            let bucket = (0..self.ways)
+                .map(|way| self.slot_index(way, tag))
+                .find(|&at| self.slots.get(at) == Some(&moved));
+            let cell = match bucket {
+                Some(at) => self.slots.get_mut(at),
+                None => self.stash.iter_mut().find(|s| **s == moved),
+            };
+            if let Some(cell) = cell {
+                *cell = r;
             }
         }
-        // `entry` is now homeless; table occupancy is unchanged (we always
-        // swapped someone in when we took someone out).
-        Err(entry)
+        (key, value)
     }
 
     /// Proactive doubling: growable tables rehash at 50 % load so the
     /// eviction chains (and thus overflow) stay rare. Fixed-geometry
-    /// tables (`max == current`) never enter.
+    /// tables (`max == current`) never enter. Entries re-place in bucket
+    /// order, way-major, stash last — the order decides who wins a
+    /// contested bucket.
     fn maybe_grow(&mut self) {
         if self.buckets_per_way >= self.max_buckets_per_way
-            || (self.len + 1) * 2 <= self.ways.len() * self.buckets_per_way
+            || (self.len() + 1) * 2 <= self.capacity()
         {
             return;
         }
-        let mut pending: Vec<Entry<V>> = Vec::with_capacity(self.len);
-        for w in &mut self.ways {
-            for slot in w.iter_mut() {
-                if let Some(e) = slot.take() {
-                    pending.push(e);
-                }
-            }
-        }
-        pending.append(&mut self.stash);
+        let mut failed = std::mem::take(&mut self.stash);
         loop {
+            let mut pending: Vec<EntryRef> =
+                self.slots.iter().copied().filter(|&r| r != 0).collect();
+            pending.append(&mut failed);
             self.buckets_per_way *= 2;
-            self.ways = Self::empty_ways(self.ways.len(), self.buckets_per_way);
-            let mut failed = Vec::new();
-            for e in pending {
-                if let Err(e) = Self::place(
-                    &mut self.ways,
-                    &self.seeds,
-                    self.buckets_per_way,
-                    self.max_kicks,
-                    e,
-                ) {
-                    failed.push(e);
+            self.slots.clear();
+            self.slots.resize(self.ways * self.buckets_per_way, 0);
+            for r in pending {
+                if let Err(homeless) = self.place(r) {
+                    failed.push(homeless);
                 }
             }
             if failed.is_empty() {
@@ -358,52 +433,44 @@ impl<V> CuckooTable<V> {
                 return;
             }
             // Drain what was placed and retry one size up.
-            pending = Vec::with_capacity(self.len);
-            for w in &mut self.ways {
-                for slot in w.iter_mut() {
-                    if let Some(e) = slot.take() {
-                        pending.push(e);
-                    }
-                }
-            }
-            pending.append(&mut failed);
         }
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.tags.len()
     }
 
     /// True when the table holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.tags.is_empty()
     }
 
     /// Total bucket capacity at the current (possibly grown) geometry.
     pub fn capacity(&self) -> usize {
-        self.ways.len() * self.buckets_per_way
+        self.slots.len()
     }
 
-    /// Iterate over all stored entries (the group-by flush path).
+    /// Iterate over all stored entries, in bucket order (way-major),
+    /// stash last.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &V)> {
-        self.ways
+        self.slots
             .iter()
-            .flat_map(|w| w.iter())
-            .filter_map(|slot| slot.as_ref())
-            .chain(self.stash.iter())
-            .map(|(_, k, v)| (k.as_ref(), v))
+            .chain(&self.stash)
+            .filter(|&&r| r != 0)
+            .filter_map(|&r| {
+                let i = r as usize - 1;
+                Some((self.key(i)?, self.values.get(i)?))
+            })
     }
 
     /// Remove everything (geometry stays as grown).
     pub fn clear(&mut self) {
-        for w in &mut self.ways {
-            for slot in w.iter_mut() {
-                *slot = None;
-            }
-        }
+        self.slots.fill(0);
+        self.tags.clear();
+        self.values.clear();
+        self.keys.clear();
         self.stash.clear();
-        self.len = 0;
     }
 }
 
@@ -412,13 +479,14 @@ impl<V> CuckooTable<V> {
 /// 64-bit hash (the bucket cap is 16 Ki = 14 bits, so windows cover
 /// every geometry), giving the ways near-independent indices with no
 /// rehash — one hash unit feeding `W` parallel BRAM lookups. Ways past
-/// four (no shipped geometry has them) fold in the way seed.
+/// four (no shipped geometry has them) fold in a per-way seed.
 #[inline]
-fn bucket_of(tag: u64, seed: u64, way: usize, mask: usize) -> usize {
+fn bucket_of(tag: u64, way: usize, mask: usize) -> usize {
     let shifted = tag >> ((way & 3) * 16);
     let x = if way < 4 {
         shifted
     } else {
+        let seed = PRIMARY_SEED ^ (way as u64) << 17;
         (shifted ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     };
     (x as usize) & mask
@@ -476,17 +544,43 @@ impl ShiftRegisterLru {
         self.depth
     }
 
-    /// Slot index of `key`, if resident.
+    /// Slot index of `key`, if resident. Distinct keys share a tag only
+    /// under a full 64-bit hash collision, so key bytes are touched on
+    /// (almost only) the hit.
     #[inline]
     fn find(&self, h: u64, key: &[u8]) -> Option<usize> {
-        let i = self.tags.iter().position(|&tag| tag == h)?;
-        // fv:allow(panic): `tags` and `keys` are index-parallel.
-        if self.keys[i].as_ref() == key {
-            return Some(i);
+        self.tags
+            .iter()
+            .zip(&self.keys)
+            .position(|(&tag, k)| tag == h && k.as_ref() == key)
+    }
+
+    /// Stamp `slot` most-recent.
+    #[inline]
+    fn stamp(&mut self, slot: usize) {
+        self.clock += 1;
+        if let Some(stamp) = self.stamps.get_mut(slot) {
+            *stamp = self.clock;
         }
-        // Distinct keys share a tag only under a full 64-bit hash
-        // collision; continue the scan past the false positive.
-        (i + 1..self.tags.len()).find(|&j| self.tags[j] == h && self.keys[j].as_ref() == key)
+    }
+
+    /// Put `key` into `slot` as most-recent; `slot == len()` appends.
+    /// The evicted key's allocation is reused when the widths match.
+    #[inline]
+    fn replace(&mut self, slot: usize, h: u64, key: &[u8]) {
+        if slot == self.keys.len() {
+            self.tags.push(h);
+            self.stamps.push(0);
+            self.keys.push(key.into());
+        } else if let (Some(tag), Some(held)) = (self.tags.get_mut(slot), self.keys.get_mut(slot)) {
+            *tag = h;
+            if held.len() == key.len() {
+                held.copy_from_slice(key);
+            } else {
+                *held = key.into();
+            }
+        }
+        self.stamp(slot);
     }
 
     /// Is `key` in the window?
@@ -529,15 +623,11 @@ impl ShiftRegisterLru {
     /// to `contains_hashed` followed by `touch_hashed` on a hit.
     #[inline]
     pub fn promote_hashed(&mut self, h: u64, key: &[u8]) -> bool {
-        match self.find(h, key) {
-            Some(i) => {
-                self.clock += 1;
-                // fv:allow(panic): `i` comes from find() on these arrays.
-                self.stamps[i] = self.clock;
-                true
-            }
-            None => false,
+        let found = self.find(h, key);
+        if let Some(i) = found {
+            self.stamp(i);
         }
+        found.is_some()
     }
 
     /// One scan serving both outcomes of the batched paths' LRU step:
@@ -553,29 +643,35 @@ impl ShiftRegisterLru {
     #[inline]
     pub fn promote_or_victim(&mut self, h: u64, key: &[u8]) -> Result<usize, usize> {
         if self.keys.len() < self.depth {
-            if let Some(i) = self.find(h, key) {
-                self.clock += 1;
-                // fv:allow(panic): `i` comes from find() on these arrays.
-                self.stamps[i] = self.clock;
-                return Ok(i);
-            }
-            return Err(self.keys.len());
+            return match self.find(h, key) {
+                Some(i) => {
+                    self.stamp(i);
+                    Ok(i)
+                }
+                None => Err(self.keys.len()),
+            };
         }
         let mut victim = 0usize;
         let mut oldest = u64::MAX;
-        for i in 0..self.tags.len() {
-            // fv:allow(panic): tags/stamps/keys are index-parallel.
-            if self.tags[i] == h && self.keys[i].as_ref() == key {
-                self.clock += 1;
-                self.stamps[i] = self.clock;
-                return Ok(i);
+        let mut found = None;
+        let entries = self.tags.iter().zip(&self.keys).zip(&self.stamps);
+        for (i, ((&tag, held), &stamp)) in entries.enumerate() {
+            if tag == h && held.as_ref() == key {
+                found = Some(i);
+                break;
             }
-            if self.stamps[i] < oldest {
-                oldest = self.stamps[i];
+            if stamp < oldest {
+                oldest = stamp;
                 victim = i;
             }
         }
-        Err(victim)
+        match found {
+            Some(i) => {
+                self.stamp(i);
+                Ok(i)
+            }
+            None => Err(victim),
+        }
     }
 
     /// Re-promote the key occupying `slot` — the scan-free recency
@@ -584,14 +680,9 @@ impl ShiftRegisterLru {
     /// [`ShiftRegisterLru::shift_in_at`], with no other LRU mutation in
     /// between (run detection over clustered keys). Identical stamp
     /// bookkeeping to the scanning promote.
-    ///
-    /// # Panics
-    /// Panics when `slot` is out of range.
     #[inline]
     pub fn promote_at(&mut self, slot: usize) {
-        self.clock += 1;
-        // fv:allow(panic): documented precondition, hot-loop bound.
-        self.stamps[slot] = self.clock;
+        self.stamp(slot);
     }
 
     /// Place `key` into the victim slot a
@@ -600,23 +691,8 @@ impl ShiftRegisterLru {
     /// evicted key's allocation is reused when the widths match.
     #[inline]
     pub fn shift_in_at(&mut self, slot: usize, h: u64, key: &[u8]) {
-        if self.depth == 0 {
-            return;
-        }
-        self.clock += 1;
-        if slot == self.keys.len() {
-            self.tags.push(h);
-            self.stamps.push(self.clock);
-            self.keys.push(key.into());
-            return;
-        }
-        // fv:allow(panic): `slot < len`, arrays are index-parallel.
-        self.tags[slot] = h;
-        self.stamps[slot] = self.clock;
-        if self.keys[slot].len() == key.len() {
-            self.keys[slot].copy_from_slice(key);
-        } else {
-            self.keys[slot] = key.into();
+        if self.depth > 0 {
+            self.replace(slot, h, key);
         }
     }
 
@@ -629,29 +705,17 @@ impl ShiftRegisterLru {
             return;
         }
         debug_assert!(self.find(h, key).is_none(), "shift_in of a resident key");
-        self.clock += 1;
-        if self.keys.len() < self.depth {
-            self.tags.push(h);
-            self.stamps.push(self.clock);
-            self.keys.push(key.into());
-            return;
-        }
-        let mut victim = 0usize;
-        let mut oldest = u64::MAX;
-        for (i, &s) in self.stamps.iter().enumerate() {
-            if s < oldest {
-                oldest = s;
-                victim = i;
-            }
-        }
-        // fv:allow(panic): `victim < len`, arrays are index-parallel.
-        self.tags[victim] = h;
-        self.stamps[victim] = self.clock;
-        if self.keys[victim].len() == key.len() {
-            self.keys[victim].copy_from_slice(key);
+        let victim = if self.keys.len() < self.depth {
+            self.keys.len()
         } else {
-            self.keys[victim] = key.into();
-        }
+            // The first of equal minimum stamps, as a register shifts.
+            let oldest = self.stamps.iter().min();
+            self.stamps
+                .iter()
+                .position(|s| Some(s) == oldest)
+                .unwrap_or(0)
+        };
+        self.replace(victim, h, key);
     }
 
     /// Number of live entries.
@@ -677,6 +741,10 @@ mod tests {
         assert_ne!(a, hash64(b"hellp", 1));
         // Length-extension check: "ab" with trailing zeros differs from "ab\0".
         assert_ne!(hash64(b"ab", 3), hash64(b"ab\0", 3));
+        // The one-word shortcut is the same function.
+        for key in [&b"12345678"[..], b"1234567", b"123456789", b""] {
+            assert_eq!(hash_key(key), hash64(key, PRIMARY_SEED));
+        }
     }
 
     #[test]
@@ -751,6 +819,89 @@ mod tests {
         }
         let miss = 99u64.to_le_bytes();
         assert!(!t.contains_hashed(hash_key(&miss), &miss));
+    }
+
+    /// Placement is part of the result: which key goes homeless decides
+    /// every overflow row, and the per-tuple oracle under
+    /// `tests/reference` shares this table, so no differential test can
+    /// see it move. Fixed key streams over every geometry kind —
+    /// per-insert outcome, the homeless key and payload, `len`,
+    /// `capacity`, then who is still resident — digest to constants
+    /// recorded on the slot-array layout (`Vec<Option<(u64, Box<[u8]>,
+    /// V)>>` per way) that the index-way layout replaced.
+    #[test]
+    fn placement_is_pinned() {
+        fn fnv(digest: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        fn splitmix(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        type Make = fn() -> CuckooTable<u32>;
+        // (geometry, inserts): the fixed tables overflow almost at once,
+        // the growable ones are driven past two doublings (64-key hint:
+        // 512 → 2048 slots; default: 4096 → 16384).
+        let cases: [(Make, u32); 5] = [
+            (|| CuckooTable::new(2, 4), 48),
+            (|| CuckooTable::new(2, 8), 96),
+            (|| CuckooTable::new(4, 16), 256),
+            (|| CuckooTable::with_capacity_hint(64), 700),
+            (CuckooTable::with_default_geometry, 5000),
+        ];
+        let mut got = Vec::new();
+        for (case, (make, inserts)) in cases.into_iter().enumerate() {
+            for width in [8usize, 13] {
+                let mut table = make();
+                let mut rng = 0x5EED_0000 + (case * 16 + width) as u64;
+                let mut digest = 0xCBF2_9CE4_8422_2325u64;
+                let mut keys = Vec::new();
+                for i in 0..inserts {
+                    let mut key = splitmix(&mut rng).to_le_bytes().to_vec();
+                    key.extend_from_slice(&splitmix(&mut rng).to_le_bytes());
+                    key.truncate(width);
+                    keys.push(key.clone());
+                    match table.insert(key.into(), i) {
+                        Ok(()) => fnv(&mut digest, &[1]),
+                        Err((hkey, hvalue)) => {
+                            fnv(&mut digest, &[2]);
+                            fnv(&mut digest, &hkey);
+                            fnv(&mut digest, &hvalue.to_le_bytes());
+                        }
+                    }
+                    fnv(&mut digest, &(table.len() as u64).to_le_bytes());
+                    fnv(&mut digest, &(table.capacity() as u64).to_le_bytes());
+                }
+                for key in &keys {
+                    let resident = table.get(key).copied().unwrap_or(u32::MAX);
+                    fnv(&mut digest, &resident.to_le_bytes());
+                }
+                // Way-major bucket order: where every entry sits.
+                for (key, value) in table.iter() {
+                    fnv(&mut digest, key);
+                    fnv(&mut digest, &value.to_le_bytes());
+                }
+                got.push(digest);
+            }
+        }
+        let pinned: [u64; 10] = [
+            0x7e0e_fc6b_6af8_d2f6,
+            0x668e_2e73_3782_3478,
+            0x4613_6e94_8f88_d430,
+            0xface_d7b6_bcb3_ba2d,
+            0x54b5_ae5c_7743_924d,
+            0x1ee1_6f92_747e_421c,
+            0x5097_4d9f_107b_0230,
+            0xc517_520d_7c1a_c364,
+            0x9017_bf61_871d_c25a,
+            0xdfe1_bb33_5743_f94b,
+        ];
+        assert_eq!(got, pinned, "cuckoo placement moved: {got:#018x?}");
     }
 
     #[test]

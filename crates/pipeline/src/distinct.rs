@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use crate::cuckoo::{hash_key, CuckooTable, ShiftRegisterLru};
 use crate::pack::Packer;
-use crate::pipeline::{TailOperator, TupleBlock};
+use crate::pipeline::{field, TailOperator, TupleBlock};
 use crate::project::ProjectionPlan;
 
 /// Hash-table write-to-read visibility latency, in tuples. The BRAM
@@ -32,6 +32,8 @@ pub const DEFAULT_LRU_DEPTH: usize = 8;
 /// Streaming DISTINCT over a set of key columns.
 pub struct DistinctOp {
     keys: ProjectionPlan,
+    /// The key columns as one byte range of the row, when they are one.
+    key_range: Option<std::ops::Range<usize>>,
     table: CuckooTable<()>,
     lru: ShiftRegisterLru,
     /// Inserts not yet visible to table lookups: `(key, commit_tick)` —
@@ -40,11 +42,9 @@ pub struct DistinctOp {
     in_flight: VecDeque<(Box<[u8]>, u64)>,
     /// Tuples processed (the write-pipeline clock).
     tick: u64,
-    /// Batched-path scratch: all survivor keys of a block, gathered
-    /// contiguously (reused across blocks, so steady state is malloc-free).
+    /// Scratch for non-contiguous key columns: all survivor keys of a
+    /// block, gathered contiguously (reused across blocks).
     block_keys: Vec<u8>,
-    /// Batched-path scratch: one primary hash per gathered key.
-    block_hashes: Vec<u64>,
     batched_blocks: u64,
     emitted: u64,
     overflow: u64,
@@ -76,13 +76,13 @@ impl DistinctOp {
     /// Explicit table geometry / LRU depth (ablations and tests).
     pub fn with_geometry(keys: ProjectionPlan, table: CuckooTable<()>, lru_depth: usize) -> Self {
         DistinctOp {
+            key_range: keys.contiguous_range(),
             keys,
             table,
             lru: ShiftRegisterLru::new(lru_depth),
             in_flight: VecDeque::with_capacity(WRITE_LATENCY),
             tick: 0,
             block_keys: Vec::new(),
-            block_hashes: Vec::new(),
             batched_blocks: 0,
             emitted: 0,
             overflow: 0,
@@ -155,7 +155,7 @@ impl DistinctOp {
             return Some(slot);
         }
         // Genuinely new key: insert (entering the hazard window) and emit.
-        match self.table.insert_hashed(h, key.into(), ()) {
+        match self.table.insert_key_hashed(h, key, ()) {
             Ok(()) => {
                 self.in_flight
                     .push_back((key.into(), self.tick + WRITE_LATENCY as u64));
@@ -175,92 +175,72 @@ impl DistinctOp {
     }
 }
 
-impl TailOperator for DistinctOp {
-    /// Hash-all-then-probe-all. Pass 1 gathers every survivor key into
-    /// one contiguous scratch; pass 2 computes every primary hash in a
-    /// tight loop; pass 3 runs the hazard-window state machine tuple by
-    /// tuple (dedup is inherently sequential, and the hazard clock must
-    /// tick per tuple) but with the hash already in hand — no rehash
-    /// per probe.
-    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
-        // Never zero: `ProjectionPlan` refuses an empty column list.
-        let kw = self.keys.out_row_bytes();
-        self.batched_blocks += 1;
-        let mut hashes = std::mem::take(&mut self.block_hashes);
-        hashes.clear();
-        if let Some(range) = self.keys.contiguous_range() {
-            // The key is one contiguous slice of the row (single key
-            // column, or adjacent columns in schema order): hash and
-            // probe straight off the block bytes, no gather pass at all.
-            if sel.len() == block.len() {
-                let tb = block.tuple_bytes();
-                // Clustered inputs (fact tables physically ordered on
-                // the key) arrive as runs of equal keys. The first
-                // tuple of a run takes the full state machine; every
-                // repeat is provably still resident in the LRU at the
-                // slot the first occurrence reported, so it reduces to
-                // exactly what the full machine would do — clock tick,
-                // in-flight retirement, stamp refresh, hazard-catch
-                // count — with the hash and both scans skipped. The
-                // memo is invalid when the key was left out of the LRU
-                // (hazard leak, or a depth-0 window).
-                let memo_on = self.lru.depth() > 0;
-                let mut prev: Option<(&[u8], usize)> = None;
-                for tuple in block.bytes().chunks_exact(tb) {
-                    let key = &tuple[range.clone()];
-                    if let Some((prev_key, slot)) = prev {
-                        if prev_key == key {
-                            self.tick += 1;
-                            while matches!(self.in_flight.front(),
-                                Some((_, commit)) if *commit <= self.tick)
-                            {
-                                self.in_flight.pop_front();
-                            }
-                            self.lru.promote_at(slot);
-                            self.hazard_catches += 1;
-                            continue;
-                        }
+impl DistinctOp {
+    /// Run the hazard-window state machine over `keys`, in order (dedup
+    /// is inherently sequential, and the hazard clock must tick per
+    /// tuple).
+    ///
+    /// Clustered inputs (fact tables physically ordered on the key)
+    /// arrive as runs of equal keys. The first tuple of a run takes the
+    /// full state machine; every repeat is provably still resident in
+    /// the LRU at the slot the first occurrence reported, so it reduces
+    /// to exactly what the full machine would do — clock tick, in-flight
+    /// retirement, stamp refresh, hazard-catch count — with the hash and
+    /// both scans skipped. The memo is invalid when the key was left out
+    /// of the LRU (hazard leak, or a depth-0 window).
+    fn dedup<'k>(&mut self, keys: impl Iterator<Item = &'k [u8]>, packer: &mut Packer) {
+        let memo_on = self.lru.depth() > 0;
+        let mut prev: Option<(&[u8], usize)> = None;
+        for key in keys {
+            if let Some((prev_key, slot)) = prev {
+                if prev_key == key {
+                    self.tick += 1;
+                    while matches!(self.in_flight.front(),
+                        Some((_, commit)) if *commit <= self.tick)
+                    {
+                        self.in_flight.pop_front();
                     }
-                    let h = hash_key(key);
-                    prev = self
-                        .dedup_one(h, key, packer)
-                        .filter(|_| memo_on)
-                        .map(|slot| (key, slot));
-                }
-            } else {
-                hashes.extend(
-                    sel.iter()
-                        .map(|&i| hash_key(&block.tuple(i)[range.clone()])),
-                );
-                for (&i, &h) in sel.iter().zip(hashes.iter()) {
-                    self.dedup_one(h, &block.tuple(i)[range.clone()], packer);
+                    self.lru.promote_at(slot);
+                    self.hazard_catches += 1;
+                    continue;
                 }
             }
-            self.block_hashes = hashes;
-            return;
+            prev = self
+                .dedup_one(hash_key(key), key, packer)
+                .filter(|_| memo_on)
+                .map(|slot| (key, slot));
         }
-        let mut keys_buf = std::mem::take(&mut self.block_keys);
-        keys_buf.clear();
-        keys_buf.reserve(sel.len() * kw);
-        if sel.len() == block.len() {
-            // Identity selection (no leading filter): gather straight
-            // off the block bytes, no per-tuple index math.
-            for tuple in block.bytes().chunks_exact(block.tuple_bytes()) {
-                self.keys.write_projected(tuple, &mut keys_buf);
-            }
-        } else {
-            for &i in sel {
-                self.keys.write_projected(block.tuple(i), &mut keys_buf);
-            }
-        }
-        hashes.extend(keys_buf.chunks_exact(kw).map(hash_key));
+    }
+}
 
-        for (key, &h) in keys_buf.chunks_exact(kw).zip(hashes.iter()) {
-            self.dedup_one(h, key, packer);
+impl TailOperator for DistinctOp {
+    /// Keys hash and probe straight off the block when the key columns
+    /// are one contiguous byte range of the row (a single column, or
+    /// adjacent ones in schema order); otherwise one pass gathers every
+    /// survivor's key into a contiguous scratch first.
+    fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
+        self.batched_blocks += 1;
+        let tuples = sel.iter().map(|&i| block.tuple(i));
+        match self.key_range.clone() {
+            // One scalar column, the usual key: with the width a
+            // constant, hashing and comparing it are straight-line code.
+            Some(range) if range.len() == 8 => {
+                self.dedup(tuples.map(|t| field(t, range.start, 8)), packer);
+            }
+            Some(range) => {
+                let keys = tuples.map(|t| field(t, range.start, range.len()));
+                self.dedup(keys, packer);
+            }
+            None => {
+                let mut keys = std::mem::take(&mut self.block_keys);
+                keys.clear();
+                self.keys.gather_into(tuples, &mut keys);
+                // Never zero: `ProjectionPlan` refuses an empty column list.
+                let kw = self.keys.out_row_bytes();
+                self.dedup(keys.chunks_exact(kw), packer);
+                self.block_keys = keys;
+            }
         }
-
-        self.block_keys = keys_buf;
-        self.block_hashes = hashes;
     }
 
     fn overflow_tuples(&self) -> u64 {

@@ -5,6 +5,14 @@
 //! choose to hardwire the selection predicate as an actual matching
 //! circuit." One tuple in per cycle, annotated as passing iff the
 //! predicate holds — a pure data-reduction stage.
+//!
+//! On the host the stage narrows a block's selection vector. The
+//! paper's case — one scalar column against a constant, over a block no
+//! earlier stage has narrowed — is
+//! `CompiledPredicate::select_identity`: every index is written and
+//! the write position advances by the comparison result, with no branch
+//! on the outcome. Everything else (connectives, byte strings, an
+//! already narrowed selection) evaluates the predicate per survivor.
 
 use crate::pipeline::{Selection, TupleBlock};
 use crate::predicate::CompiledPredicate;
@@ -38,7 +46,12 @@ impl Selection for FilterOp {
     fn select_block(&mut self, block: &TupleBlock<'_>, sel: &mut Vec<u32>) {
         self.evaluated += sel.len() as u64;
         let pred = &self.pred;
-        sel.retain(|&i| pred.eval(block.tuple(i)));
+        // A selection vector is strictly ascending, so one as long as
+        // the block is the identity.
+        let whole = sel.len() == block.len();
+        if !(whole && pred.select_identity(block.bytes(), block.tuple_bytes(), sel)) {
+            sel.retain(|&i| pred.eval(block.tuple(i)));
+        }
         self.passed += sel.len() as u64;
     }
 }

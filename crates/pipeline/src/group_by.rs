@@ -10,152 +10,221 @@
 //! The same cuckoo structure as DISTINCT holds the groups; the cache here
 //! is write-through (updates must not be lost), so — unlike DISTINCT —
 //! the hazard window cannot drop data and the operator is exact.
-//! Homeless cuckoo entries ship the raw tuple to the client for software
-//! aggregation (the overflow path).
-
-use std::ops::Range;
+//! Homeless cuckoo entries ship their partial aggregates to the client
+//! for software merging (the overflow path).
+//!
+//! The table maps a key to a dense *group slot*; keys and accumulators
+//! live in flat per-slot columns outside it. A block is processed in two
+//! kinds of pass: one resolves every survivor to its slot (hash, probe,
+//! open a group on a miss), then each aggregate folds the whole block
+//! into its own accumulator column — the accumulator kind is matched
+//! once per block, not once per tuple, and no group owns an allocation.
 
 use fv_data::{Column, ColumnType, Schema};
 
 use crate::cuckoo::{hash_key, CuckooTable};
 use crate::pack::Packer;
-use crate::pipeline::{TailOperator, TupleBlock};
+use crate::pipeline::{field, TailOperator, TupleBlock};
 use crate::project::ProjectionPlan;
 use crate::spec::{AggFunc, AggSpec};
 
-/// One aggregate accumulator (crate-internal; public only through the
-/// pipeline's packed output format).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AggState {
-    Count(u64),
-    SumU(u64),
-    SumI(i64),
-    SumF(f64),
-    MinU(u64),
-    MinI(i64),
-    MinF(f64),
-    MaxU(u64),
-    MaxI(i64),
-    MaxF(f64),
-    Avg { sum: f64, n: u64 },
+/// What an aggregate folds, fixed by its function and input type. The
+/// accumulator is 8 raw bytes whatever the kind: a `u64`, an `i64` or an
+/// `f64` by its bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AggKind {
+    Count,
+    SumU,
+    SumI,
+    SumF,
+    MinU,
+    MinI,
+    MinF,
+    MaxU,
+    MaxI,
+    MaxF,
+    Avg,
 }
 
-impl AggState {
-    fn new(func: AggFunc, ty: ColumnType) -> AggState {
+impl AggKind {
+    fn new(func: AggFunc, ty: ColumnType) -> AggKind {
         match (func, ty) {
-            (AggFunc::Count, _) => AggState::Count(0),
-            (AggFunc::Sum, ColumnType::U64) => AggState::SumU(0),
-            (AggFunc::Sum, ColumnType::I64) => AggState::SumI(0),
-            (AggFunc::Sum, ColumnType::F64) => AggState::SumF(0.0),
-            (AggFunc::SumF64, ColumnType::U64 | ColumnType::I64 | ColumnType::F64) => {
-                AggState::SumF(0.0)
-            }
-            (AggFunc::Min, ColumnType::U64) => AggState::MinU(u64::MAX),
-            (AggFunc::Min, ColumnType::I64) => AggState::MinI(i64::MAX),
-            (AggFunc::Min, ColumnType::F64) => AggState::MinF(f64::INFINITY),
-            (AggFunc::Max, ColumnType::U64) => AggState::MaxU(0),
-            (AggFunc::Max, ColumnType::I64) => AggState::MaxI(i64::MIN),
-            (AggFunc::Max, ColumnType::F64) => AggState::MaxF(f64::NEG_INFINITY),
-            (AggFunc::Avg, _) => AggState::Avg { sum: 0.0, n: 0 },
+            (AggFunc::Count, _) => AggKind::Count,
+            (AggFunc::Sum, ColumnType::U64) => AggKind::SumU,
+            (AggFunc::Sum, ColumnType::I64) => AggKind::SumI,
+            (AggFunc::Sum, ColumnType::F64) => AggKind::SumF,
+            (AggFunc::SumF64, ColumnType::U64 | ColumnType::I64 | ColumnType::F64) => AggKind::SumF,
+            (AggFunc::Min, ColumnType::U64) => AggKind::MinU,
+            (AggFunc::Min, ColumnType::I64) => AggKind::MinI,
+            (AggFunc::Min, ColumnType::F64) => AggKind::MinF,
+            (AggFunc::Max, ColumnType::U64) => AggKind::MaxU,
+            (AggFunc::Max, ColumnType::I64) => AggKind::MaxI,
+            (AggFunc::Max, ColumnType::F64) => AggKind::MaxF,
+            (AggFunc::Avg, _) => AggKind::Avg,
             (f, t) => unreachable!("agg {f:?} over {t:?} rejected at compile"),
         }
     }
 
-    /// Fold in one input cell, decoded in place from its raw
-    /// little-endian column bytes: wrapping integer sums, `as f64`
-    /// conversions for the float accumulators.
-    #[inline]
-    fn update_raw(&mut self, field: &[u8], ty: ColumnType) {
-        if let AggState::Count(n) = self {
-            *n += 1;
-            return;
-        }
-        // fv:allow(panic): non-COUNT aggregates are restricted to 8-byte
-        // scalar columns by spec verification.
-        let bits = u64::from_le_bytes(field.try_into().expect("8-byte scalar agg column"));
-        let as_f64 = |bits: u64| match ty {
-            ColumnType::U64 => bits as f64,
-            ColumnType::I64 => (bits as i64) as f64,
-            ColumnType::F64 => f64::from_bits(bits),
-            ColumnType::Bytes(_) => unreachable!("float agg over bytes rejected at compile"),
-        };
+    /// Accumulator bits of a group that has folded nothing yet.
+    fn identity(self) -> u64 {
         match self {
-            AggState::Count(_) => {} // handled above
-            AggState::SumU(s) => *s = s.wrapping_add(bits),
-            AggState::SumI(s) => *s = s.wrapping_add(bits as i64),
-            AggState::SumF(s) => *s += as_f64(bits),
-            AggState::MinU(m) => *m = (*m).min(bits),
-            AggState::MinI(m) => *m = (*m).min(bits as i64),
-            AggState::MinF(m) => *m = m.min(f64::from_bits(bits)),
-            AggState::MaxU(m) => *m = (*m).max(bits),
-            AggState::MaxI(m) => *m = (*m).max(bits as i64),
-            AggState::MaxF(m) => *m = m.max(f64::from_bits(bits)),
-            AggState::Avg { sum, n } => {
-                *sum += as_f64(bits);
-                *n += 1;
-            }
-        }
-    }
-
-    /// 8-byte little-endian emission.
-    fn emit(&self) -> [u8; 8] {
-        match self {
-            AggState::Count(n) => n.to_le_bytes(),
-            AggState::SumU(s) => s.to_le_bytes(),
-            AggState::SumI(s) => s.to_le_bytes(),
-            AggState::SumF(s) => s.to_le_bytes(),
-            AggState::MinU(m) => m.to_le_bytes(),
-            AggState::MinI(m) => m.to_le_bytes(),
-            AggState::MinF(m) => m.to_le_bytes(),
-            AggState::MaxU(m) => m.to_le_bytes(),
-            AggState::MaxI(m) => m.to_le_bytes(),
-            AggState::MaxF(m) => m.to_le_bytes(),
-            AggState::Avg { sum, n } => {
-                let avg = if *n == 0 { 0.0 } else { sum / *n as f64 };
-                avg.to_le_bytes()
-            }
+            AggKind::Count | AggKind::SumU | AggKind::SumI | AggKind::MaxU => 0,
+            AggKind::SumF | AggKind::Avg => 0f64.to_bits(),
+            AggKind::MinU => u64::MAX,
+            AggKind::MinI => i64::MAX as u64,
+            AggKind::MinF => f64::INFINITY.to_bits(),
+            AggKind::MaxI => i64::MIN as u64,
+            AggKind::MaxF => f64::NEG_INFINITY.to_bits(),
         }
     }
 
     /// The output column type of this accumulator.
-    fn out_type(&self) -> ColumnType {
+    fn out_type(self) -> ColumnType {
         match self {
-            AggState::Count(_) | AggState::SumU(_) | AggState::MinU(_) | AggState::MaxU(_) => {
-                ColumnType::U64
-            }
-            AggState::SumI(_) | AggState::MinI(_) | AggState::MaxI(_) => ColumnType::I64,
-            AggState::SumF(_) | AggState::MinF(_) | AggState::MaxF(_) | AggState::Avg { .. } => {
-                ColumnType::F64
-            }
+            AggKind::Count | AggKind::SumU | AggKind::MinU | AggKind::MaxU => ColumnType::U64,
+            AggKind::SumI | AggKind::MinI | AggKind::MaxI => ColumnType::I64,
+            AggKind::SumF | AggKind::MinF | AggKind::MaxF | AggKind::Avg => ColumnType::F64,
         }
     }
 }
 
 /// Output column type of `func` over an input column of type `ty` — the
-/// static mirror of `AggState::new(func, ty).out_type()` used by the
+/// static mirror of the compiled accumulator's output type, used by the
 /// plan/spec verifiers. Callers must reject byte-string aggregation
 /// (other than `COUNT`) first, exactly as compilation does.
 pub(crate) fn agg_out_type(func: AggFunc, ty: ColumnType) -> ColumnType {
-    AggState::new(func, ty).out_type()
+    AggKind::new(func, ty).out_type()
+}
+
+/// One aggregate of the query: where its input cell sits in a tuple and
+/// one accumulator per group slot.
+#[derive(Debug)]
+struct AggColumn {
+    kind: AggKind,
+    /// Byte offset of the input cell — an 8-byte scalar for every kind
+    /// but `COUNT`, which never reads it.
+    off: usize,
+    ty: ColumnType,
+    /// Accumulator bits, indexed by group slot.
+    acc: Vec<u64>,
+    /// Tuples folded, indexed by group slot — `AVG`'s divisor (no other
+    /// kind counts).
+    n: Vec<u64>,
+}
+
+/// `counts[slot] += 1` for every slot named.
+fn bump(counts: &mut [u64], slots: &[u32]) {
+    for &s in slots {
+        if let Some(n) = counts.get_mut(s as usize) {
+            *n += 1;
+        }
+    }
+}
+
+/// `acc[slot] = f(acc[slot], cell)` for every `(slot, cell)`, in order.
+fn apply(acc: &mut [u64], cells: impl Iterator<Item = (u32, u64)>, f: impl Fn(u64, u64) -> u64) {
+    for (s, bits) in cells {
+        if let Some(a) = acc.get_mut(s as usize) {
+            *a = f(*a, bits);
+        }
+    }
+}
+
+impl AggColumn {
+    /// (Re)open `slot` — at most one past the last — as an empty group.
+    fn open(&mut self, slot: usize) {
+        if slot == self.acc.len() {
+            self.acc.push(0);
+            self.n.push(0);
+        }
+        if let (Some(acc), Some(n)) = (self.acc.get_mut(slot), self.n.get_mut(slot)) {
+            *acc = self.kind.identity();
+            *n = 0;
+        }
+    }
+
+    /// Fold the input cell of each tuple into the accumulator of the
+    /// slot paired with it, in order: wrapping integer sums, `as f64`
+    /// conversions for the float accumulators. Every group sees its
+    /// tuples in stream order, so float sums are bit-identical to a
+    /// per-tuple fold.
+    fn fold<'t>(&mut self, tuples: impl Iterator<Item = &'t [u8]>, slots: &[u32]) {
+        let off = self.off;
+        // Spec verification restricts every aggregate but COUNT to an
+        // 8-byte scalar column, so the cell is always there.
+        let cells = tuples.zip(slots).filter_map(|(tuple, &s)| {
+            let cell = field(tuple, off, 8).first_chunk::<8>()?;
+            Some((s, u64::from_le_bytes(*cell)))
+        });
+        fn sum_f(acc: &mut [u64], cells: impl Iterator<Item = (u32, u64)>, ty: ColumnType) {
+            fn add(to_f64: impl Fn(u64) -> f64) -> impl Fn(u64, u64) -> u64 {
+                move |a, bits| (f64::from_bits(a) + to_f64(bits)).to_bits()
+            }
+            match ty {
+                ColumnType::U64 => apply(acc, cells, add(|bits| bits as f64)),
+                ColumnType::I64 => apply(acc, cells, add(|bits| bits as i64 as f64)),
+                ColumnType::F64 => apply(acc, cells, add(f64::from_bits)),
+                ColumnType::Bytes(_) => unreachable!("float agg over bytes rejected at compile"),
+            }
+        }
+        fn float(f: impl Fn(f64, f64) -> f64) -> impl Fn(u64, u64) -> u64 {
+            move |a, bits| f(f64::from_bits(a), f64::from_bits(bits)).to_bits()
+        }
+        let acc = &mut self.acc;
+        match self.kind {
+            AggKind::Count => bump(acc, slots),
+            // Two's complement: the signed wrapping sum has the same bits.
+            AggKind::SumU | AggKind::SumI => apply(acc, cells, u64::wrapping_add),
+            AggKind::SumF => sum_f(acc, cells, self.ty),
+            AggKind::MinU => apply(acc, cells, u64::min),
+            AggKind::MinI => apply(acc, cells, |a, b| (a as i64).min(b as i64) as u64),
+            AggKind::MinF => apply(acc, cells, float(f64::min)),
+            AggKind::MaxU => apply(acc, cells, u64::max),
+            AggKind::MaxI => apply(acc, cells, |a, b| (a as i64).max(b as i64) as u64),
+            AggKind::MaxF => apply(acc, cells, float(f64::max)),
+            AggKind::Avg => {
+                sum_f(acc, cells, self.ty);
+                bump(&mut self.n, slots);
+            }
+        }
+    }
+
+    /// 8-byte little-endian emission of `slot`'s result.
+    fn emit(&self, slot: usize) -> [u8; 8] {
+        let bits = self.acc.get(slot).copied().unwrap_or(self.kind.identity());
+        match (self.kind, self.n.get(slot)) {
+            (AggKind::Avg, Some(&n)) if n > 0 => (f64::from_bits(bits) / n as f64).to_le_bytes(),
+            (AggKind::Avg, _) => 0f64.to_le_bytes(),
+            _ => bits.to_le_bytes(),
+        }
+    }
 }
 
 /// Streaming GROUP BY with aggregation.
 pub struct GroupByOp {
     keys: ProjectionPlan,
-    template: Vec<AggState>,
-    table: CuckooTable<Vec<AggState>>,
-    /// Insertion-ordered key queue — "it inserts the distinct entries
-    /// into a separate queue" (§5.4) — so flush order is deterministic.
-    queue: Vec<Box<[u8]>>,
+    /// The key columns as one byte range of the row, when they are one.
+    key_range: Option<std::ops::Range<usize>>,
+    /// Key → group slot.
+    table: CuckooTable<u32>,
+    /// Per-slot columns: each slot's key bytes; its place in the §5.4
+    /// queue ("it inserts the distinct entries into a separate queue",
+    /// so flush order is first-seen order), `None` once the group left
+    /// the table as overflow; and one accumulator column per aggregate.
+    group_keys: Vec<u8>,
+    queued: Vec<Option<u64>>,
+    aggs: Vec<AggColumn>,
+    /// Slots of groups that left as overflow, reused by the next new
+    /// keys: the columns stay as small as the table is.
+    free: Vec<u32>,
+    /// Groups ever opened — the next queue position.
+    opened: u64,
     out_schema: Schema,
-    /// Per-aggregate input cell: byte range + type in the base schema.
-    agg_cells: Vec<(Range<usize>, ColumnType)>,
-    /// True when every key column is word-sized: flush can emit packed
-    /// rows with fixed 8-byte copies (the `write_projected` discipline).
-    word_keys: bool,
-    /// Scratch, reused across blocks.
+    /// Scratch, reused across blocks: gathered keys (non-contiguous key
+    /// columns only), each survivor's slot, one output row.
     block_keys: Vec<u8>,
-    block_hashes: Vec<u64>,
+    block_slots: Vec<u32>,
+    row_buf: Vec<u8>,
     batched_blocks: u64,
     overflow: u64,
     flushed: u64,
@@ -164,7 +233,7 @@ pub struct GroupByOp {
 impl std::fmt::Debug for GroupByOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroupByOp")
-            .field("groups", &self.queue.len())
+            .field("groups", &self.group_count())
             .field("overflow", &self.overflow)
             .finish_non_exhaustive()
     }
@@ -181,19 +250,18 @@ impl GroupByOp {
         )
     }
 
-    /// Explicit table geometry (crate-internal: tests/ablations).
-    pub(crate) fn with_table(
+    /// Explicit table geometry (ablations and tests).
+    pub fn with_table(
         keys: ProjectionPlan,
         aggs: &[AggSpec],
         base_schema: &Schema,
-        table: CuckooTable<Vec<AggState>>,
+        table: CuckooTable<u32>,
     ) -> Self {
-        let template: Vec<AggState> = aggs
-            .iter()
-            .map(|a| AggState::new(a.func, base_schema.column(a.col).ty))
-            .collect();
         let mut out_cols: Vec<Column> = keys.out_schema().columns().to_vec();
-        for (a, st) in aggs.iter().zip(&template) {
+        let mut columns = Vec::with_capacity(aggs.len());
+        for a in aggs {
+            let input = base_schema.column(a.col);
+            let kind = AggKind::new(a.func, input.ty);
             let func = match a.func {
                 AggFunc::Count => "count",
                 AggFunc::Sum => "sum",
@@ -203,31 +271,30 @@ impl GroupByOp {
                 AggFunc::Avg => "avg",
             };
             out_cols.push(Column {
-                name: format!("{func}_{}", base_schema.column(a.col).name),
-                ty: st.out_type(),
+                name: format!("{func}_{}", input.name),
+                ty: kind.out_type(),
+            });
+            columns.push(AggColumn {
+                kind,
+                off: base_schema.offset(a.col),
+                ty: input.ty,
+                acc: Vec::new(),
+                n: Vec::new(),
             });
         }
-        let out_schema = Schema::new(out_cols);
-        let agg_cells = aggs
-            .iter()
-            .map(|a| {
-                (
-                    base_schema.column_range(a.col),
-                    base_schema.column(a.col).ty,
-                )
-            })
-            .collect();
-        let word_keys = keys.all_word_cols();
         GroupByOp {
+            key_range: keys.contiguous_range(),
             keys,
-            template,
             table,
-            queue: Vec::new(),
-            out_schema,
-            agg_cells,
-            word_keys,
+            group_keys: Vec::new(),
+            queued: Vec::new(),
+            aggs: columns,
+            free: Vec::new(),
+            opened: 0,
+            out_schema: Schema::new(out_cols),
             block_keys: Vec::new(),
-            block_hashes: Vec::new(),
+            block_slots: Vec::new(),
+            row_buf: Vec::new(),
             batched_blocks: 0,
             overflow: 0,
             flushed: 0,
@@ -241,107 +308,158 @@ impl GroupByOp {
 
     /// Number of live groups.
     pub fn group_count(&self) -> usize {
-        self.queue.len()
+        self.queued.len() - self.free.len()
+    }
+
+    /// A key the table does not hold: open an empty group for it at the
+    /// back of the queue and insert it. Returns its slot, and the slot
+    /// of the group a cuckoo eviction chain left homeless, if one did —
+    /// not necessarily the one just opened.
+    fn open_group(&mut self, h: u64, key: &[u8]) -> (u32, Option<u32>) {
+        let slot = self.free.pop().unwrap_or(self.queued.len() as u32);
+        let at = slot as usize;
+        if at == self.queued.len() {
+            self.queued.push(None);
+            self.group_keys.resize((at + 1) * key.len(), 0);
+        }
+        if let Some(queued) = self.queued.get_mut(at) {
+            *queued = Some(self.opened);
+        }
+        self.opened += 1;
+        if let Some(held) = self
+            .group_keys
+            .get_mut(at * key.len()..(at + 1) * key.len())
+        {
+            held.copy_from_slice(key);
+        }
+        for agg in &mut self.aggs {
+            agg.open(at);
+        }
+        let homeless = self.table.insert_key_hashed(h, key, slot).err();
+        (slot, homeless.map(|(_, slot)| slot))
+    }
+
+    /// Ship the partial aggregates of a group that lost its table entry
+    /// to the client, in the same `key ++ aggregates` format as the
+    /// final flush, for software merging (§5.4's overflow buffer). The
+    /// group leaves the queue (its state left the table) and its slot is
+    /// free for the next new key.
+    fn ship_overflow(&mut self, slot: u32, packer: &mut Packer) {
+        self.overflow += 1;
+        self.pack_group(slot as usize, packer);
+        if let Some(queued) = self.queued.get_mut(slot as usize) {
+            *queued = None;
+        }
+        self.free.push(slot);
+    }
+
+    /// Pack `slot`'s `key ++ aggregates` row.
+    fn pack_group(&mut self, slot: usize, packer: &mut Packer) {
+        let kw = self.keys.out_row_bytes();
+        self.row_buf.clear();
+        if let Some(key) = self.group_keys.get(slot * kw..(slot + 1) * kw) {
+            self.row_buf.extend_from_slice(key);
+        }
+        for agg in &self.aggs {
+            self.row_buf.extend_from_slice(&agg.emit(slot));
+        }
+        packer.push_tuple(&self.row_buf);
+    }
+
+    /// Fold `sel`'s tuples of `block` into the groups `slots` names, one
+    /// pass per aggregate.
+    fn fold(&mut self, block: &TupleBlock<'_>, sel: &[u32], slots: &[u32]) {
+        for agg in &mut self.aggs {
+            agg.fold(sel.iter().map(|&i| block.tuple(i)), slots);
+        }
+    }
+
+    /// Resolve each survivor's key to its group slot, in stream order,
+    /// opening a group wherever a key is new, then fold the block.
+    fn aggregate<'k>(
+        &mut self,
+        keys: impl Iterator<Item = &'k [u8]>,
+        block: &TupleBlock<'_>,
+        sel: &[u32],
+        packer: &mut Packer,
+    ) {
+        let mut slots = std::mem::take(&mut self.block_slots);
+        slots.clear();
+        // Survivors before `folded` are in their accumulators already.
+        let mut folded = 0;
+        for key in keys {
+            let h = hash_key(key);
+            if let Some(&slot) = self.table.get_hashed(h, key) {
+                slots.push(slot);
+                continue;
+            }
+            let (slot, homeless) = self.open_group(h, key);
+            slots.push(slot);
+            if let Some(homeless) = homeless {
+                // The overflow row must count every tuple up to this
+                // one: fold the block so far first.
+                let (done, rest) = (slots.len(), sel.split_at(folded).1);
+                self.fold(
+                    block,
+                    rest.split_at(done - folded).0,
+                    slots.split_at(folded).1,
+                );
+                folded = done;
+                self.ship_overflow(homeless, packer);
+            }
+        }
+        self.fold(block, sel.split_at(folded).1, slots.split_at(folded).1);
+        self.block_slots = slots;
     }
 }
 
 impl TailOperator for GroupByOp {
     fn flush(&mut self, packer: &mut Packer) {
-        let mut row_buf = Vec::with_capacity(self.out_schema.row_bytes());
-        for key in &self.queue {
-            // A queued key's entry can have been displaced to overflow by
-            // later cuckoo kicks; guard rather than unwrap.
-            if let Some(states) = self.table.get(key) {
-                row_buf.clear();
-                if self.word_keys {
-                    // Word-specialized packed emission: the same fixed
-                    // 8-byte copy discipline as `write_projected` on the
-                    // pack path, instead of a variable-length memcpy.
-                    for w in key.chunks_exact(8) {
-                        // fv:allow(panic): chunks_exact(8) yields 8 bytes.
-                        let word: [u8; 8] = w.try_into().expect("word key column");
-                        row_buf.extend_from_slice(&word);
-                    }
-                } else {
-                    row_buf.extend_from_slice(key);
-                }
-                for st in states {
-                    row_buf.extend_from_slice(&st.emit());
-                }
-                self.flushed += 1;
-                packer.push_tuple(&row_buf);
-            }
+        let mut queue: Vec<(u64, usize)> = self
+            .queued
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, position)| Some(((*position)?, slot)))
+            .collect();
+        // Slots are reused, so slot order is queue order only until the
+        // first overflow.
+        queue.sort_unstable();
+        for (_, slot) in queue {
+            self.flushed += 1;
+            self.pack_group(slot, packer);
         }
     }
 
-    /// Hash-all-then-probe-all. Pass 1 gathers every survivor's key
-    /// into one contiguous scratch; pass 2 computes all primary hashes
-    /// in a tight loop; pass 3 probes/updates the group table with the
-    /// hash in hand, slicing aggregate inputs straight from the block's
-    /// raw bytes (no `RowView`/`Value` per tuple). Update order is tuple
-    /// order, so float sums are bit-identical to a per-tuple fold.
+    /// Keys hash straight off the block when the key columns are one
+    /// contiguous byte range of the row (a single column, or adjacent
+    /// ones in schema order); otherwise one pass gathers every
+    /// survivor's key into a contiguous scratch first. Aggregate inputs
+    /// are read from the block's raw bytes (no `RowView`/`Value` per
+    /// tuple).
     fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
-        // Never zero: `ProjectionPlan` refuses an empty column list.
-        let kw = self.keys.out_row_bytes();
         self.batched_blocks += 1;
-        let mut keys_buf = std::mem::take(&mut self.block_keys);
-        let mut hashes = std::mem::take(&mut self.block_hashes);
-        keys_buf.clear();
-        keys_buf.reserve(sel.len() * kw);
-        for &i in sel {
-            self.keys.write_projected(block.tuple(i), &mut keys_buf);
-        }
-        hashes.clear();
-        hashes.extend(keys_buf.chunks_exact(kw).map(hash_key));
-
-        for (j, key) in keys_buf.chunks_exact(kw).enumerate() {
-            // fv:allow(panic): hashes has one entry per key chunk.
-            let h = hashes[j];
-            // fv:allow(panic): j < sel.len() by construction.
-            let tuple = block.tuple(sel[j]);
-            if let Some(states) = self.table.get_mut_hashed(h, key) {
-                for ((range, ty), st) in self.agg_cells.iter().zip(states.iter_mut()) {
-                    st.update_raw(&tuple[range.clone()], *ty);
-                }
-                continue;
+        let tuples = sel.iter().map(|&i| block.tuple(i));
+        match self.key_range.clone() {
+            // One scalar column, the usual grouping key: with the width
+            // a constant, hashing and comparing it are straight-line code.
+            Some(range) if range.len() == 8 => {
+                let keys = tuples.map(|t| field(t, range.start, 8));
+                self.aggregate(keys, block, sel, packer);
             }
-            // New group.
-            let mut states = self.template.clone();
-            for ((range, ty), st) in self.agg_cells.iter().zip(states.iter_mut()) {
-                st.update_raw(&tuple[range.clone()], *ty);
+            Some(range) => {
+                let keys = tuples.map(|t| field(t, range.start, range.len()));
+                self.aggregate(keys, block, sel, packer);
             }
-            let key_box: Box<[u8]> = key.into();
-            match self.table.insert_hashed(h, key_box.clone(), states) {
-                Ok(()) => self.queue.push(key_box),
-                Err((hkey, hstates)) => {
-                    // A cuckoo eviction chain left some entry homeless —
-                    // not necessarily the one just inserted. Its partial
-                    // aggregates are shipped to the client immediately,
-                    // in the same `key ++ aggregates` format as the final
-                    // flush, for software merging (§5.4's overflow
-                    // buffer).
-                    self.overflow += 1;
-                    if hkey != key_box {
-                        // The new key took a slot; the displaced old one
-                        // must leave the flush queue (its state left the
-                        // table).
-                        self.queue.push(key_box);
-                        if let Some(pos) = self.queue.iter().position(|k| *k == hkey) {
-                            self.queue.remove(pos);
-                        }
-                    }
-                    let mut row_buf = Vec::with_capacity(self.out_schema.row_bytes());
-                    row_buf.extend_from_slice(&hkey);
-                    for st in &hstates {
-                        row_buf.extend_from_slice(&st.emit());
-                    }
-                    packer.push_tuple(&row_buf);
-                }
+            None => {
+                let mut keys = std::mem::take(&mut self.block_keys);
+                keys.clear();
+                self.keys.gather_into(tuples, &mut keys);
+                // Never zero: `ProjectionPlan` refuses an empty column list.
+                let kw = self.keys.out_row_bytes();
+                self.aggregate(keys.chunks_exact(kw), block, sel, packer);
+                self.block_keys = keys;
             }
         }
-
-        self.block_keys = keys_buf;
-        self.block_hashes = hashes;
     }
 
     fn overflow_tuples(&self) -> u64 {

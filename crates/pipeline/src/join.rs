@@ -17,7 +17,7 @@ use fv_data::{Column, Schema, Table};
 
 use crate::cuckoo::{hash_key, CuckooTable};
 use crate::pack::Packer;
-use crate::pipeline::{PipelineError, TailOperator, TupleBlock};
+use crate::pipeline::{field, PipelineError, TailOperator, TupleBlock};
 
 /// On-chip budget for the build side. A dynamic region's BRAM share is
 /// ~8 % of the device (Table 1); 256 KiB of build rows is a conservative
@@ -142,8 +142,6 @@ pub struct JoinSmallOp {
     out_schema: Schema,
     probed: u64,
     emitted: u64,
-    /// Scratch: one primary hash per survivor (reused).
-    block_hashes: Vec<u64>,
     batched_blocks: u64,
 }
 
@@ -181,10 +179,8 @@ impl JoinSmallOp {
                 let mut bytes = Vec::with_capacity(payload_bytes);
                 bytes.extend_from_slice(&row[..key_range.start]);
                 bytes.extend_from_slice(&row[key_range.end..]);
-                if table
-                    .insert(key.into(), BuildPayloads { rows: 1, bytes })
-                    .is_err()
-                {
+                let entry = BuildPayloads { rows: 1, bytes };
+                if table.insert_key_hashed(hash_key(key), key, entry).is_err() {
                     // The build side must fit; a homeless entry would
                     // silently drop join matches.
                     return Err(PipelineError::BuildSideTooLarge {
@@ -202,7 +198,6 @@ impl JoinSmallOp {
             out_schema,
             probed: 0,
             emitted: 0,
-            block_hashes: Vec::new(),
             batched_blocks: 0,
         })
     }
@@ -218,12 +213,52 @@ impl JoinSmallOp {
     }
 }
 
-impl TailOperator for JoinSmallOp {
-    /// Batched probe over the block's survivors, matches going straight
+impl JoinSmallOp {
+    /// Probe with each `(tuple, key)` in order, matches going straight
     /// into the packer as `probe ++ payload` halves — one copy, no
-    /// intermediate row buffer. The full-block walk detects key runs and
-    /// reuses one lookup per run; the post-filter path hashes all
-    /// survivors in one pass, then probes with the hash in hand.
+    /// intermediate row buffer. Fact tables are routinely clustered on
+    /// the dimension key they join through, so consecutive probe keys
+    /// repeat in runs: the walk hashes and probes once per run and
+    /// reuses the lookup while the key bytes repeat (nothing mutates the
+    /// build table mid-stream).
+    fn probe<'t>(
+        &mut self,
+        probes: impl Iterator<Item = (&'t [u8], &'t [u8])>,
+        packer: &mut Packer,
+    ) {
+        let pb = self.payload_bytes;
+        let mut emitted = 0u64;
+        let mut prev: Option<(&[u8], Option<&BuildPayloads>)> = None;
+        for (tuple, key) in probes {
+            let hit = match prev {
+                Some((prev_key, m)) if prev_key == key => m,
+                _ => {
+                    let m = self.table.get_hashed(hash_key(key), key);
+                    prev = Some((key, m));
+                    m
+                }
+            };
+            let Some(matches) = hit else { continue };
+            emitted += u64::from(matches.rows);
+            if matches.rows == 1 {
+                // Unique build key — the overwhelmingly common case.
+                packer.push_split_tuple(tuple, &matches.bytes);
+            } else if pb == 0 {
+                // Key-only build schema: every payload is empty.
+                for _ in 0..matches.rows {
+                    packer.push_split_tuple(tuple, &[]);
+                }
+            } else {
+                for payload in matches.bytes.chunks_exact(pb) {
+                    packer.push_split_tuple(tuple, payload);
+                }
+            }
+        }
+        self.emitted += emitted;
+    }
+}
+
+impl TailOperator for JoinSmallOp {
     fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32], packer: &mut Packer) {
         // Size the pack buffer for the block's every-probe-matches-once
         // case up front (a hint — build-side fan-out can exceed it):
@@ -231,76 +266,16 @@ impl TailOperator for JoinSmallOp {
         // regrowing the buffer match by match.
         packer.reserve(sel.len() * self.out_schema.row_bytes());
         self.batched_blocks += 1;
-        let range = self.probe_range.clone();
-        let pb = self.payload_bytes;
-        let mut hashes = std::mem::take(&mut self.block_hashes);
-        hashes.clear();
         self.probed += sel.len() as u64;
-        let mut emitted = self.emitted;
-        if sel.len() == block.len() {
-            // Identity selection (no leading filter): walk the block's
-            // bytes directly — no per-tuple index math or bounds checks.
-            // Fact tables are routinely clustered on the dimension key
-            // they join through, so consecutive probe keys repeat in
-            // runs; the walk hashes and probes once per run and reuses
-            // the lookup while the key bytes repeat.
-            let tb = block.tuple_bytes();
-            let mut prev: Option<(&[u8], Option<&BuildPayloads>)> = None;
-            for tuple in block.bytes().chunks_exact(tb) {
-                let key = &tuple[range.clone()];
-                let hit = match prev {
-                    Some((prev_key, m)) if prev_key == key => m,
-                    _ => {
-                        let m = self.table.get_hashed(hash_key(key), key);
-                        prev = Some((key, m));
-                        m
-                    }
-                };
-                let Some(matches) = hit else { continue };
-                emitted += u64::from(matches.rows);
-                if matches.rows == 1 {
-                    packer.push_split_tuple(tuple, &matches.bytes);
-                } else if pb == 0 {
-                    for _ in 0..matches.rows {
-                        packer.push_split_tuple(tuple, &[]);
-                    }
-                } else {
-                    for payload in matches.bytes.chunks_exact(pb) {
-                        packer.push_split_tuple(tuple, payload);
-                    }
-                }
-            }
-        } else {
-            // Post-filter survivors: hash every key in one tight pass,
-            // then probe with the hash in hand.
-            hashes.extend(
-                sel.iter()
-                    .map(|&i| hash_key(&block.tuple(i)[range.clone()])),
-            );
-            for (&i, &h) in sel.iter().zip(hashes.iter()) {
-                let tuple = block.tuple(i);
-                let key = &tuple[range.clone()];
-                let Some(matches) = self.table.get_hashed(h, key) else {
-                    continue;
-                };
-                emitted += u64::from(matches.rows);
-                if matches.rows == 1 {
-                    // Unique build key — the overwhelmingly common case.
-                    packer.push_split_tuple(tuple, &matches.bytes);
-                } else if pb == 0 {
-                    // Key-only build schema: every payload is empty.
-                    for _ in 0..matches.rows {
-                        packer.push_split_tuple(tuple, &[]);
-                    }
-                } else {
-                    for payload in matches.bytes.chunks_exact(pb) {
-                        packer.push_split_tuple(tuple, payload);
-                    }
-                }
-            }
+        let tuples = sel.iter().map(|&i| block.tuple(i));
+        let at = self.probe_range.start;
+        match self.probe_range.len() {
+            // A scalar key, as every join of the paper's schema has:
+            // with the width a constant, hashing and comparing it are
+            // straight-line code.
+            8 => self.probe(tuples.map(|t| (t, field(t, at, 8))), packer),
+            kw => self.probe(tuples.map(|t| (t, field(t, at, kw))), packer),
         }
-        self.emitted = emitted;
-        self.block_hashes = hashes;
     }
 
     fn batched_blocks(&self) -> u64 {

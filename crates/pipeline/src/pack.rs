@@ -9,10 +9,18 @@
 //! Functionally packing is dense concatenation of the projected column
 //! bytes; the 64-byte word count is tracked because the wire carries
 //! whole words (the sender pads the final word).
+//!
+//! The block entry, [`Packer::push_block`], runs at copy speed: whole
+//! tuples (no projection, or one that keeps the whole row) are a bulk
+//! copy of the block or of each run of adjacent survivors, and a real
+//! projection is [`ProjectionPlan::gather_into`] — output sized once per
+//! block, word columns as fixed 8-byte loads and stores.
+//! [`Packer::push_tuple`] is the per-tuple entry the tail operators'
+//! result rows and the test oracle use.
 
 use fv_sim::calib::BEAT_BYTES;
 
-use crate::pipeline::TupleBlock;
+use crate::pipeline::{field, TupleBlock};
 use crate::project::ProjectionPlan;
 
 /// Dense tuple packer with optional pack-time projection.
@@ -70,10 +78,10 @@ impl Packer {
     }
 
     /// Vectorized pack: gather the `sel`-marked tuples of `block` in one
-    /// pass, through the pack-time projection if there is one. A full
-    /// selection with no projection collapses into a single bulk copy of
-    /// the block; partial selections coalesce runs of adjacent survivors
-    /// into one copy each.
+    /// pass, through the pack-time projection if there is one. Whole
+    /// tuples — no projection, or one that keeps the whole row — are
+    /// never gathered: a full selection is a single bulk copy of the
+    /// block, a partial one copies each run of adjacent survivors once.
     ///
     /// `sel` must hold **strictly ascending** tuple indices into
     /// `block` — what a selection vector is (checked in debug builds).
@@ -82,44 +90,32 @@ impl Packer {
     /// sound.
     pub fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32]) {
         debug_assert!(
-            sel.windows(2).all(|w| w[0] < w[1])
+            sel.is_sorted_by(|a, b| a < b)
                 && sel.last().is_none_or(|&i| (i as usize) < block.len()),
             "selection vector must be strictly ascending in-range indices"
         );
         let before = self.buf.len();
         let tb = block.tuple_bytes();
-        match &self.projection {
-            None if sel.len() == block.len() => self.buf.extend_from_slice(block.bytes()),
+        let full = sel.len() == block.len();
+        match self.projection.as_ref().filter(|plan| !plan.is_identity()) {
+            None if full => self.buf.extend_from_slice(block.bytes()),
             None => {
                 self.buf.reserve(sel.len() * tb);
                 // Survivors at consecutive indices copy as one run.
-                let mut i = 0;
-                while i < sel.len() {
-                    let start = sel[i];
-                    let mut end = start + 1;
-                    i += 1;
-                    while i < sel.len() && sel[i] == end {
-                        end += 1;
-                        i += 1;
-                    }
+                let mut rest = sel;
+                while let Some((&start, tail)) = rest.split_first() {
+                    let run = 1 + tail
+                        .iter()
+                        .zip(start + 1..)
+                        .take_while(|&(&i, next)| i == next)
+                        .count();
                     self.buf
-                        .extend_from_slice(&block.bytes()[start as usize * tb..end as usize * tb]);
+                        .extend_from_slice(field(block.bytes(), start as usize * tb, run * tb));
+                    rest = rest.split_at(run).1;
                 }
             }
-            Some(plan) => {
-                self.buf.reserve(sel.len() * plan.out_row_bytes());
-                if sel.len() == block.len() {
-                    // Full selection: walk the block directly, no index
-                    // indirection.
-                    for tuple in block.bytes().chunks_exact(tb) {
-                        plan.write_projected(tuple, &mut self.buf);
-                    }
-                } else {
-                    for &i in sel {
-                        plan.write_projected(block.tuple(i), &mut self.buf);
-                    }
-                }
-            }
+            Some(plan) if full => plan.gather_into(block.bytes().chunks_exact(tb), &mut self.buf),
+            Some(plan) => plan.gather_into(sel.iter().map(|&i| block.tuple(i)), &mut self.buf),
         }
         self.bytes_packed += (self.buf.len() - before) as u64;
         self.tuples_packed += sel.len() as u64;

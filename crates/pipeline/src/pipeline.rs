@@ -242,6 +242,18 @@ impl<'a> TupleBlock<'a> {
     }
 }
 
+/// The `width` bytes at offset `at` of `tuple`: a column, or adjacent
+/// columns, of a row whose schema put them there. Inlined into the block
+/// loops, a literal `width` makes everything downstream of the slice —
+/// hashing it, comparing it, copying it — fixed-size code.
+///
+/// # Panics
+/// Panics when the tuple is shorter than `at + width`.
+#[inline]
+pub(crate) fn field(tuple: &[u8], at: usize, width: usize) -> &[u8] {
+    tuple.split_at(at).1.split_at(width).0
+}
+
 /// A selection stage (§5.3: predicate or regex): it annotates tuples.
 /// Survivors are marked in the selection vector, never copied — the
 /// tail operator or the packer gathers them.
@@ -267,7 +279,7 @@ pub trait TailOperator {
     fn overflow_tuples(&self) -> u64 {
         0
     }
-    /// Blocks processed hash-all-then-probe-all.
+    /// Blocks processed (one `push_block` call each).
     fn batched_blocks(&self) -> u64 {
         0
     }
@@ -634,7 +646,7 @@ impl CompiledPipeline {
     }
 
     /// Blocks the operators processed through their batched fast paths
-    /// (hash-all-then-probe-all, DFA prefilter scan). Outside
+    /// (a hash operator's block call, the DFA prefilter scan). Outside
     /// [`PipelineStats`] on purpose: it counts how the host did the
     /// work, not what the hardware would report.
     pub fn batched_blocks(&self) -> u64 {

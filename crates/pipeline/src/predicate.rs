@@ -7,6 +7,8 @@
 
 use fv_data::{ColumnType, RowView, Schema, Value};
 
+use crate::pipeline::field;
+
 /// Comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
@@ -35,6 +37,18 @@ impl CmpOp {
             CmpOp::Eq => ord == Equal,
             CmpOp::Ne => ord != Equal,
         }
+    }
+
+    /// [`CmpOp::eval_ordering`] as a bitmask: bit 0 set when `Less`
+    /// passes, bit 1 `Equal`, bit 2 `Greater`.
+    fn pass_mask(self) -> u32 {
+        use std::cmp::Ordering::*;
+        [Less, Equal, Greater]
+            .into_iter()
+            .enumerate()
+            .fold(0, |m, (bit, ord)| {
+                m | u32::from(self.eval_ordering(ord)) << bit
+            })
     }
 }
 
@@ -393,6 +407,79 @@ impl CompiledPredicate {
                 op.eval_ordering(field.cmp(rhs.as_slice()))
             }
         }
+    }
+}
+
+impl CompiledPredicate {
+    /// Select a **whole** block by one word comparison, without a
+    /// branch on the outcome: every tuple's index is written to `sel`
+    /// and the write position advances by the comparison result, so a
+    /// 50 % selectivity costs what 0 % does. `sel` must be the identity
+    /// selection of `tuples` (it is compacted in place — survivor `k` is
+    /// never ahead of tuple `k`).
+    ///
+    /// Returns `false`, `sel` untouched, for everything that is not a
+    /// single `U64` / `I64` / `F64` comparison: those go through
+    /// [`CompiledPredicate::eval`].
+    pub(crate) fn select_identity(
+        &self,
+        tuples: &[u8],
+        tuple_bytes: usize,
+        sel: &mut Vec<u32>,
+    ) -> bool {
+        // The comparison as an index into the operator's pass mask:
+        // 0 = Less, 1 = Equal, 2 = Greater.
+        fn compact(
+            tuples: &[u8],
+            tuple_bytes: usize,
+            off: usize,
+            mask: u32,
+            sel: &mut Vec<u32>,
+            ordering: impl Fn([u8; 8]) -> u32,
+        ) {
+            let mut kept = 0usize;
+            for (i, tuple) in (0u32..).zip(tuples.chunks_exact(tuple_bytes)) {
+                let word = field(tuple, off, 8).first_chunk::<8>();
+                if let (Some(slot), Some(&word)) = (sel.get_mut(kept), word) {
+                    *slot = i;
+                    kept += (mask >> ordering(word) & 1) as usize;
+                }
+            }
+            sel.truncate(kept);
+        }
+        match *self {
+            CompiledPredicate::U64 { off, op, rhs } => {
+                compact(tuples, tuple_bytes, off, op.pass_mask(), sel, |w| {
+                    let v = u64::from_le_bytes(w);
+                    u32::from(v > rhs) + u32::from(v >= rhs)
+                });
+            }
+            CompiledPredicate::I64 { off, op, rhs } => {
+                compact(tuples, tuple_bytes, off, op.pass_mask(), sel, |w| {
+                    let v = i64::from_le_bytes(w);
+                    u32::from(v > rhs) + u32::from(v >= rhs)
+                });
+            }
+            // `eval`'s total order for F64: where `partial_cmp` has no
+            // answer, a NaN value is Less than a number, a number is
+            // Greater than a NaN constant, and two NaNs are Equal.
+            // Against a number both tests below are false for a NaN
+            // value — Less, as required — so only a NaN constant needs
+            // its own loop.
+            CompiledPredicate::F64 { off, op, rhs } if rhs.is_nan() => {
+                compact(tuples, tuple_bytes, off, op.pass_mask(), sel, |w| {
+                    2 - u32::from(f64::from_le_bytes(w).is_nan())
+                });
+            }
+            CompiledPredicate::F64 { off, op, rhs } => {
+                compact(tuples, tuple_bytes, off, op.pass_mask(), sel, |w| {
+                    let v = f64::from_le_bytes(w);
+                    u32::from(v > rhs) + u32::from(v >= rhs)
+                });
+            }
+            _ => return false,
+        }
+        true
     }
 }
 

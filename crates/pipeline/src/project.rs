@@ -9,7 +9,7 @@
 
 use fv_data::Schema;
 
-use crate::pipeline::PipelineError;
+use crate::pipeline::{field, PipelineError};
 
 /// A validated projection: which base columns to keep, in which order.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +19,8 @@ pub struct ProjectionPlan {
     /// Byte ranges of the kept columns inside an input row.
     ranges: Vec<std::ops::Range<usize>>,
     out_row_bytes: usize,
+    /// The projected bytes are the whole input row, in order.
+    identity: bool,
     /// Every kept column is exactly 8 bytes wide — the dominant layout
     /// (all scalar types) — letting the gather copy fixed-size words
     /// instead of variable-length slices.
@@ -57,11 +59,13 @@ impl ProjectionPlan {
         let ranges: Vec<_> = cols.iter().map(|&c| schema.column_range(c)).collect();
         let out_row_bytes = out_schema.row_bytes();
         let all_word_cols = ranges.iter().all(|r| r.len() == 8);
+        let identity = contiguous(&ranges) == Some(0..schema.row_bytes());
         Ok(ProjectionPlan {
             cols,
             out_schema,
             ranges,
             out_row_bytes,
+            identity,
             all_word_cols,
         })
     }
@@ -109,6 +113,46 @@ impl ProjectionPlan {
         }
     }
 
+    /// Gather the projected columns of every tuple `tuples` yields onto
+    /// the end of `out` — the block form of
+    /// [`ProjectionPlan::write_projected`]. The output is sized once and
+    /// filled a column at a time, so the field offsets are constants of
+    /// the inner loop; a word column is a fixed 8-byte load and store
+    /// per tuple, never a `memcpy` call.
+    pub fn gather_into<'t>(
+        &self,
+        tuples: impl ExactSizeIterator<Item = &'t [u8]> + Clone,
+        out: &mut Vec<u8>,
+    ) {
+        let start = out.len();
+        out.resize(start + tuples.len() * self.out_row_bytes, 0);
+        let dst = out.split_at_mut(start).1;
+        if self.all_word_cols {
+            let (words, _) = dst.as_chunks_mut::<8>();
+            let width = self.ranges.len();
+            for (k, r) in self.ranges.iter().enumerate() {
+                for (row, tuple) in words.chunks_exact_mut(width).zip(tuples.clone()) {
+                    let cell = field(tuple, r.start, 8).first_chunk::<8>();
+                    if let (Some(word), Some(cell)) = (row.get_mut(k), cell) {
+                        *word = *cell;
+                    }
+                }
+            }
+        } else {
+            let mut at = 0;
+            for r in &self.ranges {
+                for (row, tuple) in dst.chunks_exact_mut(self.out_row_bytes).zip(tuples.clone()) {
+                    row.split_at_mut(at)
+                        .1
+                        .split_at_mut(r.len())
+                        .0
+                        .copy_from_slice(field(tuple, r.start, r.len()));
+                }
+                at += r.len();
+            }
+        }
+    }
+
     /// Is `col` part of the projection?
     pub fn keeps(&self, col: usize) -> bool {
         self.cols.contains(&col)
@@ -120,16 +164,29 @@ impl ProjectionPlan {
     /// sliced straight out of the tuple instead of gathered into a
     /// scratch buffer.
     pub fn contiguous_range(&self) -> Option<std::ops::Range<usize>> {
-        let first = self.ranges.first()?;
-        let mut end = first.start;
-        for r in &self.ranges {
-            if r.start != end {
-                return None;
-            }
-            end = r.end;
-        }
-        Some(first.start..end)
+        contiguous(&self.ranges)
     }
+
+    /// True when the projected bytes are the *whole* input row, in
+    /// order: every column, ascending. A prefix (`[0, 1]` of eight
+    /// columns) is contiguous from offset 0 and is **not** identity.
+    pub fn is_identity(&self) -> bool {
+        self.identity
+    }
+}
+
+/// The one range `ranges` cover when each starts where the one before
+/// it ended.
+fn contiguous(ranges: &[std::ops::Range<usize>]) -> Option<std::ops::Range<usize>> {
+    let first = ranges.first()?;
+    let mut end = first.start;
+    for r in ranges {
+        if r.start != end {
+            return None;
+        }
+        end = r.end;
+    }
+    Some(first.start..end)
 }
 
 /// The memory-access side of smart addressing: per-tuple read segments.

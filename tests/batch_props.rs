@@ -10,8 +10,9 @@
 use proptest::prelude::*;
 
 use farview::prelude::*;
-use farview_core::{AggFunc, AggSpec, PredicateExpr};
+use farview_core::{AggFunc, AggSpec, PredicateExpr, QueryStats};
 use fv_data::{Column, ColumnType, Schema, TableBuilder};
+use fv_pipeline::{CryptoSpec, JoinSmallSpec};
 
 /// A random small table of 3 bounded `u64` columns (c0 = group key,
 /// c1 = predicate column, c2 = aggregation payload). `1..=max_rows`
@@ -84,8 +85,64 @@ fn query_mix(threshold: u64) -> Vec<PipelineSpec> {
     ]
 }
 
+/// What a query's statistics say about the query, as opposed to the
+/// schedule it ran in: a batch overlaps its queries, so response time,
+/// event count and who paid the reconfiguration legitimately differ
+/// from a solo run. Everything else must not.
+fn schedule_free(stats: QueryStats) -> QueryStats {
+    QueryStats {
+        response_time: SimDuration::ZERO,
+        sim_events: 0,
+        reconfigured: false,
+        ..stats
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// One node, one doorbell batch of depth 8 whose queries stream one
+    /// shared table image — plain reads, a smart-addressing gather out
+    /// of that image, a decrypting scan, the broadcast join, `DISTINCT`
+    /// and `GROUP BY` — against the same specs posted solo, each reading
+    /// the table for itself: byte-identical payloads, equal statistics.
+    #[test]
+    fn batched_node_equals_solo(
+        table in arb_table(120),
+        threshold in 0u64..1000,
+        build_keys in prop::collection::vec(0u64..24, 1..12),
+    ) {
+        let mut bb = TableBuilder::new(Schema::uniform_u64(2));
+        for (i, &k) in build_keys.iter().enumerate() {
+            bb.push_values(vec![Value::U64(k), Value::U64(500 + i as u64)]);
+        }
+        let build = bb.build();
+        let key = CryptoSpec { key: [0x5a; 16], iv: [0xc3; 16] };
+        let mut specs = query_mix(threshold);
+        specs.truncate(4);
+        specs.extend([
+            PipelineSpec::passthrough().project(vec![0, 2]).with_smart_addressing(),
+            // The table rests in the clear, so this scans keystream
+            // noise: as good a table as any for a schedule property.
+            PipelineSpec::passthrough().decrypt(key).distinct(vec![0]),
+            PipelineSpec::passthrough().join_small(JoinSmallSpec::new(0, &build, 0)),
+            PipelineSpec::passthrough()
+                .filter(PredicateExpr::lt(1, threshold))
+                .project(vec![2, 0]),
+        ]);
+
+        let c = FarviewCluster::new(FarviewConfig::tiny());
+        let qp = c.connect().unwrap();
+        let (ft, _) = qp.load_table(&table).unwrap();
+        let solo: Vec<QueryOutcome> = specs.iter().map(|s| qp.far_view(&ft, s).unwrap()).collect();
+        let batch = qp.far_view_batch(&ft, &specs).unwrap();
+        prop_assert_eq!(batch.len(), 8);
+        for (i, (b, s)) in batch.iter().zip(&solo).enumerate() {
+            prop_assert_eq!(&b.payload, &s.payload, "query {} diverged in the batch", i);
+            prop_assert_eq!(&b.schema, &s.schema);
+            prop_assert_eq!(schedule_free(b.stats), schedule_free(s.stats), "query {}", i);
+        }
+    }
 
     /// A batched fleet run returns byte-identical per-query results to
     /// sequential single-query runs — any queue depth, both

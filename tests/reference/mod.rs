@@ -177,7 +177,7 @@ impl ScalarOp for ScalarDistinct {
 
 /// One aggregate accumulator over decoded [`Value`]s.
 #[derive(Debug, Clone)]
-enum Agg {
+pub enum Agg {
     Count(u64),
     SumU(u64),
     SumI(i64),
@@ -255,7 +255,7 @@ impl Agg {
 }
 
 /// The §5.4 GROUP BY state machine, one tuple per call.
-struct ScalarGroupBy {
+pub struct ScalarGroupBy {
     keys: ProjectionPlan,
     aggs: Vec<AggSpec>,
     base_schema: Schema,
@@ -270,7 +270,12 @@ struct ScalarGroupBy {
 }
 
 impl ScalarGroupBy {
-    fn new(keys: ProjectionPlan, aggs: Vec<AggSpec>, base_schema: Schema) -> Self {
+    pub fn new(
+        keys: ProjectionPlan,
+        aggs: Vec<AggSpec>,
+        base_schema: Schema,
+        table: CuckooTable<Vec<Agg>>,
+    ) -> Self {
         let template: Vec<Agg> = aggs
             .iter()
             .map(|a| Agg::new(a.func, base_schema.column(a.col).ty))
@@ -280,7 +285,7 @@ impl ScalarGroupBy {
             aggs,
             base_schema,
             template,
-            table: CuckooTable::with_default_geometry(),
+            table,
             queue: Vec::new(),
             key_buf: Vec::new(),
             overflow: 0,
@@ -463,6 +468,7 @@ impl ScalarPipeline {
                     plan,
                     aggs.clone(),
                     base_schema.clone(),
+                    CuckooTable::with_default_geometry(),
                 )));
             }
             None => {}

@@ -17,12 +17,13 @@ use farview::prelude::*;
 use farview_core::{AggFunc, AggSpec, PredicateExpr};
 use fv_pipeline::cuckoo::CuckooTable;
 use fv_pipeline::distinct::{DistinctOp, DEFAULT_LRU_DEPTH};
+use fv_pipeline::group_by::GroupByOp;
 use fv_pipeline::pack::Packer;
 use fv_pipeline::project::ProjectionPlan;
-use fv_pipeline::{CompiledPipeline, CryptoSpec, JoinSmallSpec, TailOperator, TupleBlock};
+use fv_pipeline::{CmpOp, CompiledPipeline, CryptoSpec, JoinSmallSpec, TailOperator, TupleBlock};
 use fv_regex::Regex;
 
-use reference::{ScalarDistinct, ScalarOp, ScalarPipeline};
+use reference::{ScalarDistinct, ScalarGroupBy, ScalarOp, ScalarPipeline};
 
 use fv_data::{Column, ColumnType, Schema, Table, TableBuilder};
 
@@ -276,13 +277,21 @@ proptest! {
             bb.push_values(vec![Value::U64(k), Value::U64(900 + i as u64)]);
         }
         let build = bb.build();
+        // A filter ahead of the operator thins the runs without
+        // breaking them up (the memo sees the key stream, not the
+        // block); keys 0 and 2 are not adjacent, so that distinct
+        // gathers its keys first.
+        let thinned = || PipelineSpec::passthrough().filter(PredicateExpr::gt(2, 3u64));
         let specs = [
             PipelineSpec::passthrough().distinct(vec![0]),
+            thinned().distinct(vec![0]),
+            PipelineSpec::passthrough().distinct(vec![0, 2]),
             PipelineSpec::passthrough().group_by(
                 vec![0],
                 vec![AggSpec { col: 1, func: AggFunc::Sum }],
             ),
             PipelineSpec::passthrough().join_small(JoinSmallSpec::new(0, &build, 0)),
+            thinned().join_small(JoinSmallSpec::new(0, &build, 0)),
         ];
         for spec in &specs {
             assert_equivalent(spec, table.schema(), table.bytes(), &chunks);
@@ -487,5 +496,354 @@ fn regex_prefilter_and_fallback_are_route_invariant() {
     for pattern in [with_pf, without_pf] {
         let spec = PipelineSpec::passthrough().regex_match(1, pattern);
         assert_equivalent(&spec, table.schema(), table.bytes(), &chunks);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The seams of the memory-speed kernels: each case below sits where a
+// fast path hands over to the general one (or must not be taken at all).
+// ---------------------------------------------------------------------------
+
+const ALL_OPS: [CmpOp; 6] = [
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+    CmpOp::Eq,
+    CmpOp::Ne,
+];
+
+const ALL_AGGS: [AggFunc; 6] = [
+    AggFunc::Count,
+    AggFunc::Sum,
+    AggFunc::SumF64,
+    AggFunc::Min,
+    AggFunc::Max,
+    AggFunc::Avg,
+];
+
+/// The burst grain, then a pattern that never lines up with anything.
+const CHUNKINGS: [&[usize]; 2] = [&[4096], &[37, 4096, 1, 640]];
+
+const EDGE_U64: [u64; 5] = [0, 1, 5, u64::MAX - 1, u64::MAX];
+const EDGE_I64: [i64; 5] = [i64::MIN, -1, 0, 1, i64::MAX];
+const EDGE_F64: [f64; 8] = [
+    f64::NAN,
+    f64::NEG_INFINITY,
+    -1.5,
+    -0.0,
+    0.0,
+    1.5,
+    f64::INFINITY,
+    f64::MAX,
+];
+const EDGE_BYTES: [&[u8]; 4] = [b"", b"a", b"ab", b"abcde"];
+
+/// `u: U64, i: I64, f: F64, s: Bytes(5)` — 29-byte rows — holding the
+/// full cross product of the edge values, so every comparison meets
+/// every pairing (NaN on either side, ±0.0, both integer extremes).
+fn edge_table() -> Table {
+    let schema = Schema::new(
+        [
+            ("u", ColumnType::U64),
+            ("i", ColumnType::I64),
+            ("f", ColumnType::F64),
+            ("s", ColumnType::Bytes(5)),
+        ]
+        .into_iter()
+        .map(|(name, ty)| Column {
+            name: name.into(),
+            ty,
+        })
+        .collect(),
+    );
+    let mut b = TableBuilder::new(schema);
+    for u in EDGE_U64 {
+        for i in EDGE_I64 {
+            for f in EDGE_F64 {
+                for s in EDGE_BYTES {
+                    b.push_values(vec![
+                        Value::U64(u),
+                        Value::I64(i),
+                        Value::F64(f),
+                        Value::Bytes(s.to_vec()),
+                    ]);
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+/// Every single-comparison predicate over `edge_table`, by column.
+fn edge_comparisons() -> Vec<PredicateExpr> {
+    let mut preds = Vec::new();
+    for op in ALL_OPS {
+        let values = (EDGE_U64.map(Value::U64).into_iter().map(|v| (0, v)))
+            .chain(EDGE_I64.map(Value::I64).into_iter().map(|v| (1, v)))
+            .chain(EDGE_F64.map(Value::F64).into_iter().map(|v| (2, v)))
+            .chain(
+                EDGE_BYTES
+                    .map(|v| Value::Bytes(v.to_vec()))
+                    .into_iter()
+                    .map(|v| (3, v)),
+            );
+        preds.extend(values.map(|(col, value)| PredicateExpr::Cmp { col, op, value }));
+    }
+    preds
+}
+
+/// Every operator over every scalar type selects, branch-free over the
+/// whole block, exactly what the interpreted predicate does tuple by
+/// tuple; byte-string comparisons and every connective stay on the
+/// general path and agree too.
+#[test]
+fn every_comparison_is_route_invariant() {
+    let table = edge_table();
+    let cmps = edge_comparisons();
+    assert_eq!(cmps.len(), 6 * (5 + 5 + 8 + 4));
+    let not = |p: &PredicateExpr| PredicateExpr::Not(Box::new(p.clone()));
+    let connectives = [
+        cmps[0].clone().and(cmps[7].clone()),
+        cmps[3].clone().or(cmps[12].clone()),
+        not(&cmps[10]),
+        not(&cmps[1].clone().and(cmps[20].clone())).or(cmps[15].clone()),
+        PredicateExpr::True,
+    ];
+    for pred in cmps.iter().chain(&connectives) {
+        let spec = PipelineSpec::passthrough().filter(pred.clone());
+        for chunks in CHUNKINGS {
+            assert_equivalent(&spec, table.schema(), table.bytes(), chunks);
+        }
+    }
+}
+
+/// Every aggregate over every scalar type — wrapping `I64` sums,
+/// NaN-poisoned and infinite `F64` sums, minima and maxima at the
+/// extremes — folded a block at a time per aggregate equals the
+/// `Value`-typed fold tuple by tuple, bit for bit.
+#[test]
+fn typed_aggregates_are_route_invariant() {
+    let table = edge_table();
+    for col in 0..3 {
+        let aggs: Vec<AggSpec> = ALL_AGGS.map(|func| AggSpec { col, func }).to_vec();
+        // Keys: one scalar, two adjacent columns, a byte string, and a
+        // pair that is not contiguous in the row.
+        for keys in [vec![0], vec![0, 1], vec![3], vec![3, 0]] {
+            let spec = PipelineSpec::passthrough().group_by(keys, aggs.clone());
+            assert_equivalent(&spec, table.schema(), table.bytes(), CHUNKINGS[1]);
+        }
+    }
+}
+
+/// `project([0, 1])` of eight columns is contiguous from byte 0 and is
+/// still a projection: only the projection that keeps the *whole* row
+/// may take the packer's bulk copy.
+#[test]
+fn prefix_projection_is_not_identity() {
+    let schema = Schema::uniform_u64(8);
+    let mut b = TableBuilder::new(schema);
+    for i in 0..300u64 {
+        b.push_values((0..8).map(|c| Value::U64(i * 8 + c)).collect());
+    }
+    let table = b.build();
+    let spec = PipelineSpec::passthrough().project(vec![0, 1]);
+    let mut p = CompiledPipeline::compile(spec.clone(), table.schema()).expect("compiles");
+    p.push_bytes(table.bytes());
+    p.finish();
+    let out = p.drain_output();
+    assert_eq!(out.len(), 300 * 16, "two columns a row, not eight");
+    assert_eq!(&out[16..24], &8u64.to_le_bytes(), "row 1 starts at its c0");
+    for chunks in CHUNKINGS {
+        assert_equivalent(&spec, table.schema(), table.bytes(), chunks);
+    }
+}
+
+/// Projections on both sides of the identity test — the whole row,
+/// prefixes, suffixes, permutations, with and without a byte-string
+/// column — under a full selection (bulk copy / gather) and a partial
+/// one (coalesced runs / indexed gather).
+#[test]
+fn projections_are_route_invariant() {
+    let words = {
+        let mut b = TableBuilder::new(Schema::uniform_u64(8));
+        for i in 0..300u64 {
+            b.push_values((0..8).map(|c| Value::U64((i * 7 + c * 13) % 97)).collect());
+        }
+        b.build()
+    };
+    let edge = edge_table();
+    let cases: [(&Table, &[&[usize]]); 2] = [
+        (
+            &words,
+            &[
+                &[0, 1, 2, 3, 4, 5, 6, 7],
+                &[0, 1],
+                &[6, 7],
+                &[2, 0],
+                &[7, 3, 5],
+            ],
+        ),
+        (
+            &edge,
+            &[&[0, 1, 2, 3], &[3], &[0, 3], &[3, 2], &[1, 0, 3, 2]],
+        ),
+    ];
+    for (table, projections) in cases {
+        for cols in projections {
+            let project = PipelineSpec::passthrough().project(cols.to_vec());
+            let filtered = project.clone().filter(PredicateExpr::lt(0, 40u64));
+            for spec in [project, filtered] {
+                for chunks in CHUNKINGS {
+                    assert_equivalent(&spec, table.schema(), table.bytes(), chunks);
+                }
+            }
+        }
+    }
+}
+
+/// 13- and 24-byte rows never divide a 4 KiB burst: every burst ends
+/// mid-tuple and the frame carries the remainder over. Every kind of
+/// stage behind that framing, including a predicate narrowing the
+/// selection a regex then scans.
+#[test]
+fn odd_row_widths_straddle_bursts() {
+    let narrow = {
+        let schema = Schema::new(vec![
+            Column {
+                name: "k".into(),
+                ty: ColumnType::U64,
+            },
+            Column {
+                name: "s".into(),
+                ty: ColumnType::Bytes(5),
+            },
+        ]);
+        let mut b = TableBuilder::new(schema);
+        for i in 0..1500u64 {
+            let s: Vec<u8> = (0..5)
+                .map(|j| b"abcx"[((i >> (2 * j)) & 3) as usize])
+                .collect();
+            b.push_values(vec![Value::U64(i % 53), Value::Bytes(s)]);
+        }
+        b.build()
+    };
+    assert_eq!(narrow.schema().row_bytes(), 13);
+    let sum = |col| {
+        vec![AggSpec {
+            col,
+            func: AggFunc::Sum,
+        }]
+    };
+    let narrow_specs = [
+        PipelineSpec::passthrough(),
+        PipelineSpec::passthrough().filter(PredicateExpr::lt(0, 20u64)),
+        PipelineSpec::passthrough().project(vec![1]),
+        PipelineSpec::passthrough()
+            .filter(PredicateExpr::lt(0, 30u64))
+            .regex_match(1, "a+b"),
+        PipelineSpec::passthrough().distinct(vec![1]),
+        PipelineSpec::passthrough().group_by(vec![1], sum(0)),
+    ];
+    for spec in &narrow_specs {
+        assert_equivalent(spec, narrow.schema(), narrow.bytes(), CHUNKINGS[0]);
+    }
+
+    let three = {
+        let mut b = TableBuilder::new(Schema::uniform_u64(3));
+        for i in 0..1000u64 {
+            b.push_values(vec![Value::U64(i % 41), Value::U64(i), Value::U64(i % 7)]);
+        }
+        b.build()
+    };
+    assert_eq!(three.schema().row_bytes(), 24);
+    let three_specs = [
+        PipelineSpec::passthrough(),
+        PipelineSpec::passthrough().filter(PredicateExpr::gt(2, 3u64)),
+        PipelineSpec::passthrough()
+            .project(vec![2, 0])
+            .filter(PredicateExpr::lt(0, 20u64)),
+        PipelineSpec::passthrough().distinct(vec![0, 2]),
+        PipelineSpec::passthrough().group_by(vec![0], sum(1)),
+        PipelineSpec::passthrough().group_by(vec![2, 0], sum(1)),
+    ];
+    for spec in &three_specs {
+        assert_equivalent(spec, three.schema(), three.bytes(), CHUNKINGS[0]);
+    }
+}
+
+/// GROUP BY over a table of two ways × four buckets: almost every new
+/// key sends some group homeless, *mid-block*, and its overflow row must
+/// carry exactly the tuples folded so far — the block route folds per
+/// aggregate after resolving the block, so this is where it could come
+/// apart from the per-tuple fold. Contiguous, non-contiguous and
+/// byte-string keys, every aggregate, identity and narrowed selections,
+/// ragged blocks.
+#[test]
+fn group_by_overflow_mid_block_matches_scalar() {
+    // 61 scattered keys, wrapping and negative payloads, 29-byte rows.
+    let table = {
+        let mut b = TableBuilder::new(edge_table().schema().clone());
+        for i in 0..800u64 {
+            let s: Vec<u8> = (0..4)
+                .map(|j| b"abcx"[((i >> (2 * j)) & 3) as usize])
+                .collect();
+            b.push_values(vec![
+                Value::U64(i * 31 % 61),
+                Value::I64(EDGE_I64[(i % 5) as usize] / 2 + i as i64),
+                Value::F64(EDGE_F64[(i % 7 + 1) as usize]),
+                Value::Bytes(s),
+            ]);
+        }
+        b.build()
+    };
+    let schema = table.schema();
+    let tb = schema.row_bytes();
+    let aggs: Vec<AggSpec> = ALL_AGGS.map(|func| AggSpec { col: 1, func }).to_vec();
+    for key_cols in [&[0usize][..], &[0, 1], &[2, 0], &[3], &[3, 1]] {
+        for keep_every in [1usize, 3] {
+            let plan = || ProjectionPlan::new(schema, Some(key_cols)).expect("plan");
+            let mut scalar_op =
+                ScalarGroupBy::new(plan(), aggs.clone(), schema.clone(), CuckooTable::new(2, 4));
+            let mut block_op = GroupByOp::with_table(plan(), &aggs, schema, CuckooTable::new(2, 4));
+            let mut scalar_out = Vec::new();
+            let mut packer = Packer::passthrough();
+            let mut off = 0usize;
+            for lens in [5usize, 1, 64, 2, 17, 141].iter().cycle() {
+                if off >= table.bytes().len() {
+                    break;
+                }
+                let take = (lens * tb).min(table.bytes().len() - off);
+                let block = TupleBlock::new(&table.bytes()[off..off + take], tb);
+                off += take;
+                let sel: Vec<u32> = (0..block.len() as u32)
+                    .filter(|i| *i as usize % keep_every == 0)
+                    .collect();
+                for &i in &sel {
+                    scalar_op.push(block.tuple(i), &mut |t| scalar_out.extend_from_slice(t));
+                }
+                if !sel.is_empty() {
+                    block_op.push_block(&block, &sel, &mut packer);
+                }
+            }
+            scalar_op.flush(&mut |t| scalar_out.extend_from_slice(t));
+            block_op.flush(&mut packer);
+            let what = format!("keys {key_cols:?}, every {keep_every}");
+            assert_eq!(scalar_out, packer.drain(), "{what}");
+            assert_eq!(
+                scalar_op.overflow_tuples(),
+                block_op.overflow_tuples(),
+                "{what}"
+            );
+            assert_eq!(
+                scalar_op.flushed_entries(),
+                block_op.flushed_entries(),
+                "{what}"
+            );
+            assert!(
+                block_op.overflow_tuples() > 100,
+                "fixture must overflow: {what}"
+            );
+        }
     }
 }
