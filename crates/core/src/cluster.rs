@@ -477,6 +477,12 @@ impl FarviewCluster {
         self.inner.lock().mem.free_page_count()
     }
 
+    /// Bytes of host memory the buffer pool occupies: what was written
+    /// to tables still allocated, not the node's capacity.
+    pub fn resident_bytes(&self) -> u64 {
+        self.inner.lock().mem.resident_bytes()
+    }
+
     /// Run several queries *concurrently* in one simulation — the
     /// multi-client experiment (Figure 12): one request per connection,
     /// results in request order. A connection named twice is
@@ -1106,9 +1112,59 @@ mod tests {
         let err = qp.load_table(&t).expect_err("partitioned link");
         assert!(matches!(err, FvError::Net(_)), "{err}");
         assert_eq!(c.free_pages(), baseline, "a failed load must not leak");
+        assert_eq!(c.resident_bytes(), 0, "nor keep what it wrote");
         c.set_fault_plan(fv_net::FaultPlan::none());
         let (ft, _) = qp.load_table(&t).expect("healed link loads");
         assert_eq!(qp.table_read(&ft).unwrap().payload, t.bytes());
+    }
+
+    /// §4.4 isolation across time: a freed table's pages come back to
+    /// the next tenant zeroed, not carrying the previous tenant's bytes.
+    #[test]
+    fn freed_table_does_not_leak_to_the_next_tenant() {
+        let c = cluster();
+        let a = c.connect().unwrap();
+        let b = c.connect().unwrap();
+        let schema = Schema::uniform_u64(8);
+        let rows = 1024; // 64 KiB
+        let ft = a.alloc_table_spec(&schema, rows).unwrap();
+        a.table_write(&ft, &[0xAB; 64 * 1024]).unwrap();
+        a.free_table(ft).unwrap();
+        let fresh = b.alloc_table_spec(&schema, rows).unwrap();
+        assert_eq!(b.table_read(&fresh).unwrap().payload, [0u8; 64 * 1024]);
+    }
+
+    /// The counterpart: a table still mapped through `share_table` keeps
+    /// its bytes after the owner frees its own mapping.
+    #[test]
+    fn shared_table_outlives_its_owners_free() {
+        let c = cluster();
+        let a = c.connect().unwrap();
+        let b = c.connect().unwrap();
+        let t = make_table(64);
+        let (ft, _) = a.load_table(&t).unwrap();
+        let shared = a.share_table(&ft, &b).unwrap();
+        a.free_table(ft).unwrap();
+        assert_eq!(b.table_read(&shared).unwrap().payload, t.bytes());
+        assert_eq!(c.resident_bytes(), t.byte_len() as u64);
+        b.free_table(shared).unwrap();
+        assert_eq!(c.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn resident_bytes_follow_the_tables_loaded() {
+        let c = cluster();
+        let qp = c.connect().unwrap();
+        assert_eq!(c.resident_bytes(), 0);
+        let (small, large) = (make_table(128), make_table(40_000)); // 8 KiB, 2.4 MiB
+        let (small_len, large_len) = (small.byte_len() as u64, large.byte_len() as u64);
+        let (ft, _) = qp.load_table(&small).unwrap();
+        qp.load_table(&large).unwrap();
+        assert_eq!(c.resident_bytes(), small_len + large_len);
+        qp.free_table(ft).unwrap();
+        assert_eq!(c.resident_bytes(), large_len);
+        qp.disconnect();
+        assert_eq!(c.resident_bytes(), 0, "disconnect frees what is left");
     }
 
     #[test]

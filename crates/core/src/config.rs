@@ -11,9 +11,8 @@ pub struct FarviewConfig {
     /// Active DRAM channels ("we used two of the four available
     /// channels", §6.1).
     pub channels: usize,
-    /// Bytes per channel (16 GB on the u250; default shrunk to 256 MB to
-    /// keep host allocations reasonable — the experiments' footprints are
-    /// ≤ 8 MB).
+    /// Bytes per channel: 16 GB on the u250 (§6.1). Capacity costs the
+    /// host nothing; node memory is resident only where written.
     pub channel_bytes: u64,
     /// Dynamic regions ("We use six dynamic regions", §6.1).
     pub regions: usize,
@@ -34,7 +33,7 @@ impl Default for FarviewConfig {
     fn default() -> Self {
         FarviewConfig {
             channels: calib::DEFAULT_CHANNELS,
-            channel_bytes: 256 * 1024 * 1024,
+            channel_bytes: 16 << 30,
             regions: calib::DEFAULT_REGIONS,
             credit_budget: calib::QP_CREDITS,
             tlb_entries: calib::TLB_ENTRIES,
@@ -45,7 +44,8 @@ impl Default for FarviewConfig {
 }
 
 impl FarviewConfig {
-    /// A small configuration for unit tests (fewer pages to allocate).
+    /// A small node for unit tests: two regions and a 16-page pool, so
+    /// region contention and out-of-memory paths are a few steps away.
     pub fn tiny() -> Self {
         FarviewConfig {
             channels: 2,
@@ -81,6 +81,7 @@ mod tests {
         c.validate();
         assert_eq!(c.channels, 2);
         assert_eq!(c.regions, 6);
+        assert_eq!(c.channel_bytes, 16 << 30, "two 16 GB channels (§6.1)");
     }
 
     #[test]

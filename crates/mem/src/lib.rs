@@ -7,16 +7,18 @@
 //! This crate implements that stack functionally and provides the DRAM
 //! timing model the simulator charges against:
 //!
-//! * [`PhysicalMemory`] — multi-channel backing store with the striping
-//!   ("interleaved abstraction for DRAM accesses that aggregates the
-//!   bandwidth from multiple memory channels", §4.4) implemented at
-//!   stripe granularity.
+//! * [`PhysicalMemory`] — the node's bytes, kept by physical address and
+//!   resident only where written, with the striping ("interleaved
+//!   abstraction for DRAM accesses that aggregates the bandwidth from
+//!   multiple memory channels", §4.4) as the function from address to
+//!   channel that bursts are planned and timed by.
 //! * [`Tlb`] — the BRAM TLB: bounded capacity, LRU replacement, hit/miss
 //!   accounting.
 //! * [`MemoryStack`] — the MMU: per-domain page tables over naturally
 //!   aligned 2 MB pages, allocation/free, protection and isolation
-//!   between dynamic regions, page sharing between queue pairs, byte
-//!   read/write, and burst planning for the simulator.
+//!   between dynamic regions (a page returns to the pool zeroed), page
+//!   sharing between queue pairs, byte read/write, and burst planning
+//!   for the simulator.
 //! * [`DramTiming`] — per-channel bandwidth servers with the calibrated
 //!   18 GBps rate and per-burst overheads.
 //!

@@ -1,28 +1,57 @@
-//! Multi-channel physical memory with stripe interleaving.
+//! Sparse physical memory: storage by physical address, striping as a
+//! timing function.
 //!
-//! Physical addresses form one flat space; consecutive
+//! Physical addresses form one flat space. Consecutive
 //! [`fv_sim::calib::STRIPE_BYTES`]-sized stripes rotate across channels
 //! ("allocating memory in a striping pattern across all available memory
 //! channels, thus maximizing the available bandwidth to each dynamic
-//! region", §4.4). The mapping is:
+//! region", §4.4), and that is all a channel is here — the pure function
+//! [`PhysicalMemory::channel_of`], which burst planning and the DRAM
+//! timing model charge against:
 //!
 //! ```text
-//! stripe   = paddr / STRIPE_BYTES
-//! channel  = stripe % n_channels
-//! in_chan  = (stripe / n_channels) * STRIPE_BYTES + paddr % STRIPE_BYTES
+//! channel = (paddr / STRIPE_BYTES) % n_channels
 //! ```
+//!
+//! The bytes themselves are kept per 2 MB MMU page
+//! ([`fv_sim::calib::PAGE_BYTES`]), each page holding what lies below
+//! the highest byte written to it, so a node costs the host what was
+//! written and not its capacity: a never-written range reads as zeros,
+//! the MMU reserves a page's capacity (untouched) when it hands the page
+//! out and [`release`](PhysicalMemory::release)s its bytes when the last
+//! mapping goes, so the next owner reads zeros too.
 
-use fv_sim::calib::STRIPE_BYTES;
+use std::collections::HashMap;
+use std::fmt;
 
-/// Channel-interleaved backing store.
-#[derive(Debug, Clone)]
+use fv_sim::calib::{PAGE_BYTES, STRIPE_BYTES};
+
+/// Channel-interleaved backing store, resident only where written.
 pub struct PhysicalMemory {
-    channels: Vec<Vec<u8>>,
+    n_channels: usize,
     total_bytes: u64,
+    /// Page number -> the page's bytes below the highest one written.
+    pages: HashMap<u64, Vec<u8>>,
+}
+
+/// The page-contiguous spans of the `len` bytes at `paddr`, in address
+/// order: `(page, offset within it, length)`.
+fn spans(paddr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+    let end = paddr + len as u64;
+    let mut addr = paddr;
+    std::iter::from_fn(move || {
+        (addr < end).then(|| {
+            let (page, off) = (addr / PAGE_BYTES, addr % PAGE_BYTES);
+            let take = (PAGE_BYTES - off).min(end - addr);
+            addr += take;
+            (page, off as usize, take as usize)
+        })
+    })
 }
 
 impl PhysicalMemory {
-    /// Allocate `n_channels` channels of `channel_bytes` each.
+    /// `n_channels` channels of `channel_bytes` each; nothing is
+    /// allocated until something is written.
     ///
     /// # Panics
     /// Panics unless `channel_bytes` is a positive multiple of the stripe
@@ -34,14 +63,15 @@ impl PhysicalMemory {
             "channel size must be a positive multiple of the {STRIPE_BYTES}-byte stripe"
         );
         PhysicalMemory {
-            channels: vec![vec![0u8; channel_bytes as usize]; n_channels],
+            n_channels,
             total_bytes: channel_bytes * n_channels as u64,
+            pages: HashMap::new(),
         }
     }
 
     /// Number of channels.
     pub fn channel_count(&self) -> usize {
-        self.channels.len()
+        self.n_channels
     }
 
     /// Total capacity across channels.
@@ -51,86 +81,104 @@ impl PhysicalMemory {
 
     /// Which channel serves physical address `paddr`.
     pub fn channel_of(&self, paddr: u64) -> usize {
-        ((paddr / STRIPE_BYTES) % self.channels.len() as u64) as usize
+        ((paddr / STRIPE_BYTES) % self.n_channels as u64) as usize
     }
 
-    /// `(channel, offset_within_channel)` for `paddr`.
-    fn locate(&self, paddr: u64) -> (usize, usize) {
-        let n = self.channels.len() as u64;
-        let stripe = paddr / STRIPE_BYTES;
-        let channel = (stripe % n) as usize;
-        let in_chan = (stripe / n) * STRIPE_BYTES + paddr % STRIPE_BYTES;
-        (channel, in_chan as usize)
+    /// Bytes the host holds for this memory: the written extent of every
+    /// page, not the capacity reserved beyond it.
+    pub fn resident_bytes(&self) -> u64 {
+        self.pages.values().map(|p| p.len() as u64).sum()
     }
 
-    /// The stripe-contiguous pieces of the `len` bytes at `paddr`, in
-    /// address order.
-    ///
-    /// # Panics
-    /// Panics on out-of-range physical addresses (physical ranges are
-    /// validated by the MMU before they get here; a violation is a bug).
-    fn pieces(&self, paddr: u64, len: usize) -> impl Iterator<Item = &[u8]> {
+    /// Physical ranges are validated by the MMU before they get here; a
+    /// violation is a bug.
+    fn check_range(&self, what: &str, paddr: u64, len: usize) {
         assert!(
             paddr + len as u64 <= self.total_bytes,
-            "physical read past end of memory"
+            "physical {what} past end of memory"
         );
-        let mut addr = paddr;
-        let end = paddr + len as u64;
-        std::iter::from_fn(move || {
-            if addr == end {
-                return None;
-            }
-            let (ch, off) = self.locate(addr);
-            let take = (STRIPE_BYTES - addr % STRIPE_BYTES).min(end - addr) as usize;
-            addr += take as u64;
-            Some(&self.channels[ch][off..off + take])
-        })
     }
 
-    /// Read `out.len()` bytes starting at `paddr`, crossing stripes as
-    /// needed.
+    /// The written bytes of the span at `off` in `page`: at most `take`
+    /// of them, the rest of the span reads as zeros.
+    fn written(&self, page: u64, off: usize, take: usize) -> &[u8] {
+        let bytes = self.pages.get(&page).map(Vec::as_slice).unwrap_or_default();
+        bytes.get(off..bytes.len().min(off + take)).unwrap_or(&[])
+    }
+
+    /// Read `out.len()` bytes starting at `paddr`.
     ///
     /// # Panics
     /// Panics on out-of-range physical addresses.
     pub fn read(&self, paddr: u64, out: &mut [u8]) {
-        let mut done = 0usize;
-        for piece in self.pieces(paddr, out.len()) {
-            out[done..done + piece.len()].copy_from_slice(piece);
-            done += piece.len();
+        self.check_range("read", paddr, out.len());
+        let mut rest = out;
+        for (page, off, take) in spans(paddr, rest.len()) {
+            let (span, tail) = rest.split_at_mut(take);
+            let written = self.written(page, off, take);
+            let (head, zeros) = span.split_at_mut(written.len());
+            head.copy_from_slice(written);
+            zeros.fill(0);
+            rest = tail;
         }
     }
 
-    /// Append the `len` bytes starting at `paddr` to `out`, crossing
-    /// stripes as needed — a read that writes each byte of a fresh
-    /// buffer once, where [`PhysicalMemory::read`] needs it zeroed first.
+    /// Append the `len` bytes starting at `paddr` to `out` — a read that
+    /// writes each byte of a fresh buffer once, where
+    /// [`PhysicalMemory::read`] needs it allocated first.
     ///
     /// # Panics
     /// Panics on out-of-range physical addresses.
     pub fn read_append(&self, paddr: u64, len: usize, out: &mut Vec<u8>) {
-        for piece in self.pieces(paddr, len) {
-            out.extend_from_slice(piece);
+        self.check_range("read", paddr, len);
+        for (page, off, take) in spans(paddr, len) {
+            let end = out.len() + take;
+            out.extend_from_slice(self.written(page, off, take));
+            out.resize(end, 0);
         }
     }
 
-    /// Write `data` starting at `paddr`.
+    /// Write `data` starting at `paddr`, allocating the pages it lands
+    /// on as far as it reaches.
     ///
     /// # Panics
     /// Panics on out-of-range physical addresses.
     pub fn write(&mut self, paddr: u64, data: &[u8]) {
-        assert!(
-            paddr + data.len() as u64 <= self.total_bytes,
-            "physical write past end of memory"
-        );
-        let mut addr = paddr;
-        let mut done = 0usize;
-        while done < data.len() {
-            let (ch, off) = self.locate(addr);
-            let stripe_left = (STRIPE_BYTES - addr % STRIPE_BYTES) as usize;
-            let take = stripe_left.min(data.len() - done);
-            self.channels[ch][off..off + take].copy_from_slice(&data[done..done + take]);
-            addr += take as u64;
-            done += take;
+        self.check_range("write", paddr, data.len());
+        let mut rest = data;
+        for (page, off, take) in spans(paddr, data.len()) {
+            let (span, tail) = rest.split_at(take);
+            let bytes = self.pages.entry(page).or_default();
+            if bytes.len() < off {
+                bytes.resize(off, 0);
+            }
+            let (over, fresh) = span.split_at(take.min(bytes.len() - off));
+            bytes[off..off + over.len()].copy_from_slice(over);
+            bytes.extend_from_slice(fresh);
+            rest = tail;
         }
+    }
+
+    /// Set aside room for the first `bytes` of `page` without touching
+    /// it, so writes filling it piecewise never move what is there.
+    pub(crate) fn reserve(&mut self, page: u64, bytes: usize) {
+        self.pages.entry(page).or_default().reserve_exact(bytes);
+    }
+
+    /// Drop everything `page` holds; it reads as zeros again.
+    pub fn release(&mut self, page: u64) {
+        self.pages.remove(&page);
+    }
+}
+
+impl fmt::Debug for PhysicalMemory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PhysicalMemory")
+            .field("n_channels", &self.n_channels)
+            .field("total_bytes", &self.total_bytes)
+            .field("resident_pages", &self.pages.len())
+            .field("resident_bytes", &self.resident_bytes())
+            .finish()
     }
 }
 
@@ -185,6 +233,33 @@ mod tests {
         let m = PhysicalMemory::new(1, STRIPE_BYTES);
         let mut buf = [0u8; 2];
         m.read(STRIPE_BYTES - 1, &mut buf);
+    }
+
+    #[test]
+    #[should_panic(expected = "past end")]
+    fn oob_write_panics() {
+        let mut m = PhysicalMemory::new(1, STRIPE_BYTES);
+        m.write(STRIPE_BYTES - 1, &[0u8; 2]);
+    }
+
+    #[test]
+    fn resident_only_where_written_and_zero_once_released() {
+        // The paper's node: nothing is resident until something is written.
+        let mut m = PhysicalMemory::new(2, 16 << 30);
+        m.reserve(9, PAGE_BYTES as usize);
+        assert_eq!(m.resident_bytes(), 0, "reserved capacity is untouched");
+        let at = 9 * PAGE_BYTES + 100;
+        m.write(at, &[7u8; 50]);
+        assert_eq!(m.resident_bytes(), 150, "the page's extent: zeros below");
+        let mut back = [1u8; 60];
+        m.read(at - 5, &mut back);
+        assert_eq!(back[..5], [0u8; 5]);
+        assert_eq!(back[5..55], [7u8; 50]);
+        assert_eq!(back[55..], [0u8; 5], "past the extent reads as zeros");
+        m.release(9);
+        m.read(at - 5, &mut back);
+        assert_eq!((back, m.resident_bytes()), ([0u8; 60], 0));
+        assert!(format!("{m:?}").len() < 200, "Debug is a summary");
     }
 
     #[test]

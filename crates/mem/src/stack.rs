@@ -12,9 +12,10 @@
 //! allocated memory can also be shared between different queue pairs",
 //! §4.3) maps the same physical pages into a second domain, with
 //! reference counting so pages return to the pool only after the last
-//! unmap.
+//! unmap — and zeroed: their bytes are dropped with that mapping.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use fv_sim::calib::{MEM_BURST_BYTES, PAGE_BYTES, STRIPE_BYTES, TLB_ENTRIES};
 
@@ -78,9 +79,9 @@ pub struct MemoryStack {
     phys: PhysicalMemory,
     domains: HashMap<DomainId, Domain>,
     next_domain: DomainId,
-    /// Free physical page numbers, kept descending so `pop` hands out
-    /// ascending page numbers (deterministic layout).
-    free_pages: Vec<u64>,
+    /// Free physical page numbers; `pop` hands out the lowest one
+    /// (deterministic layout).
+    free_pages: BinaryHeap<Reverse<u64>>,
     /// Physical page -> number of domains mapping it.
     page_refs: HashMap<u64, u32>,
     tlb: Tlb,
@@ -99,7 +100,7 @@ impl MemoryStack {
         let phys = PhysicalMemory::new(n_channels, channel_bytes);
         let total_pages = phys.total_bytes() / PAGE_BYTES;
         assert!(total_pages > 0, "memory smaller than one 2 MB page");
-        let free_pages: Vec<u64> = (0..total_pages).rev().collect();
+        let free_pages = (0..total_pages).map(Reverse).collect();
         MemoryStack {
             phys,
             domains: HashMap::new(),
@@ -118,6 +119,12 @@ impl MemoryStack {
     /// Free pages remaining in the pool.
     pub fn free_page_count(&self) -> u64 {
         self.free_pages.len() as u64
+    }
+
+    /// Bytes of host memory the node's DRAM occupies: what was written
+    /// to pages still mapped somewhere.
+    pub fn resident_bytes(&self) -> u64 {
+        self.phys.resident_bytes()
     }
 
     /// Create a new protection domain (one per connection/region).
@@ -157,9 +164,9 @@ impl MemoryStack {
         *refs -= 1;
         if *refs == 0 {
             self.page_refs.remove(&ppage);
-            self.free_pages.push(ppage);
-            // Keep handing out ascending pages deterministically.
-            self.free_pages.sort_unstable_by(|a, b| b.cmp(a));
+            // The next owner must read zeros, not this one's bytes.
+            self.phys.release(ppage);
+            self.free_pages.push(Reverse(ppage));
         }
     }
 
@@ -186,10 +193,12 @@ impl MemoryStack {
             });
         }
         let ppages: Vec<u64> = (0..pages)
-            .map(|_| self.free_pages.pop().expect("count checked"))
+            .map(|_| self.free_pages.pop().expect("count checked").0)
             .collect();
-        for &p in &ppages {
+        for (i, &p) in ppages.iter().enumerate() {
             *self.page_refs.entry(p).or_insert(0) += 1;
+            let in_page = (bytes - i as u64 * PAGE_BYTES).min(PAGE_BYTES);
+            self.phys.reserve(p, in_page as usize);
         }
         let d = self.domains.get_mut(&domain).expect("checked above");
         let vaddr = d.next_vaddr;
@@ -494,6 +503,81 @@ mod tests {
         assert_eq!(m.free_page_count(), before);
     }
 
+    /// §4.4 isolation across time: a page returned to the pool comes
+    /// back zeroed, whichever domain gets it next.
+    #[test]
+    fn freed_page_reads_zeros_in_another_domain() {
+        let mut m = stack();
+        let d1 = m.create_domain();
+        let d2 = m.create_domain();
+        let va1 = m.alloc(d1, 64 * 1024).unwrap();
+        m.write(d1, va1, &[0xAB; 64 * 1024]).unwrap();
+        let page = m.translate(d1, va1).unwrap().0 / PAGE_BYTES;
+        m.free(d1, va1).unwrap();
+        let va2 = m.alloc(d2, 64 * 1024).unwrap();
+        assert_eq!(m.translate(d2, va2).unwrap().0 / PAGE_BYTES, page);
+        assert_eq!(m.read(d2, va2, 64 * 1024).unwrap(), vec![0u8; 64 * 1024]);
+    }
+
+    #[test]
+    fn shared_page_keeps_its_bytes_after_the_owner_frees() {
+        let mut m = stack();
+        let d1 = m.create_domain();
+        let d2 = m.create_domain();
+        let va1 = m.alloc(d1, 4096).unwrap();
+        m.write(d1, va1, b"still mapped").unwrap();
+        let va2 = m.share(d1, va1, d2).unwrap();
+        m.free(d1, va1).unwrap();
+        assert_eq!(m.read(d2, va2, 12).unwrap(), b"still mapped");
+        assert_eq!(m.resident_bytes(), 12);
+        m.free(d2, va2).unwrap();
+        assert_eq!(m.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn resident_bytes_is_what_was_written_to_mapped_pages() {
+        let mut m = stack();
+        let d = m.create_domain();
+        let a = m.alloc(d, 3 * PAGE_BYTES).unwrap();
+        let b = m.alloc(d, 100).unwrap();
+        assert_eq!(m.resident_bytes(), 0, "allocation alone touches nothing");
+        m.write(d, a, &vec![1u8; (PAGE_BYTES + 5000) as usize])
+            .unwrap();
+        m.write(d, b, &[2u8; 100]).unwrap();
+        assert_eq!(m.resident_bytes(), PAGE_BYTES + 5000 + 100);
+        m.free(d, a).unwrap();
+        assert_eq!(m.resident_bytes(), 100);
+        m.destroy_domain(d).unwrap();
+        assert_eq!(m.resident_bytes(), 0);
+    }
+
+    /// Placement feeds burst channels and the TLB, so the hand-out order
+    /// is simulated behaviour: always the lowest free page.
+    #[test]
+    fn pages_are_handed_out_lowest_first() {
+        let mut m = stack();
+        let d = m.create_domain();
+        let pages_of = |m: &mut MemoryStack, bytes: u64| {
+            let va = m.alloc(d, bytes).unwrap();
+            let pages: Vec<u64> = (0..crate::pages_for(bytes))
+                .map(|i| m.translate(d, va + i * PAGE_BYTES).unwrap().0 / PAGE_BYTES)
+                .collect();
+            (va, pages)
+        };
+        let (a, pa) = pages_of(&mut m, 3 * PAGE_BYTES);
+        let (b, pb) = pages_of(&mut m, 1);
+        let (_c, pc) = pages_of(&mut m, 2 * PAGE_BYTES);
+        assert_eq!((pa, pb, pc), (vec![0, 1, 2], vec![3], vec![4, 5]));
+        m.free(d, b).unwrap();
+        m.free(d, a).unwrap();
+        // Holes 0-3 refill in ascending order before fresh page 6.
+        let (e, pe) = pages_of(&mut m, 2 * PAGE_BYTES);
+        let (_f, pf) = pages_of(&mut m, 3 * PAGE_BYTES);
+        assert_eq!((pe, pf), (vec![0, 1], vec![2, 3, 6]));
+        m.free(d, e).unwrap();
+        assert_eq!(pages_of(&mut m, 3 * PAGE_BYTES).1, vec![0, 1, 7]);
+    }
+
     #[test]
     fn out_of_memory_reported() {
         let mut m = MemoryStack::new(1, 4 * 1024 * 1024); // 2 pages
@@ -520,8 +604,6 @@ mod tests {
 
     #[test]
     fn bounds_check_finds_the_containing_allocation_among_many() {
-        // One channel: a single lazily zeroed backing buffer, so the
-        // 1 000 pages cost only the few this test touches.
         let mut m = MemoryStack::new(1, 1000 * PAGE_BYTES);
         let d = m.create_domain();
         let allocs: Vec<VirtAddr> = (0..1000).map(|_| m.alloc(d, 100).unwrap()).collect();

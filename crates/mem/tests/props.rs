@@ -1,13 +1,28 @@
 //! Property tests for the memory stack: burst plans, striping balance,
-//! write/read through arbitrary offsets.
+//! write/read through arbitrary offsets, and the sparse physical store
+//! against a flat model.
 
 use proptest::prelude::*;
 
-use fv_mem::MemoryStack;
-use fv_sim::calib::{MEM_BURST_BYTES, STRIPE_BYTES};
+use fv_mem::{MemoryStack, PhysicalMemory};
+use fv_sim::calib::{MEM_BURST_BYTES, PAGE_BYTES, STRIPE_BYTES};
 
 fn stack(channels: usize) -> MemoryStack {
     MemoryStack::new(channels, 32 * 1024 * 1024)
+}
+
+/// Pages in the store the flat-model property runs against.
+const PHYS_PAGES: u64 = 3;
+
+/// Mostly short accesses, some longer than a stripe, a few longer than
+/// an MMU page.
+fn phys_len() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..600,
+        0u64..600,
+        0u64..3 * STRIPE_BYTES,
+        PAGE_BYTES - 100..PAGE_BYTES + 5_000,
+    ]
 }
 
 proptest! {
@@ -70,5 +85,63 @@ proptest! {
         }
         let back = m.read(d, va, 1 << 20).unwrap();
         prop_assert_eq!(back, shadow);
+    }
+
+    /// The sparse store is indistinguishable from a flat zero-initialised
+    /// array: writes, both reads and page releases at unaligned offsets
+    /// and lengths straddling stripes and MMU pages, with never-written
+    /// and released ranges reading zero, and `resident_bytes` equal to
+    /// each page's written extent.
+    #[test]
+    fn sparse_store_equals_a_flat_array(
+        ops in prop::collection::vec(
+            ((0u8..8, 0u64..=PHYS_PAGES, 0u64..=2, 0u64..300), phys_len(), any::<u8>()),
+            1..40,
+        ),
+    ) {
+        let total = PHYS_PAGES * PAGE_BYTES;
+        let mut m = PhysicalMemory::new(2, total / 2);
+        let mut flat = vec![0u8; total as usize];
+        let mut extent = [0u64; PHYS_PAGES as usize];
+        for &((kind, page, stripe, back), len, fill) in &ops {
+            // Just below a page or stripe boundary, clipped to the end.
+            let at = (page * PAGE_BYTES + stripe * STRIPE_BYTES).saturating_sub(back).min(total);
+            let len = len.min(total - at) as usize;
+            let model = at as usize..at as usize + len;
+            match kind {
+                0..=3 => {
+                    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8) | 1).collect();
+                    m.write(at, &data);
+                    flat[model].copy_from_slice(&data);
+                    for p in at / PAGE_BYTES..(at + len as u64).div_ceil(PAGE_BYTES) {
+                        let end = (at + len as u64).min((p + 1) * PAGE_BYTES) - p * PAGE_BYTES;
+                        let seen = &mut extent[p as usize];
+                        *seen = end.max(*seen);
+                    }
+                }
+                4 | 5 => {
+                    // Prefilled, so zeros that are not written show.
+                    let mut out = vec![0xEEu8; len];
+                    m.read(at, &mut out);
+                    prop_assert_eq!(&out[..], &flat[model]);
+                }
+                6 => {
+                    let mut out = vec![0xEEu8; 3];
+                    m.read_append(at, len, &mut out);
+                    prop_assert_eq!(&out[..3], &[0xEE; 3][..]);
+                    prop_assert_eq!(&out[3..], &flat[model]);
+                }
+                _ => {
+                    let p = page.min(PHYS_PAGES - 1);
+                    m.release(p);
+                    flat[(p * PAGE_BYTES) as usize..((p + 1) * PAGE_BYTES) as usize].fill(0);
+                    extent[p as usize] = 0;
+                }
+            }
+            prop_assert_eq!(m.resident_bytes(), extent.iter().sum::<u64>());
+        }
+        let mut all = Vec::new();
+        m.read_append(0, total as usize, &mut all);
+        prop_assert!(all == flat, "whole-memory image differs from the flat model");
     }
 }

@@ -5,6 +5,10 @@
 # its stdout with a single JSON object that says the results were
 # correct and nothing failed — the line the driver parses. (`fvbench
 # run --smoke` goes through `run`, which never prints that line.)
+# An untraced pass (the one that reports `peak_rss_mib`) must also stay
+# under 64 MiB: node memory is resident only where written and every
+# workload peaks below 20 MiB, so more means someone allocates a node's
+# capacity eagerly again.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -27,6 +31,12 @@ is_result_line() {
     esac
 }
 
+# Whole MiB of the line's `peak_rss_mib`; empty if it has none.
+peak_rss_mib() {
+    rss=${1#*'"peak_rss_mib":{"value":'}
+    printf '%s' "${rss%%[!0-9]*}"
+}
+
 for workload in scan_wire agg_batch serve_fleet tier_churn; do
     for trace in 0 1; do
         what="bench --workload $workload --seed 1 --seconds 2 --trace $trace"
@@ -41,6 +51,13 @@ for workload in scan_wire agg_batch serve_fleet tier_churn; do
             printf '%s\n' "$last" | cut -c1-300 >&2
             exit 1
         }
+        if [ "$trace" = 0 ]; then
+            rss=$(peak_rss_mib "$last")
+            [ "${rss:-64}" -lt 64 ] || {
+                echo "bench-contract: '$what' peaked at ${rss:-?} MiB of RSS (limit 64)" >&2
+                exit 1
+            }
+        fi
         echo "bench-contract: ok  $what"
     done
 done
