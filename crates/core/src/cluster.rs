@@ -17,7 +17,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use fv_data::{Catalog, CatalogEntry, ColumnImage, Row, Schema, Table, Value};
-use fv_mem::{DomainId, MemoryStack, VirtAddr};
+use fv_mem::{DomainId, MemoryStack, PageView, VirtAddr};
 use fv_pipeline::{AggSpec, CompiledPipeline, CryptoSpec, PipelineSpec, PredicateExpr};
 use fv_sim::calib::CPU_DEDUP_NS;
 use fv_sim::SimDuration;
@@ -292,9 +292,9 @@ impl Inner {
 #[derive(Default)]
 struct Staged {
     queries: Vec<PreparedQuery>,
-    /// Per query, the table image it streams (`None` under smart
-    /// addressing: the query gathered its own bytes from the image).
-    images: Vec<Option<Arc<Vec<u8>>>>,
+    /// Per query, the view of node pages it streams (`None` under smart
+    /// addressing: the query gathered its own bytes from the view).
+    views: Vec<Option<PageView>>,
     /// Per query, `(output schema, reconfigured)`.
     metas: Vec<(Schema, bool)>,
 }
@@ -307,11 +307,12 @@ impl Staged {
     /// stack's on the table's first touch — before this query changes
     /// any region state.
     ///
-    /// `image` is the table's bytes once some query of the submission
-    /// has read them: every query over the same table streams that one
-    /// copy. Bursts are still planned per query — TLB hits and misses
-    /// are simulated state — and a repeated read would only have
-    /// re-touched, in the same order, the pages the plan just did.
+    /// No table is copied: the query streams a [`PageView`] of the node
+    /// pages that hold it, and `view` is that view once some query of
+    /// the submission has taken it, so every query over the same table
+    /// shares it. Bursts are still planned per query — TLB hits and
+    /// misses are simulated state — and a repeated view would only have
+    /// re-translated, in the same order, the pages the plan just did.
     fn stage(
         &mut self,
         inner: &mut Inner,
@@ -319,32 +320,37 @@ impl Staged {
         ft: &FTable,
         pipeline: CompiledPipeline,
         stream: u32,
-        image: &mut Option<Arc<Vec<u8>>>,
+        view: &mut Option<PageView>,
     ) -> Result<(), FvError> {
         let slot = inner.slot_of(qpair.qp).ok_or(FvError::Disconnected)?;
         let bytes = ft.byte_len();
-        let mut table = |inner: &mut Inner| -> Result<Arc<Vec<u8>>, FvError> {
-            if let Some(read) = image.as_ref() {
-                return Ok(Arc::clone(read));
+        let mut table = |inner: &mut Inner| -> Result<PageView, FvError> {
+            if let Some(taken) = view.as_ref() {
+                return Ok(taken.clone());
             }
-            let read = Arc::new(inner.mem.read(qpair.domain, ft.vaddr, bytes)?);
-            Ok(Arc::clone(image.insert(read)))
+            let taken = inner.mem.view(qpair.domain, ft.vaddr, bytes)?;
+            Ok(view.insert(taken).clone())
         };
         let (bursts, data, sa_tuples) = if let Some(sa) = pipeline.smart_addressing() {
-            // Smart addressing: gather only the projected bytes, per tuple.
+            // Smart addressing: gather only the projected bytes, per
+            // tuple, from the pages in place; only a row straddling a
+            // page is stitched first.
             let table = table(inner)?;
             let mut gathered = Vec::with_capacity(ft.rows * sa.bytes_per_tuple);
+            let mut straddler = Vec::new();
             for r in 0..ft.rows {
-                sa.gather(&table, r * sa.row_bytes, &mut gathered);
+                let at = r * sa.row_bytes;
+                let row = table.contiguous(at..at + sa.row_bytes, &mut straddler);
+                sa.gather(row, 0, &mut gathered);
             }
-            self.images.push(None);
+            self.views.push(None);
             (Vec::new(), gathered, Some(ft.rows as u64))
         } else if bytes == 0 {
-            self.images.push(None);
+            self.views.push(None);
             (Vec::new(), Vec::new(), None)
         } else {
             let bursts = inner.mem.plan_bursts(qpair.domain, ft.vaddr, bytes)?;
-            self.images.push(Some(table(inner)?));
+            self.views.push(Some(table(inner)?));
             (bursts, Vec::new(), None)
         };
 
@@ -375,7 +381,7 @@ impl Staged {
 
     /// The staged queries as one doorbell batch, and their metas.
     fn into_batch(self) -> (episode::BatchRun, Vec<(Schema, bool)>) {
-        let batch = episode::BatchRun::over_images(self.queries, self.images);
+        let batch = episode::BatchRun::over_views(self.queries, self.views);
         (batch, self.metas)
     }
 }
@@ -808,21 +814,23 @@ impl QPair {
         // The episode is a pure computation over the staged queries:
         // the node lock is released before it runs, so parallel
         // fleet-scatter workers whose shards co-locate on this node
-        // simulate concurrently — and only the batch holds the image.
+        // simulate concurrently — and a write landing meanwhile copies
+        // the page it writes, leaving the batch the bytes it was staged
+        // over.
         let (batch, metas, config) = {
             let mut inner = self.inner.lock();
             let mut staged = Staged::default();
-            let mut image = None;
-            let mut imaged = None;
+            let mut view = None;
+            let mut viewed = None;
             for (i, (ft, pipeline)) in work.enumerate() {
                 let ft = ft.borrow();
                 let named = Some((ft.vaddr, ft.byte_len()));
-                if named != imaged {
-                    (image, imaged) = (None, named);
+                if named != viewed {
+                    (view, viewed) = (None, named);
                 }
                 // Each WQE's response is its own stream on the shared flow.
                 let stream = (self.qp << QP_STREAM_BITS) | i as u32;
-                staged.stage(&mut inner, self, ft, pipeline, stream, &mut image)?;
+                staged.stage(&mut inner, self, ft, pipeline, stream, &mut view)?;
             }
             let (batch, metas) = staged.into_batch();
             (batch, metas, inner.config.clone())
@@ -998,6 +1006,7 @@ impl Drop for QPair {
 mod tests {
     use super::*;
     use fv_data::{TableBuilder, Value};
+    use fv_sim::calib::PAGE_BYTES;
 
     fn make_table(rows: u64) -> Table {
         let schema = Schema::uniform_u64(8);
@@ -1280,12 +1289,40 @@ mod tests {
         assert_eq!(c.reconfigurations(), 2);
     }
 
-    /// One doorbell batch reads its table once: the queries that stream
-    /// the table share one image, a smart-addressing query gathers its
-    /// own bytes from it. The image lives as long as the batch — a write
-    /// after the batch returns is what the next query reads.
+    /// Stage `specs` over `ft` as one batch on `qp`, without running it;
+    /// also the view the batch took of the table.
+    fn stage(qp: &QPair, ft: &FTable, specs: &[PipelineSpec]) -> (Staged, Option<PageView>) {
+        let (mut staged, mut view) = (Staged::default(), None);
+        let mut inner = qp.inner.lock();
+        for (i, spec) in specs.iter().enumerate() {
+            let pipeline = CompiledPipeline::compile(spec.clone(), &ft.schema).unwrap();
+            staged
+                .stage(&mut inner, qp, ft, pipeline, i as u32, &mut view)
+                .unwrap();
+        }
+        (staged, view)
+    }
+
+    /// Run a staged batch; its first query's payload.
+    fn run_staged(c: &FarviewCluster, staged: Staged) -> Vec<u8> {
+        let config = c.inner.lock().config.clone();
+        let (batch, _) = staged.into_batch();
+        let mut results = episode::run_batched_episodes(vec![batch], &config).unwrap();
+        results.remove(0).remove(0).payload
+    }
+
+    /// Where a view's first byte lives.
+    fn first_byte(view: &PageView) -> Option<*const u8> {
+        view.slices(0..1).next().map(<[u8]>::as_ptr)
+    }
+
+    /// One doorbell batch takes one view of its table and copies
+    /// nothing: the queries that stream the table share the view — the
+    /// node's page itself — and a smart-addressing query gathers its own
+    /// bytes from it. A write after the batch returns is what the next
+    /// query reads.
     #[test]
-    fn a_batch_shares_one_table_image() {
+    fn a_batch_streams_one_view_of_its_table() {
         let c = cluster();
         let qp = c.connect().unwrap();
         let t = make_table(64);
@@ -1297,26 +1334,23 @@ mod tests {
                 .with_smart_addressing(),
             PipelineSpec::passthrough().distinct(vec![0]),
         ];
-        let mut staged = Staged::default();
-        let mut image = None;
-        {
-            let mut inner = qp.inner.lock();
-            for (i, spec) in specs.iter().enumerate() {
-                let pipeline = CompiledPipeline::compile(spec.clone(), &ft.schema).unwrap();
-                staged
-                    .stage(&mut inner, &qp, &ft, pipeline, i as u32, &mut image)
-                    .unwrap();
-            }
-        }
-        let image = image.expect("the batch read its table");
-        assert_eq!(*image, t.bytes());
-        match staged.images.as_slice() {
+        let (staged, view) = stage(&qp, &ft, &specs);
+        let view = view.expect("the batch viewed its table");
+        assert_eq!(view.to_vec(), t.bytes());
+        let page = c.inner.lock().mem.view(qp.domain, ft.vaddr, 1).unwrap();
+        assert_eq!(
+            first_byte(&view),
+            first_byte(&page),
+            "the node's page, not a copy"
+        );
+        match staged.views.as_slice() {
             [Some(read), None, Some(distinct)] => {
-                assert!(Arc::ptr_eq(read, &image) && Arc::ptr_eq(distinct, &image));
+                assert_eq!(first_byte(read), first_byte(&view));
+                assert_eq!(first_byte(distinct), first_byte(&view));
             }
             other => panic!("plain, smart-addressing, plain: {other:?}"),
         }
-        assert!(staged.queries[0].data.is_empty(), "the image is the data");
+        assert!(staged.queries[0].data.is_empty(), "the view is the data");
         assert_eq!(staged.queries[1].data.len(), 64 * 16, "gathered bytes");
 
         // Through the public verb: a batch, a write, a query.
@@ -1326,6 +1360,55 @@ mod tests {
         let rewritten = &rewritten.bytes()[64 * 64..];
         qp.table_write(&ft, rewritten).unwrap();
         assert_eq!(qp.table_read(&ft).unwrap().payload, rewritten);
+    }
+
+    /// Copy-on-write at the isolation seams (§4.4). A batch staged but
+    /// not yet run holds a view of its table's pages, as a batch does
+    /// while its episode runs outside the node lock:
+    /// - a write landing meanwhile leaves it the old bytes, while the
+    ///   writer's next query sees the new ones;
+    /// - a free, or the domain's teardown, hands the pages to the
+    ///   next domain zeroed, and nothing that domain writes reaches the
+    ///   view — which is not counted resident once only it holds them.
+    #[test]
+    fn a_held_view_is_a_snapshot_at_every_isolation_seam() {
+        let c = cluster();
+        let a = c.connect().unwrap();
+        let t = make_table(64);
+        let (schema, len) = (t.schema().clone(), t.byte_len());
+        let (ft, _) = a.load_table(&t).unwrap();
+        let read = [PipelineSpec::passthrough()];
+        let ppage = |qp: &QPair, ft: &FTable| {
+            c.inner.lock().mem.translate(qp.domain, ft.vaddr).unwrap().0 / PAGE_BYTES
+        };
+
+        let (before_write, _) = stage(&a, &ft, &read);
+        a.table_write(&ft, &vec![0x5A; len]).unwrap();
+        assert_eq!(a.table_read(&ft).unwrap().payload, vec![0x5A; len]);
+        assert_eq!(
+            run_staged(&c, before_write),
+            t.bytes(),
+            "staged before the write"
+        );
+
+        let (before_free, _) = stage(&a, &ft, &read);
+        let page = ppage(&a, &ft);
+        a.free_table(ft).unwrap();
+        assert_eq!(c.resident_bytes(), 0, "only the view holds the page");
+        let b = c.connect().unwrap();
+        let ftb = b.alloc_table_spec(&schema, 64).unwrap();
+        assert_eq!(ppage(&b, &ftb), page, "the page is handed out again");
+        assert_eq!(b.table_read(&ftb).unwrap().payload, vec![0; len]);
+        b.table_write(&ftb, &vec![0xC3; len]).unwrap();
+        assert_eq!(run_staged(&c, before_free), vec![0x5A; len]);
+
+        let (before_teardown, _) = stage(&b, &ftb, &read);
+        b.disconnect();
+        let fta = a.alloc_table_spec(&schema, 64).unwrap();
+        assert_eq!(ppage(&a, &fta), page, "and again");
+        assert_eq!(a.table_read(&fta).unwrap().payload, vec![0; len]);
+        a.table_write(&fta, &t.bytes()[..len]).unwrap();
+        assert_eq!(run_staged(&c, before_teardown), vec![0xC3; len]);
     }
 
     #[test]

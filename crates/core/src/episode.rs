@@ -16,11 +16,9 @@
 //! the paper measures it: from the client posting the request until "the
 //! final results are written to the memory of the client machine" (§6.2).
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 
-use fv_mem::BurstReq;
+use fv_mem::{BurstReq, PageView};
 use fv_net::{
     DoorbellBatch, EgressArbiter, LinkTiming, NetError, NicKind, Packet, PacketKind, Reassembly,
 };
@@ -102,8 +100,8 @@ enum Msg {
 struct QueryRun {
     q: PreparedQuery,
     /// The bytes the pipeline consumes, in stream order: the query's own
-    /// `data`, moved here, or the table image its batch shares.
-    data: Arc<Vec<u8>>,
+    /// `data`, moved here, or a view of the node pages holding its table.
+    data: PageView,
     cursor: usize,
     /// Reorder buffer: bursts that completed ahead of stream order
     /// ("data is buffered in queues as it traverses from one stack to
@@ -131,11 +129,11 @@ struct QueryRun {
 }
 
 impl QueryRun {
-    /// A posted query nothing has happened to yet, streaming `image`
-    /// if it was staged over one and its own `data` otherwise.
-    fn new(mut q: PreparedQuery, image: Option<Arc<Vec<u8>>>) -> Self {
+    /// A posted query nothing has happened to yet, streaming `view` if
+    /// it was staged over one and its own `data` otherwise.
+    fn new(mut q: PreparedQuery, view: Option<PageView>) -> Self {
         QueryRun {
-            data: image.unwrap_or_else(|| Arc::new(std::mem::take(&mut q.data))),
+            data: view.unwrap_or_else(|| PageView::from(std::mem::take(&mut q.data))),
             cursor: 0,
             arrived: std::collections::BTreeSet::new(),
             next_feed: 0,
@@ -425,11 +423,14 @@ impl Actor<Msg> for NodeActor {
                     let start = run.cursor;
                     run.cursor += chunk_len;
                     // The pipeline consumes the chunk straight out of
-                    // the staged table image — no per-chunk copy on the
-                    // feed path.
-                    // fv:allow(panic): cursor advances by chunk_len, which
-                    // is clamped to the staged table image's length.
-                    run.q.pipeline.push_bytes(&run.data[start..run.cursor]);
+                    // the node's pages — no copy on the feed path. A
+                    // burst never crosses a page (`plan_bursts` caps it
+                    // there), so this is one slice, or two where it
+                    // straddles the end of the page's written bytes; the
+                    // pipeline frames tuples across them.
+                    for piece in run.data.slices(start..run.cursor) {
+                        run.q.pipeline.push_bytes(piece);
+                    }
                     // The region's pipeline is a shared serialized
                     // resource; vector lanes divide the per-chunk cost.
                     let cost = (chunk_len as u64).div_ceil(run.lanes);
@@ -594,10 +595,10 @@ impl Actor<Msg> for ClientActor {
 pub struct BatchRun {
     /// The batched queries, in WQE post order.
     pub queries: Vec<PreparedQuery>,
-    /// Per query, the table image it streams in place of its own `data`
-    /// — one allocation however many queries of the batch name it.
-    /// Empty when every query carries its own bytes.
-    images: Vec<Option<Arc<Vec<u8>>>>,
+    /// Per query, the view of node pages it streams in place of its own
+    /// `data` — the same pages however many queries of the batch name
+    /// them. Empty when every query carries its own bytes.
+    views: Vec<Option<PageView>>,
 }
 
 impl BatchRun {
@@ -617,32 +618,29 @@ impl BatchRun {
         );
         BatchRun {
             queries,
-            images: Vec::new(),
+            views: Vec::new(),
         }
     }
 
-    /// A batch whose queries were staged over table images: query `i`
-    /// streams `images[i]` when it has one (its `data` is empty then)
-    /// and its own `data` otherwise (smart addressing: the bytes it
+    /// A batch whose queries were staged over node pages: query `i`
+    /// streams `views[i]` when it has one (its `data` is empty then) and
+    /// its own `data` otherwise (smart addressing: the bytes it
     /// gathered). Same preconditions as [`BatchRun::new`].
-    pub(crate) fn over_images(
-        queries: Vec<PreparedQuery>,
-        images: Vec<Option<Arc<Vec<u8>>>>,
-    ) -> Self {
-        debug_assert_eq!(queries.len(), images.len(), "one image slot per query");
+    pub(crate) fn over_views(queries: Vec<PreparedQuery>, views: Vec<Option<PageView>>) -> Self {
+        debug_assert_eq!(queries.len(), views.len(), "one view slot per query");
         BatchRun {
-            images,
+            views,
             ..BatchRun::new(queries)
         }
     }
 
     /// The batch's streams, in post order.
     fn into_runs(self) -> impl Iterator<Item = QueryRun> {
-        let images = self.images.into_iter().chain(std::iter::repeat(None));
+        let views = self.views.into_iter().chain(std::iter::repeat(None));
         self.queries
             .into_iter()
-            .zip(images)
-            .map(|(q, image)| QueryRun::new(q, image))
+            .zip(views)
+            .map(|(q, view)| QueryRun::new(q, view))
     }
 
     /// Queue depth of this batch.
@@ -944,27 +942,35 @@ mod tests {
         }
     }
 
-    /// A batch staged over one image streams that allocation to every
-    /// query that names it — nothing is copied per query — and a query
-    /// with no image streams its own `data`, moved, not copied. Either
-    /// way the results are those of queries carrying their own bytes.
+    /// The first byte a run streams.
+    fn first_byte(run: &QueryRun) -> *const u8 {
+        run.data
+            .slices(0..1)
+            .next()
+            .map_or(std::ptr::null(), <[u8]>::as_ptr)
+    }
+
+    /// A batch staged over one view streams those bytes to every query
+    /// that names it — nothing is copied per query — and a query with no
+    /// view streams its own `data`, moved, not copied. Either way the
+    /// results are those of queries carrying their own bytes.
     #[test]
-    fn queries_of_a_batch_share_their_image() {
+    fn queries_of_a_batch_share_their_view() {
         let cfg = FarviewConfig::tiny();
         let spec = || PipelineSpec::passthrough().distinct(vec![1]);
         let own: Vec<PreparedQuery> = (0..3).map(|i| prepared(i, 0, 64, spec())).collect();
-        let image = Arc::new(own[0].data.clone());
+        let view = PageView::from(own[0].data.clone());
         let mut over: Vec<PreparedQuery> = (0..3).map(|i| prepared(i, 0, 64, spec())).collect();
         over[0].data.clear();
         over[2].data.clear();
         let own_bytes = over[1].data.as_ptr();
-        let images = vec![Some(Arc::clone(&image)), None, Some(Arc::clone(&image))];
+        let views = vec![Some(view.clone()), None, Some(view.clone())];
 
-        let runs: Vec<QueryRun> = BatchRun::over_images(over, images.clone())
-            .into_runs()
-            .collect();
-        assert!(Arc::ptr_eq(&runs[0].data, &image) && Arc::ptr_eq(&runs[2].data, &image));
-        assert_eq!(runs[1].data.as_ptr(), own_bytes, "moved in, not copied");
+        let runs: Vec<QueryRun> = BatchRun::over_views(over, views).into_runs().collect();
+        let shared = view.slices(0..1).next().map(<[u8]>::as_ptr);
+        assert_eq!(Some(first_byte(&runs[0])), shared);
+        assert_eq!(Some(first_byte(&runs[2])), shared);
+        assert_eq!(first_byte(&runs[1]), own_bytes, "moved in, not copied");
         drop(runs);
 
         let over: Vec<PreparedQuery> = (0..3)
@@ -973,14 +979,50 @@ mod tests {
                 ..prepared(i, 0, 64, spec())
             })
             .collect();
-        let images = vec![Some(image); 3];
-        let shared = run_batched_episodes(vec![BatchRun::over_images(over, images)], &cfg).unwrap();
+        let views = vec![Some(view); 3];
+        let shared = run_batched_episodes(vec![BatchRun::over_views(over, views)], &cfg).unwrap();
         let solo = run_batched_episodes(vec![BatchRun::new(own)], &cfg).unwrap();
         for (a, b) in shared.iter().flatten().zip(solo.iter().flatten()) {
             assert_eq!(a.payload, b.payload);
             assert_eq!(a.response_time, b.response_time);
             assert_eq!(a.pipeline, b.pipeline);
         }
+    }
+
+    /// A burst straddling the end of its page's written bytes feeds the
+    /// pipeline two slices — the second from the zero page — under one
+    /// admit: the result, counters and timing are those of the same
+    /// bytes carried whole, though the cut falls mid-tuple.
+    #[test]
+    fn a_burst_straddling_the_written_end_streams_as_two_slices() {
+        let cfg = FarviewConfig::tiny();
+        let spec = || PipelineSpec::passthrough().project(vec![0, 5]);
+        let mut bytes = prepared(1, 0, 64, spec()).data; // one 4 KiB burst
+        bytes[1000..].fill(0);
+        let mut mem = fv_mem::PhysicalMemory::new(1, calib::PAGE_BYTES);
+        mem.write(0, &bytes[..1000]);
+        let view = mem.view(0, bytes.len());
+        assert_eq!(view.slices(0..bytes.len()).count(), 2);
+        let over = PreparedQuery {
+            data: Vec::new(),
+            ..prepared(1, 0, 64, spec())
+        };
+        let viewed = run_batched_episodes(
+            vec![BatchRun::over_views(vec![over], vec![Some(view)])],
+            &cfg,
+        )
+        .unwrap()
+        .remove(0)
+        .remove(0);
+        let carried = PreparedQuery {
+            data: bytes,
+            ..prepared(1, 0, 64, spec())
+        };
+        let carried = run_episode(vec![carried], &cfg).unwrap().remove(0);
+        assert_eq!(viewed.payload, carried.payload);
+        assert_eq!(viewed.pipeline, carried.pipeline);
+        assert_eq!(viewed.response_time, carried.response_time);
+        assert_eq!(viewed.events, carried.events);
     }
 
     #[test]

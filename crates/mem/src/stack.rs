@@ -13,6 +13,12 @@
 //! §4.3) maps the same physical pages into a second domain, with
 //! reference counting so pages return to the pool only after the last
 //! unmap — and zeroed: their bytes are dropped with that mapping.
+//!
+//! Queries read through [`MemoryStack::view`]: the bounds check and
+//! per-page translations of a read, yielding the pages themselves
+//! instead of a copy. Pages are copy-on-write, so a view is a snapshot —
+//! a write, a free or a domain's teardown after it is taken changes
+//! nothing it reads, and the page's next owner still starts from zeros.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -20,7 +26,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use fv_sim::calib::{MEM_BURST_BYTES, PAGE_BYTES, STRIPE_BYTES, TLB_ENTRIES};
 
 use crate::error::MemError;
-use crate::phys::PhysicalMemory;
+use crate::phys::{PageView, PhysicalMemory};
 use crate::tlb::Tlb;
 
 /// Protection-domain id (one per dynamic region / queue pair).
@@ -345,24 +351,40 @@ impl MemoryStack {
         Ok(())
     }
 
-    /// Read `len` bytes at `vaddr` in `domain`.
+    /// The `len` bytes at `vaddr` in `domain` as the pages hold them,
+    /// copying none: a [`PageView`] that keeps reading these bytes
+    /// whatever is written or freed after it is taken. Checks bounds,
+    /// then translates once per page in address order — the TLB sees
+    /// exactly the sequence a read would make it see.
+    pub fn view(
+        &mut self,
+        domain: DomainId,
+        vaddr: VirtAddr,
+        len: u64,
+    ) -> Result<PageView, MemError> {
+        self.check_bounds(domain, vaddr, len)?;
+        let mut view = PageView::default();
+        let mut off = 0u64;
+        while off < len {
+            let va = vaddr + off;
+            let (pa, _) = self.translate(domain, va)?;
+            let take = (PAGE_BYTES - va % PAGE_BYTES).min(len - off);
+            self.phys.extend_view(pa, take as usize, &mut view);
+            off += take;
+        }
+        Ok(view)
+    }
+
+    /// Read `len` bytes at `vaddr` in `domain` into a fresh buffer: a
+    /// copy of [`MemoryStack::view`]'s bytes. Queries stream from the
+    /// view; this is for callers that want the bytes to keep.
     pub fn read(
         &mut self,
         domain: DomainId,
         vaddr: VirtAddr,
         len: u64,
     ) -> Result<Vec<u8>, MemError> {
-        self.check_bounds(domain, vaddr, len)?;
-        let len = len as usize;
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
-            let va = vaddr + out.len() as u64;
-            let (pa, _) = self.translate(domain, va)?;
-            let page_left = (PAGE_BYTES - va % PAGE_BYTES) as usize;
-            let take = page_left.min(len - out.len());
-            self.phys.read_append(pa, take, &mut out);
-        }
-        Ok(out)
+        Ok(self.view(domain, vaddr, len)?.to_vec())
     }
 
     /// Plan the channel bursts for a streaming read of `len` bytes at
@@ -532,6 +554,40 @@ mod tests {
         assert_eq!(m.resident_bytes(), 12);
         m.free(d2, va2).unwrap();
         assert_eq!(m.resident_bytes(), 0);
+    }
+
+    /// A view is a snapshot: the owner's write, its domain's teardown and
+    /// the page going to another domain change nothing it reads,
+    /// while the writer and the next owner each see what they should.
+    /// Taking it moves the TLB exactly as a read does.
+    #[test]
+    fn a_view_outlives_writes_teardown_and_reallocation() {
+        let mut m = stack();
+        let d1 = m.create_domain();
+        let d2 = m.create_domain();
+        let va = m.alloc(d1, 4096).unwrap();
+        m.write(d1, va, &[1; 4096]).unwrap();
+        let page = m.translate(d1, va).unwrap().0 / PAGE_BYTES;
+        let mut twin = stack();
+        let t = twin.create_domain();
+        let tva = twin.alloc(t, 4096).unwrap();
+        twin.write(t, tva, &[1; 4096]).unwrap();
+        twin.translate(t, tva).unwrap();
+        let view = m.view(d1, va + 96, 4000).unwrap();
+        assert_eq!(twin.read(t, tva + 96, 4000).unwrap(), view.to_vec());
+        assert_eq!(m.tlb_stats(), twin.tlb_stats());
+
+        m.write(d1, va + 96, &[2; 100]).unwrap();
+        let written = m.view(d1, va + 96, 100).unwrap();
+        assert_eq!(written.to_vec(), [2; 100]);
+        m.destroy_domain(d1).unwrap();
+        let vb = m.alloc(d2, 4096).unwrap();
+        assert_eq!(m.translate(d2, vb).unwrap().0 / PAGE_BYTES, page);
+        assert_eq!(m.read(d2, vb, 4096).unwrap(), [0; 4096]);
+        m.write(d2, vb, &[3; 10]).unwrap();
+        assert_eq!(view.to_vec(), [1; 4000], "the view kept its bytes");
+        assert_eq!(written.to_vec(), [2; 100], "and so did the later one");
+        assert_eq!(m.resident_bytes(), 10, "a page only a view holds is not");
     }
 
     #[test]

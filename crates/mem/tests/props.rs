@@ -88,14 +88,16 @@ proptest! {
     }
 
     /// The sparse store is indistinguishable from a flat zero-initialised
-    /// array: writes, both reads and page releases at unaligned offsets
-    /// and lengths straddling stripes and MMU pages, with never-written
-    /// and released ranges reading zero, and `resident_bytes` equal to
-    /// each page's written extent.
+    /// array: writes, views and page releases at unaligned offsets and
+    /// lengths straddling stripes and MMU pages, with never-written and
+    /// released ranges reading zero, and `resident_bytes` equal to each
+    /// page's written extent. A view is a snapshot: one held across later
+    /// writes and releases still reads the array as it was when taken,
+    /// and a released page it holds reads zeros to everyone else.
     #[test]
     fn sparse_store_equals_a_flat_array(
         ops in prop::collection::vec(
-            ((0u8..8, 0u64..=PHYS_PAGES, 0u64..=2, 0u64..300), phys_len(), any::<u8>()),
+            ((0u8..9, 0u64..=PHYS_PAGES, 0u64..=2, 0u64..300), phys_len(), any::<u8>()),
             1..40,
         ),
     ) {
@@ -103,6 +105,7 @@ proptest! {
         let mut m = PhysicalMemory::new(2, total / 2);
         let mut flat = vec![0u8; total as usize];
         let mut extent = [0u64; PHYS_PAGES as usize];
+        let mut held = Vec::new();
         for &((kind, page, stripe, back), len, fill) in &ops {
             // Just below a page or stripe boundary, clipped to the end.
             let at = (page * PAGE_BYTES + stripe * STRIPE_BYTES).saturating_sub(back).min(total);
@@ -120,17 +123,18 @@ proptest! {
                     }
                 }
                 4 | 5 => {
-                    // Prefilled, so zeros that are not written show.
-                    let mut out = vec![0xEEu8; len];
-                    m.read(at, &mut out);
-                    prop_assert_eq!(&out[..], &flat[model]);
+                    let view = m.view(at, len);
+                    prop_assert_eq!(view.len(), len);
+                    prop_assert_eq!(&view.to_vec()[..], &flat[model.clone()]);
+                    // One slice, borrowed or stitched, of a sub-range.
+                    let sub = len / 3..len - len / 4;
+                    let mut scratch = Vec::new();
+                    prop_assert_eq!(
+                        view.contiguous(sub.clone(), &mut scratch),
+                        &flat[model][sub]
+                    );
                 }
-                6 => {
-                    let mut out = vec![0xEEu8; 3];
-                    m.read_append(at, len, &mut out);
-                    prop_assert_eq!(&out[..3], &[0xEE; 3][..]);
-                    prop_assert_eq!(&out[3..], &flat[model]);
-                }
+                6 | 7 => held.push((m.view(at, len), flat[model].to_vec())),
                 _ => {
                     let p = page.min(PHYS_PAGES - 1);
                     m.release(p);
@@ -140,8 +144,9 @@ proptest! {
             }
             prop_assert_eq!(m.resident_bytes(), extent.iter().sum::<u64>());
         }
-        let mut all = Vec::new();
-        m.read_append(0, total as usize, &mut all);
-        prop_assert!(all == flat, "whole-memory image differs from the flat model");
+        for (view, then) in &held {
+            prop_assert!(view.to_vec() == *then, "a held view moved");
+        }
+        prop_assert!(m.view(0, total as usize).to_vec() == flat, "whole-memory image differs from the flat model");
     }
 }

@@ -46,6 +46,13 @@ bench-check:
 bench-contract:
     sh scripts/bench-contract.sh
 
+# Alternating A/B pairs of one workload — the base commit against the
+# checkout, each run the literal BENCHMARK.json command on fresh seeds —
+# with each side's median and quartiles and the change's win count.
+# The base is HEAD with uncommitted changes, else HEAD^.
+ab-pairs WORKLOAD PAIRS="10" SECONDS="20":
+    sh scripts/ab-pairs.sh {{WORKLOAD}} {{PAIRS}} {{SECONDS}}
+
 # Simulated behaviour did not move: the fvbench smoke set at seed 5
 # must reproduce the four `sim_digest`s in scripts/sim-digests.seed5.txt
 # (a change that means to move them updates that file in the same diff).

@@ -1,0 +1,154 @@
+#!/bin/sh
+# Alternating A/B pairs of the benchmark: the base commit against the
+# checkout, on one workload.
+#
+#   sh scripts/ab-pairs.sh WORKLOAD [PAIRS] [SECONDS]     (default 10 pairs of 20 s)
+#
+# The base is HEAD when the tracked files have uncommitted changes (the
+# change is the working tree), else HEAD^ (the change is the last
+# commit). Its files are exported with `git archive` into a temporary
+# directory — nothing in this checkout or its .git is touched — and its
+# fvbench is built there (into target/ab-base, kept between invocations
+# so a rebuild is incremental).
+#
+# Every run is the literal BENCHMARK.json command, untraced:
+#   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+#       bench --workload W --seed N --seconds S --trace 0
+# Pair i runs both sides on seed N = T+i, where T is the clock at start,
+# so every invocation uses fresh seeds; each pair prints its seed, which
+# is all a replay of it with the command above needs. The side that goes
+# first alternates from pair to pair.
+#
+# Prints each pair's end-to-end metrics, then per metric each side's
+# median and quartiles, how many pairs the change won (by the metric's
+# direction in BENCHMARK.json), and whether the medians are further
+# apart than the base's inter-quartile distance.
+set -eu
+cd "$(dirname "$0")/.."
+
+[ $# -ge 1 ] || {
+    echo "usage: $0 WORKLOAD [PAIRS] [SECONDS]" >&2
+    exit 2
+}
+workload=$1
+pairs=${2:-10}
+seconds=${3:-20}
+
+# The command below is BENCHMARK.json's; refuse to time a stale copy.
+tr -d ' \n' <BENCHMARK.json | grep -qF \
+    '"command":["cargo","run","--release","--quiet","--manifest-path","benchmark/Cargo.toml","--","bench"]' || {
+    echo "ab-pairs: BENCHMARK.json's command changed; update $0" >&2
+    exit 1
+}
+
+if git diff --quiet HEAD --; then
+    base=HEAD^
+else
+    base=HEAD
+fi
+base_rev=$(git rev-parse --short "$base")
+seed0=$(date +%s)
+base_target="$(pwd)/target/ab-base"
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT INT TERM
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
+
+echo "ab-pairs: $workload, $pairs pairs of ${seconds} s, seeds $seed0+i; base $base ($base_rev) vs the checkout"
+echo "ab-pairs: building both sides' fvbench"
+(cd "$tmp/base" && CARGO_TARGET_DIR="$base_target" \
+    cargo build --release --quiet --manifest-path benchmark/Cargo.toml)
+cargo build --release --quiet --manifest-path benchmark/Cargo.toml
+
+metrics="setup_s round_p50_us round_p99_us scan_mib_per_s peak_rss_mib sim_us_per_query sim_events_per_query"
+
+# One run of side $1 ("base" or "change") on seed $2: its metrics on
+# one line, "side seed name=value ...", appended to $tmp/runs.
+run() {
+    if [ "$1" = base ]; then
+        last=$(cd "$tmp/base" && CARGO_TARGET_DIR="$base_target" \
+            cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+            bench --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
+    else
+        last=$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+            bench --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
+    fi
+    case "$last" in
+    *'"correct":true'*'"failed":0'*) ;;
+    *)
+        echo "ab-pairs: $1 on seed $2 was not correct and failure-free:" >&2
+        printf '%s\n' "$last" | cut -c1-300 >&2
+        exit 1
+        ;;
+    esac
+    line="$1 $2"
+    for m in $metrics; do
+        v=$(printf '%s\n' "$last" | sed -n "s/.*\"$m\":{\"value\":\([^,}]*\).*/\1/p")
+        line="$line $m=${v:-nan}"
+    done
+    echo "$line" >>"$tmp/runs"
+    echo "  $line"
+}
+
+i=1
+while [ "$i" -le "$pairs" ]; do
+    seed=$((seed0 + i))
+    if [ $((i % 2)) -eq 1 ]; then
+        first=base second=change
+    else
+        first=change second=base
+    fi
+    echo "pair $i (seed $seed, $first first)"
+    run "$first" "$seed"
+    run "$second" "$seed"
+    i=$((i + 1))
+done
+
+# Per metric: both sides' median [q1, q3] (linear interpolation), the
+# pairs the change won and tied, and whether the medians clear the
+# base's IQR.
+awk -v metrics="$metrics" '
+function quantile(a, n, p,    pos, lo) {
+    pos = (n - 1) * p
+    lo = int(pos)
+    return lo + 1 < n ? a[lo] + (pos - lo) * (a[lo + 1] - a[lo]) : a[lo]
+}
+function sorted(src, n, dst,    i, j, t) {
+    for (i = 0; i < n; i++) dst[i] = src[i]
+    for (i = 1; i < n; i++)
+        for (j = i; j > 0 && dst[j - 1] > dst[j]; j--) {
+            t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t
+        }
+}
+{
+    side = $1; seed = $2
+    for (f = 3; f <= NF; f++) {
+        split($f, kv, "=")
+        val[side, seed, kv[1]] = kv[2] + 0
+    }
+    if (side == "base") seeds[nseeds++] = seed
+}
+END {
+    nm = split(metrics, names, " ")
+    printf "%-22s %-34s %-34s %-9s %s\n", "metric", "base median [q1, q3]", "change median [q1, q3]", "won/tied", "gap > base IQR"
+    for (k = 1; k <= nm; k++) {
+        m = names[k]
+        higher = (m == "scan_mib_per_s")
+        n = 0; wins = 0; ties = 0
+        for (s = 0; s < nseeds; s++) {
+            b[n] = val["base", seeds[s], m]; c[n] = val["change", seeds[s], m]
+            if (higher ? c[n] > b[n] : c[n] < b[n]) wins++
+            if (c[n] == b[n]) ties++
+            n++
+        }
+        sorted(b, n, bs); sorted(c, n, cs)
+        bm = quantile(bs, n, 0.5); cm = quantile(cs, n, 0.5)
+        iqr = quantile(bs, n, 0.75) - quantile(bs, n, 0.25)
+        gap = cm - bm; if (gap < 0) gap = -gap
+        printf "%-22s %10.4g [%10.4g, %10.4g] %10.4g [%10.4g, %10.4g] %2d/%2d/%-2d %s (%+.1f%%)\n", m,
+            bm, quantile(bs, n, 0.25), quantile(bs, n, 0.75),
+            cm, quantile(cs, n, 0.25), quantile(cs, n, 0.75),
+            wins, ties, n, (gap > iqr ? "yes" : "no"), (bm != 0 ? 100 * (cm - bm) / bm : 0)
+    }
+}' "$tmp/runs"

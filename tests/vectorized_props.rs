@@ -22,6 +22,7 @@ use fv_pipeline::pack::Packer;
 use fv_pipeline::project::ProjectionPlan;
 use fv_pipeline::{CmpOp, CompiledPipeline, CryptoSpec, JoinSmallSpec, TailOperator, TupleBlock};
 use fv_regex::Regex;
+use fv_sim::calib::PAGE_BYTES;
 
 use reference::{ScalarDistinct, ScalarGroupBy, ScalarOp, ScalarPipeline};
 
@@ -334,6 +335,98 @@ proptest! {
                 table.bytes()
             };
             assert_equivalent(spec, schema, data, &chunks);
+        }
+    }
+}
+
+/// Three `u64` columns: 24-byte rows, which do not divide a 2 MB page.
+const PAGED_COLS: usize = 3;
+
+/// A table past one 2 MB page, of `PAGED_COLS`-wide rows, so one row
+/// straddles the boundary between its two pages.
+fn arb_paged_table() -> impl Strategy<Value = Table> {
+    (any::<u64>(), 1usize..3000).prop_map(|(seed, extra)| {
+        let rows = PAGE_BYTES as usize / (8 * PAGED_COLS) + extra;
+        let mut x = seed | 1;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            Value::U64(x % bound)
+        };
+        let mut b = TableBuilder::with_capacity(Schema::uniform_u64(PAGED_COLS), rows);
+        for _ in 0..rows {
+            b.push_values(vec![next(24), next(1000), next(64)]);
+        }
+        b.build()
+    })
+}
+
+/// What the per-tuple reference makes of `spec` over the bytes a table
+/// holds in node memory — gathered first under smart addressing, as the
+/// node's MMU does.
+fn reference_over(spec: &PipelineSpec, schema: &Schema, stored: &[u8]) -> Vec<u8> {
+    let compiled = CompiledPipeline::compile(spec.clone(), schema).expect("spec compiles");
+    let mut gathered = Vec::new();
+    let data = match compiled.smart_addressing() {
+        Some(sa) => {
+            for at in (0..stored.len()).step_by(schema.row_bytes()) {
+                sa.gather(stored, at, &mut gathered);
+            }
+            &gathered[..]
+        }
+        None => stored,
+    };
+    run_pipeline!(ScalarPipeline::compile(spec, schema), data, &[4096]).0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The node streams a table from its pages in place and gathers a
+    /// smart-addressing projection from them row by row. Through the
+    /// whole node — each spec solo, and all of them as one doorbell
+    /// batch — select, group-by, a smart-addressing projection and a
+    /// decrypting scan equal the per-tuple reference over the stored
+    /// bytes, for every shape the page walk meets: a small table; one
+    /// past a 2 MB page, whose boundary a row straddles; and one of that
+    /// size allocated but never written, read from the zero page.
+    #[test]
+    fn node_pages_stream_as_the_reference(
+        small in arb_table(150, PAGED_COLS, 24),
+        paged in arb_paged_table(),
+        unwritten in arb_paged_table(),
+        threshold in 0u64..24,
+    ) {
+        assert_ne!(PAGE_BYTES % (8 * PAGED_COLS as u64), 0, "a row must straddle");
+        let aggs = [AggFunc::Sum, AggFunc::Count, AggFunc::Max]
+            .map(|func| AggSpec { col: 2, func })
+            .to_vec();
+        let specs = [
+            PipelineSpec::passthrough().filter(PredicateExpr::lt(0, threshold)),
+            PipelineSpec::passthrough().group_by(vec![0], aggs),
+            PipelineSpec::passthrough().project(vec![2, 0]).with_smart_addressing(),
+            PipelineSpec::passthrough()
+                .decrypt(CryptoSpec { key: AES_KEY, iv: AES_IV })
+                .filter(PredicateExpr::gt(1, threshold)),
+        ];
+        let c = FarviewCluster::new(FarviewConfig::tiny());
+        let qp = c.connect().unwrap();
+        for (table, written) in [(&small, true), (&paged, true), (&unwritten, false)] {
+            let (ft, stored) = if written {
+                (qp.load_table(table).unwrap().0, table.bytes().to_vec())
+            } else {
+                (qp.alloc_table(table).unwrap(), vec![0; table.byte_len()])
+            };
+            let batch = qp.far_view_batch(&ft, &specs).unwrap();
+            for (i, (spec, batched)) in specs.iter().zip(&batch).enumerate() {
+                let want = reference_over(spec, table.schema(), &stored);
+                let solo = qp.far_view(&ft, spec).unwrap();
+                let what = format!("spec {i}, {} rows, written {written}", table.row_count());
+                prop_assert_eq!(&solo.payload, &want, "solo, {}", what);
+                prop_assert_eq!(&batched.payload, &want, "batched, {}", what);
+            }
+            qp.free_table(ft).unwrap();
         }
     }
 }
