@@ -19,7 +19,7 @@
 //! [`FvError`]: farview_core::FvError
 
 use farview_core::{
-    AggFunc, AggSpec, Executor, FarviewConfig, FarviewFleet, FaultPlan, Partitioning, PipelineSpec,
+    AggFunc, AggSpec, FarviewConfig, FarviewFleet, FaultPlan, Partitioning, PipelineSpec,
     PredicateExpr,
 };
 use fv_data::Table;
@@ -219,7 +219,8 @@ fn run_class(
     let mut ok = 0usize;
     let mut payloads: Vec<Vec<u8>> = Vec::new();
     for rep in 0..reps {
-        let outs = Executor::fleet(&qp, &ft, specs)
+        let outs = qp
+            .far_view_batch(&ft, specs)
             .unwrap_or_else(|e| panic!("{class}: replicated run must survive, got {e}"));
         for (i, o) in outs.iter().enumerate() {
             queries += 1;
@@ -268,7 +269,7 @@ fn typed_error_probe(
         .expect("victim is in the roster");
     let mut errs = 0usize;
     for _ in 0..reps {
-        match Executor::fleet(&qp, &ft, specs) {
+        match qp.far_view_batch(&ft, specs) {
             Ok(_) => panic!("{class}: unreplicated probe must fail typed, got a result"),
             Err(_) => errs += 1,
         }

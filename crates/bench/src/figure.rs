@@ -1,9 +1,7 @@
 //! Figure data model and rendering.
 
-use serde::Serialize;
-
 /// One labelled series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label (e.g. `"FV"`, `"LCPU"`).
     pub name: String,
@@ -12,7 +10,7 @@ pub struct Series {
 }
 
 /// One reproduced figure or table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure {
     /// Identifier (e.g. `"fig8a"`).
     pub id: String,

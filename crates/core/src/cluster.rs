@@ -781,10 +781,10 @@ impl QPair {
 
     /// The single-node execution engine: post `specs` as one
     /// doorbell-batched submission on this queue pair and run the whole
-    /// batch as a single pipelined episode. Every single-node entry
-    /// point reaches the episode machinery through here (via
-    /// [`crate::plan::Executor`]); a depth-1 batch *is* a solo
-    /// `farView`.
+    /// batch as a single pipelined episode. Every query reaches the
+    /// episode machinery through here — [`QPair::far_view`] as a depth-1
+    /// batch, and every shard of a fleet query; a depth-1 batch *is* a
+    /// solo `farView`.
     pub(crate) fn execute_specs(
         &self,
         ft: &FTable,
@@ -896,16 +896,16 @@ impl QPair {
     }
 
     /// The general `farView` verb: run an operator pipeline over the
-    /// table inside the disaggregated memory. Thin wrapper over
-    /// [`Executor::single`](crate::plan::Executor::single).
+    /// table inside the disaggregated memory.
     pub fn far_view(&self, ft: &FTable, spec: &PipelineSpec) -> Result<QueryOutcome, FvError> {
-        crate::plan::Executor::single(self, ft, spec)
+        Ok(self
+            .execute_specs(ft, std::slice::from_ref(spec))?
+            .remove(0))
     }
 
     /// The `farView` verb at queue depth N: post every spec in `specs`
     /// as one doorbell-batched submission on this queue pair and run the
-    /// whole batch as a single pipelined episode. Thin wrapper over
-    /// [`Executor::batch`](crate::plan::Executor::batch).
+    /// whole batch as a single pipelined episode.
     ///
     /// One doorbell is rung for the batch; the node overlaps the verbs'
     /// request processing, DRAM reads and operator execution, so the
@@ -917,7 +917,7 @@ impl QPair {
         ft: &FTable,
         specs: &[PipelineSpec],
     ) -> Result<Vec<QueryOutcome>, FvError> {
-        crate::plan::Executor::batch(self, ft, specs)
+        self.execute_specs(ft, specs)
     }
 
     /// `tableRead`: plain RDMA read of the whole table through the

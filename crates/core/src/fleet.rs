@@ -22,7 +22,8 @@
 //!   scope: `alloc_table` / `table_write` **scatter** rows (and their
 //!   replicas) to the owning shards, the `farView` verbs fan out as
 //!   per-shard episodes whose results are **gathered** and merged
-//!   client-side (via [`crate::plan`]), and
+//!   client-side ([`FleetQPair::far_view_batch`], with the shard plans
+//!   and merge of [`crate::plan`]), and
 //!   [`FleetQPair::rebalance`] executes a live, minimal shard-move
 //!   plan against the current topology epoch.
 //!
@@ -30,9 +31,10 @@
 //! machinery as a single node ([`crate::episode`]); the fleet-observed
 //! response time is the **maximum** over shards plus a modeled
 //! client-side merge cost ([`fv_sim::MergeCostModel`]). With
-//! replication, each shard read fans out to every surviving replica
-//! and the **fastest** response wins; a killed node is survived
-//! transparently as long as one replica of every shard remains.
+//! replication, each shard is read once, from its first surviving
+//! replica, failing over to the next on a link fault; a killed node is
+//! survived transparently as long as one replica of every shard
+//! remains.
 //!
 //! With [`Partitioning::RowRange`], merged results are byte-identical
 //! to a single node holding the whole table — for selection, `DISTINCT`
@@ -58,7 +60,9 @@ use fv_sim::{MergeCostModel, MigrationCostModel, SimDuration};
 use crate::cluster::{FTable, FarviewCluster, QPair, QueryOutcome, QueryStats, SelectQuery};
 use crate::config::FarviewConfig;
 use crate::error::FvError;
-use crate::plan::{Executor, PlanTarget};
+use crate::plan::{
+    host_parallelism, merge_gathered, scatter_slots, scatter_workers, shard_execution, PlanTarget,
+};
 use crate::topology::{plan_moves, NodeHealth, NodeId, Placement, RebalanceReport, Topology};
 
 /// How a table's rows are assigned to fleet shards — the per-table
@@ -438,12 +442,6 @@ impl FleetTable {
             partitioning: self.placement.partitioning(),
         }
     }
-
-    /// All per-slot replica handles (the executor's scatter walks
-    /// these, parallel to `placement().shards()`).
-    pub(crate) fn shard_tables(&self) -> &[Vec<FTable>] {
-        &self.shards
-    }
 }
 
 /// Outcome of one fleet query: the merged result plus per-shard
@@ -465,6 +463,13 @@ pub struct FleetQueryOutcome {
 impl AsRef<QueryOutcome> for FleetQueryOutcome {
     fn as_ref(&self) -> &QueryOutcome {
         &self.merged
+    }
+}
+
+/// A fleet outcome as the single-node-format result it merged to.
+impl From<FleetQueryOutcome> for QueryOutcome {
+    fn from(out: FleetQueryOutcome) -> Self {
+        out.merged
     }
 }
 
@@ -508,13 +513,8 @@ impl FleetQPair {
         self.migration_model = model;
     }
 
-    /// The client-side merge cost model the executor charges.
-    pub(crate) fn merge_model(&self) -> &MergeCostModel {
-        &self.merge_model
-    }
-
     /// True when `node` can still serve reads.
-    pub(crate) fn is_serving(&self, node: NodeId) -> bool {
+    fn is_serving(&self, node: NodeId) -> bool {
         self.topology.is_serving(node)
     }
 
@@ -531,7 +531,7 @@ impl FleetQPair {
     /// # Errors
     /// [`FvError::NoSuchNode`] for removed nodes,
     /// [`FvError::NoFreeRegion`] when a lazy open finds no region.
-    pub(crate) fn node_qp(&self, node: NodeId) -> Result<std::sync::Arc<QPair>, FvError> {
+    fn node_qp(&self, node: NodeId) -> Result<std::sync::Arc<QPair>, FvError> {
         let mut qps = self.qps.lock();
         if let Some(qp) = qps.get(&node) {
             return Ok(std::sync::Arc::clone(qp));
@@ -541,7 +541,7 @@ impl FleetQPair {
         Ok(qp)
     }
 
-    pub(crate) fn check_table(&self, ft: &FleetTable) -> Result<(), FvError> {
+    fn check_table(&self, ft: &FleetTable) -> Result<(), FvError> {
         // Shard counts alone cannot distinguish two same-shaped fleets
         // (per-node qp ids and vaddrs are deterministic), so handles
         // carry the issuing fleet's process-unique id — which also
@@ -932,11 +932,10 @@ impl FleetQPair {
     // -----------------------------------------------------------------
 
     /// The `farView` verb at fleet scope: fan the pipeline out as one
-    /// episode per shard (racing every surviving replica), gather the
-    /// partial results, and merge them client-side according to the
-    /// pipeline's grouping stage. Thin wrapper over [`Executor::fleet`]
-    /// — shard-spec derivation and the merge live in [`crate::plan`],
-    /// shared with the batched verb.
+    /// episode per shard (on the first surviving replica of each), gather
+    /// the partial results, and merge them client-side according to the
+    /// pipeline's grouping stage — a depth-1
+    /// [`FleetQPair::far_view_batch`].
     ///
     /// # Errors
     /// [`FvError::FleetUnsupported`] for a spec whose result streams do
@@ -952,25 +951,136 @@ impl FleetQPair {
         ft: &FleetTable,
         spec: &PipelineSpec,
     ) -> Result<FleetQueryOutcome, FvError> {
-        Ok(Executor::fleet(self, ft, std::slice::from_ref(spec))?.remove(0))
+        Ok(self
+            .far_view_batch(ft, std::slice::from_ref(spec))?
+            .remove(0))
     }
 
-    /// The batched `farView` verb at fleet scope: scatter a whole
-    /// doorbell batch of `specs` to every shard — each shard runs the
-    /// batch as **one pipelined episode** on its queue pair — then
-    /// gather and merge per query. Thin wrapper over
-    /// [`Executor::fleet`].
+    /// The batched `farView` verb at fleet scope, and the only fleet
+    /// executor: scatter a whole doorbell batch of `specs` to every
+    /// shard — each shard runs the batch as **one pipelined episode** on
+    /// its queue pair — then gather and merge per query, each shard spec
+    /// and merge derived by [`shard_execution`].
     ///
     /// The fleet-observed makespan therefore reflects per-shard
     /// pipelining (max over shards of the shard's batch makespan), not N
     /// serial fan-outs, while every merged result stays byte-identical
     /// to its sequential [`FleetQPair::far_view`] counterpart.
+    ///
+    /// The scatter pays for a thread only when the thread has work worth
+    /// more than its spawn. The calling thread is always worker 0; extra
+    /// workers are spawned under [`std::thread::scope`] only when the
+    /// batch scans at least
+    /// [`SCATTER_MIN_BYTES_PER_WORKER`](crate::plan::SCATTER_MIN_BYTES_PER_WORKER)
+    /// per worker (the gate is [`scatter_workers`]; a batch below it
+    /// makes no scheduling syscall at all). Each worker owns a contiguous
+    /// run of shard slots and results are joined in slot order, so
+    /// payloads, stats and merge order are those of a single worker
+    /// (asserted on two identically built fleets above the gate by an
+    /// in-crate test).
+    ///
+    /// Shards resolve via the handle's epoch-snapshot [`Placement`]: each
+    /// shard slot **executes its datapath once**, on the first surviving
+    /// replica. A replica whose link faults (typed [`FvError::Net`] /
+    /// [`FvError::IncompleteEpisode`]) fails over to the next surviving
+    /// one; no read is hedged or raced. A slot whose replicas are all
+    /// gone reports [`FvError::NodeDown`] — with `r ≥ 2`, any single
+    /// node loss is survived transparently.
+    ///
+    /// # Errors
+    /// As [`FleetQPair::far_view`], for any spec of the batch, before
+    /// any shard runs; [`FvError::BatchTooDeep`] past the send queue.
     pub fn far_view_batch(
         &self,
         ft: &FleetTable,
         specs: &[PipelineSpec],
     ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        Executor::fleet(self, ft, specs)
+        self.far_view_batch_on(ft, specs, usize::MAX)
+    }
+
+    /// [`FleetQPair::far_view_batch`] on at most `worker_cap` scatter
+    /// workers. The cap is not a mode: production passes no cap, and a
+    /// test pins it to 1 to assert that fanning out changes nothing.
+    pub(crate) fn far_view_batch_on(
+        &self,
+        ft: &FleetTable,
+        specs: &[PipelineSpec],
+        worker_cap: usize,
+    ) -> Result<Vec<FleetQueryOutcome>, FvError> {
+        self.check_table(ft)?;
+        if specs.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Once, before any slot runs: every shard would refuse the same
+        // batch.
+        crate::cluster::check_queue_depth(specs.len())?;
+        let plans = specs
+            .iter()
+            .map(|s| shard_execution(s, ft.schema()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let shard_specs: Vec<PipelineSpec> = plans.iter().map(|(s, _)| s.clone()).collect();
+
+        // One shard slot's work: execute the whole batch once, on the
+        // first surviving replica. A replica whose *link* faults (typed
+        // `Net`/`IncompleteEpisode`) drops out of the slot like a dead
+        // node: the next one serves, and only when every replica fails
+        // does the slot report the last typed error.
+        let run_slot =
+            |nodes: &[NodeId], replicas: &[FTable]| -> Result<Vec<QueryOutcome>, FvError> {
+                let mut last_err = None;
+                for (&node, sft) in nodes.iter().zip(replicas) {
+                    if !self.is_serving(node) {
+                        continue;
+                    }
+                    match self
+                        .node_qp(node)
+                        .and_then(|qp| qp.execute_specs(sft, &shard_specs))
+                    {
+                        Ok(outcomes) => return Ok(outcomes),
+                        // "This replica's datapath is degraded", as opposed
+                        // to a query bug that every replica would share.
+                        Err(e @ (FvError::Net(_) | FvError::IncompleteEpisode { .. })) => {
+                            last_err = Some(e);
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
+                Err(last_err.unwrap_or_else(|| FvError::NodeDown {
+                    node: nodes.first().map_or(0, |n| n.0),
+                }))
+            };
+
+        // Scatter across the slots with a deterministic ordered join
+        // (slot order, not completion order). The byte test comes first:
+        // below the gate the answer is 1 whatever the host has, so a
+        // small query never asks the OS how many CPUs there are.
+        let slots: Vec<_> = ft.placement.shards().iter().zip(&ft.shards).collect();
+        let scanned_bytes = slots
+            .iter()
+            .filter_map(|(_, replicas)| replicas.first())
+            .map(FTable::byte_len)
+            .sum::<u64>()
+            .saturating_mul(specs.len() as u64);
+        let mut workers = scatter_workers(scanned_bytes, slots.len(), worker_cap);
+        if workers > 1 {
+            workers = workers.min(host_parallelism());
+        }
+        let per_shard = scatter_slots(&slots, workers, |(nodes, replicas)| {
+            run_slot(nodes, replicas)
+        })?;
+
+        // Gather: merge query `i`'s per-shard outcomes client-side,
+        // reading the shard payloads in place. Every slot ran the whole
+        // batch, so each shard batch holds one outcome per query.
+        Ok(plans
+            .iter()
+            .enumerate()
+            .map(|(i, (_, merge))| {
+                let outcomes: Vec<&QueryOutcome> =
+                    per_shard.iter().filter_map(|batch| batch.get(i)).collect();
+                merge_gathered(merge, &self.merge_model, &outcomes)
+            })
+            .collect())
     }
 
     /// Plain fleet-wide read: gather every shard's rows (row order under

@@ -45,6 +45,7 @@
 
 mod cluster;
 mod config;
+mod conn;
 pub mod episode;
 mod error;
 pub mod fleet;
@@ -60,19 +61,18 @@ pub use cluster::{
     MAX_QUEUE_DEPTH,
 };
 pub use config::FarviewConfig;
+pub use conn::{Conn, FleetConn};
 pub use error::FvError;
 pub use fleet::{
     FarviewFleet, FleetQPair, FleetQueryOutcome, FleetTable, Partitioning, ShardAssignment,
     ShardMap,
 };
-pub use plan::{Executor, Explain, LogicalStage, MergeSpec, PlanTarget, QueryPlan};
+pub use plan::{Explain, LogicalStage, MergeSpec, PlanTarget, QueryPlan};
 pub use serve::{
     ClassServeStats, Completion, FleetBackend, ServeBackend, ServeClass, ServeConfig, ServeEngine,
-    ServeReport, ServeTenant, SingleNodeBackend, TenantServeStats,
+    ServeReport, ServeTenant, SingleNodeBackend, TenantBackend, TenantServeStats,
 };
-pub use tiered::{
-    BlockStore, FleetTierConn, StorageParams, TierConn, TierLevel, TierOutcome, TieredPool,
-};
+pub use tiered::{BlockStore, StorageParams, TierLevel, TierOutcome, TieredPool};
 pub use topology::{
     MovePlan, NodeHealth, NodeId, Placement, RebalanceReport, ShardMove, Topology, TopologySnapshot,
 };

@@ -1,9 +1,4 @@
-//! Unified query planning and the single execution engine.
-//!
-//! Every `farView`-shaped entry point — [`QPair::far_view`],
-//! [`QPair::far_view_batch`], [`FleetQPair::far_view`],
-//! [`FleetQPair::far_view_batch`] and `TieredPool::query` — is a thin
-//! wrapper over this module:
+//! Query planning, and the fleet's shard plans, merge and scatter.
 //!
 //! ```text
 //!                 PipelineSpec ──lower──▶ QueryPlan (logical IR)
@@ -12,10 +7,8 @@
 //!                                             │   · predicate-before-projection
 //!                                             │   · DISTINCT→GROUP-BY unification
 //!                                             │   · cost-gated smart addressing
-//!                                             ▼
-//!  entry points ──────────────────────▶ Executor ──▶ episode engine
-//!       single / batch-N / fleet / tiered    │          (fv_core::episode)
-//!                                            └─▶ one shard-plan + one merge path
+//!                                             ▼ to_spec()
+//!                                        PipelineSpec ──▶ any farView entry point
 //! ```
 //!
 //! The [`QueryPlan`] IR is a list of [`LogicalStage`]s plus a
@@ -27,21 +20,20 @@
 //! into the one physical order the hardware supports, applying the
 //! rewrite rules above. [`QueryPlan::explain`] surfaces the applied
 //! rules next to per-plan cost estimates from
-//! [`fv_sim::PlanCostModel`].
+//! [`fv_sim::PlanCostModel`]. An optimized plan runs wherever its
+//! lowered spec does: `plan.optimize(schema)?.to_spec()?`, then any
+//! `far_view`.
 //!
-//! The [`Executor`] owns the *only* implementations of per-shard spec
-//! derivation ([`shard_execution`]) and client-side gather/merge
-//! ([`MergeSpec`]): `DISTINCT` and `GROUP BY` both merge through the
-//! same partial-aggregation path
-//! ([`fv_pipeline::PartialAggPlan`], with an empty aggregate list for
-//! `DISTINCT`), so an optimization added here reaches all five entry
-//! points at once.
-//!
-//! [`QPair::far_view`]: crate::QPair::far_view
-//! [`QPair::far_view_batch`]: crate::QPair::far_view_batch
-//! [`FleetQPair::far_view`]: crate::FleetQPair::far_view
-//! [`FleetQPair::far_view_batch`]: crate::FleetQPair::far_view_batch
-//! `TieredPool::query`: crate::TieredPool::query
+//! Every query reaches the episode engine as a doorbell batch on one
+//! queue pair (a solo `farView` is a depth-1 batch). A fleet query is
+//! one such batch per shard: this module holds the *only*
+//! implementations of per-shard spec derivation ([`shard_execution`]),
+//! client-side gather/merge ([`MergeSpec`]) and the scatter's worker
+//! gate ([`scatter_workers`]) that
+//! [`FleetQPair::far_view_batch`](crate::FleetQPair::far_view_batch)
+//! drives. `DISTINCT` and `GROUP BY` both merge through the same
+//! partial-aggregation path ([`fv_pipeline::PartialAggPlan`], with an
+//! empty aggregate list for `DISTINCT`).
 
 use fv_data::Schema;
 use fv_pipeline::merge::PartialAggPlan;
@@ -52,9 +44,9 @@ use fv_pipeline::{
 };
 use fv_sim::{MergeCostModel, PlanCostModel, SimDuration};
 
-use crate::cluster::{FTable, QPair, QueryOutcome, QueryStats};
+use crate::cluster::{QueryOutcome, QueryStats};
 use crate::error::FvError;
-use crate::fleet::{FleetQPair, FleetQueryOutcome, FleetTable, Partitioning};
+use crate::fleet::{FleetQueryOutcome, Partitioning};
 use crate::tiered::{StorageParams, TierLevel};
 
 // ---------------------------------------------------------------------------
@@ -146,7 +138,7 @@ impl LogicalStage {
 }
 
 /// Where a [`QueryPlan`] executes — the part of the IR the cost model
-/// and the [`Executor`] dispatch on.
+/// and the verifier read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanTarget {
     /// One `farView` verb on a single queue pair.
@@ -1130,205 +1122,16 @@ pub(crate) fn merge_gathered(
 }
 
 // ---------------------------------------------------------------------------
-// The executor
+// The fleet scatter
 // ---------------------------------------------------------------------------
-
-/// The single execution engine behind every `farView`-shaped entry
-/// point. Stateless: each method takes the connection handles it drives.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Executor;
-
-impl Executor {
-    /// Run one spec on a single connection (the engine behind
-    /// [`QPair::far_view`](crate::QPair::far_view)).
-    pub fn single(qp: &QPair, ft: &FTable, spec: &PipelineSpec) -> Result<QueryOutcome, FvError> {
-        Ok(qp.execute_specs(ft, std::slice::from_ref(spec))?.remove(0))
-    }
-
-    /// Run a doorbell batch of specs on one connection (the engine
-    /// behind [`QPair::far_view_batch`](crate::QPair::far_view_batch)).
-    pub fn batch(
-        qp: &QPair,
-        ft: &FTable,
-        specs: &[PipelineSpec],
-    ) -> Result<Vec<QueryOutcome>, FvError> {
-        qp.execute_specs(ft, specs)
-    }
-
-    /// Scatter a batch of specs across a fleet, run each shard's batch
-    /// as one pipelined episode, and merge per query — the engine behind
-    /// both [`FleetQPair::far_view`](crate::FleetQPair::far_view) and
-    /// [`FleetQPair::far_view_batch`](crate::FleetQPair::far_view_batch),
-    /// and the only fleet executor there is.
-    ///
-    /// The scatter pays for a thread only when the thread has work worth
-    /// more than its spawn. The calling thread is always worker 0; extra
-    /// workers are spawned under [`std::thread::scope`] only when the
-    /// batch scans at least [`SCATTER_MIN_BYTES_PER_WORKER`] per worker
-    /// (the gate is [`scatter_workers`]; a batch below it makes no
-    /// scheduling syscall at all). Each worker owns a contiguous run of
-    /// shard slots and results are joined in slot order, so payloads,
-    /// stats and merge order are those of a single worker (asserted on
-    /// two identically built fleets above the gate by an in-crate test).
-    ///
-    /// The constant is the measured break-even — µs per fleet query,
-    /// 4 nodes, r = 2, `select50`, on a 2-vCPU host with both vCPUs
-    /// free, one worker against two (the caller plus one thread):
-    ///
-    /// | table | 1 worker | 2 workers |
-    /// |------:|---------:|----------:|
-    /// | 64 KiB | 70 | 182 |
-    /// | 128 KiB | 123 | 199 |
-    /// | 256 KiB | 237–242 | 294–305 |
-    /// | 512 KiB | 502 | 448 |
-    /// | 1 MiB | 1035–1041 | 765–777 |
-    /// | 2 MiB | 2122–2141 | 1350–1354 |
-    /// | 4 MiB | 4311–4497 | 2465–2579 |
-    ///
-    /// Below 512 KiB (256 KiB per worker) one worker wins by up to
-    /// 2.6×; above it two hold 1.35–1.75×.
-    ///
-    /// Shards resolve via the handle's epoch-snapshot
-    /// [`Placement`](crate::topology::Placement): each shard slot
-    /// **executes its datapath once**, on the first surviving replica.
-    /// A replica whose link faults (typed [`FvError::Net`] /
-    /// [`FvError::IncompleteEpisode`]) fails over to the next surviving
-    /// one; no read is hedged or raced. A slot whose replicas are all
-    /// gone reports [`FvError::NodeDown`] — with `r ≥ 2`, any single
-    /// node loss is survived transparently.
-    pub fn fleet(
-        fqp: &FleetQPair,
-        ft: &FleetTable,
-        specs: &[PipelineSpec],
-    ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        Self::fleet_with(fqp, ft, specs, usize::MAX)
-    }
-
-    /// [`Executor::fleet`] on at most `worker_cap` scatter workers. The
-    /// cap is not a mode: production passes no cap, and a test pins it
-    /// to 1 to assert that fanning out changes nothing.
-    fn fleet_with(
-        fqp: &FleetQPair,
-        ft: &FleetTable,
-        specs: &[PipelineSpec],
-        worker_cap: usize,
-    ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        fqp.check_table(ft)?;
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Once, before any slot runs: every shard would refuse the same
-        // batch.
-        crate::cluster::check_queue_depth(specs.len())?;
-        let plans = specs
-            .iter()
-            .map(|s| shard_execution(s, ft.schema()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let shard_specs: Vec<PipelineSpec> = plans.iter().map(|(s, _)| s.clone()).collect();
-        let placement = ft.placement();
-
-        // One shard slot's work: execute the whole batch once, on the
-        // first surviving replica. A replica whose *link* faults (typed
-        // `Net`/`IncompleteEpisode`) drops out of the slot like a dead
-        // node: the next one serves, and only when every replica fails
-        // does the slot report the last typed error.
-        let run_slot = |nodes: &[crate::topology::NodeId],
-                        replicas: &[FTable]|
-         -> Result<Vec<QueryOutcome>, FvError> {
-            let mut last_err = None;
-            for (&node, sft) in nodes.iter().zip(replicas) {
-                if !fqp.is_serving(node) {
-                    continue;
-                }
-                match fqp
-                    .node_qp(node)
-                    .and_then(|qp| qp.execute_specs(sft, &shard_specs))
-                {
-                    Ok(outcomes) => return Ok(outcomes),
-                    // "This replica's datapath is degraded", as opposed
-                    // to a query bug that every replica would share.
-                    Err(e @ (FvError::Net(_) | FvError::IncompleteEpisode { .. })) => {
-                        last_err = Some(e);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            // fv:allow(panic): placement invariant — every slot's
-            // replica list is non-empty (replicas >= 1).
-            Err(last_err.unwrap_or(FvError::NodeDown { node: nodes[0].0 }))
-        };
-
-        // Scatter across the slots with a deterministic ordered join
-        // (slot order, not completion order). The byte test comes first:
-        // below the gate the answer is 1 whatever the host has, so a
-        // small query never asks the OS how many CPUs there are.
-        let slots: Vec<_> = placement.shards().iter().zip(ft.shard_tables()).collect();
-        let scanned_bytes = slots
-            .iter()
-            .filter_map(|(_, replicas)| replicas.first())
-            .map(FTable::byte_len)
-            .sum::<u64>()
-            .saturating_mul(specs.len() as u64);
-        let mut workers = scatter_workers(scanned_bytes, slots.len(), worker_cap);
-        if workers > 1 {
-            workers = workers.min(host_parallelism());
-        }
-        let per_shard: Vec<Vec<QueryOutcome>> =
-            scatter_slots(&slots, workers, |(nodes, replicas)| {
-                run_slot(nodes, replicas)
-            })?;
-
-        // Gather: merge query `i`'s per-shard outcomes client-side,
-        // reading the shard payloads in place.
-        Ok(plans
-            .iter()
-            .enumerate()
-            .map(|(i, (_, merge))| {
-                let outcomes: Vec<&QueryOutcome> =
-                    // fv:allow(panic): every slot ran the same `plans`
-                    // batch, so each shard batch has one outcome per i.
-                    per_shard.iter().map(|batch| &batch[i]).collect();
-                merge_gathered(merge, fqp.merge_model(), &outcomes)
-            })
-            .collect())
-    }
-
-    /// Optimize `plan` against the table's schema and run it on a single
-    /// connection.
-    pub fn run_plan(qp: &QPair, ft: &FTable, plan: &QueryPlan) -> Result<QueryOutcome, FvError> {
-        let spec = plan.optimize(ft.schema())?.to_spec()?;
-        Self::single(qp, ft, &spec)
-    }
-
-    /// Optimize each plan and run the set as one doorbell batch.
-    pub fn run_plan_batch(
-        qp: &QPair,
-        ft: &FTable,
-        plans: &[QueryPlan],
-    ) -> Result<Vec<QueryOutcome>, FvError> {
-        let specs = plans
-            .iter()
-            .map(|p| p.optimize(ft.schema())?.to_spec())
-            .collect::<Result<Vec<_>, _>>()?;
-        Self::batch(qp, ft, &specs)
-    }
-
-    /// Optimize `plan` against the fleet table's schema and scatter it.
-    pub fn run_plan_fleet(
-        fqp: &FleetQPair,
-        ft: &FleetTable,
-        plan: &QueryPlan,
-    ) -> Result<FleetQueryOutcome, FvError> {
-        let spec = plan.optimize(ft.schema())?.to_spec()?;
-        Ok(Self::fleet(fqp, ft, std::slice::from_ref(&spec))?.remove(0))
-    }
-}
 
 /// Scan bytes a scatter worker must have before a thread is worth
 /// spawning for it: 256 KiB ≈ 250 µs of shard episode at the measured
 /// ~1 µs/KiB, against 46–62 µs for a bare spawn + join plus the cache
-/// and scheduler cost of moving the episode to another core. The
-/// break-even sweep is in [`Executor::fleet`]'s docs.
+/// and scheduler cost of moving the episode to another core. Measured
+/// per fleet query (4 nodes, r = 2, `select50`, 2 vCPUs), one worker
+/// wins by up to 2.6× below 512 KiB and two hold 1.35–1.75× above it;
+/// `docs/ARCHITECTURE.md` ("Fleet scatter") has the sweep.
 pub const SCATTER_MIN_BYTES_PER_WORKER: u64 = 256 * 1024;
 
 /// How many workers (the caller included) a fleet scatter runs on: one
@@ -1348,7 +1151,7 @@ pub fn scatter_workers(scanned_bytes: u64, slots: usize, host_parallelism: usize
 /// CPUs the OS will schedule this process on (1 when it cannot say).
 /// Not free — it re-reads the cgroup limits, ~14 µs per call — so the
 /// scatter asks only for a batch already past the byte gate.
-fn host_parallelism() -> usize {
+pub(crate) fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZero::get)
         .unwrap_or(1)
@@ -1366,7 +1169,7 @@ fn host_parallelism() -> usize {
 /// [`FvError::ScatterWorkerPanicked`] instead of poisoning the calling
 /// thread, so one bad shard episode cannot take down a client
 /// mid-fleet-read.
-fn scatter_slots<T, R>(
+pub(crate) fn scatter_slots<T, R>(
     slots: &[T],
     workers: usize,
     run: impl Fn(&T) -> Result<R, FvError> + Sync,
@@ -1752,8 +1555,11 @@ mod tests {
         assert!(matches!(merge, MergeSpec::Aggregate(_)));
     }
 
+    /// An optimized plan runs by lowering it and calling `far_view`:
+    /// solo and in a doorbell batch, it returns the bytes of the spec it
+    /// was built from.
     #[test]
-    fn executor_plan_entry_points_agree_with_specs() {
+    fn optimized_plans_run_as_their_specs() {
         let t = table(8, 200);
         let c = FarviewCluster::new(FarviewConfig::tiny());
         let qp = c.connect().unwrap();
@@ -1762,11 +1568,12 @@ mod tests {
             .filter(PredicateExpr::lt(0, 30u64))
             .project(vec![0, 3]);
         let plan = QueryPlan::from_spec(&spec, PlanTarget::Single);
-        let via_plan = Executor::run_plan(&qp, &ft, &plan).unwrap();
+        let lowered = plan.optimize(ft.schema()).unwrap().to_spec().unwrap();
+        let via_plan = qp.far_view(&ft, &lowered).unwrap();
         let via_spec = qp.far_view(&ft, &spec).unwrap();
         assert_eq!(via_plan.payload, via_spec.payload);
 
-        let batch = Executor::run_plan_batch(&qp, &ft, &[plan.clone(), plan]).unwrap();
+        let batch = qp.far_view_batch(&ft, &[lowered.clone(), lowered]).unwrap();
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].payload, via_spec.payload);
         assert_eq!(batch[1].payload, via_spec.payload);
@@ -1875,7 +1682,7 @@ mod tests {
     }
 
     /// Fanned out ≡ one worker: above the size gate (an 84 KiB table at
-    /// depth 8 scans 672 KiB; `Executor::fleet` spawns a worker per
+    /// depth 8 scans 672 KiB; the fleet scatter spawns a worker per
     /// 256 KiB), the gate's verdict and a scatter pinned to one worker
     /// return the same payloads, schemas, fleet-aggregated stats and
     /// per-shard stats. Below the gate both are the same single-worker
@@ -1906,7 +1713,7 @@ mod tests {
                 let fleet = FarviewFleet::new(nodes, FarviewConfig::tiny());
                 let qp = fleet.connect().unwrap();
                 let (ft, _) = qp.load_table(&table, Partitioning::RowRange).unwrap();
-                Executor::fleet_with(&qp, &ft, &specs, worker_cap).unwrap()
+                qp.far_view_batch_on(&ft, &specs, worker_cap).unwrap()
             };
             let gated = run(usize::MAX);
             let serial = run(1);

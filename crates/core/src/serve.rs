@@ -34,6 +34,11 @@
 //! [`SimTime`], deterministic from [`ServeConfig::seed`]: the same
 //! tenants, config, and backend replay the same admissions, sheds, and
 //! latencies, so any fairness violation is exactly reproducible.
+//!
+//! Admitted queries run on a [`ServeBackend`]: a [`TenantBackend`] with
+//! every tenant's table resident behind one [`Conn`] — one node or a
+//! fleet — or a [`TieredPool`](crate::TieredPool) over any `Conn`, which
+//! stages tenants' tables in from storage as they are queried.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -42,8 +47,9 @@ use fv_pipeline::PipelineSpec;
 use fv_sim::{Histogram, SimDuration, SimTime};
 
 use crate::cluster::{FTable, QPair, QueryOutcome};
+use crate::conn::{Conn, FleetConn};
 use crate::error::FvError;
-use crate::fleet::{FleetQPair, FleetTable};
+use crate::fleet::{FleetTable, Partitioning};
 
 /// Base unit of the client retry backoff schedule. The discipline
 /// mirrors the fault injector's: one base unit, doubling per attempt,
@@ -139,11 +145,12 @@ pub struct ServeTenant {
 
 /// Where admitted queries actually execute. The engine treats the
 /// backend as a black box that produces real result bytes plus the
-/// simulated service time; single-node and fleet deployments plug in
-/// behind the same trait.
+/// simulated service time: a [`TenantBackend`] over any [`Conn`], or a
+/// [`TieredPool`](crate::TieredPool) serving tenants whose tables do not
+/// all fit in DRAM.
 pub trait ServeBackend {
     /// Execute one of `tenant`'s queries, returning the outcome (the
-    /// result payload and its simulated response time).
+    /// result payload and its simulated service time).
     fn execute(&mut self, tenant: u32, query: &PipelineSpec) -> Result<QueryOutcome, FvError>;
 
     /// The DRR cost of one of `tenant`'s queries, in bytes of pipeline
@@ -153,37 +160,42 @@ pub trait ServeBackend {
     fn cost(&self, tenant: u32) -> u64;
 }
 
-/// Single-node backend: one shared [`QPair`], one [`FTable`] per
-/// tenant. This is also the oracle deployment — an unloaded run of the
-/// same backend yields the byte-identical reference results.
-pub struct SingleNodeBackend {
-    qp: QPair,
-    tables: Vec<(u32, FTable, u64)>,
+/// One shared connection, one resident table per tenant. Over a
+/// [`QPair`] this is also the oracle deployment: an unloaded run of the
+/// same backend yields the byte-identical reference results. Over a
+/// [`FleetConn`] with replicated tables the serving invariants survive a
+/// degraded node — the chaos-composition tests run the overload mix
+/// through it.
+pub struct TenantBackend<C: Conn> {
+    conn: C,
+    tables: Vec<(u32, C::Table, u64)>,
 }
 
-impl SingleNodeBackend {
-    /// A backend executing on `qp`.
-    pub fn new(qp: QPair) -> Self {
-        SingleNodeBackend {
-            qp,
+/// The single-node backend: one shared [`QPair`].
+pub type SingleNodeBackend = TenantBackend<QPair>;
+
+/// The fleet backend: one shared fleet connection, one sharded
+/// (optionally replicated) table per tenant.
+pub type FleetBackend = TenantBackend<FleetConn>;
+
+impl<C: Conn> TenantBackend<C> {
+    /// A backend executing on `conn` — a [`QPair`], or a
+    /// [`FleetQPair`](crate::FleetQPair) for a fleet.
+    pub fn new(conn: impl Into<C>) -> Self {
+        TenantBackend {
+            conn: conn.into(),
             tables: Vec::new(),
         }
     }
 
     /// Bind `tenant`'s queries to `table`; `scan_bytes` is its DRR
     /// cost (typically the table's byte length). Rebinding replaces.
-    pub fn bind_tenant(&mut self, tenant: u32, table: FTable, scan_bytes: u64) {
+    pub fn bind_tenant(&mut self, tenant: u32, table: C::Table, scan_bytes: u64) {
         self.tables.retain(|(id, _, _)| *id != tenant);
         self.tables.push((tenant, table, scan_bytes));
     }
 
-    /// Load a table through the backend's queue pair (convenience for
-    /// harnesses that build the tenant tables and the backend together).
-    pub fn load_table(&self, table: &fv_data::Table) -> Result<(FTable, SimDuration), FvError> {
-        self.qp.load_table(table)
-    }
-
-    fn entry(&self, tenant: u32) -> Result<&(u32, FTable, u64), FvError> {
+    fn entry(&self, tenant: u32) -> Result<&(u32, C::Table, u64), FvError> {
         self.tables
             .iter()
             .find(|(id, _, _)| *id == tenant)
@@ -191,64 +203,33 @@ impl SingleNodeBackend {
     }
 }
 
-impl ServeBackend for SingleNodeBackend {
-    fn execute(&mut self, tenant: u32, query: &PipelineSpec) -> Result<QueryOutcome, FvError> {
-        let (_, ft, _) = self.entry(tenant)?;
-        self.qp.far_view(ft, query)
+impl SingleNodeBackend {
+    /// Load a table through the backend's queue pair (convenience for
+    /// harnesses that build the tenant tables and the backend together).
+    pub fn load_table(&self, table: &fv_data::Table) -> Result<(FTable, SimDuration), FvError> {
+        self.conn.load_table(table)
     }
-
-    fn cost(&self, tenant: u32) -> u64 {
-        self.entry(tenant).map(|(_, _, c)| (*c).max(1)).unwrap_or(1)
-    }
-}
-
-/// Fleet backend: one shared [`FleetQPair`], one sharded (optionally
-/// replicated) [`FleetTable`] per tenant. With replication the serving
-/// invariants survive a degraded node — the chaos-composition tests
-/// run the overload mix through this backend.
-pub struct FleetBackend {
-    qp: FleetQPair,
-    tables: Vec<(u32, FleetTable, u64)>,
 }
 
 impl FleetBackend {
-    /// A backend fanning out over `qp`'s fleet.
-    pub fn new(qp: FleetQPair) -> Self {
-        FleetBackend {
-            qp,
-            tables: Vec::new(),
-        }
-    }
-
-    /// Bind `tenant`'s queries to a fleet table. Rebinding replaces.
-    pub fn bind_tenant(&mut self, tenant: u32, table: FleetTable, scan_bytes: u64) {
-        self.tables.retain(|(id, _, _)| *id != tenant);
-        self.tables.push((tenant, table, scan_bytes));
-    }
-
     /// Load a replicated, sharded table through the backend's fleet
     /// queue pair.
     pub fn load_table_replicated(
         &self,
         table: &fv_data::Table,
-        partitioning: crate::fleet::Partitioning,
+        partitioning: Partitioning,
         replicas: usize,
     ) -> Result<(FleetTable, SimDuration), FvError> {
-        self.qp.load_table_replicated(table, partitioning, replicas)
-    }
-
-    fn entry(&self, tenant: u32) -> Result<&(u32, FleetTable, u64), FvError> {
-        self.tables
-            .iter()
-            .find(|(id, _, _)| *id == tenant)
-            .ok_or(FvError::UnknownTenant { tenant })
+        self.conn
+            .fqp
+            .load_table_replicated(table, partitioning, replicas)
     }
 }
 
-impl ServeBackend for FleetBackend {
+impl<C: Conn> ServeBackend for TenantBackend<C> {
     fn execute(&mut self, tenant: u32, query: &PipelineSpec) -> Result<QueryOutcome, FvError> {
-        let (_, ft, _) = self.entry(tenant)?;
-        self.qp.far_view(ft, query).map(|out| out.merged)
+        let (_, table, _) = self.entry(tenant)?;
+        self.conn.run(table, query).map(Into::into)
     }
 
     fn cost(&self, tenant: u32) -> u64 {
@@ -1133,7 +1114,7 @@ mod tests {
         let mut be = SingleNodeBackend::new(qp);
         for t in tenants {
             let tb = table(rows, u64::from(t.id) + 1);
-            let (ft, _) = be.qp.load_table(&tb).unwrap();
+            let (ft, _) = be.load_table(&tb).unwrap();
             be.bind_tenant(t.id, ft, tb.byte_len() as u64);
         }
         be

@@ -24,16 +24,18 @@
 //!   reads for its missing slices on the next staging, each costed
 //!   per-slice through [`StorageParams`].
 //! * [`TieredPool`] — an LRU cache manager over the slice of
-//!   disaggregated memory one connection ([`TierConn`]) reaches:
-//!   queries against cold tables stage them in (evicting
-//!   least-recently-used DRAM residents when the budget is exceeded)
-//!   and then run the offloaded pipeline. Over a [`QPair`] that is one
-//!   node; over a [`FleetTierConn`] staged tables scatter across the
-//!   fleet under the topology's *current* epoch, and a resident staged
-//!   before a membership change is restaged into the new placement the
-//!   next time it is queried. The restage sources from the far-memory
-//!   image — only slices that were spilled to disk in the meantime are
-//!   re-read.
+//!   disaggregated memory one [`Conn`] reaches: queries against cold
+//!   tables stage them in (evicting least-recently-used DRAM residents
+//!   when the budget is exceeded) and then run the offloaded pipeline.
+//!   Over a [`QPair`] that is one node; over a [`FleetConn`] staged
+//!   tables scatter across the fleet under the topology's *current*
+//!   epoch, and a resident staged before a membership change is
+//!   restaged into the new placement the next time it is queried. The
+//!   restage sources from the far-memory image — only slices that were
+//!   spilled to disk in the meantime are re-read.
+//! * A pool is also a serving backend: `ServeEngine<TieredPool<'_, C>>`
+//!   serves tenants whose tables do not all fit in DRAM, each tenant's
+//!   staging paid as service time.
 //!
 //! Column images are the disk / far-tier *storage* format only. DRAM
 //! tables and the operator datapath are row-major, as in the paper:
@@ -49,10 +51,11 @@
 //! Query results are identical hot or cold; only the reported time
 //! differs (staging cost surfaces in [`TierOutcome`]).
 //!
-//! Budgets are best-effort admission bounds: a table larger than the
-//! remaining budget (including a zero budget) still stages — the pool
-//! cannot answer the query otherwise — and becomes the first eviction
-//! victim once the next staging needs room.
+//! Budgets are best-effort admission bounds on what staged tables
+//! occupy — every replica counted on a replicated fleet. A table larger
+//! than the remaining budget (including a zero budget) still stages —
+//! the pool cannot answer the query otherwise — and becomes the first
+//! eviction victim once the next staging needs room.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -60,10 +63,10 @@ use std::sync::Arc;
 use fv_data::{slice_len, ColumnImage, Schema, Table};
 use fv_sim::{calib, SimDuration};
 
-use crate::cluster::{FTable, QPair, QueryOutcome};
+use crate::cluster::{QPair, QueryOutcome};
+use crate::conn::{Conn, FleetConn};
 use crate::error::FvError;
-use crate::fleet::{FleetQPair, FleetQueryOutcome, FleetTable, Partitioning};
-use crate::plan::Executor;
+use crate::serve::ServeBackend;
 use crate::PipelineSpec;
 
 /// NVMe-class device parameters: ~80 µs access latency, ~3 GB/s
@@ -221,11 +224,12 @@ struct FarFetch {
 }
 
 /// The disk + far-memory rungs of the ladder:
-/// a [`BlockStore`] of column images, a per-object schema catalog, and
-/// the far-memory image cache with column-granular spill.
+/// a [`BlockStore`] of column images, a per-object catalog of schema
+/// and row-format byte length, and the far-memory image cache with
+/// column-granular spill.
 struct FarTier {
     store: BlockStore,
-    catalog: HashMap<String, Schema>,
+    catalog: HashMap<String, (Schema, u64)>,
     images: HashMap<String, FarImage>,
     resident_bytes: u64,
     capacity: u64,
@@ -255,8 +259,10 @@ impl FarTier {
                 reason: "object names must be non-empty",
             });
         }
-        self.catalog
-            .insert(name.to_string(), table.schema().clone());
+        self.catalog.insert(
+            name.to_string(),
+            (table.schema().clone(), table.byte_len() as u64),
+        );
         self.forget(name);
         Ok(self.store.put(name, ColumnImage::encode(table)))
     }
@@ -277,7 +283,7 @@ impl FarTier {
         let missing = || FvError::NotInStorage {
             name: name.to_string(),
         };
-        let schema = self.catalog.get(name).cloned().ok_or_else(missing)?;
+        let schema = self.catalog.get(name).ok_or_else(missing)?.0.clone();
         if let Some(img) = self.images.get_mut(name) {
             img.last_use = clock;
             let mut read_time = SimDuration::ZERO;
@@ -367,121 +373,10 @@ impl FarTier {
     }
 }
 
-/// The connection a [`TieredPool`] stages tables into and queries them
-/// through — the plug-in shape [`ServeBackend`](crate::serve::ServeBackend)
-/// gives serving. [`QPair`] is the single-node connection,
-/// [`FleetTierConn`] the fleet one.
-pub trait TierConn {
-    /// Handle of a table staged in disaggregated DRAM.
-    type Staged;
-    /// What a query returns; viewable as the single-node-format result.
-    type Outcome: AsRef<QueryOutcome> + std::fmt::Debug;
-
-    /// Allocate DRAM for `image`'s table and write it there in row
-    /// format; returns the handle and the simulated write time.
-    fn stage(&self, image: &ColumnImage<'_>) -> Result<(Self::Staged, SimDuration), FvError>;
-
-    /// Does `staged` still sit where a fresh staging would put it?
-    fn placement_is_current(&self, staged: &Self::Staged) -> bool;
-
-    /// Return `staged`'s pages to the buffer pool.
-    fn free(&self, staged: Self::Staged) -> Result<(), FvError>;
-
-    /// Run `spec` against `staged`.
-    fn run(&self, staged: &Self::Staged, spec: &PipelineSpec) -> Result<Self::Outcome, FvError>;
-}
-
-/// One connection's slice of one node's memory. The image goes into
-/// DRAM a row block at a time (no row-format copy of the table is
-/// built), a staged table never moves, and the query runs through the
-/// shared [`Executor`] like every other single-node entry point.
-impl TierConn for QPair {
-    type Staged = FTable;
-    type Outcome = QueryOutcome;
-
-    fn stage(&self, image: &ColumnImage<'_>) -> Result<(FTable, SimDuration), FvError> {
-        self.load_image(image)
-    }
-
-    fn placement_is_current(&self, _staged: &FTable) -> bool {
-        true
-    }
-
-    fn free(&self, staged: FTable) -> Result<(), FvError> {
-        self.free_table(staged)
-    }
-
-    fn run(&self, staged: &FTable, spec: &PipelineSpec) -> Result<QueryOutcome, FvError> {
-        Executor::single(self, staged, spec)
-    }
-}
-
-/// The fleet-scope connection: staged tables scatter across the fleet
-/// under the topology's *current* epoch. The elastic-topology twist is
-/// [`TierConn::placement_is_current`]: a table staged before an
-/// `add_node`/`drain_node`/`remove_node` is transparently restaged into
-/// the current placement on its next query — cold data always lands on
-/// the shard set that exists now. Staleness is a property of the
-/// *placement*, not the raw epoch: membership changes that cancelled
-/// out (a node added and removed again) leave residents hot. Staging
-/// materialises the rows first: the scatter routes whole rows to shards
-/// (by range or by key hash), which a column image cannot be cut by.
-#[derive(Debug)]
-pub struct FleetTierConn<'a> {
-    fqp: &'a FleetQPair,
-    /// Partitioning for every staged table.
-    partitioning: Partitioning,
-    /// Replica count per shard for every staged table.
-    replicas: usize,
-}
-
-impl<'a> FleetTierConn<'a> {
-    /// Stage through `fqp`, scattering every table under `partitioning`
-    /// with one copy per shard.
-    pub fn new(fqp: &'a FleetQPair, partitioning: Partitioning) -> Self {
-        FleetTierConn {
-            fqp,
-            partitioning,
-            replicas: 1,
-        }
-    }
-
-    /// Stage every table with `replicas` copies per shard on distinct
-    /// nodes — reads fail over between them and survive any
-    /// `replicas − 1` node losses, exactly as
-    /// [`FleetQPair::load_table_replicated`](crate::fleet::FleetQPair::load_table_replicated)
-    /// documents.
-    pub fn with_replication(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
-        self
-    }
-}
-
-impl TierConn for FleetTierConn<'_> {
-    type Staged = FleetTable;
-    type Outcome = FleetQueryOutcome;
-
-    fn stage(&self, image: &ColumnImage<'_>) -> Result<(FleetTable, SimDuration), FvError> {
-        self.fqp
-            .load_table_replicated(&image.to_table(), self.partitioning, self.replicas)
-    }
-
-    fn placement_is_current(&self, staged: &FleetTable) -> bool {
-        self.fqp.placement_is_current(staged.placement())
-    }
-
-    fn free(&self, staged: FleetTable) -> Result<(), FvError> {
-        self.fqp.free_table(staged)
-    }
-
-    fn run(&self, staged: &FleetTable, spec: &PipelineSpec) -> Result<FleetQueryOutcome, FvError> {
-        self.fqp.far_view(staged, spec)
-    }
-}
-
 /// Outcome of a tiered query: the query result plus the tier activity
 /// that preceded it. `O` is the connection's result type —
-/// [`QueryOutcome`] on a single node, [`FleetQueryOutcome`] on a fleet.
+/// [`QueryOutcome`] on a single node,
+/// [`FleetQueryOutcome`](crate::FleetQueryOutcome) on a fleet.
 #[derive(Debug)]
 pub struct TierOutcome<O = QueryOutcome> {
     /// The query result (identical hot or cold).
@@ -530,14 +425,14 @@ struct Resident<S> {
 /// An LRU-managed slice of the disaggregated buffer pool backed by a
 /// far-memory image tier and a [`BlockStore`], staging into whatever
 /// connection `C` it is given — one node's [`QPair`] by default, a
-/// whole fleet through [`FleetTierConn`].
-pub struct TieredPool<'a, C: TierConn = QPair> {
+/// whole fleet through a [`FleetConn`].
+pub struct TieredPool<'a, C: Conn = QPair> {
     conn: &'a C,
     far: FarTier,
-    /// DRAM budget this pool may occupy (fleet-wide on a fleet), in
-    /// bytes.
+    /// DRAM budget this pool may occupy (fleet-wide and counting every
+    /// replica on a fleet), in bytes.
     capacity: u64,
-    resident: HashMap<String, Resident<C::Staged>>,
+    resident: HashMap<String, Resident<C::Table>>,
     resident_bytes: u64,
     clock: u64,
     hits: u64,
@@ -545,7 +440,7 @@ pub struct TieredPool<'a, C: TierConn = QPair> {
     restages: u64,
 }
 
-impl<C: TierConn> std::fmt::Debug for TieredPool<'_, C> {
+impl<C: Conn> std::fmt::Debug for TieredPool<'_, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TieredPool")
             .field("capacity", &self.capacity)
@@ -560,7 +455,7 @@ impl<C: TierConn> std::fmt::Debug for TieredPool<'_, C> {
     }
 }
 
-impl<'a, C: TierConn> TieredPool<'a, C> {
+impl<'a, C: Conn> TieredPool<'a, C> {
     /// A pool staging into `conn` with the given DRAM budget. A zero
     /// budget is legal: every staged table then exceeds the budget, so
     /// each new staging evicts whatever the previous one brought in.
@@ -616,7 +511,7 @@ impl<'a, C: TierConn> TieredPool<'a, C> {
         self.restages
     }
 
-    /// Bytes currently resident in DRAM.
+    /// Bytes currently resident in DRAM, every replica counted.
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
     }
@@ -646,15 +541,18 @@ impl<'a, C: TierConn> TieredPool<'a, C> {
         self.far.store.corrupt_object(name, byte)
     }
 
-    /// Evict the least-recently-used resident table; returns its name,
-    /// or `None` when nothing is resident.
-    fn evict_one(&mut self) -> Result<Option<String>, FvError> {
-        let lru = self.resident.iter().min_by_key(|(_, r)| r.last_use);
-        let Some(victim) = lru.map(|(n, _)| n.clone()) else {
-            return Ok(None);
-        };
-        self.drop_resident(&victim)?;
-        Ok(Some(victim))
+    /// Evict least-recently-used residents until `need` more bytes fit
+    /// the budget or nothing is left to evict, recording each victim.
+    fn make_room(&mut self, need: u64, evictions: &mut Vec<String>) -> Result<(), FvError> {
+        while self.resident_bytes + need > self.capacity {
+            let lru = self.resident.iter().min_by_key(|(_, r)| r.last_use);
+            let Some(victim) = lru.map(|(n, _)| n.clone()) else {
+                break;
+            };
+            self.drop_resident(&victim)?;
+            evictions.push(victim);
+        }
+        Ok(())
     }
 
     /// Free `name`'s DRAM copy, if it has one; returns whether it did.
@@ -712,21 +610,23 @@ impl<'a, C: TierConn> TieredPool<'a, C> {
             .install(name, &fetch, image.row_count(), self.clock);
         let spilled = self.far.enforce_budget();
 
-        // Make room under the DRAM budget.
-        let need = (image.row_count() * fetch.schema.row_bytes()) as u64;
+        // Make room under the DRAM budget: before staging for the one
+        // row-format copy every staging writes, and after it for
+        // whatever more the staging occupies — the other replicas on a
+        // replicated fleet.
         let mut evictions = Vec::new();
-        while self.resident_bytes + need > self.capacity {
-            let Some(victim) = self.evict_one()? else {
-                break;
-            };
-            evictions.push(victim);
+        let one_copy = (image.row_count() * fetch.schema.row_bytes()) as u64;
+        self.make_room(one_copy, &mut evictions)?;
+        let (staged, write_time, bytes) = self.conn.stage(&image)?;
+        if let Err(e) = self.make_room(bytes, &mut evictions) {
+            // Best-effort: the eviction error is the one to report.
+            let _ = self.conn.free(staged);
+            return Err(e);
         }
-
-        let (staged, write_time) = self.conn.stage(&image)?;
-        self.resident_bytes += need;
+        self.resident_bytes += bytes;
         let r = self.resident.entry(name.to_string()).or_insert(Resident {
             staged,
-            bytes: need,
+            bytes,
             last_use: self.clock,
         });
 
@@ -743,17 +643,38 @@ impl<'a, C: TierConn> TieredPool<'a, C> {
     }
 }
 
-impl TieredPool<'_, FleetTierConn<'_>> {
+impl TieredPool<'_, FleetConn> {
     /// The epoch `name`'s resident copy was placed at, if resident.
     pub fn resident_epoch(&self, name: &str) -> Option<u64> {
         self.resident.get(name).map(|r| r.staged.epoch())
     }
 }
 
+/// Serving straight off the pool: tenant `t`'s table is the object
+/// inserted under `t`'s id in decimal (`pool.insert("7", &table)` for
+/// tenant 7). A query that misses DRAM stages its table first, and the
+/// service time is [`TierOutcome::total_time`], so staging is paid as
+/// service. A tenant's DRR cost is its table's byte length, as recorded
+/// at [`TieredPool::insert`].
+impl<C: Conn> ServeBackend for TieredPool<'_, C> {
+    fn execute(&mut self, tenant: u32, query: &PipelineSpec) -> Result<QueryOutcome, FvError> {
+        let out = self.query(&tenant.to_string(), query)?;
+        let service = out.total_time();
+        let mut outcome: QueryOutcome = out.outcome.into();
+        outcome.stats.response_time = service;
+        Ok(outcome)
+    }
+
+    fn cost(&self, tenant: u32) -> u64 {
+        let table = self.far.catalog.get(&tenant.to_string());
+        table.map_or(1, |(_, bytes)| (*bytes).max(1))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::FarviewFleet;
+    use crate::fleet::{FarviewFleet, Partitioning};
     use crate::{FarviewCluster, FarviewConfig};
     use fv_pipeline::PredicateExpr;
 
@@ -769,7 +690,7 @@ mod tests {
     }
 
     /// Instantiate one tier scenario for both connections: a single
-    /// node's [`QPair`], and a two-node fleet through [`FleetTierConn`]
+    /// node's [`QPair`], and a two-node fleet through a [`FleetConn`]
     /// (row-range partitioned, so every staged table holds pages on both
     /// nodes). The scenario gets the connection, a free-page probe, and
     /// the pages one staged table of these sizes occupies.
@@ -785,8 +706,7 @@ mod tests {
             #[test]
             fn $fleet() {
                 let fleet = FarviewFleet::new(2, FarviewConfig::tiny());
-                let fqp = fleet.connect().unwrap();
-                let conn = FleetTierConn::new(&fqp, Partitioning::RowRange);
+                let conn = FleetConn::new(fleet.connect().unwrap(), Partitioning::RowRange);
                 $scenario(&conn, || fleet.free_pages(), 2);
             }
         };
@@ -881,7 +801,7 @@ mod tests {
         );
     }
 
-    fn zero_budget<C: TierConn>(conn: &C, free_pages: impl Fn() -> u64, table_pages: u64) {
+    fn zero_budget<C: Conn>(conn: &C, free_pages: impl Fn() -> u64, table_pages: u64) {
         let baseline = free_pages();
         let mut pool = TieredPool::new(conn, 0, BlockStore::default());
         let a = table(1, 256 << 10);
@@ -916,7 +836,7 @@ mod tests {
         fleet_zero_budget_stages_every_query_and_evicts_the_previous
     );
 
-    fn larger_than_budget<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
+    fn larger_than_budget<C: Conn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
         // 1 MB table against a 256 kB budget.
         let mut pool = TieredPool::new(conn, 256 << 10, BlockStore::default());
         let big = table(3, 1 << 20);
@@ -941,7 +861,7 @@ mod tests {
         fleet_single_table_larger_than_budget_still_stages
     );
 
-    fn requery_after_eviction<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
+    fn requery_after_eviction<C: Conn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
         let mut pool = TieredPool::new(conn, 1 << 20, BlockStore::default());
         let a = table(5, 1 << 20);
         let b = table(6, 1 << 20);
@@ -986,7 +906,7 @@ mod tests {
         fleet_requery_after_eviction_restages_cheap_from_far_memory
     );
 
-    fn far_pressure<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
+    fn far_pressure<C: Conn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
         // DRAM fits one 1 MB table; far memory fits one and a half, so
         // staging "b" spills half of "a"'s column slices.
         let mut pool = TieredPool::new(conn, 1 << 20, BlockStore::default())
@@ -1066,7 +986,7 @@ mod tests {
         assert_eq!(hot.outcome.payload.len(), 32 * t.schema().row_bytes());
     }
 
-    fn empty_object_name<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
+    fn empty_object_name<C: Conn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
         let mut pool = TieredPool::new(conn, 1 << 20, BlockStore::default());
         let err = pool.insert("", &table(1, 64 << 10)).unwrap_err();
         assert!(matches!(err, FvError::Unstageable { .. }), "{err}");
@@ -1077,13 +997,15 @@ mod tests {
         fleet_empty_object_name_is_a_typed_error
     );
 
-    fn corrupted_image<C: TierConn>(conn: &C, free_pages: impl Fn() -> u64, _pages: u64) {
+    fn corrupted_image<C: Conn>(conn: &C, free_pages: impl Fn() -> u64, _pages: u64) {
         let baseline = free_pages();
         let mut pool = TieredPool::new(conn, 1 << 20, BlockStore::default());
         pool.insert("t", &table(2, 64 << 10)).unwrap();
         // Flip a payload byte: the open-time checksum must catch it.
         assert!(pool.corrupt_stored("t", 4096));
-        let err = pool.query("t", &PipelineSpec::passthrough()).unwrap_err();
+        let Err(err) = pool.query("t", &PipelineSpec::passthrough()) else {
+            panic!("a corrupted image staged");
+        };
         assert!(matches!(err, FvError::Codec(_)), "{err}");
         assert!(!pool.is_resident("t"));
         assert_eq!(free_pages(), baseline, "a rejected image stages nothing");
@@ -1102,11 +1024,7 @@ mod tests {
     /// the old contents with them: the next query stages and serves the
     /// new table (it used to hit the stale copy and return the old
     /// bytes), and the old copy's pages go back to the pool.
-    fn reinsert_over_resident<C: TierConn>(
-        conn: &C,
-        free_pages: impl Fn() -> u64,
-        table_pages: u64,
-    ) {
+    fn reinsert_over_resident<C: Conn>(conn: &C, free_pages: impl Fn() -> u64, table_pages: u64) {
         let baseline = free_pages();
         let mut pool = TieredPool::new(conn, 8 << 20, BlockStore::default());
         let old = table(21, 256 << 10);
@@ -1139,7 +1057,7 @@ mod tests {
     /// Rows that do not divide the staging block or the transpose tile
     /// (24- and 13-byte rows), one row, and 5 000 rows all come back
     /// byte-identical through a cold staging.
-    fn odd_row_widths<C: TierConn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
+    fn odd_row_widths<C: Conn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
         use fv_data::{Column, ColumnType, TableBuilder, Value};
         let schema = |tys: &[ColumnType]| {
             let col = |(i, &ty)| Column {
@@ -1216,8 +1134,7 @@ mod tests {
     #[test]
     fn fleet_tier_restages_into_the_current_placement() {
         let fleet = FarviewFleet::new(2, FarviewConfig::tiny());
-        let qp = fleet.connect().unwrap();
-        let conn = FleetTierConn::new(&qp, Partitioning::RowRange);
+        let conn = FleetConn::new(fleet.connect().unwrap(), Partitioning::RowRange);
         let mut pool = TieredPool::new(&conn, 8 << 20, BlockStore::default());
         let t = table(7, 512 << 10);
         pool.insert("orders", &t).unwrap();
@@ -1268,6 +1185,64 @@ mod tests {
         assert_eq!(pool.resident_epoch("orders"), Some(fleet.epoch()));
         assert_eq!(pool.restages(), 1);
         assert_eq!(pool.hit_stats(), (2, 2));
+    }
+
+    /// A replicated fleet pool charges every copy it stages against its
+    /// budget: with DRAM for two single copies, one `r = 2` table fills
+    /// it, so staging a second one evicts the first. Charging one copy
+    /// per table kept both resident, at twice the budget.
+    #[test]
+    fn replicated_fleet_pool_charges_every_copy_against_its_budget() {
+        let fleet = FarviewFleet::new(3, FarviewConfig::tiny());
+        let conn =
+            FleetConn::new(fleet.connect().unwrap(), Partitioning::RowRange).with_replication(2);
+        let baseline = fleet.free_pages();
+        let (a, b) = (table(31, 256 << 10), table(32, 256 << 10));
+        let copies = 2 * a.byte_len() as u64;
+        let mut pool = TieredPool::new(&conn, copies, BlockStore::default());
+        pool.insert("a", &a).unwrap();
+        pool.insert("b", &b).unwrap();
+
+        pool.query("a", &PipelineSpec::passthrough()).unwrap();
+        assert_eq!(pool.resident_bytes(), copies, "both copies are charged");
+        let out = pool.query("b", &PipelineSpec::passthrough()).unwrap();
+        assert_eq!(out.evictions, vec!["a".to_string()]);
+        assert!(!pool.is_resident("a"));
+        assert_eq!(pool.resident_bytes(), copies);
+        assert_eq!(payload(&out), b.bytes());
+        assert_eq!(
+            fleet.free_pages(),
+            baseline - 6,
+            "only b's three shards × two copies hold pages"
+        );
+    }
+
+    /// A pool serves tenant `t` from the object named `t` in decimal: a
+    /// miss's service time includes its staging, a hit's is the bare
+    /// query, the DRR cost is the inserted table's byte length, and an
+    /// id with no object behind it is a typed error.
+    #[test]
+    fn a_pool_serves_each_tenant_from_its_decimal_named_object() {
+        let cluster = FarviewCluster::new(FarviewConfig::tiny());
+        let qp = cluster.connect().unwrap();
+        let t = table(41, 64 << 10);
+        let mut pool = TieredPool::new(&qp, 1 << 20, BlockStore::default());
+        pool.insert("7", &t).unwrap();
+        let spec = PipelineSpec::passthrough();
+        let cold = pool.execute(7, &spec).unwrap();
+        let hot = pool.execute(7, &spec).unwrap();
+        assert_eq!(cold.payload, t.bytes());
+        assert_eq!(hot.payload, t.bytes());
+        assert!(
+            cold.stats.response_time > hot.stats.response_time + SimDuration::from_micros(80),
+            "the cold disk read is paid as service"
+        );
+        assert_eq!(pool.cost(7), t.byte_len() as u64);
+        assert!(matches!(
+            pool.execute(8, &spec),
+            Err(FvError::NotInStorage { .. })
+        ));
+        assert_eq!(pool.cost(8), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::value::ColumnType;
 
 /// One named column.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name (e.g. `"a"`; the paper's queries use single-letter
     /// attribute names like `S.a`, `S.b`).
@@ -17,7 +17,7 @@ pub struct Column {
 /// Offsets are precomputed at construction: the FPGA projection operator
 /// and the MMU's smart-addressing mode both need static byte offsets per
 /// column (§5.2).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<Column>,
     offsets: Vec<usize>,

@@ -62,7 +62,7 @@ impl std::error::Error for ValueError {}
 /// describing the tuples and their size" (§5.2), which requires static
 /// offsets. Variable-length data is carried in fixed-size `Bytes(n)`
 /// fields (zero-padded), as in the regex experiments' string columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     /// Unsigned 64-bit integer, 8 bytes LE.
     U64,
@@ -116,7 +116,7 @@ impl ColumnType {
 }
 
 /// One column value.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Unsigned integer.
     U64(u64),

@@ -6,8 +6,6 @@
 //! distribution summaries for randomized workloads, and to let tests make
 //! statements such as "p99 queueing delay under six clients stays below X".
 
-use serde::Serialize;
-
 use crate::calib;
 use crate::time::SimDuration;
 
@@ -58,7 +56,7 @@ impl MergeCostModel {
 }
 
 /// Streaming mean/min/max/variance (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -137,10 +135,9 @@ impl RunningStats {
 ///
 /// Sample counts in this codebase are small (thousands), so exactness
 /// beats the complexity of a streaming sketch.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
     samples: Vec<f64>,
-    #[serde(skip)]
     sorted: bool,
 }
 

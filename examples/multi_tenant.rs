@@ -2,8 +2,9 @@
 //! each client gets its own dynamic region and queue pair; the DRR
 //! arbiters fair-share the wire and the DRAM channels.
 //!
-//! Table *construction* runs on real host threads (crossbeam scope); the
-//! six queries then execute concurrently inside one simulation episode.
+//! Table *construction* runs on real host threads (one scoped thread
+//! each); the six queries then execute concurrently inside one
+//! simulation episode.
 //!
 //! ```text
 //! cargo run --example multi_tenant
@@ -22,9 +23,9 @@ fn main() {
 
     // Generate each tenant's table on its own thread.
     let mut tables: Vec<Option<Table>> = (0..TENANTS).map(|_| None).collect();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (i, slot) in tables.iter_mut().enumerate() {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 *slot = Some(
                     TableGen::paper_default(TABLE_BYTES)
                         .seed(1000 + i as u64)
@@ -33,8 +34,7 @@ fn main() {
                 );
             });
         }
-    })
-    .expect("generator threads");
+    });
     let tables: Vec<Table> = tables.into_iter().map(|t| t.expect("built")).collect();
 
     // One connection (dynamic region) per tenant.

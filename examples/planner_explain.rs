@@ -47,7 +47,12 @@ fn main() {
     let (ft, _) = qp.load_table(&table).expect("buffer pool space");
 
     let naive = qp.far_view(&ft, &spec).expect("naive plan");
-    let optimized = Executor::run_plan(&qp, &ft, &plan).expect("optimized plan");
+    // An optimized plan runs as the spec it lowers to.
+    let lowered = plan
+        .optimize(ft.schema())
+        .and_then(|p| p.to_spec())
+        .expect("the plan lowers");
+    let optimized = qp.far_view(&ft, &lowered).expect("optimized plan");
     assert_eq!(
         optimized.payload, naive.payload,
         "optimization must be invisible in the bytes"

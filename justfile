@@ -65,8 +65,13 @@ sim-identity:
 scatter:
     RUST_TEST_THREADS=1 cargo test -q -p farview-core scatter
 
+# Every example in release mode. Each one asserts its own claims, so a
+# non-zero exit from any of them fails the recipe.
+examples:
+    for e in examples/*.rs; do cargo run -q --release --example "$(basename "$e" .rs)" || exit 1; done
+
 # Everything CI runs, job for job (.github/workflows/ci.yml).
-ci: verify scatter doc fmt-check clippy analyze bench-smoke bench-check bench-contract sim-identity chaos
+ci: verify scatter examples doc fmt-check clippy analyze bench-smoke bench-check bench-contract sim-identity chaos
 
 # Reproduce every table/figure of the paper plus the scale-out sweep.
 figures:

@@ -56,7 +56,7 @@ pub use fv_workload as workload;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use farview_core::{
-        Executor, FTable, FarviewCluster, FarviewConfig, FarviewFleet, FaultPlan, FleetQPair,
+        FTable, FarviewCluster, FarviewConfig, FarviewFleet, FaultPlan, FleetQPair,
         FleetQueryOutcome, FleetTable, FvError, NodeHealth, NodeId, Partitioning, PipelineSpec,
         Placement, PlanTarget, QPair, QueryOutcome, QueryPlan, QueryStats, RebalanceReport,
         SelectQuery, ShardMap, Topology,

@@ -28,7 +28,7 @@
 use proptest::prelude::*;
 
 use farview::prelude::*;
-use farview_core::{AggFunc, AggSpec, Executor, PredicateExpr};
+use farview_core::{AggFunc, AggSpec, PredicateExpr};
 use fv_bench::fault_plan_for;
 use fv_data::{Schema, Table, TableBuilder, Value};
 use fv_workload::{ChaosEvent, ChaosScenarioGen, FaultSpec};
@@ -229,14 +229,14 @@ proptest! {
         // Unreplicated: the batch posts more WQEs than the NIC
         // fetches, so the batch fails typed — never a partial merge.
         let (_f1, qp1, ft1) = degraded_fleet(&table, 2, 1, &plan);
-        match Executor::fleet(&qp1, &ft1, &specs) {
+        match qp1.far_view_batch(&ft1, &specs) {
             Ok(_) => prop_assert!(false, "truncated batch must not complete unreplicated"),
             Err(e) => prop_assert!(is_typed_fault(&e), "untyped failure: {}", e),
         }
 
         // Replicated: failover to the healthy replica, byte-identical.
         let (_f2, qp2, ft2) = degraded_fleet(&table, 3, 2, &plan);
-        let outs = Executor::fleet(&qp2, &ft2, &specs).unwrap();
+        let outs = qp2.far_view_batch(&ft2, &specs).unwrap();
         for (i, out) in outs.iter().enumerate() {
             prop_assert_eq!(&out.merged.payload, &oracle[i], "truncation leaked partial bytes");
         }

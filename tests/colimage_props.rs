@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use farview::prelude::*;
-use farview_core::{BlockStore, FleetTierConn, TierLevel, TieredPool};
+use farview_core::{BlockStore, FleetConn, TierLevel, TieredPool};
 use fv_data::colimage::{checksum64, COLIMAGE_MAGIC, COLIMAGE_VERSION};
 use fv_data::{schema_fingerprint, CodecError, Column, ColumnImage, ColumnType, TableBuilder};
 
@@ -294,11 +294,12 @@ proptest! {
         let oracle = oqp.far_view(&oft, &spec).unwrap();
 
         let fleet = FarviewFleet::new(3, FarviewConfig::tiny());
-        let qp = fleet.connect().unwrap();
-        // DRAM budget fits the larger of the two tables but never both,
-        // so staging the filler always evicts the table under test.
-        let budget = table.byte_len().max(filler.byte_len()) as u64;
-        let conn = FleetTierConn::new(&qp, Partitioning::RowRange).with_replication(2);
+        // DRAM budget fits both copies of the larger of the two tables
+        // but never both tables, so staging the filler always evicts the
+        // table under test.
+        let budget = 2 * table.byte_len().max(filler.byte_len()) as u64;
+        let conn =
+            FleetConn::new(fleet.connect().unwrap(), Partitioning::RowRange).with_replication(2);
         let mut pool = TieredPool::new(&conn, budget, BlockStore::default());
         pool.insert("t", &table).unwrap();
         pool.insert("filler", &filler).unwrap();

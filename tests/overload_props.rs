@@ -14,11 +14,14 @@
 //! * **seeded replay** — the same mix, config, and seed reproduce the
 //!   same admissions, sheds, and payloads bit for bit;
 //! * **chaos composition** — all of the above holds when the backend is
-//!   a replicated fleet with one partitioned node (`r = 2` failover).
+//!   a replicated fleet with one partitioned node (`r = 2` failover);
+//! * **tier composition** — and when it is a tiered pool over a
+//!   replicated fleet with DRAM for only half the tenants' tables.
 
 use farview_core::{
-    FarviewCluster, FarviewConfig, FarviewFleet, FleetBackend, FvError, Partitioning, ServeBackend,
-    ServeClass, ServeConfig, ServeEngine, ServeReport, ServeTenant, SingleNodeBackend,
+    BlockStore, FarviewCluster, FarviewConfig, FarviewFleet, FleetBackend, FleetConn, FvError,
+    Partitioning, ServeBackend, ServeClass, ServeConfig, ServeEngine, ServeReport, ServeTenant,
+    SingleNodeBackend, TieredPool,
 };
 use fv_bench::{fault_plan_for, overload_backend, serve_tenants, OVERLOAD_BENCH_SEED};
 use fv_sim::SimDuration;
@@ -86,8 +89,18 @@ fn completions_match_the_unloaded_oracle_under_shed_pressure() {
         report.rejected > 0,
         "the pressure config must actually trip admission control"
     );
-    assert!(!report.completions.is_empty());
     let mut oracle = overload_backend(&mix, 1024, OVERLOAD_BENCH_SEED);
+    assert_completions_match(&report, &tenants, &mut oracle);
+}
+
+/// Every completion of `report` carries the bytes `oracle` returns for
+/// the same tenant and query, and there is at least one.
+fn assert_completions_match(
+    report: &ServeReport,
+    tenants: &[ServeTenant],
+    oracle: &mut impl ServeBackend,
+) {
+    assert!(!report.completions.is_empty());
     for c in &report.completions {
         let spec = &tenants[c.tenant as usize].queries[c.query_idx];
         let want = oracle
@@ -96,7 +109,7 @@ fn completions_match_the_unloaded_oracle_under_shed_pressure() {
             .payload;
         assert_eq!(
             c.payload, want,
-            "admitted query diverged from the oracle (tenant {}, query {})",
+            "completion diverged from the oracle (tenant {}, query {})",
             c.tenant, c.query_idx
         );
     }
@@ -159,6 +172,31 @@ fn no_tenant_starves_across_random_heavy_tailed_mixes() {
     }
 }
 
+/// One `rows`-row table per tenant of `mix`, in tenant order.
+fn tenant_tables(mix: &TenantMix, rows: usize) -> Vec<fv_data::Table> {
+    let table = |id: usize| {
+        TableGen::new(8, rows)
+            .seed(0x00C0_FFEE ^ (id as u64).wrapping_mul(0x9E37_79B9))
+            .distinct_column(0, 32)
+            .selectivity_column(1, 0.5)
+            .sequential_column(2)
+            .build()
+    };
+    mix.tenants.iter().map(|t| table(t.id)).collect()
+}
+
+/// The all-resident single-node oracle: every tenant's table loaded on
+/// one healthy node.
+fn resident_oracle(mix: &TenantMix, tables: &[fv_data::Table]) -> SingleNodeBackend {
+    let cluster = FarviewCluster::new(FarviewConfig::default());
+    let mut oracle = SingleNodeBackend::new(cluster.connect().expect("connect"));
+    for (t, table) in mix.tenants.iter().zip(tables) {
+        let (ft, _) = oracle.load_table(table).expect("oracle load");
+        oracle.bind_tenant(t.id as u32, ft, table.byte_len() as u64);
+    }
+    oracle
+}
+
 /// Build a fleet-backed serving tier: `nodes` nodes, each tenant's
 /// table sharded across them at `replicas` copies, tables returned for
 /// the single-node oracle.
@@ -168,21 +206,13 @@ fn fleet_backend_for(
     rows: usize,
     replicas: usize,
 ) -> (FleetBackend, Vec<fv_data::Table>) {
-    let qp = fleet.connect().expect("fleet connect");
-    let mut backend = FleetBackend::new(qp);
-    let mut tables = Vec::new();
-    for t in &mix.tenants {
-        let table = TableGen::new(8, rows)
-            .seed(0xC0FF_EE ^ (t.id as u64).wrapping_mul(0x9E37_79B9))
-            .distinct_column(0, 32)
-            .selectivity_column(1, 0.5)
-            .sequential_column(2)
-            .build();
+    let mut backend = FleetBackend::new(fleet.connect().expect("fleet connect"));
+    let tables = tenant_tables(mix, rows);
+    for (t, table) in mix.tenants.iter().zip(&tables) {
         let (ft, _) = backend
-            .load_table_replicated(&table, Partitioning::RowRange, replicas)
+            .load_table_replicated(table, Partitioning::RowRange, replicas)
             .expect("fleet load");
         backend.bind_tenant(t.id as u32, ft, table.byte_len() as u64);
-        tables.push(table);
     }
     (backend, tables)
 }
@@ -222,26 +252,59 @@ fn overload_mix_survives_a_partitioned_replica() {
         "fairness {} broke the DRR bound on a degraded fleet",
         report.fairness_index
     );
-    assert!(!report.completions.is_empty());
-    let cluster = FarviewCluster::new(FarviewConfig::default());
-    let qp = cluster.connect().expect("connect");
-    let mut oracle = SingleNodeBackend::new(qp);
+    assert_completions_match(&report, &tenants, &mut resident_oracle(&mix, &tables));
+}
+
+/// Tier composition: the overload mix served by a `TieredPool` over a
+/// 3-node `r = 2` fleet connection whose DRAM budget holds both copies
+/// of only half the tenants' tables. Every completion is byte-identical
+/// to the all-resident single-node oracle, the shed ladder trips, and
+/// every tenant completes — which, with half the tables fitting, takes
+/// evictions and restagings along the way. Staging is paid as service,
+/// so the same fleet with every table resident completes more.
+#[test]
+fn serving_over_a_tiered_replicated_fleet_matches_the_all_resident_oracle() {
+    let mix = overdemanding_mix(12, 77);
+    let tenants = serve_tenants(&mix);
+    let tables = tenant_tables(&mix, 256);
+    let fleet = FarviewFleet::new(3, FarviewConfig::default());
+    let conn = FleetConn::new(
+        fleet.connect().expect("fleet connect"),
+        Partitioning::RowRange,
+    )
+    .with_replication(2);
+    let half = tables.len() / 2 * tables[0].byte_len();
+    let mut pool = TieredPool::new(&conn, 2 * half as u64, BlockStore::default());
     for (t, table) in mix.tenants.iter().zip(&tables) {
-        let (ft, _) = oracle.load_table(table).expect("oracle load");
-        oracle.bind_tenant(t.id as u32, ft, table.byte_len() as u64);
+        pool.insert(&t.id.to_string(), table).expect("insert");
     }
-    for c in &report.completions {
-        let spec = &tenants[c.tenant as usize].queries[c.query_idx];
-        let want = oracle
-            .execute(c.tenant, spec)
-            .expect("oracle execution")
-            .payload;
-        assert_eq!(
-            c.payload, want,
-            "degraded-fleet completion diverged from the oracle (tenant {})",
-            c.tenant
-        );
-    }
+    let config = ServeConfig {
+        keep_payloads: true,
+        ..pressured(8.0, 21, 6)
+    };
+    let report = ServeEngine::new(&tenants, config.clone(), pool)
+        .expect("a runnable serving config")
+        .run();
+    assert!(report.shed > 0, "the pressure config never shed");
+    assert_eq!(
+        report.exec_failed, 0,
+        "staging must be transparent to serving"
+    );
+    assert!(
+        report.min_completed > 0,
+        "a tenant never got its table staged"
+    );
+    assert_completions_match(&report, &tenants, &mut resident_oracle(&mix, &tables));
+
+    let resident_fleet = FarviewFleet::new(3, FarviewConfig::default());
+    let (resident, _) = fleet_backend_for(&mix, &resident_fleet, 256, 2);
+    let all_resident = ServeEngine::new(&tenants, config, resident)
+        .expect("a runnable serving config")
+        .run();
+    assert!(
+        report.completed < all_resident.completed,
+        "staging was not paid as service time"
+    );
 }
 
 /// Without replication a partition is not survivable — and the failure
