@@ -532,14 +532,19 @@ impl FarviewCluster {
             .into_iter()
             .flatten()
             .zip(metas)
-            .map(|(r, (schema, reconfigured))| finish_outcome(r, schema, reconfigured))
+            .map(|(r, (schema, reconfigured))| finish_outcome(r, schema, reconfigured).0)
             .collect())
     }
 }
 
-fn finish_outcome(r: episode::EpisodeResult, schema: Schema, reconfigured: bool) -> QueryOutcome {
-    let p = r.pipeline;
-    QueryOutcome {
+/// A query's outcome, and the pipeline it ran.
+fn finish_outcome(
+    r: episode::EpisodeResult,
+    schema: Schema,
+    reconfigured: bool,
+) -> (QueryOutcome, CompiledPipeline) {
+    let p = r.pipeline.stats();
+    let outcome = QueryOutcome {
         stats: QueryStats {
             response_time: r.response_time,
             result_bytes: r.payload.len() as u64,
@@ -557,7 +562,8 @@ fn finish_outcome(r: episode::EpisodeResult, schema: Schema, reconfigured: bool)
         },
         payload: r.payload,
         schema,
-    }
+    };
+    (outcome, r.pipeline)
 }
 
 /// A client connection bound to one dynamic region.
@@ -783,34 +789,60 @@ impl QPair {
     /// doorbell-batched submission on this queue pair and run the whole
     /// batch as a single pipelined episode. Every query reaches the
     /// episode machinery through here — [`QPair::far_view`] as a depth-1
-    /// batch, and every shard of a fleet query; a depth-1 batch *is* a
-    /// solo `farView`.
+    /// batch, and each shard slot of a fleet query; a depth-1 batch *is*
+    /// a solo `farView`.
+    ///
+    /// `pipelines` carries the batch's compiled pipelines from one run
+    /// to the next, as a loaded region keeps its operators between
+    /// queries. Empty, `specs` are compiled (and so verified) here;
+    /// otherwise they are `specs`' pipelines from an earlier run, and
+    /// each is reset before it runs again. On success it holds the
+    /// pipelines that just ran; on any error it is left empty, so the
+    /// next run compiles fresh. A fleet query hands them from shard slot
+    /// to shard slot; a single-node call drops them.
     pub(crate) fn execute_specs(
         &self,
         ft: &FTable,
         specs: &[PipelineSpec],
+        pipelines: &mut Vec<CompiledPipeline>,
     ) -> Result<Vec<QueryOutcome>, FvError> {
+        let mut carried = std::mem::take(pipelines);
         self.check_table(ft)?;
         if specs.is_empty() {
             return Ok(Vec::new());
         }
         check_queue_depth(specs.len())?;
-        // Compile (and so verify) the whole submission first: a batch
-        // refused here has touched no region, counter or TLB entry.
-        let pipelines = specs
-            .iter()
-            .map(|spec| CompiledPipeline::compile(spec.clone(), &ft.schema))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.run_batch(pipelines.into_iter().map(|pipeline| (ft, pipeline)))
+        if carried.is_empty() {
+            // Compile (and so verify) the whole submission first: a
+            // batch refused here has touched no region, counter or TLB
+            // entry.
+            carried = specs
+                .iter()
+                .map(|spec| CompiledPipeline::compile(spec.clone(), &ft.schema))
+                .collect::<Result<_, _>>()?;
+        } else {
+            debug_assert!(
+                carried.iter().map(CompiledPipeline::spec).eq(specs),
+                "carried pipelines must be this batch's"
+            );
+            carried.iter_mut().for_each(CompiledPipeline::reset);
+        }
+        let (outcomes, ran) = self
+            .run_batch(carried.into_iter().map(|pipeline| (ft, pipeline)))?
+            .into_iter()
+            .unzip();
+        *pipelines = ran;
+        Ok(outcomes)
     }
 
     /// Stage `work` — WQE `i` runs its pipeline over its table — as one
     /// doorbell batch on this queue pair and run it as one pipelined
     /// episode. Consecutive WQEs over the same bytes read them once.
+    /// Each outcome comes back with the pipeline that produced it.
     fn run_batch<T: std::borrow::Borrow<FTable>>(
         &self,
         work: impl Iterator<Item = (T, CompiledPipeline)>,
-    ) -> Result<Vec<QueryOutcome>, FvError> {
+    ) -> Result<Vec<(QueryOutcome, CompiledPipeline)>, FvError> {
         // The episode is a pure computation over the staged queries:
         // the node lock is released before it runs, so parallel
         // fleet-scatter workers whose shards co-locate on this node
@@ -888,9 +920,9 @@ impl QPair {
             let results = self.run_batch(work.into_iter())?;
             total += results
                 .iter()
-                .map(|o| o.stats.response_time)
+                .map(|(o, _)| o.stats.response_time)
                 .fold(SimDuration::ZERO, SimDuration::max);
-            outcomes.extend(results);
+            outcomes.extend(results.into_iter().map(|(o, _)| o));
         }
         Ok((outcomes, total))
     }
@@ -899,7 +931,7 @@ impl QPair {
     /// table inside the disaggregated memory.
     pub fn far_view(&self, ft: &FTable, spec: &PipelineSpec) -> Result<QueryOutcome, FvError> {
         Ok(self
-            .execute_specs(ft, std::slice::from_ref(spec))?
+            .far_view_batch(ft, std::slice::from_ref(spec))?
             .remove(0))
     }
 
@@ -911,13 +943,14 @@ impl QPair {
     /// request processing, DRAM reads and operator execution, so the
     /// batch makespan is far below the serial sum of solo queries while
     /// every result stays byte-identical to its solo run. Outcomes are
-    /// returned in post order.
+    /// returned in post order. Each call compiles its specs once; the
+    /// pipelines are dropped with the call.
     pub fn far_view_batch(
         &self,
         ft: &FTable,
         specs: &[PipelineSpec],
     ) -> Result<Vec<QueryOutcome>, FvError> {
-        self.execute_specs(ft, specs)
+        self.execute_specs(ft, specs, &mut Vec::new())
     }
 
     /// `tableRead`: plain RDMA read of the whole table through the

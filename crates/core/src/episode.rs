@@ -22,7 +22,7 @@ use fv_mem::{BurstReq, PageView};
 use fv_net::{
     DoorbellBatch, EgressArbiter, LinkTiming, NetError, NicKind, Packet, PacketKind, Reassembly,
 };
-use fv_pipeline::{CompiledPipeline, PipelineStats};
+use fv_pipeline::CompiledPipeline;
 use fv_sim::calib::{
     self, CLIENT_COMPLETE, CLIENT_POST, DRAM_ACCESS_LATENCY, FV_REQ_OCCUPANCY, FV_REQ_PROC,
     OP_CLOCK_HZ, PACKET_BYTES, PIPELINE_RATE, SMART_ADDR_TUPLE, TLB_MISS_PENALTY, WIRE_ONE_WAY,
@@ -62,8 +62,10 @@ pub struct EpisodeResult {
     pub response_time: SimDuration,
     /// Result payload as reassembled in client memory.
     pub payload: Vec<u8>,
-    /// Operator-pipeline counters.
-    pub pipeline: PipelineStats,
+    /// The pipeline the query ran, handed back finished: its counters
+    /// are the query's, and [`CompiledPipeline::reset`] readies it for
+    /// the next query of the same spec.
+    pub pipeline: CompiledPipeline,
     /// Response packets received.
     pub packets: u64,
     /// Bytes that crossed the wire (payload + headers).
@@ -678,7 +680,8 @@ pub fn run_episode(
 /// occupancy, and the batch's queries overlap shard-side operator
 /// execution with each other's in-flight DRAM reads — response time
 /// reflects pipelining, not a serial sum. Results are returned per batch
-/// in post order.
+/// in post order, each with the pipeline its query ran; a failed episode
+/// hands no pipeline back.
 ///
 /// # Errors
 /// [`FvError::IncompleteEpisode`] names the stream whose episode drained
@@ -808,8 +811,8 @@ pub fn run_batched_episodes(
     }
 
     // fv:allow(panic): id returned by add_actor above.
-    let node = sim.actor::<NodeActor>(node_id).expect("node actor");
-    let mut streams = node.runs.iter().zip(received);
+    let node = sim.actor_mut::<NodeActor>(node_id).expect("node actor");
+    let mut streams = std::mem::take(&mut node.runs).into_iter().zip(received);
     let mut results = Vec::with_capacity(depths.len());
     for &depth in &depths {
         let mut batch_results = Vec::with_capacity(depth);
@@ -822,7 +825,7 @@ pub fn run_batched_episodes(
                 qp,
                 response_time: completed.since(SimTime::ZERO),
                 payload,
-                pipeline: run.q.pipeline.stats(),
+                pipeline: run.q.pipeline,
                 packets,
                 wire_bytes: run.wire_bytes,
                 events,
@@ -985,7 +988,7 @@ mod tests {
         for (a, b) in shared.iter().flatten().zip(solo.iter().flatten()) {
             assert_eq!(a.payload, b.payload);
             assert_eq!(a.response_time, b.response_time);
-            assert_eq!(a.pipeline, b.pipeline);
+            assert_eq!(a.pipeline.stats(), b.pipeline.stats());
         }
     }
 
@@ -1020,7 +1023,7 @@ mod tests {
         };
         let carried = run_episode(vec![carried], &cfg).unwrap().remove(0);
         assert_eq!(viewed.payload, carried.payload);
-        assert_eq!(viewed.pipeline, carried.pipeline);
+        assert_eq!(viewed.pipeline.stats(), carried.pipeline.stats());
         assert_eq!(viewed.response_time, carried.response_time);
         assert_eq!(viewed.events, carried.events);
     }
@@ -1074,8 +1077,8 @@ mod tests {
             "25% selectivity must beat full read: {} vs {t_full}",
             r.response_time
         );
-        assert_eq!(r.pipeline.tuples_in, rows);
-        assert_eq!(r.pipeline.tuples_out, rows / 4);
+        assert_eq!(r.pipeline.stats().tuples_in, rows);
+        assert_eq!(r.pipeline.stats().tuples_out, rows / 4);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 
 use fv_data::{Schema, Table};
-use fv_pipeline::PipelineSpec;
+use fv_pipeline::{CompiledPipeline, PipelineSpec};
 use fv_sim::{MergeCostModel, MigrationCostModel, SimDuration};
 
 use crate::cluster::{FTable, FarviewCluster, QPair, QueryOutcome, QueryStats, SelectQuery};
@@ -979,6 +979,14 @@ impl FleetQPair {
     /// (asserted on two identically built fleets above the gate by an
     /// in-crate test).
     ///
+    /// The shard batch is compiled once, to verify it before any slot
+    /// runs, and worker 0 runs those very pipelines on every slot it
+    /// owns: each slot's episode hands them back and the next slot
+    /// resets them in place, as a loaded region runs its next query. A
+    /// spawned worker compiles its own on its first slot. A replica that
+    /// faults hands nothing back, so its failover compiles fresh. No
+    /// pipeline outlives the call.
+    ///
     /// Shards resolve via the handle's epoch-snapshot [`Placement`]: each
     /// shard slot **executes its datapath once**, on the first surviving
     /// replica. A replica whose link faults (typed [`FvError::Net`] /
@@ -1019,36 +1027,47 @@ impl FleetQPair {
             .map(|s| shard_execution(s, ft.schema()))
             .collect::<Result<Vec<_>, _>>()?;
         let shard_specs: Vec<PipelineSpec> = plans.iter().map(|(s, _)| s.clone()).collect();
+        // Compile (and so verify) the shard batch once, before any slot
+        // runs: every shard would refuse the same spec. The calling
+        // worker runs these very pipelines.
+        let verified = shard_specs
+            .iter()
+            .map(|s| CompiledPipeline::compile(s.clone(), ft.schema()))
+            .collect::<Result<Vec<_>, _>>()?;
 
         // One shard slot's work: execute the whole batch once, on the
-        // first surviving replica. A replica whose *link* faults (typed
-        // `Net`/`IncompleteEpisode`) drops out of the slot like a dead
-        // node: the next one serves, and only when every replica fails
-        // does the slot report the last typed error.
-        let run_slot =
-            |nodes: &[NodeId], replicas: &[FTable]| -> Result<Vec<QueryOutcome>, FvError> {
-                let mut last_err = None;
-                for (&node, sft) in nodes.iter().zip(replicas) {
-                    if !self.is_serving(node) {
-                        continue;
-                    }
-                    match self
-                        .node_qp(node)
-                        .and_then(|qp| qp.execute_specs(sft, &shard_specs))
-                    {
-                        Ok(outcomes) => return Ok(outcomes),
-                        // "This replica's datapath is degraded", as opposed
-                        // to a query bug that every replica would share.
-                        Err(e @ (FvError::Net(_) | FvError::IncompleteEpisode { .. })) => {
-                            last_err = Some(e);
-                        }
-                        Err(e) => return Err(e),
-                    }
+        // first surviving replica, with the pipelines the worker's
+        // previous slot handed back. A replica whose *link* faults
+        // (typed `Net`/`IncompleteEpisode`) drops out of the slot like a
+        // dead node, handing nothing back: the next one serves on a
+        // fresh compile, and only when every replica fails does the slot
+        // report the last typed error.
+        let run_slot = |nodes: &[NodeId],
+                        replicas: &[FTable],
+                        pipelines: &mut Vec<CompiledPipeline>|
+         -> Result<Vec<QueryOutcome>, FvError> {
+            let mut last_err = None;
+            for (&node, sft) in nodes.iter().zip(replicas) {
+                if !self.is_serving(node) {
+                    continue;
                 }
-                Err(last_err.unwrap_or_else(|| FvError::NodeDown {
-                    node: nodes.first().map_or(0, |n| n.0),
-                }))
-            };
+                match self
+                    .node_qp(node)
+                    .and_then(|qp| qp.execute_specs(sft, &shard_specs, pipelines))
+                {
+                    Ok(outcomes) => return Ok(outcomes),
+                    // "This replica's datapath is degraded", as opposed
+                    // to a query bug that every replica would share.
+                    Err(e @ (FvError::Net(_) | FvError::IncompleteEpisode { .. })) => {
+                        last_err = Some(e);
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            Err(last_err.unwrap_or_else(|| FvError::NodeDown {
+                node: nodes.first().map_or(0, |n| n.0),
+            }))
+        };
 
         // Scatter across the slots with a deterministic ordered join
         // (slot order, not completion order). The byte test comes first:
@@ -1065,9 +1084,12 @@ impl FleetQPair {
         if workers > 1 {
             workers = workers.min(host_parallelism());
         }
-        let per_shard = scatter_slots(&slots, workers, |(nodes, replicas)| {
-            run_slot(nodes, replicas)
-        })?;
+        // Worker 0 starts from the verified pipelines; a spawned worker
+        // starts empty, so its first slot compiles its own.
+        let per_shard =
+            scatter_slots(&slots, workers, verified, |(nodes, replicas), pipelines| {
+                run_slot(nodes, replicas, pipelines)
+            })?;
 
         // Gather: merge query `i`'s per-shard outcomes client-side,
         // reading the shard payloads in place. Every slot ran the whole

@@ -1164,39 +1164,46 @@ pub(crate) fn host_parallelism() -> usize {
 /// **in slot order**: the output, and the error when several slots
 /// fail, is the one a single worker would produce.
 ///
+/// Each worker threads one state through its slots, in order: worker 0
+/// starts from `own`, every other worker from `S::default()`, built on
+/// its own thread (so the state never crosses threads). The fleet keeps
+/// its compiled pipelines there.
+///
 /// A worker that panics is contained at the scatter boundary, the
 /// caller's own run included: the slot reports
 /// [`FvError::ScatterWorkerPanicked`] instead of poisoning the calling
 /// thread, so one bad shard episode cannot take down a client
 /// mid-fleet-read.
-pub(crate) fn scatter_slots<T, R>(
+pub(crate) fn scatter_slots<T, R, S>(
     slots: &[T],
     workers: usize,
-    run: impl Fn(&T) -> Result<R, FvError> + Sync,
+    own: S,
+    run: impl Fn(&T, &mut S) -> Result<R, FvError> + Sync,
 ) -> Result<Vec<R>, FvError>
 where
     T: Sync,
     R: Send,
+    S: Default,
 {
-    let run_chunk = |group: &[T]| -> Result<Vec<R>, FvError> {
+    let run_chunk = |group: &[T], mut state: S| -> Result<Vec<R>, FvError> {
         group
             .iter()
             .map(|slot| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(slot)))
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(slot, &mut state)))
                     .unwrap_or(Err(FvError::ScatterWorkerPanicked))
             })
             .collect()
     };
     let chunk = slots.len().div_ceil(workers.max(1)).max(1);
     let mut chunks = slots.chunks(chunk);
-    let own = chunks.next().unwrap_or_default();
+    let first = chunks.next().unwrap_or_default();
     std::thread::scope(|s| {
         let run_chunk = &run_chunk;
         let handles: Vec<_> = chunks
-            .map(|group| s.spawn(move || run_chunk(group)))
+            .map(|group| s.spawn(move || run_chunk(group, S::default())))
             .collect();
         let mut all = Vec::with_capacity(slots.len());
-        all.extend(run_chunk(own)?);
+        all.extend(run_chunk(first, own)?);
         for h in handles {
             all.extend(h.join().map_err(|_| FvError::ScatterWorkerPanicked)??);
         }
@@ -1589,31 +1596,40 @@ mod tests {
         let slots: Vec<usize> = (0..8).collect();
         let caller = std::thread::current().id();
         for workers in SCATTER_WORKER_COUNTS {
-            let ran = scatter_slots(&slots, workers, |&slot| {
-                Ok((slot * 2, std::thread::current().id()))
+            // Each worker counts the slots it ran in its state; the
+            // caller's count starts where the caller says.
+            let ran = scatter_slots(&slots, workers, 100usize, |&slot, runs| {
+                *runs += 1;
+                Ok((slot * 2, std::thread::current().id(), *runs))
             })
             .unwrap();
-            let values: Vec<usize> = ran.iter().map(|&(v, _)| v).collect();
+            let values: Vec<usize> = ran.iter().map(|&(v, ..)| v).collect();
             assert_eq!(values, vec![0, 2, 4, 6, 8, 10, 12, 14], "workers={workers}");
             // The first contiguous run is the caller's own; every later
             // slot ran on a spawned thread.
             let own = slots.len().div_ceil(workers);
-            for (slot, &(_, thread)) in ran.iter().enumerate() {
+            for (slot, &(_, thread, runs)) in ran.iter().enumerate() {
                 assert_eq!(
                     thread == caller,
                     slot < own,
                     "workers={workers} slot={slot}"
                 );
+                let (start, nth) = if slot < own {
+                    (100, slot)
+                } else {
+                    (0, slot % own)
+                };
+                assert_eq!(runs, start + nth + 1, "workers={workers} slot={slot}");
             }
         }
         // Zero workers is read as one, not a division by zero.
-        assert_eq!(scatter_slots(&slots, 0, |&s| Ok(s)).unwrap(), slots);
+        assert_eq!(scatter_slots(&slots, 0, (), |&s, _| Ok(s)).unwrap(), slots);
     }
 
     #[test]
     fn scatter_over_zero_slots_is_empty() {
         for workers in [0, 1, 2, 9] {
-            let out = scatter_slots(&[] as &[usize], workers, |&slot| Ok(slot));
+            let out = scatter_slots(&[] as &[usize], workers, (), |&slot, _| Ok(slot));
             assert_eq!(out, Ok(Vec::new()), "workers={workers}");
         }
     }
@@ -1627,7 +1643,7 @@ mod tests {
         let slots: Vec<usize> = (0..8).collect();
         for (lo, hi) in [(1, 2), (1, 6), (4, 6), (5, 7), (0, 7)] {
             for workers in SCATTER_WORKER_COUNTS {
-                let result = scatter_slots(&slots, workers, |&slot| {
+                let result = scatter_slots(&slots, workers, (), |&slot, _| {
                     if slot == lo || slot == hi {
                         return Err(FvError::NodeDown { node: slot as u64 });
                     }
@@ -1653,7 +1669,7 @@ mod tests {
         for poisoned in [1usize, 5] {
             for workers in SCATTER_WORKER_COUNTS {
                 let ran = AtomicU32::new(0);
-                let result = scatter_slots(&slots, workers, |&slot| {
+                let result = scatter_slots(&slots, workers, (), |&slot, _| {
                     if slot == poisoned {
                         panic!("poisoned shard episode");
                     }

@@ -301,6 +301,13 @@ impl StreamCompressor {
     pub fn totals(&self) -> (u64, u64) {
         (self.raw_in, self.compressed_out)
     }
+
+    /// Drop the pending tail and zero the totals.
+    pub fn reset(&mut self) {
+        self.pending.clear();
+        self.raw_in = 0;
+        self.compressed_out = 0;
+    }
 }
 
 #[cfg(test)]

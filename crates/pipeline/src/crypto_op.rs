@@ -36,6 +36,12 @@ impl StreamCrypto {
     pub fn bytes_processed(&self) -> u64 {
         self.bytes_processed
     }
+
+    /// Rewind to stream offset 0.
+    pub fn reset(&mut self) {
+        self.ctr.seek(0);
+        self.bytes_processed = 0;
+    }
 }
 
 #[cfg(test)]

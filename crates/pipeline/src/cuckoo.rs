@@ -127,6 +127,8 @@ pub struct CuckooTable<V> {
     slots: Vec<EntryRef>,
     ways: usize,
     buckets_per_way: usize,
+    /// The geometry the table was built with, which a reset returns to.
+    min_buckets_per_way: usize,
     max_buckets_per_way: usize,
     max_kicks: usize,
     /// The dense entry store, three parallel columns: primary hash (the
@@ -189,6 +191,7 @@ impl<V> CuckooTable<V> {
             slots: vec![0; ways * buckets_per_way],
             ways,
             buckets_per_way,
+            min_buckets_per_way: buckets_per_way,
             max_buckets_per_way,
             max_kicks: 4 * ways,
             tags: Vec::new(),
@@ -464,12 +467,22 @@ impl<V> CuckooTable<V> {
             })
     }
 
-    /// Remove everything (geometry stays as grown).
-    pub fn clear(&mut self) {
-        self.slots.fill(0);
+    /// Remove everything and shrink back to the geometry the table was
+    /// built with: the table places, grows and overflows exactly as a
+    /// new one would. The allocations stay.
+    pub fn reset(&mut self) {
+        if self.buckets_per_way != self.min_buckets_per_way {
+            self.buckets_per_way = self.min_buckets_per_way;
+            self.slots.clear();
+            self.slots.resize(self.ways * self.buckets_per_way, 0);
+        } else if !self.tags.is_empty() {
+            // A table with no entries has no bucket naming one.
+            self.slots.fill(0);
+        }
         self.tags.clear();
         self.values.clear();
         self.keys.clear();
+        self.key_width = 0;
         self.stash.clear();
     }
 }
@@ -727,6 +740,14 @@ impl ShiftRegisterLru {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
+
+    /// Empty the window and restart its recency clock.
+    pub fn reset(&mut self) {
+        self.clock = 0;
+        self.tags.clear();
+        self.stamps.clear();
+        self.keys.clear();
+    }
 }
 
 #[cfg(test)]
@@ -799,9 +820,20 @@ mod tests {
         let mut vals: Vec<u8> = t.iter().map(|(_, v)| *v).collect();
         vals.sort_unstable();
         assert_eq!(vals, vec![1, 2]);
-        t.clear();
+        t.reset();
         assert!(t.is_empty());
         assert_eq!(t.iter().count(), 0);
+
+        // A grown table shrinks back to where it started.
+        let mut t: CuckooTable<u64> = CuckooTable::with_default_geometry();
+        let start = t.capacity();
+        for i in 0..3000u64 {
+            t.insert(i.to_le_bytes().into(), i).unwrap();
+        }
+        assert!(t.capacity() > start);
+        t.reset();
+        assert_eq!((t.len(), t.capacity()), (0, start));
+        assert_eq!(t.get(&7u64.to_le_bytes()), None);
     }
 
     #[test]

@@ -254,6 +254,18 @@ impl TailOperator for DistinctOp {
     fn batched_blocks(&self) -> u64 {
         self.batched_blocks
     }
+
+    fn reset(&mut self) {
+        self.table.reset();
+        self.lru.reset();
+        self.in_flight.clear();
+        self.tick = 0;
+        self.batched_blocks = 0;
+        self.emitted = 0;
+        self.overflow = 0;
+        self.hazard_catches = 0;
+        self.hazard_leaks = 0;
+    }
 }
 
 #[cfg(test)]

@@ -54,6 +54,11 @@ impl Selection for FilterOp {
         }
         self.passed += sel.len() as u64;
     }
+
+    fn reset(&mut self) {
+        self.evaluated = 0;
+        self.passed = 0;
+    }
 }
 
 #[cfg(test)]

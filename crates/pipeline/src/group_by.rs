@@ -473,6 +473,21 @@ impl TailOperator for GroupByOp {
     fn batched_blocks(&self) -> u64 {
         self.batched_blocks
     }
+
+    fn reset(&mut self) {
+        self.table.reset();
+        self.group_keys.clear();
+        self.queued.clear();
+        for agg in &mut self.aggs {
+            agg.acc.clear();
+            agg.n.clear();
+        }
+        self.free.clear();
+        self.opened = 0;
+        self.batched_blocks = 0;
+        self.overflow = 0;
+        self.flushed = 0;
+    }
 }
 
 #[cfg(test)]

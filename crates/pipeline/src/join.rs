@@ -281,6 +281,13 @@ impl TailOperator for JoinSmallOp {
     fn batched_blocks(&self) -> u64 {
         self.batched_blocks
     }
+
+    /// The build side is what the spec compiled in: it stays loaded.
+    fn reset(&mut self) {
+        self.probed = 0;
+        self.emitted = 0;
+        self.batched_blocks = 0;
+    }
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ pub mod compress;
 pub mod crypto_op;
 
 pub use join::JoinSmallSpec;
-pub use merge::{merge_distinct, PartialAggPlan};
+pub use merge::PartialAggPlan;
 pub use pipeline::{
     CompiledPipeline, PipelineError, PipelineStats, Selection, TailOperator, TupleBlock,
 };

@@ -9,7 +9,7 @@
 //! * selection / projection / regex results **concatenate** (with
 //!   row-range partitioning, shard order *is* row order);
 //! * `DISTINCT` results take an order-preserving **union**
-//!   ([`merge_distinct`]);
+//!   ([`PartialAggPlan::for_distinct`]);
 //! * `GROUP BY` results **re-aggregate**: the same group key can surface
 //!   on several shards, so the client combines the per-shard partial
 //!   aggregates ([`PartialAggPlan`]).
@@ -38,7 +38,7 @@
 //! beyond that they agree only to `f64` rounding, like any
 //! partial-aggregate split.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
 
 use fv_data::{Column, ColumnType, Schema};
 
@@ -225,8 +225,10 @@ impl PartialAggPlan {
     /// DISTINCT→GROUP-BY unification: every grouping operator merges
     /// through the *same* partial-aggregation path, and an empty
     /// aggregate list reduces [`PartialAggPlan::merge`] to the
-    /// order-preserving first-seen union (what [`merge_distinct`]
-    /// computes).
+    /// order-preserving first-seen union: scan shards in order, keep the
+    /// first occurrence of each row — the client software dedup the
+    /// paper already requires for overflow tuples (§5.4), applied across
+    /// shards.
     pub fn for_distinct(cols: &[usize], base_schema: &Schema) -> Result<Self, PipelineError> {
         PartialAggPlan::new(cols, &[], base_schema)
     }
@@ -252,9 +254,15 @@ impl PartialAggPlan {
     /// single-node output format. Returns the packed rows and the number
     /// of partial rows consumed (the input size the client-side merge
     /// cost model charges for).
+    ///
+    /// Nothing is allocated per row: a key is a borrowed slice of its
+    /// payload, mapped to its group's index in first-seen order, and
+    /// every group's shard slots sit in one flat accumulator column.
     pub fn merge<P: AsRef<[u8]>>(&self, shard_payloads: &[P]) -> (Vec<u8>, u64) {
-        let mut order: Vec<Box<[u8]>> = Vec::new();
-        let mut acc: HashMap<Box<[u8]>, Vec<[u8; 8]>> = HashMap::new();
+        let width = self.shard_slots.len();
+        let mut groups: HashMap<&[u8], usize> = HashMap::new();
+        let mut keys: Vec<&[u8]> = Vec::new();
+        let mut acc: Vec<[u8; 8]> = Vec::new();
         let mut partial_rows = 0u64;
 
         for payload in shard_payloads {
@@ -266,36 +274,38 @@ impl PartialAggPlan {
             );
             for row in payload.chunks_exact(self.shard_row_bytes) {
                 partial_rows += 1;
-                let key = &row[..self.key_bytes];
-                let slots: Vec<[u8; 8]> = row[self.key_bytes..]
-                    .chunks_exact(8)
-                    .map(|c| c.try_into().expect("8-byte slot"))
-                    .collect();
-                match acc.get_mut(key) {
-                    Some(existing) => {
-                        for (i, combine) in self.shard_slots.iter().enumerate() {
-                            existing[i] = combine.apply(existing[i], slots[i]);
+                let (key, slots) = row.split_at(self.key_bytes);
+                // `shard_row_bytes` is the key plus 8 bytes per slot.
+                let slots = slots.as_chunks::<8>().0;
+                match groups.entry(key) {
+                    Entry::Occupied(g) => {
+                        let at = g.get() * width;
+                        let merged = acc.get_mut(at..at + width).unwrap_or_default();
+                        for ((a, s), combine) in merged.iter_mut().zip(slots).zip(&self.shard_slots)
+                        {
+                            *a = combine.apply(*a, *s);
                         }
                     }
-                    None => {
-                        let key: Box<[u8]> = key.into();
-                        order.push(key.clone());
-                        acc.insert(key, slots);
+                    Entry::Vacant(g) => {
+                        g.insert(keys.len());
+                        keys.push(key);
+                        acc.extend_from_slice(slots);
                     }
                 }
             }
         }
 
-        let mut out = Vec::with_capacity(order.len() * self.out_schema.row_bytes());
-        for key in &order {
-            let slots = &acc[key];
+        let mut out = Vec::with_capacity(keys.len() * self.out_schema.row_bytes());
+        for (g, key) in keys.iter().enumerate() {
+            let slots = acc.get(g * width..(g + 1) * width).unwrap_or_default();
+            let slot = |i: usize| slots.get(i).copied().unwrap_or_default();
             out.extend_from_slice(key);
             for f in &self.finalize {
                 match *f {
-                    Finalize::Slot(i) => out.extend_from_slice(&slots[i]),
+                    Finalize::Slot(i) => out.extend_from_slice(&slot(i)),
                     Finalize::AvgOf { sum, count } => {
-                        let n = u64::from_le_bytes(slots[count]);
-                        let total = f64::from_le_bytes(slots[sum]);
+                        let n = u64::from_le_bytes(slot(count));
+                        let total = f64::from_le_bytes(slot(sum));
                         let avg = if n == 0 { 0.0 } else { total / n as f64 };
                         out.extend_from_slice(&avg.to_le_bytes());
                     }
@@ -304,35 +314,6 @@ impl PartialAggPlan {
         }
         (out, partial_rows)
     }
-}
-
-/// Order-preserving union of per-shard `DISTINCT` payloads: scan shards
-/// in order, keep the first occurrence of each row. This is the client
-/// software dedup the paper already requires for overflow tuples (§5.4),
-/// applied across shards; with row-range partitioning the result equals
-/// a single node's first-seen flush order byte for byte. Returns the
-/// merged payload and the number of input rows scanned.
-pub fn merge_distinct<P: AsRef<[u8]>>(row_bytes: usize, shard_payloads: &[P]) -> (Vec<u8>, u64) {
-    assert!(row_bytes > 0, "distinct rows cannot be empty");
-    let mut seen: HashSet<Box<[u8]>> = HashSet::new();
-    let mut out = Vec::new();
-    let mut rows_in = 0u64;
-    for payload in shard_payloads {
-        let payload = payload.as_ref();
-        assert_eq!(
-            payload.len() % row_bytes,
-            0,
-            "shard payload is not whole rows"
-        );
-        for row in payload.chunks_exact(row_bytes) {
-            rows_in += 1;
-            if !seen.contains(row) {
-                seen.insert(row.into());
-                out.extend_from_slice(row);
-            }
-        }
-    }
-    (out, rows_in)
 }
 
 #[cfg(test)]
@@ -425,12 +406,14 @@ mod tests {
         );
     }
 
+    fn rows(vals: &[u64]) -> Vec<u8> {
+        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
     #[test]
     fn merge_distinct_keeps_first_seen_order() {
-        let rows =
-            |vals: &[u64]| -> Vec<u8> { vals.iter().flat_map(|v| v.to_le_bytes()).collect() };
-        let (merged, n) =
-            merge_distinct(8, &[rows(&[3, 1, 4]), rows(&[1, 5, 3, 9]), rows(&[2, 6])]);
+        let plan = PartialAggPlan::for_distinct(&[0], &base()).unwrap();
+        let (merged, n) = plan.merge(&[rows(&[3, 1, 4]), rows(&[1, 5, 3, 9]), rows(&[2, 6])]);
         assert_eq!(n, 9);
         assert_eq!(merged, rows(&[3, 1, 4, 5, 9, 2, 6]));
     }
@@ -438,20 +421,17 @@ mod tests {
     #[test]
     fn distinct_unifies_with_the_aggregate_merge_path() {
         // DISTINCT = GROUP BY with no aggregates: the partial-aggregation
-        // merge must reproduce merge_distinct byte for byte, including
-        // first-seen order and cross-shard dedup.
+        // merge is the first-seen union, deduplicated across shards and
+        // within one.
         let plan = PartialAggPlan::for_distinct(&[0], &base()).unwrap();
         assert!(plan.shard_aggs().is_empty());
         assert_eq!(plan.shard_row_bytes(), 8);
         assert_eq!(plan.out_schema().column_count(), 1);
 
-        let rows =
-            |vals: &[u64]| -> Vec<u8> { vals.iter().flat_map(|v| v.to_le_bytes()).collect() };
-        let shards = [rows(&[3, 1, 4]), rows(&[1, 5, 3, 9]), rows(&[2, 6])];
-        let (via_agg, n_agg) = plan.merge(&shards);
-        let (via_distinct, n_distinct) = merge_distinct(8, &shards);
-        assert_eq!(via_agg, via_distinct);
-        assert_eq!(n_agg, n_distinct);
+        let shards = [rows(&[3, 1, 4, 1]), rows(&[1, 5, 3, 9]), rows(&[2, 6, 2])];
+        let (merged, n) = plan.merge(&shards);
+        assert_eq!(merged, rows(&[3, 1, 4, 5, 9, 2, 6]));
+        assert_eq!(n, 11);
 
         // Multi-column keys keep the projection order.
         let plan2 = PartialAggPlan::for_distinct(&[2, 0], &base()).unwrap();
@@ -472,7 +452,8 @@ mod tests {
         let (merged, rows) = plan.merge(&[Vec::new(), Vec::new()]);
         assert!(merged.is_empty());
         assert_eq!(rows, 0);
-        let (d, n) = merge_distinct::<Vec<u8>>(8, &[]);
+        let distinct = PartialAggPlan::for_distinct(&[0], &base()).unwrap();
+        let (d, n) = distinct.merge::<Vec<u8>>(&[]);
         assert!(d.is_empty());
         assert_eq!(n, 0);
     }

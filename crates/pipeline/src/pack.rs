@@ -146,6 +146,14 @@ impl Packer {
         n
     }
 
+    /// Drop anything undrained and zero the counters; the buffer keeps
+    /// its capacity.
+    pub fn reset(&mut self) {
+        self.buf.clear();
+        self.bytes_packed = 0;
+        self.tuples_packed = 0;
+    }
+
     /// Total payload bytes packed.
     pub fn bytes_packed(&self) -> u64 {
         self.bytes_packed

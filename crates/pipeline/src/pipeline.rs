@@ -264,6 +264,8 @@ pub trait Selection {
     fn batched_blocks(&self) -> u64 {
         0
     }
+    /// Return to the state the stage was constructed in.
+    fn reset(&mut self);
 }
 
 /// The one stateful stage a pipeline may end in (§5.4 distinct and
@@ -291,6 +293,10 @@ pub trait TailOperator {
     fn flushed_entries(&self) -> u64 {
         0
     }
+    /// Return to the state the operator was constructed in: no stream
+    /// seen, every counter zero. State the spec compiled in (a join's
+    /// build side) stays.
+    fn reset(&mut self);
 }
 
 /// Feed `row` to `op` as a one-tuple block (a one-tuple block is a
@@ -433,6 +439,31 @@ impl CompiledPipeline {
             stats: PipelineStats::default(),
             finished: false,
         })
+    }
+
+    /// Return to the freshly compiled state, keeping the buffers' and
+    /// tables' allocations: the next stream produces the bytes,
+    /// [`PipelineStats`] and cycle counts a new compile of the same spec
+    /// would. This is how a
+    /// dynamic region runs the next query on a loaded pipeline — the
+    /// region is reconfigured only when the spec changes.
+    pub fn reset(&mut self) {
+        self.partial.clear();
+        for c in [&mut self.decrypt, &mut self.encrypt].into_iter().flatten() {
+            c.reset();
+        }
+        if let Some(c) = &mut self.compress {
+            c.reset();
+        }
+        for s in &mut self.selections {
+            s.reset();
+        }
+        if let Some(t) = &mut self.tail {
+            t.reset();
+        }
+        self.packer.reset();
+        self.stats = PipelineStats::default();
+        self.finished = false;
     }
 
     /// The spec this pipeline was compiled from.

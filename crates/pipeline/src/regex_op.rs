@@ -111,6 +111,12 @@ impl Selection for RegexOp {
     fn batched_blocks(&self) -> u64 {
         self.batched_blocks
     }
+
+    fn reset(&mut self) {
+        self.matched = 0;
+        self.evaluated = 0;
+        self.batched_blocks = 0;
+    }
 }
 
 #[cfg(test)]

@@ -20,9 +20,11 @@
 # first alternates from pair to pair.
 #
 # Prints each pair's end-to-end metrics, then per metric each side's
-# median and quartiles, how many pairs the change won (by the metric's
-# direction in BENCHMARK.json), and whether the medians are further
-# apart than the base's inter-quartile distance.
+# median and quartiles, how many pairs the change won, whether the
+# medians are further apart than the base's inter-quartile distance, and
+# whether the change's median is within the metric's no-regression
+# bound. Each metric's direction (`better`) and bound come from
+# BENCHMARK.json's `end_to_end` list, read with jq (never written).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -40,6 +42,14 @@ tr -d ' \n' <BENCHMARK.json | grep -qF \
     echo "ab-pairs: BENCHMARK.json's command changed; update $0" >&2
     exit 1
 }
+
+command -v jq >/dev/null || {
+    echo "ab-pairs: needs jq to read BENCHMARK.json" >&2
+    exit 1
+}
+# "name:better:bound" per end-to-end metric, space-separated.
+bounds=$(jq -r '[.end_to_end[] | "\(.name):\(.better):\(.bound)"] | join(" ")' BENCHMARK.json)
+metrics=$(printf '%s\n' "$bounds" | tr ' ' '\n' | cut -d: -f1 | tr '\n' ' ')
 
 if git diff --quiet HEAD --; then
     base=HEAD^
@@ -60,8 +70,6 @@ echo "ab-pairs: building both sides' fvbench"
 (cd "$tmp/base" && CARGO_TARGET_DIR="$base_target" \
     cargo build --release --quiet --manifest-path benchmark/Cargo.toml)
 cargo build --release --quiet --manifest-path benchmark/Cargo.toml
-
-metrics="setup_s round_p50_us round_p99_us scan_mib_per_s peak_rss_mib sim_us_per_query sim_events_per_query"
 
 # One run of side $1 ("base" or "change") on seed $2: its metrics on
 # one line, "side seed name=value ...", appended to $tmp/runs.
@@ -106,9 +114,10 @@ while [ "$i" -le "$pairs" ]; do
 done
 
 # Per metric: both sides' median [q1, q3] (linear interpolation), the
-# pairs the change won and tied, and whether the medians clear the
-# base's IQR.
-awk -v metrics="$metrics" '
+# pairs the change won and tied, whether the medians clear the base's
+# IQR, and whether the change's median is worse than the base's by no
+# more than the metric's bound.
+awk -v bounds="$bounds" '
 function quantile(a, n, p,    pos, lo) {
     pos = (n - 1) * p
     lo = int(pos)
@@ -130,11 +139,11 @@ function sorted(src, n, dst,    i, j, t) {
     if (side == "base") seeds[nseeds++] = seed
 }
 END {
-    nm = split(metrics, names, " ")
-    printf "%-22s %-34s %-34s %-9s %s\n", "metric", "base median [q1, q3]", "change median [q1, q3]", "won/tied", "gap > base IQR"
+    nm = split(bounds, specs, " ")
+    printf "%-22s %-34s %-34s %-9s %-16s %s\n", "metric", "base median [q1, q3]", "change median [q1, q3]", "won/tied", "gap > base IQR", "bound verdict"
     for (k = 1; k <= nm; k++) {
-        m = names[k]
-        higher = (m == "scan_mib_per_s")
+        split(specs[k], spec, ":")
+        m = spec[1]; higher = (spec[2] == "higher"); bound = spec[3] + 0
         n = 0; wins = 0; ties = 0
         for (s = 0; s < nseeds; s++) {
             b[n] = val["base", seeds[s], m]; c[n] = val["change", seeds[s], m]
@@ -146,9 +155,12 @@ END {
         bm = quantile(bs, n, 0.5); cm = quantile(cs, n, 0.5)
         iqr = quantile(bs, n, 0.75) - quantile(bs, n, 0.25)
         gap = cm - bm; if (gap < 0) gap = -gap
-        printf "%-22s %10.4g [%10.4g, %10.4g] %10.4g [%10.4g, %10.4g] %2d/%2d/%-2d %s (%+.1f%%)\n", m,
+        change = (bm != 0 ? (cm - bm) / bm : 0)
+        worse = (higher ? -change : change)
+        printf "%-22s %10.4g [%10.4g, %10.4g] %10.4g [%10.4g, %10.4g] %2d/%2d/%-2d %-3s (%+6.1f%%)   %s %g%%\n", m,
             bm, quantile(bs, n, 0.25), quantile(bs, n, 0.75),
             cm, quantile(cs, n, 0.25), quantile(cs, n, 0.75),
-            wins, ties, n, (gap > iqr ? "yes" : "no"), (bm != 0 ? 100 * (cm - bm) / bm : 0)
+            wins, ties, n, (gap > iqr ? "yes" : "no"), 100 * change,
+            (worse > bound ? "OUT of bound" : "within bound"), 100 * bound
     }
 }' "$tmp/runs"

@@ -284,3 +284,74 @@ fn replicated_reads_execute_once_per_slot() {
     );
     assert_eq!(post_kill.merged.schema, healthy.merged.schema);
 }
+
+/// A fleet query compiles its shard pipelines once and runs them over
+/// shard after shard, reset in place. Shards 0 and 2 hold 2 400 groups —
+/// past the 2 × 1 Ki at which a grouping table grows — and shards 1 and
+/// 3 a handful, which must see neither the grown table nor its groups.
+/// The merged results equal the single node's, solo and batched, and
+/// stay equal with the first replica of slot 0 losing packets: its
+/// episode faults mid-stream, hands no pipeline back, and the slot fails
+/// over to a fresh compile on the second replica.
+#[test]
+fn reused_shard_pipelines_match_single_node_through_failover() {
+    const SHARD_ROWS: u64 = 2400;
+    let mut b = TableBuilder::with_capacity(Schema::uniform_u64(3), 4 * SHARD_ROWS as usize);
+    for i in 0..4 * SHARD_ROWS {
+        let key = match i / SHARD_ROWS {
+            1 => i % 5,
+            3 => i % 7,
+            _ => i,
+        };
+        b.push_values(vec![
+            Value::U64(key),
+            Value::U64(i * 37 % 1000),
+            Value::U64(i),
+        ]);
+    }
+    let table = b.build();
+    let aggs = [AggFunc::Sum, AggFunc::Avg, AggFunc::Count, AggFunc::Min]
+        .map(|func| AggSpec { col: 1, func })
+        .to_vec();
+    let specs = [
+        PipelineSpec::passthrough().group_by(vec![0], aggs),
+        PipelineSpec::passthrough().distinct(vec![0]),
+        PipelineSpec::passthrough().filter(PredicateExpr::lt(1, 500u64)),
+    ];
+    let oracle: Vec<Vec<u8>> = specs
+        .iter()
+        .map(|s| single_node(&table, s).payload)
+        .collect();
+
+    let f = FarviewFleet::new(4, FarviewConfig::tiny());
+    let qp = f.connect().unwrap();
+    let (ft, _) = qp
+        .load_table_replicated(&table, Partitioning::RowRange, 2)
+        .unwrap();
+    assert_eq!(ft.rows_per_shard(), vec![SHARD_ROWS as usize; 4]);
+    let assert_oracle = |when: &str| {
+        let batch = qp.far_view_batch(&ft, &specs).unwrap();
+        for (i, (spec, want)) in specs.iter().zip(&oracle).enumerate() {
+            let solo = qp.far_view(&ft, spec).unwrap().merged;
+            assert_eq!(&solo.payload, want, "{when}, solo: {spec:?}");
+            assert_eq!(&batch[i].merged.payload, want, "{when}, batched: {spec:?}");
+        }
+    };
+    assert_oracle("healthy");
+
+    let victim = f.node(0).unwrap();
+    f.degrade_node(
+        f.node_ids()[0],
+        fv_net::FaultPlan::none()
+            .with_seed(11)
+            .with_loss_retries(0.2, 0),
+    )
+    .unwrap();
+    let ran = victim.episodes_run();
+    assert_oracle("slot 0's first replica faulting");
+    assert_eq!(
+        victim.episodes_run(),
+        ran,
+        "every episode on the faulting replica must have failed over"
+    );
+}

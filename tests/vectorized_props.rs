@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use farview::prelude::*;
 use farview_core::{AggFunc, AggSpec, PredicateExpr};
-use fv_pipeline::cuckoo::CuckooTable;
+use fv_pipeline::cuckoo::{hash_key, CuckooTable};
 use fv_pipeline::distinct::{DistinctOp, DEFAULT_LRU_DEPTH};
 use fv_pipeline::group_by::GroupByOp;
 use fv_pipeline::pack::Packer;
@@ -937,6 +937,267 @@ fn group_by_overflow_mid_block_matches_scalar() {
                 block_op.overflow_tuples() > 100,
                 "fixture must overflow: {what}"
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A reset pipeline is a fresh compile. A fleet query runs one compiled
+// pipeline over shard after shard, reset in place between them, so no
+// operator state — cuckoo geometry and contents, LRU, hazard window,
+// group slots, packer, CTR offsets, compressor tail — may cross a reset.
+// ---------------------------------------------------------------------------
+
+/// `k v w s`: `k` the grouping and join key, `v` what predicates and
+/// aggregates read, `w` a second key column not adjacent to `k`, and the
+/// string `s` regexes match.
+fn keyed_schema() -> Schema {
+    let cols = [
+        ("k", ColumnType::U64),
+        ("v", ColumnType::U64),
+        ("w", ColumnType::U64),
+        ("s", ColumnType::Bytes(8)),
+    ];
+    Schema::new(
+        cols.into_iter()
+            .map(|(name, ty)| Column {
+                name: name.into(),
+                ty,
+            })
+            .collect(),
+    )
+}
+
+/// Row `i` of a table, keyed `k`.
+fn keyed_row(i: u64, k: u64) -> Vec<Value> {
+    let mix = i.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ k;
+    let s = (0..6).map(|j| b"abcx"[(mix >> (2 * j) & 3) as usize]);
+    vec![
+        Value::U64(k),
+        Value::U64(mix % 1000),
+        Value::U64(k % 97),
+        Value::Bytes(s.collect()),
+    ]
+}
+
+/// The one-word key whose primary hash (`fv_pipeline::cuckoo::hash_key`)
+/// is `h`. The hash is one multiply-rotate round over the seed and a
+/// splitmix finalizer, every step a bijection, so it inverts step by
+/// step.
+fn key_hashing_to(h: u64) -> u64 {
+    const M1: u64 = 0xBF58_476D_1CE4_E5B9;
+    const M2: u64 = 0x94D0_49BB_1331_11EB;
+    // The primary seed, as the hash absorbs it.
+    const SEED: u64 = 0x5851_F42D_4C95_7F2D ^ 0x9E37_79B9_7F4A_7C15;
+    // Newton's iteration doubles the correct low bits: 3, 6, .., 96.
+    let inv = |m: u64| {
+        (0..5).fold(m, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x)))
+        })
+    };
+    // `x ^ x >> s`, undone `s` bits at a time from the top.
+    let unshift = |x: u64, s: u32| (0..64 / s).fold(x, |y, _| x ^ (y >> s));
+    let x = unshift(h, 31).wrapping_mul(inv(M2));
+    let x = unshift(x, 27).wrapping_mul(inv(M1));
+    let x = unshift(x, 30);
+    x.rotate_right(23).wrapping_mul(inv(M1)) ^ SEED
+}
+
+/// Distinct keys of input A: past the 2 × 1 Ki entries at which a
+/// grouping table first grows out of 4 ways × 1 Ki buckets.
+const A_KEYS: u64 = 2500;
+/// Keys of input B that share their bucket in every way of a 4 × 1 Ki
+/// table: each way reads a 16-bit window of the primary hash, and these
+/// hashes agree in the low 10 bits of all four. A fresh table places
+/// four of them; one of A's grown geometry (11 bits a way) places up to
+/// eight, so other keys go homeless.
+const B_COLLIDING: u64 = 200;
+
+/// Input A; input B: A's last rows first (where a stale LRU, hazard
+/// window or table would catch them as duplicates), then the colliding
+/// keys twice over and some of A's keys; and a join build side holding
+/// some of A's keys.
+fn reset_inputs(seed_a: u64, seed_b: u64) -> (Table, Table, Table) {
+    let a_key = |i: u64| (i % A_KEYS).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed_a;
+    let mut a = TableBuilder::new(keyed_schema());
+    let a_rows = A_KEYS + 500;
+    for i in 0..a_rows {
+        a.push_values(keyed_row(i, a_key(i)));
+    }
+    let mut b = TableBuilder::new(keyed_schema());
+    for i in a_rows - 8..a_rows {
+        b.push_values(keyed_row(i, a_key(i)));
+    }
+    let mut rng = seed_b;
+    let colliding: Vec<u64> = (0..B_COLLIDING)
+        .map(|_| {
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let free = (rng ^ rng >> 29).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let h = 0x02A5_02A5_02A5_02A5 | free & 0xFC00_FC00_FC00_FC00;
+            let key = key_hashing_to(h);
+            assert_eq!(hash_key(&key.to_le_bytes()), h, "the hash inverted");
+            key
+        })
+        .collect();
+    for (i, &k) in colliding.iter().chain(&colliding).enumerate() {
+        b.push_values(keyed_row(i as u64, k));
+    }
+    for i in 0..300 {
+        b.push_values(keyed_row(i, a_key(i * 7)));
+    }
+    let mut build = TableBuilder::new(keyed_schema());
+    for i in 0..32 {
+        build.push_values(keyed_row(i, a_key(i)));
+    }
+    (a.build(), b.build(), build.build())
+}
+
+/// How many specs `reset_spec` builds: filter, regex, two DISTINCTs,
+/// GROUP BY, join, smart addressing and a plain projection.
+const RESET_KINDS: usize = 8;
+
+/// Spec `kind` with the generated codec stages around it.
+fn reset_spec(
+    kind: usize,
+    (decrypt, compress, encrypt, vectorize): (bool, bool, bool, bool),
+    threshold: u64,
+    build: &Table,
+) -> PipelineSpec {
+    let key = CryptoSpec {
+        key: AES_KEY,
+        iv: AES_IV,
+    };
+    let all_aggs = ALL_AGGS.map(|func| AggSpec { col: 1, func }).to_vec();
+    let below = || PredicateExpr::lt(1, threshold);
+    let mut spec = match kind {
+        0 => PipelineSpec::passthrough().filter(below()),
+        1 => PipelineSpec::passthrough()
+            .filter(below())
+            .regex_match(3, "a+b|cx"),
+        2 => PipelineSpec::passthrough().distinct(vec![0]),
+        3 => PipelineSpec::passthrough().distinct(vec![2, 0]),
+        4 => PipelineSpec::passthrough().group_by(vec![0], all_aggs),
+        5 => PipelineSpec::passthrough()
+            .filter(below())
+            .join_small(JoinSmallSpec::new(0, build, 0)),
+        6 => PipelineSpec::passthrough()
+            .project(vec![2, 0])
+            .with_smart_addressing(),
+        _ => PipelineSpec::passthrough().project(vec![3, 1]),
+    };
+    if decrypt {
+        spec = spec.decrypt(key.clone());
+    }
+    if compress {
+        spec = spec.compress();
+    }
+    if encrypt {
+        spec = spec.encrypt(key);
+    }
+    if vectorize {
+        spec = spec.vectorized();
+    }
+    spec
+}
+
+/// Everything one stream through a pipeline produced.
+#[derive(Debug, PartialEq)]
+struct Ran {
+    bytes: Vec<u8>,
+    stats: fv_pipeline::PipelineStats,
+    fill_cycles: u64,
+    flush_cycles: u64,
+    batched_blocks: u64,
+    packed_words: u64,
+    compression: Option<(u64, u64)>,
+}
+
+/// Stream `data` through `p`, cut by cycling `chunks`, draining after
+/// every chunk as the episode engine does.
+fn stream(p: &mut CompiledPipeline, data: &[u8], chunks: &[usize]) -> Ran {
+    let mut bytes = Vec::new();
+    let mut rest = data;
+    for &len in chunks.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, later) = rest.split_at(len.min(rest.len()));
+        p.push_bytes(chunk);
+        bytes.extend(p.drain_output());
+        rest = later;
+    }
+    p.finish();
+    bytes.extend(p.drain_output());
+    Ran {
+        bytes,
+        stats: p.stats(),
+        fill_cycles: p.fill_cycles(),
+        flush_cycles: p.flush_cycles(),
+        batched_blocks: p.batched_blocks(),
+        packed_words: p.packed_words(),
+        compression: p.compression_totals(),
+    }
+}
+
+/// The bytes the node streams into `p` for `table`: its rows, encrypted
+/// at rest under a decrypting spec, gathered under smart addressing.
+fn node_stream(p: &CompiledPipeline, table: &Table) -> Vec<u8> {
+    let mut stored = table.bytes().to_vec();
+    if p.spec().decrypt_input.is_some() {
+        fv_crypto::ctr_apply_at(&AES_KEY, &AES_IV, 0, &mut stored);
+    }
+    let Some(sa) = p.smart_addressing() else {
+        return stored;
+    };
+    let mut gathered = Vec::new();
+    for at in (0..stored.len()).step_by(sa.row_bytes) {
+        sa.gather(&stored, at, &mut gathered);
+    }
+    gathered
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Run input A through a pipeline, reset it, then run input B: the
+    /// bytes, every `PipelineStats` field, the fill and flush cycles and
+    /// the host-side counters equal a fresh compile's run over B — for a
+    /// spec around every operator, each under generated codec stages
+    /// (decrypt, compress, encrypt, vectorized) and chunking. A grows a
+    /// grouping table past its starting geometry and B overflows a
+    /// table of that starting geometry, so a reset that kept A's
+    /// geometry sends other keys homeless.
+    #[test]
+    fn a_reset_pipeline_is_a_fresh_compile(
+        codecs in prop::collection::vec(
+            (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+            RESET_KINDS,
+        ),
+        threshold in 0u64..1000,
+        seeds in (any::<u64>(), any::<u64>()),
+        chunks in prop::collection::vec(1usize..9000, 1..6),
+    ) {
+        let (a, b, build) = reset_inputs(seeds.0, seeds.1);
+        for (kind, &codecs) in codecs.iter().enumerate() {
+            let spec = reset_spec(kind, codecs, threshold, &build);
+            let compile = || CompiledPipeline::compile(spec.clone(), a.schema()).expect("compiles");
+            let mut reused = compile();
+            let (a_in, b_in) = (node_stream(&reused, &a), node_stream(&reused, &b));
+            stream(&mut reused, &a_in, &chunks);
+            reused.reset();
+            let got = stream(&mut reused, &b_in, &chunks);
+            let want = stream(&mut compile(), &b_in, &chunks);
+            prop_assert!(
+                got.bytes == want.bytes,
+                "output bytes: {} after a reset, {} fresh, for {spec:?}",
+                got.bytes.len(),
+                want.bytes.len()
+            );
+            prop_assert_eq!(got.stats, want.stats, "PipelineStats for {:?}", spec);
+            prop_assert_eq!(got, want, "cycles and host counters for {:?}", spec);
+            if kind == 2 || kind == 4 {
+                prop_assert!(want.stats.overflow_tuples > 0, "B must overflow: {spec:?}");
+            }
         }
     }
 }
