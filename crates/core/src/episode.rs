@@ -20,7 +20,8 @@ use bytes::Bytes;
 
 use fv_mem::{BurstReq, PageView};
 use fv_net::{
-    DoorbellBatch, EgressArbiter, LinkTiming, NetError, NicKind, Packet, PacketKind, Reassembly,
+    CreditGate, DoorbellBatch, EgressArbiter, LinkTiming, NetError, NicKind, Packet, PacketKind,
+    Reassembly,
 };
 use fv_pipeline::CompiledPipeline;
 use fv_sim::calib::{
@@ -121,7 +122,8 @@ struct QueryRun {
     /// Packets staged but not yet credited/arbitrated.
     staged: Vec<Vec<Packet>>,
     ready_queue: std::collections::VecDeque<Packet>,
-    outstanding: u32,
+    /// Packets this stream may still have in flight (§4.3's credits).
+    credits: CreditGate,
     fin_emitted: bool,
     packets_sent: u64,
     wire_bytes: u64,
@@ -132,8 +134,9 @@ struct QueryRun {
 
 impl QueryRun {
     /// A posted query nothing has happened to yet, streaming `view` if
-    /// it was staged over one and its own `data` otherwise.
-    fn new(mut q: PreparedQuery, view: Option<PageView>) -> Self {
+    /// it was staged over one and its own `data` otherwise, with
+    /// `credit_budget` packets allowed in flight.
+    fn new(mut q: PreparedQuery, view: Option<PageView>, credit_budget: u32) -> Self {
         QueryRun {
             data: view.unwrap_or_else(|| PageView::from(std::mem::take(&mut q.data))),
             cursor: 0,
@@ -145,13 +148,20 @@ impl QueryRun {
             next_seq: 0,
             staged: Vec::new(),
             ready_queue: std::collections::VecDeque::new(),
-            outstanding: 0,
+            credits: CreditGate::new(credit_budget),
             fin_emitted: false,
             packets_sent: 0,
             wire_bytes: 0,
             pending_tail: Bytes::new(),
             q,
         }
+    }
+
+    /// The result buffer the client registers before it posts: as large
+    /// as this query's output can reach (a widening join's rows outgrow
+    /// the table they probe; a projection's rows stay below it).
+    fn result_capacity(&self) -> usize {
+        self.q.pipeline.output_bound(self.data.len())
     }
 
     /// Chunk length of burst `idx`, in stream order.
@@ -195,7 +205,6 @@ struct NodeActor {
     /// arbiter is the one thing that reaches the node carrying only its
     /// wire id; this resolves it.
     wire_ids: Vec<(u32, usize)>,
-    credit_budget: u32,
     egress_scheduled: bool,
     /// First datapath error observed (surfaced after quiescence instead
     /// of crashing the episode mid-simulation).
@@ -250,16 +259,12 @@ impl NodeActor {
         // fv:allow(panic): `stream` is one of the indices
         // run_batched_episodes minted for exactly this `runs` vector.
         let run = &mut self.runs[stream];
-        while run.outstanding < self.credit_budget {
-            match run.ready_queue.pop_front() {
-                Some(pkt) => {
-                    run.outstanding += 1;
-                    if let Err(e) = self.arbiter.push(pkt) {
-                        self.failed.get_or_insert(e);
-                        return;
-                    }
+        while !run.ready_queue.is_empty() && run.credits.try_acquire() {
+            if let Some(pkt) = run.ready_queue.pop_front() {
+                if let Err(e) = self.arbiter.push(pkt) {
+                    self.failed.get_or_insert(e);
+                    return;
                 }
-                None => break,
             }
         }
     }
@@ -526,8 +531,9 @@ impl Actor<Msg> for NodeActor {
             }
 
             Msg::Credit { stream } => {
+                // Each credit answers one delivered packet, which took one.
                 let run = &mut self.runs[stream]; // fv:allow(panic): minted index
-                run.outstanding = run.outstanding.saturating_sub(1);
+                run.credits.release(1);
                 self.admit_credited(stream);
                 self.kick_egress(ctx);
             }
@@ -636,13 +642,14 @@ impl BatchRun {
         }
     }
 
-    /// The batch's streams, in post order.
-    fn into_runs(self) -> impl Iterator<Item = QueryRun> {
+    /// The batch's streams, in post order, each allowed `credit_budget`
+    /// packets in flight.
+    fn into_runs(self, credit_budget: u32) -> impl Iterator<Item = QueryRun> {
         let views = self.views.into_iter().chain(std::iter::repeat(None));
         self.queries
             .into_iter()
             .zip(views)
-            .map(|(q, view)| QueryRun::new(q, view))
+            .map(move |(q, view)| QueryRun::new(q, view, credit_budget))
     }
 
     /// Queue depth of this batch.
@@ -701,7 +708,7 @@ pub fn run_batched_episodes(
     let mut arbiter = EgressArbiter::new(config.regions);
     let runs: Vec<QueryRun> = batches
         .into_iter()
-        .flat_map(BatchRun::into_runs)
+        .flat_map(|batch| batch.into_runs(config.credit_budget))
         .inspect(|run| arbiter.bind(run.q.slot, run.q.qp))
         .collect();
     let qps: Vec<u32> = runs.iter().map(|r| r.q.qp).collect();
@@ -716,9 +723,10 @@ pub fn run_batched_episodes(
             .all(|w| matches!(w, [a, b] if a.0 != b.0)),
         "stream ids must be unique per episode"
     );
-    // The client registers a result buffer as large as the table it
-    // asked to scan; a join that returns more grows it.
-    let result_hints: Vec<usize> = runs.iter().map(|r| r.data.len()).collect();
+    // The client registers a result buffer as large as the query's
+    // output can reach; only a join fanning out over a repeated build key
+    // can outgrow it, and grows it.
+    let result_hints: Vec<usize> = runs.iter().map(QueryRun::result_capacity).collect();
 
     // Reserve actor id 0 for the node by adding it first with no
     // clients, then patch in the clients.
@@ -737,7 +745,6 @@ pub fn run_batched_episodes(
         arbiter,
         clients: Vec::new(),
         wire_ids,
-        credit_budget: config.credit_budget,
         egress_scheduled: false,
         failed: None,
     }));
@@ -969,7 +976,7 @@ mod tests {
         let own_bytes = over[1].data.as_ptr();
         let views = vec![Some(view.clone()), None, Some(view.clone())];
 
-        let runs: Vec<QueryRun> = BatchRun::over_views(over, views).into_runs().collect();
+        let runs: Vec<QueryRun> = BatchRun::over_views(over, views).into_runs(4).collect();
         let shared = view.slices(0..1).next().map(<[u8]>::as_ptr);
         assert_eq!(Some(first_byte(&runs[0])), shared);
         assert_eq!(Some(first_byte(&runs[2])), shared);
@@ -1263,6 +1270,155 @@ mod tests {
         );
     }
 
+    /// Every response packet rides the event heap as a `Msg::Deliver`,
+    /// and a packet is moved about ten times on its way to the client
+    /// (the staged list, the ready queue, the egress DRR, the outbox, the
+    /// heap), so the message's size is paid per packet, per move.
+    #[test]
+    fn a_message_fits_in_40_bytes() {
+        assert!(
+            std::mem::size_of::<Msg>() <= 40,
+            "Msg is {} bytes",
+            std::mem::size_of::<Msg>()
+        );
+    }
+
+    /// The client's result buffer is registered at the size the query's
+    /// output can reach. Over generated specs — filter, projection,
+    /// distinct, group-by (up to 96-byte output rows from 64-byte input),
+    /// a join with a unique and one with a repeated build key (72-byte
+    /// output rows), compression, encryption, smart addressing — the
+    /// episode's payload equals the pipeline run alone, and the
+    /// capacity covers it; only the repeated-key join outgrows it, and
+    /// its grown buffer holds the same bytes.
+    #[test]
+    fn the_result_buffer_is_registered_at_the_output_bound() {
+        use fv_data::{Column, ColumnType, Row, Table, TableBuilder, Value};
+        use fv_pipeline::{AggFunc, AggSpec, CryptoSpec, JoinSmallSpec, PredicateExpr};
+        let cfg = FarviewConfig::tiny();
+        let schema = Schema::uniform_u64(8);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        /// A `(k, v)` build side with a row per key `keys` names.
+        fn build(keys: impl Iterator<Item = u64>) -> Table {
+            let cols = ["k", "v"].map(|name| Column {
+                name: name.into(),
+                ty: ColumnType::U64,
+            });
+            let mut b = TableBuilder::with_capacity(Schema::new(cols.to_vec()), 0);
+            for k in keys {
+                b.push(&Row(vec![Value::U64(k), Value::U64(k * 3)]));
+            }
+            b.build()
+        }
+        let (mut repeated_joins, mut grown) = (0, 0);
+        for case in 0..72u64 {
+            let rows = 1 + next(400);
+            // Column 1 repeats with period `groups`: duplicates for the
+            // distinct and group-by operators, fan-in for the joins.
+            let groups = 1 + next(9);
+            let subset = |mask: u64| -> Vec<usize> {
+                let cols: Vec<usize> = (0..8).filter(|c| mask >> c & 1 == 1).collect();
+                if cols.is_empty() {
+                    vec![1]
+                } else {
+                    cols
+                }
+            };
+            let crypto = CryptoSpec {
+                key: [next(256) as u8; 16],
+                iv: [next(256) as u8; 16],
+            };
+            let kind = case % 9;
+            let spec = match kind {
+                0 => PipelineSpec::passthrough().filter(PredicateExpr::lt(0, next(8 * rows + 8))),
+                1 => PipelineSpec::passthrough().project(subset(next(256))),
+                2 => PipelineSpec::passthrough().distinct(subset(next(256))),
+                3 => {
+                    let funcs = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max];
+                    let aggs = funcs[..next(5) as usize]
+                        .iter()
+                        .map(|&func| AggSpec {
+                            col: next(8) as usize,
+                            func,
+                        })
+                        .collect();
+                    PipelineSpec::passthrough().group_by(subset(next(256)), aggs)
+                }
+                4 => {
+                    let unique = build((0..groups).filter(|_| next(3) > 0));
+                    PipelineSpec::passthrough().join_small(JoinSmallSpec::new(1, &unique, 0))
+                }
+                5 => {
+                    let fan_out = 2 + next(2) as usize;
+                    let repeated = build((0..groups).flat_map(|k| std::iter::repeat_n(k, fan_out)));
+                    PipelineSpec::passthrough().join_small(JoinSmallSpec::new(1, &repeated, 0))
+                }
+                6 => PipelineSpec::passthrough()
+                    .filter(PredicateExpr::lt(0, next(8 * rows + 8)))
+                    .compress(),
+                7 => PipelineSpec::passthrough()
+                    .project(subset(next(256)))
+                    .compress()
+                    .encrypt(crypto),
+                _ => PipelineSpec::passthrough()
+                    .project(subset(next(256)))
+                    .with_smart_addressing(),
+            };
+            // Columns 2–7 are noise, so a compressed projection of them
+            // is stored raw: the framing overhead is part of the bound.
+            let mut table = prepared(1, 0, rows, PipelineSpec::passthrough()).data;
+            for (i, row) in table.chunks_exact_mut(64).enumerate() {
+                row[8..16].copy_from_slice(&(i as u64 % groups).to_le_bytes());
+                for col in row[16..].chunks_exact_mut(8) {
+                    col.copy_from_slice(&next(u64::MAX).to_le_bytes());
+                }
+            }
+            let query = || {
+                let pipeline = CompiledPipeline::compile(spec.clone(), &schema).unwrap();
+                let mut q = PreparedQuery {
+                    data: table.clone(),
+                    ..prepared(1, 0, rows, PipelineSpec::passthrough())
+                };
+                if let Some(sa) = pipeline.smart_addressing() {
+                    let mut gathered = Vec::new();
+                    for row in table.chunks_exact(64) {
+                        sa.gather(row, 0, &mut gathered);
+                    }
+                    q.bursts.clear();
+                    q.data = gathered;
+                    q.sa_tuples = Some(rows);
+                }
+                PreparedQuery { pipeline, ..q }
+            };
+            let q = query();
+            let mut alone = CompiledPipeline::compile(spec.clone(), &schema).unwrap();
+            alone.push_bytes(&q.data);
+            alone.finish();
+            let want = alone.drain_output();
+            let capacity = QueryRun::new(q, None, cfg.credit_budget).result_capacity();
+
+            let got = run_episode(vec![query()], &cfg).unwrap().remove(0).payload;
+            assert_eq!(got, want, "case {case}: {spec:?}");
+            if kind == 5 {
+                repeated_joins += 1;
+                grown += usize::from(got.len() > capacity);
+            } else {
+                assert!(
+                    got.len() <= capacity,
+                    "case {case}: {} bytes outgrew the registered {capacity}: {spec:?}",
+                    got.len()
+                );
+            }
+        }
+        assert_eq!(grown, repeated_joins, "every repeated-key join outgrew it");
+    }
+
     #[test]
     fn write_time_scales_with_bytes() {
         let cfg = FarviewConfig::tiny();
@@ -1433,7 +1589,7 @@ mod tests {
 
     #[test]
     fn packets_of_one_drain_share_one_allocation() {
-        let mut run = QueryRun::new(prepared(4, 0, 0, PipelineSpec::passthrough()), None);
+        let mut run = QueryRun::new(prepared(4, 0, 0, PipelineSpec::passthrough()), None, 4);
         let drain = vec![7u8; 4 * 1024 + 100];
         let storage = drain.as_ptr();
         let pkts = NodeActor::packetize(&mut run, drain, false);
@@ -1466,7 +1622,7 @@ mod tests {
         }
         assert!(run.fin_emitted && run.pending_tail.is_empty());
         // A drain with nothing in it cuts nothing.
-        let mut idle = QueryRun::new(prepared(5, 0, 0, PipelineSpec::passthrough()), None);
+        let mut idle = QueryRun::new(prepared(5, 0, 0, PipelineSpec::passthrough()), None, 4);
         assert!(NodeActor::packetize(&mut idle, Vec::new(), false).is_empty());
     }
 
@@ -1485,7 +1641,7 @@ mod tests {
         let want = alone.drain_output();
         assert_eq!(want.len() as u64, rows * 24);
 
-        let mut run = QueryRun::new(q, None);
+        let mut run = QueryRun::new(q, None, 4);
         let per_drain = (rows as usize).div_ceil(3) * 64;
         let mut pkts = Vec::new();
         for (i, chunk) in data.chunks(per_drain).enumerate() {

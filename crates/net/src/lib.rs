@@ -12,15 +12,17 @@
 //! calibrated timing models for the 100 Gbps wire and the commercial-NIC
 //! (PCIe) baseline:
 //!
-//! * [`Verb`] / [`Packet`] — one-sided RDMA read/write plus the extra
-//!   Farview verb carrying operator parameters ("a Farview one-sided verb
-//!   based on an RDMA write to control the operators", §4.3).
-//! * [`QueuePair`] — per-connection state: sequence numbers, the credit
-//!   gate, and out-of-order [`Reassembly`] of packetised responses. A
-//!   packet's payload is a `bytes::Bytes` view of the sender's drain
-//!   buffer; reassembly appends an in-order packet straight into the
-//!   client buffer (the one copy a result byte pays) and keeps only
-//!   really-early packets in its out-of-order map.
+//! * [`Packet`] — one response-data packet, 40 bytes on the host: flow
+//!   id, sequence number, the `last` flag, and a `bytes::Bytes` view of
+//!   the sender's drain buffer. Requests (the Farview verb and its
+//!   operator parameters, §4.3) and credit returns travel as the episode
+//!   engine's own messages, not as packets.
+//! * [`CreditGate`] — the per-stream credit budget of "credit-based flow
+//!   control" (§4.3); the episode's sender holds one per stream.
+//! * [`Reassembly`] — out-of-order reassembly of a packetised response:
+//!   an in-order packet is appended straight into the client buffer (the
+//!   one copy a result byte pays); only really-early packets wait in the
+//!   out-of-order map.
 //! * [`EgressArbiter`] — DRR fair sharing of the wire across queue
 //!   pairs; a pushed packet finds its flow slot in one binary search.
 //! * [`LinkTiming`] — bandwidth/latency servers for the Farview wire and
@@ -39,8 +41,8 @@ mod qp;
 pub use arbiter::EgressArbiter;
 pub use fault::{FaultInjector, FaultPlan};
 pub use link::{LinkTiming, NicKind};
-pub use packet::{Packet, PacketKind, QpId, Verb};
-pub use qp::{CreditGate, DoorbellBatch, NetError, QueuePair, Reassembly};
+pub use packet::{Packet, PacketKind, QpId};
+pub use qp::{CreditGate, DoorbellBatch, NetError, Reassembly};
 
 /// Split `total_bytes` into MTU-sized packet lengths (last one short).
 pub fn packetize(total_bytes: u64, mtu: u64) -> impl Iterator<Item = u64> {

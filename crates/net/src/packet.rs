@@ -1,4 +1,4 @@
-//! Verbs and packets.
+//! Packets.
 
 use bytes::Bytes;
 
@@ -7,54 +7,11 @@ use bytes::Bytes;
 //  flow of requests and data through the system" (§4.3).
 pub type QpId = u32;
 
-/// RDMA verbs supported by the stack.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Verb {
-    /// One-sided read of `len` bytes at `vaddr` in disaggregated memory.
-    Read {
-        /// Virtual address in the target's buffer pool.
-        vaddr: u64,
-        /// Bytes to read.
-        len: u64,
-    },
-    /// One-sided write at `vaddr`; the payload rides in data packets.
-    Write {
-        /// Virtual address in the target's buffer pool.
-        vaddr: u64,
-        /// Bytes that will follow as data packets.
-        len: u64,
-    },
-    /// The Farview verb: invoke the operator pipeline loaded in the
-    /// region bound to this queue pair over `len` bytes at `vaddr`.
-    /// "It includes a number of additional parameters containing the
-    /// necessary signals to the disaggregated memory on how to access and
-    /// process the data" (§4.3) — the `params` words, whose
-    /// interpretation belongs to the operator pipeline (`fv-pipeline`).
-    FarView {
-        /// Virtual address of the base table.
-        vaddr: u64,
-        /// Bytes of base table to stream.
-        len: u64,
-        /// Operator-specific parameter words (the `uint64_t *params` of
-        /// the paper's `farView()` call).
-        params: Vec<u64>,
-    },
-}
-
-impl Verb {
-    /// Bytes of disaggregated memory this verb touches.
-    pub fn span(&self) -> u64 {
-        match self {
-            Verb::Read { len, .. } | Verb::Write { len, .. } | Verb::FarView { len, .. } => *len,
-        }
-    }
-}
-
-/// What a packet carries.
+/// What a packet carries. Requests and credit returns are not packets
+/// here: the episode engine models them as messages of their own, so a
+/// packet is always response data.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketKind {
-    /// A request (verb) from client to Farview.
-    Request(Verb),
     /// Response data. `last` marks the final packet of a response — the
     /// sender emits it even for empty results so the client can complete
     /// ("allows us to create RDMA commands even when the final data size
@@ -63,11 +20,10 @@ pub enum PacketKind {
         /// True on the final packet of the response stream.
         last: bool,
     },
-    /// Credit return for flow control.
-    Credit(u32),
 }
 
-/// One network packet.
+/// One network packet: 40 bytes on the host, the payload a view of the
+/// sender's drain buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     /// Owning flow.
@@ -76,7 +32,7 @@ pub struct Packet {
     pub seq: u32,
     /// Payload classification.
     pub kind: PacketKind,
-    /// Payload bytes (empty for pure control packets).
+    /// Payload bytes (empty for the FIN of an empty result).
     pub payload: Bytes,
 }
 
@@ -96,16 +52,6 @@ impl Packet {
             payload,
         }
     }
-
-    /// Convenience constructor for request packets.
-    pub fn request(qp: QpId, seq: u32, verb: Verb) -> Packet {
-        Packet {
-            qp,
-            seq,
-            kind: PacketKind::Request(verb),
-            payload: Bytes::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -113,24 +59,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn verb_span() {
-        assert_eq!(Verb::Read { vaddr: 0, len: 10 }.span(), 10);
-        assert_eq!(
-            Verb::FarView {
-                vaddr: 0,
-                len: 99,
-                params: vec![1, 2]
-            }
-            .span(),
-            99
-        );
-    }
-
-    #[test]
     fn wire_bytes_includes_header() {
         let p = Packet::data(1, 0, Bytes::from_static(&[0u8; 1024]), false);
         assert_eq!(p.wire_bytes(), 1024 + 58);
-        let req = Packet::request(1, 0, Verb::Read { vaddr: 0, len: 1 });
-        assert_eq!(req.wire_bytes(), 58);
+        let fin = Packet::data(1, 1, Bytes::new(), true);
+        assert_eq!(fin.wire_bytes(), 58);
+    }
+
+    /// Every response packet is moved about ten times on its way to the
+    /// client — packetize, the staged list, the ready queue, the egress
+    /// DRR, the event heap (inside a message), reassembly — so its size
+    /// is paid per packet, per move.
+    #[test]
+    fn a_packet_fits_in_40_bytes() {
+        assert!(
+            std::mem::size_of::<Packet>() <= 40,
+            "Packet is {} bytes",
+            std::mem::size_of::<Packet>()
+        );
     }
 }

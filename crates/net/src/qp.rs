@@ -1,4 +1,5 @@
-//! Queue-pair state: credits, sequencing, out-of-order reassembly.
+//! Queue-pair protocol state: credits, doorbell batches, out-of-order
+//! reassembly.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -98,7 +99,8 @@ impl std::error::Error for NetError {}
 
 /// Credit-based flow control ("credit-based flow control and packet
 /// based processing", §4.3): a sender may have at most `budget` packets
-/// outstanding; the receiver returns credits as it drains.
+/// outstanding; the receiver returns credits as it drains. The episode's
+/// sender keeps one gate per response stream.
 #[derive(Debug, Clone)]
 pub struct CreditGate {
     budget: u32,
@@ -143,11 +145,6 @@ impl CreditGate {
     /// Credits currently available.
     pub fn available(&self) -> u32 {
         self.available
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> u32 {
-        self.budget
     }
 }
 
@@ -377,64 +374,6 @@ impl Reassembly {
     }
 }
 
-/// Per-connection state: tx sequencing, credits, and rx reassembly.
-///
-/// "Upon connection establishment, each network connection flow and its
-/// corresponding queue pair gets associated with one of the virtual
-/// dynamic regions" (§4.3) — that association lives in `farview-core`;
-/// this struct is the protocol-state half.
-#[derive(Debug, Clone)]
-pub struct QueuePair {
-    id: QpId,
-    next_tx_seq: u32,
-    credits: CreditGate,
-    rx: Reassembly,
-}
-
-impl QueuePair {
-    /// A queue pair with the given credit budget.
-    pub fn new(id: QpId, credit_budget: u32) -> Self {
-        QueuePair {
-            id,
-            next_tx_seq: 0,
-            credits: CreditGate::new(credit_budget),
-            rx: Reassembly::new(),
-        }
-    }
-
-    /// This pair's id.
-    pub fn id(&self) -> QpId {
-        self.id
-    }
-
-    /// Allocate the next tx sequence number.
-    pub fn next_seq(&mut self) -> u32 {
-        let s = self.next_tx_seq;
-        self.next_tx_seq += 1;
-        s
-    }
-
-    /// The credit gate.
-    pub fn credits_mut(&mut self) -> &mut CreditGate {
-        &mut self.credits
-    }
-
-    /// The rx reassembly state.
-    pub fn rx_mut(&mut self) -> &mut Reassembly {
-        &mut self.rx
-    }
-
-    /// Immutable rx view.
-    pub fn rx(&self) -> &Reassembly {
-        &self.rx
-    }
-
-    /// Reset the rx stream for a new request/response exchange.
-    pub fn begin_response(&mut self) {
-        self.rx = Reassembly::new();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,19 +532,5 @@ mod tests {
     #[should_panic(expected = "outside batch")]
     fn try_issue_offset_still_rejects_unposted_wqes() {
         let _ = DoorbellBatch::truncated(4, 2).try_issue_offset(0, 4);
-    }
-
-    #[test]
-    fn qp_sequencing_and_reset() {
-        let mut qp = QueuePair::new(7, 4);
-        assert_eq!(qp.id(), 7);
-        assert_eq!(qp.next_seq(), 0);
-        assert_eq!(qp.next_seq(), 1);
-        qp.rx_mut()
-            .accept(7, 0, Bytes::from_static(b"x"), true)
-            .unwrap();
-        assert!(qp.rx().is_complete());
-        qp.begin_response();
-        assert!(!qp.rx().is_complete());
     }
 }

@@ -257,6 +257,12 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
     Ok(out)
 }
 
+/// The longest stream [`StreamCompressor`] can make of `raw` bytes:
+/// every frame stored raw behind its 8-byte header.
+pub(crate) fn max_stream_len(raw: usize) -> usize {
+    raw.saturating_add(8 * raw.div_ceil(FRAME_BYTES))
+}
+
 /// Streaming compressor for the pipeline's output path: buffers packed
 /// bytes, emits whole frames, flushes the tail at end of stream.
 #[derive(Debug, Default)]

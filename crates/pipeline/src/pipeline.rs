@@ -481,6 +481,22 @@ impl CompiledPipeline {
         self.in_tuple_bytes
     }
 
+    /// The most bytes the client can receive for an input stream of
+    /// `in_bytes`: each input tuple leaves as at most one output row (a
+    /// selection, projection, distinct or group-by never emits more rows
+    /// than it reads, overflow rows included, and a join emits one row
+    /// per match), compression at worst stores every frame behind its
+    /// header, and encryption keeps the length. Only a join whose build
+    /// side repeats a key can exceed it.
+    pub fn output_bound(&self, in_bytes: usize) -> usize {
+        let rows = in_bytes / self.in_tuple_bytes.max(1);
+        let packed = rows.saturating_mul(self.out_schema.row_bytes());
+        match self.compress {
+            Some(_) => crate::compress::max_stream_len(packed),
+            None => packed,
+        }
+    }
+
     /// Bytes the client uploads alongside the request (a join's build
     /// side riding the FarView verb).
     pub fn upload_bytes(&self) -> u64 {

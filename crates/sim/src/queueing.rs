@@ -195,6 +195,10 @@ impl<T> DrrScheduler<T> {
     }
 
     /// Dequeue the next job in DRR order, returning `(flow, payload)`.
+    ///
+    /// Runs once per packet on the wire and once per DRAM burst, so the
+    /// cursor wraps with a compare, not a `% flows` division per flow it
+    /// passes.
     pub fn pop(&mut self) -> Option<(usize, T)> {
         if self.queued == 0 {
             // Drain stale deficits so an idle scheduler does not carry
@@ -205,34 +209,36 @@ impl<T> DrrScheduler<T> {
             return None;
         }
         let n = self.flows.len();
-        // At most two passes are needed: one to grant quanta, one to serve.
-        for _ in 0..=(2 * n) {
+        // Some flow holds a job, so one lap of the cursor reaches it.
+        for _ in 0..n {
             let idx = self.cursor;
-            let flow = &mut self.flows[idx];
-            if let Some(front) = flow.queue.front() {
-                if flow.deficit >= front.cost {
-                    let job = flow.queue.pop_front().expect("front checked");
-                    flow.deficit -= job.cost;
-                    self.queued -= 1;
-                    if flow.queue.is_empty() {
-                        // Idle flows forfeit their deficit.
-                        flow.deficit = 0;
-                        self.cursor = (idx + 1) % n;
-                    }
-                    return Some((idx, job.payload));
-                }
-                // Not enough credit: grant a quantum and move on.
-                flow.deficit += self.quantum;
-                // Serve immediately now that the quantum covers it (cost is
-                // bounded by quantum, so one grant always suffices).
-                let job = flow.queue.pop_front().expect("front checked");
+            let next = if idx + 1 == n { 0 } else { idx + 1 };
+            let Some(flow) = self.flows.get_mut(idx) else {
+                break;
+            };
+            let Some(job) = flow.queue.pop_front() else {
+                // Idle flows forfeit their deficit.
+                flow.deficit = 0;
+                self.cursor = next;
+                continue;
+            };
+            self.queued -= 1;
+            if flow.deficit >= job.cost {
                 flow.deficit -= job.cost;
-                self.queued -= 1;
-                self.cursor = (idx + 1) % n;
-                return Some((idx, job.payload));
+                if flow.queue.is_empty() {
+                    flow.deficit = 0;
+                    self.cursor = next;
+                }
+            } else {
+                // Not enough credit: grant a quantum, serve (cost is
+                // bounded by the quantum, so one grant always suffices)
+                // and move on. The flow keeps what is left of the grant
+                // even if it just emptied: only the cursor passing an
+                // idle flow forfeits it.
+                flow.deficit = flow.deficit + self.quantum - job.cost;
+                self.cursor = next;
             }
-            flow.deficit = 0;
-            self.cursor = (idx + 1) % n;
+            return Some((idx, job.payload));
         }
         unreachable!("DRR invariant violated: queued > 0 but nothing served");
     }
@@ -241,6 +247,129 @@ impl<T> DrrScheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`DrrScheduler::pop`] as it was before its cursor stopped
+    /// dividing: the reference the property below holds it to.
+    fn pop_reference<T>(drr: &mut DrrScheduler<T>) -> Option<(usize, T)> {
+        if drr.queued == 0 {
+            for f in &mut drr.flows {
+                f.deficit = 0;
+            }
+            return None;
+        }
+        let n = drr.flows.len();
+        for _ in 0..=(2 * n) {
+            let idx = drr.cursor;
+            let flow = &mut drr.flows[idx];
+            if let Some(front) = flow.queue.front() {
+                if flow.deficit >= front.cost {
+                    let job = flow.queue.pop_front().expect("front checked");
+                    flow.deficit -= job.cost;
+                    drr.queued -= 1;
+                    if flow.queue.is_empty() {
+                        flow.deficit = 0;
+                        drr.cursor = (idx + 1) % n;
+                    }
+                    return Some((idx, job.payload));
+                }
+                flow.deficit += drr.quantum;
+                let job = flow.queue.pop_front().expect("front checked");
+                flow.deficit -= job.cost;
+                drr.queued -= 1;
+                drr.cursor = (idx + 1) % n;
+                return Some((idx, job.payload));
+            }
+            flow.deficit = 0;
+            drr.cursor = (idx + 1) % n;
+        }
+        unreachable!("DRR invariant violated: queued > 0 but nothing served");
+    }
+
+    /// Cursor, queued count, and every flow's deficit and `(cost, job)`s.
+    type State = (usize, usize, Vec<(u64, Vec<(u64, u32)>)>);
+
+    /// What a scheduler will do next.
+    fn state(drr: &DrrScheduler<u32>) -> State {
+        let flows = drr
+            .flows
+            .iter()
+            .map(|f| {
+                let jobs = f.queue.iter().map(|j| (j.cost, j.payload)).collect();
+                (f.deficit, jobs)
+            })
+            .collect();
+        (drr.cursor, drr.queued, flows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any interleaving of pushes, pops and flow drains over 1–8
+        /// flows, costs up to the quantum: the compare-and-wrap cursor
+        /// serves the reference's `(flow, payload)` sequence and leaves
+        /// its deficits, cursor and queues after every step.
+        #[test]
+        fn pop_matches_the_dividing_reference(
+            flows in 1usize..=8,
+            quantum in 1u64..=2048,
+            ops in prop::collection::vec((0u8..6, 0usize..8, any::<u64>()), 0..300),
+        ) {
+            let mut drr = DrrScheduler::new(flows, quantum);
+            let mut reference = DrrScheduler::new(flows, quantum);
+            for (step, (kind, flow, raw)) in ops.into_iter().enumerate() {
+                let flow = flow % flows;
+                match kind {
+                    0..=2 => {
+                        let cost = raw % (quantum + 1);
+                        drr.push(flow, cost, step as u32);
+                        reference.push(flow, cost, step as u32);
+                    }
+                    3 | 4 => prop_assert_eq!(drr.pop(), pop_reference(&mut reference)),
+                    _ => prop_assert_eq!(drr.drain_flow(flow), reference.drain_flow(flow)),
+                }
+                prop_assert_eq!(state(&drr), state(&reference), "after step {}", step);
+            }
+            while let Some(served) = pop_reference(&mut reference) {
+                prop_assert_eq!(drr.pop(), Some(served));
+                prop_assert_eq!(state(&drr), state(&reference));
+            }
+            prop_assert_eq!(drr.pop(), None);
+        }
+    }
+
+    /// A flow emptied on the quantum-grant path keeps the rest of its
+    /// grant; refilled before the cursor comes back, it spends it. Only
+    /// the cursor passing the flow while it is idle forfeits the deficit.
+    #[test]
+    fn a_flow_emptied_on_a_grant_keeps_its_deficit_until_the_cursor_passes() {
+        let mut drr = DrrScheduler::new(3, 1024);
+        let mut reference = DrrScheduler::new(3, 1024);
+        for d in [&mut drr, &mut reference] {
+            d.push(0, 100, 0u32);
+            d.push(1, 1024, 1);
+            d.push(2, 1024, 2);
+        }
+        assert_eq!(drr.pop(), pop_reference(&mut reference));
+        assert_eq!(drr.flows[0].deficit, 924, "emptied on the grant path");
+        // Refill flow 0 while the cursor is elsewhere.
+        for d in [&mut drr, &mut reference] {
+            d.push(0, 500, 3);
+            d.push(0, 500, 4);
+            d.push(1, 1024, 5);
+        }
+        let mut served = Vec::new();
+        while let Some(job) = drr.pop() {
+            assert_eq!(Some(job), pop_reference(&mut reference));
+            assert_eq!(state(&drr), state(&reference));
+            served.push(job);
+        }
+        // Flow 0's banked 924 pays its first 500 on return, so the cursor
+        // stays and the second 500 follows on a fresh grant. Had the
+        // deficit been forfeited early, the first 500 would have taken
+        // that grant and flow 1 would have gone between the two.
+        assert_eq!(served, [(1, 1), (2, 2), (0, 3), (0, 4), (1, 5)]);
+    }
 
     #[test]
     fn bandwidth_server_serializes_jobs() {

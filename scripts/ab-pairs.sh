@@ -19,12 +19,15 @@
 # is all a replay of it with the command above needs. The side that goes
 # first alternates from pair to pair.
 #
-# Prints each pair's end-to-end metrics, then per metric each side's
-# median and quartiles, how many pairs the change won, whether the
-# medians are further apart than the base's inter-quartile distance, and
-# whether the change's median is within the metric's no-regression
-# bound. Each metric's direction (`better`) and bound come from
-# BENCHMARK.json's `end_to_end` list, read with jq (never written).
+# Prints each pair's end-to-end metrics and whether its simulated
+# metrics (the `sim_*` ones) are identical on both sides — the two runs
+# share a seed, so a host-speed change must leave them equal — then per
+# metric each side's median and quartiles, how many pairs the change
+# won, whether the medians are further apart than the base's
+# inter-quartile distance, and whether the change's median is within
+# the metric's no-regression bound. Each metric's direction (`better`)
+# and bound come from BENCHMARK.json's `end_to_end` list, read with jq
+# (never written).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -50,6 +53,7 @@ command -v jq >/dev/null || {
 # "name:better:bound" per end-to-end metric, space-separated.
 bounds=$(jq -r '[.end_to_end[] | "\(.name):\(.better):\(.bound)"] | join(" ")' BENCHMARK.json)
 metrics=$(printf '%s\n' "$bounds" | tr ' ' '\n' | cut -d: -f1 | tr '\n' ' ')
+sim_metrics=$(printf '%s\n' $metrics | grep '^sim_' | tr '\n' ' ')
 
 if git diff --quiet HEAD --; then
     base=HEAD^
@@ -99,7 +103,21 @@ run() {
     echo "  $line"
 }
 
+# "yes" when both sides of the pair on seed $1 report the same value for
+# every simulated metric, else "no" and the metrics that differ.
+sim_identical() {
+    awk -v seed="$1" -v names="$sim_metrics" '
+    $2 == seed { for (f = 3; f <= NF; f++) { split($f, kv, "="); v[$1, kv[1]] = kv[2] } }
+    END {
+        n = split(names, m, " ")
+        for (k = 1; k <= n; k++)
+            if (v["base", m[k]] != v["change", m[k]] || v["base", m[k]] == "nan") differ = differ " " m[k]
+        print (differ == "" ? "yes" : "no (" substr(differ, 2) ")")
+    }' "$tmp/runs"
+}
+
 i=1
+sim_moved=0
 while [ "$i" -le "$pairs" ]; do
     seed=$((seed0 + i))
     if [ $((i % 2)) -eq 1 ]; then
@@ -110,6 +128,9 @@ while [ "$i" -le "$pairs" ]; do
     echo "pair $i (seed $seed, $first first)"
     run "$first" "$seed"
     run "$second" "$seed"
+    verdict=$(sim_identical "$seed")
+    echo "  sim identical: $verdict"
+    case "$verdict" in yes) ;; *) sim_moved=$((sim_moved + 1)) ;; esac
     i=$((i + 1))
 done
 
@@ -164,3 +185,8 @@ END {
             (worse > bound ? "OUT of bound" : "within bound"), 100 * bound
     }
 }' "$tmp/runs"
+if [ "$sim_moved" -eq 0 ]; then
+    echo "sim identical: yes, on all $pairs pairs (${sim_metrics% })"
+else
+    echo "sim identical: no, $sim_moved of $pairs pairs differ in a sim_* metric"
+fi
