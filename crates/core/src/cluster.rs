@@ -12,9 +12,7 @@
 //! void select(...)                           -> QPair::select()
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use fv_data::{Catalog, CatalogEntry, ColumnImage, Row, Schema, Table, Value};
 use fv_mem::{DomainId, MemoryStack, PageView, VirtAddr};
@@ -25,6 +23,7 @@ use fv_sim::SimDuration;
 use crate::config::FarviewConfig;
 use crate::episode::{self, PreparedQuery};
 use crate::error::FvError;
+use crate::lock;
 
 /// Bits reserved in a stream id for the WQE index of a doorbell batch:
 /// stream id = `qp << QP_STREAM_BITS | wqe`.
@@ -227,21 +226,6 @@ impl SelectQuery {
         self.add(PredicateExpr::lt(col, value))
     }
 
-    /// `AND col > value`.
-    pub fn and_gt(self, col: usize, value: impl Into<Value>) -> Self {
-        self.add(PredicateExpr::gt(col, value))
-    }
-
-    /// `AND col = value`.
-    pub fn and_eq(self, col: usize, value: impl Into<Value>) -> Self {
-        self.add(PredicateExpr::eq(col, value))
-    }
-
-    /// `AND col <> value`.
-    pub fn and_ne(self, col: usize, value: impl Into<Value>) -> Self {
-        self.add(PredicateExpr::ne(col, value))
-    }
-
     /// Use the vectorized execution model (§5.3).
     pub fn vectorized(mut self) -> Self {
         self.vectorize = true;
@@ -425,7 +409,7 @@ impl FarviewCluster {
     /// try again; a waiting tenant eventually connects once any holder
     /// disconnects.
     pub fn connect(&self) -> Result<QPair, FvError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let slot = inner
             .slots
             .iter()
@@ -458,35 +442,30 @@ impl FarviewCluster {
     /// ([`fv_net::FaultPlan::validate`]).
     pub fn set_fault_plan(&self, plan: fv_net::FaultPlan) {
         plan.validate();
-        self.inner.lock().config.fault = plan;
-    }
-
-    /// The fault plan currently applied to this node's link.
-    pub fn fault_plan(&self) -> fv_net::FaultPlan {
-        self.inner.lock().config.fault.clone()
+        lock(&self.inner).config.fault = plan;
     }
 
     /// Total partial reconfigurations performed so far.
     pub fn reconfigurations(&self) -> u64 {
-        self.inner.lock().reconfigurations
+        lock(&self.inner).reconfigurations
     }
 
     /// Queries whose datapath executed on this node so far (one per
     /// prepared query the episode engine ran — replica reads that were
     /// *modeled* rather than executed do not count).
     pub fn episodes_run(&self) -> u64 {
-        self.inner.lock().episodes
+        lock(&self.inner).episodes
     }
 
     /// Free pages left in the disaggregated buffer pool.
     pub fn free_pages(&self) -> u64 {
-        self.inner.lock().mem.free_page_count()
+        lock(&self.inner).mem.free_page_count()
     }
 
     /// Bytes of host memory the buffer pool occupies: what was written
     /// to tables still allocated, not the node's capacity.
     pub fn resident_bytes(&self) -> u64 {
-        self.inner.lock().mem.resident_bytes()
+        lock(&self.inner).mem.resident_bytes()
     }
 
     /// Run several queries *concurrently* in one simulation — the
@@ -513,7 +492,7 @@ impl FarviewCluster {
             qpair.check_table(ft)?;
             compiled.push((qpair, ft, CompiledPipeline::compile(spec, &ft.schema)?));
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let mut batches = Vec::with_capacity(compiled.len());
         let mut metas = Vec::with_capacity(compiled.len());
         for (qpair, ft, pipeline) in compiled {
@@ -527,7 +506,7 @@ impl FarviewCluster {
         let config = inner.config.clone();
         drop(inner);
         let results = episode::run_batched_episodes(batches, &config)?;
-        self.inner.lock().episodes += results.len() as u64;
+        lock(&self.inner).episodes += results.len() as u64;
         Ok(results
             .into_iter()
             .flatten()
@@ -616,7 +595,7 @@ impl QPair {
             return Err(FvError::Disconnected);
         }
         let bytes = (rows * schema.row_bytes()) as u64;
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let vaddr = inner.mem.alloc(self.domain, bytes.max(1))?;
         Ok(FTable {
             qp: self.qp,
@@ -641,7 +620,7 @@ impl QPair {
                 expected: ft.byte_len(),
             });
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         // Simulate the transfer first: a degraded link fails the write
         // typed *before* any byte lands in the buffer pool, so a failed
         // write never leaves a partial image behind.
@@ -673,7 +652,7 @@ impl QPair {
     ) -> Result<(FTable, SimDuration), FvError> {
         let rows = image.row_count();
         self.load_with(image.schema(), rows, |ft| {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             let t = episode::try_write_time(ft.byte_len(), &inner.config)?;
             let row_bytes = ft.schema.row_bytes();
             let block_rows = (STAGE_BLOCK_BYTES / row_bytes).max(1);
@@ -716,7 +695,7 @@ impl QPair {
         table: &Table,
     ) -> Result<(FTable, SimDuration), FvError> {
         let (ft, time) = self.load_table(table)?;
-        let mut cat = self.catalog.lock();
+        let mut cat = lock(&self.catalog);
         cat.register(
             name,
             CatalogEntry {
@@ -732,7 +711,7 @@ impl QPair {
     /// threads do: resolve the table name to a buffer-pool address
     /// locally, without asking the memory node.
     pub fn table_by_name(&self, name: &str) -> Option<FTable> {
-        let cat = self.catalog.lock();
+        let cat = lock(&self.catalog);
         let entry = cat.get(name)?;
         Some(FTable {
             qp: self.qp,
@@ -744,17 +723,16 @@ impl QPair {
 
     /// Drop a table from the catalog *and* free its buffer-pool pages.
     pub fn drop_named(&self, name: &str) -> Result<(), FvError> {
-        let Some(vaddr) = self.catalog.lock().remove(name).and_then(|e| e.vaddr) else {
+        let Some(vaddr) = lock(&self.catalog).remove(name).and_then(|e| e.vaddr) else {
             return Ok(());
         };
-        self.inner.lock().mem.free(self.domain, vaddr)?;
+        lock(&self.inner).mem.free(self.domain, vaddr)?;
         Ok(())
     }
 
     /// Names registered in this connection's catalog.
     pub fn catalog_names(&self) -> Vec<String> {
-        self.catalog
-            .lock()
+        lock(&self.catalog)
             .iter()
             .map(|(n, _)| n.to_string())
             .collect()
@@ -763,7 +741,7 @@ impl QPair {
     /// `freeTableMem`.
     pub fn free_table(&self, ft: FTable) -> Result<(), FvError> {
         self.check_table(&ft)?;
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.mem.free(self.domain, ft.vaddr)?;
         Ok(())
     }
@@ -775,7 +753,7 @@ impl QPair {
         if !with.connected {
             return Err(FvError::Disconnected);
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let vaddr = inner.mem.share(self.domain, ft.vaddr, with.domain)?;
         Ok(FTable {
             qp: with.qp,
@@ -850,7 +828,7 @@ impl QPair {
         // the page it writes, leaving the batch the bytes it was staged
         // over.
         let (batch, metas, config) = {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             let mut staged = Staged::default();
             let mut view = None;
             let mut viewed = None;
@@ -868,7 +846,7 @@ impl QPair {
             (batch, metas, inner.config.clone())
         };
         let results = episode::run_batched_episodes(vec![batch], &config)?.remove(0);
-        self.inner.lock().episodes += results.len() as u64;
+        lock(&self.inner).episodes += results.len() as u64;
         Ok(results
             .into_iter()
             .zip(metas)
@@ -887,7 +865,7 @@ impl QPair {
         if ft.byte_len() == 0 {
             return Ok(Vec::new());
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         Ok(inner.mem.read(self.domain, ft.vaddr, ft.byte_len())?)
     }
 
@@ -1022,7 +1000,7 @@ impl QPair {
             return;
         }
         self.connected = false;
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.slots[self.slot] = None;
         inner.loaded[self.slot] = None;
         let _ = inner.mem.destroy_domain(self.domain);
@@ -1326,7 +1304,7 @@ mod tests {
     /// also the view the batch took of the table.
     fn stage(qp: &QPair, ft: &FTable, specs: &[PipelineSpec]) -> (Staged, Option<PageView>) {
         let (mut staged, mut view) = (Staged::default(), None);
-        let mut inner = qp.inner.lock();
+        let mut inner = lock(&qp.inner);
         for (i, spec) in specs.iter().enumerate() {
             let pipeline = CompiledPipeline::compile(spec.clone(), &ft.schema).unwrap();
             staged
@@ -1338,7 +1316,7 @@ mod tests {
 
     /// Run a staged batch; its first query's payload.
     fn run_staged(c: &FarviewCluster, staged: Staged) -> Vec<u8> {
-        let config = c.inner.lock().config.clone();
+        let config = lock(&c.inner).config.clone();
         let (batch, _) = staged.into_batch();
         let mut results = episode::run_batched_episodes(vec![batch], &config).unwrap();
         results.remove(0).remove(0).payload
@@ -1370,7 +1348,7 @@ mod tests {
         let (staged, view) = stage(&qp, &ft, &specs);
         let view = view.expect("the batch viewed its table");
         assert_eq!(view.to_vec(), t.bytes());
-        let page = c.inner.lock().mem.view(qp.domain, ft.vaddr, 1).unwrap();
+        let page = lock(&c.inner).mem.view(qp.domain, ft.vaddr, 1).unwrap();
         assert_eq!(
             first_byte(&view),
             first_byte(&page),
@@ -1412,7 +1390,7 @@ mod tests {
         let (ft, _) = a.load_table(&t).unwrap();
         let read = [PipelineSpec::passthrough()];
         let ppage = |qp: &QPair, ft: &FTable| {
-            c.inner.lock().mem.translate(qp.domain, ft.vaddr).unwrap().0 / PAGE_BYTES
+            lock(&c.inner).mem.translate(qp.domain, ft.vaddr).unwrap().0 / PAGE_BYTES
         };
 
         let (before_write, _) = stage(&a, &ft, &read);

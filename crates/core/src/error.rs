@@ -15,40 +15,11 @@ pub enum FvError {
     /// with Farview, which results in the assignment of a dynamic
     /// region", §4.1). This is a *backpressure signal*, not a dead end:
     /// `retry_after` tells the client when a region is plausibly free
-    /// again, the same shape admission control uses for overload
-    /// rejections.
+    /// again.
     NoFreeRegion {
         /// Regions configured on the node.
         regions: usize,
         /// Suggested backoff before the next connection attempt.
-        retry_after: SimDuration,
-    },
-    /// The serving layer refused to admit a query: the tenant is over
-    /// its token-bucket rate or the global queue watermark is breached.
-    /// Overload surfaces as this typed, retryable rejection instead of
-    /// unbounded queueing.
-    AdmissionRejected {
-        /// The tenant whose query was refused.
-        tenant: u32,
-        /// Suggested backoff before the retry.
-        retry_after: SimDuration,
-    },
-    /// A query ran out of its deadline before (or while) being served —
-    /// the serving layer drops it typed instead of delivering a stale
-    /// or partial result.
-    DeadlineExceeded {
-        /// The tenant whose query expired.
-        tenant: u32,
-        /// The deadline that was missed.
-        deadline: SimDuration,
-    },
-    /// The serving layer shed this queued query to keep a higher-priority
-    /// class inside the watermark during sustained overload. Shedding
-    /// drops whole queries, never parts of results.
-    LoadShed {
-        /// The tenant whose query was shed.
-        tenant: u32,
-        /// Suggested backoff before resubmission.
         retry_after: SimDuration,
     },
     /// A serving-layer query named a tenant the backend has no table
@@ -178,15 +149,13 @@ pub enum FvError {
 }
 
 impl FvError {
-    /// The backoff hint carried by retryable rejections —
-    /// [`FvError::NoFreeRegion`], [`FvError::AdmissionRejected`] and
-    /// [`FvError::LoadShed`] all share the same `retry_after` shape, so
-    /// one client retry loop handles every backpressure signal.
+    /// The backoff hint carried by a retryable rejection — today only
+    /// [`FvError::NoFreeRegion`]. The serving layer retries its own
+    /// rejections and counts them in
+    /// [`ServeReport`](crate::serve::ServeReport) instead.
     pub fn retry_after(&self) -> Option<SimDuration> {
         match self {
-            FvError::NoFreeRegion { retry_after, .. }
-            | FvError::AdmissionRejected { retry_after, .. }
-            | FvError::LoadShed { retry_after, .. } => Some(*retry_after),
+            FvError::NoFreeRegion { retry_after, .. } => Some(*retry_after),
             _ => None,
         }
     }
@@ -208,27 +177,6 @@ impl fmt::Display for FvError {
                 write!(
                     f,
                     "all {regions} dynamic regions are assigned; retry after {retry_after}"
-                )
-            }
-            FvError::AdmissionRejected {
-                tenant,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "tenant {tenant} over admission limits; retry after {retry_after}"
-                )
-            }
-            FvError::DeadlineExceeded { tenant, deadline } => {
-                write!(f, "tenant {tenant} query missed its {deadline} deadline")
-            }
-            FvError::LoadShed {
-                tenant,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "tenant {tenant} query shed under overload; retry after {retry_after}"
                 )
             }
             FvError::UnknownTenant { tenant } => {

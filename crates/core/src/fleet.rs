@@ -50,8 +50,7 @@
 //! [`fv_pipeline::merge`].
 
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use fv_data::{Schema, Table};
 use fv_pipeline::{CompiledPipeline, PipelineSpec};
@@ -60,6 +59,7 @@ use fv_sim::{MergeCostModel, MigrationCostModel, SimDuration};
 use crate::cluster::{FTable, FarviewCluster, QPair, QueryOutcome, QueryStats, SelectQuery};
 use crate::config::FarviewConfig;
 use crate::error::FvError;
+use crate::lock;
 use crate::plan::{
     host_parallelism, merge_gathered, scatter_slots, scatter_workers, shard_execution, PlanTarget,
 };
@@ -279,12 +279,6 @@ impl FarviewFleet {
         self.topology.cluster(id)
     }
 
-    /// The row→slot assignment function a fresh placement over the
-    /// current Active set would use.
-    pub fn shard_map(&self) -> ShardMap {
-        ShardMap::new(self.topology.snapshot().active.len().max(1))
-    }
-
     /// Grow the fleet: bring up one more node (same configuration) and
     /// bump the epoch. Existing placements are untouched until
     /// [`FleetQPair::rebalance`] moves shards onto the newcomer.
@@ -350,8 +344,6 @@ impl FarviewFleet {
         Ok(FleetQPair {
             topology: self.topology.clone(),
             qps: Mutex::new(qps),
-            merge_model: MergeCostModel::default(),
-            migration_model: MigrationCostModel::default(),
             fleet_id: self.fleet_id,
         })
     }
@@ -478,8 +470,6 @@ impl From<FleetQueryOutcome> for QueryOutcome {
 pub struct FleetQPair {
     topology: Topology,
     qps: Mutex<HashMap<NodeId, std::sync::Arc<QPair>>>,
-    merge_model: MergeCostModel,
-    migration_model: MigrationCostModel,
     fleet_id: u64,
 }
 
@@ -487,7 +477,7 @@ impl std::fmt::Debug for FleetQPair {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetQPair")
             .field("epoch", &self.topology.epoch())
-            .field("nodes", &self.qps.lock().len())
+            .field("nodes", &lock(&self.qps).len())
             .finish_non_exhaustive()
     }
 }
@@ -501,16 +491,6 @@ impl FleetQPair {
     /// The current topology epoch.
     pub fn epoch(&self) -> u64 {
         self.topology.epoch()
-    }
-
-    /// Override the client-side merge cost model (experiments).
-    pub fn set_merge_model(&mut self, model: MergeCostModel) {
-        self.merge_model = model;
-    }
-
-    /// Override the rebalance coordinator cost model (experiments).
-    pub fn set_migration_model(&mut self, model: MigrationCostModel) {
-        self.migration_model = model;
     }
 
     /// True when `node` can still serve reads.
@@ -532,7 +512,7 @@ impl FleetQPair {
     /// [`FvError::NoSuchNode`] for removed nodes,
     /// [`FvError::NoFreeRegion`] when a lazy open finds no region.
     fn node_qp(&self, node: NodeId) -> Result<std::sync::Arc<QPair>, FvError> {
-        let mut qps = self.qps.lock();
+        let mut qps = lock(&self.qps);
         if let Some(qp) = qps.get(&node) {
             return Ok(std::sync::Arc::clone(qp));
         }
@@ -875,9 +855,8 @@ impl FleetQPair {
             .fold(SimDuration::ZERO, SimDuration::max);
 
         // Phase 2 — client-side reshuffle of moved bytes into images.
-        let shuffle_time = self
-            .migration_model
-            .shuffle(plan.moves.len() as u64, plan.moved_bytes());
+        let shuffle_time =
+            MigrationCostModel::default().shuffle(plan.moves.len() as u64, plan.moved_bytes());
 
         // Phase 3 — allocate and write the new shard images.
         let shards = self.alloc_for_placement(&target, &ft.schema)?;
@@ -1100,7 +1079,7 @@ impl FleetQPair {
             .map(|(i, (_, merge))| {
                 let outcomes: Vec<&QueryOutcome> =
                     per_shard.iter().filter_map(|batch| batch.get(i)).collect();
-                merge_gathered(merge, &self.merge_model, &outcomes)
+                merge_gathered(merge, &MergeCostModel::default(), &outcomes)
             })
             .collect())
     }

@@ -26,7 +26,7 @@
 //!   and the live rebalancer ([`FleetQPair::rebalance`]).
 //! * [`serve`] — the overload-safe multi-tenant serving front end
 //!   above the queue pairs: per-tenant token buckets and a watermark
-//!   ladder convert overload into typed retryable rejections, a
+//!   ladder turn overload into counted, retried rejections, a
 //!   weighted deficit round robin keeps service tenant-fair, and at
 //!   capacity the shed ladder preempts lowest-priority work — every
 //!   admitted query byte-identical to an unloaded oracle.
@@ -76,6 +76,13 @@ pub use tiered::{BlockStore, StorageParams, TierLevel, TierOutcome, TieredPool};
 pub use topology::{
     MovePlan, NodeHealth, NodeId, Placement, RebalanceReport, ShardMove, Topology, TopologySnapshot,
 };
+
+/// Lock `m`, recovering the guard if a panicking holder poisoned it, so
+/// one contained panic ([`FvError::ScatterWorkerPanicked`]) does not
+/// make every later lock of the same state panic too.
+fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 // Re-export the pipeline vocabulary: it is the public query language.
 pub use fv_pipeline::{

@@ -9,24 +9,24 @@
 //! servers, and keeps its guarantees *past* saturation:
 //!
 //! * **Admission control** — a per-tenant token bucket plus a global
-//!   queue-depth watermark ladder convert overload into typed,
-//!   retryable [`FvError::AdmissionRejected`] instead of unbounded
+//!   queue-depth watermark ladder turn overload into rejections
+//!   (counted in [`ServeReport::rejected`]) instead of unbounded
 //!   queueing. Each class admits up to its own fraction of the queue
 //!   (bronze half, silver three quarters, gold all of it) and keeps a
 //!   small reserved lane so no class can be locked out entirely.
 //! * **Backpressure with bounded retry** — rejected work retries with
 //!   capped exponential backoff (the same doubling-then-saturating
 //!   discipline as `fv_net`'s `FaultInjector`), honouring the server's
-//!   `retry_after` hint; retries are bounded, and a per-query deadline
-//!   surfaces as [`FvError::DeadlineExceeded`] rather than an
-//!   incomplete episode.
+//!   `retry_after` hint; retries are bounded, and a query past its
+//!   deadline is dropped whole and counted in
+//!   [`ServeReport::deadline_missed`] rather than run late.
 //! * **Tenant-fair scheduling** — deficit round robin over tenant
 //!   flows, cost-weighted by each tenant's scan bytes: the shard-side
 //!   occupancy analogue of the byte-fair egress arbiter. One elephant
 //!   cannot starve the mice.
 //! * **Graceful degradation** — at absolute capacity a higher-class
-//!   arrival sheds the youngest lowest-class queued query
-//!   ([`FvError::LoadShed`]); shedding drops whole queries, never
+//!   arrival sheds the youngest lowest-class queued query (counted in
+//!   [`ServeReport::shed`]); shedding drops whole queries, never
 //!   parts of results, so every query that *does* complete is
 //!   byte-identical to an unloaded single-node run.
 //!
@@ -791,8 +791,8 @@ impl<B: ServeBackend> ServeEngine<B> {
             None => return,
         };
         if let Some(retry_after) = bucket_reject {
-            // Typed as AdmissionRejected at the API surface; here the
-            // closed loop consumes its own rejection.
+            // The closed loop consumes its own rejection; the report
+            // counts it.
             self.reject_with_retry(flow, query_idx, first_submit, attempt, retry_after);
             return;
         }
@@ -898,7 +898,7 @@ impl<B: ServeBackend> ServeEngine<B> {
                 return;
             };
             if self.now >= job.deadline {
-                // DeadlineExceeded: dropped whole, never partially run.
+                // Past its deadline: dropped whole, never partially run.
                 if let Some(f) = self.flows.get_mut(flow) {
                     f.deadline_missed += 1;
                 }

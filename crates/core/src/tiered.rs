@@ -9,8 +9,8 @@
 //!
 //! ```text
 //!   disk (BlockStore)  →  far memory (column images)  →  DRAM (FTable)
-//!   authoritative          Arc<[u8]> per table,           staged rows the
-//!   columnar images        per-COLUMN residency           pipeline queries
+//!   authoritative          whole Arc<[u8]> images,        staged rows the
+//!   columnar images        LRU under a byte budget        pipeline queries
 //! ```
 //!
 //! * [`BlockStore`] — a calibrated NVMe-class storage model holding the
@@ -18,11 +18,11 @@
 //!   read/write timing). Objects are shared out as `Arc<[u8]>`, so a
 //!   read never copies the image.
 //! * The **far-memory image tier** (internal to the pool) keeps
-//!   recently staged images resident as zero-copy `Arc<[u8]>` buffers
-//!   under their own byte budget. Pressure evicts cold *column slices*,
-//!   not whole tables: a partially spilled image repays only the disk
-//!   reads for its missing slices on the next staging, each costed
-//!   per-slice through [`StorageParams`].
+//!   recently staged images resident as zero-copy `Arc<[u8]>` buffers,
+//!   an LRU of whole images under a byte budget of 4× the DRAM budget.
+//!   A far hit costs no device I/O; a miss (an image never fetched, or
+//!   one evicted since) pays one read of the full image; pressure
+//!   evicts the least-recently-used image whole.
 //! * [`TieredPool`] — an LRU cache manager over the slice of
 //!   disaggregated memory one [`Conn`] reaches: queries against cold
 //!   tables stage them in (evicting least-recently-used DRAM residents
@@ -31,8 +31,7 @@
 //!   tables scatter across the fleet under the topology's *current*
 //!   epoch, and a resident staged before a membership change is
 //!   restaged into the new placement the next time it is queried. The
-//!   restage sources from the far-memory image — only slices that were
-//!   spilled to disk in the meantime are re-read.
+//!   restage sources from the far-memory image when it is still there.
 //! * A pool is also a serving backend: `ServeEngine<TieredPool<'_, C>>`
 //!   serves tenants whose tables do not all fit in DRAM, each tenant's
 //!   staging paid as service time.
@@ -60,7 +59,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fv_data::{slice_len, ColumnImage, Schema, Table};
+use fv_data::{ColumnImage, Schema, Table};
 use fv_sim::{calib, SimDuration};
 
 use crate::cluster::{QPair, QueryOutcome};
@@ -100,8 +99,8 @@ pub enum TierLevel {
     /// Image resident in far memory — staging pays only the DRAM write,
     /// no device I/O.
     FarMemory,
-    /// On disk (fully, or as spilled slices) — staging pays device
-    /// reads before the DRAM write.
+    /// On disk only — staging pays one read of the full image before
+    /// the DRAM write.
     Disk,
 }
 
@@ -158,13 +157,6 @@ impl BlockStore {
         Some((bytes, t))
     }
 
-    /// Charge one partial read of `len` bytes (a single column slice
-    /// re-fetched after a spill) without re-reading the whole object.
-    pub fn read_partial(&mut self, len: u64) -> SimDuration {
-        self.reads += 1;
-        self.params.access_latency + calib::transfer(len.max(1), self.params.bandwidth)
-    }
-
     /// Flip every bit of one byte of a stored object — a fault-injection
     /// hook for exercising the typed [`CodecError`](fv_data::CodecError)
     /// path (the chaos suite's storage-corruption fault). Returns false
@@ -181,8 +173,7 @@ impl BlockStore {
         }
     }
 
-    /// `(reads, writes)` served. Partial (per-slice) reads count one
-    /// read each, like any other device request.
+    /// `(reads, writes)` served.
     pub fn io_counts(&self) -> (u64, u64) {
         (self.reads, self.writes)
     }
@@ -198,18 +189,11 @@ impl BlockStore {
     }
 }
 
-/// One table's far-memory image: the shared bytes plus per-column
-/// residency. A spilled slice keeps its bytes alive in the `Arc` (the
-/// simulation is functional), but cost-wise it must be re-read from
-/// disk before the image can be staged again.
+/// One table's far-memory image: the shared bytes, the bytes it is
+/// charged against the far budget (its row data), and an LRU stamp.
 struct FarImage {
     image: Arc<[u8]>,
-    /// Per-column: is this slice resident in far memory (true) or
-    /// spilled to disk (false)?
-    slice_resident: Vec<bool>,
-    /// Per-column slice length in bytes (directory-exact).
-    slice_bytes: Vec<u64>,
-    /// LRU stamp.
+    bytes: u64,
     last_use: u64,
 }
 
@@ -219,14 +203,12 @@ struct FarFetch {
     bytes: Arc<[u8]>,
     schema: Schema,
     read_time: SimDuration,
-    slices_fetched: usize,
     source: TierLevel,
 }
 
-/// The disk + far-memory rungs of the ladder:
-/// a [`BlockStore`] of column images, a per-object catalog of schema
-/// and row-format byte length, and the far-memory image cache with
-/// column-granular spill.
+/// The disk + far-memory rungs of the ladder: a [`BlockStore`] of
+/// column images, a per-object catalog of schema and row-format byte
+/// length, and the far-memory LRU of whole images.
 struct FarTier {
     store: BlockStore,
     catalog: HashMap<String, (Schema, u64)>,
@@ -270,15 +252,12 @@ impl FarTier {
     /// Drop `name`'s cached far copy, if any.
     fn forget(&mut self, name: &str) {
         if let Some(old) = self.images.remove(name) {
-            let resident = old.slice_resident.iter().zip(&old.slice_bytes);
-            self.resident_bytes -= resident.filter(|(r, _)| **r).map(|(_, b)| *b).sum::<u64>();
+            self.resident_bytes -= old.bytes;
         }
     }
 
-    /// Resolve `name` to openable image bytes, paying per-slice disk
-    /// reads for whatever is not already far-resident: nothing on a
-    /// full far hit, only the spilled slices on a partial hit, the
-    /// whole image on a cold miss.
+    /// Resolve `name` to openable image bytes: free on a far hit, one
+    /// read of the full image on a miss.
     fn fetch(&mut self, name: &str, clock: u64) -> Result<FarFetch, FvError> {
         let missing = || FvError::NotInStorage {
             name: name.to_string(),
@@ -286,90 +265,51 @@ impl FarTier {
         let schema = self.catalog.get(name).ok_or_else(missing)?.0.clone();
         if let Some(img) = self.images.get_mut(name) {
             img.last_use = clock;
-            let mut read_time = SimDuration::ZERO;
-            let mut fetched = 0usize;
-            for (res, len) in img.slice_resident.iter_mut().zip(&img.slice_bytes) {
-                if !*res {
-                    read_time += self.store.read_partial(*len);
-                    *res = true;
-                    self.resident_bytes += *len;
-                    fetched += 1;
-                }
-            }
-            let source = if fetched == 0 {
-                TierLevel::FarMemory
-            } else {
-                TierLevel::Disk
-            };
             return Ok(FarFetch {
                 bytes: Arc::clone(&img.image),
                 schema,
-                read_time,
-                slices_fetched: fetched,
-                source,
+                read_time: SimDuration::ZERO,
+                source: TierLevel::FarMemory,
             });
         }
-        // Cold miss: one sequential read of the full image. It becomes
-        // far-resident once the caller has validated it (`install`).
+        // Miss: the image becomes far-resident once the caller has
+        // validated it (`install`).
         let (bytes, read_time) = self.store.get(name).ok_or_else(missing)?;
         Ok(FarFetch {
             bytes,
-            slices_fetched: schema.column_count(),
             schema,
             read_time,
             source: TierLevel::Disk,
         })
     }
 
-    /// Make a fetched image, validated by the caller's `open` (hence
-    /// `rows`), far-resident with every slice present — unless it is.
-    fn install(&mut self, name: &str, fetch: &FarFetch, rows: usize, clock: u64) {
+    /// Make a fetched image, validated by the caller's `open`, far-resident
+    /// at `bytes` of budget (a far hit already is), then evict
+    /// least-recently-used images whole until the tier fits its budget.
+    /// The newest image goes last, so one larger than the whole budget is
+    /// not kept. Evictions are free: the tier is read-only, the disk copy
+    /// is authoritative.
+    fn install(&mut self, name: &str, fetch: &FarFetch, bytes: u64, clock: u64) {
         if self.images.contains_key(name) {
             return;
         }
-        let slice_bytes: Vec<u64> = (0..fetch.schema.column_count())
-            .map(|c| slice_len(&fetch.schema, rows, c) as u64)
-            .collect();
-        self.resident_bytes += slice_bytes.iter().sum::<u64>();
+        self.resident_bytes += bytes;
         self.images.insert(
             name.to_string(),
             FarImage {
                 image: Arc::clone(&fetch.bytes),
-                slice_resident: vec![true; slice_bytes.len()],
-                slice_bytes,
+                bytes,
                 last_use: clock,
             },
         );
-    }
-
-    /// Spill cold column slices until the far tier fits its budget.
-    /// Victims are chosen column-by-column from the least-recently-used
-    /// image — a warm table loses nothing because a cold one is huge,
-    /// and a partially spilled table restages cheaper than a fully
-    /// spilled one. Spills are free: the tier is read-only, the disk
-    /// copy is authoritative. Returns the number of slices spilled.
-    fn enforce_budget(&mut self) -> u64 {
-        let mut spilled = 0u64;
         while self.resident_bytes > self.capacity {
-            let victim = self
-                .images
-                .iter()
-                .filter(|(_, i)| i.slice_resident.iter().any(|r| *r))
-                .min_by(|(an, ai), (bn, bi)| ai.last_use.cmp(&bi.last_use).then_with(|| an.cmp(bn)))
-                .map(|(n, _)| n.clone());
-            let Some(victim) = victim else { break };
-            let Some(img) = self.images.get_mut(&victim) else {
+            let lru = self.images.iter().min_by_key(|(_, i)| i.last_use);
+            let Some(victim) = lru.map(|(n, _)| n.clone()) else {
                 break;
             };
-            let Some(idx) = img.slice_resident.iter().position(|r| *r) else {
-                break;
-            };
-            img.slice_resident[idx] = false;
-            self.resident_bytes -= img.slice_bytes[idx];
+            self.forget(&victim);
             self.spills += 1;
-            spilled += 1;
         }
-        spilled
     }
 }
 
@@ -389,14 +329,11 @@ pub struct TierOutcome<O = QueryOutcome> {
     /// single node).
     pub restaged: bool,
     /// Which tier the staging sourced from (`None` on a DRAM hit):
-    /// [`TierLevel::FarMemory`] when the image was fully far-resident,
-    /// [`TierLevel::Disk`] when any slice had to come off the device.
+    /// [`TierLevel::FarMemory`] when the image was far-resident,
+    /// [`TierLevel::Disk`] when it had to be read off the device.
     /// An epoch-stale restage typically reports `FarMemory`: the
-    /// rebalance ships only slices that were spilled to disk.
+    /// device is re-read only if the image was evicted from far memory.
     pub staged_from: Option<TierLevel>,
-    /// Column slices read from disk during this staging (0 on a DRAM
-    /// or full far-memory hit; the column count on a cold miss).
-    pub slices_fetched: usize,
     /// Time spent staging the table in (device reads, if any, + write
     /// into the disaggregated buffer pool — the slowest shard's scatter
     /// write on a fleet). Zero on a hit.
@@ -404,8 +341,6 @@ pub struct TierOutcome<O = QueryOutcome> {
     /// Tables evicted from DRAM to make room. Their far-memory images
     /// survive, so re-querying them repays only the DRAM write.
     pub evictions: Vec<String>,
-    /// Column slices spilled from far memory to disk by this staging.
-    pub spilled_slices: u64,
 }
 
 impl<O: AsRef<QueryOutcome>> TierOutcome<O> {
@@ -459,8 +394,7 @@ impl<'a, C: Conn> TieredPool<'a, C> {
     /// A pool staging into `conn` with the given DRAM budget. A zero
     /// budget is legal: every staged table then exceeds the budget, so
     /// each new staging evicts whatever the previous one brought in.
-    /// The far-memory image tier defaults to 4× the DRAM budget; tune
-    /// it with [`TieredPool::with_far_capacity`].
+    /// The far-memory image tier holds 4× the DRAM budget.
     pub fn new(conn: &'a C, capacity_bytes: u64, store: BlockStore) -> Self {
         TieredPool {
             conn,
@@ -473,12 +407,6 @@ impl<'a, C: Conn> TieredPool<'a, C> {
             misses: 0,
             restages: 0,
         }
-    }
-
-    /// Set the far-memory image tier's byte budget.
-    pub fn with_far_capacity(mut self, bytes: u64) -> Self {
-        self.far.capacity = bytes;
-        self
     }
 
     /// Register a table: encoded as a columnar image and persisted to
@@ -516,12 +444,14 @@ impl<'a, C: Conn> TieredPool<'a, C> {
         self.resident_bytes
     }
 
-    /// Bytes of column-image slices currently resident in far memory.
+    /// Bytes of column images currently resident in far memory, each
+    /// image charged its row data.
     pub fn far_resident_bytes(&self) -> u64 {
         self.far.resident_bytes
     }
 
-    /// Column slices spilled from far memory to disk so far.
+    /// Images evicted from far memory so far; each is read whole off
+    /// the device on its next staging.
     pub fn far_spills(&self) -> u64 {
         self.far.spills
     }
@@ -571,9 +501,8 @@ impl<'a, C: Conn> TieredPool<'a, C> {
     /// Run `spec` against `name`, staging it in if cold — or
     /// **restaging** it if its resident placement is no longer current.
     /// A DRAM miss resolves down the ladder: a far-resident image
-    /// restages with a zero-copy open (no device I/O), a partially
-    /// spilled one re-reads only its missing slices, a cold one pays
-    /// the full image read. Residency management lives here; staging
+    /// restages with a zero-copy open (no device I/O), any other pays
+    /// one read of the full image. Residency management lives here; staging
     /// and the query itself go through the connection.
     pub fn query(
         &mut self,
@@ -590,10 +519,8 @@ impl<'a, C: Conn> TieredPool<'a, C> {
                     buffer_hit: true,
                     restaged: false,
                     staged_from: None,
-                    slices_fetched: 0,
                     stage_in_time: SimDuration::ZERO,
                     evictions: Vec::new(),
-                    spilled_slices: 0,
                 });
             }
         }
@@ -606,16 +533,14 @@ impl<'a, C: Conn> TieredPool<'a, C> {
         // The one validation of this staging; a cold image becomes
         // far-resident only once it has passed.
         let image = ColumnImage::open(&fetch.bytes, &fetch.schema)?;
-        self.far
-            .install(name, &fetch, image.row_count(), self.clock);
-        let spilled = self.far.enforce_budget();
+        let one_copy = (image.row_count() * fetch.schema.row_bytes()) as u64;
+        self.far.install(name, &fetch, one_copy, self.clock);
 
         // Make room under the DRAM budget: before staging for the one
         // row-format copy every staging writes, and after it for
         // whatever more the staging occupies — the other replicas on a
         // replicated fleet.
         let mut evictions = Vec::new();
-        let one_copy = (image.row_count() * fetch.schema.row_bytes()) as u64;
         self.make_room(one_copy, &mut evictions)?;
         let (staged, write_time, bytes) = self.conn.stage(&image)?;
         if let Err(e) = self.make_room(bytes, &mut evictions) {
@@ -635,10 +560,8 @@ impl<'a, C: Conn> TieredPool<'a, C> {
             buffer_hit: false,
             restaged,
             staged_from: Some(fetch.source),
-            slices_fetched: fetch.slices_fetched,
             stage_in_time: fetch.read_time + write_time,
             evictions,
-            spilled_slices: spilled,
         })
     }
 }
@@ -724,7 +647,7 @@ mod tests {
         let cold = pool.query("orders", &PipelineSpec::passthrough()).unwrap();
         assert!(!cold.buffer_hit);
         assert_eq!(cold.staged_from, Some(TierLevel::Disk));
-        assert_eq!(cold.slices_fetched, 8, "all 8 column slices came off disk");
+        assert_eq!(pool.io_counts().0, 1, "one read of the whole image");
         assert!(cold.stage_in_time > SimDuration::from_micros(80));
         assert_eq!(cold.outcome.payload, t.bytes());
         assert!(pool.is_resident("orders"));
@@ -763,7 +686,7 @@ mod tests {
         let back = pool.query("b", &PipelineSpec::passthrough()).unwrap();
         assert!(!back.buffer_hit);
         assert_eq!(back.staged_from, Some(TierLevel::FarMemory));
-        assert_eq!(back.slices_fetched, 0);
+        assert_eq!(pool.io_counts().0, 3, "one device read per cold image");
         assert_eq!(back.evictions, vec!["a".to_string()]);
     }
 
@@ -883,7 +806,7 @@ mod tests {
             Some(TierLevel::FarMemory),
             "the demoted table's image is still in far memory"
         );
-        assert_eq!(again.slices_fetched, 0, "no device I/O on a far hit");
+        assert_eq!(pool.io_counts().0, 2, "no device I/O on a far hit");
         assert!(
             again.stage_in_time > SimDuration::ZERO,
             "the DRAM write is still paid"
@@ -898,7 +821,6 @@ mod tests {
             "results stay byte-identical across evict + restage"
         );
         assert_eq!(pool.hit_stats(), (0, 3));
-        assert_eq!(pool.io_counts().0, 2, "one device read per cold image");
     }
     on_both_connections!(
         requery_after_eviction,
@@ -907,35 +829,44 @@ mod tests {
     );
 
     fn far_pressure<C: Conn>(conn: &C, _free_pages: impl Fn() -> u64, _pages: u64) {
-        // DRAM fits one 1 MB table; far memory fits one and a half, so
-        // staging "b" spills half of "a"'s column slices.
-        let mut pool = TieredPool::new(conn, 1 << 20, BlockStore::default())
-            .with_far_capacity((1 << 20) + (1 << 19));
-        let a = table(11, 1 << 20);
-        let b = table(12, 1 << 20);
-        pool.insert("a", &a).unwrap();
-        pool.insert("b", &b).unwrap();
+        // DRAM for 256 kB, so far memory holds 1 MB: two of these
+        // 512 kB images, never three.
+        let mut pool = TieredPool::new(conn, 256 << 10, BlockStore::default());
+        let tables: Vec<Table> = (13..16).map(|seed| table(seed, 512 << 10)).collect();
+        for (name, t) in ["a", "b", "c"].iter().zip(&tables) {
+            pool.insert(name, t).unwrap();
+        }
+        let spec = PipelineSpec::passthrough();
+        pool.query("a", &spec).unwrap();
+        pool.query("b", &spec).unwrap();
+        // Re-touch "a" so "b" is the least-recently-used image.
+        let warm = pool.query("a", &spec).unwrap();
+        assert_eq!(warm.staged_from, Some(TierLevel::FarMemory));
+        assert_eq!(pool.far_spills(), 0);
 
-        pool.query("a", &PipelineSpec::passthrough()).unwrap();
-        let out_b = pool.query("b", &PipelineSpec::passthrough()).unwrap();
-        assert_eq!(
-            out_b.spilled_slices, 4,
-            "half of a's 8 equal-width slices must spill"
-        );
-        assert!(pool.far_resident_bytes() <= (1 << 20) + (1 << 19));
+        pool.query("c", &spec).unwrap();
+        assert_eq!(pool.far_spills(), 1, "b's image left far memory whole");
+        assert_eq!(pool.far_resident_bytes(), 2 * tables[0].byte_len() as u64);
+        assert_eq!(pool.io_counts().0, 3, "one device read per cold image");
 
-        // Re-querying "a" repays exactly the spilled slices, not the
-        // whole image.
-        let again = pool.query("a", &PipelineSpec::passthrough()).unwrap();
-        assert_eq!(again.staged_from, Some(TierLevel::Disk));
-        assert_eq!(again.slices_fetched, 4, "only the missing slices re-read");
-        assert_eq!(payload(&again), a.bytes());
-        assert_eq!(pool.far_spills(), 4 + 4, "staging a re-spills b's slices");
+        // The warm image is still far-resident: no device read.
+        let a = pool.query("a", &spec).unwrap();
+        assert_eq!(a.staged_from, Some(TierLevel::FarMemory));
+        assert_eq!(pool.io_counts().0, 3);
+        assert_eq!(payload(&a), tables[0].bytes());
+
+        // The evicted one is read whole off the device again, and
+        // installing it evicts the now least-recently-used "c".
+        let b = pool.query("b", &spec).unwrap();
+        assert_eq!(b.staged_from, Some(TierLevel::Disk));
+        assert_eq!(pool.io_counts().0, 4, "one read of the whole image");
+        assert_eq!(payload(&b), tables[1].bytes());
+        assert_eq!(pool.far_spills(), 2);
     }
     on_both_connections!(
         far_pressure,
-        far_pressure_spills_cold_columns_and_repays_per_slice,
-        fleet_far_pressure_spills_cold_columns_and_repays_per_slice
+        far_pressure_evicts_the_lru_image_whole,
+        fleet_far_pressure_evicts_the_lru_image_whole
     );
 
     #[test]
@@ -1171,7 +1102,7 @@ mod tests {
             Some(TierLevel::FarMemory),
             "the rebalance restage must not re-read the device"
         );
-        assert_eq!(restaged.slices_fetched, 0);
+        assert_eq!(pool.io_counts().0, 1, "only the cold staging read");
         assert!(
             restaged.stage_in_time > SimDuration::ZERO,
             "the scatter write is re-paid"
@@ -1257,11 +1188,7 @@ mod tests {
         let (bytes, rt) = store.get("obj").unwrap();
         assert_eq!(bytes.len(), 1_000_000);
         assert_eq!(rt, wt);
-        // A partial read of one 125 kB slice costs latency + its
-        // transfer share.
-        let pt = store.read_partial(125_000);
-        assert_eq!(pt.as_nanos(), 100_000 + 125_000);
-        assert_eq!(store.io_counts(), (2, 1));
+        assert_eq!(store.io_counts(), (1, 1));
         assert!(store.get("missing").is_none());
     }
 }

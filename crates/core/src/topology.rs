@@ -36,9 +36,7 @@
 //! of the target shape would compute, hence query results stay
 //! byte-identical across any sequence of grows, drains and rebalances.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use fv_data::Schema;
 use fv_sim::SimDuration;
@@ -47,6 +45,7 @@ use crate::cluster::FarviewCluster;
 use crate::config::FarviewConfig;
 use crate::error::FvError;
 use crate::fleet::{Partitioning, ShardAssignment, ShardMap};
+use crate::lock;
 
 /// Stable identity of one memory node, unchanged across roster edits
 /// (unlike a roster *index*, which shifts when nodes leave).
@@ -115,7 +114,7 @@ pub struct Topology {
 
 impl std::fmt::Debug for Topology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         f.debug_struct("Topology")
             .field("epoch", &inner.epoch)
             .field("nodes", &inner.live_count())
@@ -146,12 +145,12 @@ impl Topology {
     /// [`Placement`] carrying an older epoch is stale (still servable,
     /// no longer optimal).
     pub fn epoch(&self) -> u64 {
-        self.inner.lock().epoch
+        lock(&self.inner).epoch
     }
 
     /// An immutable view of the roster at the current epoch.
     pub fn snapshot(&self) -> TopologySnapshot {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         TopologySnapshot {
             epoch: inner.epoch,
             active: inner
@@ -174,7 +173,7 @@ impl Topology {
     /// # Errors
     /// [`FvError::NoSuchNode`] for unknown or removed ids.
     pub fn health(&self, id: NodeId) -> Result<NodeHealth, FvError> {
-        Ok(self.inner.lock().entry(id)?.health)
+        Ok(lock(&self.inner).entry(id)?.health)
     }
 
     /// True when `id` can still serve reads (Active or Draining).
@@ -185,7 +184,7 @@ impl Topology {
     /// The cluster behind a live node (clusters are `Arc`-backed, so
     /// this clone shares state with the roster entry).
     pub(crate) fn cluster(&self, id: NodeId) -> Result<FarviewCluster, FvError> {
-        Ok(self.inner.lock().entry(id)?.cluster.clone())
+        Ok(lock(&self.inner).entry(id)?.cluster.clone())
     }
 
     /// Live node ids in roster order (Active + Draining).
@@ -195,7 +194,7 @@ impl Topology {
 
     /// Append a fresh Active node; bumps the epoch.
     pub(crate) fn add_node(&self, config: &FarviewConfig) -> NodeId {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let id = NodeId(inner.next_id);
         inner.next_id += 1;
         inner.entries.push(NodeEntry {
@@ -209,7 +208,7 @@ impl Topology {
 
     /// Transition a live node to `health`; bumps the epoch.
     pub(crate) fn set_health(&self, id: NodeId, health: NodeHealth) -> Result<(), FvError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let nodes = inner.live_count();
         let entry = inner
             .entries

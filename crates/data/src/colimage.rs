@@ -211,7 +211,7 @@ pub fn encoded_len(schema: &Schema, rows: usize) -> usize {
 }
 
 /// Bytes column `col` occupies in an image of `rows` rows.
-pub fn slice_len(schema: &Schema, rows: usize, col: usize) -> usize {
+fn slice_len(schema: &Schema, rows: usize, col: usize) -> usize {
     rows * schema.column(col).ty.width()
 }
 

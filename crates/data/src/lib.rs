@@ -35,7 +35,7 @@ mod table;
 mod value;
 
 pub use catalog::{Catalog, CatalogEntry};
-pub use colimage::{encoded_len, schema_fingerprint, slice_len, CodecError, ColumnImage};
+pub use colimage::{encoded_len, schema_fingerprint, CodecError, ColumnImage};
 pub use column::ColumnSlice;
 pub use row::{iter_rows, Row, RowView};
 pub use schema::{Column, Schema};

@@ -12,11 +12,6 @@ pub fn search(ast: &Ast, input: &[u8]) -> bool {
     (0..=input.len()).any(|start| match_here(ast, &input[start..], &mut |_| true))
 }
 
-/// Does `ast` match a prefix of `input` starting at offset 0?
-pub fn match_prefix(ast: &Ast, input: &[u8]) -> bool {
-    match_here(ast, input, &mut |_| true)
-}
-
 /// Does `ast` match `input` exactly (both ends anchored)?
 pub fn match_exact(ast: &Ast, input: &[u8]) -> bool {
     match_here(ast, input, &mut |rest: &[u8]| rest.is_empty())

@@ -153,11 +153,6 @@ impl<M: 'static> Simulation<M> {
         self.delivered
     }
 
-    /// Number of actors registered.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Inject a message from outside the simulation (e.g. a client request
     /// at t = now + delay).
     pub fn inject(&mut self, to: ActorId, delay: SimDuration, msg: M) {
