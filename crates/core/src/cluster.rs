@@ -14,7 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use fv_data::{Catalog, CatalogEntry, ColumnImage, Row, Schema, Table, Value};
+use fv_data::{Catalog, CatalogEntry, Row, Schema, Table, Value};
 use fv_mem::{DomainId, MemoryStack, PageView, VirtAddr};
 use fv_pipeline::{AggSpec, CompiledPipeline, CryptoSpec, PipelineSpec, PredicateExpr};
 use fv_sim::calib::CPU_DEDUP_NS;
@@ -24,6 +24,7 @@ use crate::config::FarviewConfig;
 use crate::episode::{self, PreparedQuery};
 use crate::error::FvError;
 use crate::lock;
+use crate::tiered::PageChunks;
 
 /// Bits reserved in a stream id for the WQE index of a doorbell batch:
 /// stream id = `qp << QP_STREAM_BITS | wqe`.
@@ -32,13 +33,6 @@ const QP_STREAM_BITS: u32 = 10;
 /// Deepest doorbell batch one queue pair can post (send-queue length);
 /// bounded so batched stream ids never collide across queue pairs.
 pub const MAX_QUEUE_DEPTH: usize = 1 << QP_STREAM_BITS;
-
-/// Row-format bytes [`QPair::load_image`] transposes and writes at a
-/// time. A 16 KiB block and the column runs it is gathered from share
-/// L1, so the memory stack copies the block out while it is still hot;
-/// measured against 8, 32, 64 and 128 KiB on the 1 MiB paper table, this
-/// size stages fastest (32 KiB: +6 %).
-const STAGE_BLOCK_BYTES: usize = 16 << 10;
 
 /// Refuse a doorbell batch deeper than the send queue, typed.
 pub(crate) fn check_queue_depth(depth: usize) -> Result<(), FvError> {
@@ -635,48 +629,8 @@ impl QPair {
     /// frees the allocation before the error returns — the caller never
     /// sees the handle, so nobody else could.
     pub fn load_table(&self, table: &Table) -> Result<(FTable, SimDuration), FvError> {
-        self.load_with(table.schema(), table.row_count(), |ft| {
-            self.table_write(ft, table.bytes())
-        })
-    }
-
-    /// [`QPair::load_table`] straight from a validated column image: the
-    /// rows are transposed a block at a time into one reused buffer and
-    /// written at their offset, so no row-format copy of the table
-    /// exists on the host. As in [`QPair::table_write`], the transfer of
-    /// the whole table is simulated first — a degraded link fails typed
-    /// before any byte lands — and all blocks land under one node lock.
-    pub(crate) fn load_image(
-        &self,
-        image: &ColumnImage<'_>,
-    ) -> Result<(FTable, SimDuration), FvError> {
-        let rows = image.row_count();
-        self.load_with(image.schema(), rows, |ft| {
-            let mut inner = lock(&self.inner);
-            let t = episode::try_write_time(ft.byte_len(), &inner.config)?;
-            let row_bytes = ft.schema.row_bytes();
-            let block_rows = (STAGE_BLOCK_BYTES / row_bytes).max(1);
-            let mut block = Vec::with_capacity(block_rows.min(rows) * row_bytes);
-            for lo in (0..rows).step_by(block_rows) {
-                block.clear();
-                image.write_rows_into(lo, (lo + block_rows).min(rows), &mut block);
-                let at = ft.vaddr + (lo * row_bytes) as u64;
-                inner.mem.write(self.domain, at, &block)?;
-            }
-            Ok(t)
-        })
-    }
-
-    /// Allocate a `rows`-row table, then populate it with `write`; a
-    /// failed write frees the allocation before its error returns.
-    fn load_with(
-        &self,
-        schema: &Schema,
-        rows: usize,
-        write: impl FnOnce(&FTable) -> Result<SimDuration, FvError>,
-    ) -> Result<(FTable, SimDuration), FvError> {
-        let ft = self.alloc_table_spec(schema, rows)?;
-        match write(&ft) {
+        let ft = self.alloc_table(table)?;
+        match self.table_write(&ft, table.bytes()) {
             Ok(t) => Ok((ft, t)),
             Err(e) => {
                 // Best-effort: the write error is the one to report.
@@ -684,6 +638,29 @@ impl QPair {
                 Err(e)
             }
         }
+    }
+
+    /// Stage a far-memory table by adopting its page chunks as the
+    /// pages of a fresh allocation: no byte is copied, and the pages
+    /// stay shared with the chunks until a write copies one. As in
+    /// [`QPair::table_write`], the transfer of the whole table is
+    /// simulated first, so a degraded link fails typed before any page
+    /// is allocated.
+    pub(crate) fn adopt_table(&self, table: &PageChunks) -> Result<(FTable, SimDuration), FvError> {
+        if !self.connected {
+            return Err(FvError::Disconnected);
+        }
+        let bytes = table.byte_len();
+        let mut inner = lock(&self.inner);
+        let t = episode::try_write_time(bytes, &inner.config)?;
+        let vaddr = inner.mem.adopt(self.domain, bytes.max(1), table.pages())?;
+        let ft = FTable {
+            qp: self.qp,
+            vaddr,
+            schema: table.schema().clone(),
+            rows: table.row_count(),
+        };
+        Ok((ft, t))
     }
 
     /// Allocate + write + register under a name in the client-side

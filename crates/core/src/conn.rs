@@ -11,13 +11,13 @@
 //! replicated fleet is `ServeEngine<TieredPool<'_, FleetConn>>`, with no
 //! code written for that combination.
 
-use fv_data::ColumnImage;
 use fv_pipeline::PipelineSpec;
 use fv_sim::SimDuration;
 
 use crate::cluster::{FTable, QPair, QueryOutcome};
 use crate::error::FvError;
 use crate::fleet::{FleetQPair, FleetQueryOutcome, FleetTable, Partitioning};
+use crate::tiered::PageChunks;
 
 /// A connection tables are staged on and queried through.
 pub trait Conn {
@@ -27,10 +27,10 @@ pub trait Conn {
     /// single-node-format result.
     type Outcome: AsRef<QueryOutcome> + Into<QueryOutcome>;
 
-    /// Allocate DRAM for `image`'s table and write it there in row
-    /// format. Returns the handle, the simulated write time, and the
-    /// bytes the staged table occupies — every replica counted.
-    fn stage(&self, image: &ColumnImage<'_>) -> Result<(Self::Table, SimDuration, u64), FvError>;
+    /// Put `table` into DRAM, charged as a write of its rows. Returns
+    /// the handle, the simulated write time, and the bytes the staged
+    /// table occupies — every replica counted.
+    fn stage(&self, table: &PageChunks) -> Result<(Self::Table, SimDuration, u64), FvError>;
 
     /// Run `spec` against `table`.
     fn run(&self, table: &Self::Table, spec: &PipelineSpec) -> Result<Self::Outcome, FvError>;
@@ -42,15 +42,15 @@ pub trait Conn {
     fn placement_is_current(&self, table: &Self::Table) -> bool;
 }
 
-/// One connection's slice of one node's memory. The image goes into
-/// DRAM a row block at a time (no row-format copy of the table is
-/// built), and a staged table never moves.
+/// One connection's slice of one node's memory. Staging adopts the
+/// table's page chunks as the pages of its allocation, copying nothing,
+/// and a staged table never moves.
 impl Conn for QPair {
     type Table = FTable;
     type Outcome = QueryOutcome;
 
-    fn stage(&self, image: &ColumnImage<'_>) -> Result<(FTable, SimDuration, u64), FvError> {
-        let (ft, write_time) = self.load_image(image)?;
+    fn stage(&self, table: &PageChunks) -> Result<(FTable, SimDuration, u64), FvError> {
+        let (ft, write_time) = self.adopt_table(table)?;
         let bytes = ft.byte_len();
         Ok((ft, write_time, bytes))
     }
@@ -78,8 +78,9 @@ impl Conn for QPair {
 /// into the current one on its next query. Staleness is a property of
 /// the *placement*, not the raw epoch: membership changes that cancelled
 /// out (a node added and removed again) leave residents hot. Staging
-/// materialises the rows first: the scatter routes whole rows to shards
-/// (by range or by key hash), which a column image cannot be cut by.
+/// joins the page chunks into one row-format table first (one copy):
+/// the scatter routes whole rows to shards, by range or by key hash,
+/// and a row can straddle two chunks.
 #[derive(Debug)]
 pub struct FleetConn {
     pub(crate) fqp: FleetQPair,
@@ -120,10 +121,10 @@ impl Conn for FleetConn {
     type Table = FleetTable;
     type Outcome = FleetQueryOutcome;
 
-    fn stage(&self, image: &ColumnImage<'_>) -> Result<(FleetTable, SimDuration, u64), FvError> {
+    fn stage(&self, table: &PageChunks) -> Result<(FleetTable, SimDuration, u64), FvError> {
         let (ft, write_time) =
             self.fqp
-                .load_table_replicated(&image.to_table(), self.partitioning, self.replicas)?;
+                .load_table_replicated(&table.to_table(), self.partitioning, self.replicas)?;
         let bytes = (ft.row_count() * ft.schema().row_bytes() * ft.replicas()) as u64;
         Ok((ft, write_time, bytes))
     }

@@ -57,14 +57,14 @@ pub enum FvError {
         /// The missing object name.
         name: String,
     },
-    /// A table the storage tier cannot stage as a columnar image.
+    /// A table the storage tier cannot stage as a table image.
     Unstageable {
         /// The object name the caller tried to register.
         name: String,
         /// Why the table cannot be staged.
         reason: &'static str,
     },
-    /// A staged columnar image failed validation when reopened from the
+    /// A table image failed validation when read back from the
     /// storage tier (corrupted, truncated, or schema-mismatched bytes).
     Codec(fv_data::CodecError),
     /// The requested pipeline feature cannot fan out across a fleet:
@@ -201,7 +201,7 @@ impl fmt::Display for FvError {
             FvError::Unstageable { name, reason } => {
                 write!(f, "cannot stage {name:?} as a column image: {reason}")
             }
-            FvError::Codec(e) => write!(f, "staged column image: {e}"),
+            FvError::Codec(e) => write!(f, "stored table image: {e}"),
             FvError::FleetUnsupported { feature } => {
                 write!(f, "{feature} queries cannot fan out across fleet shards")
             }

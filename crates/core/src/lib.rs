@@ -72,7 +72,7 @@ pub use serve::{
     ClassServeStats, Completion, FleetBackend, ServeBackend, ServeClass, ServeConfig, ServeEngine,
     ServeReport, ServeTenant, SingleNodeBackend, TenantBackend, TenantServeStats,
 };
-pub use tiered::{BlockStore, StorageParams, TierLevel, TierOutcome, TieredPool};
+pub use tiered::{BlockStore, PageChunks, StorageParams, TierLevel, TierOutcome, TieredPool};
 pub use topology::{
     MovePlan, NodeHealth, NodeId, Placement, RebalanceReport, ShardMove, Topology, TopologySnapshot,
 };

@@ -8,44 +8,50 @@
 //! being loaded from storage as needed"), across a **three-rung ladder**:
 //!
 //! ```text
-//!   disk (BlockStore)  →  far memory (column images)  →  DRAM (FTable)
-//!   authoritative          whole Arc<[u8]> images,        staged rows the
-//!   columnar images        LRU under a byte budget        pipeline queries
+//!   disk (BlockStore)  →  far memory (page chunks)  →  DRAM (FTable)
+//!   authoritative          validated row pages,          staged rows the
+//!   row images, 2 MB       LRU under a byte budget       pipeline queries
+//!   extents
 //! ```
 //!
 //! * [`BlockStore`] — a calibrated NVMe-class storage model holding the
-//!   cold **columnar table images** ([`fv_data::ColumnImage`] bytes +
-//!   read/write timing). Objects are shared out as `Arc<[u8]>`, so a
-//!   read never copies the image.
-//! * The **far-memory image tier** (internal to the pool) keeps
-//!   recently staged images resident as zero-copy `Arc<[u8]>` buffers,
-//!   an LRU of whole images under a byte budget of 4× the DRAM budget.
-//!   A far hit costs no device I/O; a miss (an image never fetched, or
-//!   one evicted since) pays one read of the full image; pressure
-//!   evicts the least-recently-used image whole.
+//!   cold **table images** ([`fv_data::RowImage`]: a 64-byte header,
+//!   then the rows) with read/write timing. The device keeps an image
+//!   as its header and its rows in 2 MB extents, each an immutable
+//!   `Arc<Vec<u8>>` shared out by a read, so a read never copies.
+//! * The **far-memory tier** (internal to the pool) keeps recently
+//!   staged tables resident as [`PageChunks`]: an image's row extents,
+//!   validated once when they came off the device, one per 2 MB
+//!   buffer-pool page. It is an LRU of whole tables under a byte budget
+//!   of 4× the DRAM budget. A far hit costs no device I/O and opens
+//!   nothing; a miss (a table never fetched, or one evicted since) pays
+//!   one read of the full image; pressure evicts the least-recently-used
+//!   table whole.
 //! * [`TieredPool`] — an LRU cache manager over the slice of
 //!   disaggregated memory one [`Conn`] reaches: queries against cold
 //!   tables stage them in (evicting least-recently-used DRAM residents
 //!   when the budget is exceeded) and then run the offloaded pipeline.
-//!   Over a [`QPair`] that is one node; over a [`FleetConn`] staged
+//!   Over a [`QPair`] that is one node, and staging *adopts* the chunks
+//!   as the pages of the table's allocation: no byte is copied, and a
+//!   later write to a staged page copies that page first, so it never
+//!   reaches the far chunk or the device. Over a [`FleetConn`] staged
 //!   tables scatter across the fleet under the topology's *current*
 //!   epoch, and a resident staged before a membership change is
 //!   restaged into the new placement the next time it is queried. The
-//!   restage sources from the far-memory image when it is still there.
+//!   restage sources from far memory when the table is still there.
 //! * A pool is also a serving backend: `ServeEngine<TieredPool<'_, C>>`
 //!   serves tenants whose tables do not all fit in DRAM, each tenant's
 //!   staging paid as service time.
 //!
-//! Column images are the disk / far-tier *storage* format only. DRAM
-//! tables and the operator datapath are row-major, as in the paper:
-//! staging transposes the opened image back into rows on its way into
-//! DRAM, before any operator runs.
+//! Images, chunks and DRAM tables are all row-major, as in the paper:
+//! nothing is transposed anywhere on the ladder.
 //!
 //! Any fixed-stride schema stages (the image records the schema
 //! fingerprint; the pool keeps a per-object schema catalog). Image
-//! validation happens once per staging, at the [`ColumnImage::open`] in
-//! [`TieredPool::query`]: corrupted or truncated storage bytes surface
-//! as a typed [`FvError::Codec`] with nothing installed, never a panic.
+//! validation happens once per device read, at the
+//! [`RowImage::check_pages`] in the far tier's fetch: corrupted or
+//! truncated storage bytes surface as a typed [`FvError::Codec`] with
+//! nothing installed, never a panic.
 //!
 //! Query results are identical hot or cold; only the reported time
 //! differs (staging cost surfaces in [`TierOutcome`]).
@@ -59,7 +65,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fv_data::{ColumnImage, Schema, Table};
+use fv_data::colimage::{IMAGE_HEADER_LEN, IMAGE_PAGE_BYTES};
+use fv_data::{RowImage, Schema, Table};
 use fv_sim::{calib, SimDuration};
 
 use crate::cluster::{QPair, QueryOutcome};
@@ -114,16 +121,23 @@ impl std::fmt::Display for TierLevel {
     }
 }
 
-/// A named block store holding cold columnar table images.
+/// The parts of one stored object, in order: its first
+/// [`IMAGE_HEADER_LEN`] bytes, then [`IMAGE_PAGE_BYTES`] extents.
+type Extents = Vec<Arc<Vec<u8>>>;
+
+/// A named block store holding cold table images.
 ///
-/// Objects are immutable once written and shared out as `Arc<[u8]>`:
-/// `get` hands back a reference-counted view of the stored image, so
-/// the far-memory tier, the opener, and the store itself all alias one
-/// buffer — no copy is made anywhere on the read path.
+/// The device keeps an object as its first [`IMAGE_HEADER_LEN`] bytes
+/// and then 2 MB extents — for a table image, the header and then its
+/// rows a buffer-pool page at a time. Extents are immutable once
+/// written and shared out as `Arc`s: `get` hands back the stored
+/// extents themselves, so the far-memory tier, a node that stages the
+/// table, and the store all alias one copy of the rows — no copy is
+/// made anywhere on the read path.
 #[derive(Debug, Default)]
 pub struct BlockStore {
     params: StorageParams,
-    objects: HashMap<String, Arc<[u8]>>,
+    objects: HashMap<String, Extents>,
     reads: u64,
     writes: u64,
 }
@@ -137,40 +151,47 @@ impl BlockStore {
         }
     }
 
-    /// Persist an object; returns the simulated write time. The vector
-    /// is moved into a shared buffer, not copied.
-    pub fn put(&mut self, name: &str, bytes: Vec<u8>) -> SimDuration {
-        self.writes += 1;
-        let t = self.params.access_latency
-            + calib::transfer(bytes.len().max(1) as u64, self.params.bandwidth);
-        self.objects.insert(name.to_string(), bytes.into());
-        t
+    /// Access latency plus `len` bytes at the device's bandwidth.
+    fn io_time(&self, len: usize) -> SimDuration {
+        self.params.access_latency + calib::transfer(len.max(1) as u64, self.params.bandwidth)
     }
 
-    /// Fetch an object; returns a zero-copy view of the bytes and the
-    /// simulated read time for the full image.
-    pub fn get(&mut self, name: &str) -> Option<(Arc<[u8]>, SimDuration)> {
-        let bytes = Arc::clone(self.objects.get(name)?);
+    /// Persist an object, cut into its extents; returns the simulated
+    /// write time.
+    pub fn put(&mut self, name: &str, bytes: Vec<u8>) -> SimDuration {
+        self.writes += 1;
+        let (head, rest) = bytes.split_at(IMAGE_HEADER_LEN.min(bytes.len()));
+        let extents = std::iter::once(head).chain(rest.chunks(IMAGE_PAGE_BYTES));
+        let extents = extents.map(|e| Arc::new(e.to_vec())).collect();
+        self.objects.insert(name.to_string(), extents);
+        self.io_time(bytes.len())
+    }
+
+    /// Fetch an object: its extents, shared, and the simulated read
+    /// time for all of its bytes.
+    pub fn get(&mut self, name: &str) -> Option<(Extents, SimDuration)> {
+        let extents = self.objects.get(name)?.clone();
         self.reads += 1;
-        let t = self.params.access_latency
-            + calib::transfer(bytes.len().max(1) as u64, self.params.bandwidth);
-        Some((bytes, t))
+        let t = self.io_time(extents.iter().map(|e| e.len()).sum());
+        Some((extents, t))
     }
 
     /// Flip every bit of one byte of a stored object — a fault-injection
     /// hook for exercising the typed [`CodecError`](fv_data::CodecError)
-    /// path (the chaos suite's storage-corruption fault). Returns false
-    /// when the object does not exist or `byte` is out of range.
+    /// path (the chaos suite's storage-corruption fault). The extent is
+    /// copied first, so whoever already shares it keeps the old bytes.
+    /// Returns false when the object does not exist or `byte` is out of
+    /// range.
     pub fn corrupt_object(&mut self, name: &str, byte: usize) -> bool {
-        match self.objects.get_mut(name) {
-            Some(obj) if byte < obj.len() => {
-                let mut v = obj.to_vec();
-                v[byte] ^= 0xFF;
-                *obj = v.into();
-                true
+        let mut at = byte;
+        for extent in self.objects.get_mut(name).into_iter().flatten() {
+            if at < extent.len() {
+                let flipped = Arc::make_mut(extent).get_mut(at);
+                return flipped.map(|b| *b ^= 0xFF).is_some();
             }
-            _ => false,
+            at -= extent.len();
         }
+        false
     }
 
     /// `(reads, writes)` served.
@@ -189,26 +210,58 @@ impl BlockStore {
     }
 }
 
-/// One table's far-memory image: the shared bytes, the bytes it is
-/// charged against the far budget (its row data), and an LRU stamp.
+/// A table as the far-memory tier holds it: its rows as the store's
+/// page extents, validated when they came off the device — one
+/// immutable shared chunk per buffer-pool page the table fills, the
+/// last one short. A single node stages it by adopting the chunks as
+/// its pages ([`Conn::stage`]).
+#[derive(Debug)]
+pub struct PageChunks {
+    schema: Schema,
+    rows: usize,
+    pages: Vec<Arc<Vec<u8>>>,
+}
+
+impl PageChunks {
+    /// The table's schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Number of rows.
+    pub fn row_count(&self) -> usize {
+        self.rows
+    }
+
+    /// Bytes of row data.
+    pub fn byte_len(&self) -> u64 {
+        self.pages.iter().map(|p| p.len() as u64).sum()
+    }
+
+    /// The chunks, in row order.
+    pub fn pages(&self) -> &[Arc<Vec<u8>>] {
+        &self.pages
+    }
+
+    /// The rows joined into one row-format table (a copy).
+    pub fn to_table(&self) -> Table {
+        let mut rows = Vec::with_capacity(self.byte_len() as usize);
+        for page in &self.pages {
+            rows.extend_from_slice(page);
+        }
+        Table::from_bytes(self.schema.clone(), rows)
+    }
+}
+
+/// One far-resident table and its LRU stamp.
 struct FarImage {
-    image: Arc<[u8]>,
-    bytes: u64,
+    table: Arc<PageChunks>,
     last_use: u64,
 }
 
-/// What a far-tier fetch resolved to: the image bytes ready to open,
-/// the schema to open them with, and what the fetch cost.
-struct FarFetch {
-    bytes: Arc<[u8]>,
-    schema: Schema,
-    read_time: SimDuration,
-    source: TierLevel,
-}
-
 /// The disk + far-memory rungs of the ladder: a [`BlockStore`] of
-/// column images, a per-object catalog of schema and row-format byte
-/// length, and the far-memory LRU of whole images.
+/// table images, a per-object catalog of schema and row-format byte
+/// length, and the far-memory LRU of whole tables.
 struct FarTier {
     store: BlockStore,
     catalog: HashMap<String, (Schema, u64)>,
@@ -230,10 +283,10 @@ impl FarTier {
         }
     }
 
-    /// Encode `table` as a columnar image and persist it. Any
-    /// fixed-stride schema is accepted; the schema is recorded in the
-    /// catalog so the image can be reopened without out-of-band
-    /// knowledge. Re-inserting a name invalidates any cached far copy.
+    /// Encode `table` as an image and persist it. Any fixed-stride
+    /// schema is accepted; the schema is recorded in the catalog so the
+    /// image can be reopened without out-of-band knowledge.
+    /// Re-inserting a name invalidates any cached far copy.
     fn insert(&mut self, name: &str, table: &Table) -> Result<SimDuration, FvError> {
         if name.is_empty() {
             return Err(FvError::Unstageable {
@@ -246,59 +299,58 @@ impl FarTier {
             (table.schema().clone(), table.byte_len() as u64),
         );
         self.forget(name);
-        Ok(self.store.put(name, ColumnImage::encode(table)))
+        Ok(self.store.put(name, RowImage::encode(table)))
     }
 
     /// Drop `name`'s cached far copy, if any.
     fn forget(&mut self, name: &str) {
         if let Some(old) = self.images.remove(name) {
-            self.resident_bytes -= old.bytes;
+            self.resident_bytes -= old.table.byte_len();
         }
     }
 
-    /// Resolve `name` to openable image bytes: free on a far hit, one
-    /// read of the full image on a miss.
-    fn fetch(&mut self, name: &str, clock: u64) -> Result<FarFetch, FvError> {
+    /// Resolve `name` to its page chunks, the time the device read took
+    /// and the rung they came from: free on a far hit, which opens
+    /// nothing; on a miss, one read of the full image, validated where
+    /// its extents lie — the one check its bytes get — and made
+    /// far-resident only once it passed.
+    fn fetch(
+        &mut self,
+        name: &str,
+        clock: u64,
+    ) -> Result<(Arc<PageChunks>, SimDuration, TierLevel), FvError> {
+        if let Some(img) = self.images.get_mut(name) {
+            img.last_use = clock;
+            let table = Arc::clone(&img.table);
+            return Ok((table, SimDuration::ZERO, TierLevel::FarMemory));
+        }
         let missing = || FvError::NotInStorage {
             name: name.to_string(),
         };
-        let schema = self.catalog.get(name).ok_or_else(missing)?.0.clone();
-        if let Some(img) = self.images.get_mut(name) {
-            img.last_use = clock;
-            return Ok(FarFetch {
-                bytes: Arc::clone(&img.image),
-                schema,
-                read_time: SimDuration::ZERO,
-                source: TierLevel::FarMemory,
-            });
-        }
-        // Miss: the image becomes far-resident once the caller has
-        // validated it (`install`).
-        let (bytes, read_time) = self.store.get(name).ok_or_else(missing)?;
-        Ok(FarFetch {
-            bytes,
-            schema,
-            read_time,
-            source: TierLevel::Disk,
-        })
+        let schema = &self.catalog.get(name).ok_or_else(missing)?.0;
+        let (extents, read_time) = self.store.get(name).ok_or_else(missing)?;
+        let (head, pages) = extents.split_first().ok_or_else(missing)?;
+        let rows = RowImage::check_pages(head, pages.iter().map(|p| p.as_slice()), schema)?;
+        let table = Arc::new(PageChunks {
+            schema: schema.clone(),
+            rows,
+            pages: pages.to_vec(),
+        });
+        self.install(name, Arc::clone(&table), clock);
+        Ok((table, read_time, TierLevel::Disk))
     }
 
-    /// Make a fetched image, validated by the caller's `open`, far-resident
-    /// at `bytes` of budget (a far hit already is), then evict
-    /// least-recently-used images whole until the tier fits its budget.
-    /// The newest image goes last, so one larger than the whole budget is
-    /// not kept. Evictions are free: the tier is read-only, the disk copy
-    /// is authoritative.
-    fn install(&mut self, name: &str, fetch: &FarFetch, bytes: u64, clock: u64) {
-        if self.images.contains_key(name) {
-            return;
-        }
-        self.resident_bytes += bytes;
+    /// Make a validated table far-resident, charged its row data, then
+    /// evict least-recently-used tables whole until the tier fits its
+    /// budget. The newest table goes last, so one larger than the whole
+    /// budget is not kept. Evictions are free: the tier is read-only,
+    /// the disk copy is authoritative.
+    fn install(&mut self, name: &str, table: Arc<PageChunks>, clock: u64) {
+        self.resident_bytes += table.byte_len();
         self.images.insert(
             name.to_string(),
             FarImage {
-                image: Arc::clone(&fetch.bytes),
-                bytes,
+                table,
                 last_use: clock,
             },
         );
@@ -409,7 +461,7 @@ impl<'a, C: Conn> TieredPool<'a, C> {
         }
     }
 
-    /// Register a table: encoded as a columnar image and persisted to
+    /// Register a table: encoded as a table image and persisted to
     /// storage, *not* staged into DRAM until first use ("blocks/pages
     /// being loaded from storage as needed", §3). Any fixed-stride
     /// schema is accepted.
@@ -444,13 +496,13 @@ impl<'a, C: Conn> TieredPool<'a, C> {
         self.resident_bytes
     }
 
-    /// Bytes of column images currently resident in far memory, each
-    /// image charged its row data.
+    /// Bytes of tables currently resident in far memory, each charged
+    /// its row data.
     pub fn far_resident_bytes(&self) -> u64 {
         self.far.resident_bytes
     }
 
-    /// Images evicted from far memory so far; each is read whole off
+    /// Tables evicted from far memory so far; each is read whole off
     /// the device on its next staging.
     pub fn far_spills(&self) -> u64 {
         self.far.spills
@@ -500,10 +552,11 @@ impl<'a, C: Conn> TieredPool<'a, C> {
 
     /// Run `spec` against `name`, staging it in if cold — or
     /// **restaging** it if its resident placement is no longer current.
-    /// A DRAM miss resolves down the ladder: a far-resident image
-    /// restages with a zero-copy open (no device I/O), any other pays
-    /// one read of the full image. Residency management lives here; staging
-    /// and the query itself go through the connection.
+    /// A DRAM miss resolves down the ladder: a far-resident table
+    /// restages from its page chunks (no device I/O, nothing opened),
+    /// any other pays one read of the full image. Residency management
+    /// lives here; staging and the query itself go through the
+    /// connection.
     pub fn query(
         &mut self,
         name: &str,
@@ -529,20 +582,15 @@ impl<'a, C: Conn> TieredPool<'a, C> {
         let restaged = self.drop_resident(name)?;
         self.restages += u64::from(restaged);
         self.misses += 1;
-        let fetch = self.far.fetch(name, self.clock)?;
-        // The one validation of this staging; a cold image becomes
-        // far-resident only once it has passed.
-        let image = ColumnImage::open(&fetch.bytes, &fetch.schema)?;
-        let one_copy = (image.row_count() * fetch.schema.row_bytes()) as u64;
-        self.far.install(name, &fetch, one_copy, self.clock);
+        let (table, read_time, source) = self.far.fetch(name, self.clock)?;
 
         // Make room under the DRAM budget: before staging for the one
         // row-format copy every staging writes, and after it for
         // whatever more the staging occupies — the other replicas on a
         // replicated fleet.
         let mut evictions = Vec::new();
-        self.make_room(one_copy, &mut evictions)?;
-        let (staged, write_time, bytes) = self.conn.stage(&image)?;
+        self.make_room(table.byte_len(), &mut evictions)?;
+        let (staged, write_time, bytes) = self.conn.stage(&table)?;
         if let Err(e) = self.make_room(bytes, &mut evictions) {
             // Best-effort: the eviction error is the one to report.
             let _ = self.conn.free(staged);
@@ -559,8 +607,8 @@ impl<'a, C: Conn> TieredPool<'a, C> {
             outcome: self.conn.run(&r.staged, spec)?,
             buffer_hit: false,
             restaged,
-            staged_from: Some(fetch.source),
-            stage_in_time: fetch.read_time + write_time,
+            staged_from: Some(source),
+            stage_in_time: read_time + write_time,
             evictions,
         })
     }
@@ -605,6 +653,13 @@ mod tests {
         fv_workload::TableGen::paper_default(bytes)
             .seed(seed)
             .build()
+    }
+
+    /// `t` as the far tier holds it after one device read.
+    fn chunks_of(t: &Table) -> Arc<PageChunks> {
+        let mut far = FarTier::new(BlockStore::default(), u64::MAX);
+        far.insert("t", t).unwrap();
+        far.fetch("t", 0).unwrap().0
     }
 
     /// The result bytes of a tiered query, whichever connection ran it.
@@ -1051,9 +1106,7 @@ mod tests {
         assert_eq!(pool.resident_bytes(), 0);
         assert_eq!(cluster.free_pages(), baseline, "failed staging leaked");
         // The staging path itself, without the pool around it.
-        let image = ColumnImage::encode(&t);
-        let opened = ColumnImage::open(&image, t.schema()).unwrap();
-        assert!(matches!(qp.stage(&opened), Err(FvError::Net(_))));
+        assert!(matches!(qp.stage(&chunks_of(&t)), Err(FvError::Net(_))));
         assert_eq!(cluster.free_pages(), baseline, "image staging leaked");
 
         cluster.set_fault_plan(crate::FaultPlan::none());
@@ -1176,19 +1229,164 @@ mod tests {
         assert_eq!(pool.cost(8), 1);
     }
 
+    /// Staging by adoption is simulated as the `table_write` it
+    /// replaces: on twin nodes, one staging from page chunks and one
+    /// `load_table`, the write times, the node's resident bytes, and
+    /// the first query's bytes and [`QueryStats`](crate::QueryStats)
+    /// are equal — for no rows, exactly one page, 2 MB + 1 byte (the
+    /// last 9-byte row straddling the page), and 24-byte rows, one of
+    /// which straddles the page boundary mid-table.
+    #[test]
+    fn adoption_is_simulated_as_the_write_it_replaces() {
+        use fv_data::{Column, ColumnType};
+        let page = IMAGE_PAGE_BYTES;
+        for (width, rows) in [(8, 0), (8, page / 8), (9, (page + 1) / 9), (24, 90_000)] {
+            let col = Column {
+                name: "c".into(),
+                ty: ColumnType::Bytes(width),
+            };
+            let bytes = (0..width * rows).map(|i| (i % 251) as u8 + 1).collect();
+            let t = Table::from_bytes(Schema::new(vec![col]), bytes);
+            let chunks = chunks_of(&t);
+            let adopting = FarviewCluster::new(FarviewConfig::tiny());
+            let writing = FarviewCluster::new(FarviewConfig::tiny());
+            let (qa, qw) = (adopting.connect().unwrap(), writing.connect().unwrap());
+            let (fa, ta, bytes) = qa.stage(&chunks).unwrap();
+            let (fw, tw) = qw.load_table(&t).unwrap();
+            let what = format!("{rows} rows of {width} bytes");
+            assert_eq!((ta, bytes), (tw, t.byte_len() as u64), "{what}");
+            assert_eq!(
+                adopting.resident_bytes(),
+                writing.resident_bytes(),
+                "{what}"
+            );
+            let spec = PipelineSpec::passthrough();
+            let (a, w) = (
+                qa.far_view(&fa, &spec).unwrap(),
+                qw.far_view(&fw, &spec).unwrap(),
+            );
+            assert_eq!(a.stats, w.stats, "{what}");
+            assert_eq!(a.payload, w.payload, "{what}");
+        }
+    }
+
+    /// The 8-byte word a write by `domain` in generation `gen` leaves at
+    /// byte `at`: the bytes name their source.
+    fn tag(domain: u32, gen: u32, at: usize) -> [u8; 8] {
+        let word = 0xF0F0 << 48 | u64::from(domain) << 40 | u64::from(gen) << 24;
+        (word | (at as u64 / 8 & 0xFF_FFFF)).to_le_bytes()
+    }
+
+    /// A whole-table write of `domain`'s generation-`gen` tags.
+    fn tagged(domain: u32, gen: u32, len: usize) -> Vec<u8> {
+        (0..len)
+            .step_by(8)
+            .flat_map(|at| tag(domain, gen, at))
+            .collect()
+    }
+
+    /// Byte provenance: every word `domain` observes in `seen` must be
+    /// zero, its own write of the current generation `gen` (when `own`),
+    /// or the table's current far chunk bytes `far`. A violation names
+    /// the word's source from its bytes alone.
+    fn provenance(seen: &[u8], domain: u32, gen: u32, own: bool, far: Option<&[u8]>) {
+        for (i, word) in seen.chunks(8).enumerate() {
+            let at = i * 8;
+            let ok = word.iter().all(|&b| b == 0)
+                || (own && word == tag(domain, gen, at))
+                || far.is_some_and(|f| f.get(at..at + word.len()) == Some(word));
+            if !ok {
+                let w = u64::from_le_bytes(word.try_into().unwrap_or_default());
+                let source = if w >> 48 == 0xF0F0 {
+                    format!(
+                        "domain {}'s write in generation {}",
+                        w >> 40 & 0xFF,
+                        w >> 24 & 0xFFFF
+                    )
+                } else {
+                    "a table this domain did not stage".to_string()
+                };
+                panic!("domain {domain} at generation {gen} reads byte {at} from {source}");
+            }
+        }
+    }
+
+    /// Isolation across the adoption seam, on a 16-page node where pages
+    /// recycle constantly. Each generation stages a two-chunk table
+    /// (from the device, then from far memory), overwrites it with
+    /// tagged bytes, evicts it, restages it, frees it, and then lets a
+    /// second domain allocate the pages and read them. Every byte
+    /// observed is zero, the observer's own write of this generation,
+    /// or the far chunk; a restaged table equals a fresh `load_table`;
+    /// the far chunks never change.
+    #[test]
+    fn staged_pages_carry_only_bytes_their_domain_may_see() {
+        let cluster = FarviewCluster::new(FarviewConfig::tiny());
+        let (qp, other) = (cluster.connect().unwrap(), cluster.connect().unwrap());
+        let (a, b) = (qp.id(), other.id());
+        let tables: Vec<Table> = (0..3).map(|i| table(60 + i, 5 << 19)).collect();
+        let names = ["x", "y", "z"];
+        let mut pool = TieredPool::new(&qp, 5 << 19, BlockStore::default());
+        for (name, t) in names.iter().zip(&tables) {
+            pool.insert(name, t).unwrap();
+        }
+        let none = PipelineSpec::passthrough().filter(PredicateExpr::lt(0, 0u64));
+        for gen in 0..6u32 {
+            let (name, t) = (names[gen as usize % 3], &tables[gen as usize % 3]);
+            let far = t.bytes();
+            let staged = |pool: &TieredPool<'_>| pool.resident[name].staged.clone();
+
+            pool.query(name, &none).unwrap();
+            let ft = staged(&pool);
+            assert_eq!(pool.far.images[name].table.pages().len(), 2);
+            provenance(&qp.peek_table(&ft).unwrap(), a, gen, false, Some(far));
+            qp.table_write(&ft, &tagged(a, gen, far.len())).unwrap();
+            provenance(&qp.peek_table(&ft).unwrap(), a, gen, true, Some(far));
+            assert_eq!(pool.far.images[name].table.to_table().bytes(), far);
+
+            pool.drop_resident(name).unwrap();
+            let again = pool.query(name, &none).unwrap();
+            assert_eq!(again.staged_from, Some(TierLevel::FarMemory));
+            let restaged = qp.peek_table(&staged(&pool)).unwrap();
+            provenance(&restaged, a, gen, false, Some(far));
+            let (fresh, _) = other.load_table(t).unwrap();
+            assert!(
+                restaged == other.peek_table(&fresh).unwrap(),
+                "{name} at {gen}"
+            );
+            other.free_table(fresh).unwrap();
+            pool.drop_resident(name).unwrap();
+
+            let mine = other.alloc_table(t).unwrap();
+            provenance(&other.peek_table(&mine).unwrap(), b, gen, false, None);
+            other
+                .table_write(&mine, &tagged(b, gen, far.len()))
+                .unwrap();
+            provenance(&other.peek_table(&mine).unwrap(), b, gen, true, None);
+            other.free_table(mine).unwrap();
+        }
+    }
+
     #[test]
     fn storage_io_is_counted_and_timed() {
         let mut store = BlockStore::new(StorageParams {
             access_latency: SimDuration::from_micros(100),
             bandwidth: 1.0e9,
         });
-        let wt = store.put("obj", vec![0u8; 1_000_000]);
-        // 100 µs + 1 MB at 1 GB/s = 1.1 ms.
-        assert_eq!(wt.as_nanos(), 100_000 + 1_000_000);
-        let (bytes, rt) = store.get("obj").unwrap();
-        assert_eq!(bytes.len(), 1_000_000);
+        let wt = store.put("obj", vec![0u8; 3_000_000]);
+        // 100 µs + 3 MB at 1 GB/s = 3.1 ms.
+        assert_eq!(wt.as_nanos(), 100_000 + 3_000_000);
+        let (extents, rt) = store.get("obj").unwrap();
+        let lens: Vec<usize> = extents.iter().map(|e| e.len()).collect();
+        assert_eq!(lens, [64, 2 << 20, 3_000_000 - 64 - (2 << 20)]);
         assert_eq!(rt, wt);
         assert_eq!(store.io_counts(), (1, 1));
         assert!(store.get("missing").is_none());
+        // Corruption copies the extent it lands in: a reader already
+        // holding it keeps the bytes it read.
+        assert!(store.corrupt_object("obj", 64 + 5));
+        assert!(!store.corrupt_object("obj", 3_000_000));
+        assert_eq!(extents[1][5], 0);
+        assert_eq!(store.get("obj").unwrap().0[1][5], 0xFF);
     }
 }

@@ -17,10 +17,10 @@
 //! * [`Catalog`] — the client-side table catalog ("We assume that the
 //!   clients have local catalog information that is used to determine the
 //!   addresses of the tables to be accessed", §4.1).
-//! * [`ColumnImage`] / [`ColumnSlice`] — the versioned **columnar**
-//!   table image the tiered storage stack persists: a 64-byte header,
-//!   a slice directory, and one contiguous slice per column, opened
-//!   zero-copy (validated once, no row decode).
+//! * [`RowImage`] — the versioned table image the tiered storage stack
+//!   persists: a 64-byte header followed by the table's rows in the
+//!   same row format, opened in place (validated once, nothing
+//!   decoded). [`ColumnImage`] is its former name.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,15 +28,13 @@
 
 mod catalog;
 pub mod colimage;
-mod column;
 mod row;
 mod schema;
 mod table;
 mod value;
 
 pub use catalog::{Catalog, CatalogEntry};
-pub use colimage::{encoded_len, schema_fingerprint, CodecError, ColumnImage};
-pub use column::ColumnSlice;
+pub use colimage::{schema_fingerprint, CodecError, ColumnImage, RowImage};
 pub use row::{iter_rows, Row, RowView};
 pub use schema::{Column, Schema};
 pub use table::{Table, TableBuilder};

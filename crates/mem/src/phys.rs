@@ -289,6 +289,12 @@ impl PhysicalMemory {
         Arc::make_mut(self.pages.entry(page).or_default()).reserve_exact(bytes);
     }
 
+    /// Make `bytes` the contents of `page`, shared with whoever else
+    /// holds them: the next write to the page copies it first.
+    pub(crate) fn adopt(&mut self, page: u64, bytes: Arc<Vec<u8>>) {
+        self.pages.insert(page, bytes);
+    }
+
     /// Drop the store's hold on everything `page` holds; it reads as
     /// zeros again. Views taken before keep their bytes.
     pub fn release(&mut self, page: u64) {

@@ -22,6 +22,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use fv_sim::calib::{MEM_BURST_BYTES, PAGE_BYTES, STRIPE_BYTES, TLB_ENTRIES};
 
@@ -182,9 +183,16 @@ impl MemoryStack {
             .ok_or(MemError::NoSuchDomain(domain))
     }
 
-    /// Allocate `bytes` (rounded up to whole pages) in `domain`,
-    /// returning the base virtual address.
-    pub fn alloc(&mut self, domain: DomainId, bytes: u64) -> Result<VirtAddr, MemError> {
+    /// Map `bytes` (rounded up to whole pages) of free pages into
+    /// `domain`, returning the base virtual address; with `reserve`,
+    /// set each page's capacity aside so writes filling it piecewise
+    /// never move its bytes.
+    fn map_fresh(
+        &mut self,
+        domain: DomainId,
+        bytes: u64,
+        reserve: bool,
+    ) -> Result<VirtAddr, MemError> {
         if bytes == 0 {
             return Err(MemError::EmptyAllocation);
         }
@@ -203,8 +211,10 @@ impl MemoryStack {
             .collect();
         for (i, &p) in ppages.iter().enumerate() {
             *self.page_refs.entry(p).or_insert(0) += 1;
-            let in_page = (bytes - i as u64 * PAGE_BYTES).min(PAGE_BYTES);
-            self.phys.reserve(p, in_page as usize);
+            if reserve {
+                let in_page = (bytes - i as u64 * PAGE_BYTES).min(PAGE_BYTES);
+                self.phys.reserve(p, in_page as usize);
+            }
         }
         let d = self.domains.get_mut(&domain).expect("checked above");
         let vaddr = d.next_vaddr;
@@ -213,6 +223,52 @@ impl MemoryStack {
             d.page_table.insert(vaddr / PAGE_BYTES + i as u64, p);
         }
         d.allocations.insert(vaddr, Allocation { bytes, ppages });
+        Ok(vaddr)
+    }
+
+    /// Allocate `bytes` (rounded up to whole pages) in `domain`,
+    /// returning the base virtual address.
+    pub fn alloc(&mut self, domain: DomainId, bytes: u64) -> Result<VirtAddr, MemError> {
+        self.map_fresh(domain, bytes, true)
+    }
+
+    /// Allocate `bytes` in `domain` with `pages` as the contents of its
+    /// first pages, in order — a table staged from chunks already cut at
+    /// page boundaries, taking no copy. The pages stay shared with the
+    /// caller's chunks until a write copies one
+    /// ([`PhysicalMemory::write`] is copy-on-write), so nothing written
+    /// here ever reaches them. Each adopted page is translated once, in
+    /// address order, so the TLB holds what writing the bytes would
+    /// have left in it.
+    ///
+    /// # Errors
+    /// As [`MemoryStack::alloc`], and [`MemError::OutOfBounds`] — with
+    /// nothing allocated — when a chunk is longer than the allocation
+    /// leaves its page, or one before the last is not a whole page (the
+    /// bytes after it would land at the wrong addresses).
+    pub fn adopt(
+        &mut self,
+        domain: DomainId,
+        bytes: u64,
+        pages: &[Arc<Vec<u8>>],
+    ) -> Result<VirtAddr, MemError> {
+        for (i, chunk) in pages.iter().enumerate() {
+            let start = i as u64 * PAGE_BYTES;
+            let room = bytes.saturating_sub(start).min(PAGE_BYTES);
+            let short = i + 1 < pages.len() && chunk.len() as u64 != PAGE_BYTES;
+            if chunk.len() as u64 > room || short {
+                return Err(MemError::OutOfBounds {
+                    vaddr: 0,
+                    alloc_len: bytes,
+                    access_end: start + chunk.len() as u64,
+                });
+            }
+        }
+        let vaddr = self.map_fresh(domain, bytes, false)?;
+        for (i, chunk) in pages.iter().enumerate() {
+            let (pa, _) = self.translate(domain, vaddr + i as u64 * PAGE_BYTES)?;
+            self.phys.adopt(pa / PAGE_BYTES, Arc::clone(chunk));
+        }
         Ok(vaddr)
     }
 
@@ -490,6 +546,45 @@ mod tests {
             m.read(d2, va, 6),
             Err(MemError::AccessFault { .. })
         ));
+    }
+
+    /// Adopted chunks become the pages' contents without a copy, count
+    /// as resident once, and stay the caller's: a write copies the page
+    /// it lands on first. A chunk longer than its page's share of the
+    /// allocation, or a short one before the last, is refused with
+    /// nothing allocated.
+    #[test]
+    fn adopted_pages_are_shared_copy_on_write() {
+        let mut m = stack();
+        let d = m.create_domain();
+        let free = m.free_page_count();
+        let chunks = [
+            Arc::new(vec![7u8; PAGE_BYTES as usize]),
+            Arc::new(vec![9u8; 100]),
+        ];
+        let too_long = m.adopt(d, PAGE_BYTES + 50, &chunks);
+        assert!(matches!(too_long, Err(MemError::OutOfBounds { .. })));
+        let gap = [Arc::new(vec![7u8; 100]), Arc::new(vec![9u8; 100])];
+        let short = m.adopt(d, 3 * PAGE_BYTES, &gap);
+        assert!(matches!(short, Err(MemError::OutOfBounds { .. })));
+        assert_eq!(m.free_page_count(), free);
+
+        let va = m.adopt(d, PAGE_BYTES + 100, &chunks).unwrap();
+        assert_eq!(m.resident_bytes(), PAGE_BYTES + 100);
+        let view = m.view(d, va + PAGE_BYTES - 2, 4).unwrap();
+        assert_eq!(view.to_vec(), [7, 7, 9, 9]);
+        assert_eq!(Arc::strong_count(&chunks[1]), 3, "chunk, page and view");
+        m.write(d, va + PAGE_BYTES, &[1, 2]).unwrap();
+        assert_eq!(m.read(d, va + PAGE_BYTES, 3).unwrap(), [1, 2, 9]);
+        assert_eq!(
+            *chunks[1],
+            vec![9u8; 100],
+            "the write never reached the chunk"
+        );
+        m.free(d, va).unwrap();
+        assert_eq!((m.free_page_count(), m.resident_bytes()), (free, 0));
+        drop(view);
+        assert_eq!(Arc::strong_count(&chunks[0]), 1);
     }
 
     #[test]

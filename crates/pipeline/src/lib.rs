@@ -35,10 +35,9 @@
 //! The datapath is row-major end to end, as in the paper: tables sit
 //! row-major in disaggregated DRAM, [`CompiledPipeline::push_bytes`] is
 //! the one entry every query feeds, and column access is smart
-//! addressing over the row store (§5.2). `fv_data::ColumnImage` is the
-//! disk / far-tier storage format only — the tiered pool turns an image
-//! back into rows when it stages a table into DRAM, before any operator
-//! runs.
+//! addressing over the row store (§5.2). The tiered pool's disk image
+//! (`fv_data::RowImage`) and its far-memory page chunks hold the same
+//! rows: staging a table into DRAM transposes nothing.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

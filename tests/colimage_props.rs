@@ -1,18 +1,20 @@
-//! Property-based guarantees of the columnar table image and the
-//! disk-backed tier ladder: for **any** fixed-stride schema (every
-//! column type, ragged row counts) the encode → open → re-materialize
-//! cycle is byte-identical to the row-format oracle; any corrupted or
-//! truncated image yields a typed [`CodecError`] (never a panic); and
-//! a replicated fleet pool returns byte-identical results across
-//! evict → restage → rebalance, sourced from whichever tier happens to
-//! hold the slices.
+//! Property-based guarantees of the table image and the disk-backed
+//! tier ladder: for **any** fixed-stride schema (every column type,
+//! ragged row counts) encode → open lends back the table's rows
+//! byte for byte; any truncated image, any single-byte flip and any
+//! perturbed header field yields a typed [`CodecError`] (never a panic,
+//! and an `Ok` only with the rows intact); and a replicated fleet pool
+//! returns byte-identical results across evict → restage → rebalance,
+//! sourced from whichever tier happens to hold the table.
 
 use proptest::prelude::*;
 
 use farview::prelude::*;
 use farview_core::{BlockStore, FleetConn, TierLevel, TieredPool};
-use fv_data::colimage::{checksum64, COLIMAGE_MAGIC, COLIMAGE_VERSION};
-use fv_data::{schema_fingerprint, CodecError, Column, ColumnImage, ColumnType, TableBuilder};
+use fv_data::colimage::{checksum64, IMAGE_HEADER_LEN, IMAGE_MAGIC, IMAGE_VERSION};
+use fv_data::{
+    schema_fingerprint, CodecError, Column, ColumnImage, ColumnType, RowImage, TableBuilder,
+};
 
 /// A random fixed-stride schema: 1–6 columns drawn from every
 /// [`ColumnType`], byte-string widths 1–12 (so rows are *not* always
@@ -56,74 +58,48 @@ fn arb_table(max_rows: usize) -> impl Strategy<Value = Table> {
     arb_table_of(arb_schema(), 1..=max_rows)
 }
 
-/// Schemas the transpose kernel's two loops see at their edges: odd
-/// byte-string widths (1, 3, 13) beside word columns, down to a single
-/// column.
-fn arb_kernel_schema() -> impl Strategy<Value = Schema> {
-    prop::collection::vec(
-        prop_oneof![
-            Just(ColumnType::U64),
-            Just(ColumnType::Bytes(1)),
-            Just(ColumnType::Bytes(3)),
-            Just(ColumnType::Bytes(13)),
-        ],
-        1..=5,
-    )
-    .prop_map(|tys| {
-        let col = |(i, ty)| Column {
-            name: format!("k{i}"),
-            ty,
-        };
-        Schema::new(tys.into_iter().enumerate().map(col).collect())
-    })
-}
-
-/// Row counts around the kernel's 128-row tile, plus a random one.
-fn arb_kernel_rows() -> impl Strategy<Value = usize> {
-    prop_oneof![
-        Just(0usize),
-        Just(1usize),
-        Just(127usize),
-        Just(128usize),
-        Just(129usize),
-        0usize..=700,
-    ]
-}
-
-/// The image format written out one value at a time, straight from the
-/// layout table in `fv_data::colimage` — the encoder the tiled kernel
-/// must stay byte-identical to.
+/// The image format written out field by field, straight from the
+/// layout table in `fv_data::colimage`: the header, then the rows.
 fn reference_encode(table: &Table) -> Vec<u8> {
-    let (schema, rows) = (table.schema(), table.row_count());
-    let cols = schema.column_count();
-    let rb = schema.row_bytes();
-    let total = 64 + 16 * cols + rows * rb;
+    let rows = table.row_count();
     let mut out = Vec::new();
-    out.extend_from_slice(&COLIMAGE_MAGIC);
-    out.extend_from_slice(&COLIMAGE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(cols as u32).to_le_bytes());
+    out.extend_from_slice(&IMAGE_MAGIC);
+    out.extend_from_slice(&IMAGE_VERSION.to_le_bytes());
+    out.extend_from_slice(&[0u8; 4]);
     out.extend_from_slice(&(rows as u64).to_le_bytes());
-    out.extend_from_slice(&schema_fingerprint(schema).to_le_bytes());
+    out.extend_from_slice(&schema_fingerprint(table.schema()).to_le_bytes());
     out.extend_from_slice(&[0u8; 8]);
-    out.extend_from_slice(&(total as u64).to_le_bytes());
+    out.extend_from_slice(&((64 + table.byte_len()) as u64).to_le_bytes());
     out.extend_from_slice(&[0u8; 16]);
-    let mut off = 64 + 16 * cols;
-    for c in 0..cols {
-        let len = rows * schema.column(c).ty.width();
-        out.extend_from_slice(&(off as u64).to_le_bytes());
-        out.extend_from_slice(&(len as u64).to_le_bytes());
-        off += len;
-    }
-    for c in 0..cols {
-        for r in 0..rows {
-            let at = r * rb + schema.offset(c);
-            out.extend_from_slice(&table.bytes()[at..at + schema.column(c).ty.width()]);
-        }
-    }
-    let sum = checksum64(&out[64..]);
-    out[32..40].copy_from_slice(&sum.to_le_bytes());
+    reseal(&mut out[..64], table.bytes());
+    out.extend_from_slice(table.bytes());
     out
 }
+
+/// Write the checksum `header` and `rows` make into `header`: FNV-1a
+/// words folded from the offset basis — [`checksum64`] of each 2 MiB
+/// page of rows, then every header word but the checksum's own.
+fn reseal(header: &mut [u8], rows: &[u8]) {
+    let pages = rows.chunks(2 << 20).map(checksum64);
+    let words = header.chunks_exact(8).enumerate().filter(|&(i, _)| i != 4);
+    let words = words.map(|(_, w)| u64::from_le_bytes(w.try_into().unwrap()));
+    let sum = pages.chain(words).fold(0xcbf2_9ce4_8422_2325, |h: u64, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    header[32..40].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// The header's fields as `(offset, length)`, reserved words included.
+const HEADER_FIELDS: [(usize, usize); 8] = [
+    (0, 8),   // magic
+    (8, 4),   // version
+    (12, 4),  // reserved
+    (16, 8),  // row count
+    (24, 8),  // schema fingerprint
+    (32, 8),  // checksum
+    (40, 8),  // length
+    (48, 16), // reserved
+];
 
 /// A random table over `schema` with a row count drawn from `rows`.
 fn arb_table_of(
@@ -152,63 +128,34 @@ fn arb_table_of(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tiled transpose, both directions, against the obvious code:
-    /// `encode` is byte-identical to the per-value reference encoder
-    /// (format and checksum unchanged), and `write_rows_into(lo, hi)`
-    /// appends exactly rows `lo..hi` of the row image after whatever
-    /// the buffer already held — across tile edges, odd widths, empty
-    /// tables and empty ranges.
+    /// `encode` is byte-identical to the field-by-field reference
+    /// encoder, and opening its output lends back exactly the table's
+    /// rows — empty tables and odd row widths included.
     #[test]
-    fn tiled_transpose_matches_the_per_value_reference(
-        table in arb_table_of(arb_kernel_schema(), arb_kernel_rows()),
-        bounds in (any::<u64>(), any::<u64>()),
-        prefix in prop::collection::vec(any::<u8>(), 0..=9),
-    ) {
+    fn encode_matches_the_per_field_reference(table in arb_table_of(arb_schema(), 0usize..=200)) {
         let img = ColumnImage::encode(&table);
         prop_assert_eq!(&img, &reference_encode(&table));
-
         let opened = ColumnImage::open(&img, table.schema()).expect("open a fresh image");
-        let rows = table.row_count();
-        let (a, b) = (bounds.0 as usize % (rows + 1), bounds.1 as usize % (rows + 1));
-        let (lo, hi) = (a.min(b), a.max(b));
-        let rb = table.schema().row_bytes();
-        let mut out = prefix.clone();
-        opened.write_rows_into(lo, hi, &mut out);
-        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
-        prop_assert_eq!(&out[prefix.len()..], &table.bytes()[lo * rb..hi * rb]);
-        prop_assert_eq!(opened.to_table().bytes(), table.bytes());
+        prop_assert_eq!(opened.rows(), table.bytes());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Encode → open → re-materialize is the identity on the row image,
-    /// and every column slice equals a hand gather off the row bytes.
+    /// Encode → open is the identity on the rows, and the row count and
+    /// schema come back as they went in.
     #[test]
     fn image_round_trips_any_fixed_stride_table(table in arb_table(96)) {
-        let img = ColumnImage::encode(&table);
-        let opened = ColumnImage::open(&img, table.schema()).expect("open a fresh image");
+        let img = RowImage::encode(&table);
+        let opened = RowImage::open(&img, table.schema()).expect("open a fresh image");
         prop_assert_eq!(opened.row_count(), table.row_count());
-
-        let back = opened.to_table();
-        prop_assert_eq!(back.bytes(), table.bytes());
-        prop_assert_eq!(back.schema(), table.schema());
-
-        let rb = table.schema().row_bytes();
-        for c in 0..table.schema().column_count() {
-            let slice = opened.col(c);
-            let off = table.schema().offset(c);
-            let w = table.schema().column(c).ty.width();
-            let gathered: Vec<u8> = (0..table.row_count())
-                .flat_map(|r| table.bytes()[r * rb + off..r * rb + off + w].to_vec())
-                .collect();
-            prop_assert_eq!(slice.bytes(), &gathered[..], "column {} slice diverged", c);
-        }
+        prop_assert_eq!(opened.schema(), table.schema());
+        prop_assert_eq!(opened.rows(), table.bytes());
     }
 
     /// A query answered off the disk tier (cold stage-in through the
-    /// column image) is byte-identical to the same query against a
+    /// table image) is byte-identical to the same query against a
     /// directly loaded row table — for any fixed-stride schema.
     #[test]
     fn tiered_query_matches_direct_execution(
@@ -233,46 +180,80 @@ proptest! {
         }
     }
 
-    /// Any single-bit flip anywhere in an image is caught at
-    /// [`ColumnImage::open`] as a typed [`CodecError`] — header,
-    /// directory, data, and checksum bytes alike. Never a panic.
+    /// Any single-byte flip anywhere in an image — every header byte
+    /// and every row byte, each xored with one mask — is caught at
+    /// [`RowImage::open`] as a typed [`CodecError`]. Never a panic, and
+    /// never an `Ok`.
     #[test]
-    fn bit_flips_yield_typed_errors(
-        table in arb_table(48),
-        pos in any::<u64>(),
-        bit in 0u32..8,
-    ) {
-        let mut img = ColumnImage::encode(&table);
-        let at = pos as usize % img.len();
-        img[at] ^= 1 << bit;
-        let res = ColumnImage::open(&img, table.schema());
-        prop_assert!(
-            res.is_err(),
-            "flipping bit {} of byte {} went undetected",
-            bit,
-            at
-        );
+    fn bit_flips_yield_typed_errors(table in arb_table(16), mask in 1u8..=255) {
+        let img = RowImage::encode(&table);
+        let mut bad = img.clone();
+        for at in 0..img.len() {
+            bad[at] ^= mask;
+            let res = RowImage::open(&bad, table.schema());
+            prop_assert!(res.is_err(), "flipping byte {} by {:#04x} went undetected", at, mask);
+            bad[at] = img[at];
+        }
     }
 
-    /// Every strict prefix of an image fails to open with a typed
-    /// error; the boundary cases (empty buffer, header-only) included.
+    /// Every strict prefix of an image fails to open with the error its
+    /// length calls for: `Truncated` short of the header, a declared
+    /// length that disagrees with the buffer past it.
     #[test]
-    fn truncation_yields_typed_errors(
+    fn truncation_yields_typed_errors(table in arb_table(48)) {
+        let img = RowImage::encode(&table);
+        for at in 0..img.len() {
+            let res = RowImage::open(&img[..at], table.schema());
+            if at < IMAGE_HEADER_LEN {
+                prop_assert_eq!(res, Err(CodecError::Truncated { need: 64, got: at }));
+            } else {
+                prop_assert_eq!(
+                    res,
+                    Err(CodecError::LengthMismatch { declared: img.len() as u64, got: at })
+                );
+            }
+        }
+    }
+
+    /// Each header field perturbed — xored with a random nonzero value —
+    /// fails with the error that names it; the checksum and the
+    /// reserved words, which no structural check reads, by the
+    /// checksum. Re-sealed under a fresh checksum, a perturbed row count
+    /// is still caught by the row bytes it implies, and whatever opens
+    /// lends back exactly the table's rows.
+    #[test]
+    fn header_field_perturbations_yield_typed_errors(
         table in arb_table(48),
-        cut in any::<u64>(),
+        noise in (any::<u64>(), any::<u64>()),
     ) {
-        let img = ColumnImage::encode(&table);
-        let at = cut as usize % img.len(); // 0..len, strictly short of len
-        let res = ColumnImage::open(&img[..at], table.schema());
-        prop_assert!(res.is_err(), "truncation to {} bytes went undetected", at);
-        // The shape of the error is part of the contract: truncation is
-        // reported as a length problem, not a checksum coincidence.
-        if at < 64 {
-            prop_assert!(
-                matches!(res, Err(CodecError::Truncated { .. })),
-                "sub-header truncation must report Truncated, got {:?}",
-                res
-            );
+        let img = RowImage::encode(&table);
+        let schema = table.schema();
+        let payload = table.byte_len();
+        for (field, (at, len)) in HEADER_FIELDS.into_iter().enumerate() {
+            let mut bad = img.clone();
+            let noise = [noise.0.to_le_bytes(), noise.1.to_le_bytes()].concat();
+            let mask = if noise[..len].iter().all(|&b| b == 0) { &[1u8; 16][..] } else { &noise[..] };
+            for (b, m) in bad[at..at + len].iter_mut().zip(mask) {
+                *b ^= m;
+            }
+            let res = RowImage::open(&bad, schema);
+            let ok = match (field, &res) {
+                (0, Err(CodecError::BadMagic)) => true,
+                (1, Err(CodecError::BadVersion { .. })) => true,
+                (3, Err(CodecError::RowCountMismatch { payload: p, .. })) => *p == payload,
+                (4, Err(CodecError::SchemaMismatch { .. })) => true,
+                (6, Err(CodecError::LengthMismatch { .. })) => true,
+                (2 | 5 | 7, Err(CodecError::ChecksumMismatch { .. })) => true,
+                _ => false,
+            };
+            prop_assert!(ok, "field at {}: {:?}", at, res);
+
+            let (header, rows) = bad.split_at_mut(IMAGE_HEADER_LEN);
+            reseal(header, rows);
+            match RowImage::open(&bad, schema) {
+                Ok(opened) => prop_assert_eq!(opened.rows(), table.bytes()),
+                Err(e) => prop_assert!(field != 5, "a re-sealed checksum is valid, got {:?}", e),
+            }
         }
     }
 
