@@ -1,7 +1,8 @@
 //! `fv_analyze`: workspace static analysis for the Farview
 //! reproduction.
 //!
-//! Three passes, all offline and dependency-free:
+//! Two passes over the source text, offline and dependency-free — it
+//! never builds the crates it audits:
 //!
 //! 1. **Panic-freedom ratchet** ([`scan`], [`baseline`]) — counts
 //!    panic sites per datapath source file and diffs against the
@@ -10,16 +11,11 @@
 //! 2. **Error-taxonomy audit** ([`scan`]) — public functions returning
 //!    `Result` must use the workspace's typed error enums, not
 //!    `String` / `Box<dyn Error>` / `&str`.
-//! 3. **IR verifier smoke** ([`ir_pass`]) — a corpus of good and
-//!    seeded-bad query plans run through `QueryPlan::verify`,
-//!    `optimize` and `CompiledPipeline::compile`, asserting the static
-//!    and dynamic verdicts agree.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod baseline;
-pub mod ir_pass;
 pub mod scan;
 
 use std::collections::BTreeMap;

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fv_analyze::baseline::{diff, tightened, Baseline};
-use fv_analyze::{find_workspace_root, ir_pass, scan_workspace, site_counts, BASELINE_PATH};
+use fv_analyze::{find_workspace_root, scan_workspace, site_counts, BASELINE_PATH};
 
 const HELP: &str = "\
 fv-analyze — Farview workspace static analysis
@@ -18,7 +18,7 @@ USAGE:
     fv-analyze [MODE]
 
 MODES:
-    check             (default) run all three passes; exit 1 on any
+    check             (default) run both passes; exit 1 on any
                       regression. Removed panic sites auto-tighten the
                       committed analyze/baseline.toml.
     report            print every counted, waived and test-only panic
@@ -40,9 +40,6 @@ PASSES:
                                PipelineError, ...). Waive FFI-style
                                boundaries with
                                `// fv:allow(error): <reason>`.
-    3. IR verifier smoke       QueryPlan::verify / PipelineSpec::verify
-                               must agree with optimize and compile on
-                               a fixed good/seeded-bad plan corpus.
 ";
 
 enum Mode {
@@ -141,11 +138,6 @@ fn main() -> ExitCode {
                 }
             }
             println!("pass 2: {violations} stringly Result returns");
-            let ir = ir_pass::run();
-            for fail in &ir {
-                println!("ir[{}]: {}", fail.case, fail.message);
-            }
-            println!("pass 3: {} IR corpus disagreements", ir.len());
             return ExitCode::SUCCESS;
         }
         Mode::Check => {}
@@ -214,12 +206,6 @@ fn main() -> ExitCode {
             );
             failed = true;
         }
-    }
-
-    // --- pass 3: IR verifier smoke -----------------------------------------
-    for fail in ir_pass::run() {
-        eprintln!("pass 3: [{}] {}", fail.case, fail.message);
-        failed = true;
     }
 
     if failed {

@@ -146,8 +146,3 @@ fn waiver_without_reason_is_malformed_not_honored() {
     assert_eq!(scan.sites.len(), 1, "reasonless waiver must not suppress");
     assert_eq!(scan.malformed_waivers, vec![1]);
 }
-
-#[test]
-fn ir_smoke_corpus_agrees() {
-    assert!(fv_analyze::ir_pass::run().is_empty());
-}

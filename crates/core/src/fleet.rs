@@ -1379,6 +1379,35 @@ mod tests {
         ));
     }
 
+    /// A `GROUP BY` over a column the table lacks is the single node's
+    /// typed error on a fleet too, from `far_view` and from the plan
+    /// verifier alike — the shard planner once panicked on it.
+    #[test]
+    fn an_aggregate_past_the_schema_is_the_single_node_error() {
+        let t = table(16, 4);
+        let spec = PipelineSpec::passthrough().group_by(
+            vec![0],
+            vec![AggSpec {
+                col: 7,
+                func: AggFunc::Sum,
+            }],
+        );
+        let want = Err(FvError::Pipeline(
+            fv_pipeline::PipelineError::UnknownColumn { col: 7, arity: 3 },
+        ));
+        let c = FarviewCluster::new(FarviewConfig::tiny());
+        let single = c.connect().unwrap();
+        let (st, _) = single.load_table(&t).unwrap();
+        assert_eq!(single.far_view(&st, &spec).map(|o| o.schema), want);
+
+        let fleet = FarviewFleet::new(2, FarviewConfig::tiny());
+        let qp = fleet.connect().unwrap();
+        let (ft, _) = qp.load_table(&t, Partitioning::RowRange).unwrap();
+        assert_eq!(qp.far_view(&ft, &spec).map(|o| o.merged.schema), want);
+        let plan = crate::QueryPlan::from_spec(&spec, ft.plan_target());
+        assert_eq!(plan.verify(t.schema()), want);
+    }
+
     /// A table encrypted at rest decrypts on one node and is a typed
     /// refusal on a fleet — under either partitioning, replicated, and
     /// from inside a batch. Each shard's pipeline would start its CTR

@@ -22,7 +22,9 @@
 //! rules next to per-plan cost estimates from
 //! [`fv_sim::PlanCostModel`]. An optimized plan runs wherever its
 //! lowered spec does: `plan.optimize(schema)?.to_spec()?`, then any
-//! `far_view`.
+//! `far_view`. [`QueryPlan::verify`] runs that lowering and the checks
+//! the target's entry point runs before it touches a region, and
+//! nothing else: a verifiable plan is an executable one.
 //!
 //! Every query reaches the episode engine as a doorbell batch on one
 //! queue pair (a solo `farView` is a depth-1 batch). A fleet query is
@@ -37,14 +39,13 @@
 
 use fv_data::Schema;
 use fv_pipeline::merge::PartialAggPlan;
-use fv_pipeline::project::{ProjectionPlan, SmartAddressing};
 use fv_pipeline::{
-    AggSpec, CryptoSpec, GroupingSpec, JoinSmallSpec, PipelineError, PipelineSpec, PredicateExpr,
-    RegexFilter,
+    AggSpec, CompiledPipeline, CryptoSpec, GroupingSpec, JoinSmallSpec, PipelineError,
+    PipelineSpec, PredicateExpr, RegexFilter,
 };
 use fv_sim::{MergeCostModel, PlanCostModel, SimDuration};
 
-use crate::cluster::{QueryOutcome, QueryStats};
+use crate::cluster::{check_queue_depth, QueryOutcome, QueryStats};
 use crate::error::FvError;
 use crate::fleet::{FleetQueryOutcome, Partitioning};
 use crate::tiered::{StorageParams, TierLevel};
@@ -380,6 +381,14 @@ impl QueryPlan {
     pub fn to_spec(&self) -> Result<PipelineSpec, FvError> {
         let mut spec = PipelineSpec::passthrough();
         let mut rank = 0u8;
+        // The hardware has one slot per stage kind but the filter.
+        let once = |filled: bool, reason| {
+            if filled {
+                Err(FvError::UnsupportedPlan { reason })
+            } else {
+                Ok(())
+            }
+        };
         for stage in &self.stages {
             if stage.rank() < rank {
                 return Err(FvError::UnsupportedPlan {
@@ -392,28 +401,16 @@ impl QueryPlan {
             rank = stage.rank();
             match stage {
                 LogicalStage::Decrypt(c) => {
-                    if spec.decrypt_input.is_some() {
-                        return Err(FvError::UnsupportedPlan {
-                            reason: "two decrypt stages",
-                        });
-                    }
+                    once(spec.decrypt_input.is_some(), "two decrypt stages")?;
                     spec = spec.decrypt(c.clone());
                 }
                 LogicalStage::Filter(p) => spec = spec.filter(p.clone()),
                 LogicalStage::Regex(r) => {
-                    if spec.regex.is_some() {
-                        return Err(FvError::UnsupportedPlan {
-                            reason: "two regex stages",
-                        });
-                    }
+                    once(spec.regex.is_some(), "two regex stages")?;
                     spec = spec.regex_match(r.col, r.pattern.clone());
                 }
                 LogicalStage::Join(j) => {
-                    if spec.join.is_some() {
-                        return Err(FvError::UnsupportedPlan {
-                            reason: "two join stages",
-                        });
-                    }
+                    once(spec.join.is_some(), "two join stages")?;
                     spec = spec.join_small(j.clone());
                 }
                 LogicalStage::Aggregate {
@@ -421,11 +418,7 @@ impl QueryPlan {
                     aggs,
                     distinct,
                 } => {
-                    if spec.grouping.is_some() {
-                        return Err(FvError::UnsupportedPlan {
-                            reason: "two grouping stages",
-                        });
-                    }
+                    once(spec.grouping.is_some(), "two grouping stages")?;
                     spec = if *distinct && aggs.is_empty() {
                         spec.distinct(keys.clone())
                     } else {
@@ -433,49 +426,18 @@ impl QueryPlan {
                     };
                 }
                 LogicalStage::Project(cols) => {
-                    if spec.projection.is_some() {
-                        return Err(FvError::UnsupportedPlan {
-                            reason: "two projection stages — optimize() fuses them",
-                        });
-                    }
+                    let reason = "two projection stages — optimize() fuses them";
+                    once(spec.projection.is_some(), reason)?;
                     spec = spec.project(cols.clone());
                 }
                 LogicalStage::Compress => {
-                    if spec.compress_output {
-                        return Err(FvError::UnsupportedPlan {
-                            reason: "two compress stages",
-                        });
-                    }
+                    once(spec.compress_output, "two compress stages")?;
                     spec = spec.compress();
                 }
                 LogicalStage::Encrypt(c) => {
-                    if spec.encrypt_output.is_some() {
-                        return Err(FvError::UnsupportedPlan {
-                            reason: "two encrypt stages",
-                        });
-                    }
+                    once(spec.encrypt_output.is_some(), "two encrypt stages")?;
                     spec = spec.encrypt(c.clone());
                 }
-            }
-        }
-        // Combinations the hardware has no layout for: grouping and the
-        // small-table join each define their own output tuples, so an
-        // explicit projection can never lower next to them (in either
-        // order). Reject here with the plan-layer error instead of
-        // letting `CompiledPipeline::compile` fail after the table is
-        // already loaded.
-        if spec.projection.is_some() {
-            if spec.grouping.is_some() {
-                return Err(FvError::UnsupportedPlan {
-                    reason: "grouping defines its own output columns; \
-                             a projection cannot combine with it",
-                });
-            }
-            if spec.join.is_some() {
-                return Err(FvError::UnsupportedPlan {
-                    reason: "the small-table join defines its own output tuples; \
-                             a projection cannot combine with it",
-                });
             }
         }
         if self.smart_addressing {
@@ -489,133 +451,32 @@ impl QueryPlan {
 
     // --- the verifier -----------------------------------------------------
 
-    /// Semantically verify the plan against the base-table `schema`,
-    /// returning the schema of the result the client receives.
+    /// Verify the plan against the base-table `schema`, returning the
+    /// schema of the result the client receives: the plan is optimized
+    /// and lowered, then put through the checks its target's entry point
+    /// runs before it touches a region — the queue depth of a doorbell
+    /// batch, the fleet's shard planning ([`shard_execution`]) and the
+    /// compile of the spec that runs ([`CompiledPipeline::compile`]).
     ///
-    /// The plan-level half of the IR verifier (pass 3 of `fv-analyze`).
-    /// Stages are checked in *list* order — each stage's column indices
-    /// refer to its input schema, so a filter written after a projection
-    /// is checked against the projected columns (exactly the plans
-    /// [`QueryPlan::optimize`] normalizes). Checks, stage by stage:
-    ///
-    /// * predicate / regex / join / aggregate column bounds and types
-    ///   against the schema flowing into that stage;
-    /// * output-name uniqueness wherever a stage defines new columns;
-    /// * smart addressing's structural constraints (pure projection);
-    /// * for [`PlanTarget::Fleet`], that shards can read their slice of
-    ///   the table as stored (no decrypt stage), that the result stream
-    ///   merges order-preservingly (no compress/encrypt stage) and that
-    ///   every aggregate stage admits the partial/final split
-    ///   ([`PartialAggPlan`]) the gather reassembles shards with.
-    ///
-    /// `verify` does **not** check lowerability: a verifiable plan may
-    /// still need [`QueryPlan::optimize`] before [`QueryPlan::to_spec`]
-    /// accepts its stage order. Debug builds verify at plan
-    /// construction — [`QueryPlan::optimize`] asserts its output
-    /// verifies to the same schema as its input.
+    /// A plan verifies if and only if it executes: `verify` returns the
+    /// error the entry point would, and no rule lives here alone.
     pub fn verify(&self, schema: &Schema) -> Result<Schema, FvError> {
-        let fleet = matches!(self.target, PlanTarget::Fleet { .. });
-        let mut current = schema.clone();
-        // Composed projection in base-column space under smart
-        // addressing, where the memory-side gather replaces the
-        // pack-side projection plan.
-        let mut smart_cols: Option<Vec<usize>> = None;
-        for stage in &self.stages {
-            if self.smart_addressing {
-                let conflict = match stage {
-                    LogicalStage::Filter(_) => Some("selection"),
-                    LogicalStage::Regex(_) => Some("regex"),
-                    LogicalStage::Aggregate { .. } => Some("grouping"),
-                    LogicalStage::Join(_) => Some("join"),
-                    _ => None,
-                };
-                if let Some(what) = conflict {
-                    return Err(FvError::Pipeline(PipelineError::SmartAddressingConflict(
-                        what,
-                    )));
-                }
-            }
-            match stage {
-                LogicalStage::Decrypt(_) => {
-                    if fleet {
-                        return Err(FvError::FleetUnsupported {
-                            feature: "input-decrypted",
-                        });
-                    }
-                }
-                LogicalStage::Filter(p) => p.validate(&current).map_err(PipelineError::from)?,
-                LogicalStage::Regex(r) => r.verify(&current)?,
-                LogicalStage::Join(j) => current = j.verify(&current)?,
-                LogicalStage::Aggregate {
-                    keys,
-                    aggs,
-                    distinct,
-                } => {
-                    let grouping = if *distinct && aggs.is_empty() {
-                        GroupingSpec::Distinct { cols: keys.clone() }
-                    } else {
-                        GroupingSpec::GroupBy {
-                            keys: keys.clone(),
-                            aggs: aggs.clone(),
-                        }
-                    };
-                    if fleet {
-                        // The gather must be able to reassemble shard
-                        // outcomes: the partial/final aggregate split has
-                        // to exist for this stage's input schema.
-                        match &grouping {
-                            GroupingSpec::Distinct { cols } => {
-                                PartialAggPlan::for_distinct(cols, &current)?;
-                            }
-                            GroupingSpec::GroupBy { keys, aggs } => {
-                                PartialAggPlan::new(keys, aggs, &current)?;
-                            }
-                        }
-                    }
-                    current = grouping.verify(&current)?;
-                }
-                LogicalStage::Project(cols) => {
-                    if self.smart_addressing {
-                        smart_cols = Some(match smart_cols.take() {
-                            None => cols.clone(),
-                            Some(prev) => remap_cols(cols, &prev)?,
-                        });
-                    } else {
-                        current = ProjectionPlan::new(&current, Some(cols))
-                            .map_err(FvError::Pipeline)?
-                            .out_schema()
-                            .clone();
-                    }
-                }
-                LogicalStage::Compress => {
-                    if fleet {
-                        return Err(FvError::FleetUnsupported {
-                            feature: "compressed",
-                        });
-                    }
-                }
-                LogicalStage::Encrypt(_) => {
-                    if fleet {
-                        return Err(FvError::FleetUnsupported {
-                            feature: "output-encrypted",
-                        });
-                    }
-                }
+        let spec = self.optimize(schema)?.to_spec()?;
+        match self.target {
+            PlanTarget::Single | PlanTarget::Tiered { .. } => {}
+            PlanTarget::Batch { depth } => check_queue_depth(depth)?,
+            PlanTarget::Fleet { .. } => {
+                let (shard_spec, merge) = shard_execution(&spec, schema)?;
+                let shard = CompiledPipeline::compile(shard_spec, schema)?;
+                return Ok(match merge {
+                    MergeSpec::Aggregate(plan) => plan.out_schema().clone(),
+                    MergeSpec::Concat => shard.out_schema().clone(),
+                });
             }
         }
-        if self.smart_addressing {
-            let cols = smart_cols.ok_or(FvError::Pipeline(
-                PipelineError::SmartAddressingConflict("no projection"),
-            ))?;
-            // The gathered stream carries the projected bytes in
-            // ascending column order, deduplicated — same as compile.
-            SmartAddressing::plan(schema, &cols).map_err(FvError::Pipeline)?;
-            let mut sorted = cols;
-            sorted.sort_unstable();
-            sorted.dedup();
-            current = schema.project(&sorted);
-        }
-        Ok(current)
+        Ok(CompiledPipeline::compile(spec, schema)?
+            .out_schema()
+            .clone())
     }
 
     // --- the optimizer ----------------------------------------------------
@@ -755,22 +616,6 @@ impl QueryPlan {
             }
         }
 
-        // Debug builds run the IR verifier at plan construction: every
-        // rewrite must preserve semantic verifiability and the output
-        // schema (property-tested in `tests/ir_verifier_props.rs`).
-        #[cfg(debug_assertions)]
-        if let Ok(expected) = self.verify(schema) {
-            match plan.verify(schema) {
-                Ok(got) => debug_assert_eq!(
-                    got, expected,
-                    "optimizer must preserve the verified output schema"
-                ),
-                // fv:allow(panic): debug-only optimizer invariant — a rewrite
-                // that un-verifies a verifiable plan is a planner bug.
-                Err(e) => panic!("optimizer output failed to verify: {e}"),
-            }
-        }
-
         Ok(plan)
     }
 
@@ -783,8 +628,8 @@ impl QueryPlan {
         let optimized = self.optimize(schema)?;
         let naive_cost = estimate(self, schema, rows);
         let optimized_cost = estimate(&optimized, schema, rows);
-        // Explain only what lowers to a pipeline.
-        optimized.to_spec()?;
+        // Explain only what runs.
+        optimized.verify(schema)?;
         Ok(Explain {
             target: optimized.target,
             stages: optimized
@@ -1214,7 +1059,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FarviewCluster, FarviewConfig};
+    use crate::{FarviewCluster, FarviewConfig, MAX_QUEUE_DEPTH};
     use fv_data::{Table, TableBuilder, Value};
     use fv_pipeline::AggFunc;
 
@@ -1238,9 +1083,102 @@ mod tests {
         qp.far_view(&ft, spec).unwrap()
     }
 
-    /// The plan verifier and the shard planner refuse the same three
-    /// spec features on a fleet, under the same names; a single-node
-    /// target takes all three.
+    /// The verdict on each plan of a fixed corpus, pinned: the output
+    /// column names, or the error its target's entry point returns.
+    #[test]
+    fn the_plan_corpus_verifies_as_pinned() {
+        use fv_data::{Column, ColumnType as T};
+        use fv_pipeline::CryptoSpec;
+        use PipelineError as P;
+        let schema = |cols: &[(&str, T)]| {
+            Schema::new(
+                cols.iter()
+                    .map(|&(n, ty)| Column { name: n.into(), ty })
+                    .collect(),
+            )
+        };
+        let base = schema(&[
+            ("a", T::U64),
+            ("b", T::U64),
+            ("c", T::F64),
+            ("d", T::Bytes(16)),
+            ("e", T::I64),
+        ]);
+        let mut b = TableBuilder::new(schema(&[("k", T::U64), ("v", T::U64)]));
+        for i in 0..16u64 {
+            b.push_values(vec![Value::U64(i), Value::U64(i * 100)]);
+        }
+        let join = JoinSmallSpec::new(0, &b.build(), 0);
+        let key = CryptoSpec {
+            key: [1; 16],
+            iv: [2; 16],
+        };
+        let s = || QueryPlan::new(PlanTarget::Single);
+        let f = || {
+            QueryPlan::new(PlanTarget::Fleet {
+                shards: 4,
+                partitioning: Partitioning::RowRange,
+            })
+        };
+        let smart = |spec: PipelineSpec| {
+            QueryPlan::from_spec(&spec.with_smart_addressing(), PlanTarget::Single)
+        };
+        let agg = |col, func| vec![AggSpec { col, func }];
+        let sum = |col| agg(col, AggFunc::Sum);
+        let lt = |col| PredicateExpr::lt(col, 9u64);
+        let p = |e| Err(FvError::Pipeline(e));
+        let unknown = |col, arity| p(P::UnknownColumn { col, arity });
+        let grouped = PipelineSpec::passthrough()
+            .project(vec![0])
+            .distinct(vec![0]);
+        let bad_join = JoinSmallSpec {
+            probe_col: 2,
+            ..join.clone()
+        };
+        let deep = QueryPlan::new(PlanTarget::Batch {
+            depth: MAX_QUEUE_DEPTH + 1,
+        });
+        #[rustfmt::skip]
+        let cases: Vec<(&str, QueryPlan, Result<&str, FvError>)> = vec![
+            ("passthrough", s(), Ok("a b c d e")),
+            ("filter-project", s().filter(lt(0)).project(vec![0, 2]), Ok("a c")),
+            ("filter-after-project", s().project(vec![2, 0]).filter(lt(1)), Ok("c a")),
+            ("regex-project", s().regex_match(3, "ab*c").project(vec![3, 0]), Ok("d a")),
+            ("distinct", s().distinct(vec![1, 0]), Ok("b a")),
+            ("group-by", s().group_by(vec![0], [sum(1), agg(2, AggFunc::Avg), agg(3, AggFunc::Count)].concat()), Ok("a sum_b avg_c count_d")),
+            ("join", s().join_small(join.clone()), Ok("a b c d e b_v")),
+            ("smart-addressing", smart(PipelineSpec::passthrough().project(vec![4, 0])), Ok("a e")),
+            ("fleet-group-by", f().group_by(vec![0], agg(1, AggFunc::Max)), Ok("a max_b")),
+            ("compress", s().compress(), Ok("a b c d e")),
+            ("encrypt", s().encrypt(key.clone()), Ok("a b c d e")),
+            ("decrypt", s().decrypt(key), Ok("a b c d e")),
+            ("project-out-of-bounds", s().project(vec![0, 5]), unknown(5, 5)),
+            ("filter-after-project-dropped-column", s().project(vec![0, 1]).filter(lt(2)), unknown(2, 2)),
+            ("regex-on-u64", s().regex_match(0, "a+"), p(P::RegexOnNonString { col: 0 })),
+            ("regex-bad-pattern", s().regex_match(3, "a(b"), p(P::Regex("syntax error at byte 3: unclosed group".into()))),
+            ("sum-over-bytes", s().group_by(vec![0], sum(3)), p(P::AggOnBytes { col: 3 })),
+            ("aggregate-out-of-bounds", s().group_by(vec![0], sum(7)), unknown(7, 5)),
+            ("fleet-aggregate-out-of-bounds", f().group_by(vec![0], sum(7)), unknown(7, 5)),
+            ("distinct-empty", s().distinct(vec![]), p(P::EmptyDistinct)),
+            ("fleet-distinct-empty", f().distinct(vec![]), p(P::EmptyDistinct)),
+            ("join-key-type-mismatch", s().join_small(bad_join), p(P::JoinKeyTypeMismatch { probe: T::F64, build: T::U64 })),
+            ("smart-addressing-with-grouping", smart(grouped), p(P::SmartAddressingConflict("grouping"))),
+            ("group-by-then-project", s().group_by(vec![0], sum(1)).project(vec![0]), p(P::GroupingProjectionConflict)),
+            ("join-then-project", s().join_small(join).project(vec![0, 1]), p(P::JoinConflict("projection"))),
+            ("batch-too-deep", deep, Err(FvError::BatchTooDeep { depth: MAX_QUEUE_DEPTH + 1, max: MAX_QUEUE_DEPTH })),
+        ];
+        for (name, plan, want) in cases {
+            let got = plan.verify(&base).map(|s| {
+                let names: Vec<&str> = s.columns().iter().map(|c| c.name.as_str()).collect();
+                names.join(" ")
+            });
+            assert_eq!(got, want.map(str::to_string), "{name}");
+        }
+    }
+
+    /// The verifier refuses the spec features a fleet cannot run with
+    /// the shard planner's own error; a single-node target takes all
+    /// three.
     #[test]
     fn fleet_refusals_agree_between_verifier_and_shard_planner() {
         let key = fv_pipeline::CryptoSpec {
@@ -1274,6 +1212,39 @@ mod tests {
                 Ok(schema.clone())
             );
         }
+    }
+
+    #[test]
+    fn projection_next_to_grouping_or_join_errors_at_lowering() {
+        // SELECT a subset of a GROUP BY's output is not a pipeline the
+        // hardware has a layout for: the lowered spec fails its own
+        // verifier, before any table is loaded.
+        let plan = QueryPlan::new(PlanTarget::Single)
+            .group_by(
+                vec![0],
+                vec![AggSpec {
+                    col: 1,
+                    func: AggFunc::Sum,
+                }],
+            )
+            .project(vec![0]);
+        let schema = Schema::uniform_u64(4);
+        let conflict = PipelineError::GroupingProjectionConflict;
+        let lowered = plan.optimize(&schema).unwrap().to_spec().unwrap();
+        assert_eq!(lowered.verify(&schema), Err(conflict.clone()));
+        assert_eq!(plan.verify(&schema), Err(FvError::Pipeline(conflict)));
+
+        // A join written after a projection cannot move before it.
+        let mut bb = TableBuilder::new(Schema::uniform_u64(2));
+        bb.push_values(vec![Value::U64(1), Value::U64(2)]);
+        let plan = QueryPlan::new(PlanTarget::Single)
+            .project(vec![0, 1])
+            .join_small(JoinSmallSpec::new(0, &bb.build(), 0));
+        let optimized = plan.optimize(&schema).unwrap();
+        assert!(matches!(
+            optimized.to_spec(),
+            Err(FvError::UnsupportedPlan { .. })
+        ));
     }
 
     #[test]
@@ -1410,41 +1381,6 @@ mod tests {
         let regex = spec.regex.as_ref().expect("regex survives");
         assert_eq!(regex.col, 2, "remapped into base space");
         assert_eq!(spec.projection, Some(vec![2, 0]));
-    }
-
-    #[test]
-    fn projection_next_to_grouping_or_join_errors_at_lowering() {
-        use fv_data::{TableBuilder, Value};
-        // SELECT a subset of a GROUP BY's output is not a pipeline the
-        // hardware has a layout for — the plan layer must say so, not
-        // `CompiledPipeline::compile` after the table is loaded.
-        let plan = QueryPlan::new(PlanTarget::Single)
-            .group_by(
-                vec![0],
-                vec![AggSpec {
-                    col: 1,
-                    func: AggFunc::Sum,
-                }],
-            )
-            .project(vec![0]);
-        let schema = Schema::uniform_u64(4);
-        let optimized = plan.optimize(&schema).unwrap();
-        assert!(matches!(
-            optimized.to_spec(),
-            Err(FvError::UnsupportedPlan { .. })
-        ));
-
-        let mut bb = TableBuilder::new(Schema::uniform_u64(2));
-        bb.push_values(vec![Value::U64(1), Value::U64(2)]);
-        let build = bb.build();
-        let plan = QueryPlan::new(PlanTarget::Single)
-            .project(vec![0, 1])
-            .join_small(fv_pipeline::JoinSmallSpec::new(0, &build, 0));
-        let optimized = plan.optimize(&schema).unwrap();
-        assert!(matches!(
-            optimized.to_spec(),
-            Err(FvError::UnsupportedPlan { .. })
-        ));
     }
 
     #[test]

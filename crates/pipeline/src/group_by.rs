@@ -20,7 +20,7 @@
 //! into its own accumulator column — the accumulator kind is matched
 //! once per block, not once per tuple, and no group owns an allocation.
 
-use fv_data::{Column, ColumnType, Schema};
+use fv_data::{ColumnType, Schema};
 
 use crate::cuckoo::{hash_key, CuckooTable};
 use crate::pack::Packer;
@@ -90,7 +90,7 @@ impl AggKind {
 
 /// Output column type of `func` over an input column of type `ty` — the
 /// static mirror of the compiled accumulator's output type, used by the
-/// plan/spec verifiers. Callers must reject byte-string aggregation
+/// spec verifier. Callers must reject byte-string aggregation
 /// (other than `COUNT`) first, exactly as compilation does.
 pub(crate) fn agg_out_type(func: AggFunc, ty: ColumnType) -> ColumnType {
     AggKind::new(func, ty).out_type()
@@ -219,7 +219,6 @@ pub struct GroupByOp {
     free: Vec<u32>,
     /// Groups ever opened — the next queue position.
     opened: u64,
-    out_schema: Schema,
     /// Scratch, reused across blocks: gathered keys (non-contiguous key
     /// columns only), each survivor's slot, one output row.
     block_keys: Vec<u8>,
@@ -257,23 +256,10 @@ impl GroupByOp {
         base_schema: &Schema,
         table: CuckooTable<u32>,
     ) -> Self {
-        let mut out_cols: Vec<Column> = keys.out_schema().columns().to_vec();
         let mut columns = Vec::with_capacity(aggs.len());
         for a in aggs {
             let input = base_schema.column(a.col);
             let kind = AggKind::new(a.func, input.ty);
-            let func = match a.func {
-                AggFunc::Count => "count",
-                AggFunc::Sum => "sum",
-                AggFunc::SumF64 => "sumf64",
-                AggFunc::Min => "min",
-                AggFunc::Max => "max",
-                AggFunc::Avg => "avg",
-            };
-            out_cols.push(Column {
-                name: format!("{func}_{}", input.name),
-                ty: kind.out_type(),
-            });
             columns.push(AggColumn {
                 kind,
                 off: base_schema.offset(a.col),
@@ -291,7 +277,6 @@ impl GroupByOp {
             aggs: columns,
             free: Vec::new(),
             opened: 0,
-            out_schema: Schema::new(out_cols),
             block_keys: Vec::new(),
             block_slots: Vec::new(),
             row_buf: Vec::new(),
@@ -299,11 +284,6 @@ impl GroupByOp {
             overflow: 0,
             flushed: 0,
         }
-    }
-
-    /// Output schema: key columns followed by one column per aggregate.
-    pub fn out_schema(&self) -> &Schema {
-        &self.out_schema
     }
 
     /// Number of live groups.
@@ -493,20 +473,20 @@ impl TailOperator for GroupByOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fv_data::{Row, Value};
+    use fv_data::{Column, Row, Value};
 
     /// Push one row, collecting what it emits before the flush
     /// (overflow rows) into `out`.
     fn push_row(op: &mut GroupByOp, schema: &Schema, vals: Vec<Value>, out: &mut Vec<Vec<u8>>) {
         let packed = crate::pipeline::push_row(op, &Row(vals).encode(schema));
-        let width = op.out_schema().row_bytes();
+        let width = op.keys.out_row_bytes() + 8 * op.aggs.len();
         out.extend(packed.chunks_exact(width).map(<[u8]>::to_vec));
     }
 
     fn flush(op: &mut GroupByOp) -> Vec<Vec<u8>> {
         let mut packer = Packer::passthrough();
         op.flush(&mut packer);
-        let width = op.out_schema().row_bytes();
+        let width = op.keys.out_row_bytes() + 8 * op.aggs.len();
         packer
             .drain()
             .chunks_exact(width)
@@ -596,8 +576,6 @@ mod tests {
         assert_eq!(u64::from_le_bytes(r[24..32].try_into().unwrap()), 2); // min
         assert_eq!(u64::from_le_bytes(r[32..40].try_into().unwrap()), 6); // max
         assert_eq!(f64::from_le_bytes(r[40..48].try_into().unwrap()), 4.0); // avg
-        assert_eq!(op.out_schema().column_count(), 6);
-        assert_eq!(op.out_schema().column(5).name, "avg_c1");
     }
 
     #[test]

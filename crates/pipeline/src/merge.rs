@@ -40,11 +40,11 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use fv_data::{Column, ColumnType, Schema};
+use fv_data::{ColumnType, Schema};
 
 use crate::pipeline::PipelineError;
 use crate::project::ProjectionPlan;
-use crate::spec::{AggFunc, AggSpec};
+use crate::spec::{group_by_schema, AggFunc, AggSpec};
 
 /// How one shard-level aggregate column folds into the running merged
 /// value. Every aggregate emission is 8 bytes little-endian (see
@@ -154,6 +154,10 @@ impl PartialAggPlan {
         base_schema: &Schema,
     ) -> Result<Self, PipelineError> {
         let key_plan = ProjectionPlan::new(base_schema, Some(keys))?;
+        // A single node's checks and output schema, before any aggregate
+        // column is read: a merged fleet result is indistinguishable from
+        // a single node's, and so is a refused one.
+        let out_schema = group_by_schema(&key_plan, aggs, base_schema)?;
         let key_bytes = key_plan.out_row_bytes();
 
         let mut shard_slots: Vec<Combine> = Vec::new();
@@ -173,9 +177,6 @@ impl PartialAggPlan {
         };
         for a in aggs {
             let ty = base_schema.column(a.col).ty;
-            if matches!(ty, ColumnType::Bytes(_)) && a.func != AggFunc::Count {
-                return Err(PipelineError::AggOnBytes { col: a.col });
-            }
             match a.func {
                 AggFunc::Avg => {
                     let sum = slot_for(AggFunc::SumF64, a.col, ty)?;
@@ -188,26 +189,6 @@ impl PartialAggPlan {
             }
         }
 
-        // The user-facing output schema must match GroupByOp's exactly
-        // (same `{func}_{column}` naming, same types) so a merged fleet
-        // result is indistinguishable from a single node's.
-        let mut out_cols: Vec<Column> = key_plan.out_schema().columns().to_vec();
-        for a in aggs {
-            let in_ty = base_schema.column(a.col).ty;
-            let (prefix, ty) = match a.func {
-                AggFunc::Count => ("count", ColumnType::U64),
-                AggFunc::Sum => ("sum", in_ty),
-                AggFunc::SumF64 => ("sumf64", ColumnType::F64),
-                AggFunc::Min => ("min", in_ty),
-                AggFunc::Max => ("max", in_ty),
-                AggFunc::Avg => ("avg", ColumnType::F64),
-            };
-            out_cols.push(Column {
-                name: format!("{prefix}_{}", base_schema.column(a.col).name),
-                ty,
-            });
-        }
-        let out_schema = crate::pipeline::schema_from_unique_columns(out_cols)?;
         let shard_row_bytes = key_bytes + 8 * shard_slots.len();
 
         Ok(PartialAggPlan {
@@ -230,6 +211,9 @@ impl PartialAggPlan {
     /// paper already requires for overflow tuples (§5.4), applied across
     /// shards.
     pub fn for_distinct(cols: &[usize], base_schema: &Schema) -> Result<Self, PipelineError> {
+        if cols.is_empty() {
+            return Err(PipelineError::EmptyDistinct);
+        }
         PartialAggPlan::new(cols, &[], base_schema)
     }
 
@@ -440,6 +424,53 @@ mod tests {
         let (merged, n) = plan2.merge(&[payload.clone()]);
         assert_eq!(n, 3);
         assert_eq!(merged, rows(&[7, 8, 1, 2]));
+    }
+
+    /// A grouping the single node refuses, the partial/final split
+    /// refuses with the same error — an aggregate column past the
+    /// schema's end included, which once panicked instead.
+    #[test]
+    fn refuses_what_a_single_node_refuses() {
+        use crate::spec::GroupingSpec;
+        use fv_data::Column;
+        let mut cols = base().columns().to_vec();
+        cols.push(Column {
+            name: "s".into(),
+            ty: ColumnType::Bytes(8),
+        });
+        let schema = Schema::new(cols);
+        let sum = |col| AggSpec {
+            col,
+            func: AggFunc::Sum,
+        };
+        for (keys, aggs) in [
+            (vec![0], vec![sum(7)]),
+            (vec![0], vec![sum(1), sum(4)]),
+            (vec![0], vec![sum(3)]),
+            (vec![0], vec![sum(1), sum(1)]),
+            (vec![5], vec![sum(1)]),
+            (vec![], vec![sum(1)]),
+        ] {
+            let want = GroupingSpec::GroupBy {
+                keys: keys.clone(),
+                aggs: aggs.clone(),
+            }
+            .verify(&schema)
+            .unwrap_err();
+            let got = PartialAggPlan::new(&keys, &aggs, &schema).map(|p| p.out_schema);
+            assert_eq!(got, Err(want), "{keys:?} {aggs:?}");
+        }
+        assert_eq!(
+            PartialAggPlan::new(&[0], &[sum(7)], &base()).map(|p| p.out_schema),
+            Err(PipelineError::UnknownColumn { col: 7, arity: 3 })
+        );
+        for cols in [vec![], vec![4], vec![0, 0]] {
+            let want = GroupingSpec::Distinct { cols: cols.clone() }
+                .verify(&schema)
+                .unwrap_err();
+            let got = PartialAggPlan::for_distinct(&cols, &schema).map(|p| p.out_schema);
+            assert_eq!(got, Err(want), "distinct {cols:?}");
+        }
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl CompiledPipeline {
         // The static verifier *is* the validation pass: every conflict,
         // bounds, type and name check lives there, so a spec compiles if
         // and only if it verifies (modulo dynamic build-side placement).
-        let (verified_schema, regex) = spec.verify_compiling(base_schema)?;
+        let (out_schema, regex) = spec.verify_compiling(base_schema)?;
 
         // --- operators ----------------------------------------------------
         let mut selections: Vec<Box<dyn Selection>> = Vec::new();
@@ -364,27 +364,22 @@ impl CompiledPipeline {
             // automaton.
             selections.push(Box::new(RegexOp::new(re, rf.col, base_schema)));
         }
-        // Bounds, types and output names are verifier-checked above;
-        // only operator construction remains. Join and grouping exclude
-        // each other, so whichever comes last here is the only one.
-        let mut out_schema = base_schema.clone();
+        // Bounds, types and the output schema come from the verifier
+        // above; only operator construction remains. Join and grouping
+        // exclude each other, so whichever comes last here is the only
+        // one.
         let mut tail: Option<Box<dyn TailOperator>> = None;
         if let Some(join) = &spec.join {
-            let op = JoinSmallOp::build(join, base_schema)?;
-            out_schema = op.out_schema().clone();
-            tail = Some(Box::new(op));
+            tail = Some(Box::new(JoinSmallOp::build(join, base_schema)?));
         }
         match &spec.grouping {
             Some(GroupingSpec::Distinct { cols }) => {
                 let plan = ProjectionPlan::new(base_schema, Some(cols))?;
-                out_schema = plan.out_schema().clone();
                 tail = Some(Box::new(DistinctOp::new(plan)));
             }
             Some(GroupingSpec::GroupBy { keys, aggs }) => {
                 let key_plan = ProjectionPlan::new(base_schema, Some(keys))?;
-                let op = GroupByOp::new(key_plan, aggs, base_schema);
-                out_schema = op.out_schema().clone();
-                tail = Some(Box::new(op));
+                tail = Some(Box::new(GroupByOp::new(key_plan, aggs, base_schema)));
             }
             None => {}
         }
@@ -396,31 +391,21 @@ impl CompiledPipeline {
             let Some(cols) = spec.projection.as_deref() else {
                 return Err(PipelineError::SmartAddressingConflict("no projection"));
             };
-            let sa = SmartAddressing::plan(base_schema, cols)?;
             // The gathered stream is already exactly the projected bytes,
             // in ascending column order.
-            let mut sorted = cols.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            out_schema = base_schema.project(&sorted);
+            let sa = SmartAddressing::plan(base_schema, cols)?;
             (Packer::passthrough(), sa.bytes_per_tuple, Some(sa))
         } else if tail.is_some() {
             // Grouping and join operators emit final-format tuples.
             (Packer::passthrough(), base_schema.row_bytes(), None)
         } else {
             let plan = ProjectionPlan::new(base_schema, spec.projection.as_deref())?;
-            out_schema = plan.out_schema().clone();
             (Packer::project(plan), base_schema.row_bytes(), None)
         };
 
         let decrypt = spec.decrypt_input.as_ref().map(StreamCrypto::new);
         let compress = spec.compress_output.then(StreamCompressor::new);
         let encrypt = spec.encrypt_output.as_ref().map(StreamCrypto::new);
-
-        debug_assert_eq!(
-            out_schema, verified_schema,
-            "PipelineSpec::verify must predict the compiled output schema"
-        );
 
         Ok(CompiledPipeline {
             spec,
@@ -904,7 +889,11 @@ mod tests {
                 col: 1,
                 pattern: bad.into(),
             };
-            assert_eq!(filter.verify(&schema), Err(want.clone()), "{bad}");
+            assert_eq!(
+                filter.compile(&schema).map(drop),
+                Err(want.clone()),
+                "{bad}"
+            );
             assert_eq!(
                 CompiledPipeline::compile(spec, &schema).map(|_| ()),
                 Err(want),

@@ -78,42 +78,55 @@ impl GroupingSpec {
                     .out_schema()
                     .clone())
             }
-            GroupingSpec::GroupBy { keys, aggs } => {
-                let key_plan = ProjectionPlan::new(base_schema, Some(keys))?;
-                for a in aggs {
-                    if a.col >= base_schema.column_count() {
-                        return Err(PipelineError::UnknownColumn {
-                            col: a.col,
-                            arity: base_schema.column_count(),
-                        });
-                    }
-                    if matches!(base_schema.column(a.col).ty, ColumnType::Bytes(_))
-                        && a.func != AggFunc::Count
-                    {
-                        return Err(PipelineError::AggOnBytes { col: a.col });
-                    }
-                }
-                let mut out_cols: Vec<Column> = key_plan.out_schema().columns().to_vec();
-                for a in aggs {
-                    let func = match a.func {
-                        AggFunc::Count => "count",
-                        AggFunc::Sum => "sum",
-                        AggFunc::SumF64 => "sumf64",
-                        AggFunc::Min => "min",
-                        AggFunc::Max => "max",
-                        AggFunc::Avg => "avg",
-                    };
-                    out_cols.push(Column {
-                        name: format!("{func}_{}", base_schema.column(a.col).name),
-                        ty: crate::group_by::agg_out_type(a.func, base_schema.column(a.col).ty),
-                    });
-                }
-                // A repeated aggregate (or an agg name shadowing a key
-                // column) would duplicate an output name.
-                schema_from_unique_columns(out_cols)
-            }
+            GroupingSpec::GroupBy { keys, aggs } => group_by_schema(
+                &ProjectionPlan::new(base_schema, Some(keys))?,
+                aggs,
+                base_schema,
+            ),
         }
     }
+}
+
+/// Check `aggs` against `base_schema` and build the output schema of a
+/// `GROUP BY` whose keys `key_plan` projects — the one home of these
+/// rules, shared by compilation and the fleet's
+/// [`PartialAggPlan`](crate::PartialAggPlan), so a shard set refuses a
+/// grouping exactly as a single node does.
+pub(crate) fn group_by_schema(
+    key_plan: &ProjectionPlan,
+    aggs: &[AggSpec],
+    base_schema: &Schema,
+) -> Result<Schema, PipelineError> {
+    for a in aggs {
+        if a.col >= base_schema.column_count() {
+            return Err(PipelineError::UnknownColumn {
+                col: a.col,
+                arity: base_schema.column_count(),
+            });
+        }
+        if matches!(base_schema.column(a.col).ty, ColumnType::Bytes(_)) && a.func != AggFunc::Count
+        {
+            return Err(PipelineError::AggOnBytes { col: a.col });
+        }
+    }
+    let mut out_cols: Vec<Column> = key_plan.out_schema().columns().to_vec();
+    for a in aggs {
+        let func = match a.func {
+            AggFunc::Count => "count",
+            AggFunc::Sum => "sum",
+            AggFunc::SumF64 => "sumf64",
+            AggFunc::Min => "min",
+            AggFunc::Max => "max",
+            AggFunc::Avg => "avg",
+        };
+        out_cols.push(Column {
+            name: format!("{func}_{}", base_schema.column(a.col).name),
+            ty: crate::group_by::agg_out_type(a.func, base_schema.column(a.col).ty),
+        });
+    }
+    // A repeated aggregate (or an agg name shadowing a key column) would
+    // duplicate an output name.
+    schema_from_unique_columns(out_cols)
 }
 
 /// Regex selection: keep tuples whose string column matches.
@@ -126,15 +139,10 @@ pub struct RegexFilter {
 }
 
 impl RegexFilter {
-    /// Statically validate this filter against `schema`: the column must
-    /// exist, hold byte strings, and the pattern must compile.
-    pub fn verify(&self, schema: &Schema) -> Result<(), PipelineError> {
-        self.compile(schema).map(drop)
-    }
-
-    /// [`RegexFilter::verify`], keeping what the last check built: the
-    /// only way to know a pattern compiles is to compile it, so the
-    /// verifier hands the automaton on instead of discarding it.
+    /// Check this filter against `schema` — the column must exist and
+    /// hold byte strings, and the pattern must compile — and return the
+    /// automaton the last check built: the only way to know a pattern
+    /// compiles is to compile it, so the check hands it on.
     pub(crate) fn compile(&self, schema: &Schema) -> Result<fv_regex::Regex, PipelineError> {
         if self.col >= schema.column_count() {
             return Err(PipelineError::UnknownColumn {
@@ -286,14 +294,13 @@ impl PipelineSpec {
     /// Statically verify this spec against `base_schema`, returning the
     /// schema of the tuples the client will receive.
     ///
-    /// This is the spec-level half of the IR verifier (pass 3 of
-    /// `fv-analyze`): every conflict, column-bounds, type and
-    /// output-name check `CompiledPipeline::compile` enforces, as a pure
-    /// function over the spec — a spec compiles against a schema **iff**
-    /// it verifies, with one dynamic exception (a join build side can
-    /// still fail cuckoo placement at load time even under the byte
-    /// budget). `compile` itself routes through this, and debug builds
-    /// assert the returned schema matches the compiled pipeline's.
+    /// The one home of every conflict, column-bounds, type and
+    /// output-name rule, and of the output schema itself:
+    /// `CompiledPipeline::compile` runs this first and keeps the schema
+    /// it returns, so a spec compiles against a schema **iff** it
+    /// verifies, with one dynamic exception (a join build side can still
+    /// fail cuckoo placement at load time even under the byte budget).
+    /// `QueryPlan::verify` reaches it through that compile.
     pub fn verify(&self, base_schema: &Schema) -> Result<Schema, PipelineError> {
         self.verify_compiling(base_schema).map(|(schema, _)| schema)
     }

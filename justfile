@@ -19,9 +19,9 @@ clippy:
     cargo clippy --workspace -- -D warnings --force-warn clippy::unwrap_used --force-warn clippy::expect_used
 
 # Static analysis gate: the panic-freedom ratchet against
-# analyze/baseline.toml, the typed-error audit, and the IR verifier
-# smoke corpus. Improvements auto-tighten the baseline (commit it —
-# the second line fails until you do).
+# analyze/baseline.toml and the typed-error audit. Improvements
+# auto-tighten the baseline (commit it — the second line fails until
+# you do).
 analyze:
     cargo run -q --release -p fv-analyze --bin fv-analyze
     git diff --exit-code analyze/baseline.toml

@@ -1,17 +1,22 @@
-//! Property-based optimizer soundness: for arbitrary specs, the
-//! optimized plan must return **byte-identical** results to the
-//! unoptimized spec on every entry point — single `farView`, the
-//! doorbell batch, the fleet under row-range *and* key-hash
-//! partitioning, and the tiered pool. The optimizer may only move work
-//! around (reorder predicates, prune projections, switch the memory
-//! access path); it must never change a payload byte or a result
-//! schema.
+//! Property-based planner soundness.
+//!
+//! * The optimized plan returns **byte-identical** results to the
+//!   unoptimized spec on every entry point — single `farView`, the
+//!   doorbell batch, the fleet under row-range *and* key-hash
+//!   partitioning, and the tiered pool. The optimizer may only move
+//!   work around (reorder predicates, prune projections, switch the
+//!   memory access path); it must never change a payload byte or a
+//!   result schema.
+//! * A plan verifies if and only if it executes: `QueryPlan::verify`
+//!   returns the schema the entry point returns, or its typed error —
+//!   planted defects included, on every target.
 
 use proptest::prelude::*;
 
 use farview::prelude::*;
-use farview_core::{AggFunc, AggSpec, BlockStore, PredicateExpr, TierLevel, TieredPool};
+use farview_core::{AggFunc, AggSpec, BlockStore, FvError, PredicateExpr, TierLevel, TieredPool};
 use fv_data::TableBuilder;
+use fv_pipeline::CryptoSpec;
 
 /// A random table: 8 u64 columns (the paper-default row shape), bounded
 /// values.
@@ -72,6 +77,172 @@ fn optimized(spec: &PipelineSpec, schema: &Schema, target: PlanTarget) -> Pipeli
         .expect("optimize")
         .to_spec()
         .expect("lower")
+}
+
+/// A random spec that may also carry the stages a fleet refuses:
+/// input decryption, output compression and output encryption.
+fn arb_staged_spec() -> impl Strategy<Value = PipelineSpec> {
+    (arb_spec(), 0u8..8).prop_map(|(mut spec, stages)| {
+        let key = CryptoSpec {
+            key: [7; 16],
+            iv: [9; 16],
+        };
+        if stages & 1 != 0 {
+            spec = spec.decrypt(key.clone());
+        }
+        if stages & 2 != 0 {
+            spec = spec.compress();
+        }
+        if stages & 4 != 0 {
+            spec = spec.encrypt(key);
+        }
+        spec
+    })
+}
+
+/// Every execution target.
+fn arb_target() -> impl Strategy<Value = PlanTarget> {
+    prop_oneof![
+        Just(PlanTarget::Single),
+        (1usize..4).prop_map(|depth| PlanTarget::Batch { depth }),
+        (
+            2usize..5,
+            prop::sample::select(vec![Partitioning::RowRange, Partitioning::KeyHash(0)])
+        )
+            .prop_map(|(shards, partitioning)| PlanTarget::Fleet {
+                shards,
+                partitioning
+            }),
+        Just(PlanTarget::Tiered {
+            residency: TierLevel::Disk
+        }),
+    ]
+}
+
+/// Plant defect `which` in `spec`: a projection past the schema's end,
+/// a regex over a `u64` column, or an aggregate over a column past the
+/// schema's end.
+fn plant(spec: &PipelineSpec, which: usize, k: usize) -> PipelineSpec {
+    let spec = spec.clone();
+    match which {
+        0 => spec.project(vec![8 + k]),
+        1 => spec.regex_match(k % 8, "a+"),
+        _ => spec.group_by(
+            vec![0],
+            vec![AggSpec {
+                col: 8 + k,
+                func: AggFunc::Sum,
+            }],
+        ),
+    }
+}
+
+/// Run `spec` through the entry point `target` names and return the
+/// result's schema, or the entry point's error.
+fn execute(table: &Table, spec: &PipelineSpec, target: PlanTarget) -> Result<Schema, FvError> {
+    if let PlanTarget::Fleet {
+        shards,
+        partitioning,
+    } = target
+    {
+        let fleet = FarviewFleet::new(shards, FarviewConfig::tiny());
+        let qp = fleet.connect().unwrap();
+        let (ft, _) = qp.load_table(table, partitioning).unwrap();
+        return qp.far_view(&ft, spec).map(|o| o.merged.schema);
+    }
+    let c = FarviewCluster::new(FarviewConfig::tiny());
+    let qp = c.connect().unwrap();
+    if let PlanTarget::Tiered { .. } = target {
+        let mut pool = TieredPool::new(&qp, 8 << 20, BlockStore::default());
+        pool.insert("t", table).unwrap();
+        return pool.query("t", spec).map(|o| o.outcome.schema);
+    }
+    let (ft, _) = qp.load_table(table).unwrap();
+    match target {
+        PlanTarget::Batch { depth } => qp
+            .far_view_batch(&ft, &vec![spec.clone(); depth])
+            .map(|o| o[0].schema.clone()),
+        _ => qp.far_view(&ft, spec).map(|o| o.schema),
+    }
+}
+
+/// The verdict on `spec` planned for `target`, checked to be what
+/// running its lowered spec on that target returns.
+fn verdict(table: &Table, spec: &PipelineSpec, target: PlanTarget) -> Result<Schema, FvError> {
+    let plan = QueryPlan::from_spec(spec, target);
+    let verdict = plan.verify(table.schema());
+    let executed = plan
+        .optimize(table.schema())
+        .and_then(|p| p.to_spec())
+        .and_then(|s| execute(table, &s, target));
+    prop_assert_eq!(&verdict, &executed, "{:?} on {}", spec, target);
+    verdict
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Verifies ⇔ executes: the verdict on a plan is what running its
+    /// lowered spec on the plan's target returns, and a well-formed spec
+    /// verifies wherever its target takes its stages.
+    #[test]
+    fn a_plan_verifies_iff_it_executes(
+        table in arb_table(60),
+        spec in arb_staged_spec(),
+        target in arb_target(),
+    ) {
+        let verdict = verdict(&table, &spec, target);
+        let refused =
+            spec.decrypt_input.is_some() || spec.compress_output || spec.encrypt_output.is_some();
+        let fleet = matches!(target, PlanTarget::Fleet { .. });
+        prop_assert_eq!(verdict.is_ok(), !(fleet && refused), "{:?}", verdict);
+    }
+
+    /// A planted defect is an error on every target, the entry point's
+    /// own, and moves the spec's fingerprint, so a fleet shard running
+    /// the defective program would be caught.
+    #[test]
+    fn seeded_mutations_are_rejected_and_move_the_fingerprint(
+        table in arb_table(60),
+        spec in arb_staged_spec(),
+        target in arb_target(),
+        which in 0usize..3,
+        k in 0usize..4,
+    ) {
+        let bad = plant(&spec, which, k);
+        prop_assert!(verdict(&table, &bad, target).is_err(), "defect {} verified: {:?}", which, bad);
+        prop_assert!(bad.fingerprint() != spec.fingerprint());
+    }
+
+    /// The optimizer preserves the verified schema: an optimized plan
+    /// verifies as the plan it came from, and a filter written after a
+    /// projection verifies as its physical-order rewrite.
+    #[test]
+    fn the_optimizer_preserves_the_verified_schema(
+        spec in arb_staged_spec(),
+        target in arb_target(),
+        cols in arb_cols(4),
+        (col, v) in (0usize..5, 0u64..64),
+    ) {
+        let schema = Schema::uniform_u64(8);
+        let plan = QueryPlan::from_spec(&spec, target);
+        let optimized = plan.optimize(&schema).expect("a lowered spec optimizes");
+        prop_assert_eq!(optimized.verify(&schema), plan.verify(&schema));
+
+        let logical = QueryPlan::new(target)
+            .project(cols.clone())
+            .filter(PredicateExpr::lt(col, v));
+        let verdict = logical.verify(&schema);
+        match cols.get(col) {
+            Some(&base) => {
+                let physical = PipelineSpec::passthrough()
+                    .filter(PredicateExpr::lt(base, v))
+                    .project(cols.clone());
+                prop_assert_eq!(verdict, QueryPlan::from_spec(&physical, target).verify(&schema));
+            }
+            None => prop_assert!(verdict.is_err()),
+        }
+    }
 }
 
 proptest! {
