@@ -65,7 +65,7 @@ impl CpuCostModel {
     }
 
     /// Effective per-process streaming read bandwidth.
-    pub fn read_bw(&self) -> f64 {
+    pub(crate) fn read_bw(&self) -> f64 {
         let fair_share = CPU_SOCKET_BW / self.processes as f64;
         let per_proc = CPU_READ_BW.min(fair_share);
         if self.processes > 1 {
@@ -76,7 +76,7 @@ impl CpuCostModel {
     }
 
     /// Effective per-process streaming write bandwidth.
-    pub fn write_bw(&self) -> f64 {
+    pub(crate) fn write_bw(&self) -> f64 {
         let ratio = CPU_WRITE_BW / CPU_READ_BW;
         self.read_bw() * ratio
     }

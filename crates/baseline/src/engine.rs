@@ -115,18 +115,6 @@ impl CpuEngine {
         }
     }
 
-    /// Read the whole table into the query's working space ("query
-    /// thread reads the data ... copying the data to their private
-    /// working space", §3).
-    pub fn raw_read(&self, table: &Table) -> BaselineOutcome {
-        self.outcome(
-            table.bytes().to_vec(),
-            table.schema().clone(),
-            SimDuration::ZERO,
-            table.byte_len() as u64,
-        )
-    }
-
     /// `SELECT <projection> FROM t WHERE <pred>`.
     pub fn select(
         &self,
@@ -462,8 +450,8 @@ mod tests {
     #[test]
     fn rcpu_adds_network_and_is_slower() {
         let t = table(4096, 4096);
-        let l = CpuEngine::new(BaselineKind::Lcpu).raw_read(&t);
-        let r = CpuEngine::new(BaselineKind::Rcpu).raw_read(&t);
+        let scan = |kind| CpuEngine::new(kind).select(&t, &PredicateExpr::True, None);
+        let (l, r) = (scan(BaselineKind::Lcpu), scan(BaselineKind::Rcpu));
         assert_eq!(l.payload, r.payload);
         assert!(r.breakdown.network > SimDuration::ZERO);
         assert!(r.time > l.time, "RCPU must be slower than LCPU");

@@ -29,14 +29,14 @@ use fv_workload::{FaultSpec, TableGen, SELECTIVITY_PIVOT};
 use crate::figure::Figure;
 
 /// Fleet size every chaos class runs on.
-pub const CHAOS_NODES: usize = 3;
+pub(crate) const CHAOS_NODES: usize = 3;
 
 /// Replicas per shard in the survivable runs (`r = 2` makes even a
 /// full partition byte-identical via replica failover).
-pub const CHAOS_REPLICAS: usize = 2;
+pub(crate) const CHAOS_REPLICAS: usize = 2;
 
 /// Default seed for the full-size run (`figures chaos`).
-pub const CHAOS_BENCH_SEED: u64 = 0xC4A0_55EE;
+pub(crate) const CHAOS_BENCH_SEED: u64 = 0xC4A0_55EE;
 
 /// Lower an engine-independent [`FaultSpec`] (integer percents, from
 /// `fv_workload`) to the network layer's [`FaultPlan`], seeded so the
@@ -278,7 +278,7 @@ fn typed_error_probe(
 }
 
 /// Run the full measurement at the given scale.
-pub fn chaos_report_at(rows: usize, reps: usize, seed: u64) -> ChaosReport {
+pub(crate) fn chaos_report_at(rows: usize, reps: usize, seed: u64) -> ChaosReport {
     let table = TableGen::new(8, rows)
         .seed(seed ^ 0x7AB1_E000)
         .distinct_column(0, 32)

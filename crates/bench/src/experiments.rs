@@ -17,7 +17,7 @@ use fv_workload::{
 use crate::figure::Figure;
 
 /// Table sizes used by Figures 8, 9 and 11 (bytes).
-pub const TABLE_SIZES: [u64; 5] = [64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20];
+pub(crate) const TABLE_SIZES: [u64; 5] = [64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20];
 
 const AES_KEY: [u8; 16] = [0x2b; 16];
 const AES_IV: [u8; 16] = [0xf0; 16];
@@ -543,7 +543,7 @@ pub fn fig12() -> Figure {
 // ---------------------------------------------------------------------------
 
 /// Node counts swept by the scale-out experiment.
-pub const FLEET_SIZES: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const FLEET_SIZES: [usize; 4] = [1, 2, 4, 8];
 
 /// Lower an engine-independent [`TenantQuery`] onto a pipeline spec.
 ///
@@ -592,7 +592,7 @@ pub fn scaleout() -> Figure {
 }
 
 /// [`scaleout`] at its smallest config (the `figures smoke` gate).
-pub fn scaleout_smoke() -> Figure {
+pub(crate) fn scaleout_smoke() -> Figure {
     scaleout_at(2, 2_048, 3)
 }
 
@@ -647,7 +647,7 @@ fn scaleout_at(n_tenants: usize, rows_per_tenant: usize, queries_per_tenant: usi
 // ---------------------------------------------------------------------------
 
 /// Queue depths swept by the `qdepth` experiment.
-pub const QUEUE_DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
+pub(crate) const QUEUE_DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// Queries the closed-loop client issues per depth setting.
 const QDEPTH_QUERIES: usize = 32;
@@ -668,7 +668,7 @@ pub fn qdepth() -> Figure {
 }
 
 /// [`qdepth`] at its smallest config (the `figures smoke` gate).
-pub fn qdepth_smoke() -> Figure {
+pub(crate) fn qdepth_smoke() -> Figure {
     qdepth_at(128, 16)
 }
 
@@ -744,10 +744,10 @@ fn qdepth_at(rows: usize, queries: usize) -> Figure {
 // ---------------------------------------------------------------------------
 
 /// Shard counts swept by the `plan_ablation` experiment.
-pub const ABLATION_SHARDS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const ABLATION_SHARDS: [usize; 4] = [1, 2, 4, 8];
 
 /// Queue depths swept by the `plan_ablation` experiment.
-pub const ABLATION_DEPTHS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const ABLATION_DEPTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// Plan ablation: run each workload's *naive* plan (the spec as
 /// written) and its *optimized* plan (through
@@ -766,7 +766,7 @@ pub fn plan_ablation() -> Figure {
 }
 
 /// [`plan_ablation`] at its smallest config (the `figures smoke` gate).
-pub fn plan_ablation_smoke() -> Figure {
+pub(crate) fn plan_ablation_smoke() -> Figure {
     plan_ablation_at(256, &[1, 2], &[1, 2])
 }
 

@@ -62,13 +62,10 @@ pub mod experiments;
 pub mod figure;
 pub mod overload;
 
-pub use chaos::{
-    chaos, chaos_report, chaos_report_at, chaos_smoke, fault_plan_for, ChaosClassStats,
-    ChaosReport, CHAOS_BENCH_SEED, CHAOS_NODES, CHAOS_REPLICAS,
-};
+pub use chaos::{chaos, chaos_report, chaos_smoke, fault_plan_for, ChaosClassStats, ChaosReport};
 pub use experiments::*;
 pub use figure::{Figure, Series};
 pub use overload::{
-    overload, overload_backend, overload_report, overload_report_at, overload_smoke, serve_class,
-    serve_tenants, OverloadPoint, OverloadReport, OVERLOAD_BENCH_SEED, OVERLOAD_LOADS,
+    overload, overload_backend, overload_report, overload_smoke, serve_class, serve_tenants,
+    OverloadPoint, OverloadReport, OVERLOAD_BENCH_SEED, OVERLOAD_LOADS,
 };

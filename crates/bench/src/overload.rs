@@ -275,7 +275,7 @@ impl OverloadReport {
 
 /// Run the sweep at the given scale, asserting the graceful-degradation
 /// invariants at every point.
-pub fn overload_report_at(
+pub(crate) fn overload_report_at(
     n_tenants: usize,
     rows_per_tenant: usize,
     horizon: SimDuration,

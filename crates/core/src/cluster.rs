@@ -14,7 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use fv_data::{Catalog, CatalogEntry, Row, Schema, Table, Value};
+use fv_data::{Row, Schema, Table, Value};
 use fv_mem::{DomainId, MemoryStack, PageView, VirtAddr};
 use fv_pipeline::{AggSpec, CompiledPipeline, CryptoSpec, PipelineSpec, PredicateExpr};
 use fv_sim::calib::CPU_DEDUP_NS;
@@ -52,7 +52,7 @@ pub(crate) fn check_queue_depth(depth: usize) -> Result<(), FvError> {
 /// freed region is picked up promptly. Connection open under region
 /// exhaustion is thereby a *retryable backpressure signal* with the
 /// same `retry_after` shape as the serving layer's admission control.
-pub const CONNECT_RETRY_AFTER: SimDuration = SimDuration::from_micros(50);
+pub(crate) const CONNECT_RETRY_AFTER: SimDuration = SimDuration::from_micros(50);
 
 /// Per-query statistics, the unit every figure in `EXPERIMENTS.md` is
 /// built from.
@@ -132,8 +132,10 @@ impl QueryOutcome {
     }
 }
 
-/// A remote table handle: the client-side catalog entry plus the
-/// allocation in the disaggregated buffer pool.
+/// A remote table handle: the address information a client keeps to
+/// reach a table ("local catalog information that is used to determine
+/// the addresses of the tables to be accessed", §4.1) — its allocation
+/// in the disaggregated buffer pool, schema and row count.
 #[derive(Debug, Clone)]
 pub struct FTable {
     qp: u32,
@@ -399,7 +401,7 @@ impl FarviewCluster {
     /// # Errors
     /// Under region exhaustion returns the retryable
     /// [`FvError::NoFreeRegion`] backpressure signal — its
-    /// `retry_after` ([`CONNECT_RETRY_AFTER`]) tells the client when to
+    /// `retry_after` (`CONNECT_RETRY_AFTER`, 50 µs) tells the client when to
     /// try again; a waiting tenant eventually connects once any holder
     /// disconnects.
     pub fn connect(&self) -> Result<QPair, FvError> {
@@ -422,7 +424,6 @@ impl FarviewCluster {
             slot,
             domain,
             connected: true,
-            catalog: Mutex::new(Catalog::new()),
         })
     }
 
@@ -431,12 +432,14 @@ impl FarviewCluster {
     /// plan's injected faults. Setting a benign plan (the default)
     /// restores the native link.
     ///
-    /// # Panics
-    /// Panics if the plan's parameters are out of range
-    /// ([`fv_net::FaultPlan::validate`]).
-    pub fn set_fault_plan(&self, plan: fv_net::FaultPlan) {
-        plan.validate();
+    /// # Errors
+    /// [`FvError::Net`] with [`fv_net::NetError::InvalidFaultPlan`] when
+    /// a plan parameter is out of range ([`fv_net::FaultPlan::validate`]);
+    /// the node keeps its current plan.
+    pub fn set_fault_plan(&self, plan: fv_net::FaultPlan) -> Result<(), FvError> {
+        plan.validate()?;
         lock(&self.inner).config.fault = plan;
+        Ok(())
     }
 
     /// Total partial reconfigurations performed so far.
@@ -546,10 +549,6 @@ pub struct QPair {
     slot: usize,
     domain: DomainId,
     connected: bool,
-    /// The client-side table catalog: "We assume that the clients have
-    /// local catalog information that is used to determine the addresses
-    /// of the tables to be accessed" (§4.1).
-    catalog: Mutex<Catalog>,
 }
 
 impl std::fmt::Debug for QPair {
@@ -566,11 +565,6 @@ impl QPair {
     /// The queue-pair id.
     pub fn id(&self) -> u32 {
         self.qp
-    }
-
-    /// The dynamic-region slot this connection owns.
-    pub fn region_slot(&self) -> usize {
-        self.slot
     }
 
     fn check_table(&self, ft: &FTable) -> Result<(), FvError> {
@@ -661,58 +655,6 @@ impl QPair {
             rows: table.row_count(),
         };
         Ok((ft, t))
-    }
-
-    /// Allocate + write + register under a name in the client-side
-    /// catalog (§4.1). Later lookups rebuild the `FTable` handle from
-    /// the catalog entry alone.
-    pub fn load_table_named(
-        &self,
-        name: &str,
-        table: &Table,
-    ) -> Result<(FTable, SimDuration), FvError> {
-        let (ft, time) = self.load_table(table)?;
-        let mut cat = lock(&self.catalog);
-        cat.register(
-            name,
-            CatalogEntry {
-                schema: ft.schema.clone(),
-                rows: ft.rows,
-                vaddr: Some(ft.vaddr),
-            },
-        );
-        Ok((ft, time))
-    }
-
-    /// Rebuild a table handle from the catalog — what the paper's query
-    /// threads do: resolve the table name to a buffer-pool address
-    /// locally, without asking the memory node.
-    pub fn table_by_name(&self, name: &str) -> Option<FTable> {
-        let cat = lock(&self.catalog);
-        let entry = cat.get(name)?;
-        Some(FTable {
-            qp: self.qp,
-            vaddr: entry.vaddr?,
-            schema: entry.schema.clone(),
-            rows: entry.rows,
-        })
-    }
-
-    /// Drop a table from the catalog *and* free its buffer-pool pages.
-    pub fn drop_named(&self, name: &str) -> Result<(), FvError> {
-        let Some(vaddr) = lock(&self.catalog).remove(name).and_then(|e| e.vaddr) else {
-            return Ok(());
-        };
-        lock(&self.inner).mem.free(self.domain, vaddr)?;
-        Ok(())
-    }
-
-    /// Names registered in this connection's catalog.
-    pub fn catalog_names(&self) -> Vec<String> {
-        lock(&self.catalog)
-            .iter()
-            .map(|(n, _)| n.to_string())
-            .collect()
     }
 
     /// `freeTableMem`.
@@ -1014,7 +956,7 @@ mod tests {
         let c = cluster();
         let a = c.connect().unwrap();
         let b = c.connect().unwrap();
-        assert_ne!(a.region_slot(), b.region_slot());
+        assert_ne!(a.slot, b.slot);
         let err = c.connect().expect_err("both regions taken");
         assert!(matches!(err, FvError::NoFreeRegion { regions: 2, .. }));
         assert_eq!(
@@ -1105,12 +1047,13 @@ mod tests {
         let qp = c.connect().unwrap();
         let t = make_table(128);
         let baseline = c.free_pages();
-        c.set_fault_plan(fv_net::FaultPlan::none().partitioned());
+        c.set_fault_plan(fv_net::FaultPlan::none().partitioned())
+            .unwrap();
         let err = qp.load_table(&t).expect_err("partitioned link");
         assert!(matches!(err, FvError::Net(_)), "{err}");
         assert_eq!(c.free_pages(), baseline, "a failed load must not leak");
         assert_eq!(c.resident_bytes(), 0, "nor keep what it wrote");
-        c.set_fault_plan(fv_net::FaultPlan::none());
+        c.set_fault_plan(fv_net::FaultPlan::none()).unwrap();
         let (ft, _) = qp.load_table(&t).expect("healed link loads");
         assert_eq!(qp.table_read(&ft).unwrap().payload, t.bytes());
     }
@@ -1566,23 +1509,6 @@ mod tests {
         // The client decompresses back to the exact image.
         let recovered = fv_pipeline::compress::decompress(&compressed.payload).unwrap();
         assert_eq!(recovered, t.bytes());
-    }
-
-    #[test]
-    fn catalog_names_resolve_to_handles() {
-        let c = cluster();
-        let qp = c.connect().unwrap();
-        let t = make_table(32);
-        qp.load_table_named("lineitem", &t).unwrap();
-        assert_eq!(qp.catalog_names(), vec!["lineitem".to_string()]);
-        let ft = qp.table_by_name("lineitem").expect("catalog hit");
-        let out = qp.table_read(&ft).unwrap();
-        assert_eq!(out.payload, t.bytes());
-        assert!(qp.table_by_name("orders").is_none());
-        let pages_before = c.free_pages();
-        qp.drop_named("lineitem").unwrap();
-        assert!(c.free_pages() > pages_before);
-        assert!(qp.table_by_name("lineitem").is_none());
     }
 
     #[test]

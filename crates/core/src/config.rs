@@ -55,7 +55,10 @@ impl FarviewConfig {
         }
     }
 
-    /// Validate invariants.
+    /// Validate invariants. The fault plan is not checked here: a link
+    /// refuses an out-of-range plan typed when it adopts it
+    /// ([`fv_net::FaultPlan::validate`]), so a query against such a node
+    /// fails with [`FvError::Net`](crate::FvError::Net).
     ///
     /// # Panics
     /// Panics on nonsensical configurations (zero channels/regions).
@@ -67,7 +70,6 @@ impl FarviewConfig {
             self.vector_lanes >= 1 && self.vector_lanes <= 8,
             "vector lanes out of range"
         );
-        self.fault.validate();
     }
 }
 

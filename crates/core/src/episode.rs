@@ -658,27 +658,6 @@ impl BatchRun {
     }
 }
 
-/// Run `queries` concurrently against one node and return per-query
-/// results (ordered as given). Each query is its own depth-1 doorbell
-/// batch — the multi-client shape of Figure 12.
-///
-/// # Errors
-/// [`FvError::IncompleteEpisode`] when a query drains without
-/// completing, [`FvError::Net`] on a datapath routing failure.
-pub fn run_episode(
-    queries: Vec<PreparedQuery>,
-    config: &FarviewConfig,
-) -> Result<Vec<EpisodeResult>, FvError> {
-    let batches = queries
-        .into_iter()
-        .map(|q| BatchRun::new(vec![q]))
-        .collect();
-    Ok(run_batched_episodes(batches, config)?
-        .into_iter()
-        .flatten()
-        .collect())
-}
-
 /// Run doorbell-batched submissions concurrently against one node.
 ///
 /// Every batch posts its queue depth of verbs with one doorbell: WQE `i`
@@ -741,7 +720,7 @@ pub fn run_batched_episodes(
             .map(|_| BandwidthServer::new(PIPELINE_RATE, SimDuration::ZERO))
             .collect(),
         net_ingress: BandwidthServer::new(PIPELINE_RATE, FV_REQ_OCCUPANCY),
-        wire: LinkTiming::with_faults(NicKind::FarviewFpga, config.fault.clone()),
+        wire: LinkTiming::with_faults(NicKind::FarviewFpga, config.fault.clone())?,
         arbiter,
         clients: Vec::new(),
         wire_ids,
@@ -869,7 +848,7 @@ pub fn run_batched_episodes(
 pub fn try_write_time(bytes: u64, config: &FarviewConfig) -> Result<SimDuration, FvError> {
     // The client's NIC serializes the data packets onto the wire; each
     // arrives at the node after the FPGA net stack's per-packet handling.
-    let mut wire = LinkTiming::with_faults(NicKind::FarviewFpga, config.fault.clone());
+    let mut wire = LinkTiming::with_faults(NicKind::FarviewFpga, config.fault.clone())?;
     let posted = SimTime::ZERO + CLIENT_POST;
     let n_packets = bytes.div_ceil(PACKET_BYTES).max(1);
     let mut arrivals = Vec::with_capacity(n_packets as usize);
@@ -915,6 +894,27 @@ mod tests {
     use super::*;
     use fv_data::Schema;
     use fv_pipeline::PipelineSpec;
+
+    /// Run `queries` concurrently against one node and return per-query
+    /// results (ordered as given). Each query is its own depth-1 doorbell
+    /// batch — the multi-client shape of Figure 12.
+    ///
+    /// # Errors
+    /// [`FvError::IncompleteEpisode`] when a query drains without
+    /// completing, [`FvError::Net`] on a datapath routing failure.
+    fn run_episode(
+        queries: Vec<PreparedQuery>,
+        config: &FarviewConfig,
+    ) -> Result<Vec<EpisodeResult>, FvError> {
+        let batches = queries
+            .into_iter()
+            .map(|q| BatchRun::new(vec![q]))
+            .collect();
+        Ok(run_batched_episodes(batches, config)?
+            .into_iter()
+            .flatten()
+            .collect())
+    }
 
     fn prepared(qp: u32, slot: usize, rows: u64, spec: PipelineSpec) -> PreparedQuery {
         let schema = Schema::uniform_u64(8);
@@ -1855,7 +1855,7 @@ mod tests {
 
         // The client's NIC serializes the data packets onto the wire; each
         // arrives at the node after the FPGA net stack's per-packet handling.
-        let mut wire = LinkTiming::with_faults(NicKind::FarviewFpga, config.fault.clone());
+        let mut wire = LinkTiming::with_faults(NicKind::FarviewFpga, config.fault.clone()).unwrap();
         let t0 = CLIENT_POST;
         let n_packets = bytes.div_ceil(PACKET_BYTES).max(1);
         for i in 0..n_packets {

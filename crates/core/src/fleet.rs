@@ -118,7 +118,7 @@ impl ShardMap {
     }
 
     /// The slot owning a hash-partitioned key.
-    pub fn shard_of_key(&self, key_bytes: &[u8]) -> usize {
+    pub(crate) fn shard_of_key(&self, key_bytes: &[u8]) -> usize {
         (fv_pipeline::cuckoo::hash64(key_bytes, SHARD_HASH_SEED) % self.shards as u64) as usize
     }
 
@@ -271,14 +271,6 @@ impl FarviewFleet {
         self.topology.cluster(id)
     }
 
-    /// Checked access to a node by stable id.
-    ///
-    /// # Errors
-    /// [`FvError::NoSuchNode`] for unknown or removed ids.
-    pub fn node_by_id(&self, id: NodeId) -> Result<FarviewCluster, FvError> {
-        self.topology.cluster(id)
-    }
-
     /// Grow the fleet: bring up one more node (same configuration) and
     /// bump the epoch. Existing placements are untouched until
     /// [`FleetQPair::rebalance`] moves shards onto the newcomer.
@@ -316,10 +308,11 @@ impl FarviewFleet {
     /// replayable from the plan's seed.
     ///
     /// # Errors
-    /// [`FvError::NoSuchNode`] for unknown or removed ids.
+    /// [`FvError::NoSuchNode`] for unknown or removed ids;
+    /// [`FvError::Net`] with [`fv_net::NetError::InvalidFaultPlan`] when a
+    /// plan parameter is out of range (the node keeps its current plan).
     pub fn degrade_node(&self, id: NodeId, plan: fv_net::FaultPlan) -> Result<(), FvError> {
-        self.topology.cluster(id)?.set_fault_plan(plan);
-        Ok(())
+        self.topology.cluster(id)?.set_fault_plan(plan)
     }
 
     /// Heal node `id`'s link: restore the benign (native) fault plan.
@@ -544,7 +537,7 @@ impl FleetQPair {
     /// [`FleetQPair::alloc_table`] with `replicas` copies of every shard
     /// on distinct nodes — reads go to the first surviving replica and
     /// fail over, surviving any `replicas − 1` node losses.
-    pub fn alloc_table_replicated(
+    pub(crate) fn alloc_table_replicated(
         &self,
         table: &Table,
         part: Partitioning,
@@ -758,7 +751,7 @@ impl FleetQPair {
 
     /// [`FleetQPair::rebalance`] that also changes the replication
     /// factor to `replicas` while moving.
-    pub fn rebalance_with(
+    pub(crate) fn rebalance_with(
         &self,
         ft: &FleetTable,
         replicas: usize,
@@ -1607,7 +1600,7 @@ mod tests {
             Err(FvError::NoSuchNode { node: 2, nodes: 2 })
         ));
         assert!(matches!(
-            fleet.node_by_id(NodeId(99)),
+            fleet.heal_node(NodeId(99)),
             Err(FvError::NoSuchNode { .. })
         ));
         let t = table(8, 2);
@@ -1618,6 +1611,34 @@ mod tests {
             ft.shard(5).is_none(),
             "shard access is checked, not a panic"
         );
+    }
+
+    #[test]
+    fn degrade_node_refuses_an_out_of_range_plan_typed() {
+        let fleet = FarviewFleet::new(2, FarviewConfig::tiny());
+        let id = fleet.node_ids()[0];
+        let qp = fleet.connect().unwrap();
+        let t = table(64, 2);
+        let (ft, _) = qp.load_table(&t, Partitioning::RowRange).unwrap();
+        assert_eq!(
+            fleet
+                .degrade_node(id, fv_net::FaultPlan::default().with_loss(1.0))
+                .unwrap_err(),
+            FvError::Net(fv_net::NetError::InvalidFaultPlan { field: "loss" })
+        );
+        // The refused plan never reached the node: it still serves.
+        let out = qp.far_view(&ft, &PipelineSpec::default()).unwrap();
+        assert_eq!(out.merged.payload, t.bytes());
+        // A node configured with such a plan refuses its first transfer.
+        let config = FarviewConfig {
+            fault: fv_net::FaultPlan::default().with_loss(1.0),
+            ..FarviewConfig::tiny()
+        };
+        let node = FarviewCluster::new(config).connect().unwrap();
+        assert!(matches!(
+            node.load_table(&t),
+            Err(FvError::Net(fv_net::NetError::InvalidFaultPlan { .. }))
+        ));
     }
 
     #[test]

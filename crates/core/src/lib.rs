@@ -57,8 +57,7 @@ pub mod tiered;
 pub mod topology;
 
 pub use cluster::{
-    FTable, FarviewCluster, QPair, QueryOutcome, QueryStats, SelectQuery, CONNECT_RETRY_AFTER,
-    MAX_QUEUE_DEPTH,
+    FTable, FarviewCluster, QPair, QueryOutcome, QueryStats, SelectQuery, MAX_QUEUE_DEPTH,
 };
 pub use config::FarviewConfig;
 pub use conn::{Conn, FleetConn};
@@ -67,15 +66,13 @@ pub use fleet::{
     FarviewFleet, FleetQPair, FleetQueryOutcome, FleetTable, Partitioning, ShardAssignment,
     ShardMap,
 };
-pub use plan::{Explain, LogicalStage, MergeSpec, PlanTarget, QueryPlan};
+pub use plan::{Explain, MergeSpec, PlanTarget, QueryPlan};
 pub use serve::{
     ClassServeStats, Completion, FleetBackend, ServeBackend, ServeClass, ServeConfig, ServeEngine,
     ServeReport, ServeTenant, SingleNodeBackend, TenantBackend, TenantServeStats,
 };
 pub use tiered::{BlockStore, PageChunks, StorageParams, TierLevel, TierOutcome, TieredPool};
-pub use topology::{
-    MovePlan, NodeHealth, NodeId, Placement, RebalanceReport, ShardMove, Topology, TopologySnapshot,
-};
+pub use topology::{NodeHealth, NodeId, Placement, RebalanceReport, Topology, TopologySnapshot};
 
 /// Lock `m`, recovering the guard if a panicking holder poisoned it, so
 /// one contained panic ([`FvError::ScatterWorkerPanicked`]) does not

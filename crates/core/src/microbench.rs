@@ -17,7 +17,7 @@ use fv_sim::SimDuration;
 
 /// Sustained RDMA read throughput (bytes/second) for back-to-back
 /// pipelined requests of `transfer_bytes` each.
-pub fn read_throughput(nic: NicKind, transfer_bytes: u64) -> f64 {
+pub(crate) fn read_throughput(nic: NicKind, transfer_bytes: u64) -> f64 {
     assert!(transfer_bytes > 0);
     let serialization = SimDuration::for_bytes(transfer_bytes, nic.peak_rate());
     let packets = transfer_bytes.div_ceil(PACKET_BYTES);

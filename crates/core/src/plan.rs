@@ -11,7 +11,7 @@
 //!                                        PipelineSpec ──▶ any farView entry point
 //! ```
 //!
-//! The [`QueryPlan`] IR is a list of [`LogicalStage`]s plus a
+//! The [`QueryPlan`] IR is a list of `LogicalStage`s plus a
 //! [`PlanTarget`] (single QPair, doorbell batch of depth N, fleet shard
 //! set, or tiered residency). Plans lower from a [`PipelineSpec`]
 //! ([`QueryPlan::from_spec`]) or are built stage by stage in *logical*
@@ -64,7 +64,7 @@ use crate::tiered::{StorageParams, TierLevel};
 /// logical order must be normalized by [`QueryPlan::optimize`] before
 /// they can lower.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LogicalStage {
+pub(crate) enum LogicalStage {
     /// Decrypt the scanned bytes (data at rest is encrypted, §5.5).
     Decrypt(CryptoSpec),
     /// Keep tuples satisfying the predicate (§5.3).
@@ -186,21 +186,20 @@ impl std::fmt::Display for PlanTarget {
     }
 }
 
-/// Optimizer rule names, as recorded in [`QueryPlan::applied_rules`] and
-/// [`Explain`].
-pub mod rules {
+/// Optimizer rule names, as recorded in [`Explain::applied`].
+pub(crate) mod rules {
     /// Fuse / narrow projections so no stage carries columns nothing
     /// downstream reads.
-    pub const PROJECTION_PRUNING: &str = "projection-pruning";
+    pub(crate) const PROJECTION_PRUNING: &str = "projection-pruning";
     /// Move a filter written after a projection back before it,
     /// remapping its column indices into base-table space.
-    pub const PREDICATE_BEFORE_PROJECTION: &str = "predicate-before-projection";
+    pub(crate) const PREDICATE_BEFORE_PROJECTION: &str = "predicate-before-projection";
     /// `DISTINCT` is the degenerate `GROUP BY` — both merge through one
     /// partial-aggregation path.
-    pub const DISTINCT_UNIFICATION: &str = "distinct-group-by-unification";
+    pub(crate) const DISTINCT_UNIFICATION: &str = "distinct-group-by-unification";
     /// Read only the projected bytes from memory when the per-tuple
     /// gather is estimated cheaper than streaming whole rows.
-    pub const SMART_ADDRESSING: &str = "smart-addressing";
+    pub(crate) const SMART_ADDRESSING: &str = "smart-addressing";
 }
 
 /// The planner IR: logical stages plus an execution target.
@@ -349,25 +348,9 @@ impl QueryPlan {
 
     // --- accessors --------------------------------------------------------
 
-    /// The logical stages, in order.
-    pub fn stages(&self) -> &[LogicalStage] {
-        &self.stages
-    }
-
     /// The execution target.
     pub fn target(&self) -> PlanTarget {
         self.target
-    }
-
-    /// Whether the plan reads memory through smart addressing.
-    pub fn uses_smart_addressing(&self) -> bool {
-        self.smart_addressing
-    }
-
-    /// Rules the optimizer applied to produce this plan (empty for a
-    /// freshly lowered / built plan).
-    pub fn applied_rules(&self) -> &[&'static str] {
-        &self.applied
     }
 
     // --- lowering ---------------------------------------------------------
@@ -1284,7 +1267,7 @@ mod tests {
         ));
         let optimized = plan.optimize(&schema).unwrap();
         assert!(optimized
-            .applied_rules()
+            .applied
             .contains(&rules::PREDICATE_BEFORE_PROJECTION));
         let spec = optimized.to_spec().unwrap();
         assert_eq!(spec.selection, Some(PredicateExpr::lt(2, 25u64)));
@@ -1309,11 +1292,9 @@ mod tests {
             .project(vec![3, 1, 2])
             .project(vec![2, 0]);
         let optimized = plan.optimize(&schema).unwrap();
-        assert!(optimized
-            .applied_rules()
-            .contains(&rules::PROJECTION_PRUNING));
+        assert!(optimized.applied.contains(&rules::PROJECTION_PRUNING));
         assert_eq!(
-            optimized.stages(),
+            optimized.stages,
             &[LogicalStage::Project(vec![2, 3])],
             "project∘project composes; column 1 is pruned"
         );
@@ -1375,7 +1356,7 @@ mod tests {
             .regex_match(0, "a+");
         let optimized = plan.optimize(&schema).unwrap();
         assert!(optimized
-            .applied_rules()
+            .applied
             .contains(&rules::PREDICATE_BEFORE_PROJECTION));
         let spec = optimized.to_spec().unwrap();
         let regex = spec.regex.as_ref().expect("regex survives");
@@ -1404,8 +1385,8 @@ mod tests {
         let wide = Schema::uniform_u64(64);
         let plan = QueryPlan::new(PlanTarget::Single).project(vec![8, 9, 10]);
         let optimized = plan.optimize(&wide).unwrap();
-        assert!(optimized.uses_smart_addressing());
-        assert!(optimized.applied_rules().contains(&rules::SMART_ADDRESSING));
+        assert!(optimized.smart_addressing);
+        assert!(optimized.applied.contains(&rules::SMART_ADDRESSING));
 
         // 64 B rows: streaming wins; the rule must not fire.
         let narrow = Schema::uniform_u64(8);
@@ -1413,7 +1394,7 @@ mod tests {
             .project(vec![1, 2])
             .optimize(&narrow)
             .unwrap();
-        assert!(!optimized.uses_smart_addressing());
+        assert!(!optimized.smart_addressing);
 
         // Non-ascending projections change byte order under smart
         // addressing — the rule must skip them.
@@ -1421,7 +1402,7 @@ mod tests {
             .project(vec![10, 9])
             .optimize(&wide)
             .unwrap();
-        assert!(!optimized.uses_smart_addressing());
+        assert!(!optimized.smart_addressing);
 
         // A filter alongside the projection rules it out too.
         let optimized = QueryPlan::new(PlanTarget::Single)
@@ -1429,7 +1410,7 @@ mod tests {
             .project(vec![8, 9])
             .optimize(&wide)
             .unwrap();
-        assert!(!optimized.uses_smart_addressing());
+        assert!(!optimized.smart_addressing);
     }
 
     #[test]
@@ -1487,9 +1468,7 @@ mod tests {
             },
         );
         let optimized = plan.optimize(&schema).unwrap();
-        assert!(optimized
-            .applied_rules()
-            .contains(&rules::DISTINCT_UNIFICATION));
+        assert!(optimized.applied.contains(&rules::DISTINCT_UNIFICATION));
         // Lowering keeps the streaming DISTINCT operator.
         assert_eq!(optimized.to_spec().unwrap(), spec);
         // And the shard execution merges through the aggregate path.

@@ -6,10 +6,11 @@
 //! resources." (§6.1)
 //!
 //! Utilization is expressed as percentages of the Alveo u250's fabric,
-//! taken directly from the paper's Table 1; the model composes them per
-//! configured pipeline so ablations can ask "does this operator mix still
-//! fit?".
+//! taken directly from the paper's Table 1. Composing them per
+//! configured pipeline ("does this operator mix still fit?") is
+//! test-only: it pins §6.1's envelope, and no datapath consults it.
 
+#[cfg(test)]
 use fv_pipeline::{GroupingSpec, PipelineSpec};
 
 /// Utilization of the four FPGA resource classes, in percent of the
@@ -39,7 +40,8 @@ impl ResourceUsage {
     }
 
     /// Largest class utilization — the binding constraint.
-    pub fn max_class(self) -> f64 {
+    #[cfg(test)]
+    fn max_class(self) -> f64 {
         self.clb_luts.max(self.regs).max(self.bram).max(self.dsps)
     }
 
@@ -132,7 +134,8 @@ pub mod operators {
 }
 
 /// Resource usage of the operators a spec instantiates in one region.
-pub fn pipeline_usage(spec: &PipelineSpec) -> ResourceUsage {
+#[cfg(test)]
+fn pipeline_usage(spec: &PipelineSpec) -> ResourceUsage {
     // Packer+sender always present.
     let mut u = operators::PACK_SEND;
     // Parse/annotate + any of projection/selection/aggregation share the
@@ -163,7 +166,8 @@ pub fn pipeline_usage(spec: &PipelineSpec) -> ResourceUsage {
 /// Does a full deployment (system + one pipeline per region) fit the
 /// paper's "not more than 30 %... comfortably under half the device"
 /// envelope? Returns the total.
-pub fn deployment_usage(regions: usize, specs: &[&PipelineSpec]) -> ResourceUsage {
+#[cfg(test)]
+fn deployment_usage(regions: usize, specs: &[&PipelineSpec]) -> ResourceUsage {
     let mut total = system_usage(regions);
     for s in specs {
         total = total.plus(pipeline_usage(s));

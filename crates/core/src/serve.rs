@@ -55,20 +55,20 @@ use crate::fleet::{FleetTable, Partitioning};
 /// mirrors the fault injector's: one base unit, doubling per attempt,
 /// saturating after [`SERVE_BACKOFF_DOUBLINGS`] doublings — but at
 /// serving timescale (queue drain, not wire round trip).
-pub const SERVE_RETRY_BACKOFF: SimDuration = SimDuration::from_micros(1);
+pub(crate) const SERVE_RETRY_BACKOFF: SimDuration = SimDuration::from_micros(1);
 
 /// How many times the retry backoff doubles before it saturates.
-pub const SERVE_BACKOFF_DOUBLINGS: u32 = 6;
+pub(crate) const SERVE_BACKOFF_DOUBLINGS: u32 = 6;
 
 /// Largest service ratio the weighted DRR enforces between the
 /// heaviest and lightest tenant. Weights beyond this spread still get
 /// at least `1/MAX_DRR_RATIO` of a quantum per round, bounding both
 /// starvation and scheduler passes.
-pub const MAX_DRR_RATIO: u64 = 256;
+pub(crate) const MAX_DRR_RATIO: u64 = 256;
 
 /// The backoff before retry attempt `attempt` (1-based): capped
 /// exponential, never unbounded.
-pub fn retry_backoff(attempt: u32) -> SimDuration {
+pub(crate) fn retry_backoff(attempt: u32) -> SimDuration {
     SERVE_RETRY_BACKOFF * u64::from(1u32 << attempt.min(SERVE_BACKOFF_DOUBLINGS))
 }
 
@@ -106,7 +106,7 @@ impl ServeClass {
 
     /// Fraction of the global queue this class may fill before its
     /// arrivals are rejected (the watermark ladder).
-    pub fn admit_fraction(self) -> f64 {
+    pub(crate) fn admit_fraction(self) -> f64 {
         match self {
             ServeClass::Gold => 1.0,
             ServeClass::Silver => 0.75,

@@ -34,10 +34,11 @@
 //!   Over a [`QPair`] that is one node, and staging *adopts* the chunks
 //!   as the pages of the table's allocation: no byte is copied, and a
 //!   later write to a staged page copies that page first, so it never
-//!   reaches the far chunk or the device. Over a [`FleetConn`] staged
-//!   tables scatter across the fleet under the topology's *current*
-//!   epoch, and a resident staged before a membership change is
-//!   restaged into the new placement the next time it is queried. The
+//!   reaches the far chunk or the device. Over a
+//!   [`FleetConn`](crate::FleetConn) staged tables scatter across the
+//!   fleet under the topology's *current* epoch, and a resident staged
+//!   before a membership change is restaged into the new placement the
+//!   next time it is queried. The
 //!   restage sources from far memory when the table is still there.
 //! * A pool is also a serving backend: `ServeEngine<TieredPool<'_, C>>`
 //!   serves tenants whose tables do not all fit in DRAM, each tenant's
@@ -70,7 +71,7 @@ use fv_data::{RowImage, Schema, Table};
 use fv_sim::{calib, SimDuration};
 
 use crate::cluster::{QPair, QueryOutcome};
-use crate::conn::{Conn, FleetConn};
+use crate::conn::Conn;
 use crate::error::FvError;
 use crate::serve::ServeBackend;
 use crate::PipelineSpec;
@@ -177,12 +178,12 @@ impl BlockStore {
     }
 
     /// Flip every bit of one byte of a stored object — a fault-injection
-    /// hook for exercising the typed [`CodecError`](fv_data::CodecError)
-    /// path (the chaos suite's storage-corruption fault). The extent is
-    /// copied first, so whoever already shares it keeps the old bytes.
-    /// Returns false when the object does not exist or `byte` is out of
-    /// range.
-    pub fn corrupt_object(&mut self, name: &str, byte: usize) -> bool {
+    /// hook for this module's tests of the typed
+    /// [`CodecError`](fv_data::CodecError) path. The extent is copied
+    /// first, so whoever already shares it keeps the old bytes. Returns
+    /// false when the object does not exist or `byte` is out of range.
+    #[cfg(test)]
+    fn corrupt_object(&mut self, name: &str, byte: usize) -> bool {
         let mut at = byte;
         for extent in self.objects.get_mut(name).into_iter().flatten() {
             if at < extent.len() {
@@ -412,7 +413,7 @@ struct Resident<S> {
 /// An LRU-managed slice of the disaggregated buffer pool backed by a
 /// far-memory image tier and a [`BlockStore`], staging into whatever
 /// connection `C` it is given — one node's [`QPair`] by default, a
-/// whole fleet through a [`FleetConn`].
+/// whole fleet through a [`FleetConn`](crate::FleetConn).
 pub struct TieredPool<'a, C: Conn = QPair> {
     conn: &'a C,
     far: FarTier,
@@ -481,11 +482,6 @@ impl<'a, C: Conn> TieredPool<'a, C> {
         self.resident.contains_key(name)
     }
 
-    /// `(hits, misses)` so far (a restage counts as a miss).
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Residents restaged because their placement went stale.
     pub fn restages(&self) -> u64 {
         self.restages
@@ -494,12 +490,6 @@ impl<'a, C: Conn> TieredPool<'a, C> {
     /// Bytes currently resident in DRAM, every replica counted.
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
-    }
-
-    /// Bytes of tables currently resident in far memory, each charged
-    /// its row data.
-    pub fn far_resident_bytes(&self) -> u64 {
-        self.far.resident_bytes
     }
 
     /// Tables evicted from far memory so far; each is read whole off
@@ -516,7 +506,8 @@ impl<'a, C: Conn> TieredPool<'a, C> {
     /// Fault-injection hook: corrupt one byte of a stored image — the
     /// next cold staging of `name` fails with a typed
     /// [`FvError::Codec`].
-    pub fn corrupt_stored(&mut self, name: &str, byte: usize) -> bool {
+    #[cfg(test)]
+    fn corrupt_stored(&mut self, name: &str, byte: usize) -> bool {
         // Invalidate the cached far copy so the corrupted bytes are
         // actually re-read and re-validated.
         self.far.forget(name);
@@ -614,13 +605,6 @@ impl<'a, C: Conn> TieredPool<'a, C> {
     }
 }
 
-impl TieredPool<'_, FleetConn> {
-    /// The epoch `name`'s resident copy was placed at, if resident.
-    pub fn resident_epoch(&self, name: &str) -> Option<u64> {
-        self.resident.get(name).map(|r| r.staged.epoch())
-    }
-}
-
 /// Serving straight off the pool: tenant `t`'s table is the object
 /// inserted under `t`'s id in decimal (`pool.insert("7", &table)` for
 /// tenant 7). A query that misses DRAM stages its table first, and the
@@ -646,6 +630,7 @@ impl<C: Conn> ServeBackend for TieredPool<'_, C> {
 mod tests {
     use super::*;
     use crate::fleet::{FarviewFleet, Partitioning};
+    use crate::FleetConn;
     use crate::{FarviewCluster, FarviewConfig};
     use fv_pipeline::PredicateExpr;
 
@@ -713,7 +698,7 @@ mod tests {
         assert_eq!(hot.stage_in_time, SimDuration::ZERO);
         assert_eq!(hot.outcome.payload, t.bytes());
         assert!(hot.total_time() < cold.total_time());
-        assert_eq!(pool.hit_stats(), (1, 1));
+        assert_eq!((pool.hits, pool.misses), (1, 1));
     }
 
     #[test]
@@ -875,7 +860,7 @@ mod tests {
             payload(&first),
             "results stay byte-identical across evict + restage"
         );
-        assert_eq!(pool.hit_stats(), (0, 3));
+        assert_eq!((pool.hits, pool.misses), (0, 3));
     }
     on_both_connections!(
         requery_after_eviction,
@@ -901,7 +886,7 @@ mod tests {
 
         pool.query("c", &spec).unwrap();
         assert_eq!(pool.far_spills(), 1, "b's image left far memory whole");
-        assert_eq!(pool.far_resident_bytes(), 2 * tables[0].byte_len() as u64);
+        assert_eq!(pool.far.resident_bytes, 2 * tables[0].byte_len() as u64);
         assert_eq!(pool.io_counts().0, 3, "one device read per cold image");
 
         // The warm image is still far-resident: no device read.
@@ -995,7 +980,7 @@ mod tests {
         assert!(matches!(err, FvError::Codec(_)), "{err}");
         assert!(!pool.is_resident("t"));
         assert_eq!(free_pages(), baseline, "a rejected image stages nothing");
-        assert_eq!(pool.far_resident_bytes(), 0, "nor is it installed far");
+        assert_eq!(pool.far.resident_bytes, 0, "nor is it installed far");
         // Re-inserting clean bytes recovers the object.
         pool.insert("t", &table(2, 64 << 10)).unwrap();
         assert!(pool.query("t", &PipelineSpec::passthrough()).is_ok());
@@ -1099,7 +1084,9 @@ mod tests {
         let mut pool = TieredPool::new(&qp, 1 << 20, BlockStore::default());
         pool.insert("t", &t).unwrap();
         let baseline = cluster.free_pages();
-        cluster.set_fault_plan(crate::FaultPlan::none().partitioned());
+        cluster
+            .set_fault_plan(crate::FaultPlan::none().partitioned())
+            .unwrap();
         let err = pool.query("t", &spec).unwrap_err();
         assert!(matches!(err, FvError::Net(_)), "{err}");
         assert!(!pool.is_resident("t"));
@@ -1109,7 +1096,7 @@ mod tests {
         assert!(matches!(qp.stage(&chunks_of(&t)), Err(FvError::Net(_))));
         assert_eq!(cluster.free_pages(), baseline, "image staging leaked");
 
-        cluster.set_fault_plan(crate::FaultPlan::none());
+        cluster.set_fault_plan(crate::FaultPlan::none()).unwrap();
         let cold = pool.query("t", &spec).unwrap();
         assert!(!cold.buffer_hit);
         assert_eq!(cold.outcome.payload, direct.payload);
@@ -1129,7 +1116,10 @@ mod tests {
         assert_eq!(cold.staged_from, Some(TierLevel::Disk));
         assert_eq!(cold.outcome.merged.payload, t.bytes());
         assert_eq!(cold.outcome.per_shard.len(), 2);
-        assert_eq!(pool.resident_epoch("orders"), Some(0));
+        assert_eq!(
+            pool.resident.get("orders").map(|r| r.staged.epoch()),
+            Some(0)
+        );
 
         let hot = pool.query("orders", &PipelineSpec::passthrough()).unwrap();
         assert!(hot.buffer_hit);
@@ -1166,9 +1156,12 @@ mod tests {
             "cold data lands on the shard set that exists now"
         );
         assert_eq!(restaged.outcome.merged.payload, t.bytes());
-        assert_eq!(pool.resident_epoch("orders"), Some(fleet.epoch()));
+        assert_eq!(
+            pool.resident.get("orders").map(|r| r.staged.epoch()),
+            Some(fleet.epoch())
+        );
         assert_eq!(pool.restages(), 1);
-        assert_eq!(pool.hit_stats(), (2, 2));
+        assert_eq!((pool.hits, pool.misses), (2, 2));
     }
 
     /// A replicated fleet pool charges every copy it stages against its

@@ -17,7 +17,7 @@
 //!   *plus* the shard→node mapping (with an optional replication factor
 //!   `r`, so each shard lives on `r` distinct nodes), stamped with the
 //!   epoch it was computed at.
-//! * [`MovePlan`] / [`plan_moves`] — the **minimal** set of row copies
+//! * `MovePlan` / `plan_moves` — the **minimal** set of row copies
 //!   turning one placement into another: a `(row, destination)` copy is
 //!   scheduled only when the destination does not already hold the row
 //!   (contiguous row-range splits under
@@ -370,7 +370,7 @@ impl Placement {
 /// One batch of row copies from one source node to one destination —
 /// the unit the rebalancer turns into a costed copy episode.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMove {
+pub(crate) struct ShardMove {
     /// Node the bytes are read from (a surviving holder of the rows).
     pub from: NodeId,
     /// Node that must hold the rows under the target placement.
@@ -383,7 +383,7 @@ pub struct ShardMove {
 
 /// The minimal set of copies turning one placement into another.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MovePlan {
+pub(crate) struct MovePlan {
     /// Per `(from, to)` pair with at least one moved row, ascending by
     /// `(from, to)`.
     pub moves: Vec<ShardMove>,
@@ -391,18 +391,13 @@ pub struct MovePlan {
 
 impl MovePlan {
     /// Total `(row, destination)` copies.
-    pub fn moved_rows(&self) -> u64 {
+    pub(crate) fn moved_rows(&self) -> u64 {
         self.moves.iter().map(|m| m.rows.len() as u64).sum()
     }
 
     /// Total bytes crossing the wire.
-    pub fn moved_bytes(&self) -> u64 {
+    pub(crate) fn moved_bytes(&self) -> u64 {
         self.moves.iter().map(|m| m.bytes).sum()
-    }
-
-    /// True when the placements already agree (nothing to copy).
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
     }
 }
 
@@ -415,7 +410,7 @@ impl MovePlan {
 /// # Errors
 /// [`FvError::NodeDown`] when some row's holders are all dead (the data
 /// is unrecoverable without external state).
-pub fn plan_moves(
+pub(crate) fn plan_moves(
     old: &Placement,
     new: &Placement,
     row_bytes: usize,
@@ -647,7 +642,7 @@ mod tests {
         assert_eq!(plan.moves[0].rows, vec![3, 4, 5]);
         // Same placements: nothing moves.
         let plan = plan_moves(&new, &new, schema.row_bytes(), |_| true).unwrap();
-        assert!(plan.is_empty());
+        assert!(plan.moves.is_empty());
     }
 
     #[test]
@@ -658,7 +653,7 @@ mod tests {
         // Both nodes hold everything under r=2 on two nodes, so any
         // same-roster retarget moves nothing.
         let plan = plan_moves(&old, &old, schema.row_bytes(), |_| true).unwrap();
-        assert!(plan.is_empty());
+        assert!(plan.moves.is_empty());
         // Sources fall back to the surviving replica when one dies.
         let grown = Placement::compute(
             &snap(1, &[0, 1, 2]),

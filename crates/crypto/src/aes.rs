@@ -191,11 +191,6 @@ impl Aes128 {
         })
     }
 
-    /// Encrypt one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        *block = self.encrypt(block);
-    }
-
     /// Encrypt a copy of `block`.
     pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
         let [out] = self.encrypt_blocks([u128::from_be_bytes(*block)]);
@@ -212,7 +207,7 @@ pub(crate) mod reference {
 
     /// SplitMix64: the seeded stream the differential properties draw
     /// keys, blocks and lengths from.
-    pub fn splitmix(state: &mut u64) -> u64 {
+    pub(crate) fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -221,13 +216,13 @@ pub(crate) mod reference {
     }
 
     /// Sixteen bytes of [`splitmix`].
-    pub fn random_block(state: &mut u64) -> [u8; 16] {
+    pub(crate) fn random_block(state: &mut u64) -> [u8; 16] {
         let wide = (u128::from(splitmix(state)) << 64) | u128::from(splitmix(state));
         wide.to_be_bytes()
     }
 
     /// Expand `key` into 11 round keys of 16 bytes.
-    pub fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
+    pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
         let mut w = [[0u8; 4]; 44];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
             w[i].copy_from_slice(chunk);
@@ -256,7 +251,7 @@ pub(crate) mod reference {
     }
 
     /// Encrypt one block under `key`.
-    pub fn encrypt(key: &[u8; 16], block: &[u8; 16]) -> [u8; 16] {
+    pub(crate) fn encrypt(key: &[u8; 16], block: &[u8; 16]) -> [u8; 16] {
         let round_keys = expand_key(key);
         let mut state = *block;
         add_round_key(&mut state, &round_keys[0]);
@@ -286,7 +281,7 @@ pub(crate) mod reference {
 
     /// State is column-major (FIPS-197 §3.4): byte `state[4c + r]` is row
     /// r, column c. ShiftRows rotates row r left by r.
-    pub fn shift_rows(state: &mut [u8; 16]) {
+    pub(crate) fn shift_rows(state: &mut [u8; 16]) {
         // Row 1: left rotate by 1.
         let t = state[1];
         state[1] = state[5];
@@ -353,9 +348,6 @@ mod tests {
             aes.encrypt(&pt).to_vec(),
             hex("3925841d02dc09fbdc118597196a0b32")
         );
-        let mut in_place = pt;
-        aes.encrypt_block(&mut in_place);
-        assert_eq!(in_place, aes.encrypt(&pt));
     }
 
     /// Key schedule spot check: last round key of the FIPS-197 Appendix A

@@ -1,4 +1,4 @@
-//! # fv-data — row-format tables, schemas, and the client catalog
+//! # fv-data — row-format tables, schemas, and table images
 //!
 //! Farview stores base tables in disaggregated memory in **row format**
 //! ("We assume that all data is stored in row format", paper §5 fn. 1)
@@ -14,9 +14,6 @@
 //! * [`RowView`] — zero-copy access to one tuple inside a byte slice,
 //!   used by both the FPGA-side operators and the CPU baselines so both
 //!   engines parse the exact same bytes.
-//! * [`Catalog`] — the client-side table catalog ("We assume that the
-//!   clients have local catalog information that is used to determine the
-//!   addresses of the tables to be accessed", §4.1).
 //! * [`RowImage`] — the versioned table image the tiered storage stack
 //!   persists: a 64-byte header followed by the table's rows in the
 //!   same row format, opened in place (validated once, nothing
@@ -26,14 +23,12 @@
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-mod catalog;
 pub mod colimage;
 mod row;
 mod schema;
 mod table;
 mod value;
 
-pub use catalog::{Catalog, CatalogEntry};
 pub use colimage::{schema_fingerprint, CodecError, ColumnImage, RowImage};
 pub use row::{iter_rows, Row, RowView};
 pub use schema::{Column, Schema};

@@ -90,11 +90,6 @@ impl Schema {
         self.row_bytes
     }
 
-    /// Look a column up by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// The byte range of column `idx` within a row.
     pub fn column_range(&self, idx: usize) -> std::ops::Range<usize> {
         let start = self.offsets[idx];
@@ -122,8 +117,6 @@ mod tests {
         assert_eq!(s.row_bytes(), 64);
         assert_eq!(s.offset(0), 0);
         assert_eq!(s.offset(7), 56);
-        assert_eq!(s.index_of("c3"), Some(3));
-        assert_eq!(s.index_of("nope"), None);
     }
 
     #[test]

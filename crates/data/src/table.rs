@@ -107,7 +107,8 @@ impl TableBuilder {
     }
 
     /// Append one row, rejecting schema mismatches instead of
-    /// panicking — the boundary for rows of external origin.
+    /// panicking — the boundary for rows of external origin. Nothing
+    /// outside this file's tests calls it yet.
     ///
     /// # Errors
     /// [`crate::ValueError`] when the row's arity, any value's type, or

@@ -4,11 +4,9 @@ use std::fmt;
 
 /// A value/column type or width mismatch in the physical codec.
 ///
-/// The fallible entry points ([`ColumnType::try_decode`],
-/// [`Value::try_encode_into`]) return this at public boundaries where
-/// the bytes or values originate outside the engine (user-supplied
-/// specs, tables built from client rows); the panicking wrappers remain
-/// for internal paths whose inputs are already validated.
+/// The fallible codec ([`Value::try_encode_into`]) reports this; the
+/// panicking [`ColumnType::decode`] and [`Row::encode`](crate::Row::encode)
+/// serve paths whose inputs are already validated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValueError {
     /// The value's variant does not match the declared column type.
@@ -87,9 +85,8 @@ impl ColumnType {
     /// Decode a value of this type from exactly `width()` bytes.
     ///
     /// # Errors
-    /// [`ValueError::WidthMismatch`] when `raw.len() != self.width()` —
-    /// the fallible boundary for bytes of external origin.
-    pub fn try_decode(self, raw: &[u8]) -> Result<Value, ValueError> {
+    /// [`ValueError::WidthMismatch`] when `raw.len() != self.width()`.
+    pub(crate) fn try_decode(self, raw: &[u8]) -> Result<Value, ValueError> {
         if raw.len() != self.width() {
             return Err(ValueError::WidthMismatch {
                 got: raw.len(),
@@ -125,7 +122,8 @@ pub enum Value {
     /// Double-precision float.
     F64(f64),
     /// Byte string (length must match the column's declared width when
-    /// encoded; shorter strings are zero-padded by [`Value::encode_into`]).
+    /// encoded; shorter strings are zero-padded by
+    /// [`Value::try_encode_into`]).
     Bytes(Vec<u8>),
 }
 
@@ -183,17 +181,6 @@ impl Value {
         Ok(())
     }
 
-    /// Append the physical encoding of this value as column type `ty`
-    /// (internal paths with already-validated values).
-    ///
-    /// # Panics
-    /// Panics on a type mismatch, or if a byte string is longer than the
-    /// declared column width.
-    pub fn encode_into(&self, ty: ColumnType, out: &mut Vec<u8>) {
-        self.try_encode_into(ty, out)
-            .unwrap_or_else(|e| panic!("encode {self:?}: {e}"))
-    }
-
     /// Unwrap as `u64`.
     ///
     /// # Panics
@@ -202,17 +189,6 @@ impl Value {
         match self {
             Value::U64(x) => *x,
             other => panic!("expected U64, got {other:?}"),
-        }
-    }
-
-    /// Unwrap as `i64`.
-    ///
-    /// # Panics
-    /// Panics if the variant is not `I64`.
-    pub fn as_i64(&self) -> i64 {
-        match self {
-            Value::I64(x) => *x,
-            other => panic!("expected I64, got {other:?}"),
         }
     }
 
@@ -300,7 +276,7 @@ mod tests {
         ] {
             let ty = v.column_type(0);
             let mut buf = Vec::new();
-            v.encode_into(ty, &mut buf);
+            v.try_encode_into(ty, &mut buf).unwrap();
             assert_eq!(buf.len(), ty.width());
             assert_eq!(ty.decode(&buf), v);
         }
@@ -311,7 +287,7 @@ mod tests {
         let v = Value::Bytes(b"car".to_vec());
         let ty = ColumnType::Bytes(8);
         let mut buf = Vec::new();
-        v.encode_into(ty, &mut buf);
+        v.try_encode_into(ty, &mut buf).unwrap();
         assert_eq!(buf, b"car\0\0\0\0\0");
         assert_eq!(ty.decode(&buf), Value::Bytes(b"car\0\0\0\0\0".to_vec()));
     }
@@ -319,15 +295,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit")]
     fn oversized_bytes_rejected() {
-        let mut buf = Vec::new();
-        Value::Bytes(vec![0; 9]).encode_into(ColumnType::Bytes(8), &mut buf);
+        let schema = crate::Schema::new(vec![crate::Column {
+            name: "s".into(),
+            ty: ColumnType::Bytes(8),
+        }]);
+        crate::Row(vec![Value::Bytes(vec![0; 9])]).encode(&schema);
     }
 
     #[test]
     #[should_panic(expected = "does not match")]
     fn type_mismatch_rejected() {
-        let mut buf = Vec::new();
-        Value::U64(1).encode_into(ColumnType::F64, &mut buf);
+        let schema = crate::Schema::new(vec![crate::Column {
+            name: "x".into(),
+            ty: ColumnType::F64,
+        }]);
+        crate::Row(vec![Value::U64(1)]).encode(&schema);
     }
 
     #[test]
@@ -358,7 +340,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(Value::from(5u64).as_u64(), 5);
-        assert_eq!(Value::from(-5i64).as_i64(), -5);
         assert_eq!(Value::from(2.5f64).as_f64(), 2.5);
         assert_eq!(Value::from("hi").as_bytes(), b"hi");
     }

@@ -7,7 +7,7 @@
 //! memory offers additional parallelization potential").
 
 use fv_sim::calib::{DRAM_BURST_OVERHEAD, DRAM_CHANNEL_BW};
-use fv_sim::{BandwidthServer, SimDuration, SimTime};
+use fv_sim::{BandwidthServer, SimTime};
 
 /// Per-channel FIFO bandwidth servers.
 #[derive(Debug, Clone)]
@@ -18,15 +18,10 @@ pub struct DramTiming {
 impl DramTiming {
     /// Timing for `n_channels` channels at the calibrated rate.
     pub fn new(n_channels: usize) -> Self {
-        Self::with_rate(n_channels, DRAM_CHANNEL_BW, DRAM_BURST_OVERHEAD)
-    }
-
-    /// Explicit rate/overhead (used by ablation benches).
-    pub fn with_rate(n_channels: usize, bytes_per_sec: f64, overhead: SimDuration) -> Self {
         assert!(n_channels > 0);
         DramTiming {
             channels: (0..n_channels)
-                .map(|_| BandwidthServer::new(bytes_per_sec, overhead))
+                .map(|_| BandwidthServer::new(DRAM_CHANNEL_BW, DRAM_BURST_OVERHEAD))
                 .collect(),
         }
     }
@@ -42,22 +37,6 @@ impl DramTiming {
         self.channels[channel].admit(now, bytes)
     }
 
-    /// Earliest instant all channels are idle.
-    pub fn all_idle_at(&self) -> SimTime {
-        self.channels
-            .iter()
-            .map(BandwidthServer::busy_until)
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-
-    /// Total bytes served per channel (load-balance checks).
-    pub fn bytes_per_channel(&self) -> Vec<u64> {
-        self.channels
-            .iter()
-            .map(BandwidthServer::bytes_served)
-            .collect()
-    }
-
     /// Reset all channel horizons (new episode).
     pub fn reset(&mut self) {
         for c in &mut self.channels {
@@ -70,6 +49,7 @@ impl DramTiming {
 mod tests {
     use super::*;
     use fv_sim::calib::MEM_BURST_BYTES;
+    use fv_sim::SimDuration;
 
     #[test]
     fn two_channels_double_effective_bandwidth() {
@@ -105,9 +85,15 @@ mod tests {
         let mut t = DramTiming::new(2);
         t.admit(0, SimTime::ZERO, 100);
         t.admit(1, SimTime::ZERO, 200);
-        assert_eq!(t.bytes_per_channel(), vec![100, 200]);
+        let served = |t: &DramTiming| -> Vec<u64> {
+            t.channels
+                .iter()
+                .map(BandwidthServer::bytes_served)
+                .collect()
+        };
+        assert_eq!(served(&t), vec![100, 200]);
         t.reset();
-        assert_eq!(t.bytes_per_channel(), vec![0, 0]);
-        assert_eq!(t.all_idle_at(), SimTime::ZERO);
+        assert_eq!(served(&t), vec![0, 0]);
+        assert!(t.channels.iter().all(|c| c.busy_until() == SimTime::ZERO));
     }
 }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 /// TLB key: `(protection domain, virtual page number)`.
-pub type TlbKey = (u32, u64);
+pub(crate) type TlbKey = (u32, u64);
 
 /// A bounded, LRU-replaced translation cache.
 #[derive(Debug, Clone)]

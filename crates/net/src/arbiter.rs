@@ -69,6 +69,7 @@ impl EgressArbiter {
     /// occupant inherits a stranger's bytes ahead of its own. The
     /// caller decides their fate — requeue onto the departing flow's
     /// replacement, count them as dropped, or just let them fall.
+    /// Nothing outside this file's tests calls it yet.
     pub fn unbind(&mut self, slot: usize) -> Vec<Packet> {
         self.bound.retain(|&(_, s)| s != slot);
         self.drr.drain_flow(slot)
@@ -78,11 +79,6 @@ impl EgressArbiter {
     pub fn slot_of(&self, qp: QpId) -> Option<usize> {
         let at = self.bound.binary_search_by_key(&qp, |&(id, _)| id).ok()?;
         self.bound.get(at).map(|&(_, slot)| slot)
-    }
-
-    /// Streams bound to a slot.
-    pub fn bound_count(&self, slot: usize) -> usize {
-        self.bound.iter().filter(|&&(_, s)| s == slot).count()
     }
 
     /// Enqueue a packet for transmission on its flow's slot.
@@ -122,6 +118,11 @@ mod tests {
 
     fn pkt(qp: u32, seq: u32) -> Packet {
         Packet::data(qp, seq, Bytes::from(vec![0u8; 1024]), false)
+    }
+
+    /// Streams bound to `slot`.
+    fn bound_count(arb: &EgressArbiter, slot: usize) -> usize {
+        arb.bound.iter().filter(|&&(_, s)| s == slot).count()
     }
 
     #[test]
@@ -185,7 +186,7 @@ mod tests {
         arb.bind(0, 10);
         arb.bind(0, 11);
         arb.bind(1, 20);
-        assert_eq!(arb.bound_count(0), 2);
+        assert_eq!(bound_count(&arb, 0), 2);
         for s in 0..4 {
             arb.push(pkt(10, s)).unwrap();
             arb.push(pkt(11, s)).unwrap();
@@ -217,7 +218,7 @@ mod tests {
         assert_eq!(arb.slot_of(6), Some(0));
         // Re-binding the same id is idempotent.
         arb.bind(0, 6);
-        assert_eq!(arb.bound_count(0), 1);
+        assert_eq!(bound_count(&arb, 0), 1);
     }
 
     #[test]
@@ -228,9 +229,9 @@ mod tests {
             arb.bind(0, id);
             arb.bind(1, id + 1000);
         }
-        assert_eq!(arb.bound_count(0), 5);
+        assert_eq!(bound_count(&arb, 0), 5);
         arb.unbind(0);
-        assert_eq!(arb.bound_count(0), 0);
+        assert_eq!(bound_count(&arb, 0), 0);
         for id in [40, 7, 300, 12, 99] {
             assert_eq!(arb.slot_of(id), None, "id {id} survived its slot");
             assert_eq!(arb.push(pkt(id, 0)), Err(NetError::UnboundQp { qp: id }));
@@ -260,7 +261,7 @@ mod tests {
         for i in (0..depth).rev() {
             arb.bind(0, (1 << 10) | i);
         }
-        assert_eq!(arb.bound_count(0), depth as usize);
+        assert_eq!(bound_count(&arb, 0), depth as usize);
         for i in 0..depth {
             let id = (1 << 10) | i;
             assert_eq!(arb.slot_of(id), Some(0));

@@ -23,6 +23,7 @@ use fv_sim::calib::WIRE_ONE_WAY;
 use fv_sim::{BandwidthServer, SimDuration};
 
 use crate::link::NicKind;
+use crate::qp::NetError;
 
 /// Base unit of the retry backoff schedule: one round trip on the wire.
 const RETRY_BACKOFF: SimDuration = SimDuration::from_nanos(2 * WIRE_ONE_WAY.as_nanos());
@@ -140,29 +141,27 @@ impl FaultPlan {
 
     /// Check the plan's parameters.
     ///
-    /// # Panics
-    /// Panics on out-of-range probabilities or a non-positive bandwidth
-    /// cap — a misconfigured plan, not a runtime fault.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.loss),
-            "loss probability must be in [0, 1): {}",
-            self.loss
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.delay_spike_prob),
-            "delay spike probability must be in [0, 1]: {}",
-            self.delay_spike_prob
-        );
-        if let Some(f) = self.bandwidth_cap {
-            assert!(
-                f > 0.0 && f <= 1.0,
-                "bandwidth cap must be a fraction in (0, 1]: {f}"
-            );
+    /// # Errors
+    /// [`NetError::InvalidFaultPlan`] names the first field out of
+    /// range: a loss probability outside `[0, 1)`, a spike probability
+    /// outside `[0, 1]`, a bandwidth cap outside `(0, 1]`, or a doorbell
+    /// truncation that delivers nothing — a misconfigured plan, not a
+    /// runtime fault.
+    pub fn validate(&self) -> Result<(), NetError> {
+        let invalid = |field| Err(NetError::InvalidFaultPlan { field });
+        if !(0.0..1.0).contains(&self.loss) {
+            return invalid("loss");
         }
-        if let Some(n) = self.truncate_doorbell {
-            assert!(n > 0, "doorbell truncation must deliver at least one WQE");
+        if !(0.0..=1.0).contains(&self.delay_spike_prob) {
+            return invalid("delay_spike_prob");
         }
+        if self.bandwidth_cap.is_some_and(|f| !(f > 0.0 && f <= 1.0)) {
+            return invalid("bandwidth_cap");
+        }
+        if self.truncate_doorbell == Some(0) {
+            return invalid("truncate_doorbell");
+        }
+        Ok(())
     }
 }
 
@@ -181,19 +180,23 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// An injector for `plan` on a link of the given NIC kind (the kind
     /// fixes the native peak rate the bandwidth cap is relative to).
-    pub fn new(kind: NicKind, plan: FaultPlan) -> Self {
-        plan.validate();
+    ///
+    /// # Errors
+    /// [`NetError::InvalidFaultPlan`] when the plan does not
+    /// [`validate`](FaultPlan::validate).
+    pub fn new(kind: NicKind, plan: FaultPlan) -> Result<Self, NetError> {
+        plan.validate()?;
         let cap = plan
             .bandwidth_cap
             .map(|f| BandwidthServer::new(kind.peak_rate() * f, kind.per_packet()));
-        FaultInjector {
+        Ok(FaultInjector {
             rng: plan.seed,
             plan,
             cap,
             retries: 0,
             spikes: 0,
             exhausted: 0,
-        }
+        })
     }
 
     /// The plan this injector replays.
@@ -290,7 +293,7 @@ mod tests {
     fn default_plan_is_benign() {
         let p = FaultPlan::default();
         assert!(p.is_benign());
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]
@@ -307,20 +310,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "loss probability")]
-    fn certain_loss_is_rejected() {
-        FaultPlan::default().with_loss(1.0).validate();
+    fn out_of_range_plans_are_refused_typed() {
+        let invalid = |field| Err(NetError::InvalidFaultPlan { field });
+        assert_eq!(
+            FaultPlan::default().with_loss(1.0).validate(),
+            invalid("loss")
+        );
+        let spikes = FaultPlan::default().with_delay_spikes(1.5, SimDuration::ZERO);
+        assert_eq!(spikes.validate(), invalid("delay_spike_prob"));
+        let cap = FaultPlan::default().with_bandwidth_cap(0.0);
+        assert_eq!(cap.validate(), invalid("bandwidth_cap"));
+        let truncate = FaultPlan::default().with_doorbell_truncation(0);
+        assert_eq!(truncate.validate(), invalid("truncate_doorbell"));
+        assert!(FaultInjector::new(NicKind::FarviewFpga, cap).is_err());
     }
 
     #[test]
     fn draws_replay_from_the_seed() {
         let plan = FaultPlan::default().with_seed(42).with_loss(0.3);
-        let mut a = FaultInjector::new(NicKind::FarviewFpga, plan.clone());
+        let mut a = FaultInjector::new(NicKind::FarviewFpga, plan.clone()).unwrap();
         let first: Vec<bool> = (0..64).map(|_| a.lost()).collect();
         a.reset();
         let replay: Vec<bool> = (0..64).map(|_| a.lost()).collect();
         assert_eq!(first, replay, "reset must replay the identical pattern");
-        let mut b = FaultInjector::new(NicKind::FarviewFpga, plan);
+        let mut b = FaultInjector::new(NicKind::FarviewFpga, plan).unwrap();
         let fresh: Vec<bool> = (0..64).map(|_| b.lost()).collect();
         assert_eq!(first, fresh, "same plan, same draws");
         assert!(first.iter().any(|&l| l), "30% loss over 64 draws hits");
@@ -329,7 +342,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_then_saturates() {
-        let inj = FaultInjector::new(NicKind::FarviewFpga, FaultPlan::default());
+        let inj = FaultInjector::new(NicKind::FarviewFpga, FaultPlan::default()).unwrap();
         assert!(inj.backoff(2) == inj.backoff(1) * 2);
         assert_eq!(
             inj.backoff(BACKOFF_DOUBLINGS),

@@ -11,8 +11,8 @@
 //!   capped by the PCIe bus (~11 GBps, §6.2).
 
 use fv_sim::calib::{
-    FV_NET_PEAK, FV_PER_PACKET, FV_REQ_OCCUPANCY, FV_REQ_PROC, RNIC_PCIE_LATENCY, RNIC_PCIE_PEAK,
-    RNIC_PER_PACKET, RNIC_REQ_OCCUPANCY, RNIC_REQ_PROC, WIRE_ONE_WAY,
+    FV_NET_PEAK, FV_PER_PACKET, FV_REQ_OCCUPANCY, RNIC_PCIE_PEAK, RNIC_PER_PACKET,
+    RNIC_REQ_OCCUPANCY, WIRE_ONE_WAY,
 };
 use fv_sim::{BandwidthServer, SimDuration, SimTime};
 
@@ -30,14 +30,6 @@ pub enum NicKind {
 }
 
 impl NicKind {
-    /// Fixed request-processing latency at the remote NIC.
-    pub fn request_processing(self) -> SimDuration {
-        match self {
-            NicKind::FarviewFpga => FV_REQ_PROC,
-            NicKind::CommercialRnic => RNIC_REQ_PROC + RNIC_PCIE_LATENCY,
-        }
-    }
-
     /// Per-packet egress processing.
     pub fn per_packet(self) -> SimDuration {
         match self {
@@ -97,12 +89,16 @@ impl LinkTiming {
     /// A link degraded per `plan`. A benign plan builds a healthy link
     /// with no injector at all, so the fault path costs nothing when
     /// chaos is off.
-    pub fn with_faults(kind: NicKind, plan: FaultPlan) -> Self {
+    ///
+    /// # Errors
+    /// [`NetError::InvalidFaultPlan`] when the plan does not
+    /// [`validate`](FaultPlan::validate).
+    pub fn with_faults(kind: NicKind, plan: FaultPlan) -> Result<Self, NetError> {
         let mut link = LinkTiming::new(kind);
         if !plan.is_benign() {
-            link.faults = Some(FaultInjector::new(kind, plan));
+            link.faults = Some(FaultInjector::new(kind, plan)?);
         }
-        link
+        Ok(link)
     }
 
     /// The NIC personality.
@@ -188,11 +184,6 @@ impl LinkTiming {
         Ok(arrival)
     }
 
-    /// Bytes pushed through the wire so far.
-    pub fn bytes_transmitted(&self) -> u64 {
-        self.wire.bytes_served()
-    }
-
     /// Reset for a fresh episode; a degraded link replays its fault
     /// plan from the seed.
     pub fn reset(&mut self) {
@@ -206,16 +197,15 @@ impl LinkTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fv_sim::calib::PACKET_BYTES;
+    use fv_sim::calib::{FV_REQ_PROC, PACKET_BYTES, RNIC_PCIE_LATENCY, RNIC_REQ_PROC};
 
     #[test]
     fn fpga_vs_rnic_fixed_costs() {
-        // The RNIC must have lower per-request fixed cost at the NIC
-        // itself... no: including PCIe it is *higher*; what it wins on is
-        // occupancy under load and nothing else at large transfers.
+        // Including the PCIe hop, the RNIC's fixed request cost is
+        // higher; what it wins on is occupancy under load and nothing
+        // else at large transfers.
         assert!(
-            NicKind::CommercialRnic.request_processing()
-                > NicKind::FarviewFpga.request_processing(),
+            RNIC_REQ_PROC + RNIC_PCIE_LATENCY > FV_REQ_PROC,
             "PCIe hop must dominate the RNIC's request fixed cost"
         );
         assert!(NicKind::CommercialRnic.per_packet() > NicKind::FarviewFpga.per_packet());
@@ -242,15 +232,18 @@ mod tests {
     #[test]
     fn reset_clears_horizon() {
         let mut link = LinkTiming::new(NicKind::CommercialRnic);
-        link.transmit(SimTime::ZERO, 4096);
-        assert!(link.bytes_transmitted() > 0);
+        let first = link.transmit(SimTime::ZERO, 4096);
+        assert!(link.transmit(SimTime::ZERO, 4096) > first, "queued behind");
+        assert!(link.wire.bytes_served() > 0);
         link.reset();
-        assert_eq!(link.bytes_transmitted(), 0);
+        assert_eq!(link.wire.bytes_served(), 0);
+        assert_eq!(link.transmit(SimTime::ZERO, 4096), first);
     }
 
     #[test]
     fn benign_plan_is_a_healthy_link() {
-        let mut faulted = LinkTiming::with_faults(NicKind::FarviewFpga, FaultPlan::default());
+        let mut faulted =
+            LinkTiming::with_faults(NicKind::FarviewFpga, FaultPlan::default()).unwrap();
         assert!(
             faulted.faults().is_none(),
             "benign plan installs no injector"
@@ -268,18 +261,19 @@ mod tests {
     #[test]
     fn partition_is_an_immediate_typed_error() {
         let mut link =
-            LinkTiming::with_faults(NicKind::FarviewFpga, FaultPlan::default().partitioned());
+            LinkTiming::with_faults(NicKind::FarviewFpga, FaultPlan::default().partitioned())
+                .unwrap();
         assert_eq!(
             link.try_transmit(3, SimTime::ZERO, PACKET_BYTES),
             Err(NetError::LinkPartitioned { qp: 3 })
         );
-        assert_eq!(link.bytes_transmitted(), 0, "nothing occupies the wire");
+        assert_eq!(link.wire.bytes_served(), 0, "nothing occupies the wire");
     }
 
     #[test]
     fn loss_costs_latency_never_bytes() {
         let plan = FaultPlan::default().with_seed(7).with_loss_retries(0.4, 16);
-        let mut lossy = LinkTiming::with_faults(NicKind::FarviewFpga, plan);
+        let mut lossy = LinkTiming::with_faults(NicKind::FarviewFpga, plan).unwrap();
         let mut clean = LinkTiming::new(NicKind::FarviewFpga);
         let mut slower = false;
         for i in 0..32 {
@@ -297,7 +291,7 @@ mod tests {
     fn retry_budget_exhaustion_is_typed() {
         // High loss and a tiny budget: some packet must exhaust retries.
         let plan = FaultPlan::default().with_seed(11).with_loss_retries(0.9, 1);
-        let mut link = LinkTiming::with_faults(NicKind::FarviewFpga, plan);
+        let mut link = LinkTiming::with_faults(NicKind::FarviewFpga, plan).unwrap();
         let mut saw_exhaustion = false;
         for i in 0..64 {
             match link.try_transmit(5, SimTime::from_nanos(i * 1000), PACKET_BYTES) {
@@ -316,7 +310,7 @@ mod tests {
     #[test]
     fn bandwidth_cap_slows_back_to_back_packets() {
         let plan = FaultPlan::default().with_bandwidth_cap(0.1);
-        let mut capped = LinkTiming::with_faults(NicKind::FarviewFpga, plan);
+        let mut capped = LinkTiming::with_faults(NicKind::FarviewFpga, plan).unwrap();
         let mut clean = LinkTiming::new(NicKind::FarviewFpga);
         let mut last_capped = SimTime::ZERO;
         let mut last_clean = SimTime::ZERO;
@@ -335,7 +329,7 @@ mod tests {
         let plan = FaultPlan::default()
             .with_seed(3)
             .with_delay_spikes(0.5, SimDuration::from_micros(10));
-        let mut a = LinkTiming::with_faults(NicKind::FarviewFpga, plan.clone());
+        let mut a = LinkTiming::with_faults(NicKind::FarviewFpga, plan.clone()).unwrap();
         let arrivals: Vec<SimTime> = (0..16)
             .map(|i| {
                 a.try_transmit(0, SimTime::from_nanos(i * 50_000), PACKET_BYTES)

@@ -62,6 +62,13 @@ pub enum NetError {
         /// WQEs the NIC actually fetched.
         fetched: u32,
     },
+    /// A fault plan with a parameter out of range (a loss probability
+    /// of 1 or more, a bandwidth cap outside `(0, 1]`, ...): a
+    /// misconfigured plan, refused before any link adopts it.
+    InvalidFaultPlan {
+        /// The out-of-range [`FaultPlan`](crate::FaultPlan) field.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -90,6 +97,9 @@ impl fmt::Display for NetError {
                     f,
                     "qp {qp}: doorbell batch truncated ({fetched} of {posted} WQEs fetched)"
                 )
+            }
+            NetError::InvalidFaultPlan { field } => {
+                write!(f, "fault plan: `{field}` out of range")
             }
         }
     }
@@ -194,13 +204,8 @@ impl DoorbellBatch {
         DoorbellBatch { wqes, fetched }
     }
 
-    /// Number of WQEs in the batch (the queue depth).
-    pub fn wqes(&self) -> u32 {
-        self.wqes
-    }
-
-    /// WQEs the NIC actually fetched (equals [`DoorbellBatch::wqes`]
-    /// unless the batch was truncated).
+    /// WQEs the NIC actually fetched (all that were posted unless the
+    /// batch was truncated).
     pub fn fetched(&self) -> u32 {
         self.fetched
     }
@@ -233,13 +238,6 @@ impl DoorbellBatch {
             });
         }
         Ok(self.issue_offset(i))
-    }
-
-    /// Posting time saved versus ringing one doorbell per verb.
-    pub fn amortized_saving(&self) -> fv_sim::SimDuration {
-        let per_verb = fv_sim::calib::CLIENT_POST * u64::from(self.wqes);
-        let batched = self.issue_offset(self.wqes - 1);
-        per_verb.saturating_sub(batched)
     }
 }
 
@@ -490,24 +488,25 @@ mod tests {
     #[test]
     fn doorbell_batch_amortizes_posts() {
         let b = DoorbellBatch::new(8);
-        assert_eq!(b.wqes(), 8);
+        assert_eq!(b.wqes, 8);
+        assert_eq!(b.fetched(), 8);
         // First WQE pays the full doorbell; later ones only the fetch.
         assert_eq!(b.issue_offset(0), fv_sim::calib::CLIENT_POST);
         let step = b.issue_offset(1) - b.issue_offset(0);
         assert_eq!(step, fv_sim::calib::DOORBELL_WQE);
         // Batching 8 verbs must be strictly cheaper than 8 doorbells.
-        assert!(b.amortized_saving() > fv_sim::SimDuration::ZERO);
-        // Depth 1 degenerates to the plain post: nothing saved.
+        assert!(b.issue_offset(7) < fv_sim::calib::CLIENT_POST * 8);
+        // Depth 1 degenerates to the plain post.
         assert_eq!(
-            DoorbellBatch::new(1).amortized_saving(),
-            fv_sim::SimDuration::ZERO
+            DoorbellBatch::new(1).issue_offset(0),
+            fv_sim::calib::CLIENT_POST
         );
     }
 
     #[test]
     fn truncated_batch_surfaces_typed_error() {
         let b = DoorbellBatch::truncated(4, 2);
-        assert_eq!(b.wqes(), 4);
+        assert_eq!(b.wqes, 4);
         assert_eq!(b.fetched(), 2);
         // Fetched WQEs issue normally, at the untruncated offsets.
         assert_eq!(b.try_issue_offset(9, 0).unwrap(), b.issue_offset(0));

@@ -36,7 +36,7 @@ const MAX_MATCH: usize = 0x7F + MIN_MATCH;
 const WINDOW: usize = 65_535;
 
 /// Frame granularity of the streaming compressor.
-pub const FRAME_BYTES: usize = 16 * 1024;
+pub(crate) const FRAME_BYTES: usize = 16 * 1024;
 
 /// Codec errors (decode, and the one encode-side limit).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,8 +188,8 @@ fn decompress_frame(body: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()
 // the header; this guards the constant against being raised past it.
 const _: () = assert!(FRAME_BYTES as u64 <= u32::MAX as u64);
 
-/// Compress a whole buffer into the framed format (frames of
-/// [`FRAME_BYTES`], which always fit the 4-byte length header).
+/// Compress a whole buffer into the framed format (frames of 16 KiB,
+/// `FRAME_BYTES`, which always fit the 4-byte length header).
 pub fn compress(data: &[u8]) -> Vec<u8> {
     compress_framed(data, FRAME_BYTES).expect("FRAME_BYTES fits the length header")
 }
@@ -200,7 +200,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// [`CodecError::FrameTooLarge`] when a frame's raw or compressed length
 /// would not fit the 4-byte header (≥ 4 GiB) — rejected instead of
 /// silently truncating the length and corrupting the stream.
-pub fn compress_framed(data: &[u8], frame_bytes: usize) -> Result<Vec<u8>, CodecError> {
+pub(crate) fn compress_framed(data: &[u8], frame_bytes: usize) -> Result<Vec<u8>, CodecError> {
     assert!(frame_bytes > 0, "frame granularity must be positive");
     let mut out = Vec::new();
     for frame in data.chunks(frame_bytes) {

@@ -14,7 +14,6 @@ use fv_crypto::{Aes128, AesCtr};
 #[derive(Debug, Clone)]
 pub struct StreamCrypto {
     ctr: AesCtr,
-    bytes_processed: u64,
 }
 
 impl StreamCrypto {
@@ -22,25 +21,17 @@ impl StreamCrypto {
     pub fn new(spec: &CryptoSpec) -> Self {
         StreamCrypto {
             ctr: AesCtr::new(Aes128::new(&spec.key), spec.iv),
-            bytes_processed: 0,
         }
     }
 
     /// XOR the keystream into `data`, advancing the stream offset.
     pub fn apply(&mut self, data: &mut [u8]) {
         self.ctr.apply(data);
-        self.bytes_processed += data.len() as u64;
-    }
-
-    /// Bytes transformed so far.
-    pub fn bytes_processed(&self) -> u64 {
-        self.bytes_processed
     }
 
     /// Rewind to stream offset 0.
     pub fn reset(&mut self) {
         self.ctr.seek(0);
-        self.bytes_processed = 0;
     }
 }
 
@@ -76,7 +67,6 @@ mod tests {
         }
         dec.apply(&mut recovered[pos..]);
         assert_eq!(recovered, plain);
-        assert_eq!(dec.bytes_processed(), 1000);
     }
 
     #[test]

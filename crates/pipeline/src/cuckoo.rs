@@ -290,7 +290,7 @@ impl<V> CuckooTable<V> {
 
     /// Mutable lookup with a precomputed primary hash.
     #[inline]
-    pub fn get_mut_hashed(&mut self, h: u64, key: &[u8]) -> Option<&mut V> {
+    pub(crate) fn get_mut_hashed(&mut self, h: u64, key: &[u8]) -> Option<&mut V> {
         let i = self.find(h, key)?;
         self.values.get_mut(i)
     }
@@ -318,11 +318,6 @@ impl<V> CuckooTable<V> {
     /// present (the operators always check first).
     pub fn insert(&mut self, key: Box<[u8]>, value: V) -> Result<(), Homeless<V>> {
         self.insert_key_hashed(hash_key(&key), &key, value)
-    }
-
-    /// Insert with a precomputed primary hash.
-    pub fn insert_hashed(&mut self, h: u64, key: Box<[u8]>, value: V) -> Result<(), Homeless<V>> {
-        self.insert_key_hashed(h, &key, value)
     }
 
     /// Insert a borrowed key with a precomputed primary hash (the
@@ -620,7 +615,7 @@ impl ShiftRegisterLru {
     }
 
     /// [`ShiftRegisterLru::touch`] with a precomputed primary hash.
-    pub fn touch_hashed(&mut self, h: u64, key: &[u8]) {
+    pub(crate) fn touch_hashed(&mut self, h: u64, key: &[u8]) {
         if self.depth == 0 {
             return;
         }
@@ -635,7 +630,7 @@ impl ShiftRegisterLru {
     /// comes back, an absent key leaves the window untouched. Equivalent
     /// to `contains_hashed` followed by `touch_hashed` on a hit.
     #[inline]
-    pub fn promote_hashed(&mut self, h: u64, key: &[u8]) -> bool {
+    pub(crate) fn promote_hashed(&mut self, h: u64, key: &[u8]) -> bool {
         let found = self.find(h, key);
         if let Some(i) = found {
             self.stamp(i);
@@ -645,7 +640,7 @@ impl ShiftRegisterLru {
 
     /// One scan serving both outcomes of the batched paths' LRU step:
     /// a resident key is promoted to most-recent (`Ok(slot)`, same
-    /// effect as [`ShiftRegisterLru::promote_hashed`]); an absent key's
+    /// effect as `ShiftRegisterLru::promote_hashed`); an absent key's
     /// LRU victim slot comes back as `Err(slot)` for a later scan-free
     /// [`ShiftRegisterLru::shift_in_at`] (`slot == len()` appends while
     /// the window is still filling). Either slot stays valid until the
@@ -713,7 +708,7 @@ impl ShiftRegisterLru {
     /// [`ShiftRegisterLru::promote_hashed`] this tuple): no membership
     /// scan, just victim selection by minimum stamp. The evicted key's
     /// allocation is reused when the widths match.
-    pub fn shift_in_hashed(&mut self, h: u64, key: &[u8]) {
+    pub(crate) fn shift_in_hashed(&mut self, h: u64, key: &[u8]) {
         if self.depth == 0 {
             return;
         }
@@ -841,7 +836,7 @@ mod tests {
         let mut t: CuckooTable<u64> = CuckooTable::new(2, 64);
         for i in 0..40u64 {
             let key = i.to_le_bytes();
-            t.insert_hashed(hash_key(&key), key.into(), i).unwrap();
+            t.insert_key_hashed(hash_key(&key), &key, i).unwrap();
         }
         for i in 0..40u64 {
             let key = i.to_le_bytes();

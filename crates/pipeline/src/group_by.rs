@@ -287,7 +287,7 @@ impl GroupByOp {
     }
 
     /// Number of live groups.
-    pub fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         self.queued.len() - self.free.len()
     }
 

@@ -22,7 +22,7 @@ use crate::pipeline::{field, PipelineError, TailOperator, TupleBlock};
 /// On-chip budget for the build side. A dynamic region's BRAM share is
 /// ~8 % of the device (Table 1); 256 KiB of build rows is a conservative
 /// stand-in.
-pub const MAX_BUILD_BYTES: usize = 256 * 1024;
+pub(crate) const MAX_BUILD_BYTES: usize = 256 * 1024;
 
 /// Declarative description of the join (lives in `PipelineSpec`).
 #[derive(Clone, PartialEq)]

@@ -229,11 +229,6 @@ impl PartialAggPlan {
         &self.out_schema
     }
 
-    /// Row size of one shard's partial output.
-    pub fn shard_row_bytes(&self) -> usize {
-        self.shard_row_bytes
-    }
-
     /// Merge shard payloads (scanned in the given order) into the
     /// single-node output format. Returns the packed rows and the number
     /// of partial rows consumed (the input size the client-side merge
@@ -382,7 +377,7 @@ mod tests {
         assert_eq!(plan.shard_aggs().len(), 2, "AVG becomes SUMF64 + COUNT");
         assert_eq!(plan.shard_aggs()[0].func, AggFunc::SumF64);
         assert_eq!(plan.shard_aggs()[1].func, AggFunc::Count);
-        assert_eq!(plan.shard_row_bytes(), 8 + 16);
+        assert_eq!(plan.shard_row_bytes, 8 + 16);
         assert_eq!(
             plan.out_schema().row_bytes(),
             16,
@@ -409,7 +404,7 @@ mod tests {
         // within one.
         let plan = PartialAggPlan::for_distinct(&[0], &base()).unwrap();
         assert!(plan.shard_aggs().is_empty());
-        assert_eq!(plan.shard_row_bytes(), 8);
+        assert_eq!(plan.shard_row_bytes, 8);
         assert_eq!(plan.out_schema().column_count(), 1);
 
         let shards = [rows(&[3, 1, 4, 1]), rows(&[1, 5, 3, 9]), rows(&[2, 6, 2])];
@@ -419,7 +414,7 @@ mod tests {
 
         // Multi-column keys keep the projection order.
         let plan2 = PartialAggPlan::for_distinct(&[2, 0], &base()).unwrap();
-        assert_eq!(plan2.shard_row_bytes(), 16);
+        assert_eq!(plan2.shard_row_bytes, 16);
         let payload = rows(&[7, 8, 7, 8, 1, 2]);
         let (merged, n) = plan2.merge(&[payload.clone()]);
         assert_eq!(n, 3);

@@ -154,11 +154,6 @@ impl Packer {
         self.tuples_packed = 0;
     }
 
-    /// Total payload bytes packed.
-    pub fn bytes_packed(&self) -> u64 {
-        self.bytes_packed
-    }
-
     /// Tuples packed.
     pub fn tuples_packed(&self) -> u64 {
         self.tuples_packed
@@ -184,7 +179,7 @@ mod tests {
         let out = p.drain();
         assert_eq!(out.len(), 20);
         assert_eq!(&out[..10], &[1u8; 10]);
-        assert_eq!(p.bytes_packed(), 20);
+        assert_eq!(p.bytes_packed, 20);
         assert_eq!(p.tuples_packed(), 2);
         // 20 bytes -> one padded 64-byte word.
         assert_eq!(p.words_emitted(), 1);
@@ -210,7 +205,7 @@ mod tests {
         assert_eq!(p.drain().len(), 64);
         assert!(p.drain().is_empty());
         p.push_tuple(&[0u8; 64]);
-        assert_eq!(p.bytes_packed(), 128);
+        assert_eq!(p.bytes_packed, 128);
         assert_eq!(p.words_emitted(), 2);
     }
 }

@@ -139,15 +139,6 @@ impl PredicateExpr {
         }
     }
 
-    /// `col <> value`.
-    pub fn ne(col: usize, value: impl Into<Value>) -> Self {
-        PredicateExpr::Cmp {
-            col,
-            op: CmpOp::Ne,
-            value: value.into(),
-        }
-    }
-
     /// Conjunction helper: `self AND other`.
     pub fn and(self, other: PredicateExpr) -> Self {
         match self {
@@ -297,7 +288,8 @@ impl PredicateExpr {
     }
 
     /// Bitmask of base-table columns the predicate reads — the paper's
-    /// `selection_flags` annotation (§5.2).
+    /// `selection_flags` annotation (§5.2). Nothing outside this file's
+    /// tests calls it yet.
     pub fn selection_mask(&self) -> u64 {
         match self {
             PredicateExpr::True => 0,
@@ -502,7 +494,12 @@ mod tests {
         assert!(!PredicateExpr::lt(0, 10u64).eval(&row));
         assert!(PredicateExpr::gt(1, 19u64).eval(&row));
         assert!(PredicateExpr::eq(1, 20u64).eval(&row));
-        assert!(PredicateExpr::ne(1, 21u64).eval(&row));
+        let ne = PredicateExpr::Cmp {
+            col: 1,
+            op: CmpOp::Ne,
+            value: 21u64.into(),
+        };
+        assert!(ne.eval(&row));
     }
 
     #[test]
@@ -589,7 +586,11 @@ mod tests {
         ];
         let preds = [
             PredicateExpr::lt(0, 10u64),
-            PredicateExpr::ne(1, 3i64),
+            PredicateExpr::Cmp {
+                col: 1,
+                op: CmpOp::Ne,
+                value: 3i64.into(),
+            },
             PredicateExpr::gt(2, 0.0f64),
             PredicateExpr::eq(2, f64::NAN), // NaN total-ordered at the top
             PredicateExpr::Cmp {

@@ -85,17 +85,6 @@ impl ProjectionPlan {
         self.out_row_bytes
     }
 
-    /// True when every kept column is exactly one 8-byte word — callers
-    /// (group-by flush, the packer) specialize their copies on this.
-    pub fn all_word_cols(&self) -> bool {
-        self.all_word_cols
-    }
-
-    /// The paper's `projection_flags` bitmask annotation.
-    pub fn projection_mask(&self) -> u64 {
-        self.cols.iter().fold(0u64, |m, &c| m | (1u64 << (c % 64)))
-    }
-
     /// Append the projected columns of `tuple` to `out`.
     #[inline]
     pub fn write_projected(&self, tuple: &[u8], out: &mut Vec<u8>) {
@@ -234,11 +223,6 @@ impl SmartAddressing {
         })
     }
 
-    /// Number of distinct memory requests per tuple.
-    pub fn requests_per_tuple(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Extract this plan's bytes for the row starting at `row_off` in a
     /// table image, appending to `out`. This is what the MMU-side gather
     /// produces for the pipeline.
@@ -258,7 +242,6 @@ mod tests {
         let schema = Schema::uniform_u64(8);
         let p = ProjectionPlan::new(&schema, Some(&[2, 0])).unwrap();
         assert_eq!(p.out_row_bytes(), 16);
-        assert_eq!(p.projection_mask(), 0b101);
         let tuple: Vec<u8> = (0..64).collect();
         let mut out = Vec::new();
         p.write_projected(&tuple, &mut out);
@@ -293,7 +276,7 @@ mod tests {
         // Figure 7: three contiguous 8-byte columns from a 512-byte row.
         let schema = Schema::uniform_u64(64); // 512 B rows
         let sa = SmartAddressing::plan(&schema, &[10, 11, 12]).unwrap();
-        assert_eq!(sa.requests_per_tuple(), 1, "contiguous cols coalesce");
+        assert_eq!(sa.segments.len(), 1, "contiguous cols coalesce");
         assert_eq!(sa.bytes_per_tuple, 24);
         assert_eq!(sa.segments, vec![(80, 24)]);
         assert_eq!(sa.row_bytes, 512);
@@ -304,7 +287,7 @@ mod tests {
         let schema = Schema::uniform_u64(8);
         let sa = SmartAddressing::plan(&schema, &[0, 2, 3, 7]).unwrap();
         assert_eq!(sa.segments, vec![(0, 8), (16, 16), (56, 8)]);
-        assert_eq!(sa.requests_per_tuple(), 3);
+        assert_eq!(sa.segments.len(), 3);
         assert_eq!(sa.bytes_per_tuple, 32);
     }
 

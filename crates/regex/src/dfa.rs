@@ -29,7 +29,7 @@ use crate::nfa::{Nfa, StateId};
 use crate::RegexError;
 
 /// Sentinel for "no transition".
-pub const DEAD: u32 = u32::MAX;
+pub(crate) const DEAD: u32 = u32::MAX;
 
 /// A dense deterministic automaton.
 #[derive(Debug, Clone)]
@@ -142,7 +142,7 @@ fn byte_classes(nfa: &Nfa) -> Vec<(u8, ByteSet)> {
 impl Dfa {
     /// Determinize `nfa`, failing if more than `state_limit` DFA states
     /// are needed.
-    pub fn determinize(nfa: &Nfa, state_limit: usize) -> Result<Dfa, RegexError> {
+    pub(crate) fn determinize(nfa: &Nfa, state_limit: usize) -> Result<Dfa, RegexError> {
         let classes = byte_classes(nfa);
         let mut subsets = Subsets::new(nfa, state_limit);
         let start = subsets.intern(nfa.epsilon_closure(&[nfa.start()]))?;
@@ -198,14 +198,14 @@ impl Dfa {
 
     /// Is `state` accepting?
     #[inline]
-    pub fn is_accepting(&self, state: u32) -> bool {
+    pub(crate) fn is_accepting(&self, state: u32) -> bool {
         state != DEAD && self.accepting[state as usize]
     }
 
     /// Unanchored-end match: true as soon as any prefix of the scan
     /// reaches an accepting state (the NFA's unanchored-start loop is
     /// already baked into the transitions).
-    pub fn matches_prefix_free(&self, haystack: &[u8]) -> bool {
+    pub(crate) fn matches_prefix_free(&self, haystack: &[u8]) -> bool {
         self.shortest_match_end(haystack).is_some()
     }
 
@@ -235,8 +235,8 @@ impl Dfa {
     ///
     /// * the start state accepts (the empty match is everywhere), or
     /// * too few bytes loop on the start state — e.g. start-anchored
-    ///   patterns, where a non-matching byte goes [`DEAD`] rather than
-    ///   back to start, so the skip set is empty.
+    ///   patterns, where a non-matching byte goes to the dead state
+    ///   rather than back to start, so the skip set is empty.
     ///
     /// The filter is *exact*, not approximate: a byte `b` with
     /// `step(start, b) == start` makes no progress, so jumping over a run
@@ -268,7 +268,7 @@ impl Dfa {
         })
     }
 
-    /// [`Dfa::matches_prefix_free`] accelerated by a [`Prefilter`]
+    /// `Dfa::matches_prefix_free` accelerated by a [`Prefilter`]
     /// derived from this DFA — identical result, but runs of
     /// non-progress bytes are skipped word-at-a-time instead of stepped
     /// through the transition table.
@@ -306,7 +306,7 @@ impl Dfa {
 
     /// End-anchored match: run the whole haystack and test acceptance at
     /// the final position only.
-    pub fn accepts_at_end(&self, haystack: &[u8]) -> bool {
+    pub(crate) fn accepts_at_end(&self, haystack: &[u8]) -> bool {
         let mut state = self.start;
         for &b in haystack {
             state = self.step(state, b);
@@ -346,7 +346,7 @@ impl Prefilter {
     /// out of its start state, or `None` if the rest of the haystack is
     /// all skippable.
     #[inline]
-    pub fn find_progress(&self, haystack: &[u8], from: usize) -> Option<usize> {
+    pub(crate) fn find_progress(&self, haystack: &[u8], from: usize) -> Option<usize> {
         let hay = haystack.get(from..)?;
         match self.single {
             Some(b) => find_byte(hay, b).map(|p| from + p),
@@ -355,11 +355,6 @@ impl Prefilter {
                 .position(|&x| !self.skip[x as usize])
                 .map(|p| from + p),
         }
-    }
-
-    /// The single progress byte, if the skip set has exactly one hole.
-    pub fn single_byte(&self) -> Option<u8> {
-        self.single
     }
 }
 
@@ -433,7 +428,7 @@ mod tests {
     fn prefilter_exists_for_rare_first_byte() {
         let (dfa, _) = dfa_for("smartmem[0-9]+");
         let pf = dfa.prefilter().expect("one progress byte");
-        assert_eq!(pf.single_byte(), Some(b's'));
+        assert_eq!(pf.single, Some(b's'));
         assert_eq!(pf.find_progress(b"aaasaaa", 0), Some(3));
         assert_eq!(pf.find_progress(b"aaasaaa", 4), None);
         assert_eq!(pf.find_progress(b"", 0), None);

@@ -86,7 +86,10 @@ impl Regex {
     }
 
     /// Compile with an explicit DFA state budget.
-    pub fn compile_with_limit(pattern: &str, state_limit: usize) -> Result<Regex, RegexError> {
+    pub(crate) fn compile_with_limit(
+        pattern: &str,
+        state_limit: usize,
+    ) -> Result<Regex, RegexError> {
         let parsed = parser::parse(pattern)?;
         let nfa = nfa::Nfa::from_ast(&parsed.ast, !parsed.anchored_start);
         let dfa = Dfa::determinize(&nfa, state_limit)?;

@@ -13,7 +13,7 @@ pub type StateId = u32;
 
 /// One NFA state: byte-class transitions plus ε-transitions.
 #[derive(Debug, Clone, Default)]
-pub struct NfaState {
+pub(crate) struct NfaState {
     /// `(byte set, target)` transitions.
     pub byte_edges: Vec<(ByteSet, StateId)>,
     /// ε-transitions.
@@ -49,7 +49,7 @@ impl Nfa {
     }
 
     /// All states.
-    pub fn states(&self) -> &[NfaState] {
+    pub(crate) fn states(&self) -> &[NfaState] {
         &self.states
     }
 

@@ -17,10 +17,6 @@ use crate::time::SimDuration;
 // Network (paper §4.3, §6.2, Figure 6)
 // ---------------------------------------------------------------------------
 
-/// 100 Gbps line rate ("The smart NIC supports RoCE v2 at 100 Gbps", §1)
-/// expressed in bytes per second.
-pub const NET_LINE_RATE: f64 = 12.5e9;
-
 /// Effective Farview read throughput ceiling: "Reading from local on-board
 /// FPGA memory peaks at 12 GBps, indicating that the network is the main
 /// bottleneck" (§6.2).
@@ -113,9 +109,6 @@ pub const DRAM_CHANNEL_BW: f64 = 18.0e9;
 /// two of the four available channels" (§6.1).
 pub const DEFAULT_CHANNELS: usize = 2;
 
-/// Memory-stack clock: "300 MHz (memory stack)" (§4.1).
-pub const MEM_CLOCK_HZ: f64 = 300.0e6;
-
 /// Burst size used by the region <-> MMU <-> channel datapath. The paper
 /// does not quote one; 4 KiB (= one stripe) balances event count against
 /// queueing fidelity, and the `ablation_striping` bench bounds its
@@ -185,10 +178,6 @@ pub const GROUP_FLUSH_CYCLES_PER_ENTRY: u64 = 2;
 /// Number of dynamic regions in the evaluated configuration: "We use six
 /// dynamic regions in our experiments" (§6.1).
 pub const DEFAULT_REGIONS: usize = 6;
-
-/// Partial-reconfiguration time for swapping an operator pipeline into a
-/// dynamic region: "on the order of milliseconds" (§3.2).
-pub const RECONFIG_TIME: SimDuration = SimDuration::from_millis(4);
 
 // ---------------------------------------------------------------------------
 // CPU baselines (paper §6.1: Xeon Gold 6248 / 6154, cold buffer caches)
@@ -271,16 +260,6 @@ pub const MIGRATION_MOVE_FIXED: SimDuration = SimDuration::from_micros(2);
 /// over the baseline cost models.
 pub fn transfer(bytes: u64, rate: f64) -> SimDuration {
     SimDuration::for_bytes(bytes, rate)
-}
-
-/// Helper: `n` cycles of the operator-stack clock.
-pub fn op_cycles(n: u64) -> SimDuration {
-    SimDuration::for_cycles(n, OP_CLOCK_HZ)
-}
-
-/// Helper: `n` cycles of the memory-stack clock.
-pub fn mem_cycles(n: u64) -> SimDuration {
-    SimDuration::for_cycles(n, MEM_CLOCK_HZ)
 }
 
 #[cfg(test)]
@@ -375,11 +354,9 @@ mod tests {
         );
     }
 
-    /// Sanity: transfer helper at line rate.
+    /// Sanity: transfer helper at the Farview read peak.
     #[test]
     fn transfer_helper() {
-        assert_eq!(transfer(12_500, NET_LINE_RATE).as_nanos(), 1_000);
-        assert_eq!(op_cycles(1).as_nanos(), 4);
-        assert_eq!(mem_cycles(3).as_nanos(), 10);
+        assert_eq!(transfer(12_000, FV_NET_PEAK).as_nanos(), 1_000);
     }
 }

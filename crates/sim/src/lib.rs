@@ -39,5 +39,5 @@ pub mod time;
 pub use cost::{MigrationCostModel, PlanCostModel};
 pub use engine::{Actor, ActorId, Context, Simulation};
 pub use queueing::{BandwidthServer, DrrScheduler};
-pub use stats::{Histogram, MergeCostModel, RunningStats};
+pub use stats::{Histogram, MergeCostModel};
 pub use time::{SimDuration, SimTime};

@@ -28,9 +28,7 @@ pub struct BandwidthServer {
     bytes_per_sec: f64,
     per_job_overhead: SimDuration,
     busy_until: SimTime,
-    jobs_served: u64,
     bytes_served: u64,
-    busy_time: SimDuration,
 }
 
 impl BandwidthServer {
@@ -41,9 +39,7 @@ impl BandwidthServer {
             bytes_per_sec,
             per_job_overhead,
             busy_until: SimTime::ZERO,
-            jobs_served: 0,
             bytes_served: 0,
-            busy_time: SimDuration::ZERO,
         }
     }
 
@@ -54,9 +50,7 @@ impl BandwidthServer {
         let service = self.per_job_overhead + SimDuration::for_bytes(bytes, self.bytes_per_sec);
         let done = start + service;
         self.busy_until = done;
-        self.jobs_served += 1;
         self.bytes_served += bytes;
-        self.busy_time += service;
         done
     }
 
@@ -70,27 +64,15 @@ impl BandwidthServer {
         self.bytes_per_sec
     }
 
-    /// Total jobs admitted.
-    pub fn jobs_served(&self) -> u64 {
-        self.jobs_served
-    }
-
     /// Total bytes admitted.
     pub fn bytes_served(&self) -> u64 {
         self.bytes_served
     }
 
-    /// Aggregate busy time (service, not queueing).
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
     /// Reset the horizon and counters (new episode).
     pub fn reset(&mut self) {
         self.busy_until = SimTime::ZERO;
-        self.jobs_served = 0;
         self.bytes_served = 0;
-        self.busy_time = SimDuration::ZERO;
     }
 }
 
@@ -384,7 +366,6 @@ mod tests {
         // A job arriving after the horizon starts immediately.
         let d3 = s.admit(SimTime::from_nanos(5000), 500);
         assert_eq!(d3.as_nanos(), 5000 + 10 + 500);
-        assert_eq!(s.jobs_served(), 3);
         assert_eq!(s.bytes_served(), 2500);
     }
 
@@ -394,7 +375,7 @@ mod tests {
         s.admit(SimTime::ZERO, 4096);
         s.reset();
         assert_eq!(s.busy_until(), SimTime::ZERO);
-        assert_eq!(s.jobs_served(), 0);
+        assert_eq!(s.bytes_served(), 0);
     }
 
     #[test]

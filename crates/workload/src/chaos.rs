@@ -1,24 +1,25 @@
 //! Chaos scenario generator: faults composed with membership churn.
 //!
-//! [`ChurnScenarioGen`](crate::ChurnScenarioGen) exercises the fleet's
-//! membership machinery with a *clean* network — nodes join, drain and
-//! die tidily between query bursts. This module generalizes it: a
-//! [`ChaosScenario`] interleaves query bursts with membership events
-//! **and** link degradations — packet loss, delay spikes, bandwidth
-//! caps, full partitions, truncated doorbell batches — each described
-//! by an engine-independent [`FaultSpec`] the driver lowers onto a
-//! `FarviewFleet`'s fault hooks (`degrade_node` / `heal_node`).
+//! A [`ChaosScenario`] interleaves query bursts with membership events
+//! (nodes joining, draining and dying between bursts) and link
+//! degradations — packet loss, delay spikes, bandwidth caps, full
+//! partitions, truncated doorbell batches — each described by an
+//! engine-independent [`FaultSpec`] that a replay lowers onto a
+//! `FarviewFleet`'s fault hooks (`degrade_node` / `heal_node`). With no
+//! fault class enabled a schedule is plain membership churn.
 //!
-//! Like the churn generator, everything here is deterministic plain
-//! data: the same seed builds the same schedule, and the fault seeds
-//! embedded in the specs make the *link-level* behaviour replayable
-//! too. The replay driver and the byte-identity oracle live in
-//! `tests/chaos_props.rs`.
+//! Everything here is deterministic plain data: the same seed builds
+//! the same schedule. A spec carries no fault seed; a replay derives
+//! one per `Degrade` from the scenario seed and the event's index
+//! (`degrade_plan` in `tests/chaos_props.rs`, the one place both fault
+//! replays lower a spec), so two phases of one class fault different
+//! packets and the link-level behaviour still replays. The replays and
+//! the byte-identity oracle live in `tests/chaos_props.rs` (faults ×
+//! membership) and `tests/topology_props.rs` (membership only).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::churn::{ChurnEvent, ChurnScenario};
 use crate::TenantQuery;
 
 /// One link-degradation class, in engine-independent units (integer
@@ -134,60 +135,6 @@ pub struct ChaosScenario {
     pub events: Vec<ChaosEvent>,
 }
 
-impl ChaosScenario {
-    /// Total queries across all bursts.
-    pub fn query_count(&self) -> usize {
-        self.events
-            .iter()
-            .map(|e| match e {
-                ChaosEvent::Queries(qs) => qs.len(),
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Membership events (everything that bumps the epoch).
-    pub fn membership_events(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    ChaosEvent::AddNode | ChaosEvent::DrainNode(_) | ChaosEvent::KillNode(_)
-                )
-            })
-            .count()
-    }
-
-    /// Link-degradation events (degrades; heals are their bookends).
-    pub fn fault_events(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, ChaosEvent::Degrade(..)))
-            .count()
-    }
-}
-
-impl From<ChurnScenario> for ChaosScenario {
-    /// Every churn schedule is a chaos schedule with zero faults.
-    fn from(churn: ChurnScenario) -> Self {
-        ChaosScenario {
-            initial_nodes: churn.initial_nodes,
-            replicas: churn.replicas,
-            events: churn
-                .events
-                .into_iter()
-                .map(|e| match e {
-                    ChurnEvent::Queries(qs) => ChaosEvent::Queries(qs),
-                    ChurnEvent::AddNode => ChaosEvent::AddNode,
-                    ChurnEvent::DrainNode(i) => ChaosEvent::DrainNode(i),
-                    ChurnEvent::KillNode(i) => ChaosEvent::KillNode(i),
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Generator for [`ChaosScenario`]s: `phases` query bursts, each
 /// optionally bracketed by a `Degrade`/`Heal` pair on a random node,
 /// separated by optional membership events.
@@ -235,12 +182,6 @@ impl ChaosScenarioGen {
         self
     }
 
-    /// Add one fault class to the injection mix.
-    pub fn with_fault(mut self, spec: FaultSpec) -> Self {
-        self.faults.push(spec);
-        self
-    }
-
     /// Inject every fault class ([`FaultSpec::all_classes`]).
     pub fn with_all_faults(mut self) -> Self {
         self.faults.extend(FaultSpec::all_classes());
@@ -268,8 +209,6 @@ impl ChaosScenarioGen {
             let degraded = if !self.faults.is_empty() && rng.gen_bool(0.5) {
                 let victim = rng.gen_range(0..nodes);
                 let spec = self.faults[rng.gen_range(0..self.faults.len())];
-                // Reseed loss/spike draws per phase so two phases with
-                // the same class still see different packets fault.
                 events.push(ChaosEvent::Degrade(victim, spec));
                 Some(victim)
             } else {
@@ -317,7 +256,6 @@ impl ChaosScenarioGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ChurnScenarioGen;
 
     #[test]
     fn deterministic_and_shaped() {
@@ -332,8 +270,21 @@ mod tests {
             .seed(11)
             .build();
         assert_eq!(a, b);
-        assert_eq!(a.query_count(), 24);
-        assert!(a.fault_events() > 0, "six phases at p=1/2 degrade some");
+        let queries: usize = a
+            .events
+            .iter()
+            .map(|e| match e {
+                ChaosEvent::Queries(qs) => qs.len(),
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(queries, 24);
+        assert!(
+            a.events
+                .iter()
+                .any(|e| matches!(e, ChaosEvent::Degrade(..))),
+            "six phases at p=1/2 degrade some"
+        );
         let c = ChaosScenarioGen::new(3, 6)
             .queries_per_phase(4)
             .with_all_faults()
@@ -380,34 +331,78 @@ mod tests {
 
     #[test]
     fn latency_only_faults_do_not_force_replication() {
-        let s = ChaosScenarioGen::new(2, 4)
-            .with_fault(FaultSpec::Loss {
+        let mut g = ChaosScenarioGen::new(2, 4).seed(9);
+        g.faults = vec![
+            FaultSpec::Loss {
                 loss_pct: 10,
                 max_retries: 16,
-            })
-            .with_fault(FaultSpec::DelaySpikes {
+            },
+            FaultSpec::DelaySpikes {
                 spike_pct: 30,
                 spike_us: 10,
-            })
-            .with_fault(FaultSpec::BandwidthCap { cap_pct: 50 })
-            .seed(9)
-            .build();
+            },
+            FaultSpec::BandwidthCap { cap_pct: 50 },
+        ];
+        let s = g.build();
         assert_eq!(s.replicas, 1, "latency-only chaos runs unreplicated");
-        assert!(s.membership_events() == 0);
+        assert!(s.events.iter().all(|e| matches!(
+            e,
+            ChaosEvent::Queries(_) | ChaosEvent::Degrade(..) | ChaosEvent::Heal(_)
+        )));
     }
 
     #[test]
-    fn churn_schedules_lift_into_chaos() {
-        let churn = ChurnScenarioGen::new(2, 5)
-            .with_drains()
-            .with_kills()
-            .seed(23)
+    fn membership_only_schedules_are_deterministic_and_shaped() {
+        let build = |seed| {
+            ChaosScenarioGen::new(2, 5)
+                .queries_per_phase(6)
+                .with_membership()
+                .seed(seed)
+                .build()
+        };
+        let a = build(1);
+        assert_eq!(a, build(1));
+        assert_eq!(a.initial_nodes, 2);
+        assert_eq!(a.replicas, 2, "membership churn may kill: load replicated");
+        let bursts = a
+            .events
+            .iter()
+            .filter(|e| matches!(e, ChaosEvent::Queries(qs) if qs.len() == 6))
+            .count();
+        assert_eq!(bursts, 5);
+        assert_eq!(a.events.len(), 9, "one membership event between bursts");
+        assert_ne!(a, build(2), "seed must matter");
+    }
+
+    #[test]
+    fn queries_only_by_default() {
+        let s = ChaosScenarioGen::new(2, 8).seed(3).build();
+        assert_eq!(s.replicas, 1);
+        assert!(s.events.iter().all(|e| matches!(e, ChaosEvent::Queries(_))));
+    }
+
+    #[test]
+    fn membership_schedules_force_replication_and_respect_the_floor() {
+        let s = ChaosScenarioGen::new(2, 24)
+            .with_membership()
+            .seed(7)
             .build();
-        let chaos: ChaosScenario = churn.clone().into();
-        assert_eq!(chaos.initial_nodes, churn.initial_nodes);
-        assert_eq!(chaos.replicas, churn.replicas);
-        assert_eq!(chaos.query_count(), churn.query_count());
-        assert_eq!(chaos.membership_events(), churn.membership_events());
-        assert_eq!(chaos.fault_events(), 0, "churn carries no faults");
+        assert_eq!(s.replicas, 2, "kill schedules must be survivable");
+        // Replay the roster size: it never dips below two.
+        let mut nodes = s.initial_nodes;
+        for e in &s.events {
+            match e {
+                ChaosEvent::AddNode => nodes += 1,
+                ChaosEvent::DrainNode(i) | ChaosEvent::KillNode(i) => {
+                    assert!(*i < nodes, "event indexes the live roster");
+                    nodes -= 1;
+                }
+                ChaosEvent::Queries(qs) => assert!(!qs.is_empty()),
+                ChaosEvent::Degrade(..) | ChaosEvent::Heal(_) => {
+                    panic!("no fault class enabled: {e:?}")
+                }
+            }
+            assert!(nodes >= 2);
+        }
     }
 }

@@ -24,11 +24,6 @@ pub struct ClosedLoopPlan {
 }
 
 impl ClosedLoopPlan {
-    /// Total queries across all batches.
-    pub fn query_count(&self) -> usize {
-        self.batches.iter().map(Vec::len).sum()
-    }
-
     /// The flat query stream, in issue order (what a depth-1 client
     /// would run — the sequential baseline of the `qdepth` experiment).
     pub fn flat(&self) -> Vec<TenantQuery> {
@@ -104,7 +99,7 @@ mod tests {
         assert_eq!(d1.batches.len(), 20);
         assert_eq!(d8.batches.len(), 3, "20 queries at depth 8: 8+8+4");
         assert_eq!(d8.batches[2].len(), 4);
-        assert_eq!(d8.query_count(), 20);
+        assert_eq!(d8.flat().len(), 20);
         assert_eq!(d8.depth, 8);
     }
 

@@ -37,7 +37,7 @@ pub enum TenantQuery {
 /// One tenant: a table plus its query mix.
 #[derive(Debug, Clone)]
 pub struct TenantWorkload {
-    /// Catalog-style tenant name (`"tenant0"`, ...).
+    /// Tenant name (`"tenant0"`, ...).
     pub name: String,
     /// The tenant's base table: 8×8-byte columns; `c0` carries the
     /// group key, `c1` the calibrated selectivity values, `c2` the

@@ -12,13 +12,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod chaos;
-pub mod churn;
 pub mod closed_loop;
 pub mod fleet;
 pub mod tenant_mix;
 
 pub use chaos::{ChaosEvent, ChaosScenario, ChaosScenarioGen, FaultSpec};
-pub use churn::{ChurnEvent, ChurnScenario, ChurnScenarioGen};
 pub use closed_loop::{ClosedLoopGen, ClosedLoopPlan};
 pub use fleet::{FleetScenarioGen, TenantQuery, TenantWorkload};
 pub use tenant_mix::{MixClass, QueryShape, TenantMix, TenantMixGen, TenantSpec};

@@ -72,7 +72,7 @@ pub enum QueryShape {
 pub struct TenantSpec {
     /// Dense tenant index (`0..tenants`).
     pub id: usize,
-    /// Catalog-style name (`"tenant0"`, ...).
+    /// Tenant name (`"tenant0"`, ...).
     pub name: String,
     /// Service class (admission & shed priority).
     pub class: MixClass,
@@ -97,18 +97,6 @@ pub struct TenantSpec {
 pub struct TenantMix {
     /// Tenants in id order.
     pub tenants: Vec<TenantSpec>,
-}
-
-impl TenantMix {
-    /// Total demand weight across tenants (the elephants dominate it).
-    pub fn total_weight(&self) -> u64 {
-        self.tenants.iter().map(|t| t.weight).sum()
-    }
-
-    /// Tenants of one class.
-    pub fn class_count(&self, class: MixClass) -> usize {
-        self.tenants.iter().filter(|t| t.class == class).count()
-    }
 }
 
 /// Deterministic generator for a heavy-tailed [`TenantMix`].
@@ -268,10 +256,10 @@ mod tests {
         );
         // The head holds most of the demand.
         let head: u64 = a.tenants.iter().take(2).map(|t| t.weight).sum();
+        let total: u64 = a.tenants.iter().map(|t| t.weight).sum();
         assert!(
-            head * 2 >= a.total_weight(),
-            "top-2 tenants carry at least half the demand: {head} of {}",
-            a.total_weight()
+            head * 2 >= total,
+            "top-2 tenants carry at least half the demand: {head} of {total}"
         );
     }
 
@@ -279,7 +267,10 @@ mod tests {
     fn classes_and_shapes_cover_the_space() {
         let mix = TenantMixGen::new(24).queries_per_tenant(12).seed(3).build();
         for class in [MixClass::Gold, MixClass::Silver, MixClass::Bronze] {
-            assert!(mix.class_count(class) > 0, "missing class {class:?}");
+            assert!(
+                mix.tenants.iter().any(|t| t.class == class),
+                "missing class {class:?}"
+            );
         }
         let shapes: std::collections::HashSet<_> = mix.tenants.iter().map(|t| t.shape).collect();
         assert_eq!(shapes.len(), 3, "all three shapes present");

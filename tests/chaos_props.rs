@@ -254,6 +254,14 @@ fn chaos_table(seed: u64) -> Table {
         .build()
 }
 
+/// The fault plan a replay installs for the scenario's `k`-th event, a
+/// `Degrade(_, spec)`: seeded from the scenario seed and the event's
+/// index, so two phases of one class fault different packets and the
+/// replay stays deterministic. Both replay drivers lower through here.
+fn degrade_plan(spec: &FaultSpec, seed: u64, k: usize) -> FaultPlan {
+    fault_plan_for(spec, seed.wrapping_add(k as u64))
+}
+
 /// Replay one composed chaos schedule end to end against the oracle:
 /// query bursts under injected faults, heals, and membership events
 /// with a rebalance after each — every query byte-identical to a
@@ -282,7 +290,7 @@ fn replay_chaos_scenario(seed: u64) {
         let old = std::mem::replace(ft, new_ft);
         qp.free_table(old).unwrap();
     };
-    for event in &scenario.events {
+    for (k, event) in scenario.events.iter().enumerate() {
         match event {
             ChaosEvent::Queries(qs) => {
                 for q in qs {
@@ -314,7 +322,7 @@ fn replay_chaos_scenario(seed: u64) {
             }
             ChaosEvent::Degrade(i, spec) => {
                 let id = fleet.node_ids()[*i];
-                fleet.degrade_node(id, fault_plan_for(spec, seed)).unwrap();
+                fleet.degrade_node(id, degrade_plan(spec, seed, k)).unwrap();
             }
             ChaosEvent::Heal(i) => {
                 let id = fleet.node_ids()[*i];
@@ -475,7 +483,7 @@ fn serving_invariants_hold_under_scenario_faults() {
         .build();
     let tenants = fv_bench::serve_tenants(&mix);
     let mut exercised = 0usize;
-    for event in &scenario.events {
+    for (k, event) in scenario.events.iter().enumerate() {
         let ChaosEvent::Degrade(node, spec) = event else {
             continue;
         };
@@ -492,7 +500,7 @@ fn serving_invariants_hold_under_scenario_faults() {
         }
         let victim = fleet.node_ids()[node % fleet.node_ids().len()];
         fleet
-            .degrade_node(victim, fault_plan_for(spec, seed))
+            .degrade_node(victim, degrade_plan(spec, seed, k))
             .unwrap();
         let config = ServeConfig {
             servers: 2,

@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use farview::prelude::*;
 use farview_core::{AggFunc, AggSpec, PredicateExpr};
 use fv_data::{Schema, Table, TableBuilder, Value};
+use fv_workload::{ChaosEvent, ChaosScenario, ChaosScenarioGen};
 
 /// A random small table: 3 u64 columns with bounded values so groups,
 /// predicates and hash keys are non-degenerate and `AVG` sums stay
@@ -160,6 +161,27 @@ proptest! {
     }
 }
 
+/// A membership-only chaos schedule (no fault class enabled): query
+/// bursts separated by adds, drains and kills. It must contain each of
+/// the three membership events, so a replay exercises all of them, and
+/// it loads replicated because a kill is only survivable with `r = 2`.
+fn churn_schedule(phases: usize, queries_per_phase: usize, seed: u64) -> ChaosScenario {
+    let scenario = ChaosScenarioGen::new(2, phases)
+        .queries_per_phase(queries_per_phase)
+        .with_membership()
+        .seed(seed)
+        .build();
+    assert_eq!(scenario.replicas, 2, "kill schedules load replicated");
+    let has = |want: fn(&ChaosEvent) -> bool| scenario.events.iter().any(want);
+    assert!(has(|e| matches!(e, ChaosEvent::AddNode)), "no AddNode");
+    assert!(
+        has(|e| matches!(e, ChaosEvent::DrainNode(_))),
+        "no DrainNode"
+    );
+    assert!(has(|e| matches!(e, ChaosEvent::KillNode(_))), "no KillNode");
+    scenario
+}
+
 /// Replay a generated churn schedule end to end: query bursts
 /// interleaved with adds, drains and kills, a rebalance after every
 /// membership event (re-replicating after kills), old epochs retired as
@@ -167,15 +189,9 @@ proptest! {
 /// single node holding the same rows throughout.
 #[test]
 fn churn_schedule_replays_byte_identically() {
-    use fv_workload::{ChurnEvent, ChurnScenarioGen, TableGen};
+    use fv_workload::TableGen;
 
-    let scenario = ChurnScenarioGen::new(2, 10)
-        .queries_per_phase(4)
-        .with_drains()
-        .with_kills()
-        .seed(23)
-        .build();
-    assert_eq!(scenario.replicas, 2, "kill schedules load replicated");
+    let scenario = churn_schedule(10, 4, 23);
 
     // Tenant-shaped table: c0 group key, c1 calibrated selectivity,
     // c2 aggregation payload — what `tenant_query_spec` lowers against.
@@ -202,7 +218,7 @@ fn churn_schedule_replays_byte_identically() {
     };
     for event in &scenario.events {
         match event {
-            ChurnEvent::Queries(qs) => {
+            ChaosEvent::Queries(qs) => {
                 for q in qs {
                     let spec = fv_bench::tenant_query_spec(q);
                     let out = qp.far_view(&ft, &spec).unwrap();
@@ -213,23 +229,24 @@ fn churn_schedule_replays_byte_identically() {
                     );
                 }
             }
-            ChurnEvent::AddNode => {
+            ChaosEvent::AddNode => {
                 fleet.add_node();
                 rebalance(&mut ft);
             }
-            ChurnEvent::DrainNode(i) => {
+            ChaosEvent::DrainNode(i) => {
                 let id = fleet.node_ids()[*i];
                 fleet.drain_node(id).unwrap();
                 rebalance(&mut ft);
                 fleet.remove_node(id).unwrap();
             }
-            ChurnEvent::KillNode(i) => {
+            ChaosEvent::KillNode(i) => {
                 let id = fleet.node_ids()[*i];
                 fleet.remove_node(id).unwrap();
                 // Re-replicate: the rebalance sources from survivors and
                 // restores r copies of every shard on the new roster.
                 rebalance(&mut ft);
             }
+            ChaosEvent::Degrade(..) | ChaosEvent::Heal(_) => unreachable!("no fault class enabled"),
         }
     }
     qp.free_table(ft).unwrap();
@@ -309,15 +326,9 @@ fn back_to_back_rebalances_with_no_query_between() {
 /// membership event proceed.
 #[test]
 fn churn_survives_a_partition_probe_at_every_phase_boundary() {
-    use fv_workload::{ChurnEvent, ChurnScenarioGen, FaultSpec, TableGen};
+    use fv_workload::{FaultSpec, TableGen};
 
-    let scenario = ChurnScenarioGen::new(2, 8)
-        .queries_per_phase(3)
-        .with_drains()
-        .with_kills()
-        .seed(41)
-        .build();
-    assert_eq!(scenario.replicas, 2, "kill schedules load replicated");
+    let scenario = churn_schedule(11, 3, 41);
 
     let table = TableGen::new(8, 512)
         .seed(43)
@@ -364,7 +375,7 @@ fn churn_survives_a_partition_probe_at_every_phase_boundary() {
         fleet.heal_node(victim).unwrap();
 
         match event {
-            ChurnEvent::Queries(qs) => {
+            ChaosEvent::Queries(qs) => {
                 for q in qs {
                     let spec = fv_bench::tenant_query_spec(q);
                     let out = qp.far_view(&ft, &spec).unwrap();
@@ -372,21 +383,22 @@ fn churn_survives_a_partition_probe_at_every_phase_boundary() {
                     assert_eq!(out.merged.payload, reference.payload);
                 }
             }
-            ChurnEvent::AddNode => {
+            ChaosEvent::AddNode => {
                 fleet.add_node();
                 rebalance(&mut ft);
             }
-            ChurnEvent::DrainNode(i) => {
+            ChaosEvent::DrainNode(i) => {
                 let id = fleet.node_ids()[*i];
                 fleet.drain_node(id).unwrap();
                 rebalance(&mut ft);
                 fleet.remove_node(id).unwrap();
             }
-            ChurnEvent::KillNode(i) => {
+            ChaosEvent::KillNode(i) => {
                 let id = fleet.node_ids()[*i];
                 fleet.remove_node(id).unwrap();
                 rebalance(&mut ft);
             }
+            ChaosEvent::Degrade(..) | ChaosEvent::Heal(_) => unreachable!("no fault class enabled"),
         }
     }
     qp.free_table(ft).unwrap();
