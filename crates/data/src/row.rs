@@ -1,7 +1,7 @@
 //! Row access: owned rows and zero-copy row views.
 
 use crate::schema::Schema;
-use crate::value::{Value, ValueError};
+use crate::value::Value;
 
 /// An owned, decoded row.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,26 +23,6 @@ impl Row {
         &self.0[idx]
     }
 
-    /// Encode into the physical layout of `schema` — the fallible
-    /// boundary for rows of external origin.
-    ///
-    /// # Errors
-    /// [`ValueError`] when any value's type or width mismatches its
-    /// column; a wrong arity reports as a width mismatch of the row.
-    pub fn try_encode(&self, schema: &Schema) -> Result<Vec<u8>, ValueError> {
-        if self.0.len() != schema.column_count() {
-            return Err(ValueError::WidthMismatch {
-                got: self.0.len(),
-                want: schema.column_count(),
-            });
-        }
-        let mut out = Vec::with_capacity(schema.row_bytes());
-        for (v, c) in self.0.iter().zip(schema.columns()) {
-            v.try_encode_into(c.ty, &mut out)?;
-        }
-        Ok(out)
-    }
-
     /// Encode into the physical layout of `schema`.
     ///
     /// # Panics
@@ -55,8 +35,12 @@ impl Row {
             self.0.len(),
             schema.column_count()
         );
-        self.try_encode(schema)
-            .unwrap_or_else(|e| panic!("row does not encode as {schema:?}: {e}"))
+        let mut out = Vec::with_capacity(schema.row_bytes());
+        for (v, c) in self.0.iter().zip(schema.columns()) {
+            v.try_encode_into(c.ty, &mut out)
+                .unwrap_or_else(|e| panic!("row does not encode as {schema:?}: {e}"));
+        }
+        out
     }
 }
 

@@ -106,21 +106,6 @@ impl TableBuilder {
         self.push(&Row(values))
     }
 
-    /// Append one row, rejecting schema mismatches instead of
-    /// panicking — the boundary for rows of external origin. Nothing
-    /// outside this file's tests calls it yet.
-    ///
-    /// # Errors
-    /// [`crate::ValueError`] when the row's arity, any value's type, or
-    /// a byte string's width mismatches the schema; the builder is left
-    /// unchanged.
-    pub fn try_push(&mut self, row: &Row) -> Result<&mut Self, crate::ValueError> {
-        let encoded = row.try_encode(&self.schema)?;
-        self.data.extend_from_slice(&encoded);
-        self.rows += 1;
-        Ok(self)
-    }
-
     /// Rows appended so far.
     pub fn row_count(&self) -> usize {
         self.rows
@@ -168,24 +153,6 @@ mod tests {
     #[should_panic(expected = "whole number")]
     fn ragged_image_rejected() {
         Table::from_bytes(Schema::uniform_u64(1), vec![0u8; 9]);
-    }
-
-    #[test]
-    fn try_push_rejects_mismatches_without_mutating() {
-        let schema = Schema::uniform_u64(2);
-        let mut b = TableBuilder::new(schema);
-        b.try_push(&Row(vec![Value::U64(1), Value::U64(2)]))
-            .unwrap();
-        // Wrong arity.
-        assert!(b.try_push(&Row(vec![Value::U64(1)])).is_err());
-        // Wrong type.
-        assert!(matches!(
-            b.try_push(&Row(vec![Value::U64(1), Value::F64(2.0)])),
-            Err(crate::ValueError::TypeMismatch { .. })
-        ));
-        let t = b.build();
-        assert_eq!(t.row_count(), 1, "failed pushes must not append rows");
-        assert_eq!(t.byte_len(), 16);
     }
 
     #[test]

@@ -34,8 +34,13 @@
 //! digests recorded on that layout.
 //!
 //! The LRU cache "implemented with a shift register" (§5.4) hides the
-//! hash-table write latency: the last `depth` keys are visible even
-//! before their table write commits.
+//! hash-table write latency from DISTINCT: the last `depth` keys are
+//! visible even before their table write commits. It is a move-to-front
+//! register of primary hashes, most recent first, with no per-key
+//! allocation. A one-word key is compared by its hash alone, because
+//! [`hash_key`] is a bijection on 8-byte words
+//! (`tests::hash_key_is_a_bijection_on_one_word_keys` runs it
+//! backwards); any other width compares the hash, then the key bytes.
 
 /// 64-bit hash of `bytes` under `seed` (splitmix-style mixing; the paper
 /// cites fast FPGA hashing \[44\] — any well-mixed function preserves the
@@ -500,247 +505,95 @@ fn bucket_of(tag: u64, way: usize, mask: usize) -> usize {
     (x as usize) & mask
 }
 
-/// The LRU cache "implemented with a shift register" (§5.4): a fixed
-/// window of the most recent keys with true LRU replacement, O(depth)
-/// compare — in hardware a parallel compare against every register.
-///
-/// Recency is tracked with per-slot timestamps instead of physically
-/// shifting entries: a touch stamps the slot with a monotonic clock and
-/// eviction overwrites the minimum stamp, which selects exactly the key a
-/// move-to-front shift register would expel. Tags live in their own
-/// contiguous array so the membership scan is a tight loop over `depth`
-/// words (the hardware's parallel compare), and an evicted key's
-/// allocation is reused for the key shifting in — steady state is
-/// malloc-free.
-///
-/// [`ShiftRegisterLru::contains`] / [`ShiftRegisterLru::touch`] are the
-/// register as the paper describes it — what the test-only per-tuple
-/// reference drives; `DistinctOp` uses the merged
-/// [`ShiftRegisterLru::promote_or_victim`] (one scan decides membership,
-/// refreshes recency and picks the victim) and the scan-free
-/// [`ShiftRegisterLru::shift_in_at`]. Both sets drive the identical
-/// state machine.
-#[derive(Debug, Clone)]
-pub struct ShiftRegisterLru {
+/// The LRU cache "implemented with a shift register" (§5.4): the last
+/// `depth` keys that entered it, most recent first — in hardware a
+/// parallel compare against every register. A hit moves its key to the
+/// front and a miss shifts in there, so the last entry is always the
+/// least recently used one, the key a timestamped LRU would expel: the
+/// register holds the same keys in the same recency order.
+pub(crate) struct LruRegister {
     depth: usize,
-    /// Monotonic recency clock; bumped on every touch/promote/shift-in.
-    clock: u64,
-    /// Primary-hash compare tags, one per live slot (contiguous scan).
+    /// The live entries' primary hashes, most recent first.
     tags: Vec<u64>,
-    /// Last-touch stamp per live slot; the minimum is the LRU victim.
-    stamps: Vec<u64>,
-    /// The keys, parallel to `tags`/`stamps`.
-    keys: Vec<Box<[u8]>>,
+    /// The live entries' key bytes, parallel to `tags`, for keys that
+    /// are not one word wide (a one-word key is its tag).
+    keys: Vec<u8>,
 }
 
-impl ShiftRegisterLru {
-    /// A shift register of the given depth. Depth 0 disables the cache
-    /// (used by tests to expose the data hazard the cache exists to
-    /// prevent).
-    pub fn new(depth: usize) -> Self {
-        ShiftRegisterLru {
+impl LruRegister {
+    /// A register of `depth` entries for keys `key_width` bytes wide.
+    pub(crate) fn new(depth: usize, key_width: usize) -> Self {
+        LruRegister {
             depth,
-            clock: 0,
             tags: Vec::with_capacity(depth),
-            stamps: Vec::with_capacity(depth),
-            keys: Vec::with_capacity(depth),
+            keys: Vec::with_capacity(if key_width == 8 { 0 } else { depth * key_width }),
         }
     }
 
-    /// The configured depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Slot index of `key`, if resident. Distinct keys share a tag only
-    /// under a full 64-bit hash collision, so key bytes are touched on
-    /// (almost only) the hit.
-    #[inline]
-    fn find(&self, h: u64, key: &[u8]) -> Option<usize> {
-        self.tags
-            .iter()
-            .zip(&self.keys)
-            .position(|(&tag, k)| tag == h && k.as_ref() == key)
-    }
-
-    /// Stamp `slot` most-recent.
-    #[inline]
-    fn stamp(&mut self, slot: usize) {
-        self.clock += 1;
-        if let Some(stamp) = self.stamps.get_mut(slot) {
-            *stamp = self.clock;
-        }
-    }
-
-    /// Put `key` into `slot` as most-recent; `slot == len()` appends.
-    /// The evicted key's allocation is reused when the widths match.
-    #[inline]
-    fn replace(&mut self, slot: usize, h: u64, key: &[u8]) {
-        if slot == self.keys.len() {
-            self.tags.push(h);
-            self.stamps.push(0);
-            self.keys.push(key.into());
-        } else if let (Some(tag), Some(held)) = (self.tags.get_mut(slot), self.keys.get_mut(slot)) {
-            *tag = h;
-            if held.len() == key.len() {
-                held.copy_from_slice(key);
-            } else {
-                *held = key.into();
-            }
-        }
-        self.stamp(slot);
-    }
-
-    /// Is `key` in the window?
-    pub fn contains(&self, key: &[u8]) -> bool {
-        if self.tags.is_empty() {
-            return false;
-        }
-        self.contains_hashed(hash_key(key), key)
-    }
-
-    /// Membership test with a precomputed primary hash.
-    #[inline]
-    pub fn contains_hashed(&self, h: u64, key: &[u8]) -> bool {
-        self.find(h, key).is_some()
-    }
-
-    /// Shift `key` in as most-recent; the oldest entry falls out. A key
-    /// already present moves to the front (true LRU).
-    pub fn touch(&mut self, key: &[u8]) {
-        if self.depth == 0 {
-            return;
-        }
-        self.touch_hashed(hash_key(key), key);
-    }
-
-    /// [`ShiftRegisterLru::touch`] with a precomputed primary hash.
-    pub(crate) fn touch_hashed(&mut self, h: u64, key: &[u8]) {
-        if self.depth == 0 {
-            return;
-        }
-        if self.promote_hashed(h, key) {
-            return;
-        }
-        self.shift_in_hashed(h, key);
-    }
-
-    /// Merged membership probe and recency refresh (the batched block
-    /// paths): one scan; a resident key is stamped most-recent and `true`
-    /// comes back, an absent key leaves the window untouched. Equivalent
-    /// to `contains_hashed` followed by `touch_hashed` on a hit.
-    #[inline]
-    pub(crate) fn promote_hashed(&mut self, h: u64, key: &[u8]) -> bool {
-        let found = self.find(h, key);
-        if let Some(i) = found {
-            self.stamp(i);
-        }
-        found.is_some()
-    }
-
-    /// One scan serving both outcomes of the batched paths' LRU step:
-    /// a resident key is promoted to most-recent (`Ok(slot)`, same
-    /// effect as `ShiftRegisterLru::promote_hashed`); an absent key's
-    /// LRU victim slot comes back as `Err(slot)` for a later scan-free
-    /// [`ShiftRegisterLru::shift_in_at`] (`slot == len()` appends while
-    /// the window is still filling). Either slot stays valid until the
-    /// next LRU mutation of a *different* key — promoting the same key
-    /// again via [`ShiftRegisterLru::promote_at`] keeps it valid. The
-    /// separate promote-then-shift pair walks the window twice; this
-    /// walks it once.
-    #[inline]
-    pub fn promote_or_victim(&mut self, h: u64, key: &[u8]) -> Result<usize, usize> {
-        if self.keys.len() < self.depth {
-            return match self.find(h, key) {
-                Some(i) => {
-                    self.stamp(i);
-                    Ok(i)
-                }
-                None => Err(self.keys.len()),
-            };
-        }
-        let mut victim = 0usize;
-        let mut oldest = u64::MAX;
-        let mut found = None;
-        let entries = self.tags.iter().zip(&self.keys).zip(&self.stamps);
-        for (i, ((&tag, held), &stamp)) in entries.enumerate() {
-            if tag == h && held.as_ref() == key {
-                found = Some(i);
-                break;
-            }
-            if stamp < oldest {
-                oldest = stamp;
-                victim = i;
-            }
-        }
-        match found {
-            Some(i) => {
-                self.stamp(i);
-                Ok(i)
-            }
-            None => Err(victim),
-        }
-    }
-
-    /// Re-promote the key occupying `slot` — the scan-free recency
-    /// refresh for a key this block already located via
-    /// [`ShiftRegisterLru::promote_or_victim`] or placed via
-    /// [`ShiftRegisterLru::shift_in_at`], with no other LRU mutation in
-    /// between (run detection over clustered keys). Identical stamp
-    /// bookkeeping to the scanning promote.
-    #[inline]
-    pub fn promote_at(&mut self, slot: usize) {
-        self.stamp(slot);
-    }
-
-    /// Place `key` into the victim slot a
-    /// [`ShiftRegisterLru::promote_or_victim`] miss selected this
-    /// tuple, skipping both the membership and the victim scan. The
-    /// evicted key's allocation is reused when the widths match.
-    #[inline]
-    pub fn shift_in_at(&mut self, slot: usize, h: u64, key: &[u8]) {
-        if self.depth > 0 {
-            self.replace(slot, h, key);
-        }
-    }
-
-    /// Shift in a key known to be absent (a failed
-    /// [`ShiftRegisterLru::promote_hashed`] this tuple): no membership
-    /// scan, just victim selection by minimum stamp. The evicted key's
-    /// allocation is reused when the widths match.
-    pub(crate) fn shift_in_hashed(&mut self, h: u64, key: &[u8]) {
-        if self.depth == 0 {
-            return;
-        }
-        debug_assert!(self.find(h, key).is_none(), "shift_in of a resident key");
-        let victim = if self.keys.len() < self.depth {
-            self.keys.len()
+    /// Where `key` sits, 0 being the most recent.
+    #[inline(always)]
+    fn position(&self, h: u64, key: &[u8]) -> Option<usize> {
+        if key.len() == 8 {
+            // Equal tags are equal one-word keys:
+            // `tests::hash_key_is_a_bijection_on_one_word_keys`.
+            self.tags.iter().position(|&tag| tag == h)
         } else {
-            // The first of equal minimum stamps, as a register shifts.
-            let oldest = self.stamps.iter().min();
-            self.stamps
+            self.tags
                 .iter()
-                .position(|s| Some(s) == oldest)
-                .unwrap_or(0)
+                .zip(self.keys.chunks_exact(key.len()))
+                .position(|(&tag, held)| tag == h && held == key)
+        }
+    }
+
+    /// Move a resident key to the front and say so; an absent key leaves
+    /// the register as it was.
+    #[inline(always)]
+    pub(crate) fn promote(&mut self, h: u64, key: &[u8]) -> bool {
+        let Some(at) = self.position(h, key) else {
+            return false;
         };
-        self.replace(victim, h, key);
+        // At the front already: a run of equal keys.
+        if at > 0 {
+            self.move_to_front(at, h, key);
+        }
+        true
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.keys.len()
+    /// Shift an absent key in at the front; in a full register the last
+    /// entry falls out. Depth 0 holds nothing.
+    #[inline(always)]
+    pub(crate) fn shift_in(&mut self, h: u64, key: &[u8]) {
+        if self.tags.len() < self.depth {
+            self.tags.push(h);
+            if key.len() != 8 {
+                self.keys.extend_from_slice(key);
+            }
+        }
+        if let Some(last) = self.tags.len().checked_sub(1) {
+            self.move_to_front(last, h, key);
+        }
     }
 
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+    /// Entries `..at` move back one place, overwriting entry `at`, and
+    /// `key` takes the front.
+    #[inline(always)]
+    fn move_to_front(&mut self, at: usize, h: u64, key: &[u8]) {
+        let mut carry = h;
+        for tag in self.tags.iter_mut().take(at + 1) {
+            carry = std::mem::replace(tag, carry);
+        }
+        if key.len() != 8 {
+            let kw = key.len();
+            self.keys.copy_within(..at * kw, kw);
+            if let Some(front) = self.keys.get_mut(..kw) {
+                front.copy_from_slice(key);
+            }
+        }
     }
 
-    /// Empty the window and restart its recency clock.
-    pub fn reset(&mut self) {
-        self.clock = 0;
+    /// Empty the register.
+    pub(crate) fn reset(&mut self) {
         self.tags.clear();
-        self.stamps.clear();
         self.keys.clear();
     }
 }
@@ -760,6 +613,51 @@ mod tests {
         // The one-word shortcut is the same function.
         for key in [&b"12345678"[..], b"1234567", b"123456789", b""] {
             assert_eq!(hash_key(key), hash64(key, PRIMARY_SEED));
+        }
+    }
+
+    /// `hash_key` on a one-word key, run backwards: the seed xor, the
+    /// odd multiply, the rotate and each step of the splitmix finalizer
+    /// are invertible, so two one-word keys share a primary hash only if
+    /// they are equal. DISTINCT's LRU register and in-flight window
+    /// compare a one-word key by its hash alone on the strength of this.
+    #[test]
+    fn hash_key_is_a_bijection_on_one_word_keys() {
+        /// The inverse of an odd `m` modulo 2⁶⁴: Newton's iteration
+        /// doubles the correct low bits (three to start) each step.
+        fn inverse(m: u64) -> u64 {
+            let mut inv = m;
+            for _ in 0..5 {
+                inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
+            }
+            assert_eq!(m.wrapping_mul(inv), 1, "{m:#x} has no inverse");
+            inv
+        }
+        /// The inverse of `x ^ (x >> k)`: each step fixes `k` more bits.
+        fn unshift(y: u64, k: u32) -> u64 {
+            (0..64 / k).fold(y, |x, _| y ^ (x >> k))
+        }
+        let m1 = inverse(0xBF58_476D_1CE4_E5B9);
+        let m2 = inverse(0x94D0_49BB_1331_11EB);
+        let unhash = |h: u64| {
+            let x = unshift(h, 31).wrapping_mul(m2);
+            let x = unshift(x, 27).wrapping_mul(m1);
+            let x = unshift(x, 30);
+            x.rotate_right(23).wrapping_mul(m1) ^ hash_seed(PRIMARY_SEED)
+        };
+        let mut state = 0x0123_4567_89AB_CDEFu64;
+        let sampled = (0..10_000).map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            hash_finish(state)
+        });
+        let edges = [0, 1, 2, 0xFF, 1 << 63, u64::MAX, u64::MAX - 1, PRIMARY_SEED];
+        for word in sampled.chain(edges).chain(0..1024) {
+            let h = hash_key(&word.to_le_bytes());
+            assert_eq!(
+                unhash(h),
+                word,
+                "hash_key({word:#x}) = {h:#x} does not invert"
+            );
         }
     }
 
@@ -958,36 +856,58 @@ mod tests {
         assert_eq!(t.capacity(), 32, "explicit geometry is the BRAM budget");
     }
 
+    fn touch(lru: &mut LruRegister, key: &[u8]) {
+        let h = hash_key(key);
+        if !lru.promote(h, key) {
+            lru.shift_in(h, key);
+        }
+    }
+
+    fn contains(lru: &LruRegister, key: &[u8]) -> bool {
+        lru.position(hash_key(key), key).is_some()
+    }
+
     #[test]
     fn lru_true_replacement_order() {
-        let mut lru = ShiftRegisterLru::new(2);
-        lru.touch(b"a");
-        lru.touch(b"b");
-        // Touch `a` again: `b` becomes LRU.
-        lru.touch(b"a");
-        lru.touch(b"c");
-        assert!(lru.contains(b"a"), "recently touched must survive");
-        assert!(!lru.contains(b"b"), "true LRU must evict b");
-        assert!(lru.contains(b"c"));
+        for width in [1usize, 8, 13] {
+            let key = |c: u8| vec![c; width];
+            let mut lru = LruRegister::new(2, width);
+            touch(&mut lru, &key(b'a'));
+            touch(&mut lru, &key(b'b'));
+            // Touch `a` again: `b` becomes LRU.
+            touch(&mut lru, &key(b'a'));
+            touch(&mut lru, &key(b'c'));
+            assert!(contains(&lru, &key(b'a')), "recently touched must survive");
+            assert!(!contains(&lru, &key(b'b')), "true LRU must evict b");
+            assert!(contains(&lru, &key(b'c')));
+            // Most recent first, the key bytes parallel to the tags.
+            assert_eq!(lru.tags, [hash_key(&key(b'c')), hash_key(&key(b'a'))]);
+            if width != 8 {
+                assert_eq!(lru.keys, [key(b'c'), key(b'a')].concat());
+            }
+        }
     }
 
     #[test]
     fn lru_depth_zero_is_disabled() {
-        let mut lru = ShiftRegisterLru::new(0);
-        lru.touch(b"a");
-        assert!(!lru.contains(b"a"));
-        assert!(lru.is_empty());
+        let mut lru = LruRegister::new(0, 1);
+        touch(&mut lru, b"a");
+        assert!(!contains(&lru, b"a"));
+        assert!(lru.tags.is_empty() && lru.keys.is_empty());
     }
 
     #[test]
-    fn lru_hashed_entry_points_agree() {
-        let mut lru = ShiftRegisterLru::new(3);
-        for key in [b"aa".as_slice(), b"bb", b"cc", b"aa"] {
-            lru.touch_hashed(hash_key(key), key);
+    fn a_depth_one_register_holds_the_last_key_only() {
+        for width in [8usize, 3] {
+            let key = |c: u8| vec![c; width];
+            let mut lru = LruRegister::new(1, width);
+            for c in [b'a', b'b', b'b', b'c'] {
+                touch(&mut lru, &key(c));
+                assert!(contains(&lru, &key(c)), "the key just touched is in");
+                assert_eq!(lru.tags.len(), 1);
+            }
+            assert!(!contains(&lru, &key(b'a')) && !contains(&lru, &key(b'b')));
         }
-        assert!(lru.contains_hashed(hash_key(b"aa"), b"aa"));
-        assert!(lru.contains(b"cc"));
-        assert_eq!(lru.len(), 3);
     }
 
     #[test]

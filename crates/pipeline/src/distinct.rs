@@ -12,10 +12,15 @@
 //! register catches the second one, which is exactly why the hardware
 //! has it. [`DistinctOp::with_geometry`] at depth 0 exposes the hazard
 //! for tests.
+//!
+//! Both windows are fixed-size and allocate nothing per tuple. The LRU
+//! is the move-to-front register of primary hashes in [`crate::cuckoo`];
+//! the inserts still in flight sit in a ring of [`WRITE_LATENCY`]
+//! cells. Both compare a one-word key by its hash alone (`hash_key` is
+//! a bijection on 8-byte words) and any other width by hash, then key
+//! bytes, which each keeps in one flat arena.
 
-use std::collections::VecDeque;
-
-use crate::cuckoo::{hash_key, CuckooTable, ShiftRegisterLru};
+use crate::cuckoo::{hash_key, CuckooTable, LruRegister};
 use crate::pack::Packer;
 use crate::pipeline::{field, TailOperator, TupleBlock};
 use crate::project::ProjectionPlan;
@@ -29,17 +34,84 @@ pub const WRITE_LATENCY: usize = 6;
 /// hash tables", §5.4).
 pub const DEFAULT_LRU_DEPTH: usize = 8;
 
+/// The inserts still inside the write-latency window. The insert made
+/// at tick `t` becomes visible to table lookups at `t + WRITE_LATENCY`,
+/// and a tick makes at most one, so at most [`WRITE_LATENCY`] are ever
+/// in flight: tick `t`'s insert takes cell `t % WRITE_LATENCY`, whose
+/// previous occupant (from tick `t - WRITE_LATENCY`) has just committed.
+struct InFlight {
+    /// Per cell: the commit tick and the key's primary hash. A cell never
+    /// used holds commit 0, which no tick (the first is 1) is below.
+    cells: [(u64, u64); WRITE_LATENCY],
+    /// The newest insert's commit tick: from then on nothing is in
+    /// flight, the steady state of a stream whose keys are all known.
+    last_commit: u64,
+    /// Per cell, the key bytes of keys that are not one word wide.
+    keys: Vec<u8>,
+}
+
+impl InFlight {
+    fn new(key_width: usize) -> Self {
+        let arena = if key_width == 8 {
+            0
+        } else {
+            WRITE_LATENCY * key_width
+        };
+        InFlight {
+            cells: [(0, 0); WRITE_LATENCY],
+            last_commit: 0,
+            keys: vec![0; arena],
+        }
+    }
+
+    /// Record the insert of `key` made at `tick`.
+    #[inline(always)]
+    fn push(&mut self, tick: u64, h: u64, key: &[u8]) {
+        let at = (tick % WRITE_LATENCY as u64) as usize;
+        self.last_commit = tick + WRITE_LATENCY as u64;
+        if let Some(cell) = self.cells.get_mut(at) {
+            *cell = (self.last_commit, h);
+        }
+        if key.len() != 8 {
+            let kw = key.len();
+            if let Some(held) = self.keys.get_mut(at * kw..(at + 1) * kw) {
+                held.copy_from_slice(key);
+            }
+        }
+    }
+
+    /// Is an insert of `key` still invisible to lookups at `tick`?
+    #[inline(always)]
+    fn holds(&self, tick: u64, h: u64, key: &[u8]) -> bool {
+        if self.last_commit <= tick {
+            false
+        } else if key.len() == 8 {
+            // Equal tags are equal one-word keys, as in the LRU register.
+            self.cells
+                .iter()
+                .any(|&(commit, tag)| commit > tick && tag == h)
+        } else {
+            self.cells
+                .iter()
+                .zip(self.keys.chunks_exact(key.len()))
+                .any(|(&(commit, tag), held)| commit > tick && tag == h && held == key)
+        }
+    }
+
+    fn reset(&mut self) {
+        self.cells = [(0, 0); WRITE_LATENCY];
+        self.last_commit = 0;
+    }
+}
+
 /// Streaming DISTINCT over a set of key columns.
 pub struct DistinctOp {
     keys: ProjectionPlan,
     /// The key columns as one byte range of the row, when they are one.
     key_range: Option<std::ops::Range<usize>>,
     table: CuckooTable<()>,
-    lru: ShiftRegisterLru,
-    /// Inserts not yet visible to table lookups: `(key, commit_tick)` —
-    /// the entry becomes visible once the tuple counter reaches
-    /// `commit_tick` (the hazard window).
-    in_flight: VecDeque<(Box<[u8]>, u64)>,
+    lru: LruRegister,
+    in_flight: InFlight,
     /// Tuples processed (the write-pipeline clock).
     tick: u64,
     /// Scratch for non-contiguous key columns: all survivor keys of a
@@ -75,12 +147,13 @@ impl DistinctOp {
 
     /// Explicit table geometry / LRU depth (ablations and tests).
     pub fn with_geometry(keys: ProjectionPlan, table: CuckooTable<()>, lru_depth: usize) -> Self {
+        let kw = keys.out_row_bytes();
         DistinctOp {
             key_range: keys.contiguous_range(),
             keys,
             table,
-            lru: ShiftRegisterLru::new(lru_depth),
-            in_flight: VecDeque::with_capacity(WRITE_LATENCY),
+            lru: LruRegister::new(lru_depth, kw),
+            in_flight: InFlight::new(kw),
             tick: 0,
             block_keys: Vec::new(),
             batched_blocks: 0,
@@ -102,113 +175,58 @@ impl DistinctOp {
         self.hazard_leaks
     }
 
-    /// One tuple of the hazard-window state machine, with the key's
-    /// primary hash already in hand. Bit-exact vs the literal §5.4
-    /// per-tuple machine (the reference in `tests/reference`): same
-    /// probes in the same order against the same table, LRU, and
-    /// in-flight window. Forced inline: this is the per-tuple body of
-    /// the batched loops, and a real call here would spill the loop
-    /// state it shares with them.
-    ///
-    /// Returns the LRU slot the key occupies afterwards (`None` when it
-    /// was left out: hazard leak, or a depth-0 window) — the handle the
-    /// caller's run detection uses to re-promote a repeated key without
-    /// another scan.
-    #[inline(always)]
-    fn dedup_one(&mut self, h: u64, key: &[u8], packer: &mut Packer) -> Option<usize> {
-        // Advance the write pipeline by one tuple (the hazard clock
-        // ticks per tuple, not per block).
-        self.tick += 1;
-        while matches!(self.in_flight.front(), Some((_, commit)) if *commit <= self.tick) {
-            self.in_flight.pop_front();
-        }
-        // LRU first — it exists to catch what the table can't see
-        // yet. One merged scan answers membership, refreshes recency
-        // on a hit (the reference's contains-then-touch pair), and
-        // on a miss already selects the victim slot the shift-in
-        // below will use — the whole LRU step is a single walk.
-        let slot = match self.lru.promote_or_victim(h, key) {
-            Ok(slot) => {
-                self.hazard_catches += 1;
-                return Some(slot);
-            }
-            Err(slot) => slot,
-        };
-        // One probe decides both the ordinary-duplicate and the
-        // hazard-leak branch (the reference probes twice; nothing
-        // mutates the table in between, so the answers are equal).
-        if self.table.contains_hashed(h, key) {
-            if self.in_flight.iter().any(|(k, _)| k.as_ref() == key) {
-                // In the table but still inside the invisible window
-                // and not caught by the LRU: the §5.4 data hazard. The
-                // key does NOT enter the LRU (the reference's touch
-                // never runs on this branch either). The hardware would
-                // emit a duplicate here; so do we, and we count it.
-                self.hazard_leaks += 1;
-                self.emitted += 1;
-                packer.push_tuple(key);
-                return None;
-            }
-            // Ordinary duplicate; the failed promote already
-            // proved the key absent, so shift it in scan-free.
-            self.lru.shift_in_at(slot, h, key);
-            return Some(slot);
-        }
-        // Genuinely new key: insert (entering the hazard window) and emit.
-        match self.table.insert_key_hashed(h, key, ()) {
-            Ok(()) => {
-                self.in_flight
-                    .push_back((key.into(), self.tick + WRITE_LATENCY as u64));
-            }
-            Err(_homeless) => {
-                // Cuckoo overflow: this key has no table slot. The tuple
-                // still goes to the client (as overflow) and later
-                // duplicates of it will also be emitted for software
-                // dedup.
-                self.overflow += 1;
-            }
-        }
-        self.lru.shift_in_at(slot, h, key);
-        self.emitted += 1;
-        packer.push_tuple(key);
-        Some(slot)
-    }
-}
-
-impl DistinctOp {
     /// Run the hazard-window state machine over `keys`, in order (dedup
-    /// is inherently sequential, and the hazard clock must tick per
-    /// tuple).
-    ///
-    /// Clustered inputs (fact tables physically ordered on the key)
-    /// arrive as runs of equal keys. The first tuple of a run takes the
-    /// full state machine; every repeat is provably still resident in
-    /// the LRU at the slot the first occurrence reported, so it reduces
-    /// to exactly what the full machine would do — clock tick, in-flight
-    /// retirement, stamp refresh, hazard-catch count — with the hash and
-    /// both scans skipped. The memo is invalid when the key was left out
-    /// of the LRU (hazard leak, or a depth-0 window).
+    /// is inherently sequential, and the hazard clock ticks per tuple).
+    /// Bit-exact vs the literal §5.4 per-tuple machine (the reference in
+    /// `tests/reference`): the same probes in the same order against
+    /// the same table, and LRU and in-flight windows that answer every
+    /// membership question as the reference's do. Each arm of
+    /// `push_block` gets its own copy, in which the key width is a
+    /// constant wherever the arm's is.
     fn dedup<'k>(&mut self, keys: impl Iterator<Item = &'k [u8]>, packer: &mut Packer) {
-        let memo_on = self.lru.depth() > 0;
-        let mut prev: Option<(&[u8], usize)> = None;
         for key in keys {
-            if let Some((prev_key, slot)) = prev {
-                if prev_key == key {
-                    self.tick += 1;
-                    while matches!(self.in_flight.front(),
-                        Some((_, commit)) if *commit <= self.tick)
-                    {
-                        self.in_flight.pop_front();
-                    }
-                    self.lru.promote_at(slot);
-                    self.hazard_catches += 1;
+            let h = hash_key(key);
+            // Advance the write pipeline by one tuple.
+            self.tick += 1;
+            // LRU first — it exists to catch what the table can't see yet.
+            // A run of equal keys hits at the front, on the first compare.
+            if self.lru.promote(h, key) {
+                self.hazard_catches += 1;
+                continue;
+            }
+            // One probe decides both the ordinary-duplicate and the
+            // hazard-leak branch (the reference probes twice; nothing
+            // mutates the table in between, so the answers are equal).
+            if self.table.contains_hashed(h, key) {
+                if self.in_flight.holds(self.tick, h, key) {
+                    // In the table but still inside the invisible window
+                    // and not caught by the LRU: the §5.4 data hazard. The
+                    // key does NOT enter the LRU (the reference's touch
+                    // never runs on this branch either). The hardware would
+                    // emit a duplicate here; so do we, and we count it.
+                    self.hazard_leaks += 1;
+                    self.emitted += 1;
+                    packer.push_tuple(key);
                     continue;
                 }
+                // Ordinary duplicate.
+                self.lru.shift_in(h, key);
+                continue;
             }
-            prev = self
-                .dedup_one(hash_key(key), key, packer)
-                .filter(|_| memo_on)
-                .map(|slot| (key, slot));
+            // Genuinely new key: insert (entering the hazard window) and emit.
+            match self.table.insert_key_hashed(h, key, ()) {
+                Ok(()) => self.in_flight.push(self.tick, h, key),
+                Err(_homeless) => {
+                    // Cuckoo overflow: this key has no table slot. The tuple
+                    // still goes to the client (as overflow) and later
+                    // duplicates of it will also be emitted for software
+                    // dedup.
+                    self.overflow += 1;
+                }
+            }
+            self.lru.shift_in(h, key);
+            self.emitted += 1;
+            packer.push_tuple(key);
         }
     }
 }
@@ -258,7 +276,7 @@ impl TailOperator for DistinctOp {
     fn reset(&mut self) {
         self.table.reset();
         self.lru.reset();
-        self.in_flight.clear();
+        self.in_flight.reset();
         self.tick = 0;
         self.batched_blocks = 0;
         self.emitted = 0;
@@ -287,6 +305,30 @@ mod tests {
         out.chunks_exact(8)
             .map(|k| u64::from_le_bytes(k.try_into().unwrap()))
             .collect()
+    }
+
+    #[test]
+    fn an_insert_is_in_flight_for_exactly_write_latency_ticks() {
+        for width in [8usize, 5] {
+            let key = |c: u8| vec![c; width];
+            let mut window = InFlight::new(width);
+            window.push(3, hash_key(&key(b'a')), &key(b'a'));
+            window.push(4, hash_key(&key(b'b')), &key(b'b'));
+            let held = |w: &InFlight, tick: u64, c: u8| w.holds(tick, hash_key(&key(c)), &key(c));
+            for tick in 3..3 + WRITE_LATENCY as u64 {
+                assert!(held(&window, tick, b'a'), "tick {tick}");
+            }
+            assert!(!held(&window, 3 + WRITE_LATENCY as u64, b'a'));
+            assert!(held(&window, 3 + WRITE_LATENCY as u64, b'b'));
+            assert!(!held(&window, 5, b'c'), "never inserted");
+            // A later insert reuses the cell of the one WRITE_LATENCY
+            // ticks older, which has committed by then.
+            let later = 3 + WRITE_LATENCY as u64;
+            window.push(later, hash_key(&key(b'c')), &key(b'c'));
+            assert!(held(&window, later, b'c') && !held(&window, later, b'a'));
+            window.reset();
+            assert!(!held(&window, 1, b'c'), "a reset empties the window");
+        }
     }
 
     #[test]

@@ -286,21 +286,6 @@ impl PredicateExpr {
             }
         })
     }
-
-    /// Bitmask of base-table columns the predicate reads — the paper's
-    /// `selection_flags` annotation (§5.2). Nothing outside this file's
-    /// tests calls it yet.
-    pub fn selection_mask(&self) -> u64 {
-        match self {
-            PredicateExpr::True => 0,
-            PredicateExpr::Not(inner) => inner.selection_mask(),
-            PredicateExpr::And(xs) | PredicateExpr::Or(xs) => xs
-                .iter()
-                .map(PredicateExpr::selection_mask)
-                .fold(0, |a, b| a | b),
-            PredicateExpr::Cmp { col, .. } => 1u64 << (col % 64),
-        }
-    }
 }
 
 /// A predicate resolved against one schema: every comparison carries its
@@ -623,12 +608,5 @@ mod tests {
         // Compilation rejects what validation rejects.
         assert!(PredicateExpr::lt(9, 1u64).compile(&schema).is_err());
         assert!(PredicateExpr::lt(0, 1.5f64).compile(&schema).is_err());
-    }
-
-    #[test]
-    fn selection_mask_collects_columns() {
-        let p = PredicateExpr::lt(0, 1u64).and(PredicateExpr::gt(3, 2u64));
-        assert_eq!(p.selection_mask(), 0b1001);
-        assert_eq!(PredicateExpr::True.selection_mask(), 0);
     }
 }

@@ -10,16 +10,18 @@
 //! `tests/vectorized_props.rs` checks it against this one byte for byte
 //! and counter for counter. Nothing here calls `push_block` or
 //! `select_block`: it is built from the public parts both routes share
-//! (cuckoo table, LRU shift register, projection plan, packer's
-//! per-tuple entry, codecs) so a bug in a block path cannot hide in its
-//! own oracle.
+//! (cuckoo table, projection plan, packer's per-tuple entry, codecs) so
+//! a bug in a block path cannot hide in its own oracle. The LRU shift
+//! register is not shared: the oracle keeps its own timestamped one
+//! ([`ShiftRegisterLru`]), compared by key bytes, against the library's
+//! move-to-front register of hashes.
 
 use std::collections::VecDeque;
 
 use fv_data::{ColumnType, RowView, Schema, Value};
 use fv_pipeline::compress::StreamCompressor;
 use fv_pipeline::crypto_op::StreamCrypto;
-use fv_pipeline::cuckoo::{CuckooTable, ShiftRegisterLru};
+use fv_pipeline::cuckoo::CuckooTable;
 use fv_pipeline::distinct::{DEFAULT_LRU_DEPTH, WRITE_LATENCY};
 use fv_pipeline::pack::Packer;
 use fv_pipeline::project::{ProjectionPlan, SmartAddressing};
@@ -68,6 +70,54 @@ impl<F: FnMut(&[u8]) -> bool> ScalarOp for Select<F> {
     fn push(&mut self, tuple: &[u8], out: &mut dyn FnMut(&[u8])) {
         if (self.0)(tuple) {
             out(tuple);
+        }
+    }
+}
+
+/// The LRU cache "implemented with a shift register" (§5.4) as the
+/// oracle keeps it: a window of the last `depth` keys with true LRU
+/// replacement. A touch stamps the key's slot with a monotonic clock,
+/// and a key shifting into a full window overwrites the minimum stamp —
+/// the key a shift register would expel. Depth 0 holds nothing (the
+/// hazard the cache exists to close is then exposed).
+pub struct ShiftRegisterLru {
+    depth: usize,
+    clock: u64,
+    /// Last-touch stamp per slot, parallel to `keys`.
+    stamps: Vec<u64>,
+    keys: Vec<Box<[u8]>>,
+}
+
+impl ShiftRegisterLru {
+    pub fn new(depth: usize) -> Self {
+        ShiftRegisterLru {
+            depth,
+            clock: 0,
+            stamps: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// Is `key` in the window?
+    pub fn contains(&self, key: &[u8]) -> bool {
+        self.keys.iter().any(|k| k.as_ref() == key)
+    }
+
+    /// Stamp `key` most recent, shifting it in when absent; in a full
+    /// window the least recently touched key falls out.
+    pub fn touch(&mut self, key: &[u8]) {
+        if self.depth == 0 {
+            return;
+        }
+        self.clock += 1;
+        if let Some(i) = self.keys.iter().position(|k| k.as_ref() == key) {
+            self.stamps[i] = self.clock;
+        } else if self.keys.len() < self.depth {
+            self.keys.push(key.into());
+            self.stamps.push(self.clock);
+        } else if let Some(oldest) = (0..self.depth).min_by_key(|&i| self.stamps[i]) {
+            self.keys[oldest] = key.into();
+            self.stamps[oldest] = self.clock;
         }
     }
 }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use farview::prelude::*;
 use farview_core::{AggFunc, AggSpec, PredicateExpr};
 use fv_pipeline::cuckoo::{hash_key, CuckooTable};
-use fv_pipeline::distinct::{DistinctOp, DEFAULT_LRU_DEPTH};
+use fv_pipeline::distinct::{DistinctOp, DEFAULT_LRU_DEPTH, WRITE_LATENCY};
 use fv_pipeline::group_by::GroupByOp;
 use fv_pipeline::pack::Packer;
 use fv_pipeline::project::ProjectionPlan;
@@ -432,17 +432,21 @@ proptest! {
 }
 
 /// Feed `stream` through the per-tuple state machine and through
-/// `DistinctOp::push_block` over ragged identity blocks, both on a table
-/// of `make_table()`'s geometry — and assert the emitted bytes and every
+/// `DistinctOp::push_block` over ragged identity blocks (lengths cycling
+/// through `block_lens`), both keyed by `cols` of `schema` on a table of
+/// `make_table()`'s geometry — and assert the emitted bytes and every
 /// hazard/overflow counter agree. Returns the reference, for fixture
 /// sanity checks.
 fn assert_distinct_routes_agree(
+    schema: &Schema,
+    cols: &[usize],
     make_table: impl Fn() -> CuckooTable<()>,
     lru_depth: usize,
     stream: &[u8],
-    tb: usize,
+    block_lens: &[usize],
 ) -> ScalarDistinct {
-    let keys = || ProjectionPlan::new(&Schema::uniform_u64(2), Some(&[0])).expect("plan");
+    let tb = schema.row_bytes();
+    let keys = || ProjectionPlan::new(schema, Some(cols)).expect("plan");
     let mut scalar_op = ScalarDistinct::new(keys(), make_table(), lru_depth);
     let mut scalar_out = Vec::new();
     for tuple in stream.chunks_exact(tb) {
@@ -451,11 +455,11 @@ fn assert_distinct_routes_agree(
 
     let mut block_op = DistinctOp::with_geometry(keys(), make_table(), lru_depth);
     let mut packer = Packer::passthrough();
-    // Ragged block boundaries, including mid-run splits (a key run that
-    // straddles two blocks must re-seed the memo without skew).
+    // Ragged block boundaries, including mid-run splits: the hazard
+    // clock must tick per tuple, never per block.
     let mut off = 0usize;
     let mut sel: Vec<u32> = Vec::new();
-    for lens in [5usize, 1, 9, 2, 17, 3].iter().cycle() {
+    for lens in block_lens.iter().cycle() {
         if off >= stream.len() {
             break;
         }
@@ -468,16 +472,32 @@ fn assert_distinct_routes_agree(
     }
     let block_out = packer.drain();
 
+    let what = format!("keys {cols:?}, LRU depth {lru_depth}, blocks {block_lens:?}");
     assert_eq!(
         scalar_out, block_out,
-        "distinct routes must be byte-identical"
+        "distinct routes must be byte-identical ({what})"
     );
-    assert_eq!(scalar_op.emitted, block_op.emitted());
-    assert_eq!(scalar_op.hazard_leaks, block_op.hazard_leaks());
-    assert_eq!(scalar_op.hazard_catches, block_op.hazard_catches());
-    assert_eq!(scalar_op.overflow, block_op.overflow_tuples());
+    assert_eq!(scalar_op.emitted, block_op.emitted(), "emitted ({what})");
+    assert_eq!(
+        scalar_op.hazard_leaks,
+        block_op.hazard_leaks(),
+        "hazard leaks ({what})"
+    );
+    assert_eq!(
+        scalar_op.hazard_catches,
+        block_op.hazard_catches(),
+        "hazard catches ({what})"
+    );
+    assert_eq!(
+        scalar_op.overflow,
+        block_op.overflow_tuples(),
+        "overflow ({what})"
+    );
     scalar_op
 }
+
+/// The block pattern of the fixed DISTINCT fixtures.
+const RAGGED_BLOCKS: [usize; 6] = [5, 1, 9, 2, 17, 3];
 
 /// A key stream dense in duplicate runs: every run shorter than the
 /// write latency, so most repeats land inside the §5.4 hazard window
@@ -499,16 +519,21 @@ fn hazard_heavy_stream() -> Vec<u8> {
 /// Hazard-window duplicate runs, with the LRU shift register both
 /// disabled (depth 0: every in-window duplicate leaks, exactly as the
 /// paper's unguarded design would) and at its default depth (duplicates
-/// are caught). The batched path's run memo must not change a byte or a
-/// counter in either geometry.
+/// are caught). The block route must not change a byte or a counter in
+/// either geometry.
 #[test]
 fn hazard_window_duplicate_runs_match_scalar_at_depth_0_and_default() {
     let schema = Schema::uniform_u64(2);
-    let tb = schema.row_bytes();
     let stream = hazard_heavy_stream();
     for depth in [0usize, DEFAULT_LRU_DEPTH] {
-        let op =
-            assert_distinct_routes_agree(CuckooTable::with_default_geometry, depth, &stream, tb);
+        let op = assert_distinct_routes_agree(
+            &schema,
+            &[0],
+            CuckooTable::with_default_geometry,
+            depth,
+            &stream,
+            &RAGGED_BLOCKS,
+        );
         // Sanity on the fixture itself: depth 0 must actually leak.
         if depth == 0 {
             assert!(op.hazard_leaks > 0, "depth-0 fixture must exercise leaks");
@@ -528,7 +553,6 @@ fn hazard_window_duplicate_runs_match_scalar_at_depth_0_and_default() {
 #[test]
 fn cuckoo_overflow_spills_identically_on_both_routes() {
     let schema = Schema::uniform_u64(2);
-    let tb = schema.row_bytes();
     let mut stream = Vec::new();
     for i in 0..400u64 {
         // Mostly-distinct keys with periodic repeats, so the overflowed
@@ -537,9 +561,240 @@ fn cuckoo_overflow_spills_identically_on_both_routes() {
         stream.extend_from_slice(&key.to_le_bytes());
         stream.extend_from_slice(&i.to_le_bytes());
     }
-    let op =
-        assert_distinct_routes_agree(|| CuckooTable::new(2, 8), DEFAULT_LRU_DEPTH, &stream, tb);
+    let op = assert_distinct_routes_agree(
+        &schema,
+        &[0],
+        || CuckooTable::new(2, 8),
+        DEFAULT_LRU_DEPTH,
+        &stream,
+        &RAGGED_BLOCKS,
+    );
     assert!(op.overflow > 0, "fixture must actually overflow");
+}
+
+/// The key shapes DISTINCT takes different paths for: one word (its
+/// windows compare the hash alone), two adjacent words (a contiguous
+/// range hashed where it lies), non-contiguous `[2, 0]` (gathered
+/// first) and a 5-byte column (a width that is not a word: hash, then
+/// bytes).
+#[derive(Debug, Clone, Copy)]
+enum KeyShape {
+    Word,
+    AdjacentWords,
+    Gathered,
+    Bytes5,
+}
+
+impl KeyShape {
+    const ALL: [KeyShape; 4] = [
+        KeyShape::Word,
+        KeyShape::AdjacentWords,
+        KeyShape::Gathered,
+        KeyShape::Bytes5,
+    ];
+
+    fn schema(self) -> Schema {
+        match self {
+            KeyShape::Bytes5 => Schema::new(vec![
+                Column {
+                    name: "n".into(),
+                    ty: ColumnType::U64,
+                },
+                Column {
+                    name: "k".into(),
+                    ty: ColumnType::Bytes(5),
+                },
+                Column {
+                    name: "m".into(),
+                    ty: ColumnType::U64,
+                },
+            ]),
+            _ => Schema::uniform_u64(3),
+        }
+    }
+
+    fn cols(self) -> &'static [usize] {
+        match self {
+            KeyShape::Word => &[0],
+            KeyShape::AdjacentWords => &[0, 1],
+            KeyShape::Gathered => &[2, 0],
+            KeyShape::Bytes5 => &[1],
+        }
+    }
+
+    /// The stream of tuples keyed by `keys`, in order: equal numbers give
+    /// equal keys, different ones different keys; the other columns
+    /// carry the tuple's position.
+    fn stream(self, keys: &[u64]) -> Vec<u8> {
+        let schema = self.schema();
+        let mut stream = Vec::new();
+        for (n, &k) in keys.iter().enumerate() {
+            let n = n as u64;
+            let values = match self {
+                KeyShape::Word => [k, n, n],
+                KeyShape::AdjacentWords => [k / 3, k % 3, n],
+                KeyShape::Gathered => [k % 5, n, k / 5],
+                KeyShape::Bytes5 => {
+                    let bytes = (k.wrapping_mul(0x9E37_79B9) & 0xFF_FFFF_FFFF).to_le_bytes();
+                    let row = Row(vec![
+                        Value::U64(n),
+                        Value::Bytes(bytes[..5].to_vec()),
+                        Value::U64(n),
+                    ]);
+                    stream.extend(row.encode(&schema));
+                    continue;
+                }
+            };
+            stream.extend(Row(values.map(Value::U64).to_vec()).encode(&schema));
+        }
+        stream
+    }
+}
+
+/// The two table geometries: a tiny fixed one that overflows at once,
+/// and the growable default.
+fn distinct_table(tiny: bool) -> CuckooTable<()> {
+    if tiny {
+        CuckooTable::new(2, 8)
+    } else {
+        CuckooTable::with_default_geometry()
+    }
+}
+
+/// Key numbers as runs of recycled keys: each `(raw, run)` is `run`
+/// copies of key `raw % alphabet`.
+fn runs_of(alphabet: u64, runs: &[(u64, u64)]) -> Vec<u64> {
+    runs.iter()
+        .flat_map(|&(raw, run)| std::iter::repeat_n(raw % alphabet, run as usize))
+        .collect()
+}
+
+/// One generated DISTINCT case: `runs` of recycled keys from an
+/// alphabet of `alphabet`, keyed as `shape`, at LRU `depth`, on a tiny
+/// or the default table, in blocks cycling through `blocks`.
+fn distinct_case(
+    shape: KeyShape,
+    (alphabet, depth, tiny): (u64, usize, bool),
+    runs: &[(u64, u64)],
+    blocks: &[usize],
+) {
+    let stream = shape.stream(&runs_of(alphabet, runs));
+    assert_distinct_routes_agree(
+        &shape.schema(),
+        shape.cols(),
+        || distinct_table(tiny),
+        depth,
+        &stream,
+        blocks,
+    );
+}
+
+/// Fresh keys that recur 2..=6 tuples after they were inserted, with
+/// 0..=3 other keys between, plus a recycled old key: every repeat
+/// lands inside the write-latency window, at a different distance.
+fn hazard_window_keys() -> Vec<u64> {
+    let mut keys = Vec::new();
+    for g in 0..160u64 {
+        let new = |i: u64| 1_000 + 4 * g + i;
+        keys.extend([
+            new(0),
+            new(1),
+            new(0),
+            new(2),
+            new(2),
+            new(1),
+            new(3),
+            new(0),
+            g % 23,
+            new(3),
+            new(3),
+            new(2),
+        ]);
+    }
+    keys
+}
+
+/// Every LRU depth from 0 to 10 — below, at and above `WRITE_LATENCY`
+/// — on every key shape and both table geometries: the block route
+/// equals the per-tuple machine, shallow registers leak, and from
+/// `WRITE_LATENCY - 1` up nothing does (a repeat inside the window has
+/// at most that many keys shifted in ahead of it).
+#[test]
+fn distinct_matches_scalar_at_every_lru_depth_around_the_write_latency() {
+    let keys = hazard_window_keys();
+    for shape in KeyShape::ALL {
+        let stream = shape.stream(&keys);
+        for tiny in [false, true] {
+            for depth in 0..=10 {
+                let op = assert_distinct_routes_agree(
+                    &shape.schema(),
+                    shape.cols(),
+                    || distinct_table(tiny),
+                    depth,
+                    &stream,
+                    &RAGGED_BLOCKS,
+                );
+                let what = format!("{shape:?}, tiny {tiny}, depth {depth}");
+                if depth < 2 {
+                    assert!(op.hazard_leaks > 0, "{what}: the fixture must leak");
+                }
+                if depth >= WRITE_LATENCY - 1 {
+                    assert_eq!(op.hazard_leaks, 0, "{what}: the window is closed");
+                }
+                if depth > 0 {
+                    assert!(op.hazard_catches > 0, "{what}: the LRU must catch");
+                }
+                if tiny {
+                    assert!(op.overflow > 0, "{what}: the tiny table must overflow");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One-word keys: runs of recycled keys from alphabets of 1..200, at
+    /// any LRU depth 0..=10, on either table, in ragged blocks.
+    #[test]
+    fn distinct_on_one_word_keys_matches_scalar(
+        setup in (1u64..200, 0usize..=10, any::<bool>()),
+        runs in prop::collection::vec((any::<u64>(), 1u64..=5), 0..200),
+        blocks in prop::collection::vec(1usize..=17, 1..6),
+    ) {
+        distinct_case(KeyShape::Word, setup, &runs, &blocks);
+    }
+
+    /// Two adjacent one-word columns, hashed off the tuple in place.
+    #[test]
+    fn distinct_on_adjacent_word_keys_matches_scalar(
+        setup in (1u64..200, 0usize..=10, any::<bool>()),
+        runs in prop::collection::vec((any::<u64>(), 1u64..=5), 0..200),
+        blocks in prop::collection::vec(1usize..=17, 1..6),
+    ) {
+        distinct_case(KeyShape::AdjacentWords, setup, &runs, &blocks);
+    }
+
+    /// Non-contiguous key columns `[2, 0]`, gathered before hashing.
+    #[test]
+    fn distinct_on_gathered_keys_matches_scalar(
+        setup in (1u64..200, 0usize..=10, any::<bool>()),
+        runs in prop::collection::vec((any::<u64>(), 1u64..=5), 0..200),
+        blocks in prop::collection::vec(1usize..=17, 1..6),
+    ) {
+        distinct_case(KeyShape::Gathered, setup, &runs, &blocks);
+    }
+
+    /// A `Bytes(5)` key column: not a word, so compared by hash and bytes.
+    #[test]
+    fn distinct_on_a_five_byte_key_matches_scalar(
+        setup in (1u64..200, 0usize..=10, any::<bool>()),
+        runs in prop::collection::vec((any::<u64>(), 1u64..=5), 0..200),
+        blocks in prop::collection::vec(1usize..=17, 1..6),
+    ) {
+        distinct_case(KeyShape::Bytes5, setup, &runs, &blocks);
+    }
 }
 
 /// The DFA prefilter block scan and the plain per-tuple walk are the
