@@ -67,5 +67,5 @@ pub use experiments::*;
 pub use figure::{Figure, Series};
 pub use overload::{
     overload, overload_backend, overload_report, overload_smoke, serve_class, serve_tenants,
-    OverloadPoint, OverloadReport, OVERLOAD_BENCH_SEED, OVERLOAD_LOADS,
+    OverloadReport, OVERLOAD_BENCH_SEED, OVERLOAD_LOADS,
 };

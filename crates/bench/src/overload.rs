@@ -3,21 +3,21 @@
 //! Every other experiment measures the datapath at an offered load it
 //! can absorb. This one sweeps a heavy-tailed multi-tenant mix *past*
 //! saturation and measures what the serving layer does about it: the
-//! token-bucket + watermark admission control, the DRR tenant-fair
-//! scheduler, the shed ladder, and bounded retry/backoff from
-//! `farview_core::serve`. The graceful-degradation invariants are
-//! asserted on every run, not just reported:
+//! token buckets, the weighted-DRR tenant-fair scheduler, priority
+//! shedding, and bounded retry from `farview_core::serve`. The
+//! graceful-degradation invariants are asserted on every run, not just
+//! reported:
 //!
 //! * goodput past saturation stays within 20 % of its peak (bounded
 //!   queues — no congestion collapse),
 //! * the rejection rate rises (weakly) monotonically with offered load,
 //! * p99 for the gold class stays bounded by the deadline,
-//! * no tenant is starved at any swept load point (the DRR fairness
-//!   floor plus the per-class reserved admission lane),
+//! * no tenant is starved at any swept load point (the weighted DRR
+//!   plus the per-class shed floor),
 //! * weight-normalized fairness never falls across the sweep — the mix
 //!   plants over-demanders (arrival rate 4× contracted share), who soak
 //!   up slack at low load but are pulled back to contract by the
-//!   weighted DRR and the shed ladder once the tier saturates.
+//!   weighted DRR and shedding once the tier saturates.
 //!
 //! `figures overload` renders the sweep **and** writes the
 //! machine-readable `BENCH_PR10.json`.
@@ -88,71 +88,12 @@ pub fn overload_backend(mix: &TenantMix, rows_per_tenant: usize, seed: u64) -> S
     backend
 }
 
-/// One swept load point, flattened for the JSON baseline.
-#[derive(Debug, Clone)]
-pub struct OverloadPoint {
-    /// The offered-load multiplier.
-    pub load: f64,
-    /// Distinct queries offered by the closed loops.
-    pub offered: u64,
-    /// Queries completed inside the horizon.
-    pub completed: u64,
-    /// Rejected admission attempts (token bucket + watermark).
-    pub rejected: u64,
-    /// Queued queries shed for higher-priority arrivals.
-    pub shed: u64,
-    /// Typed deadline drops.
-    pub deadline_missed: u64,
-    /// Queries abandoned after the bounded retry budget.
-    pub abandoned: u64,
-    /// Completions per second of virtual time.
-    pub goodput_qps: f64,
-    /// Fraction of offered queries that ended in a typed failure.
-    pub rejection_rate: f64,
-    /// Jain index over weight-normalized per-tenant goodput.
-    pub fairness_index: f64,
-    /// Smallest per-tenant completion count (starvation sentinel).
-    pub min_completed: u64,
-    /// Gold-class median latency, µs.
-    pub gold_p50_us: f64,
-    /// Gold-class tail latency, µs (bounded by the deadline).
-    pub gold_p99_us: f64,
-    /// Silver-class tail latency, µs.
-    pub silver_p99_us: f64,
-    /// Bronze-class tail latency, µs.
-    pub bronze_p99_us: f64,
-}
-
-impl OverloadPoint {
-    fn from_report(r: &ServeReport) -> Self {
-        let class_p = |class: ServeClass| -> (f64, f64) {
-            r.classes
-                .iter()
-                .find(|c| c.class == class)
-                .map(|c| (c.p50_us, c.p99_us))
-                .unwrap_or((0.0, 0.0))
-        };
-        let (gold_p50, gold_p99) = class_p(ServeClass::Gold);
-        let (_, silver_p99) = class_p(ServeClass::Silver);
-        let (_, bronze_p99) = class_p(ServeClass::Bronze);
-        OverloadPoint {
-            load: r.load,
-            offered: r.offered,
-            completed: r.completed,
-            rejected: r.rejected,
-            shed: r.shed,
-            deadline_missed: r.deadline_missed,
-            abandoned: r.abandoned,
-            goodput_qps: r.goodput_qps,
-            rejection_rate: r.rejection_rate,
-            fairness_index: r.fairness_index,
-            min_completed: r.min_completed,
-            gold_p50_us: gold_p50,
-            gold_p99_us: gold_p99,
-            silver_p99_us: silver_p99,
-            bronze_p99_us: bronze_p99,
-        }
-    }
+/// The median and tail latency of `class` in `r`, µs.
+fn class_p(r: &ServeReport, class: ServeClass) -> (f64, f64) {
+    r.classes
+        .iter()
+        .find(|c| c.class == class)
+        .map_or((0.0, 0.0), |c| (c.p50_us, c.p99_us))
 }
 
 /// The full overload measurement: what `BENCH_PR10.json` records.
@@ -172,8 +113,8 @@ pub struct OverloadReport {
     pub deadline_us: u64,
     /// Virtual horizon per load point, µs.
     pub horizon_us: u64,
-    /// The sweep, in ascending load order.
-    pub points: Vec<OverloadPoint>,
+    /// The sweep's reports, in ascending load order.
+    pub points: Vec<ServeReport>,
 }
 
 impl OverloadReport {
@@ -199,6 +140,7 @@ impl OverloadReport {
         out.push_str(&format!("  \"horizon_us\": {},\n", self.horizon_us));
         out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
+            let (gold_p50, gold_p99) = class_p(p, ServeClass::Gold);
             out.push_str(&format!(
                 "    {{\"load\": {}, \"offered\": {}, \"completed\": {}, \"rejected\": {}, \"shed\": {}, \"deadline_missed\": {}, \"abandoned\": {}, \"goodput_qps\": {:.1}, \"rejection_rate\": {:.4}, \"fairness_index\": {:.4}, \"min_completed\": {}, \"gold_p50_us\": {:.1}, \"gold_p99_us\": {:.1}, \"silver_p99_us\": {:.1}, \"bronze_p99_us\": {:.1}}}{}\n",
                 p.load,
@@ -212,10 +154,10 @@ impl OverloadReport {
                 p.rejection_rate,
                 p.fairness_index,
                 p.min_completed,
-                p.gold_p50_us,
-                p.gold_p99_us,
-                p.silver_p99_us,
-                p.bronze_p99_us,
+                gold_p50,
+                gold_p99,
+                class_p(p, ServeClass::Silver).1,
+                class_p(p, ServeClass::Bronze).1,
                 if i + 1 == self.points.len() { "" } else { "," }
             ));
         }
@@ -259,14 +201,14 @@ impl OverloadReport {
             "gold p99 [us]",
             self.points
                 .iter()
-                .map(|p| (p.load, p.gold_p99_us))
+                .map(|p| (p.load, class_p(p, ServeClass::Gold).1))
                 .collect(),
         );
         f.push_series(
             "bronze p99 [us]",
             self.points
                 .iter()
-                .map(|p| (p.load, p.bronze_p99_us))
+                .map(|p| (p.load, class_p(p, ServeClass::Bronze).1))
                 .collect(),
         );
         f
@@ -283,11 +225,11 @@ pub(crate) fn overload_report_at(
     seed: u64,
 ) -> OverloadReport {
     // Every third tenant is an over-demander asking for 4× its
-    // contracted share — the adversarial ingredient that keeps the shed
-    // ladder and the DRR enforcement honest. At low load the
+    // contracted share — the adversarial ingredient that keeps
+    // shedding and the DRR enforcement honest. At low load the
     // work-conserving scheduler hands them the spare capacity (the
     // weight-normalized fairness index is low); past saturation the
-    // weighted DRR and the admission lanes pull every tenant back to
+    // weighted DRR and shedding pull every tenant back to
     // its contracted share and the index climbs toward 1.
     let mix = TenantMixGen::new(n_tenants)
         .queries_per_tenant(6)
@@ -297,8 +239,8 @@ pub(crate) fn overload_report_at(
     let tenants = serve_tenants(&mix);
     // A deliberately small serving tier: two pipeline servers behind an
     // eight-slot admission queue, with the per-tenant token buckets
-    // opened wide enough that the queue watermarks (not the buckets)
-    // are what the sweep drives past saturation.
+    // opened wide enough that the queue capacity (not the buckets) is
+    // what the sweep drives past saturation.
     let template = ServeConfig {
         horizon,
         servers: 2,
@@ -339,7 +281,7 @@ pub(crate) fn overload_report_at(
             "fairness index {} broke the DRR bound at load {load}",
             report.fairness_index
         );
-        points.push(OverloadPoint::from_report(&report));
+        points.push(report);
     }
     // Sweep-level invariants. Saturation is wherever goodput peaks;
     // graceful degradation means every point past it holds within 20 %
@@ -372,7 +314,7 @@ pub(crate) fn overload_report_at(
         }
     }
     // Admission control must engage harder at the top of the sweep than
-    // at the bottom (attempt-level rejections count bucket + watermark
+    // at the bottom (attempt-level rejections count bucket + full-queue
     // pushback even when bounded retry ultimately lands the query), and
     // enforcement must not *lose* fairness as load climbs: past
     // saturation the weighted DRR pulls over-demanders back to their

@@ -25,11 +25,11 @@
 //!   [`FarviewFleet::remove_node`]), optional per-table replication,
 //!   and the live rebalancer ([`FleetQPair::rebalance`]).
 //! * [`serve`] — the overload-safe multi-tenant serving front end
-//!   above the queue pairs: per-tenant token buckets and a watermark
-//!   ladder turn overload into counted, retried rejections, a
-//!   weighted deficit round robin keeps service tenant-fair, and at
-//!   capacity the shed ladder preempts lowest-priority work — every
-//!   admitted query byte-identical to an unloaded oracle.
+//!   above the queue pairs: per-tenant token buckets turn over-demand
+//!   into counted, retried rejections, a weighted deficit round robin
+//!   keeps service tenant-fair, and at a full queue an arrival sheds
+//!   lower-class work down to a per-class floor — every completed
+//!   query byte-identical to an unloaded oracle.
 //! * [`resources`] — the FPGA resource model behind Table 1.
 //! * [`microbench`] — the pipelined-read throughput model of Figure 6(a).
 //!

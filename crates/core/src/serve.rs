@@ -6,29 +6,35 @@
 //! users" cannot stall the system. This module models the layer above
 //! the queue pairs — a serving front end that multiplexes a heavy-tailed
 //! population of closed-loop tenants onto a small pool of pipeline
-//! servers, and keeps its guarantees *past* saturation:
+//! servers, and keeps its guarantees *past* saturation. Each mechanism
+//! is here for the guarantee its test names; with the mechanism taken
+//! out, that test fails (`scripts/plant-serve.sh` checks it):
 //!
-//! * **Admission control** — a per-tenant token bucket plus a global
-//!   queue-depth watermark ladder turn overload into rejections
-//!   (counted in [`ServeReport::rejected`]) instead of unbounded
-//!   queueing. Each class admits up to its own fraction of the queue
-//!   (bronze half, silver three quarters, gold all of it) and keeps a
-//!   small reserved lane so no class can be locked out entirely.
-//! * **Backpressure with bounded retry** — rejected work retries with
-//!   capped exponential backoff (the same doubling-then-saturating
-//!   discipline as `fv_net`'s `FaultInjector`), honouring the server's
-//!   `retry_after` hint; retries are bounded, and a query past its
-//!   deadline is dropped whole and counted in
-//!   [`ServeReport::deadline_missed`] rather than run late.
-//! * **Tenant-fair scheduling** — deficit round robin over tenant
-//!   flows, cost-weighted by each tenant's scan bytes: the shard-side
-//!   occupancy analogue of the byte-fair egress arbiter. One elephant
-//!   cannot starve the mice.
-//! * **Graceful degradation** — at absolute capacity a higher-class
-//!   arrival sheds the youngest lowest-class queued query (counted in
-//!   [`ServeReport::shed`]); shedding drops whole queries, never
-//!   parts of results, so every query that *does* complete is
-//!   byte-identical to an unloaded single-node run.
+//! * **Token bucket** per tenant, refilled at `bucket_qps_per_weight ×
+//!   weight`: an uncontended over-demander completes at most its bucket
+//!   allowance (`an_uncontended_over_demander_completes_at_most_its_bucket_allowance`).
+//! * **Shed**: an arrival at a full queue evicts the youngest queued
+//!   query of the most sheddable strictly lower class
+//!   (`a_gold_arrival_at_a_full_queue_is_admitted_while_bronze_is_above_its_floor`),
+//!   counted in [`ServeReport::shed`].
+//! * **Shed floor**: no class is shed below `queue_capacity / 8`
+//!   queued queries (min 1), so higher-class pressure cannot shed a
+//!   class out of service (`no_class_is_locked_out_by_higher_class_pressure`).
+//! * **`retry_after`**: a rejected or shed query retries once the queue
+//!   can plausibly take it (the bucket's refill time, or the queue's
+//!   drain estimate), within `max_retries`
+//!   (`a_rejected_query_waits_for_the_drain_instead_of_spending_its_retries`).
+//! * **Deadline drop**: a query past its deadline is dropped whole and
+//!   counted in [`ServeReport::deadline_missed`] rather than run late
+//!   (`no_query_is_dispatched_after_its_deadline`).
+//! * **Weighted DRR**: queued queries are dispatched by an
+//!   [`fv_sim::DrrScheduler`] whose per-tenant quanta follow the tenant
+//!   weights, cost-weighted by scan bytes
+//!   (`backlogged_tenants_complete_in_proportion_to_their_weights`).
+//!
+//! Shedding drops whole queries, never parts of results, so every query
+//! that *does* complete is byte-identical to an unloaded single-node
+//! run.
 //!
 //! The engine is a discrete-event simulation over virtual
 //! [`SimTime`], deterministic from [`ServeConfig::seed`]: the same
@@ -41,24 +47,15 @@
 //! stages tenants' tables in from storage as they are queried.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use fv_pipeline::PipelineSpec;
-use fv_sim::{Histogram, SimDuration, SimTime};
+use fv_sim::{DrrScheduler, Histogram, SimDuration, SimTime, SplitMix64};
 
 use crate::cluster::{FTable, QPair, QueryOutcome};
 use crate::conn::{Conn, FleetConn};
 use crate::error::FvError;
 use crate::fleet::{FleetTable, Partitioning};
-
-/// Base unit of the client retry backoff schedule. The discipline
-/// mirrors the fault injector's: one base unit, doubling per attempt,
-/// saturating after [`SERVE_BACKOFF_DOUBLINGS`] doublings — but at
-/// serving timescale (queue drain, not wire round trip).
-pub(crate) const SERVE_RETRY_BACKOFF: SimDuration = SimDuration::from_micros(1);
-
-/// How many times the retry backoff doubles before it saturates.
-pub(crate) const SERVE_BACKOFF_DOUBLINGS: u32 = 6;
 
 /// Largest service ratio the weighted DRR enforces between the
 /// heaviest and lightest tenant. Weights beyond this spread still get
@@ -66,51 +63,25 @@ pub(crate) const SERVE_BACKOFF_DOUBLINGS: u32 = 6;
 /// starvation and scheduler passes.
 pub(crate) const MAX_DRR_RATIO: u64 = 256;
 
-/// The backoff before retry attempt `attempt` (1-based): capped
-/// exponential, never unbounded.
-pub(crate) fn retry_backoff(attempt: u32) -> SimDuration {
-    SERVE_RETRY_BACKOFF * u64::from(1u32 << attempt.min(SERVE_BACKOFF_DOUBLINGS))
-}
-
-/// Service class of a tenant, in shed order: under sustained overload
-/// the front end rejects and sheds `Bronze` first, then `Silver`, and
-/// only then touches `Gold`.
+/// Service class of a tenant, in shed order: at a full queue a higher
+/// class sheds `Bronze` first, then `Silver`; `Gold` is never shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServeClass {
-    /// Admitted up to the full queue watermark; shed last.
+    /// Never shed.
     Gold,
     /// Default class.
     Silver,
-    /// Best-effort: first rejected, first shed.
+    /// Best-effort: shed first.
     Bronze,
 }
 
 impl ServeClass {
-    /// Stable name for reports and figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeClass::Gold => "gold",
-            ServeClass::Silver => "silver",
-            ServeClass::Bronze => "bronze",
-        }
-    }
-
     /// Shed rank: higher ranks are shed first.
     pub fn shed_rank(self) -> usize {
         match self {
             ServeClass::Gold => 0,
             ServeClass::Silver => 1,
             ServeClass::Bronze => 2,
-        }
-    }
-
-    /// Fraction of the global queue this class may fill before its
-    /// arrivals are rejected (the watermark ladder).
-    pub(crate) fn admit_fraction(self) -> f64 {
-        match self {
-            ServeClass::Gold => 1.0,
-            ServeClass::Silver => 0.75,
-            ServeClass::Bronze => 0.5,
         }
     }
 
@@ -129,8 +100,8 @@ pub struct ServeTenant {
     pub id: u32,
     /// Service class.
     pub class: ServeClass,
-    /// Contracted share weight: drives the weighted-DRR service share
-    /// and the token-bucket rate. A weight-4 tenant is entitled to 4×
+    /// Contracted share weight: drives the weighted-DRR quantum and the
+    /// token-bucket rate. A weight-4 tenant is entitled to 4×
     /// the service of a weight-1 tenant.
     pub weight: u64,
     /// Arrival-rate weight: a demand-4 tenant issues queries 4× as fast
@@ -155,7 +126,7 @@ pub trait ServeBackend {
 
     /// The DRR cost of one of `tenant`'s queries, in bytes of pipeline
     /// occupancy (its table's scan size). Elephants with big tables pay
-    /// proportionally more of their deficit per query, which is what
+    /// proportionally more of their DRR credit per query, which is what
     /// keeps server occupancy byte-fair across tenants.
     fn cost(&self, tenant: u32) -> u64;
 }
@@ -244,7 +215,8 @@ impl<C: Conn> ServeBackend for TenantBackend<C> {
 pub struct ServeConfig {
     /// Concurrent pipeline servers (dynamic-region episodes in flight).
     pub servers: usize,
-    /// Global admission queue capacity (jobs, the watermark base).
+    /// Global admission queue capacity (jobs); an arrival at a full
+    /// queue sheds a lower class or is rejected.
     pub queue_capacity: usize,
     /// Mean closed-loop think time of a weight-1 tenant at load 1.0.
     pub base_think: SimDuration,
@@ -315,7 +287,7 @@ pub struct TenantServeStats {
     pub offered: u64,
     /// Queries completed within the horizon.
     pub completed: u64,
-    /// Admission rejections observed (token bucket or watermark),
+    /// Admission rejections observed (token bucket or full queue),
     /// counting every rejected attempt.
     pub rejected: u64,
     /// Queued queries shed to make room for higher-class work.
@@ -362,7 +334,7 @@ pub struct ServeReport {
     pub offered: u64,
     /// Total completions within the horizon.
     pub completed: u64,
-    /// Total rejected attempts (token bucket + watermark).
+    /// Total rejected attempts (token bucket + full queue).
     pub rejected: u64,
     /// Total queued queries shed.
     pub shed: u64,
@@ -387,8 +359,9 @@ pub struct ServeReport {
     pub min_completed: u64,
 }
 
-/// What the front end is waiting on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What the front end is waiting on. Events order by `(at, seq)`;
+/// `seq` is unique, so the kind never decides.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum EvKind {
     /// A tenant submits (or re-submits) a query.
     Submit {
@@ -399,25 +372,6 @@ enum EvKind {
     },
     /// A pipeline server finishes its job.
     ServerFree,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Ev {
-    at: SimTime,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// One admitted query waiting for a server.
@@ -431,73 +385,38 @@ struct Queued {
 
 /// Per-tenant runtime state.
 struct Flow {
-    id: u32,
-    class: ServeClass,
-    weight: u64,
-    demand: u64,
+    /// The tenant's report row: its identity and counters, kept as
+    /// they run (the latency quantiles are filled in by the report).
+    stats: TenantServeStats,
     queries: Vec<PipelineSpec>,
     cost: u64,
-    // DRR
-    /// Deficit credit granted per scheduler round while backlogged —
-    /// proportional to the tenant's weight, so service (and therefore
-    /// completions, at comparable query cost) tracks the contracted
-    /// share instead of degenerating to equal-split round robin.
-    refill: u64,
-    deficit: u64,
-    queue: VecDeque<Queued>,
     // Token bucket
     tokens: f64,
     refilled_at: SimTime,
     // Closed-loop bookkeeping
     next_query: usize,
-    rng: u64,
-    // Stats
-    offered: u64,
-    completed: u64,
-    rejected: u64,
-    shed: u64,
-    deadline_missed: u64,
-    abandoned: u64,
-    exec_failed: u64,
+    rng: SplitMix64,
     latency: Histogram,
-}
-
-impl Flow {
-    /// SplitMix64 step (same generator as the fault injector).
-    fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0.5, 1.5)` — think-time jitter.
-    fn jitter(&mut self) -> f64 {
-        0.5 + (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// The serving front end: a discrete-event closed-loop simulation of
 /// many tenants multiplexed onto a pool of pipeline servers behind
-/// admission control, DRR scheduling, and the shed ladder.
+/// token buckets, shedding, and weighted-DRR dispatch.
 pub struct ServeEngine<B: ServeBackend> {
     config: ServeConfig,
     backend: B,
     flows: Vec<Flow>,
-    events: BinaryHeap<Reverse<Ev>>,
+    events: BinaryHeap<Reverse<(SimTime, u64, EvKind)>>,
     seq: u64,
     now: SimTime,
     free_servers: usize,
-    queued_total: usize,
+    /// Admitted queries waiting for a server, one DRR flow per tenant.
+    queue: DrrScheduler<Queued>,
     class_queued: [usize; 3],
-    quantum: u64,
-    cursor: usize,
     /// EWMA of measured service times, µs — drives `retry_after` hints.
     est_service_us: f64,
     completions: Vec<Completion>,
     class_latency: [Histogram; 3],
-    class_completed: [u64; 3],
 }
 
 impl<B: ServeBackend> ServeEngine<B> {
@@ -555,49 +474,54 @@ impl<B: ServeBackend> ServeEngine<B> {
                     reason: "tenant demand must be positive",
                 });
             }
-            if flows.iter().any(|f: &Flow| f.id == t.id) {
+            if flows.iter().any(|f: &Flow| f.stats.tenant == t.id) {
                 return Err(FvError::BadServeConfig {
                     reason: "duplicate tenant id",
                 });
             }
             flows.push(Flow {
-                id: t.id,
-                class: t.class,
-                weight: t.weight,
-                demand: t.demand,
+                stats: TenantServeStats {
+                    tenant: t.id,
+                    class: t.class,
+                    weight: t.weight,
+                    demand: t.demand,
+                    offered: 0,
+                    completed: 0,
+                    rejected: 0,
+                    shed: 0,
+                    deadline_missed: 0,
+                    abandoned: 0,
+                    exec_failed: 0,
+                    p50_us: 0.0,
+                    p99_us: 0.0,
+                },
                 queries: t.queries.clone(),
                 cost: backend.cost(t.id),
-                refill: 1,
-                deficit: 0,
-                queue: VecDeque::new(),
                 tokens: config.bucket_depth,
                 refilled_at: SimTime::ZERO,
                 next_query: 0,
-                rng: config.seed ^ (u64::from(t.id)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                offered: 0,
-                completed: 0,
-                rejected: 0,
-                shed: 0,
-                deadline_missed: 0,
-                abandoned: 0,
-                exec_failed: 0,
+                rng: SplitMix64::new(
+                    config.seed ^ (u64::from(t.id)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ),
                 latency: Histogram::new(),
             });
         }
+        // Weighted DRR: each flow's quantum is `quantum * w / w_max`, so
+        // the heaviest tenant is served every round and a weight-1
+        // tenant roughly every `w_max` rounds. The ratio is clamped to
+        // [1/MAX_DRR_RATIO, 1] of a quantum so an extreme weight spread
+        // bounds scheduler passes instead of starving the light flows.
         let quantum = flows.iter().map(|f| f.cost).max().unwrap_or(1).max(1);
-        // Weighted DRR: each backlogged flow earns `quantum * w / w_max`
-        // credit per round, so the heaviest tenant is served every round
-        // and a weight-1 tenant roughly every `w_max` rounds. The ratio
-        // is clamped to [1/MAX_DRR_RATIO, 1] of a quantum so an extreme
-        // weight spread bounds scheduler passes instead of starving the
-        // light flows.
-        let max_weight = flows.iter().map(|f| f.weight).max().unwrap_or(1).max(1);
+        let max_weight = flows
+            .iter()
+            .map(|f| f.stats.weight)
+            .max()
+            .unwrap_or(1)
+            .max(1);
         let floor = (quantum / MAX_DRR_RATIO).max(1);
-        for f in &mut flows {
-            let share =
-                ((u128::from(quantum) * u128::from(f.weight)) / u128::from(max_weight)) as u64;
-            f.refill = share.max(floor);
-        }
+        let share = |w: u64| (u128::from(quantum) * u128::from(w) / u128::from(max_weight)) as u64;
+        let queue =
+            DrrScheduler::with_quanta(flows.iter().map(|f| share(f.stats.weight).max(floor)));
         Ok(ServeEngine {
             free_servers: config.servers,
             config,
@@ -606,28 +530,25 @@ impl<B: ServeBackend> ServeEngine<B> {
             events: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            queued_total: 0,
+            queue,
             class_queued: [0; 3],
-            quantum,
-            cursor: 0,
             est_service_us: 10.0,
             completions: Vec::new(),
             class_latency: [Histogram::new(), Histogram::new(), Histogram::new()],
-            class_completed: [0; 3],
         })
     }
 
     fn push_event(&mut self, at: SimTime, kind: EvKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.events.push(Reverse(Ev { at, seq, kind }));
+        self.events.push(Reverse((at, seq, kind)));
     }
 
     /// Mean think time of `flow` at the configured load, jittered.
     /// Arrival rate follows `demand`, not the contracted `weight`.
     fn think_time(&mut self, flow: usize) -> SimDuration {
         let (demand, jitter) = match self.flows.get_mut(flow) {
-            Some(f) => (f.demand.max(1), f.jitter()),
+            Some(f) => (f.stats.demand.max(1), 0.5 + f.rng.unit()),
             None => (1, 1.0),
         };
         let mean_us = self.config.base_think.as_micros_f64() / (demand as f64 * self.config.load);
@@ -656,16 +577,16 @@ impl<B: ServeBackend> ServeEngine<B> {
         );
     }
 
-    /// How long until the queue plausibly drains below the watermark —
-    /// the `retry_after` hint attached to rejections and sheds.
+    /// How long until the queue plausibly drains a slot — the
+    /// `retry_after` hint attached to full-queue rejections and sheds.
     fn drain_estimate(&self) -> SimDuration {
-        let backlog = (self.queued_total as f64 + 1.0) * self.est_service_us
+        let backlog = (self.queue.len() as f64 + 1.0) * self.est_service_us
             / self.config.servers.max(1) as f64;
         SimDuration::from_micros_f64(backlog.clamp(1.0, 1_000_000.0))
     }
 
-    /// A rejection or shed for `flow`: retry with capped exponential
-    /// backoff while budget remains, abandon otherwise.
+    /// A rejection or shed for `flow`: retry after `retry_after` while
+    /// budget remains, abandon otherwise.
     fn reject_with_retry(
         &mut self,
         flow: usize,
@@ -675,9 +596,8 @@ impl<B: ServeBackend> ServeEngine<B> {
         retry_after: SimDuration,
     ) {
         if attempt < self.config.max_retries {
-            let delay = retry_after.max(retry_backoff(attempt + 1));
             self.push_event(
-                self.now + delay,
+                self.now + retry_after,
                 EvKind::Submit {
                     flow,
                     query_idx,
@@ -687,41 +607,29 @@ impl<B: ServeBackend> ServeEngine<B> {
             );
         } else {
             if let Some(f) = self.flows.get_mut(flow) {
-                f.abandoned += 1;
+                f.stats.abandoned += 1;
             }
             self.schedule_next(flow, self.now);
         }
     }
 
     /// Per-class guaranteed queue floor: shedding never evicts a class
-    /// below this many queued entries, so no class is ever locked out
-    /// of the server entirely.
+    /// below this many queued entries, so no class is ever shed out of
+    /// service entirely.
     fn shed_floor(&self) -> usize {
         (self.config.queue_capacity / 8).max(1)
     }
 
-    /// Per-class reserved admission lane: twice the shed floor. The gap
-    /// is deliberate hysteresis — admission refills a pressured class up
-    /// to the lane while preemption drains it down to the floor. With a
-    /// single shared threshold the two would deadlock: every class pins
-    /// exactly at the line where nothing is sheddable and nothing more
-    /// is admittable.
-    fn reserve_lane(&self) -> usize {
-        self.shed_floor() * 2
-    }
-
     /// Evict the youngest queued query of the most-sheddable class
     /// whose rank is strictly below `arriving` (i.e. strictly higher
-    /// shed rank). Returns false when nothing is evictable.
+    /// shed rank) and above its floor. Returns false when nothing is
+    /// evictable.
     fn shed_for(&mut self, arriving: ServeClass) -> bool {
-        let reserve = self.shed_floor();
+        let floor = self.shed_floor();
         // Walk classes from most-sheddable (bronze) down to just below
         // the arriving class.
         for rank in (arriving.shed_rank() + 1..=2).rev() {
-            let in_class = self.class_queued.get(rank).copied().unwrap_or(0);
-            // Never shed a class below its reserved lane: the guarantee
-            // that no class is locked out entirely.
-            if in_class <= reserve {
+            if self.class_queued.get(rank).copied().unwrap_or(0) <= floor {
                 continue;
             }
             // The youngest queued query of this class: the most recent
@@ -730,20 +638,20 @@ impl<B: ServeBackend> ServeEngine<B> {
                 .flows
                 .iter()
                 .enumerate()
-                .filter(|(_, f)| f.class.shed_rank() == rank)
-                .filter_map(|(i, f)| f.queue.back().map(|q| (i, q.first_submit)))
+                .filter(|(_, f)| f.stats.class.shed_rank() == rank)
+                .filter_map(|(i, _)| self.queue.back(i).map(|q| (i, q.first_submit)))
                 .max_by_key(|&(_, fs)| fs)
                 .map(|(i, _)| i);
             let Some(vidx) = victim else { continue };
             let retry_after = self.drain_estimate();
-            let popped = self.flows.get_mut(vidx).and_then(|f| f.queue.pop_back());
-            let Some(q) = popped else { continue };
-            self.queued_total = self.queued_total.saturating_sub(1);
+            let Some(q) = self.queue.pop_back(vidx) else {
+                continue;
+            };
             if let Some(c) = self.class_queued.get_mut(rank) {
                 *c = c.saturating_sub(1);
             }
             if let Some(f) = self.flows.get_mut(vidx) {
-                f.shed += 1;
+                f.stats.shed += 1;
             }
             // The shed owner retries like any rejected tenant, carrying
             // its attempt count and original submit time forward.
@@ -756,161 +664,89 @@ impl<B: ServeBackend> ServeEngine<B> {
     /// Admission control for one (re-)submission.
     fn on_submit(&mut self, flow: usize, query_idx: usize, first_submit: SimTime, attempt: u32) {
         let now = self.now;
-        let (class, deadline_at) = match self.flows.get_mut(flow) {
-            Some(f) => {
-                if attempt == 0 {
-                    f.offered += 1;
-                }
-                (f.class, first_submit + self.config.deadline)
-            }
-            None => return,
+        let Some(f) = self.flows.get_mut(flow) else {
+            return;
         };
+        if attempt == 0 {
+            f.stats.offered += 1;
+        }
+        let (class, deadline_at) = (f.stats.class, first_submit + self.config.deadline);
         // A retry arriving after its deadline is already dead.
         if now >= deadline_at {
-            if let Some(f) = self.flows.get_mut(flow) {
-                f.deadline_missed += 1;
-            }
+            f.stats.deadline_missed += 1;
             self.schedule_next(flow, now);
             return;
         }
-        // Token bucket: weight-proportional contracted rate.
-        let bucket_reject = match self.flows.get_mut(flow) {
-            Some(f) => {
-                let rate_per_us = self.config.bucket_qps_per_weight * f.weight as f64 / 1_000_000.0;
-                let elapsed_us = (now - f.refilled_at).as_micros_f64();
-                f.tokens = (f.tokens + elapsed_us * rate_per_us).min(self.config.bucket_depth);
-                f.refilled_at = now;
-                if f.tokens < 1.0 {
-                    f.rejected += 1;
-                    let wait_us = ((1.0 - f.tokens) / rate_per_us).max(0.001);
-                    Some(SimDuration::from_micros_f64(wait_us.min(1_000_000.0)))
-                } else {
-                    None
-                }
-            }
-            None => return,
-        };
-        if let Some(retry_after) = bucket_reject {
-            // The closed loop consumes its own rejection; the report
-            // counts it.
+        // Token bucket: weight-proportional contracted rate. The closed
+        // loop consumes its own rejection; the report counts it.
+        let rate_per_us = self.config.bucket_qps_per_weight * f.stats.weight as f64 / 1_000_000.0;
+        let elapsed_us = (now - f.refilled_at).as_micros_f64();
+        f.tokens = (f.tokens + elapsed_us * rate_per_us).min(self.config.bucket_depth);
+        f.refilled_at = now;
+        if f.tokens < 1.0 {
+            f.stats.rejected += 1;
+            let wait_us = ((1.0 - f.tokens) / rate_per_us).clamp(0.001, 1_000_000.0);
+            let retry_after = SimDuration::from_micros_f64(wait_us);
             self.reject_with_retry(flow, query_idx, first_submit, attempt, retry_after);
             return;
         }
-        // Watermark ladder with a per-class reserved lane. An arrival
-        // the ladder would turn away (or one entering through its
-        // reserved lane while the queue sits at absolute capacity)
-        // instead *preempts*: the youngest queued query of the most
-        // sheddable strictly-lower class above its reserve floor is
-        // evicted to make room — shed lowest-priority first. Only when
-        // nothing below it is sheddable is the arrival rejected.
-        let cap = self.config.queue_capacity;
-        let watermark = ((cap as f64) * class.admit_fraction()) as usize;
-        let lane = self.reserve_lane();
-        let in_class = self
-            .class_queued
-            .get(class.shed_rank())
-            .copied()
-            .unwrap_or(0);
-        let admitted = self.queued_total < watermark || in_class < lane;
-        let needs_room = !admitted || self.queued_total >= cap;
-        if needs_room && !self.shed_for(class) {
+        // At a full queue the arrival sheds a lower class's youngest
+        // queued query to make room; only when nothing below it is
+        // sheddable is it rejected.
+        if self.queue.len() >= self.config.queue_capacity && !self.shed_for(class) {
             if let Some(f) = self.flows.get_mut(flow) {
-                f.rejected += 1;
+                f.stats.rejected += 1;
             }
             let retry_after = self.drain_estimate();
             self.reject_with_retry(flow, query_idx, first_submit, attempt, retry_after);
             return;
         }
         // Admit: consume a token, enqueue on the tenant's DRR flow.
-        if let Some(f) = self.flows.get_mut(flow) {
-            f.tokens -= 1.0;
-            f.queue.push_back(Queued {
+        let Some(f) = self.flows.get_mut(flow) else {
+            return;
+        };
+        f.tokens -= 1.0;
+        self.queue.push(
+            flow,
+            f.cost,
+            Queued {
                 query_idx,
                 first_submit,
                 deadline: deadline_at,
                 attempt,
-            });
-        }
-        self.queued_total += 1;
+            },
+        );
         if let Some(c) = self.class_queued.get_mut(class.shed_rank()) {
             *c += 1;
         }
         self.dispatch();
     }
 
-    /// Pop the next queued query in DRR order.
-    fn drr_pop(&mut self) -> Option<(usize, Queued)> {
-        if self.queued_total == 0 {
-            for f in &mut self.flows {
-                f.deficit = 0;
-            }
-            return None;
-        }
-        let n = self.flows.len();
-        let quantum = self.quantum;
-        // A backlogged flow earns at least `quantum / MAX_DRR_RATIO`
-        // per visit and needs at most `quantum` to be served, so
-        // `MAX_DRR_RATIO + 1` full passes always produce a job while
-        // anything is queued.
-        let passes = n.saturating_mul(MAX_DRR_RATIO as usize + 1);
-        for _ in 0..=passes {
-            let idx = self.cursor;
-            let Some(f) = self.flows.get_mut(idx) else {
-                self.cursor = 0;
-                continue;
-            };
-            if !f.queue.is_empty() {
-                let front_cost = f.cost.min(quantum);
-                if f.deficit < front_cost {
-                    f.deficit += f.refill;
-                }
-                if f.deficit >= front_cost {
-                    let Some(job) = f.queue.pop_front() else {
-                        self.cursor = (idx + 1) % n;
-                        continue;
-                    };
-                    f.deficit -= front_cost;
-                    if f.queue.is_empty() {
-                        f.deficit = 0;
-                    }
-                    let rank = f.class.shed_rank();
-                    self.queued_total = self.queued_total.saturating_sub(1);
-                    if let Some(c) = self.class_queued.get_mut(rank) {
-                        *c = c.saturating_sub(1);
-                    }
-                    self.cursor = (idx + 1) % n;
-                    return Some((idx, job));
-                }
-                self.cursor = (idx + 1) % n;
-            } else {
-                f.deficit = 0;
-                self.cursor = (idx + 1) % n;
-            }
-        }
-        None
-    }
-
     /// Put free servers to work in DRR order, dropping dead-by-deadline
     /// queries typed along the way.
     fn dispatch(&mut self) {
         while self.free_servers > 0 {
-            let Some((flow, job)) = self.drr_pop() else {
+            let Some((flow, job)) = self.queue.pop() else {
                 return;
             };
+            let Some(f) = self.flows.get(flow) else {
+                continue;
+            };
+            let rank = f.stats.class.shed_rank();
+            let (id, spec) = (f.stats.tenant, f.queries.get(job.query_idx).cloned());
+            if let Some(c) = self.class_queued.get_mut(rank) {
+                *c = c.saturating_sub(1);
+            }
             if self.now >= job.deadline {
                 // Past its deadline: dropped whole, never partially run.
                 if let Some(f) = self.flows.get_mut(flow) {
-                    f.deadline_missed += 1;
+                    f.stats.deadline_missed += 1;
                 }
                 self.schedule_next(flow, self.now);
                 continue;
             }
-            let (id, spec) = match self.flows.get(flow) {
-                Some(f) => match f.queries.get(job.query_idx) {
-                    Some(q) => (f.id, q.clone()),
-                    None => continue,
-                },
-                None => continue,
+            let Some(spec) = spec else {
+                continue;
             };
             match self.backend.execute(id, &spec) {
                 Ok(outcome) => {
@@ -923,19 +759,12 @@ impl<B: ServeBackend> ServeEngine<B> {
                     // end of the run, not goodput.
                     if done <= SimTime::ZERO + self.config.horizon {
                         let latency = done - job.first_submit;
-                        let rank = match self.flows.get(flow) {
-                            Some(f) => f.class.shed_rank(),
-                            None => 0,
-                        };
                         if let Some(f) = self.flows.get_mut(flow) {
-                            f.completed += 1;
+                            f.stats.completed += 1;
                             f.latency.record_duration(latency);
                         }
                         if let Some(h) = self.class_latency.get_mut(rank) {
                             h.record_duration(latency);
-                        }
-                        if let Some(c) = self.class_completed.get_mut(rank) {
-                            *c += 1;
                         }
                         if self.config.keep_payloads {
                             self.completions.push(Completion {
@@ -952,7 +781,7 @@ impl<B: ServeBackend> ServeEngine<B> {
                     // tenant's loop continues. The server was never
                     // occupied.
                     if let Some(f) = self.flows.get_mut(flow) {
-                        f.exec_failed += 1;
+                        f.stats.exec_failed += 1;
                     }
                     self.schedule_next(flow, self.now);
                 }
@@ -967,12 +796,12 @@ impl<B: ServeBackend> ServeEngine<B> {
         for flow in 0..self.flows.len() {
             self.schedule_next(flow, SimTime::ZERO);
         }
-        while let Some(Reverse(ev)) = self.events.pop() {
-            if ev.at > horizon {
+        while let Some(Reverse((at, _, kind))) = self.events.pop() {
+            if at > horizon {
                 continue;
             }
-            self.now = ev.at;
-            match ev.kind {
+            self.now = at;
+            match kind {
                 EvKind::Submit {
                     flow,
                     query_idx,
@@ -989,38 +818,25 @@ impl<B: ServeBackend> ServeEngine<B> {
     }
 
     fn report(mut self) -> ServeReport {
-        let mut tenants = Vec::with_capacity(self.flows.len());
-        let mut offered = 0u64;
-        let mut completed = 0u64;
-        let mut rejected = 0u64;
-        let mut shed = 0u64;
-        let mut deadline_missed = 0u64;
-        let mut abandoned = 0u64;
-        let mut exec_failed = 0u64;
-        for f in &mut self.flows {
-            offered += f.offered;
-            completed += f.completed;
-            rejected += f.rejected;
-            shed += f.shed;
-            deadline_missed += f.deadline_missed;
-            abandoned += f.abandoned;
-            exec_failed += f.exec_failed;
-            tenants.push(TenantServeStats {
-                tenant: f.id,
-                class: f.class,
-                weight: f.weight,
-                demand: f.demand,
-                offered: f.offered,
-                completed: f.completed,
-                rejected: f.rejected,
-                shed: f.shed,
-                deadline_missed: f.deadline_missed,
-                abandoned: f.abandoned,
-                exec_failed: f.exec_failed,
-                p50_us: f.latency.quantile(0.5).unwrap_or(0.0),
-                p99_us: f.latency.quantile(0.99).unwrap_or(0.0),
-            });
-        }
+        let tenants: Vec<TenantServeStats> = self
+            .flows
+            .iter_mut()
+            .map(|f| {
+                let (p50_us, p99_us) = quantiles(&mut f.latency);
+                TenantServeStats {
+                    p50_us,
+                    p99_us,
+                    ..f.stats.clone()
+                }
+            })
+            .collect();
+        let total = |count: fn(&TenantServeStats) -> u64| tenants.iter().map(count).sum::<u64>();
+        let offered = total(|t| t.offered);
+        let completed = total(|t| t.completed);
+        let deadline_missed = total(|t| t.deadline_missed);
+        let abandoned = total(|t| t.abandoned);
+        let exec_failed = total(|t| t.exec_failed);
+        let (rejected, shed) = (total(|t| t.rejected), total(|t| t.shed));
         // Jain index over weight-normalized goodput.
         let shares: Vec<f64> = tenants
             .iter()
@@ -1037,20 +853,19 @@ impl<B: ServeBackend> ServeEngine<B> {
         let classes = ServeClass::all()
             .into_iter()
             .map(|class| {
-                let rank = class.shed_rank();
-                let completed = self.class_completed.get(rank).copied().unwrap_or(0);
-                let (p50, p99) = match self.class_latency.get_mut(rank) {
-                    Some(h) => (
-                        h.quantile(0.5).unwrap_or(0.0),
-                        h.quantile(0.99).unwrap_or(0.0),
-                    ),
-                    None => (0.0, 0.0),
-                };
+                let (p50_us, p99_us) = self
+                    .class_latency
+                    .get_mut(class.shed_rank())
+                    .map_or((0.0, 0.0), quantiles);
                 ClassServeStats {
                     class,
-                    completed,
-                    p50_us: p50,
-                    p99_us: p99,
+                    completed: tenants
+                        .iter()
+                        .filter(|t| t.class == class)
+                        .map(|t| t.completed)
+                        .sum(),
+                    p50_us,
+                    p99_us,
                 }
             })
             .collect();
@@ -1081,6 +896,14 @@ impl<B: ServeBackend> ServeEngine<B> {
             exec_failed,
         }
     }
+}
+
+/// The median and the 99th percentile of `h`, µs (zero when empty).
+fn quantiles(h: &mut Histogram) -> (f64, f64) {
+    (
+        h.quantile(0.5).unwrap_or(0.0),
+        h.quantile(0.99).unwrap_or(0.0),
+    )
 }
 
 #[cfg(test)]
@@ -1200,53 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn pressed_gold_sheds_overdemanding_bronze() {
-        // Four bronze over-demanders (demand far above their contracted
-        // weight) spam the queue and pile up behind their small DRR
-        // share; a pack of gold loops then drives the queue to its
-        // capacity. Pressed gold arrivals must preempt — evicting the
-        // youngest queued bronze rather than being turned away.
-        let tenants: Vec<ServeTenant> = (0..13)
-            .map(|i| ServeTenant {
-                id: i,
-                class: match i {
-                    0..=7 => ServeClass::Gold,
-                    8 => ServeClass::Silver,
-                    _ => ServeClass::Bronze,
-                },
-                weight: if i <= 8 { 2 } else { 1 },
-                demand: if i <= 8 { 2 } else { 8 },
-                queries: vec![select_spec(300), select_spec(700)],
-            })
-            .collect();
-        let backend = backend_with(&tenants, 64);
-        let config = ServeConfig {
-            servers: 1,
-            queue_capacity: 8,
-            load: 8.0,
-            // Open the buckets wide: this test is about queue-capacity
-            // pressure, not per-tenant rate limits.
-            bucket_qps_per_weight: 1_000_000.0,
-            seed: 5,
-            horizon: SimDuration::from_millis(10),
-            ..ServeConfig::default()
-        };
-        let r = ServeEngine::new(&tenants, config, backend).unwrap().run();
-        assert!(
-            r.shed > 0,
-            "capacity pressure never tripped the shed ladder"
-        );
-        // The ladder sheds strictly lower classes only: every victim is
-        // bronze, never gold or silver.
-        for t in &r.tenants {
-            if t.class != ServeClass::Bronze {
-                assert_eq!(t.shed, 0, "{:?} tenant {} was shed", t.class, t.tenant);
-            }
-        }
-        assert!(r.min_completed > 0, "shedding must not starve anyone");
-    }
-
-    #[test]
     fn rejections_are_typed_and_bounded() {
         let r = run_at(16.0, 3);
         // Every offered query is accounted for exactly once as a final
@@ -1258,58 +1034,42 @@ mod tests {
         );
     }
 
-    #[test]
-    fn backoff_is_capped_exponential() {
-        assert_eq!(retry_backoff(2), retry_backoff(1) * 2);
-        assert_eq!(
-            retry_backoff(SERVE_BACKOFF_DOUBLINGS),
-            retry_backoff(SERVE_BACKOFF_DOUBLINGS + 9),
-            "backoff must saturate"
-        );
-    }
-
-    #[test]
-    fn payloads_match_unloaded_oracle() {
-        let tenants = mix(4);
-        let backend = backend_with(&tenants, 48);
-        let config = ServeConfig {
-            load: 8.0,
-            keep_payloads: true,
-            horizon: SimDuration::from_millis(5),
-            ..ServeConfig::default()
-        };
-        let report = ServeEngine::new(&tenants, config, backend).unwrap().run();
-        assert!(!report.completions.is_empty());
-        // Oracle: a fresh unloaded backend over the same tables.
-        let mut oracle = backend_with(&tenants, 48);
-        for c in &report.completions {
-            let spec = &tenants[c.tenant as usize].queries[c.query_idx];
-            let want = oracle.execute(c.tenant, spec).unwrap().payload;
-            assert_eq!(
-                c.payload, want,
-                "admitted query diverged from oracle (tenant {})",
-                c.tenant
-            );
-        }
-    }
-
+    /// Every reason `ServeEngine::new` refuses a configuration, one
+    /// row each: the row's edit to a runnable mix and config must fail
+    /// with exactly that reason.
     #[test]
     fn bad_configs_are_typed() {
-        let tenants = mix(2);
-        let be = backend_with(&tenants, 32);
-        let cfg = ServeConfig {
-            servers: 0,
-            ..ServeConfig::default()
-        };
-        assert!(matches!(
-            ServeEngine::new(&tenants, cfg, be),
-            Err(FvError::BadServeConfig { .. })
-        ));
-        let be = backend_with(&tenants, 32);
-        assert!(matches!(
-            ServeEngine::new(&[], ServeConfig::default(), be),
-            Err(FvError::BadServeConfig { .. })
-        ));
+        type Edit = fn(&mut Vec<ServeTenant>, &mut ServeConfig);
+        let positive_load = "load multiplier must be positive and finite";
+        let positive_rate = "bucket rate must be positive and finite";
+        #[rustfmt::skip]
+        let cases: [(Edit, &str); 14] = [
+            (|t, _| t.clear(), "no tenants"),
+            (|_, c| c.servers = 0, "zero pipeline servers"),
+            (|_, c| c.queue_capacity = 0, "zero queue capacity"),
+            (|_, c| c.load = f64::NAN, positive_load),
+            (|_, c| c.load = f64::INFINITY, positive_load),
+            (|_, c| c.load = 0.0, positive_load),
+            (|_, c| c.bucket_qps_per_weight = f64::NAN, positive_rate),
+            (|_, c| c.bucket_qps_per_weight = f64::INFINITY, positive_rate),
+            (|_, c| c.bucket_qps_per_weight = -1.0, positive_rate),
+            (|_, c| c.bucket_depth = 0.5, "bucket depth must hold at least one token"),
+            (|t, _| t[1].queries.clear(), "a tenant has an empty query stream"),
+            (|t, _| t[1].weight = 0, "tenant weights must be positive"),
+            (|t, _| t[1].demand = 0, "tenant demand must be positive"),
+            (|t, _| t[1].id = 0, "duplicate tenant id"),
+        ];
+        let be = || backend_with(&mix(2), 32);
+        assert!(ServeEngine::new(&mix(2), ServeConfig::default(), be()).is_ok());
+        for (edit, want) in cases {
+            let (mut tenants, mut config) = (mix(2), ServeConfig::default());
+            edit(&mut tenants, &mut config);
+            let got = ServeEngine::new(&tenants, config, be()).err();
+            assert!(
+                matches!(got, Some(FvError::BadServeConfig { reason }) if reason == want),
+                "{want}: got {got:?}"
+            );
+        }
     }
 
     #[test]
@@ -1321,5 +1081,172 @@ mod tests {
             be.execute(9, &select_spec(10)),
             Err(FvError::UnknownTenant { tenant: 9 })
         ));
+    }
+
+    /// `n` single-query tenants of one class, weight and demand.
+    fn uniform(
+        ids: std::ops::Range<u32>,
+        class: ServeClass,
+        weight: u64,
+        demand: u64,
+    ) -> Vec<ServeTenant> {
+        ids.map(|id| ServeTenant {
+            id,
+            class,
+            weight,
+            demand,
+            queries: vec![select_spec(500)],
+        })
+        .collect()
+    }
+
+    /// An engine over `tenants` whose servers are all busy, so what is
+    /// admitted stays queued until the test frees one.
+    fn stalled(tenants: &[ServeTenant], config: ServeConfig) -> ServeEngine<SingleNodeBackend> {
+        let mut e = ServeEngine::new(tenants, config, backend_with(tenants, 32)).unwrap();
+        e.free_servers = 0;
+        e
+    }
+
+    /// Token bucket. One tenant asking for 64× its contracted rate, with
+    /// servers and queue to spare, completes no more than its bucket
+    /// admits: `bucket_depth + rate × weight × horizon`.
+    #[test]
+    fn an_uncontended_over_demander_completes_at_most_its_bucket_allowance() {
+        let tenants = uniform(0..1, ServeClass::Gold, 1, 64);
+        let config = ServeConfig {
+            bucket_qps_per_weight: 2_000.0,
+            horizon: SimDuration::from_millis(10),
+            ..ServeConfig::default()
+        };
+        let allowance = config.bucket_depth
+            + config.bucket_qps_per_weight * config.horizon.as_micros_f64() / 1e6;
+        let r = ServeEngine::new(&tenants, config, backend_with(&tenants, 64))
+            .unwrap()
+            .run();
+        assert!(r.completed > 0, "the tenant made no progress");
+        assert!(
+            r.completed as f64 <= allowance,
+            "{} completions past a bucket allowance of {allowance}",
+            r.completed
+        );
+    }
+
+    /// Shed. The queue is full — four bronze, then four gold — and every
+    /// server is busy; a gold arrival is admitted, and the youngest
+    /// bronze leaves the queue for it.
+    #[test]
+    fn a_gold_arrival_at_a_full_queue_is_admitted_while_bronze_is_above_its_floor() {
+        let mut tenants = uniform(0..4, ServeClass::Bronze, 1, 1);
+        tenants.extend(uniform(4..9, ServeClass::Gold, 1, 1));
+        let config = ServeConfig {
+            queue_capacity: 8,
+            ..ServeConfig::default()
+        };
+        let mut e = stalled(&tenants, config);
+        for flow in 0..8 {
+            e.on_submit(flow, 0, SimTime::ZERO, 0);
+        }
+        assert_eq!(e.queue.len(), 8, "the queue did not fill");
+        e.on_submit(8, 0, SimTime::ZERO, 0);
+        assert_eq!(
+            e.flows[8].stats.rejected, 0,
+            "the gold arrival was turned away"
+        );
+        assert!(e.queue.back(8).is_some(), "the gold arrival is not queued");
+        let shed: Vec<u64> = e.flows.iter().map(|f| f.stats.shed).collect();
+        assert_eq!(shed, [0, 0, 0, 1, 0, 0, 0, 0, 0], "not the youngest bronze");
+    }
+
+    /// Shed floor. Gold over-demanders keep the queue full and shed
+    /// whatever is below them, yet both bronze tenants still complete
+    /// work: shedding stops at the class's floor.
+    #[test]
+    fn no_class_is_locked_out_by_higher_class_pressure() {
+        let mut tenants = uniform(0..12, ServeClass::Gold, 1, 64);
+        tenants.extend(uniform(12..14, ServeClass::Bronze, 1, 1));
+        let config = ServeConfig {
+            servers: 1,
+            queue_capacity: 8,
+            bucket_qps_per_weight: 1_000_000.0,
+            load: 8.0,
+            horizon: SimDuration::from_millis(10),
+            ..ServeConfig::default()
+        };
+        let r = ServeEngine::new(&tenants, config, backend_with(&tenants, 64))
+            .unwrap()
+            .run();
+        for t in &r.tenants {
+            assert!(
+                t.completed > 0,
+                "{:?} tenant {} was locked out",
+                t.class,
+                t.tenant
+            );
+        }
+    }
+
+    /// `retry_after`. Past saturation, rejected queries retry once the
+    /// bucket or the queue can take them, so none spends its whole
+    /// retry budget and is abandoned.
+    #[test]
+    fn a_rejected_query_waits_for_the_drain_instead_of_spending_its_retries() {
+        let r = run_at(16.0, 3);
+        assert!(r.rejected > 0, "nothing was rejected");
+        assert_eq!(
+            r.abandoned, 0,
+            "{} queries spent their retries",
+            r.abandoned
+        );
+    }
+
+    /// Deadline drop. Queries that waited past their deadline are
+    /// dropped when a server frees up, not run.
+    #[test]
+    fn no_query_is_dispatched_after_its_deadline() {
+        let tenants = uniform(0..3, ServeClass::Gold, 1, 1);
+        let config = ServeConfig::default();
+        let deadline = config.deadline;
+        let mut e = stalled(&tenants, config);
+        for flow in 0..3 {
+            e.on_submit(flow, 0, SimTime::ZERO, 0);
+        }
+        assert_eq!(e.queue.len(), 3);
+        e.now = SimTime::ZERO + deadline;
+        e.free_servers = 1;
+        e.dispatch();
+        assert_eq!(e.free_servers, 1, "a query ran past its deadline");
+        let missed: u64 = e.flows.iter().map(|f| f.stats.deadline_missed).sum();
+        assert_eq!(missed, 3);
+    }
+
+    /// Weighted DRR. Four weight-4 and four weight-1 tenants, all
+    /// always backlogged on one server with equal query costs: the
+    /// heavy tenants complete about four times as many queries each.
+    #[test]
+    fn backlogged_tenants_complete_in_proportion_to_their_weights() {
+        let mut tenants = uniform(0..4, ServeClass::Gold, 4, 64);
+        tenants.extend(uniform(4..8, ServeClass::Gold, 1, 64));
+        let config = ServeConfig {
+            servers: 1,
+            bucket_qps_per_weight: 1_000_000.0,
+            horizon: SimDuration::from_millis(10),
+            ..ServeConfig::default()
+        };
+        let r = ServeEngine::new(&tenants, config, backend_with(&tenants, 64))
+            .unwrap()
+            .run();
+        let done = |w: u64| -> u64 {
+            r.tenants
+                .iter()
+                .filter(|t| t.weight == w)
+                .map(|t| t.completed)
+                .sum()
+        };
+        let ratio = done(4) as f64 / done(1).max(1) as f64;
+        assert!(
+            (3.0..=5.0).contains(&ratio),
+            "weight 4 : 1 served {ratio:.2} : 1"
+        );
     }
 }

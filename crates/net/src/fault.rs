@@ -20,7 +20,7 @@
 //! panic*.
 
 use fv_sim::calib::WIRE_ONE_WAY;
-use fv_sim::{BandwidthServer, SimDuration};
+use fv_sim::{BandwidthServer, SimDuration, SplitMix64};
 
 use crate::link::NicKind;
 use crate::qp::NetError;
@@ -170,7 +170,7 @@ impl FaultPlan {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    rng: u64,
+    rng: SplitMix64,
     cap: Option<BandwidthServer>,
     retries: u64,
     spikes: u64,
@@ -190,7 +190,7 @@ impl FaultInjector {
             .bandwidth_cap
             .map(|f| BandwidthServer::new(kind.peak_rate() * f, kind.per_packet()));
         Ok(FaultInjector {
-            rng: plan.seed,
+            rng: SplitMix64::new(plan.seed),
             plan,
             cap,
             retries: 0,
@@ -204,23 +204,9 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// SplitMix64 step: deterministic, seed-replayable, dependency-free.
-    fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// One Bernoulli draw with probability `p`.
     fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        // 53 uniform mantissa bits, the standard u64 -> f64 construction.
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        u < p
+        p > 0.0 && self.rng.unit() < p
     }
 
     /// Does the next transmission attempt get lost?
@@ -275,7 +261,7 @@ impl FaultInjector {
 
     /// Reset to the plan's seed so a fresh episode replays identically.
     pub fn reset(&mut self) {
-        self.rng = self.plan.seed;
+        self.rng = SplitMix64::new(self.plan.seed);
         self.retries = 0;
         self.spikes = 0;
         self.exhausted = 0;

@@ -6,7 +6,7 @@
 //! engine in this crate instead (see `DESIGN.md` §1 for the substitution
 //! argument).
 //!
-//! The crate provides four things:
+//! The crate provides five things:
 //!
 //! * [`time`] — nanosecond-resolution simulated time ([`SimTime`],
 //!   [`SimDuration`]) and rate helpers (`bytes / bandwidth -> duration`).
@@ -17,7 +17,10 @@
 //! * [`queueing`] — reusable resource models: a serialized
 //!   [`BandwidthServer`] (DRAM channel, PCIe hop, wire), and a
 //!   deficit-round-robin [`DrrScheduler`] used for the fair-share
-//!   arbitration the paper's network stack implements (§4.3).
+//!   arbitration the paper's network stack implements (§4.3), with
+//!   per-flow quanta for weighted shares.
+//! * [`rng`] — [`SplitMix64`], the one seeded generator every fault draw
+//!   and think-time jitter comes from.
 //! * [`calib`] — every hardware constant used anywhere in the
 //!   reproduction, each documented with the sentence of the paper (or the
 //!   public datasheet) it is calibrated against.
@@ -33,11 +36,13 @@ pub mod calib;
 pub mod cost;
 pub mod engine;
 pub mod queueing;
+pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use cost::{MigrationCostModel, PlanCostModel};
 pub use engine::{Actor, ActorId, Context, Simulation};
 pub use queueing::{BandwidthServer, DrrScheduler};
+pub use rng::SplitMix64;
 pub use stats::{Histogram, MergeCostModel};
 pub use time::{SimDuration, SimTime};

@@ -11,7 +11,8 @@
 //!   paper's fair-sharing requirement (§4.3: "out-of-order execution,
 //!   along with credit-based flow control and packet based processing,
 //!   allows Farview to provide the fair-sharing") and the MMU's
-//!   per-region arbiters (§4.4).
+//!   per-region arbiters (§4.4); with per-flow quanta, the serving front
+//!   end's tenant-weighted dispatch.
 
 use std::collections::VecDeque;
 
@@ -86,42 +87,62 @@ struct DrrJob<T> {
 #[derive(Debug, Clone)]
 struct DrrFlow<T> {
     deficit: u64,
+    quantum: u64,
     queue: VecDeque<DrrJob<T>>,
 }
 
 /// Deficit round robin across a fixed set of flows.
 ///
-/// Each flow receives `quantum` units of credit per round; a job is
+/// Each flow receives its quantum of credit per round; a job is
 /// eligible when the flow's accumulated deficit covers its cost (bytes).
 /// DRR is the textbook O(1) fair scheduler and matches the paper's
 /// packet-based fair-sharing: with equal quanta, concurrent clients share
 /// the wire/DRAM proportionally regardless of how greedy any one client's
 /// request stream is ("it prevents any malevolent behaviour by any of the
-/// users that could lead to a complete system stall", §4.3).
+/// users that could lead to a complete system stall", §4.3). Unequal
+/// quanta ([`DrrScheduler::with_quanta`]) split service in their ratio.
 #[derive(Debug, Clone)]
 pub struct DrrScheduler<T> {
+    /// The largest flow quantum: no job may cost more.
     quantum: u64,
     flows: Vec<DrrFlow<T>>,
     cursor: usize,
     queued: usize,
+    /// Cursor laps that always serve a job while one is queued: a flow
+    /// banks at least its own quantum per visit, and no job costs more
+    /// than the largest.
+    laps: usize,
 }
 
 impl<T> DrrScheduler<T> {
     /// A scheduler over `flows` flows with the given per-round quantum
     /// (in the same cost units as jobs, typically bytes).
     pub fn new(flows: usize, quantum: u64) -> Self {
-        assert!(flows > 0, "DRR needs at least one flow");
-        assert!(quantum > 0, "DRR quantum must be positive");
+        Self::with_quanta((0..flows).map(|_| quantum))
+    }
+
+    /// A scheduler with one flow per quantum in `quanta`, each receiving
+    /// its own quantum per round: backlogged flows are served in the
+    /// ratio of their quanta.
+    pub fn with_quanta(quanta: impl IntoIterator<Item = u64>) -> Self {
+        let flows: Vec<DrrFlow<T>> = quanta
+            .into_iter()
+            .map(|quantum| DrrFlow {
+                deficit: 0,
+                quantum,
+                queue: VecDeque::new(),
+            })
+            .collect();
+        assert!(!flows.is_empty(), "DRR needs at least one flow");
+        let smallest = flows.iter().map(|f| f.quantum).min().unwrap_or(0);
+        assert!(smallest > 0, "DRR quantum must be positive");
+        let quantum = flows.iter().map(|f| f.quantum).max().unwrap_or(smallest);
         DrrScheduler {
             quantum,
-            flows: (0..flows)
-                .map(|_| DrrFlow {
-                    deficit: 0,
-                    queue: VecDeque::new(),
-                })
-                .collect(),
+            flows,
             cursor: 0,
             queued: 0,
+            laps: quantum.div_ceil(smallest) as usize,
         }
     }
 
@@ -143,9 +164,8 @@ impl<T> DrrScheduler<T> {
     /// Enqueue a job with the given cost on `flow`.
     ///
     /// # Panics
-    /// Panics if `flow` is out of range or `cost` exceeds what a single
-    /// round can ever grant (cost must be ≤ quantum so a job can always
-    /// eventually be served).
+    /// Panics if `flow` is out of range or `cost` exceeds the largest
+    /// quantum (so a job can always eventually be served).
     pub fn push(&mut self, flow: usize, cost: u64, payload: T) {
         assert!(flow < self.flows.len(), "unknown DRR flow {flow}");
         assert!(
@@ -155,6 +175,19 @@ impl<T> DrrScheduler<T> {
         );
         self.flows[flow].queue.push_back(DrrJob { cost, payload });
         self.queued += 1;
+    }
+
+    /// The most recently pushed job still queued on `flow`.
+    pub fn back(&self, flow: usize) -> Option<&T> {
+        self.flows.get(flow)?.queue.back().map(|j| &j.payload)
+    }
+
+    /// Withdraw the most recently pushed job of `flow` unserved. The
+    /// flow keeps its deficit, as it does when a pop empties it.
+    pub fn pop_back(&mut self, flow: usize) -> Option<T> {
+        let job = self.flows.get_mut(flow)?.queue.pop_back()?;
+        self.queued -= 1;
+        Some(job.payload)
     }
 
     /// Dequeue the next job in DRR order, returning `(flow, payload)`.
@@ -172,35 +205,41 @@ impl<T> DrrScheduler<T> {
             return None;
         }
         let n = self.flows.len();
-        // Some flow holds a job, so one lap of the cursor reaches it.
-        for _ in 0..n {
+        for _ in 0..n * self.laps {
             let idx = self.cursor;
             let next = if idx + 1 == n { 0 } else { idx + 1 };
             let Some(flow) = self.flows.get_mut(idx) else {
                 break;
             };
-            let Some(job) = flow.queue.pop_front() else {
+            let Some(cost) = flow.queue.front().map(|j| j.cost) else {
                 // Idle flows forfeit their deficit.
                 flow.deficit = 0;
                 self.cursor = next;
                 continue;
             };
-            self.queued -= 1;
-            if flow.deficit >= job.cost {
-                flow.deficit -= job.cost;
-                if flow.queue.is_empty() {
+            if flow.deficit >= cost {
+                flow.deficit -= cost;
+                if flow.queue.len() == 1 {
                     flow.deficit = 0;
                     self.cursor = next;
                 }
-            } else {
-                // Not enough credit: grant a quantum, serve (cost is
-                // bounded by the quantum, so one grant always suffices)
-                // and move on. The flow keeps what is left of the grant
-                // even if it just emptied: only the cursor passing an
-                // idle flow forfeits it.
-                flow.deficit = flow.deficit + self.quantum - job.cost;
+            } else if flow.deficit + flow.quantum >= cost {
+                // Grant a quantum, serve and move on. The flow keeps
+                // what is left of the grant even if it just emptied:
+                // only the cursor passing an idle flow forfeits it.
+                flow.deficit = flow.deficit + flow.quantum - cost;
                 self.cursor = next;
+            } else {
+                // A flow whose quantum is below the job's cost banks the
+                // grant and waits for the next lap.
+                flow.deficit += flow.quantum;
+                self.cursor = next;
+                continue;
             }
+            let Some(job) = flow.queue.pop_front() else {
+                break;
+            };
+            self.queued -= 1;
             return Some((idx, job.payload));
         }
         unreachable!("DRR invariant violated: queued > 0 but nothing served");
@@ -434,5 +473,40 @@ mod tests {
             1,
             "each flow served once"
         );
+    }
+
+    /// Weighted flows: with quanta 4 : 1 over equal costs, whether the
+    /// light flow's quantum covers a job (it banks nothing) or a quarter
+    /// of one (it banks three laps), the heavy flow gets four jobs to
+    /// its one.
+    #[test]
+    fn unequal_quanta_split_service_in_their_ratio() {
+        for quanta in [[4096, 1024], [1024, 256]] {
+            let mut drr = DrrScheduler::with_quanta(quanta);
+            for i in 0..100u32 {
+                drr.push(0, 1024, i);
+                drr.push(1, 1024, i);
+            }
+            let mut served = [0usize; 2];
+            for _ in 0..50 {
+                served[drr.pop().unwrap().0] += 1;
+            }
+            assert_eq!(served, [40, 10], "quanta {quanta:?}");
+        }
+    }
+
+    #[test]
+    fn pop_back_withdraws_the_youngest_job_of_a_flow() {
+        let mut drr = DrrScheduler::new(2, 1024);
+        drr.push(0, 100, "old");
+        drr.push(0, 100, "young");
+        drr.push(1, 100, "other");
+        assert_eq!(drr.back(0), Some(&"young"));
+        assert_eq!(drr.pop_back(0), Some("young"));
+        assert_eq!(drr.len(), 2);
+        assert_eq!(drr.pop_back(3), None);
+        assert_eq!(drr.pop(), Some((0, "old")));
+        assert_eq!(drr.pop(), Some((1, "other")));
+        assert_eq!(drr.back(0), None);
     }
 }

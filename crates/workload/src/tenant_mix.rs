@@ -20,18 +20,16 @@ use rand::{Rng, SeedableRng};
 
 use crate::TenantQuery;
 
-/// Service class of a tenant, in shed order: under sustained overload
-/// the serving layer rejects and sheds [`MixClass::Bronze`] work first,
-/// then [`MixClass::Silver`], and only then touches
-/// [`MixClass::Gold`].
+/// Service class of a tenant, in shed order: at a full queue the
+/// serving layer sheds [`MixClass::Bronze`] work first, then
+/// [`MixClass::Silver`]; [`MixClass::Gold`] is never shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MixClass {
-    /// Highest priority: admitted up to the full queue watermark and
-    /// never shed while lower-class work is queued.
+    /// Highest priority: never shed.
     Gold,
     /// Default priority.
     Silver,
-    /// Best-effort: first to be rejected and first to be shed.
+    /// Best-effort: first to be shed.
     Bronze,
 }
 

@@ -59,6 +59,13 @@ ab-pairs WORKLOAD PAIRS="10" SECONDS="20":
 sim-identity:
     sh scripts/sim-identity.sh
 
+# Each serving mechanism earns its place: plant its one-line removal in
+# an exported copy of HEAD and fail unless the test named for its
+# guarantee fails under the plant and passes without it. One rebuild per
+# plant, so not a CI step.
+plant-serve:
+    sh scripts/plant-serve.sh
+
 # The fleet scatter seam (ordered join, panic containment, the size
 # gate, fanned out ≡ one worker) uncontended: `verify` already ran it
 # with the other test threads competing for the host's CPUs.
@@ -89,7 +96,7 @@ bench-chaos:
     cargo run -q --release -p fv-bench --bin figures chaos
 
 # Graceful degradation past saturation: the multi-tenant serving sweep
-# (admission control, weighted DRR, shed ladder, bounded retry).
+# (token buckets, weighted DRR, shedding, bounded retry).
 # Rewrites BENCH_PR10.json.
 bench-overload:
     cargo run -q --release -p fv-bench --bin figures overload

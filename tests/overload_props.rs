@@ -5,7 +5,7 @@
 //!
 //! * **byte identity** — every admitted-and-completed query returns
 //!   exactly the bytes an unloaded single-node oracle returns; shed,
-//!   retry, and backoff drop whole queries, never parts of results;
+//!   and retry drop whole queries, never parts of results;
 //! * **no starvation** — across random heavy-tailed mixes (with
 //!   over-demanders asking 4× their contracted share) every tenant
 //!   completes work at every load;
@@ -29,7 +29,7 @@ use fv_workload::{FaultSpec, TableGen, TenantMix, TenantMixGen};
 
 /// The bench sweep's pressured serving tier: two pipeline servers
 /// behind an eight-slot queue, token buckets opened wide so the queue
-/// watermarks (not the buckets) are what overload drives against.
+/// capacity (not the buckets) is what overload drives against.
 fn pressured(load: f64, seed: u64, horizon_ms: u64) -> ServeConfig {
     ServeConfig {
         servers: 2,
@@ -44,7 +44,7 @@ fn pressured(load: f64, seed: u64, horizon_ms: u64) -> ServeConfig {
 
 /// A heavy-tailed mix where every third tenant over-demands at 4× its
 /// contracted share — the adversarial ingredient that exercises the
-/// shed ladder and the DRR enforcement.
+/// shedding and the DRR enforcement.
 fn overdemanding_mix(n: usize, seed: u64) -> TenantMix {
     TenantMixGen::new(n)
         .queries_per_tenant(6)
@@ -81,10 +81,7 @@ fn run_mix(
 fn completions_match_the_unloaded_oracle_under_shed_pressure() {
     let mix = overdemanding_mix(12, OVERLOAD_BENCH_SEED);
     let (tenants, report) = run_mix(&mix, 1024, 16.0, OVERLOAD_BENCH_SEED, true);
-    assert!(
-        report.shed > 0,
-        "the pressure config must actually trip the shed ladder"
-    );
+    assert!(report.shed > 0, "the pressure config must actually shed");
     assert!(
         report.rejected > 0,
         "the pressure config must actually trip admission control"
@@ -258,7 +255,7 @@ fn overload_mix_survives_a_partitioned_replica() {
 /// Tier composition: the overload mix served by a `TieredPool` over a
 /// 3-node `r = 2` fleet connection whose DRAM budget holds both copies
 /// of only half the tenants' tables. Every completion is byte-identical
-/// to the all-resident single-node oracle, the shed ladder trips, and
+/// to the all-resident single-node oracle, shedding trips, and
 /// every tenant completes — which, with half the tables fitting, takes
 /// evictions and restagings along the way. Staging is paid as service,
 /// so the same fleet with every table resident completes more.
