@@ -60,6 +60,7 @@ fn check_recorded_overload_baseline(path: &str) -> Result<(), String> {
         for field in [
             "\"goodput_qps\":",
             "\"rejection_rate\":",
+            "\"failure_rate\":",
             "\"fairness_index\":",
             "\"min_completed\":",
             "\"gold_p99_us\":",

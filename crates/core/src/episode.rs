@@ -9,19 +9,41 @@
 //!   └──── packets ◀── DRR egress arbiter ◀── packer/sender ◀── operator pipeline
 //! ```
 //!
-//! The node is one actor holding the shared resources (DRAM channel
-//! servers, the egress wire, the DRR arbiter, per-region pipeline
-//! servers); each client connection is its own actor doing out-of-order
-//! reassembly and credit returns. Response time is measured exactly as
-//! the paper measures it: from the client posting the request until "the
-//! final results are written to the memory of the client machine" (§6.2).
+//! Response time is measured exactly as the paper measures it: from the
+//! client posting the request until "the final results are written to
+//! the memory of the client machine" (§6.2).
+//!
+//! Two routes compute an episode; [`run_batched_episodes`] picks one by a
+//! single predicate, and nothing else chooses:
+//!
+//! - **The single-stream pass** takes an episode of exactly one batch, of
+//!   depth 1, on a link whose fault plan is benign — every plain
+//!   `far_view`, each fleet shard, each tiered query. With one stream
+//!   nothing but its own credits feeds back into timing, so the episode
+//!   is a recurrence: one pass over the bursts in the engine's
+//!   completion order, then one over the packets in staging order. It
+//!   drains the pipeline straight into the client's result buffer and
+//!   makes no packet, message or event; it counts the events the engine
+//!   would have delivered. Like [`try_write_time`] it has no event
+//!   budget.
+//! - **The event engine** runs every other episode: batches deeper than
+//!   1, concurrent batches, and every non-benign fault plan. The node is
+//!   one actor holding the shared resources (DRAM channel servers, the
+//!   egress wire, the DRR arbiter, per-region pipeline servers); each
+//!   client connection is its own actor doing out-of-order reassembly
+//!   and credit returns. `fv_sim::Simulation` delivers their messages
+//!   under a 20 M-event guard.
+//!
+//! The engine is the pass's oracle: a property in this module's tests
+//! holds the two equal, field by field and to the nanosecond, on every
+//! kind of episode the pass takes.
 
 use bytes::Bytes;
 
 use fv_mem::{BurstReq, PageView};
 use fv_net::{
     CreditGate, DoorbellBatch, EgressArbiter, LinkTiming, NetError, NicKind, Packet, PacketKind,
-    Reassembly,
+    Reassembly, HEADER_BYTES,
 };
 use fv_pipeline::CompiledPipeline;
 use fv_sim::calib::{
@@ -71,7 +93,9 @@ pub struct EpisodeResult {
     pub packets: u64,
     /// Bytes that crossed the wire (payload + headers).
     pub wire_bytes: u64,
-    /// Events the episode delivered (diagnostics).
+    /// Events the event engine delivers for the whole episode — on the
+    /// single-stream pass, the count it would have delivered (diagnostics;
+    /// the benchmark's `sim_digest` folds it in).
     pub events: u64,
 }
 
@@ -166,16 +190,23 @@ impl QueryRun {
 
     /// Chunk length of burst `idx`, in stream order.
     fn chunk_len(&self, idx: usize) -> usize {
-        match self.q.sa_tuples {
-            Some(_) => {
-                let tuple_bytes = self.q.pipeline.in_tuple_bytes();
-                let per_chunk =
-                    (calib::MEM_BURST_BYTES as usize / tuple_bytes.max(1)).max(1) * tuple_bytes;
-                let consumed = idx * per_chunk;
-                per_chunk.min(self.data.len() - consumed)
-            }
-            None => self.q.bursts.get(idx).map_or(0, |b| b.bytes as usize),
+        chunk_len(&self.q, self.data.len(), idx)
+    }
+}
+
+/// Length of chunk `idx` of `q`'s stream of `data_len` bytes: its burst's
+/// bytes, or under smart addressing as many whole gathered tuples as fit
+/// a burst.
+fn chunk_len(q: &PreparedQuery, data_len: usize, idx: usize) -> usize {
+    match q.sa_tuples {
+        Some(_) => {
+            let tuple_bytes = q.pipeline.in_tuple_bytes();
+            let per_chunk =
+                (calib::MEM_BURST_BYTES as usize / tuple_bytes.max(1)).max(1) * tuple_bytes;
+            let consumed = idx * per_chunk;
+            per_chunk.min(data_len - consumed)
         }
+        None => q.bursts.get(idx).map_or(0, |b| b.bytes as usize),
     }
 }
 
@@ -652,6 +683,16 @@ impl BatchRun {
             .map(move |(q, view)| QueryRun::new(q, view, credit_budget))
     }
 
+    /// The one query of a depth-1 batch and the view it streams, taken
+    /// out; `None` (the batch untouched) for a deeper one.
+    fn take_single(&mut self) -> Option<(PreparedQuery, Option<PageView>)> {
+        if self.queries.len() != 1 {
+            return None;
+        }
+        let q = self.queries.pop()?;
+        Some((q, self.views.pop().flatten()))
+    }
+
     /// Queue depth of this batch.
     pub fn depth(&self) -> usize {
         self.queries.len()
@@ -669,15 +710,46 @@ impl BatchRun {
 /// in post order, each with the pipeline its query ran; a failed episode
 /// hands no pipeline back.
 ///
+/// Two routes compute an episode, and no caller chooses between them:
+///
+/// - **The single-stream pass.** Exactly one batch, of depth 1, on a link
+///   whose fault plan [`is_benign`](fv_net::FaultPlan::is_benign): the
+///   one query is computed in one pass over its bursts and packets (see
+///   the module doc). Like [`try_write_time`] it has no event budget.
+/// - **The event engine.** Every other episode — a batch deeper than 1,
+///   concurrent batches, any non-benign fault plan — runs on
+///   `fv_sim::Simulation` under a 20 M-event guard.
+///
+/// The pass is checked against the engine: on every episode it takes,
+/// the two return equal results in every field, `response_time` to the
+/// nanosecond and `events` included.
+///
 /// # Errors
 /// [`FvError::IncompleteEpisode`] names the stream whose episode drained
 /// without a completion (the shard/query a fleet caller should report as
 /// stalled); [`FvError::Net`] surfaces datapath routing failures.
 pub fn run_batched_episodes(
-    batches: Vec<BatchRun>,
+    mut batches: Vec<BatchRun>,
     config: &FarviewConfig,
 ) -> Result<Vec<Vec<EpisodeResult>>, FvError> {
     config.validate();
+    let single = match batches.as_mut_slice() {
+        [batch] if config.fault.is_benign() => batch.take_single(),
+        _ => None,
+    };
+    match single {
+        Some((q, view)) => Ok(vec![vec![run_single_stream(q, view, config)?]]),
+        None => run_on_engine(batches, config),
+    }
+}
+
+/// [`run_batched_episodes`] on the event engine, whatever the batches.
+fn run_on_engine(
+    batches: Vec<BatchRun>,
+    config: &FarviewConfig,
+) -> Result<Vec<Vec<EpisodeResult>>, FvError> {
+    #[cfg(test)]
+    route::count(route::Route::Engine);
     let mut sim: Simulation<Msg> = Simulation::new();
 
     // Every posted query becomes one stream, numbered in post order
@@ -822,6 +894,309 @@ pub fn run_batched_episodes(
     Ok(results)
 }
 
+/// One packet-emitting drain of the single-stream pass.
+struct Drain {
+    /// When its packets become sendable (the engine's `Stage`).
+    staged: SimTime,
+    /// Its full packets.
+    full: u64,
+    /// The payload bytes of its FIN, when the stream finished here.
+    fin: Option<u64>,
+}
+
+/// The single-stream pass between two burst completions: the region's
+/// reorder buffer and pipeline server, and the output short of a packet.
+struct Feed {
+    q: PreparedQuery,
+    data: PageView,
+    cursor: usize,
+    /// Chunks that completed, by stream index; `next_feed` is the first
+    /// the pipeline has not consumed.
+    arrived: Vec<bool>,
+    next_feed: usize,
+    server: BandwidthServer,
+    first_output: bool,
+    /// Output bytes short of a full packet, carried to the next drain.
+    tail: u64,
+    /// The client's result buffer: every drain lands here, once.
+    payload: Vec<u8>,
+    /// Packet-emitting drains, in drain order.
+    drains: Vec<Drain>,
+}
+
+impl Feed {
+    /// Chunk `idx` completed at `now`: feed the pipeline every chunk now
+    /// in stream order, and drain it.
+    fn complete(&mut self, now: SimTime, idx: usize) {
+        if let Some(flag) = self.arrived.get_mut(idx) {
+            *flag = true;
+        }
+        let (mut ready, mut fed_any, mut finished) = (now, false, false);
+        while self.arrived.get(self.next_feed) == Some(&true) {
+            let len = chunk_len(&self.q, self.data.len(), self.next_feed);
+            let start = self.cursor;
+            self.cursor += len;
+            for piece in self.data.slices(start..self.cursor) {
+                self.q.pipeline.push_bytes(piece);
+            }
+            ready = self
+                .server
+                .admit(ready, (len as u64).div_ceil(self.q.vector_lanes.max(1)));
+            fed_any = true;
+            self.next_feed += 1;
+            if self.next_feed == self.arrived.len() {
+                finished = true;
+                break;
+            }
+        }
+        if !fed_any {
+            return;
+        }
+        if self.first_output {
+            self.first_output = false;
+            ready += SimDuration::for_cycles(self.q.pipeline.fill_cycles(), OP_CLOCK_HZ);
+        }
+        let before = self.payload.len();
+        self.q.pipeline.drain_output_into(&mut self.payload);
+        if finished {
+            self.q.pipeline.finish();
+            self.q.pipeline.drain_output_into(&mut self.payload);
+            ready += SimDuration::for_cycles(self.q.pipeline.flush_cycles(), OP_CLOCK_HZ);
+        }
+        self.cut(ready, before, finished);
+    }
+
+    /// Cut the output since `before` into packets staged at `staged`, as
+    /// the engine's packetizer would: full packets, the rest carried,
+    /// and at the end of the stream a FIN with whatever is left.
+    fn cut(&mut self, staged: SimTime, before: usize, finished: bool) {
+        let total = self.tail + (self.payload.len() - before) as u64;
+        let full = total / PACKET_BYTES;
+        self.tail = total % PACKET_BYTES;
+        let fin = finished.then(|| std::mem::take(&mut self.tail));
+        if full > 0 || fin.is_some() {
+            self.drains.push(Drain { staged, full, fin });
+        }
+    }
+}
+
+/// The single-stream pass: one depth-1 query on a healthy link, computed
+/// in one pass over its bursts and packets. Its result equals the event
+/// engine's in every field (`tests::the_single_stream_pass_equals_the_engine`).
+///
+/// - The request reaches the node one propagation after it is posted
+///   and is ready once the network stack parsed it and any join build
+///   side is uploaded behind it.
+/// - Bursts become eligible after the access latency and the TLB walks.
+///   Each channel serves its own FIFO back to back, and completions are
+///   handled in the engine's `(time, seq)` order: at equal times, in
+///   the order the channels' previous completions were handled, the
+///   first round by channel index.
+/// - Each completion feeds the pipeline every chunk now in stream order
+///   and drains it into the result buffer. A drain's packets are staged
+///   when the region's pipeline server is done with its chunks, plus
+///   fill cycles on the first drain and flush cycles on the last.
+/// - Packets leave in staging order, each at the later of its staging
+///   and the credit that packet `k − credit_budget` returns; the wire
+///   serializes them, and the client completes at the last arrival.
+///
+/// It counts the events the engine would have delivered: the request,
+/// the burst release, a pump per burst plus an idle one per channel
+/// used, a completion per chunk, a stage per packet-emitting drain, and
+/// an egress, a delivery and a credit per packet.
+fn run_single_stream(
+    mut q: PreparedQuery,
+    view: Option<PageView>,
+    config: &FarviewConfig,
+) -> Result<EpisodeResult, FvError> {
+    #[cfg(test)]
+    route::count(route::Route::Pass);
+    let data = view.unwrap_or_else(|| PageView::from(std::mem::take(&mut q.data)));
+    let posted = SimTime::ZERO + DoorbellBatch::new(1).issue_offset(0) + WIRE_ONE_WAY;
+    let parsed = BandwidthServer::new(PIPELINE_RATE, FV_REQ_OCCUPANCY).admit(posted, 0);
+    let upload = q.pipeline.upload_bytes();
+    let upload_time = if upload > 0 {
+        calib::transfer(upload, calib::FV_NET_PEAK)
+            + calib::FV_PER_PACKET * upload.div_ceil(PACKET_BYTES)
+    } else {
+        SimDuration::ZERO
+    };
+    let t_ready = parsed + FV_REQ_PROC.saturating_sub(FV_REQ_OCCUPANCY) + upload_time;
+    // Smart addressing gathers whole tuples, as many per chunk as fit a
+    // burst.
+    let sa_per_chunk =
+        (calib::MEM_BURST_BYTES / (q.pipeline.in_tuple_bytes() as u64).max(1)).max(1);
+    let chunks = match q.sa_tuples {
+        Some(tuples) => tuples.div_ceil(sa_per_chunk) as usize,
+        None => q.bursts.len(),
+    };
+    let mut feed = Feed {
+        payload: Vec::with_capacity(q.pipeline.output_bound(data.len())),
+        q,
+        data,
+        cursor: 0,
+        arrived: vec![false; chunks],
+        next_feed: 0,
+        server: BandwidthServer::new(PIPELINE_RATE, SimDuration::ZERO),
+        first_output: true,
+        tail: 0,
+        drains: Vec::new(),
+    };
+    let mut events = 1; // the request
+    if feed.data.is_empty() {
+        // Empty table: the sender still emits a FIN (§5.5).
+        events += 1;
+        feed.q.pipeline.finish();
+        feed.q.pipeline.drain_output_into(&mut feed.payload);
+        feed.cut(t_ready, 0, true);
+    } else if let Some(tuples) = feed.q.sa_tuples {
+        // Smart addressing: latency-bound narrow gathers, chunk by chunk.
+        let mut done_tuples = 0u64;
+        for idx in 0..chunks {
+            done_tuples += sa_per_chunk.min(tuples - done_tuples);
+            feed.complete(
+                t_ready + DRAM_ACCESS_LATENCY + SMART_ADDR_TUPLE * done_tuples,
+                idx,
+            );
+        }
+        events += chunks as u64;
+    } else {
+        let misses = feed.q.bursts.iter().filter(|b| !b.tlb_hit).count() as u64;
+        let eligible = t_ready + DRAM_ACCESS_LATENCY + TLB_MISS_PENALTY * misses;
+        events += 1 + complete_bursts(eligible, config.channels, &mut feed);
+    }
+    let qp = feed.q.qp;
+    if feed.drains.last().is_none_or(|d| d.fin.is_none()) {
+        return Err(FvError::IncompleteEpisode { qp });
+    }
+
+    // Egress: packets leave in staging order (ties in drain order). With
+    // the budget spent, a packet waits for the oldest credit in flight.
+    feed.drains.sort_by_key(|d| d.staged);
+    let budget = config.credit_budget as usize;
+    let mut in_flight = std::collections::VecDeque::with_capacity(budget);
+    let mut wire = LinkTiming::new(NicKind::FarviewFpga);
+    let (mut sent, mut wire_bytes, mut landed) = (0u64, 0u64, SimTime::ZERO);
+    for d in &feed.drains {
+        let sizes = std::iter::repeat_n(PACKET_BYTES, d.full as usize).chain(d.fin);
+        for bytes in sizes.map(|payload| payload + HEADER_BYTES) {
+            let credit = if in_flight.len() == budget {
+                in_flight.pop_front()
+            } else {
+                None
+            };
+            landed = wire.transmit(credit.map_or(d.staged, |c| d.staged.max(c)), bytes);
+            // Its credit returns one propagation after it lands.
+            in_flight.push_back(landed + WIRE_ONE_WAY);
+            sent += 1;
+            wire_bytes += bytes;
+        }
+    }
+    let Feed {
+        q,
+        mut payload,
+        drains,
+        ..
+    } = feed;
+    payload.shrink_to_fit();
+    Ok(EpisodeResult {
+        qp,
+        response_time: (landed + CLIENT_COMPLETE).since(SimTime::ZERO),
+        payload,
+        pipeline: q.pipeline,
+        packets: sent,
+        wire_bytes,
+        events: events + drains.len() as u64 + 3 * sent,
+    })
+}
+
+/// Serve `feed`'s bursts on their channels from `eligible` on, each
+/// channel FIFO and back to back, handing every completion to `feed` in
+/// the engine's `(time, seq)` order. Returns the engine events that
+/// took: a pump per burst plus an idle one per channel used, and a
+/// completion per burst.
+fn complete_bursts(eligible: SimTime, channels: usize, feed: &mut Feed) -> u64 {
+    let bytes = |feed: &Feed, idx: usize| feed.q.bursts.get(idx).map(|b| b.bytes);
+    // Each channel's bursts as a chain: its first, and each one's next.
+    let mut first = vec![usize::MAX; channels];
+    let mut next = vec![usize::MAX; feed.q.bursts.len()];
+    for (idx, b) in feed.q.bursts.iter().enumerate().rev() {
+        if let (Some(head), Some(after)) = (first.get_mut(b.channel), next.get_mut(idx)) {
+            *after = std::mem::replace(head, idx);
+        }
+    }
+    let mut dram = fv_mem::DramTiming::new(channels);
+    // Per channel, its outstanding completion: `(time, seq, burst)`. A
+    // completion's `seq` orders it among equal times, as the engine's
+    // scheduling order does: the channel pump that issues a burst runs
+    // right behind the completion before it.
+    let mut seq = 0u64;
+    let mut pending: Vec<Option<(SimTime, u64, usize)>> = first
+        .iter()
+        .enumerate()
+        .map(|(ch, &idx)| {
+            let bytes = bytes(feed, idx)?;
+            seq += 1;
+            Some((dram.admit(ch, eligible, bytes), seq, idx))
+        })
+        .collect();
+    let channels_used = pending.iter().flatten().count() as u64;
+    while let Some((ch, (at, _, idx))) = pending
+        .iter()
+        .enumerate()
+        .filter_map(|(ch, p)| p.map(|p| (ch, p)))
+        .min_by_key(|&(_, (at, seq, _))| (at, seq))
+    {
+        let after = next.get(idx).and_then(|&n| Some((n, bytes(feed, n)?)));
+        let issued = after.map(|(n, bytes)| {
+            seq += 1;
+            (dram.admit(ch, at, bytes), seq, n)
+        });
+        if let Some(p) = pending.get_mut(ch) {
+            *p = issued;
+        }
+        feed.complete(at, idx);
+    }
+    2 * feed.q.bursts.len() as u64 + channels_used
+}
+
+/// The route an episode took, counted per thread, so a test can observe
+/// which one a call into the crate reached without a knob or accessor.
+#[cfg(test)]
+pub(crate) mod route {
+    use std::cell::Cell;
+
+    /// One of [`super::run_batched_episodes`]' two routes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Route {
+        Pass,
+        Engine,
+    }
+
+    thread_local! {
+        static TAKEN: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn count(route: Route) {
+        TAKEN.with(|t| {
+            let (pass, engine) = t.get();
+            t.set(match route {
+                Route::Pass => (pass + 1, engine),
+                Route::Engine => (pass, engine + 1),
+            });
+        });
+    }
+
+    /// `f`'s result, and the episodes it ran on this thread per route:
+    /// `(pass, engine)`.
+    pub(crate) fn taken<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+        let (pass, engine) = TAKEN.with(Cell::get);
+        let r = f();
+        let (pass2, engine2) = TAKEN.with(Cell::get);
+        (r, (pass2 - pass, engine2 - engine))
+    }
+}
+
 /// Timing of a client-to-Farview table write through the write half of
 /// the datapath (Figure 3's blue path: "The write path allows RDMA
 /// updates to the memory", §4.5): the client streams 1 kB data packets
@@ -857,7 +1232,7 @@ pub fn try_write_time(bytes: u64, config: &FarviewConfig) -> Result<SimDuration,
         let sz = unsent.min(PACKET_BYTES);
         unsent -= sz;
         let arrival = wire
-            .try_transmit(0, posted, sz + 58)
+            .try_transmit(0, posted, sz + HEADER_BYTES)
             .map_err(FvError::Net)?
             + FV_REQ_PROC;
         arrivals.push((arrival, sz, unsent == 0));
@@ -1867,7 +2242,7 @@ mod tests {
                 PACKET_BYTES
             };
             let arrival = wire
-                .try_transmit(0, SimTime::from_nanos(t0.as_nanos()), sz + 58)
+                .try_transmit(0, SimTime::from_nanos(t0.as_nanos()), sz + HEADER_BYTES)
                 .map_err(FvError::Net)?
                 + FV_REQ_PROC;
             sim.inject(
@@ -1908,6 +2283,308 @@ mod tests {
                 .with_bandwidth_cap(0.5),
             FaultPlan::none().partitioned(),
         ]
+    }
+
+    /// A 16 KiB table for the route tests: every entry point's read of
+    /// it is a few packets.
+    fn route_table() -> fv_data::Table {
+        let mut b = fv_data::TableBuilder::with_capacity(Schema::uniform_u64(4), 512);
+        for i in 0..512u64 {
+            b.push_values((0..4).map(|c| fv_data::Value::U64(i * 4 + c)).collect());
+        }
+        b.build()
+    }
+
+    /// Every depth-1 read on a healthy link takes the single-stream
+    /// pass, whichever entry point posts it: a connection's `far_view`,
+    /// a tiered pool's query, each shard of a fleet query, and a
+    /// one-request concurrent submission.
+    #[test]
+    fn every_depth_one_read_on_a_healthy_link_takes_the_pass() {
+        use crate::{BlockStore, FarviewCluster, FarviewFleet, Partitioning, TieredPool};
+        let table = route_table();
+        let spec = PipelineSpec::passthrough();
+        let cluster = FarviewCluster::new(FarviewConfig::tiny());
+        let qp = cluster.connect().unwrap();
+        let (ft, _) = qp.load_table(&table).unwrap();
+        let (out, routes) = route::taken(|| qp.far_view(&ft, &spec));
+        assert_eq!(out.unwrap().payload, table.bytes());
+        assert_eq!(routes, (1, 0), "QPair::far_view");
+
+        let mut pool = TieredPool::new(&qp, 8 << 20, BlockStore::default());
+        pool.insert("t", &table).unwrap();
+        let (out, routes) = route::taken(|| pool.query("t", &spec));
+        assert_eq!(out.unwrap().outcome.payload, table.bytes());
+        assert_eq!(routes, (1, 0), "TieredPool::query");
+
+        let (out, routes) = route::taken(|| cluster.run_concurrent(vec![(&qp, &ft, spec.clone())]));
+        assert_eq!(out.unwrap()[0].payload, table.bytes());
+        assert_eq!(
+            routes,
+            (1, 0),
+            "a one-request FarviewCluster::run_concurrent"
+        );
+
+        let fleet = FarviewFleet::new(2, FarviewConfig::tiny());
+        let fqp = fleet.connect().unwrap();
+        let (fft, _) = fqp.load_table(&table, Partitioning::RowRange).unwrap();
+        let (out, routes) = route::taken(|| fqp.far_view(&fft, &spec));
+        assert_eq!(out.unwrap().merged.payload, table.bytes());
+        assert_eq!(routes, (2, 0), "one pass per shard of FleetQPair::far_view");
+    }
+
+    /// Every other episode runs on the event engine: a depth-2 batch,
+    /// two concurrent requests, and a depth-1 read under each class of
+    /// non-benign fault plan.
+    #[test]
+    fn deeper_concurrent_and_faulted_episodes_take_the_engine() {
+        use crate::FarviewCluster;
+        use fv_net::FaultPlan;
+        let table = route_table();
+        let spec = PipelineSpec::passthrough();
+        let cluster = FarviewCluster::new(FarviewConfig::tiny());
+        let (qp, other) = (cluster.connect().unwrap(), cluster.connect().unwrap());
+        let (ft, _) = qp.load_table(&table).unwrap();
+        let (oft, _) = other.load_table(&table).unwrap();
+        let (out, routes) = route::taken(|| qp.far_view_batch(&ft, &[spec.clone(), spec.clone()]));
+        assert_eq!(out.unwrap().len(), 2);
+        assert_eq!(routes, (0, 1), "a depth-2 far_view_batch");
+
+        let (out, routes) = route::taken(|| {
+            cluster.run_concurrent(vec![(&qp, &ft, spec.clone()), (&other, &oft, spec.clone())])
+        });
+        assert_eq!(out.unwrap().len(), 2);
+        assert_eq!(routes, (0, 1), "two concurrent requests");
+
+        let spike = SimDuration::from_micros(40);
+        let plans = [
+            ("loss", FaultPlan::none().with_seed(3).with_loss(0.05)),
+            (
+                "spike",
+                FaultPlan::none().with_seed(3).with_delay_spikes(0.1, spike),
+            ),
+            ("cap", FaultPlan::none().with_bandwidth_cap(0.5)),
+            ("partition", FaultPlan::none().partitioned()),
+            (
+                "truncated doorbell",
+                FaultPlan::none().with_doorbell_truncation(1),
+            ),
+        ];
+        for (class, plan) in plans {
+            let partitioned = plan.partitioned;
+            cluster.set_fault_plan(plan).unwrap();
+            let (out, routes) = route::taken(|| qp.far_view(&ft, &spec));
+            assert_eq!(out.is_err(), partitioned, "{class}");
+            assert_eq!(routes, (0, 1), "a depth-1 read under {class}");
+        }
+    }
+
+    /// A table of `rows` 64-byte rows over seven u64 columns and an
+    /// 8-byte string: column 0 is the row index, column 1 repeats with
+    /// period `groups`, columns 2–6 are noise and column 7 spells eight
+    /// letters of `abcd`.
+    fn stream_table(rows: u64, groups: u64, next: &mut impl FnMut() -> u64) -> Vec<u8> {
+        let mut table = Vec::with_capacity(rows as usize * 64);
+        for i in 0..rows {
+            table.extend_from_slice(&i.to_le_bytes());
+            table.extend_from_slice(&(i % groups).to_le_bytes());
+            for _ in 2..7 {
+                table.extend_from_slice(&next().to_le_bytes());
+            }
+            table.extend((0..8).map(|_| b"abcd"[(next() % 4) as usize]));
+        }
+        table
+    }
+
+    /// The burst plan `MemoryStack::plan_bursts` makes for `len` bytes
+    /// mapped one to one at physical address `pa`: bursts cut at
+    /// stripes, 2 MiB pages and the burst size, striped over `channels`
+    /// from `pa`'s stripe on, the first burst of every page a TLB miss.
+    fn plan_at(pa: u64, len: u64, channels: usize) -> Vec<BurstReq> {
+        let mut bursts = Vec::new();
+        let mut at = pa;
+        while at < pa + len {
+            let bytes = (pa + len - at)
+                .min(calib::STRIPE_BYTES - at % calib::STRIPE_BYTES)
+                .min(calib::PAGE_BYTES - at % calib::PAGE_BYTES)
+                .min(calib::MEM_BURST_BYTES);
+            bursts.push(BurstReq {
+                channel: ((at / calib::STRIPE_BYTES) % channels as u64) as usize,
+                paddr: at,
+                bytes,
+                tlb_hit: at != pa && !at.is_multiple_of(calib::PAGE_BYTES),
+            });
+            at += bytes;
+        }
+        bursts
+    }
+
+    /// Row counts that straddle the packet (16 rows), burst and stripe
+    /// (64 rows) and 2 MiB page (32 768 rows) boundaries.
+    const STREAM_ROWS: [u64; 14] = [
+        0, 1, 15, 16, 17, 63, 64, 65, 127, 1000, 4097, 32_767, 32_768, 32_769,
+    ];
+
+    /// Spec kinds of the equivalence property, by index.
+    const STREAM_SPECS: u64 = 15;
+
+    /// The depth-1 pass and the event engine return equal results for
+    /// every single-stream read on a healthy link: `response_time` to
+    /// the nanosecond, the payload bytes, packets, wire bytes, the event
+    /// count and the pipeline's counters — or the same error. The cases
+    /// cross every spec kind the datapath has with row counts 0 to past
+    /// 2 MiB, one to four channels, credit budgets of 1, 2 and 32, a
+    /// table whose first burst is on any channel, slot 0 and 1, vector
+    /// lanes 1–8, and bytes carried or viewed across page extents.
+    #[test]
+    fn the_single_stream_pass_equals_the_engine() {
+        use fv_data::{Column, ColumnType, TableBuilder, Value};
+        use fv_pipeline::{AggFunc, AggSpec, CryptoSpec, JoinSmallSpec, PredicateExpr};
+        let mut x = 0xD1B5_4A32_D192_ED03u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let column = |name: &str, ty| Column {
+            name: name.into(),
+            ty,
+        };
+        let mut cols: Vec<Column> = (0..7)
+            .map(|c| column(&format!("c{c}"), ColumnType::U64))
+            .collect();
+        cols.push(column("s", ColumnType::Bytes(8)));
+        let schema = Schema::new(cols);
+        let mut cases = 0;
+        for round in 0..4 {
+            for kind in 0..STREAM_SPECS {
+                let rows = STREAM_ROWS[((kind + 5 * round) % STREAM_ROWS.len() as u64) as usize];
+                let groups = 1 + next() % 40;
+                let crypto = CryptoSpec {
+                    key: [next() as u8; 16],
+                    iv: [next() as u8; 16],
+                };
+                let build = {
+                    let kv = Schema::new(vec![
+                        column("k", ColumnType::U64),
+                        column("v", ColumnType::U64),
+                    ]);
+                    let mut b = TableBuilder::with_capacity(kv, 0);
+                    for k in (0..groups).filter(|_| next() % 4 > 0) {
+                        b.push_values(vec![Value::U64(k), Value::U64(k * 3)]);
+                    }
+                    b.build()
+                };
+                let sum = |col| AggSpec {
+                    col,
+                    func: AggFunc::Sum,
+                };
+                let spec = match kind {
+                    0 => PipelineSpec::passthrough(),
+                    1 => PipelineSpec::passthrough().filter(PredicateExpr::lt(0, 0u64)),
+                    2 => PipelineSpec::passthrough().filter(PredicateExpr::lt(0, rows / 2)),
+                    3 => PipelineSpec::passthrough().filter(PredicateExpr::lt(0, rows)),
+                    4 => PipelineSpec::passthrough().project(vec![0, 3, 5]),
+                    5 => PipelineSpec::passthrough()
+                        .project(vec![1, 2])
+                        .with_smart_addressing(),
+                    6 => PipelineSpec::passthrough()
+                        .filter(PredicateExpr::lt(0, rows * 3 / 4))
+                        .project(vec![0, 7]),
+                    7 => PipelineSpec::passthrough().distinct(vec![1]),
+                    8 => PipelineSpec::passthrough().group_by(
+                        vec![1],
+                        vec![
+                            sum(0),
+                            AggSpec {
+                                col: 2,
+                                func: AggFunc::Max,
+                            },
+                        ],
+                    ),
+                    9 => PipelineSpec::passthrough().join_small(JoinSmallSpec::new(1, &build, 0)),
+                    10 => PipelineSpec::passthrough().regex_match(7, "a[bc]+d|dd"),
+                    11 => PipelineSpec::passthrough().decrypt(crypto),
+                    12 => PipelineSpec::passthrough()
+                        .decrypt(crypto)
+                        .filter(PredicateExpr::lt(1, 20u64))
+                        .regex_match(7, "[ab]c")
+                        .group_by(vec![7], vec![sum(3)]),
+                    13 => PipelineSpec::passthrough()
+                        .project(vec![0, 1, 7])
+                        .compress()
+                        .encrypt(crypto),
+                    _ => PipelineSpec::passthrough()
+                        .filter(PredicateExpr::lt(0, rows))
+                        .vectorized(),
+                };
+                let table = stream_table(rows, groups, &mut next);
+                let mut cfg = FarviewConfig::tiny();
+                cfg.channels = 1 + (next() % 4) as usize;
+                cfg.credit_budget = [1, 2, 32][(next() % 3) as usize];
+                let pa = (next() % 8) * calib::STRIPE_BYTES + (next() % 4) * 64 * (next() % 64);
+                let slot = (next() % 2) as usize;
+                let lanes = 1 + next() % 8;
+                let viewed = next() % 3 == 0;
+                // Each route gets its own compile of the same query.
+                let query = || {
+                    let pipeline = CompiledPipeline::compile(spec.clone(), &schema).unwrap();
+                    let mut q = PreparedQuery {
+                        qp: 9,
+                        slot,
+                        bursts: plan_at(pa, table.len() as u64, cfg.channels),
+                        data: table.clone(),
+                        sa_tuples: None,
+                        vector_lanes: lanes,
+                        pipeline,
+                    };
+                    if let Some(sa) = q.pipeline.smart_addressing() {
+                        let mut gathered = Vec::new();
+                        for row in table.chunks_exact(64) {
+                            sa.gather(row, 0, &mut gathered);
+                        }
+                        q.bursts.clear();
+                        q.data = gathered;
+                        q.sa_tuples = Some(rows);
+                        return (q, None);
+                    }
+                    if !viewed {
+                        return (q, None);
+                    }
+                    let mut mem = fv_mem::PhysicalMemory::new(1, 8 * calib::PAGE_BYTES);
+                    mem.write(pa, &std::mem::take(&mut q.data));
+                    (q, Some(mem.view(pa, table.len())))
+                };
+                let (q, view) = query();
+                let pass = run_single_stream(q, view, &cfg);
+                let (q, view) = query();
+                let engine = run_on_engine(vec![BatchRun::over_views(vec![q], vec![view])], &cfg)
+                    .map(|mut batches| batches.remove(0).remove(0));
+                let case = format!(
+                    "kind {kind}, {rows} rows, {} ch, {} credits, pa {pa:#x}, slot {slot}, \
+                     {lanes} lanes, viewed {viewed}: {spec:?}",
+                    cfg.channels, cfg.credit_budget
+                );
+                let (pass, engine) = match (pass, engine) {
+                    (Ok(pass), Ok(engine)) => (pass, engine),
+                    (pass, engine) => panic!("{case}: {pass:?} vs {engine:?}"),
+                };
+                assert_eq!(
+                    pass.response_time.as_nanos(),
+                    engine.response_time.as_nanos(),
+                    "{case}"
+                );
+                assert!(pass.payload == engine.payload, "{case}: payload");
+                assert_eq!(pass.packets, engine.packets, "{case}");
+                assert_eq!(pass.wire_bytes, engine.wire_bytes, "{case}");
+                assert_eq!(pass.events, engine.events, "{case}");
+                assert_eq!(pass.pipeline.stats(), engine.pipeline.stats(), "{case}");
+                assert_eq!(pass.qp, engine.qp, "{case}");
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 4 * STREAM_SPECS);
     }
 
     #[test]

@@ -350,7 +350,7 @@ pub struct ServeReport {
     /// (abandoned after the retry budget, deadline-dropped, or a
     /// backend error). Work still queued or in flight at the horizon
     /// is neither completed nor rejected.
-    pub rejection_rate: f64,
+    pub failure_rate: f64,
     /// Jain fairness index over weight-normalized per-tenant goodput
     /// (1.0 = perfectly proportional; 1/n = one tenant got everything).
     pub fairness_index: f64,
@@ -878,7 +878,7 @@ impl<B: ServeBackend> ServeEngine<B> {
             } else {
                 0.0
             },
-            rejection_rate: if offered > 0 {
+            failure_rate: if offered > 0 {
                 (abandoned + deadline_missed + exec_failed) as f64 / offered as f64
             } else {
                 0.0
@@ -980,9 +980,9 @@ mod tests {
         assert!(r.completed > 0, "closed loops must make progress");
         assert_eq!(r.shed, 0, "no shedding below saturation");
         assert!(
-            r.rejection_rate < 0.1,
+            r.failure_rate < 0.1,
             "light load mostly completes: {}",
-            r.rejection_rate
+            r.failure_rate
         );
         assert!(r.min_completed > 0, "no tenant starved at light load");
         assert!(r.fairness_index > 0.5, "fairness {}", r.fairness_index);

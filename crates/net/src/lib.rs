@@ -41,7 +41,7 @@ mod qp;
 pub use arbiter::EgressArbiter;
 pub use fault::{FaultInjector, FaultPlan};
 pub use link::{LinkTiming, NicKind};
-pub use packet::{Packet, PacketKind, QpId};
+pub use packet::{Packet, PacketKind, QpId, HEADER_BYTES};
 pub use qp::{CreditGate, DoorbellBatch, NetError, Reassembly};
 
 /// Split `total_bytes` into MTU-sized packet lengths (last one short).

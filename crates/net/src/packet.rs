@@ -7,6 +7,10 @@ use bytes::Bytes;
 //  flow of requests and data through the system" (§4.3).
 pub type QpId = u32;
 
+/// Bytes a packet adds to its payload on the wire: a fixed
+/// RoCE/UDP/Ethernet header estimate (Eth + IP + UDP + BTH + iCRC).
+pub const HEADER_BYTES: u64 = 58;
+
 /// What a packet carries. Requests and credit returns are not packets
 /// here: the episode engine models them as messages of their own, so a
 /// packet is always response data.
@@ -37,9 +41,8 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Wire size: payload plus a fixed RoCE/UDP/Ethernet header estimate.
+    /// Wire size: payload plus [`HEADER_BYTES`].
     pub fn wire_bytes(&self) -> u64 {
-        const HEADER_BYTES: u64 = 58; // Eth + IP + UDP + BTH + iCRC
         HEADER_BYTES + self.payload.len() as u64
     }
 

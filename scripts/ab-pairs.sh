@@ -64,8 +64,12 @@ base_rev=$(git rev-parse --short "$base")
 seed0=$(date +%s)
 base_target="$(pwd)/target/ab-base"
 
+# Building fvbench here rewrites benchmark/Cargo.lock, which still lists
+# shim crates the workspace dropped; the lock is put back on exit, so a
+# run leaves the checkout as it found it.
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT INT TERM
+cp benchmark/Cargo.lock "$tmp/Cargo.lock"
+trap 'cp "$tmp/Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT INT TERM
 mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
 

@@ -19,6 +19,13 @@ tr -d ' \n' <BENCHMARK.json | grep -qF \
     exit 1
 }
 
+# Building fvbench here rewrites benchmark/Cargo.lock, which still lists
+# shim crates the workspace dropped; the lock is put back on exit, so a
+# run leaves the checkout as it found it.
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
+trap 'cp "$lock" benchmark/Cargo.lock; rm -f "$lock"' EXIT INT TERM
+
 # One JSON object with "correct":true and "failed":0 (not 0.5, not 07).
 is_result_line() {
     case "$1" in

@@ -12,7 +12,12 @@ cd "$(dirname "$0")/.."
 want=scripts/sim-digests.seed5.txt
 out=$(mktemp)
 got=$(mktemp)
-trap 'rm -f "$out" "$got"' EXIT
+# Building fvbench here rewrites benchmark/Cargo.lock, which still lists
+# shim crates the workspace dropped; the lock is put back on exit, so a
+# run leaves the checkout as it found it.
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
+trap 'cp "$lock" benchmark/Cargo.lock; rm -f "$out" "$got" "$lock"' EXIT INT TERM
 
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
     run --smoke --seed 5 --out "$out" >/dev/null
