@@ -169,6 +169,10 @@ impl FTable {
     /// same protection domain, an interior virtual address. The
     /// rebalancer's copy episodes read exactly the moved row ranges
     /// through these views instead of streaming whole shards.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the rebalancer slices ranges it coalesced from this table's own rows"
+    )]
     pub(crate) fn row_slice(&self, lo: usize, hi: usize) -> FTable {
         assert!(lo <= hi && hi <= self.rows, "row slice out of bounds");
         FTable {
@@ -335,9 +339,9 @@ impl Staged {
         };
 
         let fingerprint = pipeline.spec().fingerprint();
-        let reconfigured = inner.loaded[slot] != Some(fingerprint);
+        let loaded = inner.loaded.get_mut(slot).ok_or(FvError::Disconnected)?;
+        let reconfigured = loaded.replace(fingerprint) != Some(fingerprint);
         if reconfigured {
-            inner.loaded[slot] = Some(fingerprint);
             inner.reconfigurations += 1;
         }
         self.metas
@@ -374,8 +378,14 @@ pub struct FarviewCluster {
 
 impl FarviewCluster {
     /// Bring up a node with the given configuration.
+    #[expect(
+        clippy::panic,
+        reason = "an infallible constructor: a node cannot come up on a configuration `validate` refuses"
+    )]
     pub fn new(config: FarviewConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let mem = MemoryStack::with_tlb_capacity(
             config.channels,
             config.channel_bytes,
@@ -406,17 +416,19 @@ impl FarviewCluster {
     /// disconnects.
     pub fn connect(&self) -> Result<QPair, FvError> {
         let mut inner = lock(&self.inner);
-        let slot = inner
+        let qp = inner.next_qp;
+        let regions = inner.config.regions;
+        let (slot, free) = inner
             .slots
-            .iter()
-            .position(Option::is_none)
+            .iter_mut()
+            .enumerate()
+            .find(|(_, s)| s.is_none())
             .ok_or(FvError::NoFreeRegion {
-                regions: inner.config.regions,
+                regions,
                 retry_after: CONNECT_RETRY_AFTER,
             })?;
-        let qp = inner.next_qp;
+        *free = Some(qp);
         inner.next_qp += 1;
-        inner.slots[slot] = Some(qp);
         let domain = inner.mem.create_domain();
         Ok(QPair {
             inner: Arc::clone(&self.inner),
@@ -697,6 +709,10 @@ impl QPair {
     /// pipelines that just ran; on any error it is left empty, so the
     /// next run compiles fresh. A fleet query hands them from shard slot
     /// to shard slot; a single-node call drops them.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug-only check of carried pipelines"
+    )]
     pub(crate) fn execute_specs(
         &self,
         ft: &FTable,
@@ -920,8 +936,12 @@ impl QPair {
         }
         self.connected = false;
         let mut inner = lock(&self.inner);
-        inner.slots[self.slot] = None;
-        inner.loaded[self.slot] = None;
+        if let Some(s) = inner.slots.get_mut(self.slot) {
+            *s = None;
+        }
+        if let Some(l) = inner.loaded.get_mut(self.slot) {
+            *l = None;
+        }
         let _ = inner.mem.destroy_domain(self.domain);
     }
 }

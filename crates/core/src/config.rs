@@ -2,6 +2,8 @@
 
 use fv_sim::calib;
 
+use crate::FvError;
+
 /// Configuration of one Farview node.
 ///
 /// Defaults reproduce the evaluated system (§6.1): an Alveo u250 with two
@@ -58,18 +60,24 @@ impl FarviewConfig {
     /// Validate invariants. The fault plan is not checked here: a link
     /// refuses an out-of-range plan typed when it adopts it
     /// ([`fv_net::FaultPlan::validate`]), so a query against such a node
-    /// fails with [`FvError::Net`](crate::FvError::Net).
+    /// fails with [`FvError::Net`].
     ///
-    /// # Panics
-    /// Panics on nonsensical configurations (zero channels/regions).
-    pub fn validate(&self) {
-        assert!(self.channels > 0, "need at least one DRAM channel");
-        assert!(self.regions > 0, "need at least one dynamic region");
-        assert!(self.credit_budget > 0, "credit budget must be positive");
-        assert!(
-            self.vector_lanes >= 1 && self.vector_lanes <= 8,
+    /// # Errors
+    /// [`FvError::BadConfig`] on nonsensical configurations (zero
+    /// channels/regions/credits, vector lanes outside `1..=8`).
+    pub fn validate(&self) -> Result<(), FvError> {
+        let reason = if self.channels == 0 {
+            "need at least one DRAM channel"
+        } else if self.regions == 0 {
+            "need at least one dynamic region"
+        } else if self.credit_budget == 0 {
+            "credit budget must be positive"
+        } else if !(1..=8).contains(&self.vector_lanes) {
             "vector lanes out of range"
-        );
+        } else {
+            return Ok(());
+        };
+        Err(FvError::BadConfig { reason })
     }
 }
 
@@ -80,7 +88,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_setup() {
         let c = FarviewConfig::default();
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.channels, 2);
         assert_eq!(c.regions, 6);
         assert_eq!(c.channel_bytes, 16 << 30, "two 16 GB channels (§6.1)");
@@ -93,6 +101,7 @@ mod tests {
             regions: 0,
             ..FarviewConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 }

@@ -286,9 +286,8 @@ impl NodeActor {
     /// arbiter (credit-based flow control, §4.3). A routing failure
     /// (unbound flow) is recorded and surfaced after the run instead of
     /// crashing the episode.
+    #[expect(clippy::indexing_slicing, reason = "`stream` was minted for `runs`")]
     fn admit_credited(&mut self, stream: usize) {
-        // fv:allow(panic): `stream` is one of the indices
-        // run_batched_episodes minted for exactly this `runs` vector.
         let run = &mut self.runs[stream];
         while !run.ready_queue.is_empty() && run.credits.try_acquire() {
             if let Some(pkt) = run.ready_queue.pop_front() {
@@ -318,18 +317,22 @@ impl NodeActor {
 }
 
 impl Actor<Msg> for NodeActor {
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        reason = "streams are indices minted for `runs` and `clients`; `prepare` reduces burst \
+                  channels and slots modulo their vectors; only clients receive `Deliver`"
+    )]
     fn on_message(&mut self, msg: Msg, ctx: &mut Context<'_, Msg>) {
         match msg {
             // Every `stream` a message carries is an index
-            // run_batched_episodes minted for exactly this `runs` vector
-            // (the "minted index" waivers below); only `Egress` starts
-            // from a wire id, and it checks.
+            // run_batched_episodes minted for exactly this `runs` vector;
+            // only `Egress` starts from a wire id, and it checks.
             Msg::Request { stream } => {
                 // In-flight verbs pipeline through the network stack: the
                 // serial portion is its occupancy, the rest of the parse
                 // latency overlaps with the next verb's handling.
                 let ingress_done = self.net_ingress.admit(ctx.now(), 0);
-                // fv:allow(panic): minted index
                 let run = &mut self.runs[stream];
                 // A join's build side rides with the request: it must
                 // cross the wire and land in on-chip memory before the
@@ -400,30 +403,23 @@ impl Actor<Msg> for NodeActor {
                 // (slot) is one flow, so concurrent clients fair-share
                 // every channel -- the MMU's "arbitrators, crossbars, and
                 // dedicated credit-based queues" (§4.4).
-                let run = &self.runs[stream]; // fv:allow(panic): minted index
+                let run = &self.runs[stream];
                 let slot = run.q.slot;
                 for (idx, b) in run.q.bursts.iter().enumerate() {
-                    // fv:allow(panic): prepare() assigns burst channels with
-                    // `% channel_queues.len()`, so the index is in range by
-                    // construction.
                     self.channel_queues[b.channel].push(slot, b.bytes, (stream, idx, b.bytes));
                 }
                 for ch in 0..self.channel_queues.len() {
-                    // fv:allow(panic): `ch` iterates 0..len of the very
-                    // vectors it indexes (busy/queues are built together).
                     if !self.channel_busy[ch] && !self.channel_queues[ch].is_empty() {
-                        self.channel_busy[ch] = true; // fv:allow(panic): same 0..len bound
+                        self.channel_busy[ch] = true;
 
                         ctx.send_self(SimDuration::ZERO, Msg::ChannelPump { ch });
                     }
                 }
             }
 
-            // fv:allow(panic): ChannelPump is only ever self-sent with a
-            // `ch` that came from iterating 0..channel_queues.len().
             Msg::ChannelPump { ch } => match self.channel_queues[ch].pop() {
                 None => {
-                    self.channel_busy[ch] = false; // fv:allow(panic): same bound
+                    self.channel_busy[ch] = false;
                 }
                 Some((_slot, (stream, idx, bytes))) => {
                     let done = self.dram.admit(ch, ctx.now(), bytes);
@@ -433,7 +429,7 @@ impl Actor<Msg> for NodeActor {
             },
 
             Msg::Burst { stream, idx } => {
-                let run = &mut self.runs[stream]; // fv:allow(panic): minted index
+                let run = &mut self.runs[stream];
                 if idx == usize::MAX {
                     // Empty-table FIN path.
                     run.q.pipeline.finish();
@@ -453,8 +449,6 @@ impl Actor<Msg> for NodeActor {
                 let mut ready = ctx.now();
                 let mut fed_any = false;
                 let mut finished = false;
-                // fv:allow(panic): prepare() assigns query slots with
-                // `% slot_pipelines.len()`, in range by construction.
                 let pipeline = &mut self.slot_pipelines[run.q.slot];
                 while run.arrived.remove(&run.next_feed) {
                     let chunk_len = run.chunk_len(run.next_feed);
@@ -503,7 +497,7 @@ impl Actor<Msg> for NodeActor {
             }
 
             Msg::Stage { stream, batch } => {
-                let run = &mut self.runs[stream]; // fv:allow(panic): minted index
+                let run = &mut self.runs[stream];
                 let pkts = run
                     .staged
                     .get_mut(batch)
@@ -526,8 +520,6 @@ impl Actor<Msg> for NodeActor {
                             self.egress_scheduled = false;
                             return;
                         };
-                        // fv:allow(panic): `wire_ids` holds minted indices
-                        // only, and `clients` is parallel to `runs`.
                         let (run, client) = (&mut self.runs[stream], self.clients[stream]);
                         run.packets_sent += 1;
                         run.wire_bytes += pkt.wire_bytes();
@@ -563,15 +555,12 @@ impl Actor<Msg> for NodeActor {
 
             Msg::Credit { stream } => {
                 // Each credit answers one delivered packet, which took one.
-                let run = &mut self.runs[stream]; // fv:allow(panic): minted index
+                let run = &mut self.runs[stream];
                 run.credits.release(1);
                 self.admit_credited(stream);
                 self.kick_egress(ctx);
             }
 
-            // fv:allow(panic): actor wiring invariant — episodes route
-            // Deliver exclusively to ClientActor ids; hitting this is a
-            // topology-construction bug, not a runtime input.
             Msg::Deliver(_) => unreachable!("node never receives Deliver"),
         }
     }
@@ -646,14 +635,15 @@ impl BatchRun {
     /// # Panics
     /// Panics when `queries` is empty or the queries span more than one
     /// dynamic-region slot — both are caller bugs, not runtime inputs.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: one queue pair per batch"
+    )]
     pub fn new(queries: Vec<PreparedQuery>) -> Self {
-        // fv:allow(panic): documented constructor precondition.
-        assert!(!queries.is_empty(), "a doorbell batch needs ≥ 1 query");
-        let slot = queries[0].slot; // fv:allow(panic): non-empty checked above
-                                    // fv:allow(panic): documented constructor precondition.
+        let slot = queries.first().map(|q| q.slot);
         assert!(
-            queries.iter().all(|q| q.slot == slot),
-            "a batch rides one queue pair: all queries must share its slot"
+            slot.is_some() && queries.iter().all(|q| Some(q.slot) == slot),
+            "a doorbell batch needs ≥ 1 query, and rides one queue pair: all queries must share its slot"
         );
         BatchRun {
             queries,
@@ -665,6 +655,10 @@ impl BatchRun {
     /// streams `views[i]` when it has one (its `data` is empty then) and
     /// its own `data` otherwise (smart addressing: the bytes it
     /// gathered). Same preconditions as [`BatchRun::new`].
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug-only check of the staging contract"
+    )]
     pub(crate) fn over_views(queries: Vec<PreparedQuery>, views: Vec<Option<PageView>>) -> Self {
         debug_assert_eq!(queries.len(), views.len(), "one view slot per query");
         BatchRun {
@@ -732,7 +726,7 @@ pub fn run_batched_episodes(
     mut batches: Vec<BatchRun>,
     config: &FarviewConfig,
 ) -> Result<Vec<Vec<EpisodeResult>>, FvError> {
-    config.validate();
+    config.validate()?;
     let single = match batches.as_mut_slice() {
         [batch] if config.fault.is_benign() => batch.take_single(),
         _ => None,
@@ -743,7 +737,20 @@ pub fn run_batched_episodes(
     }
 }
 
+/// The actor behind an id that `add_actor` returned for this episode.
+#[expect(
+    clippy::expect_used,
+    reason = "every id passed here was returned by `add_actor` on `sim`, for an actor of type `T`"
+)]
+fn episode_actor<T: Actor<Msg>>(sim: &mut Simulation<Msg>, id: ActorId) -> &mut T {
+    sim.actor_mut::<T>(id).expect("episode actor")
+}
+
 /// [`run_batched_episodes`] on the event engine, whatever the batches.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented: stream ids are unique per episode"
+)]
 fn run_on_engine(
     batches: Vec<BatchRun>,
     config: &FarviewConfig,
@@ -765,9 +772,8 @@ fn run_on_engine(
     let qps: Vec<u32> = runs.iter().map(|r| r.q.qp).collect();
     let mut wire_ids: Vec<(u32, usize)> = qps.iter().copied().zip(0..).collect();
     wire_ids.sort_unstable();
-    // fv:allow(panic): documented API contract (`ids must be unique
-    // across the episode`) — duplicate stream ids would silently
-    // cross-wire two clients' payloads.
+    // Duplicate stream ids would silently cross-wire two clients'
+    // payloads.
     assert!(
         wire_ids
             .windows(2)
@@ -814,9 +820,7 @@ fn run_on_engine(
             }))
         })
         .collect();
-    sim.actor_mut::<NodeActor>(node_id)
-        .expect("node actor") // fv:allow(panic): id returned by add_actor above
-        .clients = client_ids.clone();
+    episode_actor::<NodeActor>(&mut sim, node_id).clients = client_ids.clone();
 
     // Every batch rings one doorbell at t = 0; its WQEs stream onto the
     // wire at the amortized per-WQE cadence. Under a truncation fault the
@@ -824,9 +828,9 @@ fn run_on_engine(
     // and their streams surface as incomplete episodes.
     let mut posted_streams = qps.iter().copied().enumerate();
     for &depth in &depths {
-        // fv:allow(panic): a doorbell batch deeper than u32::MAX cannot
-        // be constructed — WQE post order is a u32 on the wire.
-        let posted = u32::try_from(depth).expect("batch fits u32");
+        // WQE post order is a u32 on the wire: WQEs past u32::MAX never
+        // post, and their streams surface as incomplete episodes.
+        let posted = u32::try_from(depth).unwrap_or(u32::MAX);
         let doorbell = match config.fault.truncate_doorbell {
             Some(n) => DoorbellBatch::truncated(posted, n.min(posted)),
             None => DoorbellBatch::new(posted),
@@ -840,13 +844,11 @@ fn run_on_engine(
     sim.run_to_quiescence(20_000_000);
     let events = sim.events_delivered();
 
-    // fv:allow(panic): id returned by add_actor above.
-    if let Some(e) = &sim.actor::<NodeActor>(node_id).expect("node actor").failed {
+    if let Some(e) = &episode_actor::<NodeActor>(&mut sim, node_id).failed {
         return Err(FvError::Net(e.clone()));
     }
     for &id in &client_ids {
-        // fv:allow(panic): id returned by add_actor above.
-        let client = sim.actor::<ClientActor>(id).expect("client actor");
+        let client = episode_actor::<ClientActor>(&mut sim, id);
         if let Some(e) = &client.failed {
             return Err(FvError::Net(e.clone()));
         }
@@ -856,8 +858,7 @@ fn run_on_engine(
     // packets were appended into is the one the caller gets.
     let mut received = Vec::with_capacity(qps.len());
     for (&id, &qp) in client_ids.iter().zip(&qps) {
-        // fv:allow(panic): id returned by add_actor above.
-        let client = sim.actor_mut::<ClientActor>(id).expect("client actor");
+        let client = episode_actor::<ClientActor>(&mut sim, id);
         let completed = client
             .completed_at
             .ok_or(FvError::IncompleteEpisode { qp })?;
@@ -868,8 +869,7 @@ fn run_on_engine(
         received.push((completed, payload, client.packets));
     }
 
-    // fv:allow(panic): id returned by add_actor above.
-    let node = sim.actor_mut::<NodeActor>(node_id).expect("node actor");
+    let node = episode_actor::<NodeActor>(&mut sim, node_id);
     let mut streams = std::mem::take(&mut node.runs).into_iter().zip(received);
     let mut results = Vec::with_capacity(depths.len());
     for &depth in &depths {
@@ -2111,6 +2111,20 @@ mod tests {
                 prepared(7, 0, 4, PipelineSpec::passthrough()),
             ],
             &cfg,
+        );
+    }
+
+    #[test]
+    fn a_zero_channel_config_is_a_typed_error() {
+        let cfg = FarviewConfig {
+            channels: 0,
+            ..FarviewConfig::tiny()
+        };
+        let batch = BatchRun::new(vec![prepared(1, 0, 4, PipelineSpec::passthrough())]);
+        let result = run_batched_episodes(vec![batch], &cfg);
+        assert!(
+            matches!(result, Err(FvError::BadConfig { .. })),
+            "got {result:?}"
         );
     }
 

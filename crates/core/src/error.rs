@@ -29,9 +29,10 @@ pub enum FvError {
         /// The unbound tenant id.
         tenant: u32,
     },
-    /// A [`ServeConfig`](crate::serve::ServeConfig) that cannot run
-    /// (zero servers, zero queue capacity, non-positive load, ...).
-    BadServeConfig {
+    /// A [`FarviewConfig`](crate::FarviewConfig) or
+    /// [`ServeConfig`](crate::serve::ServeConfig) that cannot run (zero
+    /// channels or regions, zero servers, non-positive load, ...).
+    BadConfig {
         /// What was wrong.
         reason: &'static str,
     },
@@ -182,9 +183,7 @@ impl fmt::Display for FvError {
             FvError::UnknownTenant { tenant } => {
                 write!(f, "no table bound for tenant {tenant}")
             }
-            FvError::BadServeConfig { reason } => {
-                write!(f, "serving configuration cannot run: {reason}")
-            }
+            FvError::BadConfig { reason } => write!(f, "configuration cannot run: {reason}"),
             FvError::Disconnected => write!(f, "queue pair is disconnected"),
             FvError::Mem(e) => write!(f, "memory stack: {e}"),
             FvError::Pipeline(e) => write!(f, "operator pipeline: {e}"),

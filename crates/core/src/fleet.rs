@@ -63,7 +63,9 @@ use crate::lock;
 use crate::plan::{
     host_parallelism, merge_gathered, scatter_slots, scatter_workers, shard_execution, PlanTarget,
 };
-use crate::topology::{plan_moves, NodeHealth, NodeId, Placement, RebalanceReport, Topology};
+use crate::topology::{
+    holders_down, plan_moves, NodeHealth, NodeId, Placement, RebalanceReport, Topology,
+};
 
 /// How a table's rows are assigned to fleet shards — the per-table
 /// partition key of a [`Placement`].
@@ -106,8 +108,11 @@ impl ShardMap {
     ///
     /// # Panics
     /// Panics on `shards == 0` — a caller bug, not a runtime input.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: placements have ≥ 1 active node"
+    )]
     pub fn new(shards: usize) -> Self {
-        // fv:allow(panic): documented constructor precondition.
         assert!(shards > 0, "a fleet needs at least one shard");
         ShardMap { shards }
     }
@@ -127,6 +132,10 @@ impl ShardMap {
     /// # Panics
     /// Panics when `data` is not a whole number of `schema` rows —
     /// callers pass table images produced against the same schema.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: images are whole rows"
+    )]
     pub fn assign(
         &self,
         part: Partitioning,
@@ -134,8 +143,6 @@ impl ShardMap {
         data: &[u8],
     ) -> Result<ShardAssignment, FvError> {
         let row_bytes = schema.row_bytes();
-        // fv:allow(panic): documented precondition — table images are
-        // whole rows by construction.
         assert_eq!(data.len() % row_bytes, 0, "data is not whole rows");
         let rows = data.len() / row_bytes;
         let mut per_shard = vec![Vec::new(); self.shards];
@@ -158,14 +165,11 @@ impl ShardMap {
                     ));
                 }
                 let range = schema.column_range(col);
-                for r in 0..rows {
-                    // fv:allow(panic): r < rows = data.len()/row_bytes,
-                    // so the slice is in bounds.
-                    let row = &data[r * row_bytes..(r + 1) * row_bytes];
-                    // fv:allow(panic): column_range of a validated col
-                    // lies inside one row.
-                    let shard = self.shard_of_key(&row[range.clone()]);
-                    per_shard[shard].push(r as u32); // fv:allow(panic): shard_of_key mods by len
+                for (r, row) in data.chunks_exact(row_bytes).enumerate() {
+                    let key = row.get(range.clone()).unwrap_or_default();
+                    if let Some(shard) = per_shard.get_mut(self.shard_of_key(key)) {
+                        shard.push(r as u32);
+                    }
                 }
             }
         }
@@ -190,6 +194,10 @@ impl ShardAssignment {
     /// # Panics
     /// Panics when `data` is shorter than the image this assignment was
     /// computed over — assignments and images travel together.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented: rows were assigned over this image"
+    )]
     pub fn scatter(&self, row_bytes: usize, data: &[u8]) -> Vec<Vec<u8>> {
         self.per_shard
             .iter()
@@ -197,8 +205,6 @@ impl ShardAssignment {
                 let mut shard = Vec::with_capacity(indices.len() * row_bytes);
                 for &r in indices {
                     let r = r as usize;
-                    // fv:allow(panic): documented precondition — row
-                    // indices were assigned over this very image.
                     shard.extend_from_slice(&data[r * row_bytes..(r + 1) * row_bytes]);
                 }
                 shard
@@ -226,8 +232,11 @@ impl FarviewFleet {
     ///
     /// # Panics
     /// Panics on `nodes == 0` — a caller bug, not a runtime input.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: a fleet has at least one node"
+    )]
     pub fn new(nodes: usize, config: FarviewConfig) -> Self {
-        // fv:allow(panic): documented constructor precondition.
         assert!(nodes > 0, "a fleet needs at least one node");
         FarviewFleet {
             topology: Topology::with_nodes(nodes, &config),
@@ -772,27 +781,20 @@ impl FleetQPair {
         // slot (node-local functional reads; the timed copies below
         // stream only the rows that actually move).
         let mut full = vec![0u8; ft.rows * row_bytes];
-        for (slot, nodes) in ft.placement.shards().iter().enumerate() {
-            let holder = nodes
+        let per_slot = ft.placement.shards().iter().zip(&ft.shards);
+        for ((nodes, handles), rows) in per_slot.zip(ft.placement.assignment().per_shard()) {
+            let (&node, handle) = nodes
                 .iter()
-                .position(|&n| self.is_serving(n))
-                // fv:allow(panic): placement invariant — every slot's
-                // replica list is non-empty (replicas >= 1).
-                .ok_or(FvError::NodeDown { node: nodes[0].0 })?;
-            // fv:allow(panic): `holder` is a position into `nodes`, and
-            // shards/placement have one entry per slot by construction.
-            let qp = self.node_qp(nodes[holder])?;
-            // fv:allow(panic): same placement invariant.
-            let image = qp.peek_table(&ft.shards[slot][holder])?;
-            // fv:allow(panic): same placement invariant.
-            for (k, &r) in ft.placement.assignment().per_shard()[slot]
-                .iter()
-                .enumerate()
-            {
-                let (dst, src) = (r as usize * row_bytes, k * row_bytes);
-                // fv:allow(panic): assignment row indices are < ft.rows
-                // and the shard image holds exactly its assigned rows.
-                full[dst..dst + row_bytes].copy_from_slice(&image[src..src + row_bytes]);
+                .zip(handles)
+                .find(|&(&n, _)| self.is_serving(n))
+                .ok_or_else(|| holders_down(nodes))?;
+            let image = self.node_qp(node)?.peek_table(handle)?;
+            // The shard image holds exactly its assigned rows, in order.
+            for (&r, src) in rows.iter().zip(image.chunks_exact(row_bytes)) {
+                let dst = r as usize * row_bytes;
+                if let Some(dst) = full.get_mut(dst..dst + row_bytes) {
+                    dst.copy_from_slice(src);
+                }
             }
         }
 
@@ -802,22 +804,21 @@ impl FleetQPair {
         // Phase 1 — copy episodes: per source node and slot, coalesce
         // the moved rows' positions into contiguous ranges and stream
         // them as one doorbell-batched passthrough episode.
-        let slot_of_row = ft.placement.slot_of_rows(ft.rows);
-        let mut pos_in_slot: Vec<HashMap<u32, usize>> = Vec::new();
-        for indices in ft.placement.assignment().per_shard() {
-            pos_in_slot.push(indices.iter().enumerate().map(|(p, &r)| (r, p)).collect());
+        // Per original row: its slot and its position in the slot's image.
+        let mut place_of_row = vec![(0u32, 0usize); ft.rows];
+        for (slot, indices) in ft.placement.assignment().per_shard().iter().enumerate() {
+            for (pos, &r) in indices.iter().enumerate() {
+                if let Some(place) = place_of_row.get_mut(r as usize) {
+                    *place = (slot as u32, pos);
+                }
+            }
         }
         // (source node, slot) -> sorted, deduplicated positions.
         let mut reads: std::collections::BTreeMap<(NodeId, u32), Vec<usize>> =
             std::collections::BTreeMap::new();
         for mv in &plan.moves {
-            for &r in &mv.rows {
-                // fv:allow(panic): move plans index rows of this very
-                // table; slot_of_row has one entry per row.
-                let slot = slot_of_row[r as usize];
-                // fv:allow(panic): pos_in_slot was built from the same
-                // assignment the move plan was computed against.
-                let pos = pos_in_slot[slot as usize][&r];
+            // Move plans index rows of this very table.
+            for &(slot, pos) in mv.rows.iter().filter_map(|&r| place_of_row.get(r as usize)) {
                 reads.entry((mv.from, slot)).or_default().push(pos);
             }
         }
@@ -830,16 +831,16 @@ impl FleetQPair {
             // source can die between planning and the copy. Surface it
             // typed — the rebalance aborts cleanly and the old epoch
             // keeps serving.
-            // fv:allow(panic): slots enumerate the placement's own shard
-            // list.
-            let holder = ft.placement.shards()[slot as usize]
+            let handles = ft.shards.get(slot as usize).into_iter().flatten();
+            let (_, handle) = ft
+                .placement
+                .holders(slot)
                 .iter()
-                .position(|&n| n == node)
+                .zip(handles)
+                .find(|&(&n, _)| n == node)
                 .ok_or(FvError::NodeDown { node: node.0 })?;
             let qp = self.node_qp(node)?;
-            // fv:allow(panic): `holder` is a position into this slot's
-            // replica list; shards has one entry per slot.
-            let (_, makespan) = qp.read_row_ranges(&ft.shards[slot as usize][holder], &ranges)?;
+            let (_, makespan) = qp.read_row_ranges(handle, &ranges)?;
             *copy_per_node.entry(node).or_insert(SimDuration::ZERO) += makespan;
         }
         let copy_time = copy_per_node

@@ -17,6 +17,10 @@ use fv_sim::SimDuration;
 
 /// Sustained RDMA read throughput (bytes/second) for back-to-back
 /// pipelined requests of `transfer_bytes` each.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "sweep transfer sizes are all positive"
+)]
 pub(crate) fn read_throughput(nic: NicKind, transfer_bytes: u64) -> f64 {
     assert!(transfer_bytes > 0);
     let serialization = SimDuration::for_bytes(transfer_bytes, nic.peak_rate());

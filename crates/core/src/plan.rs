@@ -487,9 +487,8 @@ impl QueryPlan {
         loop {
             let mut changed = false;
             let mut i = 0;
-            while i + 1 < plan.stages.len() {
-                // fv:allow(panic): the loop condition bounds i + 1.
-                let rewrite = match (&plan.stages[i], &plan.stages[i + 1]) {
+            while let (Some(first), Some(second)) = (plan.stages.get(i), plan.stages.get(i + 1)) {
+                let rewrite = match (first, second) {
                     // Predicate-before-projection: filter indices remap
                     // through the projection into base space.
                     (LogicalStage::Project(p), LogicalStage::Filter(f)) => {
@@ -582,11 +581,9 @@ impl QueryPlan {
         // gathered byte order identical to the packed projection; the
         // margin keeps "optimized is never slower" true under the
         // event-level queueing the estimate does not model.)
-        if !plan.smart_addressing && !plan.vectorize && plan.stages.len() == 1 {
-            // fv:allow(panic): len == 1 checked on the line above.
-            if let LogicalStage::Project(cols) = &plan.stages[0] {
-                // fv:allow(panic): windows(2) yields exactly 2 elements.
-                let ascending = cols.windows(2).all(|w| w[0] < w[1]);
+        if !plan.smart_addressing && !plan.vectorize {
+            if let [LogicalStage::Project(cols)] = plan.stages.as_slice() {
+                let ascending = cols.is_sorted_by(|a, b| a < b);
                 if ascending && !cols.is_empty() {
                     let cost = PlanCostModel::default();
                     let stream_per_tuple = cost.stream_scan(schema.row_bytes() as u64);
@@ -907,8 +904,10 @@ pub(crate) fn merge_gathered(
         MergeSpec::Concat => {
             // Concatenation in shard order. Under row-range partitioning
             // this *is* the single-node row order.
-            // fv:allow(panic): a fleet always scatters over >= 1 shard,
-            // so the gather sees >= 1 outcome.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "a fleet always scatters over >= 1 shard, so the gather sees >= 1 outcome"
+            )]
             let schema = outcomes[0].schema.clone();
             let mut merged = Vec::with_capacity(input_bytes as usize);
             for p in &payloads {

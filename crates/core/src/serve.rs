@@ -423,59 +423,59 @@ impl<B: ServeBackend> ServeEngine<B> {
     /// Build an engine over `tenants` against `backend`.
     ///
     /// # Errors
-    /// Returns [`FvError::BadServeConfig`] for configurations that
+    /// Returns [`FvError::BadConfig`] for configurations that
     /// cannot run (no tenants, empty query streams, duplicate tenant
     /// ids, zero servers/capacity, non-positive load or bucket rate).
     pub fn new(tenants: &[ServeTenant], config: ServeConfig, backend: B) -> Result<Self, FvError> {
         if tenants.is_empty() {
-            return Err(FvError::BadServeConfig {
+            return Err(FvError::BadConfig {
                 reason: "no tenants",
             });
         }
         if config.servers == 0 {
-            return Err(FvError::BadServeConfig {
+            return Err(FvError::BadConfig {
                 reason: "zero pipeline servers",
             });
         }
         if config.queue_capacity == 0 {
-            return Err(FvError::BadServeConfig {
+            return Err(FvError::BadConfig {
                 reason: "zero queue capacity",
             });
         }
         if !(config.load > 0.0 && config.load.is_finite()) {
-            return Err(FvError::BadServeConfig {
+            return Err(FvError::BadConfig {
                 reason: "load multiplier must be positive and finite",
             });
         }
         if !(config.bucket_qps_per_weight > 0.0 && config.bucket_qps_per_weight.is_finite()) {
-            return Err(FvError::BadServeConfig {
+            return Err(FvError::BadConfig {
                 reason: "bucket rate must be positive and finite",
             });
         }
         if config.bucket_depth < 1.0 {
-            return Err(FvError::BadServeConfig {
+            return Err(FvError::BadConfig {
                 reason: "bucket depth must hold at least one token",
             });
         }
         let mut flows = Vec::with_capacity(tenants.len());
         for t in tenants {
             if t.queries.is_empty() {
-                return Err(FvError::BadServeConfig {
+                return Err(FvError::BadConfig {
                     reason: "a tenant has an empty query stream",
                 });
             }
             if t.weight == 0 {
-                return Err(FvError::BadServeConfig {
+                return Err(FvError::BadConfig {
                     reason: "tenant weights must be positive",
                 });
             }
             if t.demand == 0 {
-                return Err(FvError::BadServeConfig {
+                return Err(FvError::BadConfig {
                     reason: "tenant demand must be positive",
                 });
             }
             if flows.iter().any(|f: &Flow| f.stats.tenant == t.id) {
-                return Err(FvError::BadServeConfig {
+                return Err(FvError::BadConfig {
                     reason: "duplicate tenant id",
                 });
             }
@@ -1066,7 +1066,7 @@ mod tests {
             edit(&mut tenants, &mut config);
             let got = ServeEngine::new(&tenants, config, be()).err();
             assert!(
-                matches!(got, Some(FvError::BadServeConfig { reason }) if reason == want),
+                matches!(got, Some(FvError::BadConfig { reason }) if reason == want),
                 "{want}: got {got:?}"
             );
         }

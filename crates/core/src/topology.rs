@@ -279,8 +279,13 @@ impl Placement {
         let assignment = ShardMap::new(n).assign(part, schema, data)?;
         let shards = (0..n)
             .map(|i| {
-                (0..replicas)
-                    .map(|j| snapshot.active[(i + j) % n])
+                snapshot
+                    .active
+                    .iter()
+                    .cycle()
+                    .skip(i)
+                    .take(replicas)
+                    .copied()
                     .collect()
             })
             .collect();
@@ -318,6 +323,11 @@ impl Placement {
         &self.shards
     }
 
+    /// The replica list of `slot`; empty past the last slot.
+    pub(crate) fn holders(&self, slot: u32) -> &[NodeId] {
+        self.shards.get(slot as usize).map_or(&[], Vec::as_slice)
+    }
+
     /// The row→shard assignment.
     pub fn assignment(&self) -> &ShardAssignment {
         &self.assignment
@@ -333,11 +343,8 @@ impl Placement {
         let n = snapshot.active.len();
         n == self.shards.len()
             && self.shards.iter().enumerate().all(|(i, slot)| {
-                slot.len() == self.replicas
-                    && slot
-                        .iter()
-                        .enumerate()
-                        .all(|(j, &node)| node == snapshot.active[(i + j) % n])
+                slot.iter()
+                    .eq(snapshot.active.iter().cycle().skip(i).take(self.replicas))
             })
     }
 
@@ -360,7 +367,9 @@ impl Placement {
         let mut owner = vec![0u32; rows];
         for (slot, indices) in self.assignment.per_shard().iter().enumerate() {
             for &r in indices {
-                owner[r as usize] = slot as u32;
+                if let Some(o) = owner.get_mut(r as usize) {
+                    *o = slot as u32;
+                }
             }
         }
         owner
@@ -401,6 +410,14 @@ impl MovePlan {
     }
 }
 
+/// The error for a replica list with no live holder: its first node is
+/// down, or it names no node at all.
+pub(crate) fn holders_down(holders: &[NodeId]) -> FvError {
+    holders
+        .first()
+        .map_or(FvError::NoActiveNodes, |h| FvError::NodeDown { node: h.0 })
+}
+
 /// Compute the minimal move plan from `old` to `new`: a `(row, node)`
 /// copy is scheduled only when the node must hold the row under `new`
 /// and does not already hold it under `old`. Each copy is sourced from
@@ -426,15 +443,12 @@ pub(crate) fn plan_moves(
     let old_owner = old.slot_of_rows(rows);
     let new_owner = new.slot_of_rows(rows);
     let mut grouped: BTreeMap<(NodeId, NodeId), Vec<u32>> = BTreeMap::new();
-    for r in 0..rows {
-        let old_holders = &old.shards()[old_owner[r] as usize];
-        let new_holders = &new.shards()[new_owner[r] as usize];
+    for (r, (&o, &n)) in old_owner.iter().zip(&new_owner).enumerate() {
+        let (old_holders, new_holders) = (old.holders(o), new.holders(n));
         let source = *old_holders
             .iter()
-            .find(|&&n| is_live(n))
-            .ok_or(FvError::NodeDown {
-                node: old_holders[0].0,
-            })?;
+            .find(|&&h| is_live(h))
+            .ok_or_else(|| holders_down(old_holders))?;
         for &dest in new_holders {
             if !old_holders.contains(&dest) {
                 grouped.entry((source, dest)).or_default().push(r as u32);

@@ -57,6 +57,10 @@ const fn xtime(b: u8) -> u8 {
 
 /// The round table for row `row`: entry `x` is the MixColumns column
 /// `({02}·S[x], S[x], S[x], {03}·S[x])` rotated down by `row` rows.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the loop runs `x` over 0..256, the table length"
+)]
 const fn round_table(row: u32) -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut x = 0;
@@ -77,11 +81,19 @@ static TE3: [u32; 256] = round_table(3);
 /// The one place a round table is indexed: a `u8` cannot be out of
 /// bounds of 256 entries, so this compiles to a bare load.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a `u8` index cannot leave a 256-entry table"
+)]
 fn lut(t: &[u32; 256], b: u8) -> u32 {
     t[usize::from(b)]
 }
 
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a `u8` index cannot leave a 256-entry table"
+)]
 fn sub_byte(b: u8) -> u8 {
     SBOX[usize::from(b)]
 }

@@ -19,6 +19,10 @@ impl Row {
     }
 
     /// Value at `idx`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is a column of the row's schema, like a slice index"
+    )]
     pub fn value(&self, idx: usize) -> &Value {
         &self.0[idx]
     }
@@ -27,6 +31,11 @@ impl Row {
     ///
     /// # Panics
     /// Panics if the arity or any value type mismatches the schema.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::panic,
+        reason = "the documented contract: rows are built against their schema"
+    )]
     pub fn encode(&self, schema: &Schema) -> Vec<u8> {
         assert_eq!(
             self.0.len(),
@@ -66,6 +75,10 @@ impl<'a> RowView<'a> {
     ///
     /// # Panics
     /// Panics if `raw.len() != schema.row_bytes()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: `raw` is one schema-sized row"
+    )]
     pub fn new(schema: &'a Schema, raw: &'a [u8]) -> Self {
         assert_eq!(
             raw.len(),
@@ -88,6 +101,10 @@ impl<'a> RowView<'a> {
     }
 
     /// Raw bytes of column `idx`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`raw` is one row of `schema`, so every column range lies inside it"
+    )]
     pub fn col_raw(&self, idx: usize) -> &'a [u8] {
         &self.raw[self.schema.column_range(idx)]
     }
@@ -109,6 +126,10 @@ impl<'a> RowView<'a> {
 ///
 /// # Panics
 /// Panics if `data` is not a whole number of rows.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented: buffers hold whole rows"
+)]
 pub fn iter_rows<'a>(
     schema: &'a Schema,
     data: &'a [u8],

@@ -30,6 +30,10 @@ impl Schema {
     /// # Panics
     /// Panics on duplicate column names, empty schemas, or zero-width
     /// byte columns.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented contract: schemas are declared by the harness, not read off the wire"
+    )]
     pub fn new(columns: Vec<Column>) -> Self {
         assert!(!columns.is_empty(), "schema needs at least one column");
         let mut offsets = Vec::with_capacity(columns.len());
@@ -37,7 +41,7 @@ impl Schema {
         for (i, c) in columns.iter().enumerate() {
             assert!(c.ty.width() > 0, "column {:?} has zero width", c.name);
             assert!(
-                !columns[..i].iter().any(|p| p.name == c.name),
+                !columns.iter().take(i).any(|p| p.name == c.name),
                 "duplicate column name {:?}",
                 c.name
             );
@@ -71,6 +75,7 @@ impl Schema {
     }
 
     /// Column descriptor by index.
+    #[expect(clippy::indexing_slicing, reason = "`idx` is a column of this schema")]
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
     }
@@ -81,6 +86,7 @@ impl Schema {
     }
 
     /// Byte offset of column `idx` inside a row.
+    #[expect(clippy::indexing_slicing, reason = "`idx` is a column of this schema")]
     pub fn offset(&self, idx: usize) -> usize {
         self.offsets[idx]
     }
@@ -92,8 +98,8 @@ impl Schema {
 
     /// The byte range of column `idx` within a row.
     pub fn column_range(&self, idx: usize) -> std::ops::Range<usize> {
-        let start = self.offsets[idx];
-        start..start + self.columns[idx].ty.width()
+        let start = self.offset(idx);
+        start..start + self.column(idx).ty.width()
     }
 
     /// Schema obtained by projecting the given columns (in the given
@@ -101,6 +107,10 @@ impl Schema {
     ///
     /// # Panics
     /// Panics if any index is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented: plans project columns of this schema"
+    )]
     pub fn project(&self, cols: &[usize]) -> Schema {
         Schema::new(cols.iter().map(|&i| self.columns[i].clone()).collect())
     }

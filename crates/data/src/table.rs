@@ -19,6 +19,10 @@ impl Table {
     ///
     /// # Panics
     /// Panics if `data` is not a whole number of rows.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: images hold whole rows"
+    )]
     pub fn from_bytes(schema: Schema, data: Vec<u8>) -> Self {
         assert_eq!(
             data.len() % schema.row_bytes(),
@@ -51,6 +55,10 @@ impl Table {
     }
 
     /// Zero-copy view of row `idx`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx < row_count()`, like a slice index"
+    )]
     pub fn row(&self, idx: usize) -> RowView<'_> {
         let rb = self.schema.row_bytes();
         RowView::new(&self.schema, &self.data[idx * rb..(idx + 1) * rb])

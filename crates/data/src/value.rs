@@ -93,10 +93,16 @@ impl ColumnType {
                 want: self.width(),
             });
         }
+        let word = || {
+            <[u8; 8]>::try_from(raw).map_err(|_| ValueError::WidthMismatch {
+                got: raw.len(),
+                want: 8,
+            })
+        };
         Ok(match self {
-            ColumnType::U64 => Value::U64(u64::from_le_bytes(raw.try_into().expect("8 bytes"))),
-            ColumnType::I64 => Value::I64(i64::from_le_bytes(raw.try_into().expect("8 bytes"))),
-            ColumnType::F64 => Value::F64(f64::from_le_bytes(raw.try_into().expect("8 bytes"))),
+            ColumnType::U64 => Value::U64(u64::from_le_bytes(word()?)),
+            ColumnType::I64 => Value::I64(i64::from_le_bytes(word()?)),
+            ColumnType::F64 => Value::F64(f64::from_le_bytes(word()?)),
             ColumnType::Bytes(_) => Value::Bytes(raw.to_vec()),
         })
     }
@@ -106,6 +112,10 @@ impl ColumnType {
     ///
     /// # Panics
     /// Panics if `raw.len() != self.width()`.
+    #[expect(
+        clippy::panic,
+        reason = "documented: `raw` is a schema-derived column slice"
+    )]
     pub fn decode(self, raw: &[u8]) -> Value {
         self.try_decode(raw)
             .unwrap_or_else(|e| panic!("decode {self:?}: {e}"))
@@ -181,6 +191,12 @@ impl Value {
         Ok(())
     }
 
+    /// The one panic of the `as_*` accessors below.
+    #[expect(clippy::panic, reason = "the `as_*` accessors document it")]
+    fn wrong_kind(&self, want: &str) -> ! {
+        panic!("expected {want}, got {self:?}")
+    }
+
     /// Unwrap as `u64`.
     ///
     /// # Panics
@@ -188,7 +204,7 @@ impl Value {
     pub fn as_u64(&self) -> u64 {
         match self {
             Value::U64(x) => *x,
-            other => panic!("expected U64, got {other:?}"),
+            other => other.wrong_kind("U64"),
         }
     }
 
@@ -199,7 +215,7 @@ impl Value {
     pub fn as_f64(&self) -> f64 {
         match self {
             Value::F64(x) => *x,
-            other => panic!("expected F64, got {other:?}"),
+            other => other.wrong_kind("F64"),
         }
     }
 
@@ -210,7 +226,7 @@ impl Value {
     pub fn as_bytes(&self) -> &[u8] {
         match self {
             Value::Bytes(b) => b,
-            other => panic!("expected Bytes, got {other:?}"),
+            other => other.wrong_kind("Bytes"),
         }
     }
 }

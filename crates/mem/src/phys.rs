@@ -110,6 +110,10 @@ impl PageView {
     /// caller that asks past its end has planned against another length,
     /// and a debug build says so rather than yield short. Every read of
     /// a view goes through here.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug-only check of the caller's plan"
+    )]
     pub fn slices(&self, range: Range<usize>) -> impl Iterator<Item = &[u8]> + '_ {
         debug_assert!(
             range.start <= range.end && range.end <= self.len,
@@ -194,6 +198,10 @@ impl PhysicalMemory {
     /// # Panics
     /// Panics unless `channel_bytes` is a positive multiple of the stripe
     /// size (hardware channels are stripe-granular).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented contract: node geometry comes from a validated `FarviewConfig`"
+    )]
     pub fn new(n_channels: usize, channel_bytes: u64) -> Self {
         assert!(n_channels > 0, "need at least one channel");
         assert!(
@@ -232,6 +240,10 @@ impl PhysicalMemory {
 
     /// Physical ranges are validated by the MMU before they get here; a
     /// violation is a bug.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the MMU bounds every physical range first"
+    )]
     fn check_range(&self, what: &str, paddr: u64, len: usize) {
         assert!(
             paddr + len as u64 <= self.total_bytes,
@@ -277,6 +289,10 @@ impl PhysicalMemory {
                 bytes.resize(off, 0);
             }
             let (over, fresh) = span.split_at(take.min(bytes.len() - off));
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`over` is at most `bytes.len() - off` long, so the range ends in `bytes`"
+            )]
             bytes[off..off + over.len()].copy_from_slice(over);
             bytes.extend_from_slice(fresh);
             rest = tail;

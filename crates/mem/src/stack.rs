@@ -103,6 +103,10 @@ impl MemoryStack {
 
     /// As [`MemoryStack::new`] with an explicit TLB capacity (used by the
     /// TLB ablation bench).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "geometry comes from a validated `FarviewConfig`"
+    )]
     pub fn with_tlb_capacity(n_channels: usize, channel_bytes: u64, tlb_entries: usize) -> Self {
         let phys = PhysicalMemory::new(n_channels, channel_bytes);
         let total_pages = phys.total_bytes() / PAGE_BYTES;
@@ -163,6 +167,10 @@ impl MemoryStack {
         Ok(())
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "every mapped page is counted in `page_refs` until its last release"
+    )]
     fn release_page(&mut self, ppage: u64) {
         let refs = self
             .page_refs
@@ -207,7 +215,8 @@ impl MemoryStack {
             });
         }
         let ppages: Vec<u64> = (0..pages)
-            .map(|_| self.free_pages.pop().expect("count checked").0)
+            .map_while(|_| self.free_pages.pop())
+            .map(|Reverse(p)| p)
             .collect();
         for (i, &p) in ppages.iter().enumerate() {
             *self.page_refs.entry(p).or_insert(0) += 1;
@@ -216,7 +225,7 @@ impl MemoryStack {
                 self.phys.reserve(p, in_page as usize);
             }
         }
-        let d = self.domains.get_mut(&domain).expect("checked above");
+        let d = self.domain_mut(domain)?;
         let vaddr = d.next_vaddr;
         d.next_vaddr += pages * PAGE_BYTES;
         for (i, &p) in ppages.iter().enumerate() {
@@ -323,7 +332,7 @@ impl MemoryStack {
         for &p in &alloc.ppages {
             *self.page_refs.entry(p).or_insert(0) += 1;
         }
-        let d = self.domains.get_mut(&to).expect("checked above");
+        let d = self.domain_mut(to)?;
         let new_vaddr = d.next_vaddr;
         d.next_vaddr += alloc.ppages.len() as u64 * PAGE_BYTES;
         for (i, &p) in alloc.ppages.iter().enumerate() {
@@ -395,14 +404,15 @@ impl MemoryStack {
         data: &[u8],
     ) -> Result<(), MemError> {
         self.check_bounds(domain, vaddr, data.len() as u64)?;
-        let mut off = 0usize;
-        while off < data.len() {
-            let va = vaddr + off as u64;
+        let mut va = vaddr;
+        let mut rest = data;
+        while !rest.is_empty() {
             let (pa, _) = self.translate(domain, va)?;
             let page_left = (PAGE_BYTES - va % PAGE_BYTES) as usize;
-            let take = page_left.min(data.len() - off);
-            self.phys.write(pa, &data[off..off + take]);
-            off += take;
+            let (chunk, tail) = rest.split_at(page_left.min(rest.len()));
+            self.phys.write(pa, chunk);
+            va += chunk.len() as u64;
+            rest = tail;
         }
         Ok(())
     }

@@ -18,7 +18,6 @@ pub struct DramTiming {
 impl DramTiming {
     /// Timing for `n_channels` channels at the calibrated rate.
     pub fn new(n_channels: usize) -> Self {
-        assert!(n_channels > 0);
         DramTiming {
             channels: (0..n_channels)
                 .map(|_| BandwidthServer::new(DRAM_CHANNEL_BW, DRAM_BURST_OVERHEAD))
@@ -33,6 +32,10 @@ impl DramTiming {
 
     /// Admit a burst of `bytes` on `channel` at `now`; returns the
     /// completion instant.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`channel` comes from `PhysicalMemory::channel_of` on the same channel count"
+    )]
     pub fn admit(&mut self, channel: usize, now: SimTime, bytes: u64) -> SimTime {
         self.channels[channel].admit(now, bytes)
     }

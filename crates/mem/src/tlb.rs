@@ -25,12 +25,10 @@ pub struct Tlb {
 }
 
 impl Tlb {
-    /// A TLB with the given entry capacity.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
+    /// A TLB with the given entry capacity; it always holds at least
+    /// one entry.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "TLB capacity must be positive");
+        let capacity = capacity.max(1);
         Tlb {
             capacity,
             entries: HashMap::with_capacity(capacity),

@@ -50,9 +50,11 @@ impl EgressArbiter {
     /// are wired once at setup, so a double wiring is a harness bug, not
     /// a runtime condition — or if `slot` is not one of the arbiter's
     /// flows.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: flows are wired once, at setup"
+    )]
     pub fn bind(&mut self, slot: usize, qp: QpId) {
-        // fv:allow(panic): documented precondition — binding to a slot
-        // the arbiter does not have would only fail later, at `push`.
         assert!(slot < self.drr.flow_count(), "no flow slot {slot}");
         if let Some(existing) = self.slot_of(qp) {
             assert_eq!(existing, slot, "qp {qp} already bound to slot {existing}");

@@ -45,6 +45,10 @@ pub use packet::{Packet, PacketKind, QpId, HEADER_BYTES};
 pub use qp::{CreditGate, DoorbellBatch, NetError, Reassembly};
 
 /// Split `total_bytes` into MTU-sized packet lengths (last one short).
+#[expect(
+    clippy::disallowed_macros,
+    reason = "every caller passes the calibrated MTU"
+)]
 pub fn packetize(total_bytes: u64, mtu: u64) -> impl Iterator<Item = u64> {
     assert!(mtu > 0, "mtu must be positive");
     let full = total_bytes / mtu;

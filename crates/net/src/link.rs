@@ -124,6 +124,10 @@ impl LinkTiming {
     /// Panics if the link is degraded and the injector faults this
     /// packet — callers on a path that can see injected faults must use
     /// [`LinkTiming::try_transmit`] instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented: fault-prone paths call `try_transmit`"
+    )]
     pub fn transmit(&mut self, now: SimTime, wire_bytes: u64) -> SimTime {
         self.try_transmit(0, now, wire_bytes)
             .expect("fault injected on a link driven through the infallible transmit path")

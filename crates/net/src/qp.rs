@@ -118,9 +118,9 @@ pub struct CreditGate {
 }
 
 impl CreditGate {
-    /// A gate with the given packet budget.
+    /// A gate with the given packet budget (a zero budget admits
+    /// nothing; `FarviewConfig::validate` refuses one).
     pub fn new(budget: u32) -> Self {
-        assert!(budget > 0, "credit budget must be positive");
         CreditGate {
             budget,
             available: budget,
@@ -142,6 +142,10 @@ impl CreditGate {
     /// # Panics
     /// Panics if more credits are returned than were ever taken — a
     /// protocol bug, not a runtime condition.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "receivers return only the credits they took"
+    )]
     pub fn release(&mut self, n: u32) {
         assert!(
             self.available + n <= self.budget,
@@ -181,11 +185,7 @@ impl DoorbellBatch {
     /// Panics on an empty batch — ringing a doorbell with no WQEs posted
     /// is a client bug.
     pub fn new(wqes: u32) -> Self {
-        assert!(wqes > 0, "a doorbell batch needs at least one WQE");
-        DoorbellBatch {
-            wqes,
-            fetched: wqes,
-        }
+        Self::truncated(wqes, wqes)
     }
 
     /// A batch the NIC truncated in flight: `wqes` posted, but only the
@@ -195,6 +195,10 @@ impl DoorbellBatch {
     ///
     /// # Panics
     /// Panics if `fetched` is zero or exceeds `wqes`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: truncation keeps 1..=wqes WQEs"
+    )]
     pub fn truncated(wqes: u32, fetched: u32) -> Self {
         assert!(wqes > 0, "a doorbell batch needs at least one WQE");
         assert!(
@@ -216,6 +220,10 @@ impl DoorbellBatch {
     ///
     /// # Panics
     /// Panics if `i` is outside the batch.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: `i` indexes a posted WQE"
+    )]
     pub fn issue_offset(&self, i: u32) -> fv_sim::SimDuration {
         assert!(i < self.wqes, "WQE {i} outside batch of {}", self.wqes);
         fv_sim::calib::CLIENT_POST + fv_sim::calib::DOORBELL_WQE * u64::from(i)
@@ -229,7 +237,7 @@ impl DoorbellBatch {
     /// Still panics if `i` is outside the posted batch: asking for a
     /// WQE that was never posted is a client bug, not a network fault.
     pub fn try_issue_offset(&self, qp: QpId, i: u32) -> Result<fv_sim::SimDuration, NetError> {
-        assert!(i < self.wqes, "WQE {i} outside batch of {}", self.wqes);
+        let at = self.issue_offset(i);
         if i >= self.fetched {
             return Err(NetError::TruncatedBatch {
                 qp,
@@ -237,7 +245,7 @@ impl DoorbellBatch {
                 fetched: self.fetched,
             });
         }
-        Ok(self.issue_offset(i))
+        Ok(at)
     }
 }
 
@@ -361,6 +369,10 @@ impl Reassembly {
     /// # Panics
     /// Panics if the stream is not complete — taking a partial result is
     /// always a protocol bug.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: taken only once `is_complete`"
+    )]
     pub fn into_payload(self) -> Vec<u8> {
         assert!(self.is_complete(), "reassembly not complete");
         self.assembled

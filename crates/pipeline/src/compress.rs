@@ -92,19 +92,18 @@ fn compress_frame(data: &[u8]) -> Option<Vec<u8>> {
     // Hash of the next MIN_MATCH bytes -> most recent position.
     let mut heads: HashMap<u32, usize> = HashMap::new();
     let hash_at = |i: usize| -> u32 {
-        let w = u32::from_le_bytes(data[i..i + 4].try_into().expect("4 bytes"));
-        w.wrapping_mul(0x9E37_79B1) >> 12
+        let w = data.get(i..).and_then(<[u8]>::first_chunk::<4>);
+        w.map_or(0, |w| u32::from_le_bytes(*w))
+            .wrapping_mul(0x9E37_79B1)
+            >> 12
     };
 
     let mut lit_start = 0usize;
     let mut i = 0usize;
     let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
-        let mut s = from;
-        while s < to {
-            let n = (to - s).min(128);
-            out.push((n - 1) as u8);
-            out.extend_from_slice(&data[s..s + n]);
-            s += n;
+        for run in data.get(from..to).unwrap_or_default().chunks(128) {
+            out.push((run.len() - 1) as u8);
+            out.extend_from_slice(run);
         }
     };
 
@@ -112,22 +111,24 @@ fn compress_frame(data: &[u8]) -> Option<Vec<u8>> {
         let h = hash_at(i);
         let candidate = heads.insert(h, i);
         let m = candidate.and_then(|c| {
-            if i - c > WINDOW {
-                return None;
-            }
+            let dist = u16::try_from(i - c)
+                .ok()
+                .filter(|&d| usize::from(d) <= WINDOW)?;
             // Verify and extend the match.
-            let mut len = 0usize;
-            let max = (data.len() - i).min(MAX_MATCH);
-            while len < max && data[c + len] == data[i + len] {
-                len += 1;
-            }
-            (len >= MIN_MATCH).then_some((c, len))
+            let (earlier, here) = (data.get(c..)?, data.get(i..)?);
+            let len = earlier
+                .iter()
+                .zip(here)
+                .take(MAX_MATCH)
+                .take_while(|(a, b)| a == b)
+                .count();
+            (len >= MIN_MATCH).then_some((dist, len))
         });
         match m {
-            Some((c, len)) => {
+            Some((dist, len)) => {
                 flush_literals(&mut out, lit_start, i);
                 out.push(0x80 | (len - MIN_MATCH) as u8);
-                out.extend_from_slice(&u16::try_from(i - c).expect("<= WINDOW").to_le_bytes());
+                out.extend_from_slice(&dist.to_le_bytes());
                 // Index a few positions inside the match so later matches
                 // can anchor there (cheap approximation of full chaining).
                 let step = (len / 4).max(1);
@@ -150,8 +151,7 @@ fn compress_frame(data: &[u8]) -> Option<Vec<u8>> {
 fn decompress_frame(body: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
     let frame_start = out.len();
     let mut i = 0usize;
-    while i < body.len() {
-        let ctrl = body[i];
+    while let Some(&ctrl) = body.get(i) {
         i += 1;
         if ctrl < 0x80 {
             let n = ctrl as usize + 1;
@@ -160,8 +160,8 @@ fn decompress_frame(body: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()
             i += n;
         } else {
             let len = (ctrl & 0x7F) as usize + MIN_MATCH;
-            let d = body.get(i..i + 2).ok_or(CodecError::Truncated)?;
-            let dist = u16::from_le_bytes(d.try_into().expect("2 bytes")) as usize;
+            let d = body.get(i..).and_then(<[u8]>::first_chunk::<2>);
+            let dist = usize::from(u16::from_le_bytes(*d.ok_or(CodecError::Truncated)?));
             i += 2;
             let have = out.len() - frame_start;
             if dist == 0 || dist > have {
@@ -169,8 +169,8 @@ fn decompress_frame(body: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()
             }
             // Byte-by-byte copy: overlapping matches (RLE) are legal.
             for _ in 0..len {
-                let b = out[out.len() - dist];
-                out.push(b);
+                let b = out.get(out.len() - dist).copied();
+                out.push(b.ok_or(CodecError::BadDistance { dist, have })?);
             }
         }
     }
@@ -186,12 +186,17 @@ fn decompress_frame(body: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()
 
 // The streaming paths chunk at FRAME_BYTES, so their frames always fit
 // the header; this guards the constant against being raised past it.
+#[expect(clippy::disallowed_macros, reason = "evaluated at compile time")]
 const _: () = assert!(FRAME_BYTES as u64 <= u32::MAX as u64);
 
 /// Compress a whole buffer into the framed format (frames of 16 KiB,
 /// `FRAME_BYTES`, which always fit the 4-byte length header).
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    compress_framed(data, FRAME_BYTES).expect("FRAME_BYTES fits the length header")
+    let mut out = Vec::new();
+    for frame in data.chunks(FRAME_BYTES) {
+        emit_small_frame(frame, &mut out);
+    }
+    out
 }
 
 /// Compress a whole buffer with a caller-chosen frame granularity.
@@ -200,8 +205,8 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// [`CodecError::FrameTooLarge`] when a frame's raw or compressed length
 /// would not fit the 4-byte header (≥ 4 GiB) — rejected instead of
 /// silently truncating the length and corrupting the stream.
-pub(crate) fn compress_framed(data: &[u8], frame_bytes: usize) -> Result<Vec<u8>, CodecError> {
-    assert!(frame_bytes > 0, "frame granularity must be positive");
+#[cfg(test)]
+fn compress_framed(data: &[u8], frame_bytes: usize) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
     for frame in data.chunks(frame_bytes) {
         emit_frame(frame, &mut out)?;
@@ -217,10 +222,18 @@ fn frame_header(raw_len: usize, comp_len: usize) -> Result<[u8; 8], CodecError> 
     let comp = u32::try_from(comp_len).map_err(|_| CodecError::FrameTooLarge {
         bytes: comp_len as u64,
     })?;
-    let mut hdr = [0u8; 8];
-    hdr[..4].copy_from_slice(&raw.to_le_bytes());
-    hdr[4..].copy_from_slice(&comp.to_le_bytes());
-    Ok(hdr)
+    // Little-endian: the low word's bytes come first.
+    Ok((u64::from(comp) << 32 | u64::from(raw)).to_le_bytes())
+}
+
+/// [`emit_frame`] for a frame of at most `FRAME_BYTES`, the only size
+/// the streaming paths make.
+#[expect(
+    clippy::expect_used,
+    reason = "a frame of at most FRAME_BYTES fits the header (const-asserted above)"
+)]
+fn emit_small_frame(frame: &[u8], out: &mut Vec<u8>) {
+    emit_frame(frame, out).expect("FRAME_BYTES fits the length header");
 }
 
 fn emit_frame(frame: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
@@ -242,9 +255,10 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < stream.len() {
-        let hdr = stream.get(i..i + 8).ok_or(CodecError::Truncated)?;
-        let raw_len = u32::from_le_bytes(hdr[..4].try_into().expect("4")) as usize;
-        let comp_len = u32::from_le_bytes(hdr[4..].try_into().expect("4")) as usize;
+        let hdr = stream.get(i..).and_then(<[u8]>::first_chunk::<8>);
+        let [r0, r1, r2, r3, c0, c1, c2, c3] = *hdr.ok_or(CodecError::Truncated)?;
+        let raw_len = u32::from_le_bytes([r0, r1, r2, r3]) as usize;
+        let comp_len = u32::from_le_bytes([c0, c1, c2, c3]) as usize;
         i += 8;
         let body = stream.get(i..i + comp_len).ok_or(CodecError::Truncated)?;
         i += comp_len;
@@ -285,7 +299,7 @@ impl StreamCompressor {
         let mut out = Vec::new();
         while self.pending.len() >= FRAME_BYTES {
             let frame: Vec<u8> = self.pending.drain(..FRAME_BYTES).collect();
-            emit_frame(&frame, &mut out).expect("FRAME_BYTES fits the length header");
+            emit_small_frame(&frame, &mut out);
         }
         self.compressed_out += out.len() as u64;
         out
@@ -297,7 +311,7 @@ impl StreamCompressor {
         if !self.pending.is_empty() {
             // The tail is < FRAME_BYTES by construction of `push`.
             let tail = std::mem::take(&mut self.pending);
-            emit_frame(&tail, &mut out).expect("tail shorter than FRAME_BYTES");
+            emit_small_frame(&tail, &mut out);
         }
         self.compressed_out += out.len() as u64;
         out

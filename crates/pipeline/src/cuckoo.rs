@@ -182,6 +182,10 @@ impl<V> CuckooTable<V> {
         Self::with_geometry_bounds(DEFAULT_WAYS, start, DEFAULT_MAX_BUCKETS_PER_WAY)
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "geometry comes from the crate's constants and tests, never from data"
+    )]
     fn with_geometry_bounds(
         ways: usize,
         buckets_per_way: usize,
@@ -217,6 +221,7 @@ impl<V> CuckooTable<V> {
     /// `0..ways` at every call site and the bucket is masked to
     /// `buckets_per_way`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "bounded as documented above")]
     fn slot(&self, way: usize, tag: u64) -> EntryRef {
         self.slots[self.slot_index(way, tag)]
     }
@@ -224,6 +229,7 @@ impl<V> CuckooTable<V> {
     /// The one place a bucket is indexed for writing, bounded like
     /// [`Self::slot`].
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "bounded as documented above")]
     fn slot_mut(&mut self, way: usize, tag: u64) -> &mut EntryRef {
         let at = self.slot_index(way, tag);
         &mut self.slots[at]
@@ -253,6 +259,10 @@ impl<V> CuckooTable<V> {
     /// and inlined into them the key width is a constant wherever the
     /// caller's is.
     #[inline(always)]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug-only check of the caller's hash"
+    )]
     fn find(&self, h: u64, key: &[u8]) -> Option<usize> {
         debug_assert_eq!(h, hash_key(key), "stale primary hash");
         for way in 0..self.ways {
@@ -331,13 +341,16 @@ impl<V> CuckooTable<V> {
     ///
     /// # Panics
     /// Panics when `key` is not as wide as the keys already stored.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented contract: one key width per table, checked in debug builds too"
+    )]
     pub fn insert_key_hashed(&mut self, h: u64, key: &[u8], value: V) -> Result<(), Homeless<V>> {
         debug_assert_eq!(h, hash_key(key), "stale primary hash");
         debug_assert!(!self.contains_hashed(h, key), "duplicate cuckoo insert");
         if self.tags.is_empty() {
             self.key_width = key.len();
         }
-        // fv:allow(panic): documented precondition — one key width per table.
         assert_eq!(key.len(), self.key_width, "cuckoo keys are fixed-width");
         self.maybe_grow();
         let Ok(r) = EntryRef::try_from(self.tags.len() + 1) else {
@@ -358,10 +371,13 @@ impl<V> CuckooTable<V> {
     /// different, via eviction chains) homeless entry comes back. It is
     /// in no bucket then, and table occupancy is unchanged: someone was
     /// always swapped in when someone was taken out.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a non-zero reference names a stored entry"
+    )]
     fn place(&mut self, mut r: EntryRef) -> Result<(), EntryRef> {
         let mut way = 0usize;
         for _ in 0..self.max_kicks {
-            // fv:allow(panic): a reference names a stored entry.
             let tag = self.tags[r as usize - 1];
             let evicted = std::mem::replace(self.slot_mut(way, tag), r);
             if evicted == 0 {

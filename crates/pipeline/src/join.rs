@@ -156,6 +156,10 @@ impl std::fmt::Debug for JoinSmallOp {
 
 impl JoinSmallOp {
     /// Validate and load the build side.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`verify` puts the key column inside each `rb`-byte build row"
+    )]
     pub fn build(spec: &JoinSmallSpec, probe_schema: &Schema) -> Result<Self, PipelineError> {
         // The static verifier owns every shape check and computes the
         // output schema; all that remains here is the dynamic load.

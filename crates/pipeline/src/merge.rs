@@ -72,6 +72,7 @@ enum Combine {
 }
 
 impl Combine {
+    #[expect(clippy::unreachable, reason = "AVG becomes SUM and COUNT before this")]
     fn for_agg(func: AggFunc, ty: ColumnType, col: usize) -> Result<Combine, PipelineError> {
         Ok(match (func, ty) {
             (AggFunc::Count, _) => Combine::AddU64,
@@ -237,6 +238,10 @@ impl PartialAggPlan {
     /// Nothing is allocated per row: a key is a borrowed slice of its
     /// payload, mapped to its group's index in first-seen order, and
     /// every group's shard slots sit in one flat accumulator column.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "every shard runs the same compiled plan, so payloads are whole partial rows"
+    )]
     pub fn merge<P: AsRef<[u8]>>(&self, shard_payloads: &[P]) -> (Vec<u8>, u64) {
         let width = self.shard_slots.len();
         let mut groups: HashMap<&[u8], usize> = HashMap::new();

@@ -69,6 +69,10 @@ impl Packer {
     /// into the pack buffer, with no row buffer to concatenate them
     /// first. The row is final-format — a tail operator's packer is
     /// always [`Packer::passthrough`].
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug-only check of the tail-operator wiring"
+    )]
     pub fn push_split_tuple(&mut self, head: &[u8], tail: &[u8]) {
         debug_assert!(self.projection.is_none(), "tail operators pack passthrough");
         self.buf.extend_from_slice(head);
@@ -88,6 +92,10 @@ impl Packer {
     /// With strict ascent, `sel.len() == block.len()` implies the
     /// identity selection, which is what makes the bulk-copy shortcut
     /// sound.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug-only selection-vector check"
+    )]
     pub fn push_block(&mut self, block: &TupleBlock<'_>, sel: &[u32]) {
         debug_assert!(
             sel.is_sorted_by(|a, b| a < b)

@@ -149,8 +149,7 @@ impl From<fv_data::ValueError> for PipelineError {
 /// schema from user input routes through this.
 pub(crate) fn schema_from_unique_columns(cols: Vec<Column>) -> Result<Schema, PipelineError> {
     for (i, c) in cols.iter().enumerate() {
-        // fv:allow(panic): i < cols.len() from enumerate.
-        if cols[..i].iter().any(|prev| prev.name == c.name) {
+        if cols.iter().take(i).any(|prev| prev.name == c.name) {
             return Err(PipelineError::DuplicateOutputColumn {
                 name: c.name.clone(),
             });
@@ -196,10 +195,12 @@ impl<'a> TupleBlock<'a> {
     ///
     /// # Panics
     /// Panics if `data` is not a whole number of `tuple_bytes` tuples.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: blocks are framed from whole tuples"
+    )]
     pub fn new(data: &'a [u8], tuple_bytes: usize) -> Self {
-        // fv:allow(panic): documented constructor precondition.
         assert!(tuple_bytes > 0, "zero-width tuples");
-        // fv:allow(panic): documented constructor precondition.
         assert_eq!(
             data.len() % tuple_bytes,
             0,
@@ -235,9 +236,9 @@ impl<'a> TupleBlock<'a> {
     /// Panics when `i >= self.len()` — selection vectors carry indices
     /// of the block they were built over.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "the documented contract above")]
     pub fn tuple(&self, i: u32) -> &'a [u8] {
         let start = i as usize * self.tuple_bytes;
-        // fv:allow(panic): documented precondition, hot-loop bound.
         &self.data[start..start + self.tuple_bytes]
     }
 }
@@ -515,8 +516,12 @@ impl CompiledPipeline {
     ///
     /// # Panics
     /// Panics if called after [`CompiledPipeline::finish`].
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::indexing_slicing,
+        reason = "the documented contract; each slice bound is checked on the line before"
+    )]
     pub fn push_bytes(&mut self, chunk: &[u8]) {
-        // fv:allow(panic): documented use-after-finish precondition.
         assert!(!self.finished, "pipeline already finished");
         self.stats.bytes_in += chunk.len() as u64;
 
@@ -547,9 +552,8 @@ impl CompiledPipeline {
                 self.decrypt_scratch = scratch;
                 return;
             }
-            // fv:allow(panic): rest.len() >= need checked just above.
             self.partial.extend_from_slice(&rest[..need]);
-            rest = &rest[need..]; // fv:allow(panic): same bound
+            rest = &rest[need..];
 
             let head = std::mem::take(&mut self.partial);
             self.process_frame(&head);
@@ -558,10 +562,9 @@ impl CompiledPipeline {
         }
         let whole = rest.len() / tb * tb;
         if whole > 0 {
-            // fv:allow(panic): whole = len/tb*tb <= len.
             self.process_frame(&rest[..whole]);
         }
-        self.partial.extend_from_slice(&rest[whole..]); // fv:allow(panic): whole <= len
+        self.partial.extend_from_slice(&rest[whole..]);
         self.decrypt_scratch = scratch;
         self.refresh_op_stats();
     }
@@ -601,12 +604,13 @@ impl CompiledPipeline {
     /// # Panics
     /// Panics on a second `finish`, or when the stream ended mid-tuple
     /// (the feeder broke the whole-tuple framing contract).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented contract: a mid-tuple end would corrupt the output either way"
+    )]
     pub fn finish(&mut self) {
-        // fv:allow(panic): documented double-finish precondition.
         assert!(!self.finished, "pipeline finished twice");
         self.finished = true;
-        // fv:allow(panic): a mid-tuple stream end means the feeder broke
-        // the whole-tuple framing contract — corrupt output either way.
         assert!(
             self.partial.is_empty(),
             "stream ended mid-tuple: {} trailing bytes",

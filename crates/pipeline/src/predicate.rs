@@ -197,6 +197,10 @@ impl PredicateExpr {
     }
 
     /// Evaluate against one tuple.
+    #[expect(
+        clippy::unreachable,
+        reason = "`validate` type-checks every comparison"
+    )]
     pub fn eval(&self, row: &RowView<'_>) -> bool {
         match self {
             PredicateExpr::True => true,
@@ -350,6 +354,11 @@ pub enum CompiledPredicate {
 impl CompiledPredicate {
     /// Evaluate against one raw encoded tuple.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "offsets and widths are compiled from the tuple's schema"
+    )]
     pub fn eval(&self, tuple: &[u8]) -> bool {
         match self {
             CompiledPredicate::True => true,

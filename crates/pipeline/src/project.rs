@@ -46,7 +46,7 @@ impl ProjectionPlan {
                     }
                     // A repeated index would duplicate an output column
                     // name, which `Schema::new` rejects by panicking.
-                    if c[..i].contains(&idx) {
+                    if c.iter().take(i).any(|&prev| prev == idx) {
                         return Err(PipelineError::DuplicateOutputColumn {
                             name: schema.column(idx).name.clone(),
                         });
@@ -87,6 +87,11 @@ impl ProjectionPlan {
 
     /// Append the projected columns of `tuple` to `out`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "ranges are compiled from the tuple's schema; word columns are 8 bytes"
+    )]
     pub fn write_projected(&self, tuple: &[u8], out: &mut Vec<u8>) {
         if self.all_word_cols {
             // All-scalar projections copy constant-size words, which the
@@ -226,6 +231,7 @@ impl SmartAddressing {
     /// Extract this plan's bytes for the row starting at `row_off` in a
     /// table image, appending to `out`. This is what the MMU-side gather
     /// produces for the pipeline.
+    #[expect(clippy::indexing_slicing, reason = "segments lie inside one whole row")]
     pub fn gather(&self, table: &[u8], row_off: usize, out: &mut Vec<u8>) {
         for &(off, len) in &self.segments {
             out.extend_from_slice(&table[row_off + off..row_off + off + len]);

@@ -59,10 +59,14 @@ impl RegexOp {
 /// Strip trailing zero padding from a fixed-width string field.
 /// Word-at-a-time from the tail: mostly-padding fields (wide columns,
 /// short strings) cost a few u64 loads instead of a byte-wise scan.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "`end` stays within `field` and the word slice is 8 bytes"
+)]
 fn strip_padding(field: &[u8]) -> &[u8] {
     let mut end = field.len();
     while end >= 8 {
-        // fv:allow(panic): the slice is exactly 8 bytes.
         let w = u64::from_le_bytes(field[end - 8..end].try_into().expect("8-byte chunk"));
         if w == 0 {
             end -= 8;
@@ -85,6 +89,10 @@ impl Selection for RegexOp {
     /// positions; runs of bytes that cannot leave the start state are
     /// skipped word-at-a-time (exact, not approximate — skipped bytes
     /// provably keep the automaton in place).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the range is compiled from the block's schema"
+    )]
     fn select_block(&mut self, block: &TupleBlock<'_>, sel: &mut Vec<u32>) {
         self.evaluated += sel.len() as u64;
         let range = self.range.clone();

@@ -38,12 +38,16 @@ impl ByteSet {
 
     /// Insert one byte.
     pub fn insert(&mut self, b: u8) {
-        self.bits[(b >> 6) as usize] |= 1u64 << (b & 63);
+        if let Some(w) = self.bits.get_mut(usize::from(b >> 6)) {
+            *w |= 1u64 << (b & 63);
+        }
     }
 
     /// Membership test.
     pub fn contains(&self, b: u8) -> bool {
-        self.bits[(b >> 6) as usize] & (1u64 << (b & 63)) != 0
+        self.bits
+            .get(usize::from(b >> 6))
+            .is_some_and(|w| w & (1u64 << (b & 63)) != 0)
     }
 
     /// Combine with `other` word by word.
@@ -73,7 +77,7 @@ impl ByteSet {
     /// Complement.
     pub fn negate(&self) -> ByteSet {
         ByteSet {
-            bits: [!self.bits[0], !self.bits[1], !self.bits[2], !self.bits[3]],
+            bits: self.bits.map(|w| !w),
         }
     }
 

@@ -77,7 +77,9 @@ impl<'n> Subsets<'n> {
                 limit: self.state_limit,
             });
         }
-        let id = u32::try_from(self.sets.len()).expect("state limit fits u32");
+        let id = u32::try_from(self.sets.len()).map_err(|_| RegexError::TooComplex {
+            limit: self.state_limit,
+        })?;
         self.accepting
             .push(set.binary_search(&self.nfa.accept()).is_ok());
         self.index.insert(set.clone(), id);
@@ -91,8 +93,10 @@ impl<'n> Subsets<'n> {
     /// when no member state has an edge for it.
     fn target(&mut self, d: u32, byte: u8) -> Result<Option<u32>, RegexError> {
         let mut moved: Vec<StateId> = Vec::new();
-        for &s in &self.sets[d as usize] {
-            for (set, t) in &self.nfa.states()[s as usize].byte_edges {
+        let states = self.nfa.states();
+        let members = self.sets.get(d as usize).into_iter().flatten();
+        for state in members.filter_map(|&s| states.get(s as usize)) {
+            for (set, t) in &state.byte_edges {
                 if set.contains(byte) {
                     moved.push(*t);
                 }
@@ -151,8 +155,11 @@ impl Dfa {
                 // Any member stands for the class; the smallest is the
                 // one a byte-by-byte sweep reaches first.
                 if let Some(target) = subsets.target(d, first)? {
+                    let row = d as usize * 256;
                     for byte in class.iter() {
-                        subsets.transitions[d as usize * 256 + usize::from(byte)] = target;
+                        if let Some(t) = subsets.transitions.get_mut(row + usize::from(byte)) {
+                            *t = target;
+                        }
                     }
                 }
             }
@@ -189,6 +196,7 @@ impl Dfa {
 
     /// One transition step.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "a live state owns a 256-entry row")]
     pub fn step(&self, state: u32, byte: u8) -> u32 {
         if state == DEAD {
             return DEAD;
@@ -198,6 +206,10 @@ impl Dfa {
 
     /// Is `state` accepting?
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "live states are ids below `state_count`"
+    )]
     pub(crate) fn is_accepting(&self, state: u32) -> bool {
         state != DEAD && self.accepting[state as usize]
     }
@@ -245,18 +257,10 @@ impl Dfa {
         if self.is_accepting(self.start) {
             return None;
         }
-        let mut skip = [false; 256];
-        let mut progress: Option<u8> = None;
-        let mut progress_count = 0usize;
-        for byte in 0u16..256 {
-            let b = byte as u8;
-            if self.step(self.start, b) == self.start {
-                skip[b as usize] = true;
-            } else {
-                progress = Some(b);
-                progress_count += 1;
-            }
-        }
+        let skip: [bool; 256] =
+            std::array::from_fn(|b| self.step(self.start, b as u8) == self.start);
+        let progress_count = skip.iter().filter(|&&s| !s).count();
+        let progress = (0..=255u8).zip(skip).rfind(|&(_, s)| !s).map(|(b, _)| b);
         // Fewer than 3/4 skippable bytes: the scan loop beats the skip
         // loop only marginally; fall back to the plain walk.
         if progress_count > 64 {
@@ -272,13 +276,16 @@ impl Dfa {
     /// derived from this DFA — identical result, but runs of
     /// non-progress bytes are skipped word-at-a-time instead of stepped
     /// through the transition table.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`find_progress` returns indices inside the haystack and `i` is checked against its length"
+    )]
     pub fn matches_prefix_free_with(&self, haystack: &[u8], pf: &Prefilter) -> bool {
         let mut i = 0usize;
         loop {
             let Some(p) = pf.find_progress(haystack, i) else {
                 return false;
             };
-            // fv:allow(panic): find_progress returns in-bounds indices.
             let mut state = self.step(self.start, haystack[p]);
             i = p + 1;
             loop {
@@ -297,7 +304,6 @@ impl Dfa {
                 if i >= haystack.len() {
                     return false;
                 }
-                // fv:allow(panic): i < haystack.len() checked just above.
                 state = self.step(state, haystack[i]);
                 i += 1;
             }
@@ -346,6 +352,10 @@ impl Prefilter {
     /// out of its start state, or `None` if the rest of the haystack is
     /// all skippable.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `u8` index cannot leave the 256-entry table"
+    )]
     pub(crate) fn find_progress(&self, haystack: &[u8], from: usize) -> Option<usize> {
         let hay = haystack.get(from..)?;
         match self.single {
@@ -361,6 +371,7 @@ impl Prefilter {
 /// SWAR memchr: scan for `needle` eight bytes at a time using the
 /// classic `(x - 0x01…) & !x & 0x80…` zero-byte trick (no `unsafe`, no
 /// platform intrinsics; the workspace forbids unsafe code).
+#[expect(clippy::expect_used, reason = "`chunks_exact(8)` yields 8-byte chunks")]
 fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     const LO: u64 = 0x0101_0101_0101_0101;
     const HI: u64 = 0x8080_8080_8080_8080;
@@ -368,7 +379,6 @@ fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     let mut chunks = hay.chunks_exact(8);
     let mut base = 0usize;
     for c in &mut chunks {
-        // fv:allow(panic): chunks_exact(8) yields exactly 8 bytes.
         let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
         let x = word ^ broadcast;
         let hit = x.wrapping_sub(LO) & !x & HI;

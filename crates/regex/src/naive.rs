@@ -9,7 +9,9 @@ use crate::ast::Ast;
 
 /// Does `ast` match somewhere in `input` (unanchored on both sides)?
 pub fn search(ast: &Ast, input: &[u8]) -> bool {
-    (0..=input.len()).any(|start| match_here(ast, &input[start..], &mut |_| true))
+    (0..=input.len())
+        .filter_map(|start| input.get(start..))
+        .any(|rest| match_here(ast, rest, &mut |_| true))
 }
 
 /// Does `ast` match `input` exactly (both ends anchored)?
@@ -22,8 +24,8 @@ pub fn match_exact(ast: &Ast, input: &[u8]) -> bool {
 fn match_here(ast: &Ast, input: &[u8], k: &mut dyn FnMut(&[u8]) -> bool) -> bool {
     match ast {
         Ast::Empty => k(input),
-        Ast::Class(set) => match input.first() {
-            Some(&b) if set.contains(b) => k(&input[1..]),
+        Ast::Class(set) => match input.split_first() {
+            Some((&b, rest)) if set.contains(b) => k(rest),
             _ => false,
         },
         Ast::Concat(parts) => match_seq(parts, input, k),

@@ -36,11 +36,10 @@ impl Nfa {
         let start = b.new_state();
         if unanchored {
             // Self-loop over every byte: skip any prefix.
-            let s = start;
-            b.states[s as usize].byte_edges.push((ByteSet::full(), s));
+            b.state(start).byte_edges.push((ByteSet::full(), start));
         }
         let (entry, exit) = b.compile(ast);
-        b.states[start as usize].epsilon.push(entry);
+        b.state(start).epsilon.push(entry);
         Nfa {
             states: b.states,
             start,
@@ -73,20 +72,21 @@ impl Nfa {
     pub fn epsilon_closure(&self, seed: &[StateId]) -> Vec<StateId> {
         let mut seen = vec![false; self.states.len()];
         let mut stack: Vec<StateId> = Vec::with_capacity(seed.len());
-        for &s in seed {
-            if !seen[s as usize] {
-                seen[s as usize] = true;
-                stack.push(s);
+        // Marks `s` seen, true the first time; ids past the NFA have no
+        // edges and are never reported.
+        let mut visit = |s: StateId| match seen.get_mut(s as usize) {
+            Some(flag) if !*flag => {
+                *flag = true;
+                true
             }
-        }
+            _ => false,
+        };
+        stack.extend(seed.iter().copied().filter(|&s| visit(s)));
         let mut out = Vec::new();
         while let Some(s) = stack.pop() {
             out.push(s);
-            for &t in &self.states[s as usize].epsilon {
-                if !seen[t as usize] {
-                    seen[t as usize] = true;
-                    stack.push(t);
-                }
+            if let Some(state) = self.states.get(s as usize) {
+                stack.extend(state.epsilon.iter().copied().filter(|&t| visit(t)));
             }
         }
         out.sort_unstable();
@@ -99,10 +99,20 @@ struct Builder {
 }
 
 impl Builder {
+    #[expect(
+        clippy::expect_used,
+        reason = "patterns yield far fewer than 2^32 states"
+    )]
     fn new_state(&mut self) -> StateId {
         let id = u32::try_from(self.states.len()).expect("NFA too large");
         self.states.push(NfaState::default());
         id
+    }
+
+    /// The one place a state is indexed.
+    #[expect(clippy::indexing_slicing, reason = "every id is minted by `new_state`")]
+    fn state(&mut self, id: StateId) -> &mut NfaState {
+        &mut self.states[id as usize]
     }
 
     /// Compile a fragment, returning `(entry, exit)`.
@@ -115,7 +125,7 @@ impl Builder {
             Ast::Class(set) => {
                 let entry = self.new_state();
                 let exit = self.new_state();
-                self.states[entry as usize].byte_edges.push((*set, exit));
+                self.state(entry).byte_edges.push((*set, exit));
                 (entry, exit)
             }
             Ast::Concat(parts) => {
@@ -124,7 +134,7 @@ impl Builder {
                 for p in parts {
                     let (e, x) = self.compile(p);
                     if let Some(px) = prev_exit {
-                        self.states[px as usize].epsilon.push(e);
+                        self.state(px).epsilon.push(e);
                     } else {
                         entry = Some(e);
                     }
@@ -143,8 +153,8 @@ impl Builder {
                 let exit = self.new_state();
                 for br in branches {
                     let (e, x) = self.compile(br);
-                    self.states[entry as usize].epsilon.push(e);
-                    self.states[x as usize].epsilon.push(exit);
+                    self.state(entry).epsilon.push(e);
+                    self.state(x).epsilon.push(exit);
                 }
                 (entry, exit)
             }
@@ -152,26 +162,26 @@ impl Builder {
                 let entry = self.new_state();
                 let exit = self.new_state();
                 let (e, x) = self.compile(inner);
-                self.states[entry as usize].epsilon.push(e);
-                self.states[entry as usize].epsilon.push(exit);
-                self.states[x as usize].epsilon.push(e);
-                self.states[x as usize].epsilon.push(exit);
+                self.state(entry).epsilon.push(e);
+                self.state(entry).epsilon.push(exit);
+                self.state(x).epsilon.push(e);
+                self.state(x).epsilon.push(exit);
                 (entry, exit)
             }
             Ast::Plus(inner) => {
                 let (e, x) = self.compile(inner);
                 let exit = self.new_state();
-                self.states[x as usize].epsilon.push(e);
-                self.states[x as usize].epsilon.push(exit);
+                self.state(x).epsilon.push(e);
+                self.state(x).epsilon.push(exit);
                 (e, exit)
             }
             Ast::Question(inner) => {
                 let entry = self.new_state();
                 let exit = self.new_state();
                 let (e, x) = self.compile(inner);
-                self.states[entry as usize].epsilon.push(e);
-                self.states[entry as usize].epsilon.push(exit);
-                self.states[x as usize].epsilon.push(exit);
+                self.state(entry).epsilon.push(e);
+                self.state(entry).epsilon.push(exit);
+                self.state(x).epsilon.push(exit);
                 (entry, exit)
             }
         }

@@ -44,7 +44,7 @@ pub fn parse(pattern: &str) -> Result<Parsed, RegexError> {
     };
     let (anchored_end, body_end) = if bytes.len() > body_start && bytes.last() == Some(&b'$') {
         // `\$` at the end is a literal dollar, not an anchor.
-        let escaped = bytes.len() >= 2 && bytes[bytes.len() - 2] == b'\\';
+        let escaped = bytes.iter().rev().nth(1) == Some(&b'\\');
         if escaped {
             (false, bytes.len())
         } else {
@@ -55,7 +55,7 @@ pub fn parse(pattern: &str) -> Result<Parsed, RegexError> {
     };
 
     let mut p = Parser {
-        input: &bytes[body_start..body_end],
+        input: bytes.get(body_start..body_end).unwrap_or_default(),
         pos: 0,
         base: body_start,
     };
@@ -68,6 +68,15 @@ pub fn parse(pattern: &str) -> Result<Parsed, RegexError> {
         anchored_start,
         anchored_end,
     })
+}
+
+/// `Empty` for no items, the item itself for one, else `many(items)`.
+fn collapse(mut items: Vec<Ast>, many: fn(Vec<Ast>) -> Ast) -> Ast {
+    match items.len() {
+        0 => Ast::Empty,
+        1 => items.pop().unwrap_or(Ast::Empty),
+        _ => many(items),
+    }
 }
 
 struct Parser<'a> {
@@ -108,11 +117,7 @@ impl Parser<'_> {
         while self.eat(b'|') {
             branches.push(self.parse_concat()?);
         }
-        Ok(if branches.len() == 1 {
-            branches.pop().expect("one branch")
-        } else {
-            Ast::Alt(branches)
-        })
+        Ok(collapse(branches, Ast::Alt))
     }
 
     fn parse_concat(&mut self) -> Result<Ast, RegexError> {
@@ -123,11 +128,7 @@ impl Parser<'_> {
             }
             parts.push(self.parse_repeat()?);
         }
-        Ok(match parts.len() {
-            0 => Ast::Empty,
-            1 => parts.pop().expect("one part"),
-            _ => Ast::Concat(parts),
-        })
+        Ok(collapse(parts, Ast::Concat))
     }
 
     fn parse_repeat(&mut self) -> Result<Ast, RegexError> {
@@ -193,11 +194,7 @@ impl Parser<'_> {
                 }
             }
         }
-        Ok(match parts.len() {
-            0 => Ast::Empty,
-            1 => parts.pop().expect("one part"),
-            _ => Ast::Concat(parts),
-        })
+        Ok(collapse(parts, Ast::Concat))
     }
 
     fn parse_number(&mut self) -> Result<u32, RegexError> {
@@ -208,7 +205,7 @@ impl Parser<'_> {
         if self.pos == start {
             return Err(self.err("expected a number"));
         }
-        let text = std::str::from_utf8(&self.input[start..self.pos]).expect("digits are ascii");
+        let text = String::from_utf8_lossy(self.input.get(start..self.pos).unwrap_or_default());
         let n: u32 = text
             .parse()
             .map_err(|_| self.err(format!("repeat count too large: {text}")))?;

@@ -70,6 +70,10 @@ impl<M> Context<'_, M> {
     ///
     /// # Panics
     /// Panics if `at` is in the past; events must never travel backwards.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "every caller schedules at `now` plus a duration, so `at >= now`"
+    )]
     pub fn send_at(&mut self, to: ActorId, at: SimTime, msg: M) {
         assert!(at >= self.now, "send_at into the past: {at} < {}", self.now);
         self.outbox.push((at, to, msg));
@@ -138,6 +142,10 @@ impl<M: 'static> Simulation<M> {
 
     /// Register an actor, returning its id.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
+        #[expect(
+            clippy::expect_used,
+            reason = "a simulation holds far fewer than 2^32 actors"
+        )]
         let id = ActorId(u32::try_from(self.actors.len()).expect("too many actors"));
         self.actors.push(actor);
         id
@@ -170,6 +178,11 @@ impl<M: 'static> Simulation<M> {
     /// # Panics
     /// Panics if `max_events` is exceeded or a message addresses an
     /// unregistered actor.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::panic,
+        reason = "the livelock guard is the documented contract; ids are minted by `add_actor`"
+    )]
     pub fn run_to_quiescence(&mut self, max_events: u64) {
         let mut budget = max_events;
         while let Some(Reverse(ev)) = self.queue.pop() {

@@ -34,8 +34,9 @@ pub struct BandwidthServer {
 
 impl BandwidthServer {
     /// A server with the given sustained rate and fixed per-job overhead.
+    /// [`SimDuration::for_bytes`] refuses a rate that is not positive and
+    /// finite at the first [`BandwidthServer::admit`].
     pub fn new(bytes_per_sec: f64, per_job_overhead: SimDuration) -> Self {
-        assert!(bytes_per_sec > 0.0 && bytes_per_sec.is_finite());
         BandwidthServer {
             bytes_per_sec,
             per_job_overhead,
@@ -124,6 +125,10 @@ impl<T> DrrScheduler<T> {
     /// A scheduler with one flow per quantum in `quanta`, each receiving
     /// its own quantum per round: backlogged flows are served in the
     /// ratio of their quanta.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "flows and quanta are wiring constants; a zero quantum would divide by zero below"
+    )]
     pub fn with_quanta(quanta: impl IntoIterator<Item = u64>) -> Self {
         let flows: Vec<DrrFlow<T>> = quanta
             .into_iter()
@@ -166,14 +171,21 @@ impl<T> DrrScheduler<T> {
     /// # Panics
     /// Panics if `flow` is out of range or `cost` exceeds the largest
     /// quantum (so a job can always eventually be served).
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::panic,
+        reason = "the documented contract above: flows are wired once, costs are capped by the caller"
+    )]
     pub fn push(&mut self, flow: usize, cost: u64, payload: T) {
-        assert!(flow < self.flows.len(), "unknown DRR flow {flow}");
         assert!(
             cost <= self.quantum,
             "job cost {cost} exceeds quantum {}; it could never be served",
             self.quantum
         );
-        self.flows[flow].queue.push_back(DrrJob { cost, payload });
+        let Some(f) = self.flows.get_mut(flow) else {
+            panic!("unknown DRR flow {flow}");
+        };
+        f.queue.push_back(DrrJob { cost, payload });
         self.queued += 1;
     }
 
@@ -195,6 +207,7 @@ impl<T> DrrScheduler<T> {
     /// Runs once per packet on the wire and once per DRAM burst, so the
     /// cursor wraps with a compare, not a `% flows` division per flow it
     /// passes.
+    #[expect(clippy::unreachable, reason = "`laps` laps serve any queued job")]
     pub fn pop(&mut self) -> Option<(usize, T)> {
         if self.queued == 0 {
             // Drain stale deficits so an idle scheduler does not carry

@@ -75,6 +75,10 @@ impl Histogram {
     }
 
     /// Add one sample.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "samples are simulated, never NaN or infinite"
+    )]
     pub fn record(&mut self, x: f64) {
         assert!(x.is_finite(), "histogram sample must be finite");
         self.samples.push(x);
@@ -98,21 +102,20 @@ impl Histogram {
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+            self.samples.sort_by(f64::total_cmp);
             self.sorted = true;
         }
     }
 
-    /// Exact quantile by the nearest-rank method; `q` in `[0, 1]`.
+    /// Exact quantile by the nearest-rank method; `None` when empty or
+    /// when `q` is outside `[0, 1]`.
     pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.samples.is_empty() {
+        if self.samples.is_empty() || !(0.0..=1.0).contains(&q) {
             return None;
         }
         self.ensure_sorted();
         let rank = ((q * self.samples.len() as f64).ceil() as usize).max(1) - 1;
-        Some(self.samples[rank.min(self.samples.len() - 1)])
+        self.samples.get(rank.min(self.samples.len() - 1)).copied()
     }
 
     /// Median (p50).

@@ -45,6 +45,10 @@ impl SimTime {
     /// # Panics
     /// Panics if `earlier` is later than `self`; a negative elapsed time is
     /// always a simulation bug and must not be silently clamped.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented: negative elapsed time is a bug"
+    )]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,
@@ -86,6 +90,10 @@ impl SimDuration {
     ///
     /// Used by the calibration module, where constants are quoted in µs.
     /// Rounds to the nearest nanosecond.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "calibrated inputs are finite and non-negative"
+    )]
     pub fn from_micros_f64(us: f64) -> Self {
         assert!(us >= 0.0 && us.is_finite(), "invalid duration: {us} us");
         SimDuration((us * 1_000.0).round() as u64)
@@ -94,6 +102,10 @@ impl SimDuration {
     /// Time to move `bytes` through a resource with throughput
     /// `bytes_per_sec`, rounded up to the next nanosecond (a transfer is
     /// not complete until its last bit has passed).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "calibrated rates are positive and finite"
+    )]
     pub fn for_bytes(bytes: u64, bytes_per_sec: f64) -> Self {
         assert!(
             bytes_per_sec > 0.0 && bytes_per_sec.is_finite(),
@@ -104,6 +116,10 @@ impl SimDuration {
     }
 
     /// `cycles` periods of a clock running at `hz`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "calibrated clocks are positive and finite"
+    )]
     pub fn for_cycles(cycles: u64, hz: f64) -> Self {
         assert!(hz > 0.0 && hz.is_finite(), "invalid frequency: {hz} Hz");
         let ns = (cycles as f64) * 1e9 / hz;
@@ -142,6 +158,7 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(clippy::expect_used, reason = "2^64 ns is 584 years of simulated time")]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
@@ -162,6 +179,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[expect(clippy::expect_used, reason = "2^64 ns is 584 years of simulated time")]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
@@ -175,6 +193,10 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a negative duration is a bug; `saturating_sub` is the clamping form"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         assert!(rhs.0 <= self.0, "SimDuration underflow: {self} - {rhs}");
         SimDuration(self.0 - rhs.0)
@@ -189,6 +211,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[expect(clippy::expect_used, reason = "2^64 ns is 584 years of simulated time")]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }
