@@ -757,11 +757,10 @@ impl QPair {
         work: impl Iterator<Item = (T, CompiledPipeline)>,
     ) -> Result<Vec<(QueryOutcome, CompiledPipeline)>, FvError> {
         // The episode is a pure computation over the staged queries:
-        // the node lock is released before it runs, so parallel
-        // fleet-scatter workers whose shards co-locate on this node
-        // simulate concurrently — and a write landing meanwhile copies
-        // the page it writes, leaving the batch the bytes it was staged
-        // over.
+        // the node lock is released before it runs, so clients on other
+        // threads sharing this node simulate concurrently — and a write
+        // landing meanwhile copies the page it writes, leaving the batch
+        // the bytes it was staged over.
         let (batch, metas, config) = {
             let mut inner = lock(&self.inner);
             let mut staged = Staged::default();

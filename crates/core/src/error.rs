@@ -125,9 +125,9 @@ pub enum FvError {
         /// Active nodes available as placement targets.
         nodes: usize,
     },
-    /// A parallel scatter worker panicked mid-fleet-read. The panic is
-    /// contained at the scatter boundary so one poisoned shard cannot
-    /// take down the whole client; the query fails typed instead.
+    /// A fleet shard slot's run panicked mid-fleet-read. The panic is
+    /// contained at the scatter loop so one poisoned shard cannot take
+    /// down the whole client; the query fails typed instead.
     ScatterWorkerPanicked,
     /// A doorbell batch posts more work-queue entries than the send
     /// queue holds ([`MAX_QUEUE_DEPTH`](crate::MAX_QUEUE_DEPTH)). Not
@@ -233,7 +233,7 @@ impl fmt::Display for FvError {
                 )
             }
             FvError::ScatterWorkerPanicked => {
-                write!(f, "a parallel scatter worker panicked mid-fleet-read")
+                write!(f, "a fleet shard slot panicked mid-fleet-read")
             }
             FvError::BatchTooDeep { depth, max } => {
                 write!(

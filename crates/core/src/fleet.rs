@@ -60,9 +60,7 @@ use crate::cluster::{FTable, FarviewCluster, QPair, QueryOutcome, QueryStats, Se
 use crate::config::FarviewConfig;
 use crate::error::FvError;
 use crate::lock;
-use crate::plan::{
-    host_parallelism, merge_gathered, scatter_slots, scatter_workers, shard_execution, PlanTarget,
-};
+use crate::plan::{merge_gathered, scatter_slots, shard_execution, PlanTarget};
 use crate::topology::{
     holders_down, plan_moves, NodeHealth, NodeId, Placement, RebalanceReport, Topology,
 };
@@ -940,25 +938,15 @@ impl FleetQPair {
     /// serial fan-outs, while every merged result stays byte-identical
     /// to its sequential [`FleetQPair::far_view`] counterpart.
     ///
-    /// The scatter pays for a thread only when the thread has work worth
-    /// more than its spawn. The calling thread is always worker 0; extra
-    /// workers are spawned under [`std::thread::scope`] only when the
-    /// batch scans at least
-    /// [`SCATTER_MIN_BYTES_PER_WORKER`](crate::plan::SCATTER_MIN_BYTES_PER_WORKER)
-    /// per worker (the gate is [`scatter_workers`]; a batch below it
-    /// makes no scheduling syscall at all). Each worker owns a contiguous
-    /// run of shard slots and results are joined in slot order, so
-    /// payloads, stats and merge order are those of a single worker
-    /// (asserted on two identically built fleets above the gate by an
-    /// in-crate test).
-    ///
-    /// The shard batch is compiled once, to verify it before any slot
-    /// runs, and worker 0 runs those very pipelines on every slot it
-    /// owns: each slot's episode hands them back and the next slot
-    /// resets them in place, as a loaded region runs its next query. A
-    /// spawned worker compiles its own on its first slot. A replica that
-    /// faults hands nothing back, so its failover compiles fresh. No
-    /// pipeline outlives the call.
+    /// The shard slots run in slot order on the calling thread. The
+    /// shard batch is compiled once, to verify it before any slot runs,
+    /// and those very pipelines serve every slot: each slot's episode
+    /// hands them back and the next slot resets them in place, as a
+    /// loaded region runs its next query. A replica that faults hands
+    /// nothing back, so its failover compiles fresh. No pipeline
+    /// outlives the call. A slot whose run panics is contained: the
+    /// query fails with [`FvError::ScatterWorkerPanicked`] instead of
+    /// unwinding into the caller.
     ///
     /// Shards resolve via the handle's epoch-snapshot [`Placement`]: each
     /// shard slot **executes its datapath once**, on the first surviving
@@ -976,18 +964,6 @@ impl FleetQPair {
         ft: &FleetTable,
         specs: &[PipelineSpec],
     ) -> Result<Vec<FleetQueryOutcome>, FvError> {
-        self.far_view_batch_on(ft, specs, usize::MAX)
-    }
-
-    /// [`FleetQPair::far_view_batch`] on at most `worker_cap` scatter
-    /// workers. The cap is not a mode: production passes no cap, and a
-    /// test pins it to 1 to assert that fanning out changes nothing.
-    pub(crate) fn far_view_batch_on(
-        &self,
-        ft: &FleetTable,
-        specs: &[PipelineSpec],
-        worker_cap: usize,
-    ) -> Result<Vec<FleetQueryOutcome>, FvError> {
         self.check_table(ft)?;
         if specs.is_empty() {
             return Ok(Vec::new());
@@ -1001,24 +977,22 @@ impl FleetQPair {
             .collect::<Result<Vec<_>, _>>()?;
         let shard_specs: Vec<PipelineSpec> = plans.iter().map(|(s, _)| s.clone()).collect();
         // Compile (and so verify) the shard batch once, before any slot
-        // runs: every shard would refuse the same spec. The calling
-        // worker runs these very pipelines.
-        let verified = shard_specs
+        // runs: every shard would refuse the same spec. Every slot runs
+        // these very pipelines.
+        let mut pipelines = shard_specs
             .iter()
             .map(|s| CompiledPipeline::compile(s.clone(), ft.schema()))
             .collect::<Result<Vec<_>, _>>()?;
 
-        // One shard slot's work: execute the whole batch once, on the
-        // first surviving replica, with the pipelines the worker's
-        // previous slot handed back. A replica whose *link* faults
-        // (typed `Net`/`IncompleteEpisode`) drops out of the slot like a
-        // dead node, handing nothing back: the next one serves on a
-        // fresh compile, and only when every replica fails does the slot
+        // Each shard slot executes the whole batch once, on the first
+        // surviving replica, with the pipelines the previous slot handed
+        // back. A replica whose *link* faults (typed
+        // `Net`/`IncompleteEpisode`) drops out of the slot like a dead
+        // node, handing nothing back: the next one serves on a fresh
+        // compile, and only when every replica fails does the slot
         // report the last typed error.
-        let run_slot = |nodes: &[NodeId],
-                        replicas: &[FTable],
-                        pipelines: &mut Vec<CompiledPipeline>|
-         -> Result<Vec<QueryOutcome>, FvError> {
+        let slots = ft.placement.shards().iter().zip(&ft.shards);
+        let per_shard = scatter_slots(slots, &mut pipelines, |(nodes, replicas), pipelines| {
             let mut last_err = None;
             for (&node, sft) in nodes.iter().zip(replicas) {
                 if !self.is_serving(node) {
@@ -1040,29 +1014,7 @@ impl FleetQPair {
             Err(last_err.unwrap_or_else(|| FvError::NodeDown {
                 node: nodes.first().map_or(0, |n| n.0),
             }))
-        };
-
-        // Scatter across the slots with a deterministic ordered join
-        // (slot order, not completion order). The byte test comes first:
-        // below the gate the answer is 1 whatever the host has, so a
-        // small query never asks the OS how many CPUs there are.
-        let slots: Vec<_> = ft.placement.shards().iter().zip(&ft.shards).collect();
-        let scanned_bytes = slots
-            .iter()
-            .filter_map(|(_, replicas)| replicas.first())
-            .map(FTable::byte_len)
-            .sum::<u64>()
-            .saturating_mul(specs.len() as u64);
-        let mut workers = scatter_workers(scanned_bytes, slots.len(), worker_cap);
-        if workers > 1 {
-            workers = workers.min(host_parallelism());
-        }
-        // Worker 0 starts from the verified pipelines; a spawned worker
-        // starts empty, so its first slot compiles its own.
-        let per_shard =
-            scatter_slots(&slots, workers, verified, |(nodes, replicas), pipelines| {
-                run_slot(nodes, replicas, pipelines)
-            })?;
+        })?;
 
         // Gather: merge query `i`'s per-shard outcomes client-side,
         // reading the shard payloads in place. Every slot ran the whole
@@ -1158,7 +1110,7 @@ mod tests {
     }
 
     /// At fleet scope an over-deep batch is refused once, before any
-    /// slot runs — not as one panic per scatter worker folded into
+    /// slot runs — not as a per-slot panic folded into
     /// `ScatterWorkerPanicked`.
     #[test]
     fn over_deep_fleet_batch_is_a_typed_error() {
@@ -1353,6 +1305,30 @@ mod tests {
             Err(FvError::FleetUnsupported { .. })
         ));
         assert!(qp.far_view_batch(&ft, &[]).unwrap().is_empty());
+
+        // A depth-8 batch with a DISTINCT over an 84 KiB table on four
+        // nodes: one set of pipelines, reset in place, serves every
+        // slot, and each query merges to the single node's bytes.
+        let big = fv_workload::TableGen::new(3, 3584)
+            .seed(0x5CA7)
+            .distinct_column(0, 300)
+            .build();
+        let mut specs: Vec<PipelineSpec> = [150u64, 0, 299, 17, 230, 64, 101]
+            .iter()
+            .map(|&t| PipelineSpec::passthrough().filter(fv_pipeline::PredicateExpr::lt(0, t)))
+            .collect();
+        specs.push(PipelineSpec::passthrough().distinct(vec![0]));
+        let fleet = FarviewFleet::new(4, FarviewConfig::tiny());
+        let qp = fleet.connect().unwrap();
+        let (ft, _) = qp.load_table(&big, Partitioning::RowRange).unwrap();
+        let batched = qp.far_view_batch(&ft, &specs).unwrap();
+        assert_eq!(batched.len(), specs.len());
+        for (b, spec) in batched.iter().zip(&specs) {
+            let single = single_node_baseline(&big, spec);
+            assert_eq!(b.merged.payload, single.payload, "{spec:?}");
+            assert_eq!(b.merged.schema, single.schema);
+            assert_eq!(b.per_shard.len(), 4);
+        }
     }
 
     #[test]

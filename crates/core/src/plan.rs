@@ -30,8 +30,8 @@
 //! queue pair (a solo `farView` is a depth-1 batch). A fleet query is
 //! one such batch per shard: this module holds the *only*
 //! implementations of per-shard spec derivation ([`shard_execution`]),
-//! client-side gather/merge ([`MergeSpec`]) and the scatter's worker
-//! gate ([`scatter_workers`]) that
+//! client-side gather/merge ([`MergeSpec`]) and the in-order,
+//! panic-contained slot loop (`scatter_slots`) that
 //! [`FleetQPair::far_view_batch`](crate::FleetQPair::far_view_batch)
 //! drives. `DISTINCT` and `GROUP BY` both merge through the same
 //! partial-aggregation path ([`fv_pipeline::PartialAggPlan`], with an
@@ -952,90 +952,26 @@ pub(crate) fn merge_gathered(
 // The fleet scatter
 // ---------------------------------------------------------------------------
 
-/// Scan bytes a scatter worker must have before a thread is worth
-/// spawning for it: 256 KiB ≈ 250 µs of shard episode at the measured
-/// ~1 µs/KiB, against 46–62 µs for a bare spawn + join plus the cache
-/// and scheduler cost of moving the episode to another core. Measured
-/// per fleet query (4 nodes, r = 2, `select50`, 2 vCPUs), one worker
-/// wins by up to 2.6× below 512 KiB and two hold 1.35–1.75× above it;
-/// `docs/ARCHITECTURE.md` ("Fleet scatter") has the sweep.
-pub const SCATTER_MIN_BYTES_PER_WORKER: u64 = 256 * 1024;
-
-/// How many workers (the caller included) a fleet scatter runs on: one
-/// per [`SCATTER_MIN_BYTES_PER_WORKER`] the batch scans, capped by the
-/// shard slots there are to hand out and by the host's parallelism,
-/// never fewer than 1. `scanned_bytes` is the table's resident bytes ×
-/// the batch depth — every query of a doorbell batch streams its whole
-/// shard.
-pub fn scatter_workers(scanned_bytes: u64, slots: usize, host_parallelism: usize) -> usize {
-    usize::try_from(scanned_bytes / SCATTER_MIN_BYTES_PER_WORKER)
-        .unwrap_or(usize::MAX)
-        .min(slots)
-        .min(host_parallelism)
-        .max(1)
-}
-
-/// CPUs the OS will schedule this process on (1 when it cannot say).
-/// Not free — it re-reads the cgroup limits, ~14 µs per call — so the
-/// scatter asks only for a batch already past the byte gate.
-pub(crate) fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1)
-}
-
-/// Run `run` over every slot on up to `workers` workers — the calling
-/// thread is worker 0 and takes the first contiguous run of slots, the
-/// other `workers − 1` are scoped threads with a run each (so extra
-/// threads never inflate the live working set) — and join the results
-/// **in slot order**: the output, and the error when several slots
-/// fail, is the one a single worker would produce.
+/// Run `run` over every shard slot in slot order, on the calling
+/// thread, threading one state through the slots (the fleet keeps its
+/// compiled pipelines there), and stop at the first slot that fails.
 ///
-/// Each worker threads one state through its slots, in order: worker 0
-/// starts from `own`, every other worker from `S::default()`, built on
-/// its own thread (so the state never crosses threads). The fleet keeps
-/// its compiled pipelines there.
-///
-/// A worker that panics is contained at the scatter boundary, the
-/// caller's own run included: the slot reports
-/// [`FvError::ScatterWorkerPanicked`] instead of poisoning the calling
-/// thread, so one bad shard episode cannot take down a client
+/// A slot whose run panics is contained here: it reports
+/// [`FvError::ScatterWorkerPanicked`] instead of unwinding into the
+/// caller, so one bad shard episode cannot take down a client
 /// mid-fleet-read.
 pub(crate) fn scatter_slots<T, R, S>(
-    slots: &[T],
-    workers: usize,
-    own: S,
-    run: impl Fn(&T, &mut S) -> Result<R, FvError> + Sync,
-) -> Result<Vec<R>, FvError>
-where
-    T: Sync,
-    R: Send,
-    S: Default,
-{
-    let run_chunk = |group: &[T], mut state: S| -> Result<Vec<R>, FvError> {
-        group
-            .iter()
-            .map(|slot| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(slot, &mut state)))
-                    .unwrap_or(Err(FvError::ScatterWorkerPanicked))
-            })
-            .collect()
-    };
-    let chunk = slots.len().div_ceil(workers.max(1)).max(1);
-    let mut chunks = slots.chunks(chunk);
-    let first = chunks.next().unwrap_or_default();
-    std::thread::scope(|s| {
-        let run_chunk = &run_chunk;
-        let handles: Vec<_> = chunks
-            .map(|group| s.spawn(move || run_chunk(group, S::default())))
-            .collect();
-        let mut all = Vec::with_capacity(slots.len());
-        all.extend(run_chunk(first, own)?);
-        for h in handles {
-            all.extend(h.join().map_err(|_| FvError::ScatterWorkerPanicked)??);
-        }
-        Ok(all)
-    })
+    slots: impl IntoIterator<Item = T>,
+    state: &mut S,
+    mut run: impl FnMut(T, &mut S) -> Result<R, FvError>,
+) -> Result<Vec<R>, FvError> {
+    slots
+        .into_iter()
+        .map(|slot| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(slot, state)))
+                .unwrap_or(Err(FvError::ScatterWorkerPanicked))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1500,193 +1436,60 @@ mod tests {
         assert_eq!(batch[1].payload, via_spec.payload);
     }
 
-    /// Worker counts the seam is exercised at over 8 slots: the serial
-    /// route, an even split, a ragged split, and more workers than
-    /// slots.
-    const SCATTER_WORKER_COUNTS: [usize; 4] = [1, 2, 3, 9];
-
-    #[test]
-    fn scatter_joins_in_slot_order_with_the_caller_as_worker_zero() {
-        let slots: Vec<usize> = (0..8).collect();
-        let caller = std::thread::current().id();
-        for workers in SCATTER_WORKER_COUNTS {
-            // Each worker counts the slots it ran in its state; the
-            // caller's count starts where the caller says.
-            let ran = scatter_slots(&slots, workers, 100usize, |&slot, runs| {
-                *runs += 1;
-                Ok((slot * 2, std::thread::current().id(), *runs))
-            })
-            .unwrap();
-            let values: Vec<usize> = ran.iter().map(|&(v, ..)| v).collect();
-            assert_eq!(values, vec![0, 2, 4, 6, 8, 10, 12, 14], "workers={workers}");
-            // The first contiguous run is the caller's own; every later
-            // slot ran on a spawned thread.
-            let own = slots.len().div_ceil(workers);
-            for (slot, &(_, thread, runs)) in ran.iter().enumerate() {
-                assert_eq!(
-                    thread == caller,
-                    slot < own,
-                    "workers={workers} slot={slot}"
-                );
-                let (start, nth) = if slot < own {
-                    (100, slot)
-                } else {
-                    (0, slot % own)
-                };
-                assert_eq!(runs, start + nth + 1, "workers={workers} slot={slot}");
-            }
-        }
-        // Zero workers is read as one, not a division by zero.
-        assert_eq!(scatter_slots(&slots, 0, (), |&s, _| Ok(s)).unwrap(), slots);
-    }
-
     #[test]
     fn scatter_over_zero_slots_is_empty() {
-        for workers in [0, 1, 2, 9] {
-            let out = scatter_slots(&[] as &[usize], workers, (), |&slot, _| Ok(slot));
-            assert_eq!(out, Ok(Vec::new()), "workers={workers}");
-        }
+        let out = scatter_slots(&[] as &[usize], &mut (), |&slot, _| Ok(slot));
+        assert_eq!(out, Ok(Vec::new()));
     }
 
     #[test]
     fn scatter_returns_the_lowest_failing_slots_error() {
-        // Two failing slots: whichever chunks they fall into (the
-        // caller's, one spawned worker's, two different ones), the join
-        // reports the lower slot index — what a serial run would hit
-        // first.
+        // Two failing slots: the loop reports the lower slot index, runs
+        // every slot before it in order, and none after it.
         let slots: Vec<usize> = (0..8).collect();
         for (lo, hi) in [(1, 2), (1, 6), (4, 6), (5, 7), (0, 7)] {
-            for workers in SCATTER_WORKER_COUNTS {
-                let result = scatter_slots(&slots, workers, (), |&slot, _| {
-                    if slot == lo || slot == hi {
-                        return Err(FvError::NodeDown { node: slot as u64 });
-                    }
-                    Ok(slot)
-                });
-                assert_eq!(
-                    result,
-                    Err(FvError::NodeDown { node: lo as u64 }),
-                    "workers={workers} failing=({lo},{hi})"
-                );
-            }
+            let mut ran = Vec::new();
+            let result = scatter_slots(&slots, &mut ran, |&slot, ran| {
+                ran.push(slot);
+                if slot == lo || slot == hi {
+                    return Err(FvError::NodeDown { node: slot as u64 });
+                }
+                Ok(slot)
+            });
+            assert_eq!(
+                result,
+                Err(FvError::NodeDown { node: lo as u64 }),
+                "failing=({lo},{hi})"
+            );
+            assert_eq!(ran, (0..=lo).collect::<Vec<_>>(), "failing=({lo},{hi})");
         }
     }
 
     #[test]
     fn scatter_worker_panic_is_a_typed_error() {
         // A panicking slot must surface `ScatterWorkerPanicked` — never
-        // poison the calling thread — whether it sits in the caller-run
-        // chunk (slot 1) or in a spawned one (slot 5), and the scope
-        // still joins every other chunk's work before returning.
-        use std::sync::atomic::{AtomicU32, Ordering};
+        // unwind into the calling thread — wherever it sits, after the
+        // slots before it ran with the state threaded through them.
         let slots: Vec<usize> = (0..8).collect();
-        for poisoned in [1usize, 5] {
-            for workers in SCATTER_WORKER_COUNTS {
-                let ran = AtomicU32::new(0);
-                let result = scatter_slots(&slots, workers, (), |&slot, _| {
-                    if slot == poisoned {
-                        panic!("poisoned shard episode");
-                    }
-                    ran.fetch_or(1 << slot, Ordering::SeqCst);
-                    Ok(slot * 2)
-                });
-                assert_eq!(
-                    result,
-                    Err(FvError::ScatterWorkerPanicked),
-                    "workers={workers} poisoned={poisoned}"
-                );
-                // A chunk stops at its first failure; every chunk that
-                // does not hold the poisoned slot ran to its end.
-                let chunk = slots.len().div_ceil(workers);
-                let expected = slots
-                    .iter()
-                    .filter(|&&s| s / chunk != poisoned / chunk || s < poisoned)
-                    .fold(0u32, |mask, &s| mask | 1 << s);
-                assert_eq!(
-                    ran.load(Ordering::SeqCst),
-                    expected,
-                    "workers={workers} poisoned={poisoned}"
-                );
-            }
-        }
-    }
-
-    /// Fanned out ≡ one worker: above the size gate (an 84 KiB table at
-    /// depth 8 scans 672 KiB; the fleet scatter spawns a worker per
-    /// 256 KiB), the gate's verdict and a scatter pinned to one worker
-    /// return the same payloads, schemas, fleet-aggregated stats and
-    /// per-shard stats. Below the gate both are the same single-worker
-    /// call, so there is nothing to compare.
-    #[test]
-    fn parallel_scatter_matches_serial() {
-        use crate::{FarviewFleet, Partitioning};
-        let table = fv_workload::TableGen::new(3, 3584)
-            .seed(0x5CA7)
-            .distinct_column(0, 300)
-            .build();
-        let specs: Vec<PipelineSpec> = [150u64, 0, 299, 17, 230, 64, 101, 280]
-            .iter()
-            .map(|&t| PipelineSpec::passthrough().filter(PredicateExpr::lt(0, t)))
-            .collect();
-        let scanned = (table.bytes().len() * specs.len()) as u64;
-        assert!(scanned >= 2 * SCATTER_MIN_BYTES_PER_WORKER);
-        let host = host_parallelism();
-        for nodes in 1..=4usize {
-            if host >= 2 && nodes >= 2 {
-                let workers = scatter_workers(scanned, nodes, host);
-                assert!(workers >= 2, "{scanned} B over {nodes} slots ran serially");
-            }
-            // Two identically built fleets, so the stateful region
-            // bookkeeping (pipeline fingerprints → `reconfigured`
-            // flags) starts from the same point on both sides.
-            let run = |worker_cap: usize| {
-                let fleet = FarviewFleet::new(nodes, FarviewConfig::tiny());
-                let qp = fleet.connect().unwrap();
-                let (ft, _) = qp.load_table(&table, Partitioning::RowRange).unwrap();
-                qp.far_view_batch_on(&ft, &specs, worker_cap).unwrap()
-            };
-            let gated = run(usize::MAX);
-            let serial = run(1);
-            assert_eq!(gated.len(), serial.len());
-            for (g, s) in gated.iter().zip(&serial) {
-                assert_eq!(g.merged.payload, s.merged.payload);
-                assert_eq!(g.merged.schema, s.merged.schema);
-                assert_eq!(g.merged.stats, s.merged.stats);
-                assert_eq!(g.per_shard, s.per_shard);
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_workers_gate_table() {
-        const KIB: u64 = 1024;
-        // (scanned bytes, slots, host parallelism) -> workers
-        let table = [
-            // 64 KiB at depth 1: below the gate on any host.
-            (64 * KIB, 4, 2, 1),
-            (64 * KIB, 4, 64, 1),
-            // Just under two workers' worth.
-            (512 * KIB - 1, 4, 2, 1),
-            // 64 KiB at depth 8 = 512 KiB: two workers.
-            (8 * 64 * KIB, 4, 2, 2),
-            (8 * 64 * KIB, 4, 64, 2),
-            // 4 MiB: as many as the slots and the host allow.
-            (4096 * KIB, 4, 2, 2),
-            (4096 * KIB, 4, 64, 4),
-            (4096 * KIB, 32, 8, 8),
-            (4096 * KIB, 1, 8, 1),
-            // A 1-way host never spawns.
-            (4096 * KIB, 4, 1, 1),
-            (u64::MAX, 4, 1, 1),
-            // Degenerate inputs still yield one worker.
-            (0, 0, 0, 1),
-            (u64::MAX, 0, 8, 1),
-            (u64::MAX, 4, 0, 1),
-        ];
-        for (bytes, slots, host, want) in table {
-            let got = scatter_workers(bytes, slots, host);
-            assert_eq!(got, want, "bytes={bytes} slots={slots} host={host}");
-            assert!(got >= 1 && got <= slots.max(1));
+        for poisoned in [0usize, 1, 5, 7] {
+            let mut ran = Vec::new();
+            let result = scatter_slots(&slots, &mut ran, |&slot, ran| {
+                if slot == poisoned {
+                    panic!("poisoned shard episode");
+                }
+                ran.push(slot);
+                Ok(slot * 2)
+            });
+            assert_eq!(
+                result,
+                Err(FvError::ScatterWorkerPanicked),
+                "poisoned={poisoned}"
+            );
+            assert_eq!(
+                ran,
+                (0..poisoned).collect::<Vec<_>>(),
+                "poisoned={poisoned}"
+            );
         }
     }
 }

@@ -8,7 +8,8 @@
 //! population of closed-loop tenants onto a small pool of pipeline
 //! servers, and keeps its guarantees *past* saturation. Each mechanism
 //! is here for the guarantee its test names; with the mechanism taken
-//! out, that test fails (`scripts/plant-serve.sh` checks it):
+//! out, that test fails (`scripts/plant.sh` checks it, from the
+//! registry in `scripts/plants.txt`):
 //!
 //! * **Token bucket** per tenant, refilled at `bucket_qps_per_weight ×
 //!   weight`: an uncontended over-demander completes at most its bucket

@@ -41,9 +41,11 @@ bench-contract:
     sh scripts/bench-contract.sh
 
 # Alternating A/B pairs of one workload — the base commit against the
-# checkout, each run the literal BENCHMARK.json command on fresh seeds —
-# with each side's median and quartiles and the change's win count.
-# The base is HEAD with uncommitted changes, else HEAD^.
+# change, each side exported with `git archive`, built in its own target
+# directory and run by the literal BENCHMARK.json command on fresh
+# seeds — with each side's median and quartiles and the change's win
+# count. The base is HEAD and the change the working tree's tracked
+# files when they have uncommitted changes, else HEAD^ and HEAD.
 ab-pairs WORKLOAD PAIRS="10" SECONDS="20":
     sh scripts/ab-pairs.sh {{WORKLOAD}} {{PAIRS}} {{SECONDS}}
 
@@ -53,18 +55,11 @@ ab-pairs WORKLOAD PAIRS="10" SECONDS="20":
 sim-identity:
     sh scripts/sim-identity.sh
 
-# Each serving mechanism earns its place: plant its one-line removal in
-# an exported copy of HEAD and fail unless the test named for its
-# guarantee fails under the plant and passes without it. One rebuild per
-# plant, so not a CI step.
-plant-serve:
-    sh scripts/plant-serve.sh
-
-# The fleet scatter seam (ordered join, panic containment, the size
-# gate, fanned out ≡ one worker) uncontended: `verify` already ran it
-# with the other test threads competing for the host's CPUs.
-scatter:
-    RUST_TEST_THREADS=1 cargo test -q -p farview-core scatter
+# Each registered mechanism earns its place (scripts/plants.txt): plant
+# its one-edit removal in an exported copy of HEAD and fail unless the
+# command named for it fails under the plant and passes without it.
+plants:
+    sh scripts/plant.sh
 
 # Every example in release mode. Each one asserts its own claims, so a
 # non-zero exit from any of them fails the recipe.
@@ -72,7 +67,7 @@ examples:
     for e in examples/*.rs; do cargo run -q --release --example "$(basename "$e" .rs)" || exit 1; done
 
 # Everything CI runs, job for job (.github/workflows/ci.yml).
-ci: verify scatter examples doc fmt-check clippy bench-smoke bench-check bench-contract sim-identity chaos
+ci: verify examples doc fmt-check clippy bench-smoke bench-check bench-contract sim-identity chaos plants
 
 # Reproduce every table/figure of the paper plus the scale-out sweep.
 figures:

@@ -5,13 +5,16 @@
 #   sh scripts/ab-pairs.sh WORKLOAD [PAIRS] [SECONDS]     (default 10 pairs of 20 s)
 #
 # The base is HEAD when the tracked files have uncommitted changes (the
-# change is the working tree), else HEAD^ (the change is the last
-# commit). Its files are exported with `git archive` into a temporary
-# directory — nothing in this checkout or its .git is touched — and its
-# fvbench is built there (into target/ab-base, kept between invocations
-# so a rebuild is incremental).
+# change is the working tree's tracked files, taken as an unreferenced
+# `git stash create` commit), else HEAD^ (the change is HEAD). Both
+# sides are built and run the same way: each side's files are exported
+# with `git archive` into a temporary directory — no file in this
+# checkout and no ref in its .git is touched — and its fvbench is built
+# there, into target/ab-base or target/ab-change (kept between
+# invocations so a rebuild is incremental).
 #
-# Every run is the literal BENCHMARK.json command, untraced:
+# Every run, on either side, is the literal BENCHMARK.json command,
+# untraced, from the root of that side's export:
 #   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
 #       bench --workload W --seed N --seconds S --trace 0
 # Pair i runs both sides on seed N = T+i, where T is the clock at start,
@@ -57,39 +60,41 @@ sim_metrics=$(printf '%s\n' $metrics | grep '^sim_' | tr '\n' ' ')
 
 if git diff --quiet HEAD --; then
     base=HEAD^
+    change=HEAD
+    change_name="HEAD"
 else
     base=HEAD
+    change=$(git stash create)
+    change_name="the working tree"
 fi
 base_rev=$(git rev-parse --short "$base")
 seed0=$(date +%s)
-base_target="$(pwd)/target/ab-base"
+targets="$(pwd)/target"
 
-# Building fvbench here rewrites benchmark/Cargo.lock, which still lists
-# shim crates the workspace dropped; the lock is put back on exit, so a
-# run leaves the checkout as it found it.
+# Building fvbench rewrites its benchmark/Cargo.lock, which still lists
+# shim crates the workspace dropped. Both sides build in their exports,
+# and the checkout's lock is still copied aside and put back on exit, so
+# a run leaves the checkout as it found it.
 tmp=$(mktemp -d)
 cp benchmark/Cargo.lock "$tmp/Cargo.lock"
 trap 'cp "$tmp/Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT INT TERM
-mkdir "$tmp/base"
+mkdir "$tmp/base" "$tmp/change"
 git archive "$base" | tar -x -C "$tmp/base"
+git archive "$change" | tar -x -C "$tmp/change"
 
-echo "ab-pairs: $workload, $pairs pairs of ${seconds} s, seeds $seed0+i; base $base ($base_rev) vs the checkout"
+echo "ab-pairs: $workload, $pairs pairs of ${seconds} s, seeds $seed0+i; base $base ($base_rev) vs $change_name"
 echo "ab-pairs: building both sides' fvbench"
-(cd "$tmp/base" && CARGO_TARGET_DIR="$base_target" \
-    cargo build --release --quiet --manifest-path benchmark/Cargo.toml)
-cargo build --release --quiet --manifest-path benchmark/Cargo.toml
+for side in base change; do
+    (cd "$tmp/$side" && CARGO_TARGET_DIR="$targets/ab-$side" \
+        cargo build --release --quiet --manifest-path benchmark/Cargo.toml)
+done
 
 # One run of side $1 ("base" or "change") on seed $2: its metrics on
 # one line, "side seed name=value ...", appended to $tmp/runs.
 run() {
-    if [ "$1" = base ]; then
-        last=$(cd "$tmp/base" && CARGO_TARGET_DIR="$base_target" \
-            cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
-            bench --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
-    else
-        last=$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
-            bench --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
-    fi
+    last=$(cd "$tmp/$1" && CARGO_TARGET_DIR="$targets/ab-$1" \
+        cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        bench --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
     case "$last" in
     *'"correct":true'*'"failed":0'*) ;;
     *)
