@@ -90,14 +90,6 @@ pub enum FvError {
         /// The queue pair / stream id that never completed.
         qp: u32,
     },
-    /// A logical [`QueryPlan`](crate::plan::QueryPlan) cannot lower onto
-    /// the fixed physical pipeline order (e.g. a filter left after a
-    /// projection, or a duplicated single-slot stage) — run the
-    /// optimizer, or restructure the plan.
-    UnsupportedPlan {
-        /// What the plan asked for that the hardware cannot run.
-        reason: &'static str,
-    },
     /// A fleet node index or id that names no live roster entry
     /// (removed nodes are not addressable).
     NoSuchNode {
@@ -213,9 +205,6 @@ impl fmt::Display for FvError {
             FvError::Net(e) => write!(f, "network stack: {e}"),
             FvError::IncompleteEpisode { qp } => {
                 write!(f, "query on qp {qp} never completed its episode")
-            }
-            FvError::UnsupportedPlan { reason } => {
-                write!(f, "plan cannot lower onto the pipeline: {reason}")
             }
             FvError::NoSuchNode { node, nodes } => {
                 write!(f, "no such fleet node {node} ({nodes} live nodes)")

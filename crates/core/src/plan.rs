@@ -1,30 +1,27 @@
 //! Query planning, and the fleet's shard plans, merge and scatter.
 //!
 //! ```text
-//!                 PipelineSpec ──lower──▶ QueryPlan (logical IR)
-//!                                             │ optimize()   rule-based:
-//!                                             │   · projection pruning
-//!                                             │   · predicate-before-projection
-//!                                             │   · DISTINCT→GROUP-BY unification
-//!                                             │   · cost-gated smart addressing
-//!                                             ▼ to_spec()
-//!                                        PipelineSpec ──▶ any farView entry point
+//!   PipelineSpec ──from_spec──▶ QueryPlan (the spec + a PlanTarget)
+//!                                   │ optimize()   one rule:
+//!                                   │   · cost-gated smart addressing
+//!                                   ▼ to_spec()
+//!                               PipelineSpec ──▶ any farView entry point
 //! ```
 //!
-//! The [`QueryPlan`] IR is a list of `LogicalStage`s plus a
-//! [`PlanTarget`] (single QPair, doorbell batch of depth N, fleet shard
-//! set, or tiered residency). Plans lower from a [`PipelineSpec`]
-//! ([`QueryPlan::from_spec`]) or are built stage by stage in *logical*
-//! order — where a filter written after a projection refers to projected
-//! column indices — and [`QueryPlan::optimize`] normalizes them back
-//! into the one physical order the hardware supports, applying the
-//! rewrite rules above. [`QueryPlan::explain`] surfaces the applied
-//! rules next to per-plan cost estimates from
-//! [`fv_sim::PlanCostModel`]. An optimized plan runs wherever its
-//! lowered spec does: `plan.optimize(schema)?.to_spec()?`, then any
-//! `far_view`. [`QueryPlan::verify`] runs that lowering and the checks
-//! the target's entry point runs before it touches a region, and
-//! nothing else: a verifiable plan is an executable one.
+//! A [`QueryPlan`] is a [`PipelineSpec`] — already in the one physical
+//! stage order the hardware runs (Figure 4) — plus the [`PlanTarget`] it
+//! runs on (single QPair, doorbell batch of depth N, fleet shard set, or
+//! tiered residency). [`QueryPlan::optimize`] applies one rewrite: a
+//! pure projection of ascending columns reads only the projected bytes
+//! when the calibrated cost model says the gather beats streaming whole
+//! rows. It also records `DISTINCT` as the degenerate `GROUP BY` the
+//! fleet merges it as. [`QueryPlan::explain`] surfaces the applied rules
+//! next to per-plan cost estimates from [`fv_sim::PlanCostModel`]. An
+//! optimized plan runs wherever its spec does:
+//! `plan.optimize(schema)?.to_spec()?`, then any `far_view`.
+//! [`QueryPlan::verify`] runs that lowering and the checks the target's
+//! entry point runs before it touches a region, and nothing else: a
+//! verifiable plan is an executable one.
 //!
 //! Every query reaches the episode engine as a doorbell batch on one
 //! queue pair (a solo `farView` is a depth-1 batch). A fleet query is
@@ -39,10 +36,7 @@
 
 use fv_data::Schema;
 use fv_pipeline::merge::PartialAggPlan;
-use fv_pipeline::{
-    AggSpec, CompiledPipeline, CryptoSpec, GroupingSpec, JoinSmallSpec, PipelineError,
-    PipelineSpec, PredicateExpr, RegexFilter,
-};
+use fv_pipeline::{CompiledPipeline, GroupingSpec, PipelineSpec};
 use fv_sim::{MergeCostModel, PlanCostModel, SimDuration};
 
 use crate::cluster::{check_queue_depth, QueryOutcome, QueryStats};
@@ -51,94 +45,10 @@ use crate::fleet::{FleetQueryOutcome, Partitioning};
 use crate::tiered::{StorageParams, TierLevel};
 
 // ---------------------------------------------------------------------------
-// The IR
+// The plan
 // ---------------------------------------------------------------------------
 
-/// One logical stage of a [`QueryPlan`].
-///
-/// Stages apply in list order; every stage's column indices refer to its
-/// *input* schema (the base table for the first stage, the previous
-/// stage's output after a [`LogicalStage::Project`]). The physical
-/// pipeline supports exactly one order (decrypt → filter → regex → join
-/// → aggregate → project → compress → encrypt); plans in any other
-/// logical order must be normalized by [`QueryPlan::optimize`] before
-/// they can lower.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum LogicalStage {
-    /// Decrypt the scanned bytes (data at rest is encrypted, §5.5).
-    Decrypt(CryptoSpec),
-    /// Keep tuples satisfying the predicate (§5.3).
-    Filter(PredicateExpr),
-    /// Keep tuples whose string column matches (§5.3).
-    Regex(RegexFilter),
-    /// Broadcast join against a shipped build side (§7 extension).
-    Join(JoinSmallSpec),
-    /// Grouping (§5.4): `GROUP BY keys` with aggregates — or, with
-    /// `distinct` set and no aggregates, `SELECT DISTINCT keys`. The two
-    /// are one stage kind so the fleet merge has exactly one
-    /// partial-aggregation path.
-    Aggregate {
-        /// Grouping key columns.
-        keys: Vec<usize>,
-        /// Aggregates per group (empty for `DISTINCT`).
-        aggs: Vec<AggSpec>,
-        /// Lower back to the streaming `DISTINCT` operator instead of a
-        /// hash-table `GROUP BY` flush.
-        distinct: bool,
-    },
-    /// Keep columns, in order (§5.2).
-    Project(Vec<usize>),
-    /// Compress the result stream (§5.5 extension).
-    Compress,
-    /// Encrypt the result stream (§5.5).
-    Encrypt(CryptoSpec),
-}
-
-impl LogicalStage {
-    /// Physical pipeline rank (Figure 4's fixed stage order). Stages of
-    /// equal rank commute.
-    fn rank(&self) -> u8 {
-        match self {
-            LogicalStage::Decrypt(_) => 0,
-            LogicalStage::Filter(_) | LogicalStage::Regex(_) => 1,
-            LogicalStage::Join(_) => 2,
-            LogicalStage::Aggregate { .. } => 3,
-            LogicalStage::Project(_) => 4,
-            LogicalStage::Compress => 5,
-            LogicalStage::Encrypt(_) => 6,
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            LogicalStage::Decrypt(_) => "decrypt".into(),
-            LogicalStage::Filter(p) => format!("filter {p:?}"),
-            LogicalStage::Regex(r) => format!("regex c{} ~ {:?}", r.col, r.pattern),
-            LogicalStage::Join(j) => format!(
-                "join probe c{} vs build c{} ({} B shipped)",
-                j.probe_col,
-                j.build_key,
-                j.upload_bytes()
-            ),
-            LogicalStage::Aggregate {
-                keys,
-                aggs,
-                distinct,
-            } => {
-                if *distinct && aggs.is_empty() {
-                    format!("distinct {keys:?} (unified group-by, no aggregates)")
-                } else {
-                    format!("group-by {keys:?} aggs {aggs:?}")
-                }
-            }
-            LogicalStage::Project(cols) => format!("project {cols:?}"),
-            LogicalStage::Compress => "compress".into(),
-            LogicalStage::Encrypt(_) => "encrypt".into(),
-        }
-    }
-}
-
-/// Where a [`QueryPlan`] executes — the part of the IR the cost model
+/// Where a [`QueryPlan`] executes — the part of the plan the cost model
 /// and the verifier read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanTarget {
@@ -188,12 +98,6 @@ impl std::fmt::Display for PlanTarget {
 
 /// Optimizer rule names, as recorded in [`Explain::applied`].
 pub(crate) mod rules {
-    /// Fuse / narrow projections so no stage carries columns nothing
-    /// downstream reads.
-    pub(crate) const PROJECTION_PRUNING: &str = "projection-pruning";
-    /// Move a filter written after a projection back before it,
-    /// remapping its column indices into base-table space.
-    pub(crate) const PREDICATE_BEFORE_PROJECTION: &str = "predicate-before-projection";
     /// `DISTINCT` is the degenerate `GROUP BY` — both merge through one
     /// partial-aggregation path.
     pub(crate) const DISTINCT_UNIFICATION: &str = "distinct-group-by-unification";
@@ -202,234 +106,34 @@ pub(crate) mod rules {
     pub(crate) const SMART_ADDRESSING: &str = "smart-addressing";
 }
 
-/// The planner IR: logical stages plus an execution target.
+/// A query plan: the spec it runs, its execution target, and the
+/// optimizer rules that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
-    stages: Vec<LogicalStage>,
-    smart_addressing: bool,
-    vectorize: bool,
+    spec: PipelineSpec,
     target: PlanTarget,
     applied: Vec<&'static str>,
 }
 
 impl QueryPlan {
-    /// An empty (passthrough) plan for `target`.
-    pub fn new(target: PlanTarget) -> Self {
-        QueryPlan {
-            stages: Vec::new(),
-            smart_addressing: false,
-            vectorize: false,
-            target,
-            applied: Vec::new(),
-        }
-    }
-
-    /// Lower a [`PipelineSpec`] into the IR (stages in the physical
-    /// order the spec already implies).
+    /// Plan `spec` for `target`.
     pub fn from_spec(spec: &PipelineSpec, target: PlanTarget) -> Self {
-        let mut stages = Vec::new();
-        if let Some(c) = &spec.decrypt_input {
-            stages.push(LogicalStage::Decrypt(c.clone()));
-        }
-        if let Some(p) = &spec.selection {
-            stages.push(LogicalStage::Filter(p.clone()));
-        }
-        if let Some(r) = &spec.regex {
-            stages.push(LogicalStage::Regex(r.clone()));
-        }
-        if let Some(j) = &spec.join {
-            stages.push(LogicalStage::Join(j.clone()));
-        }
-        match &spec.grouping {
-            Some(GroupingSpec::Distinct { cols }) => stages.push(LogicalStage::Aggregate {
-                keys: cols.clone(),
-                aggs: Vec::new(),
-                distinct: true,
-            }),
-            Some(GroupingSpec::GroupBy { keys, aggs }) => stages.push(LogicalStage::Aggregate {
-                keys: keys.clone(),
-                aggs: aggs.clone(),
-                distinct: false,
-            }),
-            None => {}
-        }
-        if let Some(cols) = &spec.projection {
-            stages.push(LogicalStage::Project(cols.clone()));
-        }
-        if spec.compress_output {
-            stages.push(LogicalStage::Compress);
-        }
-        if let Some(c) = &spec.encrypt_output {
-            stages.push(LogicalStage::Encrypt(c.clone()));
-        }
         QueryPlan {
-            stages,
-            smart_addressing: spec.smart_addressing,
-            vectorize: spec.vectorize,
+            spec: spec.clone(),
             target,
             applied: Vec::new(),
         }
     }
-
-    // --- builder (logical order) ------------------------------------------
-
-    /// Append a projection stage.
-    pub fn project(mut self, cols: Vec<usize>) -> Self {
-        self.stages.push(LogicalStage::Project(cols));
-        self
-    }
-
-    /// Append a filter stage. After a [`QueryPlan::project`], the
-    /// predicate's indices refer to the *projected* columns — the
-    /// optimizer remaps them back to base-table space.
-    pub fn filter(mut self, pred: PredicateExpr) -> Self {
-        self.stages.push(LogicalStage::Filter(pred));
-        self
-    }
-
-    /// Append a regex-selection stage.
-    pub fn regex_match(mut self, col: usize, pattern: impl Into<String>) -> Self {
-        self.stages.push(LogicalStage::Regex(RegexFilter {
-            col,
-            pattern: pattern.into(),
-        }));
-        self
-    }
-
-    /// Append a `DISTINCT` stage (the unified aggregate form).
-    pub fn distinct(mut self, cols: Vec<usize>) -> Self {
-        self.stages.push(LogicalStage::Aggregate {
-            keys: cols,
-            aggs: Vec::new(),
-            distinct: true,
-        });
-        self
-    }
-
-    /// Append a `GROUP BY` stage.
-    pub fn group_by(mut self, keys: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
-        self.stages.push(LogicalStage::Aggregate {
-            keys,
-            aggs,
-            distinct: false,
-        });
-        self
-    }
-
-    /// Append a broadcast-join stage.
-    pub fn join_small(mut self, join: JoinSmallSpec) -> Self {
-        self.stages.push(LogicalStage::Join(join));
-        self
-    }
-
-    /// Append an input-decryption stage.
-    pub fn decrypt(mut self, key: CryptoSpec) -> Self {
-        self.stages.push(LogicalStage::Decrypt(key));
-        self
-    }
-
-    /// Append an output-encryption stage.
-    pub fn encrypt(mut self, key: CryptoSpec) -> Self {
-        self.stages.push(LogicalStage::Encrypt(key));
-        self
-    }
-
-    /// Append an output-compression stage.
-    pub fn compress(mut self) -> Self {
-        self.stages.push(LogicalStage::Compress);
-        self
-    }
-
-    /// Request vectorized selection lanes.
-    pub fn vectorized(mut self) -> Self {
-        self.vectorize = true;
-        self
-    }
-
-    // --- accessors --------------------------------------------------------
 
     /// The execution target.
     pub fn target(&self) -> PlanTarget {
         self.target
     }
 
-    // --- lowering ---------------------------------------------------------
-
-    /// Lower the plan back into the [`PipelineSpec`] the hardware loads.
-    ///
-    /// # Errors
-    /// [`FvError::UnsupportedPlan`] when the stages are not in the
-    /// physical pipeline order (run [`QueryPlan::optimize`] first) or a
-    /// stage kind repeats where the hardware has a single slot.
+    /// The [`PipelineSpec`] the hardware loads for this plan. It never
+    /// fails; the `Result` chains it after [`QueryPlan::optimize`].
     pub fn to_spec(&self) -> Result<PipelineSpec, FvError> {
-        let mut spec = PipelineSpec::passthrough();
-        let mut rank = 0u8;
-        // The hardware has one slot per stage kind but the filter.
-        let once = |filled: bool, reason| {
-            if filled {
-                Err(FvError::UnsupportedPlan { reason })
-            } else {
-                Ok(())
-            }
-        };
-        for stage in &self.stages {
-            if stage.rank() < rank {
-                return Err(FvError::UnsupportedPlan {
-                    reason: "stages are not in the physical pipeline order (decrypt → \
-                             filter/regex → join → aggregate → project → compress → encrypt); \
-                             optimize() normalizes filters, regexes and projections, but a \
-                             stage that consumes another's output cannot move before it",
-                });
-            }
-            rank = stage.rank();
-            match stage {
-                LogicalStage::Decrypt(c) => {
-                    once(spec.decrypt_input.is_some(), "two decrypt stages")?;
-                    spec = spec.decrypt(c.clone());
-                }
-                LogicalStage::Filter(p) => spec = spec.filter(p.clone()),
-                LogicalStage::Regex(r) => {
-                    once(spec.regex.is_some(), "two regex stages")?;
-                    spec = spec.regex_match(r.col, r.pattern.clone());
-                }
-                LogicalStage::Join(j) => {
-                    once(spec.join.is_some(), "two join stages")?;
-                    spec = spec.join_small(j.clone());
-                }
-                LogicalStage::Aggregate {
-                    keys,
-                    aggs,
-                    distinct,
-                } => {
-                    once(spec.grouping.is_some(), "two grouping stages")?;
-                    spec = if *distinct && aggs.is_empty() {
-                        spec.distinct(keys.clone())
-                    } else {
-                        spec.group_by(keys.clone(), aggs.clone())
-                    };
-                }
-                LogicalStage::Project(cols) => {
-                    let reason = "two projection stages — optimize() fuses them";
-                    once(spec.projection.is_some(), reason)?;
-                    spec = spec.project(cols.clone());
-                }
-                LogicalStage::Compress => {
-                    once(spec.compress_output, "two compress stages")?;
-                    spec = spec.compress();
-                }
-                LogicalStage::Encrypt(c) => {
-                    once(spec.encrypt_output.is_some(), "two encrypt stages")?;
-                    spec = spec.encrypt(c.clone());
-                }
-            }
-        }
-        if self.smart_addressing {
-            spec = spec.with_smart_addressing();
-        }
-        if self.vectorize {
-            spec = spec.vectorized();
-        }
-        Ok(spec)
+        Ok(self.spec.clone())
     }
 
     // --- the verifier -----------------------------------------------------
@@ -464,114 +168,17 @@ impl QueryPlan {
 
     // --- the optimizer ----------------------------------------------------
 
-    /// Run the rule-based optimizer: normalize logical stage order into
-    /// the physical one (remapping column indices where the projection
-    /// permits), prune projections nothing downstream reads, and choose
-    /// smart addressing when the calibrated cost model says the gather
-    /// beats streaming whole rows. Every rewrite is
-    /// result-preserving: the optimized plan returns byte-identical
-    /// payloads on every target (property-tested in
-    /// `tests/plan_props.rs`).
+    /// Run the optimizer: choose smart addressing for a pure projection
+    /// when the calibrated cost model says the gather beats streaming
+    /// whole rows, and record a `DISTINCT` as the degenerate `GROUP BY`
+    /// the fleet merges it as. The rewrite is result-preserving: the
+    /// optimized plan returns byte-identical payloads on every target
+    /// (property-tested in `tests/plan_props.rs`).
     pub fn optimize(&self, schema: &Schema) -> Result<QueryPlan, FvError> {
         let mut plan = self.clone();
         plan.applied.clear();
-        if plan
-            .stages
-            .iter()
-            .any(|s| matches!(s, LogicalStage::Aggregate { distinct, .. } if *distinct))
-        {
+        if let Some(GroupingSpec::Distinct { .. }) = plan.spec.grouping {
             plan.applied.push(rules::DISTINCT_UNIFICATION);
-        }
-
-        // Fixpoint rewriting over adjacent stage pairs.
-        loop {
-            let mut changed = false;
-            let mut i = 0;
-            while let (Some(first), Some(second)) = (plan.stages.get(i), plan.stages.get(i + 1)) {
-                let rewrite = match (first, second) {
-                    // Predicate-before-projection: filter indices remap
-                    // through the projection into base space.
-                    (LogicalStage::Project(p), LogicalStage::Filter(f)) => {
-                        let remapped = remap_predicate(f, p)?;
-                        Some((
-                            vec![
-                                LogicalStage::Filter(remapped),
-                                LogicalStage::Project(p.clone()),
-                            ],
-                            rules::PREDICATE_BEFORE_PROJECTION,
-                        ))
-                    }
-                    // A regex is a selection predicate too: its column
-                    // remaps through the projection the same way.
-                    (LogicalStage::Project(p), LogicalStage::Regex(r)) => {
-                        let col = remap_col(r.col, p)?;
-                        Some((
-                            vec![
-                                LogicalStage::Regex(RegexFilter {
-                                    col,
-                                    pattern: r.pattern.clone(),
-                                }),
-                                LogicalStage::Project(p.clone()),
-                            ],
-                            rules::PREDICATE_BEFORE_PROJECTION,
-                        ))
-                    }
-                    // Projection pruning: project∘project composes into
-                    // one stage, dropping columns the outer projection
-                    // never reads.
-                    (LogicalStage::Project(p), LogicalStage::Project(q)) => {
-                        let fused = remap_cols(q, p)?;
-                        Some((
-                            vec![LogicalStage::Project(fused)],
-                            rules::PROJECTION_PRUNING,
-                        ))
-                    }
-                    // Projection pruning: an aggregate defines its own
-                    // output columns, so a projection feeding it only
-                    // renames inputs — remap the keys/aggregates to base
-                    // space and drop the projection.
-                    (
-                        LogicalStage::Project(p),
-                        LogicalStage::Aggregate {
-                            keys,
-                            aggs,
-                            distinct,
-                        },
-                    ) => {
-                        let keys = remap_cols(keys, p)?;
-                        let aggs = aggs
-                            .iter()
-                            .map(|a| {
-                                Ok(AggSpec {
-                                    col: remap_col(a.col, p)?,
-                                    func: a.func,
-                                })
-                            })
-                            .collect::<Result<Vec<_>, FvError>>()?;
-                        Some((
-                            vec![LogicalStage::Aggregate {
-                                keys,
-                                aggs,
-                                distinct: *distinct,
-                            }],
-                            rules::PROJECTION_PRUNING,
-                        ))
-                    }
-                    _ => None,
-                };
-                if let Some((replacement, rule)) = rewrite {
-                    plan.stages.splice(i..i + 2, replacement);
-                    if !plan.applied.contains(&rule) {
-                        plan.applied.push(rule);
-                    }
-                    changed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !changed {
-                break;
-            }
         }
 
         // Cost-gated smart addressing: a pure projection of strictly
@@ -581,21 +188,31 @@ impl QueryPlan {
         // gathered byte order identical to the packed projection; the
         // margin keeps "optimized is never slower" true under the
         // event-level queueing the estimate does not model.)
-        if !plan.smart_addressing && !plan.vectorize {
-            if let [LogicalStage::Project(cols)] = plan.stages.as_slice() {
-                let ascending = cols.is_sorted_by(|a, b| a < b);
-                if ascending && !cols.is_empty() {
-                    let cost = PlanCostModel::default();
-                    let stream_per_tuple = cost.stream_scan(schema.row_bytes() as u64);
-                    let gather_per_tuple = cost.smart_gather(1);
-                    if gather_per_tuple * 5 < stream_per_tuple * 4 {
-                        plan.smart_addressing = true;
-                        plan.applied.push(rules::SMART_ADDRESSING);
-                    }
-                }
-            }
+        let PipelineSpec {
+            projection: Some(cols),
+            smart_addressing: false,
+            selection: None,
+            regex: None,
+            grouping: None,
+            join: None,
+            decrypt_input: None,
+            compress_output: false,
+            encrypt_output: None,
+            vectorize: false,
+        } = &plan.spec
+        else {
+            return Ok(plan);
+        };
+        if cols.is_empty() || !cols.is_sorted_by(|a, b| a < b) {
+            return Ok(plan);
         }
-
+        let cost = PlanCostModel::default();
+        let stream_per_tuple = cost.stream_scan(schema.row_bytes() as u64);
+        let gather_per_tuple = cost.smart_gather(1);
+        if gather_per_tuple * 5 < stream_per_tuple * 4 {
+            plan.spec.smart_addressing = true;
+            plan.applied.push(rules::SMART_ADDRESSING);
+        }
         Ok(plan)
     }
 
@@ -612,57 +229,60 @@ impl QueryPlan {
         optimized.verify(schema)?;
         Ok(Explain {
             target: optimized.target,
-            stages: optimized
-                .stages
-                .iter()
-                .map(LogicalStage::describe)
-                .collect(),
+            stages: describe(&optimized.spec),
             applied: optimized.applied.clone(),
             naive_cost,
             optimized_cost,
-            smart_addressing: optimized.smart_addressing,
+            smart_addressing: optimized.spec.smart_addressing,
             rows,
             row_bytes: schema.row_bytes(),
         })
     }
 }
 
-// --- column remapping helpers ----------------------------------------------
-
-fn remap_col(col: usize, projection: &[usize]) -> Result<usize, FvError> {
-    projection
-        .get(col)
-        .copied()
-        .ok_or(FvError::Pipeline(PipelineError::UnknownColumn {
-            col,
-            arity: projection.len(),
-        }))
-}
-
-fn remap_cols(cols: &[usize], projection: &[usize]) -> Result<Vec<usize>, FvError> {
-    cols.iter().map(|&c| remap_col(c, projection)).collect()
-}
-
-fn remap_predicate(pred: &PredicateExpr, projection: &[usize]) -> Result<PredicateExpr, FvError> {
-    Ok(match pred {
-        PredicateExpr::True => PredicateExpr::True,
-        PredicateExpr::Cmp { col, op, value } => PredicateExpr::Cmp {
-            col: remap_col(*col, projection)?,
-            op: *op,
-            value: value.clone(),
-        },
-        PredicateExpr::And(xs) => PredicateExpr::And(
-            xs.iter()
-                .map(|x| remap_predicate(x, projection))
-                .collect::<Result<_, _>>()?,
-        ),
-        PredicateExpr::Or(xs) => PredicateExpr::Or(
-            xs.iter()
-                .map(|x| remap_predicate(x, projection))
-                .collect::<Result<_, _>>()?,
-        ),
-        PredicateExpr::Not(x) => PredicateExpr::Not(Box::new(remap_predicate(x, projection)?)),
-    })
+/// The spec's stages, rendered human-readably in the physical order
+/// (decrypt → filter → regex → join → aggregate → project → compress →
+/// encrypt).
+fn describe(spec: &PipelineSpec) -> Vec<String> {
+    let mut stages = Vec::new();
+    if spec.decrypt_input.is_some() {
+        stages.push("decrypt".into());
+    }
+    if let Some(p) = &spec.selection {
+        stages.push(format!("filter {p:?}"));
+    }
+    if let Some(r) = &spec.regex {
+        stages.push(format!("regex c{} ~ {:?}", r.col, r.pattern));
+    }
+    if let Some(j) = &spec.join {
+        stages.push(format!(
+            "join probe c{} vs build c{} ({} B shipped)",
+            j.probe_col,
+            j.build_key,
+            j.upload_bytes()
+        ));
+    }
+    match &spec.grouping {
+        Some(GroupingSpec::Distinct { cols }) => {
+            stages.push(format!(
+                "distinct {cols:?} (unified group-by, no aggregates)"
+            ));
+        }
+        Some(GroupingSpec::GroupBy { keys, aggs }) => {
+            stages.push(format!("group-by {keys:?} aggs {aggs:?}"));
+        }
+        None => {}
+    }
+    if let Some(cols) = &spec.projection {
+        stages.push(format!("project {cols:?}"));
+    }
+    if spec.compress_output {
+        stages.push("compress".into());
+    }
+    if spec.encrypt_output.is_some() {
+        stages.push("encrypt".into());
+    }
+    stages
 }
 
 // ---------------------------------------------------------------------------
@@ -675,41 +295,40 @@ fn remap_predicate(pred: &PredicateExpr, projection: &[usize]) -> Result<Predica
 /// of every rewrite the optimizer considers.
 fn estimate(plan: &QueryPlan, schema: &Schema, rows: u64) -> SimDuration {
     let cost = PlanCostModel::default();
+    let spec = &plan.spec;
     let row_bytes = schema.row_bytes() as u64;
 
-    // Walk the stages to find the output row width (worst case: every
-    // tuple survives filters).
+    // The output row width, through the stages that reshape a row in
+    // their physical order (worst case: every tuple survives filters).
     let mut widths: Vec<u64> = (0..schema.column_count())
         .map(|c| schema.column_range(c).len() as u64)
         .collect();
-    let mut grouped = false;
-    for stage in &plan.stages {
-        match stage {
-            LogicalStage::Project(cols) => {
-                widths = cols
-                    .iter()
-                    .map(|&c| widths.get(c).copied().unwrap_or(8))
-                    .collect();
-            }
-            LogicalStage::Aggregate { keys, aggs, .. } => {
-                grouped = true;
-                widths = keys
-                    .iter()
-                    .map(|&c| widths.get(c).copied().unwrap_or(8))
-                    .chain(std::iter::repeat_n(8, aggs.len()))
-                    .collect();
-            }
-            LogicalStage::Join(j) => {
-                let build_extra = j.build_schema.row_bytes() as u64;
-                widths.push(build_extra.saturating_sub(8));
-            }
-            _ => {}
+    let width = |widths: &[u64], c: usize| widths.get(c).copied().unwrap_or(8);
+    if let Some(j) = &spec.join {
+        let build_extra = j.build_schema.row_bytes() as u64;
+        widths.push(build_extra.saturating_sub(8));
+    }
+    let grouped = spec.grouping.is_some();
+    match &spec.grouping {
+        Some(GroupingSpec::Distinct { cols }) => {
+            widths = cols.iter().map(|&c| width(&widths, c)).collect();
         }
+        Some(GroupingSpec::GroupBy { keys, aggs }) => {
+            widths = keys
+                .iter()
+                .map(|&c| width(&widths, c))
+                .chain(std::iter::repeat_n(8, aggs.len()))
+                .collect();
+        }
+        None => {}
+    }
+    if let Some(cols) = &spec.projection {
+        widths = cols.iter().map(|&c| width(&widths, c)).collect();
     }
     let out_row_bytes: u64 = widths.iter().sum::<u64>().max(1);
 
     let in_bytes_total = rows * row_bytes;
-    let gather = plan.smart_addressing.then_some(rows);
+    let gather = spec.smart_addressing.then_some(rows);
     let out_bytes_total = rows * out_row_bytes;
 
     match plan.target {
@@ -979,7 +598,7 @@ mod tests {
     use super::*;
     use crate::{FarviewCluster, FarviewConfig, MAX_QUEUE_DEPTH};
     use fv_data::{Table, TableBuilder, Value};
-    use fv_pipeline::AggFunc;
+    use fv_pipeline::{AggFunc, AggSpec, JoinSmallSpec, PipelineError, PredicateExpr};
 
     fn table(cols: usize, rows: u64) -> Table {
         let schema = Schema::uniform_u64(cols);
@@ -1031,58 +650,59 @@ mod tests {
             key: [1; 16],
             iv: [2; 16],
         };
-        let s = || QueryPlan::new(PlanTarget::Single);
-        let f = || {
-            QueryPlan::new(PlanTarget::Fleet {
-                shards: 4,
-                partitioning: Partitioning::RowRange,
-            })
+        let q = PipelineSpec::passthrough;
+        let s = |spec: PipelineSpec| QueryPlan::from_spec(&spec, PlanTarget::Single);
+        let f = |spec: PipelineSpec| {
+            QueryPlan::from_spec(
+                &spec,
+                PlanTarget::Fleet {
+                    shards: 4,
+                    partitioning: Partitioning::RowRange,
+                },
+            )
         };
-        let smart = |spec: PipelineSpec| {
-            QueryPlan::from_spec(&spec.with_smart_addressing(), PlanTarget::Single)
-        };
+        let smart = |spec: PipelineSpec| s(spec.with_smart_addressing());
         let agg = |col, func| vec![AggSpec { col, func }];
         let sum = |col| agg(col, AggFunc::Sum);
         let lt = |col| PredicateExpr::lt(col, 9u64);
         let p = |e| Err(FvError::Pipeline(e));
         let unknown = |col, arity| p(P::UnknownColumn { col, arity });
-        let grouped = PipelineSpec::passthrough()
-            .project(vec![0])
-            .distinct(vec![0]);
+        let grouped = q().project(vec![0]).distinct(vec![0]);
         let bad_join = JoinSmallSpec {
             probe_col: 2,
             ..join.clone()
         };
-        let deep = QueryPlan::new(PlanTarget::Batch {
-            depth: MAX_QUEUE_DEPTH + 1,
-        });
+        let deep = QueryPlan::from_spec(
+            &q(),
+            PlanTarget::Batch {
+                depth: MAX_QUEUE_DEPTH + 1,
+            },
+        );
         #[rustfmt::skip]
         let cases: Vec<(&str, QueryPlan, Result<&str, FvError>)> = vec![
-            ("passthrough", s(), Ok("a b c d e")),
-            ("filter-project", s().filter(lt(0)).project(vec![0, 2]), Ok("a c")),
-            ("filter-after-project", s().project(vec![2, 0]).filter(lt(1)), Ok("c a")),
-            ("regex-project", s().regex_match(3, "ab*c").project(vec![3, 0]), Ok("d a")),
-            ("distinct", s().distinct(vec![1, 0]), Ok("b a")),
-            ("group-by", s().group_by(vec![0], [sum(1), agg(2, AggFunc::Avg), agg(3, AggFunc::Count)].concat()), Ok("a sum_b avg_c count_d")),
-            ("join", s().join_small(join.clone()), Ok("a b c d e b_v")),
-            ("smart-addressing", smart(PipelineSpec::passthrough().project(vec![4, 0])), Ok("a e")),
-            ("fleet-group-by", f().group_by(vec![0], agg(1, AggFunc::Max)), Ok("a max_b")),
-            ("compress", s().compress(), Ok("a b c d e")),
-            ("encrypt", s().encrypt(key.clone()), Ok("a b c d e")),
-            ("decrypt", s().decrypt(key), Ok("a b c d e")),
-            ("project-out-of-bounds", s().project(vec![0, 5]), unknown(5, 5)),
-            ("filter-after-project-dropped-column", s().project(vec![0, 1]).filter(lt(2)), unknown(2, 2)),
-            ("regex-on-u64", s().regex_match(0, "a+"), p(P::RegexOnNonString { col: 0 })),
-            ("regex-bad-pattern", s().regex_match(3, "a(b"), p(P::Regex("syntax error at byte 3: unclosed group".into()))),
-            ("sum-over-bytes", s().group_by(vec![0], sum(3)), p(P::AggOnBytes { col: 3 })),
-            ("aggregate-out-of-bounds", s().group_by(vec![0], sum(7)), unknown(7, 5)),
-            ("fleet-aggregate-out-of-bounds", f().group_by(vec![0], sum(7)), unknown(7, 5)),
-            ("distinct-empty", s().distinct(vec![]), p(P::EmptyDistinct)),
-            ("fleet-distinct-empty", f().distinct(vec![]), p(P::EmptyDistinct)),
-            ("join-key-type-mismatch", s().join_small(bad_join), p(P::JoinKeyTypeMismatch { probe: T::F64, build: T::U64 })),
+            ("passthrough", s(q()), Ok("a b c d e")),
+            ("filter-project", s(q().filter(lt(0)).project(vec![0, 2])), Ok("a c")),
+            ("regex-project", s(q().regex_match(3, "ab*c").project(vec![3, 0])), Ok("d a")),
+            ("distinct", s(q().distinct(vec![1, 0])), Ok("b a")),
+            ("group-by", s(q().group_by(vec![0], [sum(1), agg(2, AggFunc::Avg), agg(3, AggFunc::Count)].concat())), Ok("a sum_b avg_c count_d")),
+            ("join", s(q().join_small(join.clone())), Ok("a b c d e b_v")),
+            ("smart-addressing", smart(q().project(vec![4, 0])), Ok("a e")),
+            ("fleet-group-by", f(q().group_by(vec![0], agg(1, AggFunc::Max))), Ok("a max_b")),
+            ("compress", s(q().compress()), Ok("a b c d e")),
+            ("encrypt", s(q().encrypt(key.clone())), Ok("a b c d e")),
+            ("decrypt", s(q().decrypt(key)), Ok("a b c d e")),
+            ("project-out-of-bounds", s(q().project(vec![0, 5])), unknown(5, 5)),
+            ("regex-on-u64", s(q().regex_match(0, "a+")), p(P::RegexOnNonString { col: 0 })),
+            ("regex-bad-pattern", s(q().regex_match(3, "a(b")), p(P::Regex("syntax error at byte 3: unclosed group".into()))),
+            ("sum-over-bytes", s(q().group_by(vec![0], sum(3))), p(P::AggOnBytes { col: 3 })),
+            ("aggregate-out-of-bounds", s(q().group_by(vec![0], sum(7))), unknown(7, 5)),
+            ("fleet-aggregate-out-of-bounds", f(q().group_by(vec![0], sum(7))), unknown(7, 5)),
+            ("distinct-empty", s(q().distinct(vec![])), p(P::EmptyDistinct)),
+            ("fleet-distinct-empty", f(q().distinct(vec![])), p(P::EmptyDistinct)),
+            ("join-key-type-mismatch", s(q().join_small(bad_join)), p(P::JoinKeyTypeMismatch { probe: T::F64, build: T::U64 })),
             ("smart-addressing-with-grouping", smart(grouped), p(P::SmartAddressingConflict("grouping"))),
-            ("group-by-then-project", s().group_by(vec![0], sum(1)).project(vec![0]), p(P::GroupingProjectionConflict)),
-            ("join-then-project", s().join_small(join).project(vec![0, 1]), p(P::JoinConflict("projection"))),
+            ("group-by-then-project", s(q().group_by(vec![0], sum(1)).project(vec![0])), p(P::GroupingProjectionConflict)),
+            ("join-then-project", s(q().join_small(join).project(vec![0, 1])), p(P::JoinConflict("projection"))),
             ("batch-too-deep", deep, Err(FvError::BatchTooDeep { depth: MAX_QUEUE_DEPTH + 1, max: MAX_QUEUE_DEPTH })),
         ];
         for (name, plan, want) in cases {
@@ -1134,35 +754,29 @@ mod tests {
 
     #[test]
     fn projection_next_to_grouping_or_join_errors_at_lowering() {
-        // SELECT a subset of a GROUP BY's output is not a pipeline the
-        // hardware has a layout for: the lowered spec fails its own
+        // SELECT a subset of a GROUP BY's or a join's output is not a
+        // pipeline the hardware has a layout for: the spec fails its own
         // verifier, before any table is loaded.
-        let plan = QueryPlan::new(PlanTarget::Single)
-            .group_by(
-                vec![0],
-                vec![AggSpec {
-                    col: 1,
-                    func: AggFunc::Sum,
-                }],
-            )
-            .project(vec![0]);
         let schema = Schema::uniform_u64(4);
-        let conflict = PipelineError::GroupingProjectionConflict;
-        let lowered = plan.optimize(&schema).unwrap().to_spec().unwrap();
-        assert_eq!(lowered.verify(&schema), Err(conflict.clone()));
-        assert_eq!(plan.verify(&schema), Err(FvError::Pipeline(conflict)));
-
-        // A join written after a projection cannot move before it.
         let mut bb = TableBuilder::new(Schema::uniform_u64(2));
         bb.push_values(vec![Value::U64(1), Value::U64(2)]);
-        let plan = QueryPlan::new(PlanTarget::Single)
-            .project(vec![0, 1])
-            .join_small(JoinSmallSpec::new(0, &bb.build(), 0));
-        let optimized = plan.optimize(&schema).unwrap();
-        assert!(matches!(
-            optimized.to_spec(),
-            Err(FvError::UnsupportedPlan { .. })
-        ));
+        let group_by = PipelineSpec::passthrough().group_by(
+            vec![0],
+            vec![AggSpec {
+                col: 1,
+                func: AggFunc::Sum,
+            }],
+        );
+        let join = PipelineSpec::passthrough().join_small(JoinSmallSpec::new(0, &bb.build(), 0));
+        for (spec, conflict) in [
+            (group_by, PipelineError::GroupingProjectionConflict),
+            (join, PipelineError::JoinConflict("projection")),
+        ] {
+            let plan = QueryPlan::from_spec(&spec.project(vec![0]), PlanTarget::Single);
+            let lowered = plan.optimize(&schema).unwrap().to_spec().unwrap();
+            assert_eq!(lowered.verify(&schema), Err(conflict.clone()));
+            assert_eq!(plan.verify(&schema), Err(FvError::Pipeline(conflict)));
+        }
     }
 
     #[test]
@@ -1189,163 +803,36 @@ mod tests {
     }
 
     #[test]
-    fn filter_after_projection_reorders_and_remaps() {
-        // Logical plan: project [2,0,3], then filter on *projected*
-        // column 0 — which is base column 2.
-        let schema = Schema::uniform_u64(8);
-        let plan = QueryPlan::new(PlanTarget::Single)
-            .project(vec![2, 0, 3])
-            .filter(PredicateExpr::lt(0, 25u64));
-        assert!(matches!(
-            plan.to_spec(),
-            Err(FvError::UnsupportedPlan { .. })
-        ));
-        let optimized = plan.optimize(&schema).unwrap();
-        assert!(optimized
-            .applied
-            .contains(&rules::PREDICATE_BEFORE_PROJECTION));
-        let spec = optimized.to_spec().unwrap();
-        assert_eq!(spec.selection, Some(PredicateExpr::lt(2, 25u64)));
-        assert_eq!(spec.projection, Some(vec![2, 0, 3]));
-
-        // And the normalized plan computes what the logical plan means.
-        let t = table(8, 100);
-        let direct = run(
-            &t,
-            &PipelineSpec::passthrough()
-                .filter(PredicateExpr::lt(2, 25u64))
-                .project(vec![2, 0, 3]),
-        );
-        let via_plan = run(&t, &spec);
-        assert_eq!(via_plan.payload, direct.payload);
-    }
-
-    #[test]
-    fn projections_fuse_and_prune() {
-        let schema = Schema::uniform_u64(8);
-        let plan = QueryPlan::new(PlanTarget::Single)
-            .project(vec![3, 1, 2])
-            .project(vec![2, 0]);
-        let optimized = plan.optimize(&schema).unwrap();
-        assert!(optimized.applied.contains(&rules::PROJECTION_PRUNING));
-        assert_eq!(
-            optimized.stages,
-            &[LogicalStage::Project(vec![2, 3])],
-            "project∘project composes; column 1 is pruned"
-        );
-
-        // Projection feeding an aggregate dissolves into remapped keys.
-        let plan = QueryPlan::new(PlanTarget::Single)
-            .project(vec![2, 1])
-            .group_by(
-                vec![0],
-                vec![AggSpec {
-                    col: 1,
-                    func: AggFunc::Sum,
-                }],
-            );
-        let optimized = plan.optimize(&schema).unwrap();
-        let spec = optimized.to_spec().unwrap();
-        assert_eq!(spec.projection, None);
-        assert!(matches!(
-            spec.grouping,
-            Some(GroupingSpec::GroupBy { ref keys, ref aggs })
-                if keys == &[2] && aggs[0].col == 1
-        ));
-        let t = table(8, 120);
-        let direct = run(
-            &t,
-            &PipelineSpec::passthrough().group_by(
-                vec![2],
-                vec![AggSpec {
-                    col: 1,
-                    func: AggFunc::Sum,
-                }],
-            ),
-        );
-        assert_eq!(run(&t, &spec).payload, direct.payload);
-    }
-
-    #[test]
-    fn regex_after_projection_reorders_and_remaps() {
-        use fv_data::{Column, ColumnType};
-        // Schema: a key column and two string columns.
-        let schema = Schema::new(vec![
-            Column {
-                name: "k".into(),
-                ty: ColumnType::U64,
-            },
-            Column {
-                name: "s1".into(),
-                ty: ColumnType::Bytes(8),
-            },
-            Column {
-                name: "s2".into(),
-                ty: ColumnType::Bytes(8),
-            },
-        ]);
-        // Logical plan: project [2, 0], then regex on *projected* column
-        // 0 — which is base column 2.
-        let plan = QueryPlan::new(PlanTarget::Single)
-            .project(vec![2, 0])
-            .regex_match(0, "a+");
-        let optimized = plan.optimize(&schema).unwrap();
-        assert!(optimized
-            .applied
-            .contains(&rules::PREDICATE_BEFORE_PROJECTION));
-        let spec = optimized.to_spec().unwrap();
-        let regex = spec.regex.as_ref().expect("regex survives");
-        assert_eq!(regex.col, 2, "remapped into base space");
-        assert_eq!(spec.projection, Some(vec![2, 0]));
-    }
-
-    #[test]
-    fn out_of_range_remap_is_an_error() {
-        let schema = Schema::uniform_u64(8);
-        let plan = QueryPlan::new(PlanTarget::Single)
-            .project(vec![1, 2])
-            .filter(PredicateExpr::lt(5, 1u64)); // projected col 5 doesn't exist
-        assert!(matches!(
-            plan.optimize(&schema),
-            Err(FvError::Pipeline(PipelineError::UnknownColumn {
-                col: 5,
-                ..
-            }))
-        ));
-    }
-
-    #[test]
     fn smart_addressing_is_cost_gated() {
+        let optimize = |spec: PipelineSpec, schema: &Schema| {
+            QueryPlan::from_spec(&spec, PlanTarget::Single)
+                .optimize(schema)
+                .unwrap()
+        };
         // 512 B rows: the per-tuple gather clearly beats streaming.
         let wide = Schema::uniform_u64(64);
-        let plan = QueryPlan::new(PlanTarget::Single).project(vec![8, 9, 10]);
-        let optimized = plan.optimize(&wide).unwrap();
-        assert!(optimized.smart_addressing);
+        let optimized = optimize(PipelineSpec::passthrough().project(vec![8, 9, 10]), &wide);
+        assert!(optimized.spec.smart_addressing);
         assert!(optimized.applied.contains(&rules::SMART_ADDRESSING));
 
         // 64 B rows: streaming wins; the rule must not fire.
         let narrow = Schema::uniform_u64(8);
-        let optimized = QueryPlan::new(PlanTarget::Single)
-            .project(vec![1, 2])
-            .optimize(&narrow)
-            .unwrap();
-        assert!(!optimized.smart_addressing);
+        let optimized = optimize(PipelineSpec::passthrough().project(vec![1, 2]), &narrow);
+        assert!(!optimized.spec.smart_addressing);
 
         // Non-ascending projections change byte order under smart
         // addressing — the rule must skip them.
-        let optimized = QueryPlan::new(PlanTarget::Single)
-            .project(vec![10, 9])
-            .optimize(&wide)
-            .unwrap();
-        assert!(!optimized.smart_addressing);
+        let optimized = optimize(PipelineSpec::passthrough().project(vec![10, 9]), &wide);
+        assert!(!optimized.spec.smart_addressing);
 
         // A filter alongside the projection rules it out too.
-        let optimized = QueryPlan::new(PlanTarget::Single)
-            .filter(PredicateExpr::lt(0, 1u64))
-            .project(vec![8, 9])
-            .optimize(&wide)
-            .unwrap();
-        assert!(!optimized.smart_addressing);
+        let optimized = optimize(
+            PipelineSpec::passthrough()
+                .filter(PredicateExpr::lt(0, 1u64))
+                .project(vec![8, 9]),
+            &wide,
+        );
+        assert!(!optimized.spec.smart_addressing);
     }
 
     #[test]
@@ -1370,11 +857,13 @@ mod tests {
     #[test]
     fn explain_reports_rules_and_costs() {
         let wide = Schema::uniform_u64(64);
-        let plan = QueryPlan::new(PlanTarget::Fleet {
-            shards: 4,
-            partitioning: Partitioning::RowRange,
-        })
-        .project(vec![8, 9, 10]);
+        let plan = QueryPlan::from_spec(
+            &PipelineSpec::passthrough().project(vec![8, 9, 10]),
+            PlanTarget::Fleet {
+                shards: 4,
+                partitioning: Partitioning::RowRange,
+            },
+        );
         let ex = plan.explain(&wide, 4096).unwrap();
         assert!(ex.applied.contains(&rules::SMART_ADDRESSING));
         assert!(ex.optimized_cost < ex.naive_cost);
@@ -1384,7 +873,7 @@ mod tests {
         assert!(rendered.contains("fleet[4 shards"));
 
         // A passthrough plan has nothing to do and says so.
-        let ex = QueryPlan::new(PlanTarget::Single)
+        let ex = QueryPlan::from_spec(&PipelineSpec::passthrough(), PlanTarget::Single)
             .explain(&wide, 64)
             .unwrap();
         assert!(ex.applied.is_empty());

@@ -1,8 +1,7 @@
 //! The query planner's `explain()` output, and the optimizer actually
-//! winning: lower a projection onto the unified `QueryPlan` IR, watch
-//! the rule-based optimizer choose smart addressing from the calibrated
-//! cost model, and verify the optimized plan is byte-identical and
-//! faster when executed.
+//! winning: plan a projection as a `QueryPlan`, watch the optimizer
+//! choose smart addressing from the calibrated cost model, and verify
+//! the optimized plan is byte-identical and faster when executed.
 //!
 //! ```text
 //! cargo run --example planner_explain
@@ -12,7 +11,6 @@
 //! query.)
 
 use farview::prelude::*;
-use farview_core::PredicateExpr;
 
 fn main() {
     // Figure 7's setting: 512 B tuples (64 × 8-byte columns), of which a
@@ -20,28 +18,16 @@ fn main() {
     let table = fv_workload::TableGen::new(64, 8192).seed(7).build();
     let spec = PipelineSpec::passthrough().project(vec![8, 9, 10]);
 
-    // Lower the spec onto the planner IR and explain it: the cost model
-    // estimates that gathering 24 projected bytes per tuple beats
-    // streaming the whole 512 B row, so the smart-addressing rule fires.
+    // Plan the spec and explain it: the cost model estimates that
+    // gathering 24 projected bytes per tuple beats streaming the whole
+    // 512 B row, so the smart-addressing rule fires.
     let plan = QueryPlan::from_spec(&spec, PlanTarget::Single);
     let explain = plan
         .explain(table.schema(), table.row_count() as u64)
         .expect("explain");
     println!("{explain}");
 
-    // A logical plan written in SQL-ish order — filter *after* the
-    // projection, over projected column indices — normalizes back onto
-    // the one physical pipeline order.
-    let logical = QueryPlan::new(PlanTarget::Single)
-        .project(vec![8, 9, 10])
-        .filter(PredicateExpr::lt(0, 1u64 << 62)); // projected c0 = base c8
-    let explain = logical
-        .explain(table.schema(), table.row_count() as u64)
-        .expect("explain");
-    println!("{explain}");
-
-    // Now execute both the naive and the optimized projection plan and
-    // compare.
+    // Now execute both the naive and the optimized plan and compare.
     let cluster = FarviewCluster::new(FarviewConfig::default());
     let qp = cluster.connect().expect("a dynamic region is free");
     let (ft, _) = qp.load_table(&table).expect("buffer pool space");

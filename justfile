@@ -61,13 +61,19 @@ sim-identity:
 plants:
     sh scripts/plant.sh
 
+# The docs name only what exists: every backticked `just <recipe>` in
+# README.md, docs/ARCHITECTURE.md, the verify skill and the examples'
+# doc comments is a recipe here, and every backticked repo path exists.
+refs:
+    sh scripts/refs.sh
+
 # Every example in release mode. Each one asserts its own claims, so a
 # non-zero exit from any of them fails the recipe.
 examples:
     for e in examples/*.rs; do cargo run -q --release --example "$(basename "$e" .rs)" || exit 1; done
 
 # Everything CI runs, job for job (.github/workflows/ci.yml).
-ci: verify examples doc fmt-check clippy bench-smoke bench-check bench-contract sim-identity chaos plants
+ci: verify examples doc refs fmt-check clippy bench-smoke bench-check bench-contract sim-identity chaos plants
 
 # Reproduce every table/figure of the paper plus the scale-out sweep.
 figures:

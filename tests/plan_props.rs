@@ -3,9 +3,8 @@
 //! * The optimized plan returns **byte-identical** results to the
 //!   unoptimized spec on every entry point — single `farView`, the
 //!   doorbell batch, the fleet under row-range *and* key-hash
-//!   partitioning, and the tiered pool. The optimizer may only move
-//!   work around (reorder predicates, prune projections, switch the
-//!   memory access path); it must never change a payload byte or a
+//!   partitioning, and the tiered pool. The optimizer may only switch
+//!   the memory access path; it must never change a payload byte or a
 //!   result schema.
 //! * A plan verifies if and only if it executes: `QueryPlan::verify`
 //!   returns the schema the entry point returns, or its typed error —
@@ -215,32 +214,39 @@ proptest! {
     }
 
     /// The optimizer preserves the verified schema: an optimized plan
-    /// verifies as the plan it came from, and a filter written after a
-    /// projection verifies as its physical-order rewrite.
+    /// verifies as the plan it came from, and its spec is the spec it
+    /// was planned from, but for smart addressing switched on over a
+    /// non-vectorized pure projection of ascending columns. Each case
+    /// also plans a pure projection, the one shape the rule reads.
     #[test]
     fn the_optimizer_preserves_the_verified_schema(
-        spec in arb_staged_spec(),
-        target in arb_target(),
+        staged in arb_staged_spec(),
         cols in arb_cols(4),
-        (col, v) in (0usize..5, 0u64..64),
+        target in arb_target(),
+        vectorize in any::<bool>(),
+        wide in any::<bool>(),
     ) {
-        let schema = Schema::uniform_u64(8);
-        let plan = QueryPlan::from_spec(&spec, target);
-        let optimized = plan.optimize(&schema).expect("a lowered spec optimizes");
-        prop_assert_eq!(optimized.verify(&schema), plan.verify(&schema));
+        // 512 B rows make the smart-addressing gather pay; 64 B rows do not.
+        let schema = Schema::uniform_u64(if wide { 64 } else { 8 });
+        for spec in [staged, PipelineSpec::passthrough().project(cols)] {
+            let spec = if vectorize { spec.vectorized() } else { spec };
+            let plan = QueryPlan::from_spec(&spec, target);
+            let optimized = plan.optimize(&schema).expect("a planned spec optimizes");
+            prop_assert_eq!(optimized.verify(&schema), plan.verify(&schema));
 
-        let logical = QueryPlan::new(target)
-            .project(cols.clone())
-            .filter(PredicateExpr::lt(col, v));
-        let verdict = logical.verify(&schema);
-        match cols.get(col) {
-            Some(&base) => {
-                let physical = PipelineSpec::passthrough()
-                    .filter(PredicateExpr::lt(base, v))
-                    .project(cols.clone());
-                prop_assert_eq!(verdict, QueryPlan::from_spec(&physical, target).verify(&schema));
+            let lowered = optimized.to_spec().expect("a plan lowers");
+            if lowered != spec {
+                let projection_only = PipelineSpec { projection: None, ..spec.clone() };
+                let ascending = spec
+                    .projection
+                    .as_ref()
+                    .is_some_and(|cols| !cols.is_empty() && cols.is_sorted_by(|a, b| a < b));
+                prop_assert!(
+                    projection_only == PipelineSpec::passthrough() && ascending,
+                    "{:?} rewritten to {:?}", spec, lowered
+                );
+                prop_assert_eq!(lowered, spec.with_smart_addressing());
             }
-            None => prop_assert!(verdict.is_err()),
         }
     }
 }
